@@ -1,12 +1,10 @@
 """Engine ablation benchmark (design-choice ablation from DESIGN.md).
 
-Compares the five simulation engines on the same workloads:
+Compares the exact simulation engines on the same workloads:
 
 * the exact per-agent :class:`SequentialEngine` (reference),
-* the exact count-based :class:`CountEngine`,
 * the exact-in-distribution configuration-space :class:`CountBatchEngine`,
-* the exact collision-aware batched :class:`FastBatchEngine`,
-* the approximate :class:`BatchEngine` (deprecated baseline).
+* the exact collision-aware batched :class:`FastBatchEngine`.
 
 Two entry points:
 
@@ -49,8 +47,6 @@ growing factor as ``n`` grows (its collision-free runs lengthen like
 ``sqrt(n)``) until ``n ~ 3 * 10^6``, where the count-batch engine overtakes
 even the C kernel — its O(k^2) hypergeometric updates process ``Θ(sqrt(n))``
 interactions each while the per-agent array has long fallen out of cache.
-The approximate batch engine quantifies what giving up exactness would buy
-(nothing, at these state-space sizes).
 """
 
 from __future__ import annotations
@@ -69,9 +65,7 @@ from repro.core.protocol import GSULeaderElection
 from repro.engine._ckernel import kernel_available
 from repro.engine._count_kernel import count_kernel_available
 from repro.engine.base import BaseEngine
-from repro.engine.batch_engine import BatchEngine
 from repro.engine.count_batch import CountBatchEngine
-from repro.engine.count_engine import CountEngine
 from repro.engine.engine import SequentialEngine
 from repro.engine.fast_batch import FastBatchEngine
 from repro.protocols.approximate_majority import ApproximateMajority
@@ -101,21 +95,14 @@ _countbatch_python.exact = True  # type: ignore[attr-defined]
 #: wave schedule, so the JSON tracks both trajectories.
 ABLATION_ENGINES: Dict[str, Type[BaseEngine]] = {
     "sequential": SequentialEngine,
-    "count": CountEngine,
     "countbatch": CountBatchEngine,
     "fastbatch": FastBatchEngine,
     "fastbatch-numpy": _fastbatch_numpy,  # type: ignore[dict-item]
-    "batch": BatchEngine,
 }
 
 #: Ablation population sizes (the tentpole's target range; 10^7 is where the
 #: configuration-space engine overtakes the C kernel).
 ABLATION_SIZES = (10**4, 10**5, 10**6, 10**7)
-
-#: Per-engine divisor applied to the interaction budget so that slow engines
-#: do not dominate the ablation's wall clock; throughput (interactions per
-#: second) stays comparable across engines regardless of the budget.
-_BUDGET_DIVISOR = {"count": 10}
 
 _DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 
@@ -125,7 +112,7 @@ _DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize(
     "engine_cls",
-    [SequentialEngine, CountEngine, CountBatchEngine, FastBatchEngine, BatchEngine],
+    [SequentialEngine, CountBatchEngine, FastBatchEngine],
     ids=lambda c: c.__name__,
 )
 def test_bench_majority_engines(benchmark, engine_cls):
@@ -146,7 +133,7 @@ def test_bench_majority_engines(benchmark, engine_cls):
 
 @pytest.mark.parametrize(
     "engine_cls",
-    [SequentialEngine, CountEngine, FastBatchEngine],
+    [SequentialEngine, FastBatchEngine],
     ids=lambda c: c.__name__,
 )
 def test_bench_gsu_engines(benchmark, engine_cls):
@@ -237,9 +224,7 @@ def run_ablation(
     results: List[dict] = []
     for n in sizes:
         budgets = {
-            name: max(
-                10_000, min(4 * n, base_interactions) // _BUDGET_DIVISOR.get(name, 1)
-            )
+            name: max(10_000, min(4 * n, base_interactions))
             for name in ABLATION_ENGINES
         }
         cell_timings: Dict[str, List[tuple]] = {name: [] for name in ABLATION_ENGINES}
@@ -289,9 +274,7 @@ def run_ablation(
     }
 
 
-#: Exact engines compared on the GSU19 count-space section (the approximate
-#: batch engine adds nothing here, and the count engine's O(K)-per-step scan
-#: over the ~1.8k-state closure would only measure itself).
+#: Exact engines compared on the GSU19 count-space section.
 _GSU19_ENGINES: Dict[str, Type[BaseEngine]] = {
     "sequential": SequentialEngine,
     "countbatch": CountBatchEngine,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import sys
 
-from repro.engine import CountEngine, SequentialEngine
+from repro.engine import CountBatchEngine, SequentialEngine
 from repro.engine.recorder import OutputCountRecorder
 from repro.protocols import ApproximateMajority, ExactMajority
 from repro.viz.ascii import sparkline
@@ -48,7 +48,7 @@ def run_exact(n: int) -> None:
     # the 4-state exact protocol never does.
     a_count = n // 2 + 1
     protocol = ExactMajority(initial_a=a_count, initial_b=n - a_count)
-    engine = CountEngine(protocol, n, rng=3)
+    engine = CountBatchEngine(protocol, n, rng=3)
     budget_parallel_time = 4000
     while True:
         engine.run_parallel_time(20)

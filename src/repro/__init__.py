@@ -27,8 +27,6 @@ from __future__ import annotations
 __version__ = "1.0.0"
 
 from repro.engine import (
-    BatchEngine,
-    CountEngine,
     PopulationProtocol,
     RunResult,
     SequentialEngine,
@@ -48,8 +46,6 @@ __all__ = [
     "__version__",
     "PopulationProtocol",
     "SequentialEngine",
-    "CountEngine",
-    "BatchEngine",
     "Simulation",
     "RunResult",
     "run_protocol",

@@ -25,7 +25,7 @@ packed dense lookup array (the C kernel's input) and vectorised output
 maps.  Engines built on the same protocol instance share one table, so a
 state pair compiled anywhere serves every hot path.
 
-Seven engines are provided — five exact, plus an opt-in approximate tier:
+Five engines are provided — three exact, plus an opt-in approximate tier:
 
 * :class:`~repro.engine.engine.SequentialEngine` — the reference engine.  It
   keeps one integer-encoded state per agent and looks transitions up in the
@@ -58,14 +58,6 @@ Seven engines are provided — five exact, plus an opt-in approximate tier:
   distribution but consume randomness differently, so each carries its own
   trajectory-digest pins; ``CountBatchEngine(..., kernel="python")`` pins
   the portable path.
-* :class:`~repro.engine.count_engine.CountEngine` — also exact, keeps only
-  the multiset of states and samples one ordered pair per step.  The
-  easiest-to-audit configuration-level reference; superseded for throughput
-  by ``CountBatchEngine``.
-* :class:`~repro.engine.batch_engine.BatchEngine` — an *approximate* engine
-  (multinomial sampling with counts held fixed within a batch), superseded
-  by ``CountBatchEngine`` and kept as the ablation baseline quantifying
-  what giving up exactness would buy.  Requesting it by name warns.
 * :class:`~repro.engine.tauleap.TauLeapEngine` — the **approximate tier's**
   stochastic engine: count-space tau-leaping (binomial per-channel firing
   counts at frozen start-of-leap probabilities, Cao–Gillespie adaptive leap
@@ -84,8 +76,8 @@ Engine selection guide
 ======================
 
 All run entry points accept ``engine_cls`` / ``engine`` as a class, a name
-(``"sequential"``, ``"count"``, ``"countbatch"``, ``"fastbatch"``,
-``"batch"``, ``"tauleap"``, ``"meanfield"``) or ``"auto"`` (the CLI exposes
+(``"sequential"``, ``"countbatch"``, ``"fastbatch"``, ``"tauleap"``,
+``"meanfield"``) or ``"auto"`` (the CLI exposes
 the same choices via ``--engine``).  Rules of thumb, with per-interaction
 costs (``k`` = number of distinct occupied states):
 
@@ -107,11 +99,6 @@ countbatch       exact in    occupied-frontier work      huge n with an O(k)
                              with a C compiler           cost model from
                                                          3*10^6, forced from
                                                          3*10^7)
-count            exact in    O(k) Python, O(k) memory    auditing the count
-                 distribu-                               representation; not a
-                 tion                                    throughput choice
-batch            APPROXIMATE O(k^2) per batch            deprecated — ablation
-                                                         baseline only
 tauleap          APPROXIMATE O(k^2) per leap, leaps      opt-in speed knob at
                              span many interactions      huge n when KS-level
                              when dynamics are smooth    agreement suffices
@@ -139,12 +126,16 @@ occupied-frontier bound (``occupied_states_hint()``) against the fast-batch
 reference, and from ``3*10^7`` it forces count-batch outright — per-agent
 construction is O(n) in time and memory there.  Everything else gets
 fastbatch above the crossover for whichever hot path is actually available,
-sequential otherwise.  The approximate batch engine is never auto-selected,
-and constructing it emits a :class:`FutureWarning`.
+sequential otherwise.
 
 The :mod:`repro.engine.simulation` module layers run management (convergence
 predicates, interaction budgets, recorders, result objects) on top of the
 engines, and :mod:`repro.engine.parallel` adds multi-seed sweep drivers.
+Every run — ``BaseEngine.run_until``, ``Simulation.run`` and each row of a
+replica-vectorised sweep mega-cell — is driven by one check loop,
+:func:`~repro.engine.base.drive_checks`: observe, test the predicate,
+update the check cadence (a fixed period or the adaptive back-off), then
+advance by the next chunk, clipped to the budget.
 
 Observation pipeline
 ====================
@@ -206,9 +197,7 @@ from repro.engine.scheduler import (
     RandomRegularScheduler,
 )
 from repro.engine.engine import SequentialEngine
-from repro.engine.count_engine import CountEngine
 from repro.engine.count_batch import CountBatchEngine
-from repro.engine.batch_engine import BatchEngine
 from repro.engine.fast_batch import FastBatchEngine
 from repro.engine.meanfield import MeanFieldEngine
 from repro.engine.tauleap import TauLeapEngine
@@ -258,9 +247,7 @@ __all__ = [
     "PowerLawScheduler",
     "SCHEDULER_KINDS",
     "SequentialEngine",
-    "CountEngine",
     "CountBatchEngine",
-    "BatchEngine",
     "FastBatchEngine",
     "MeanFieldEngine",
     "TauLeapEngine",

@@ -4,8 +4,8 @@
 population is represented (per-agent array vs. state counts): the compiled
 :class:`~repro.engine.table.TransitionTable` obtained from
 ``protocol.compile()``, ever-occupied state tracking, count bookkeeping
-helpers, the ``run``/``run_until`` drivers, and convergence-friendly
-accessors.
+helpers, convergence-friendly accessors, and the one check loop every run
+is driven by (:func:`drive_checks`, with its fixed and adaptive cadences).
 
 Transition and output memoisation live in the shared table, **not** in the
 engines: every engine built on the same protocol instance consumes the same
@@ -17,7 +17,7 @@ C kernel alike.
 from __future__ import annotations
 
 import abc
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,7 +26,15 @@ from repro.engine.rng import RngLike
 from repro.errors import CheckpointError, ConfigurationError
 from repro.types import State
 
-__all__ = ["BaseEngine", "SNAPSHOT_VERSION"]
+__all__ = [
+    "AdaptiveCadence",
+    "BaseEngine",
+    "Cadence",
+    "SNAPSHOT_VERSION",
+    "cadence_for",
+    "drive_checks",
+    "run_checks",
+]
 
 #: Version stamp embedded in every engine snapshot.  Bump when the snapshot
 #: layout changes incompatibly; :meth:`BaseEngine.restore` refuses snapshots
@@ -44,8 +52,8 @@ class BaseEngine(abc.ABC):
     """
 
     #: Whether the engine simulates the sequential model exactly.  Approximate
-    #: engines (``BatchEngine``) set this to ``False`` and must never be used
-    #: for correctness claims.
+    #: engines (``TauLeapEngine``, ``MeanFieldEngine``) set this to ``False``
+    #: and must never be used for correctness claims.
     exact: bool = True
 
     #: Scenario capability tags this engine supports, compared against
@@ -98,10 +106,6 @@ class BaseEngine(abc.ABC):
         sid = self.table.encode(state)
         self._mark_occupied(sid)
         return sid
-
-    def output_of_id(self, sid: int) -> str:
-        """Output symbol of the state registered under ``sid`` (memoised)."""
-        return self.table.output_of(sid)
 
     # ------------------------------------------------------------------
     # Public inspection API
@@ -353,26 +357,136 @@ class BaseEngine(abc.ABC):
         bool
             ``True`` if the predicate held at some evaluation point.
         """
-        if check_every is None:
-            check_every = self.n
-        if check_every <= 0:
-            raise ConfigurationError(f"check_every must be positive, got {check_every}")
-        deadline = self.interactions + int(max_interactions)
-        if on_check is not None:
-            on_check(self)
-        if predicate(self):
-            return True
-        while self.interactions < deadline:
-            chunk = min(check_every, deadline - self.interactions)
-            self._perform_steps(chunk)
-            if on_check is not None:
-                on_check(self)
-            if predicate(self):
-                return True
-        return False
+        checks = drive_checks(
+            self,
+            predicate,
+            self.interactions + int(max_interactions),
+            cadence_for(check_every, self.n),
+            None if on_check is None else lambda engine, _: on_check(engine),
+        )
+        return run_checks([checks], lambda chunks: self.run(chunks[0]))[0]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"<{type(self).__name__} protocol={self.protocol.name!r} n={self.n} "
             f"interactions={self.interactions}>"
         )
+
+
+# ----------------------------------------------------------------------
+# The drive loop
+# ----------------------------------------------------------------------
+#: A check cadence: called at every check (after the predicate failed), it
+#: returns the period the next chunk is clipped from.
+Cadence = Callable[[BaseEngine], int]
+
+#: Adaptive cadence: base period ``n // 4``, capped at ``4 n`` so that
+#: convergence is detected within a bounded parallel-time lag.
+_AUTO_BASE_DIVISOR = 4
+_AUTO_MAX_UNITS = 4
+
+
+class AdaptiveCadence:
+    """The ``check_every="auto"`` geometric back-off.
+
+    The period doubles while the output census (``counts_by_output()``,
+    O(occupied) on the count-space engines) is unchanged between checks
+    and snaps back to the base the moment it changes.  ``period`` and
+    ``signature`` are the whole state; checkpoints record them so a
+    resumed run issues the uninterrupted run's chunk sequence.
+    """
+
+    def __init__(
+        self,
+        n: int,
+        period: Optional[int] = None,
+        signature: Optional[Dict[str, int]] = None,
+    ) -> None:
+        self.base = max(1, n // _AUTO_BASE_DIVISOR)
+        self.cap = max(self.base, _AUTO_MAX_UNITS * n)
+        self.period = self.base if period is None else int(period)
+        self.signature = None if signature is None else dict(signature)
+
+    def __call__(self, engine: BaseEngine) -> int:
+        current = engine.counts_by_output()
+        if current == self.signature:
+            self.period = min(2 * self.period, self.cap)
+        else:
+            self.signature = current
+            self.period = self.base
+        return self.period
+
+    def state(self) -> dict:
+        """The controller state a checkpoint records."""
+        return {"period": self.period, "signature": self.signature}
+
+
+def cadence_for(check_every, n: int, state: Optional[dict] = None) -> Cadence:
+    """The cadence of a ``check_every`` value: ``None`` checks every ``n``
+    interactions, an integer every that many, ``"auto"`` adaptively
+    (continuing the recorded controller ``state`` when given)."""
+    if check_every == "auto":
+        return AdaptiveCadence(n, **(state or {}))
+    period = n if check_every is None else check_every
+    if isinstance(period, str) or period <= 0:
+        raise ConfigurationError(
+            f"check_every must be a positive interaction period or 'auto', "
+            f"got {check_every!r}"
+        )
+    return lambda engine: period
+
+
+def drive_checks(
+    engine: BaseEngine,
+    predicate: Callable[[BaseEngine], bool],
+    deadline: int,
+    cadence: Cadence,
+    observer: Optional[Callable[[BaseEngine, bool], None]] = None,
+) -> Generator[int, None, bool]:
+    """The check loop every run is driven by.
+
+    Each step — the first at the starting position — runs
+    ``observer(engine, aligned)``, then ``predicate(engine)`` (returning
+    ``True`` when it holds), then ``cadence(engine)``, and yields the next
+    chunk: the period, clipped to ``deadline``.  The caller advances the
+    engine by exactly that chunk.  At or past the deadline it returns
+    ``False``.  ``aligned`` is false for a check reached through a clipped
+    chunk: that configuration is an artifact of this run's budget, so a
+    checkpoint written there could not resume a longer run bit-exactly.
+    """
+    aligned = True
+    while True:
+        if observer is not None:
+            observer(engine, aligned)
+        if predicate(engine):
+            return True
+        period = cadence(engine)
+        remaining = deadline - engine.interactions
+        if remaining <= 0:
+            return False
+        aligned = remaining >= period
+        yield min(period, remaining)
+
+
+def run_checks(
+    checks: Sequence[Generator[int, None, bool]],
+    advance: Callable[[List[int]], None],
+) -> List[bool]:
+    """Drive :func:`drive_checks` generators in lockstep; their verdicts.
+
+    ``advance(chunks)`` must advance row ``r`` by ``chunks[r]``
+    interactions; finished rows get ``0``.  One generator with
+    ``advance = lambda chunks: engine.run(chunks[0])`` is a scalar run.
+    """
+    verdicts: List[Optional[bool]] = [None] * len(checks)
+    chunks = [0] * len(checks)
+    while True:
+        for row, verdict in enumerate(verdicts):
+            if verdict is None:
+                try:
+                    chunks[row] = next(checks[row])
+                except StopIteration as stop:
+                    chunks[row], verdicts[row] = 0, stop.value
+        if all(verdict is not None for verdict in verdicts):
+            return verdicts
+        advance(chunks)

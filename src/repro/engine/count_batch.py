@@ -1,12 +1,12 @@
 """Exact-in-distribution batched simulation over state counts.
 
 :class:`CountBatchEngine` is the configuration-space engine the tentpole
-experiments at ``n = 10^7``–``10^8`` run on.  Like
-:class:`~repro.engine.count_engine.CountEngine` it stores only the state
-counts (``O(k)`` memory — no per-agent array, no ``O(n)`` construction), but
-instead of sampling one ordered pair per step it processes interactions in
-*collision-free runs* of expected length ``Θ(sqrt(n))``, in the style of
-Berenbrink et al.'s batched population-protocol simulation (see PAPERS.md).
+experiments at ``n = 10^7``–``10^8`` run on.  Agents are anonymous, so the
+multiset of states is a sufficient statistic: the engine stores only the
+state counts (``O(k)`` memory — no per-agent array, no ``O(n)``
+construction) and processes interactions in *collision-free runs* of
+expected length ``Θ(sqrt(n))``, in the style of Berenbrink et al.'s
+batched population-protocol simulation (see PAPERS.md).
 Per-run work follows the *occupied* state frontier ``k`` — quadratic scalar
 hypergeometric splits while ``k`` is small, one compacted vectorised split
 per pairing row beyond ``_MVH_SCALAR_MAX_OCCUPIED`` — so the
@@ -46,8 +46,8 @@ exact, and each run can be sampled configuration-level:
    multiset ``counts_before - H``.  The ordered pair falls in category
    (used, fresh), (fresh, used) or (used, used) with weights ``uf``, ``fu``
    and ``u(u-1)``, and the two states are drawn from the corresponding
-   multisets (without replacement within the used pool), exactly as
-   ``CountEngine`` draws its ordered pairs.
+   multisets (without replacement within the used pool), proportionally to
+   the counts.
 
 The KS distributional-equivalence suite (``tests/test_engine_equivalence.py``)
 pins this engine against :class:`SequentialEngine` on the epidemic,
@@ -73,9 +73,8 @@ from repro.engine._count_kernel import (
     seed_kernel_rng,
 )
 from repro.engine.base import BaseEngine
-from repro.engine.count_engine import initial_count_items, sample_weighted_index
 from repro.engine.cpus import resolve_kernel_threads
-from repro.engine.protocol import PopulationProtocol
+from repro.engine.protocol import PopulationProtocol, initial_count_items
 from repro.engine.rng import RngLike, make_rng, restore_rng_state, rng_state
 from repro.errors import ConfigurationError, ProtocolError
 
@@ -124,6 +123,23 @@ _NUMPY_HYPERGEOMETRIC_CAP = 10**9
 #: decompositions sample the *same* distribution (chain rule), so the switch
 #: is invisible to every statistic; only the raw RNG stream differs.
 _MVH_SCALAR_MAX_OCCUPIED = 12
+
+
+def sample_weighted_index(weights, target: float, exclude: int = -1) -> int:
+    """Index into ``weights`` at the uniform deviate ``target`` (pre-scaled
+    by the total weight), one unit of ``exclude`` removed from the pool;
+    the last index with mass on floating point slack."""
+    acc = 0.0
+    last = -1
+    for index, weight in enumerate(weights):
+        effective = weight - 1 if index == exclude else weight
+        if effective <= 0:
+            continue
+        last = index
+        acc += effective
+        if target < acc:
+            return index
+    return last
 
 
 def _logfactorial(k: int) -> float:
@@ -221,7 +237,7 @@ class CountBatchEngine(BaseEngine):
         take over) — the engine shines for small-frontier protocols at huge
         ``n``.  At ``n >= 10^7`` the protocol must declare ``initial_counts``
         (the O(n) configuration fallback is refused, see
-        :func:`~repro.engine.count_engine.initial_count_items`).
+        :func:`~repro.engine.protocol.initial_count_items`).
     n:
         Population size (``2 <= n <= MAX_EXACT_N``).
     rng:

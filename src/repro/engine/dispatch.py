@@ -28,18 +28,9 @@ Selection policy (see the measured crossovers in ``BENCH_engine.json``):
   :meth:`repro.core.protocol.GSULeaderElection.canonical_states`) *and* an
   ``O(k)`` ``initial_counts`` path.  Among eligible protocols the choice is
   a measured cost model (below): the classic small-state-space workloads
-  cross over around ``3*10^6`` agents, and above ``_COUNTBATCH_FORCE_N``
+  cross over around ``3*10^6`` agents, and above ``COUNTBATCH_FORCE_N``
   count-batch is selected unconditionally — the per-agent engines' ``O(n)``
   arrays and construction loops stop being viable long before ``10^8``.
-* ``CountEngine`` — exact, ``O(k)`` memory, one ordered pair per step.
-  Never the throughput winner; kept as the easiest-to-audit
-  configuration-level reference and never auto-selected (count-batch
-  dominates it wherever counts help).
-* ``BatchEngine`` — **approximate** multinomial batching, superseded by
-  ``CountBatchEngine`` for large-n exploration.  Never auto-selected, and
-  constructing it (by name or by class) emits a :class:`FutureWarning`;
-  it survives as the ablation baseline quantifying what giving up
-  exactness would buy.
 
 The approximate tier (never auto-selected)
 ==========================================
@@ -52,21 +43,9 @@ can silently downgrade a correctness claim.  Their accuracy against the
 exact tier is pinned by ``tests/test_engine_approx.py`` via
 :mod:`repro.analysis.accuracy`.
 
-* ``TauLeapEngine`` — **approximate** count-space leaping: whole leaps of
-  interactions fire binomial per-channel counts at frozen start-of-leap
-  probabilities, with Cao–Gillespie adaptive leap selection and
-  negative-count rejection.  Same ``O(k)`` memory as the exact count
-  engines, but the leap length is set by the *dynamics* (fraction
-  ``epsilon`` of any count per leap) rather than by collision statistics,
-  so it outruns count-batch when populations are large and dynamics are
-  smooth.
-* ``MeanFieldEngine`` — **deterministic** integration of the protocol's
-  expected-count ODE (the ``n -> infinity`` fluid limit), adaptive
-  embedded RK with exact mass conservation.  Cost is independent of ``n``
-  entirely: a GSU19 scaling curve to ``n = 10^12`` is milliseconds per
-  point.  Correct for mean occupancies up to ``O(1/sqrt(n))``
-  fluctuations; says nothing about distributions or hitting times of
-  individual runs.
+They are ``TauLeapEngine`` (count-space tau-leaping) and
+``MeanFieldEngine`` (the expected-count ODE); the engine guide in
+:mod:`repro.engine` describes both.
 
 The count-batch cost model
 ==========================
@@ -111,9 +90,7 @@ from typing import Dict, Optional, Type, Union
 from repro.engine._ckernel import kernel_available
 from repro.engine._count_kernel import count_kernel_available
 from repro.engine.base import BaseEngine
-from repro.engine.batch_engine import BatchEngine
 from repro.engine.count_batch import _MVH_SCALAR_MAX_OCCUPIED, CountBatchEngine
-from repro.engine.count_engine import CountEngine
 from repro.engine.engine import SequentialEngine
 from repro.engine.fast_batch import FastBatchEngine
 from repro.engine.meanfield import MeanFieldEngine
@@ -140,9 +117,7 @@ __all__ = [
 #: Named engines accepted everywhere an engine specification is taken.
 ENGINE_REGISTRY: Dict[str, Type[BaseEngine]] = {
     "sequential": SequentialEngine,
-    "count": CountEngine,
     "countbatch": CountBatchEngine,
-    "batch": BatchEngine,
     "fastbatch": FastBatchEngine,
     "meanfield": MeanFieldEngine,
     "tauleap": TauLeapEngine,
@@ -182,9 +157,6 @@ _COUNTBATCH_MIN_N = 3_000_000
 #: GSU19's closure gate (repro.core.protocol.CLOSURE_MIN_N_HINT) is defined
 #: as this threshold — the size from which the closure actually pays off.
 COUNTBATCH_FORCE_N = 30_000_000
-
-#: Backwards-compatible internal alias.
-_COUNTBATCH_FORCE_N = COUNTBATCH_FORCE_N
 
 #: Count-based dispatch requires the declared state space to fit a sane
 #: packed transition LUT: the table allocates an (k x k) int64 array, which
@@ -410,14 +382,14 @@ def auto_engine(
         # told "fastbatch", which is what the cost model says for GSU19's
         # frontier in the 3*10^6..3*10^7 window.
         worth_probing = (
-            n >= _COUNTBATCH_FORCE_N
+            n >= COUNTBATCH_FORCE_N
             or hint is None
             or _countbatch_profitable(hint, n)
         )
         if worth_probing:
             states = count_capable(protocol, n)
             if states is not None:
-                if n >= _COUNTBATCH_FORCE_N:
+                if n >= COUNTBATCH_FORCE_N:
                     return CountBatchEngine
                 occupied = states if hint is None else min(states, hint)
                 if _countbatch_profitable(occupied, n):
@@ -485,10 +457,6 @@ def _resolve_engine_spec(
                     "engine='auto' needs a protocol and a population size to dispatch on"
                 )
             return auto_engine(protocol, n, scenario)
-        # NOTE: the 'batch' deprecation FutureWarning is emitted by
-        # BatchEngine.__init__ itself, so every entry point — string lookup
-        # here, direct class use, engine_cls= keyword — sees it exactly
-        # where the approximate engine is actually instantiated.
         try:
             return ENGINE_REGISTRY[name]
         except KeyError:

@@ -52,8 +52,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.engine.base import BaseEngine
-from repro.engine.count_engine import initial_count_items
-from repro.engine.protocol import PopulationProtocol
+from repro.engine.protocol import PopulationProtocol, initial_count_items
 from repro.engine.rng import RngLike
 from repro.errors import ConfigurationError
 from repro.types import State

@@ -59,7 +59,8 @@ R seeds as an (R, k) count matrix, paying protocol construction, the
 survival curve and the per-batch kernel transitions once per call instead
 of once per replica.  Mega-cells are sharded so every worker still gets
 one, and each row reproduces the scalar cell for its seed **bit-for-bit**
-(same chunk sequence, same RNG stream, same convergence checks), so
+(the same check loop at the same cadence — fixed or ``"auto"`` — so the
+same chunk sequence, RNG stream and convergence checks), so
 grouping is invisible in the results and in the store — a sweep resumed on
 a machine that groups differently still reuses every cell.
 
@@ -113,6 +114,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.engine.base import cadence_for, drive_checks, run_checks
 from repro.engine.convergence import ConvergencePredicate, SingleLeader
 from repro.engine.cpus import available_cpus
 from repro.engine.dispatch import (
@@ -224,25 +226,18 @@ class _ProtocolConvergence:
 # ----------------------------------------------------------------------
 # Replica-vectorised mega-cells
 # ----------------------------------------------------------------------
-def _mega_run_options(run_kwargs: Dict[str, object]) -> Optional[tuple]:
-    """``(check_every, engine_kwargs)`` when ``run_kwargs`` permits replica
-    grouping, else ``None``.
+def _mega_groupable(run_kwargs: Dict[str, object]) -> bool:
+    """Whether ``run_kwargs`` permit replica grouping.
 
-    Mega-cells replay :class:`~repro.engine.simulation.Simulation`'s
-    fixed-cadence drive loop row-wise; anything beyond that — recorders,
-    checkpointing, the adaptive ``"auto"`` cadence, ``raise_on_budget``,
-    engine keywords other than the kernel selector — keeps the cell on the
-    per-cell path, which supports everything.
+    Mega-cell rows run the scalar check loop at any cadence; recorders,
+    checkpointing, ``raise_on_budget`` and engine keywords other than the
+    kernel selectors keep the cell on the per-cell path.
     """
-    if set(run_kwargs) - {"check_every", "engine_kwargs"}:
-        return None
-    check_every = run_kwargs.get("check_every")
-    if check_every is not None and not isinstance(check_every, int):
-        return None  # "auto": per-row adaptive cadences are not grouped
-    engine_kwargs = dict(run_kwargs.get("engine_kwargs") or {})
-    if set(engine_kwargs) - {"kernel", "kernel_threads"}:
-        return None
-    return check_every, engine_kwargs
+    engine_kwargs = run_kwargs.get("engine_kwargs") or {}
+    return not (
+        set(run_kwargs) - {"check_every", "engine_kwargs"}
+        or set(engine_kwargs) - {"kernel", "kernel_threads"}
+    )
 
 
 def _groupable(factory: ProtocolFactory, n: int, engine: EngineSpec) -> bool:
@@ -287,7 +282,7 @@ def _use_thread_backend(
     return True
 
 
-def _run_replicated(
+def _run_mega_cell(
     factory: ProtocolFactory,
     n: int,
     seeds: Sequence[int],
@@ -297,29 +292,21 @@ def _run_replicated(
 ) -> List[RunResult]:
     """Run one mega-cell: every seed as a row of a replicated engine.
 
-    Replays the scalar drive loop per row — budget ``round(mpt * n)``, a
-    convergence check at position 0 and after every
-    ``min(check_every, remaining budget)`` chunk, a fresh predicate per
-    row — so each row's trajectory, convergence decision and final
-    configuration are bit-identical to ``_run_single`` with that row's
-    seed.  Rows that converge (or exhaust their budget) get zero-budget
-    chunks from then on, which the replicated engine skips without
-    touching their RNG streams.
+    Each row gets the check loop :class:`~repro.engine.simulation.Simulation`
+    would build for its scalar run — budget ``round(mpt * n)``, the cell's
+    cadence, a fresh predicate — and :func:`~repro.engine.base.run_checks`
+    advances all rows in lockstep through ``run_chunks``.  Each row thus
+    issues its scalar run's chunk sequence and is bit-identical to it;
+    finished rows get zero-budget chunks, which leave their RNG streams
+    untouched.
     """
     from repro.engine.count_batch import replicated_engine
 
-    options = _mega_run_options(run_kwargs)
-    if options is None:  # pragma: no cover - guarded by the planner
-        raise ConfigurationError("cell options do not permit replica grouping")
-    check_every, engine_kwargs = options
-    if check_every is not None and check_every <= 0:
-        raise ConfigurationError(
-            f"check_every must be positive, got {check_every}"
-        )
     if max_parallel_time <= 0:
         raise ConfigurationError(
             f"max_parallel_time must be positive, got {max_parallel_time}"
         )
+    engine_kwargs = run_kwargs.get("engine_kwargs") or {}
     engine = replicated_engine(
         factory,
         n,
@@ -328,56 +315,23 @@ def _run_replicated(
         kernel_threads=engine_kwargs.get("kernel_threads"),
     )
     rows = engine.rows
-    predicates: List[ConvergencePredicate] = []
-    for _ in rows:
-        predicate = (
-            convergence_factory(n) if convergence_factory is not None else None
-        )
+    budget = int(round(max_parallel_time * n))
+    checks = []
+    for row in rows:
+        predicate = convergence_factory(n) if convergence_factory is not None else None
         if predicate is None:
             predicate = SingleLeader()
         predicate.reset()
-        predicates.append(predicate)
-    period = int(check_every) if check_every is not None else int(n)
-    budget = int(round(max_parallel_time * n))
+        cadence = cadence_for(run_kwargs.get("check_every"), n)
+        checks.append(drive_checks(row, predicate, row.interactions + budget, cadence))
     started = _time.perf_counter()
-    deadlines = [row.interactions + budget for row in rows]
-    converged = [bool(predicate(row)) for predicate, row in zip(predicates, rows)]
-    active = [
-        not converged[r] and rows[r].interactions < deadlines[r]
-        for r in range(len(rows))
-    ]
-    while any(active):
-        chunks = [
-            min(period, deadlines[r] - rows[r].interactions) if active[r] else 0
-            for r in range(len(rows))
-        ]
-        engine.run_chunks(chunks)
-        for r, row in enumerate(rows):
-            if not active[r]:
-                continue
-            if predicates[r](row):
-                converged[r] = True
-                active[r] = False
-            elif row.interactions >= deadlines[r]:
-                active[r] = False
+    converged = run_checks(checks, engine.run_chunks)
     elapsed = _time.perf_counter() - started
+    # Rows share one wall clock; attribute it evenly (the field is for
+    # throughput reporting only and is not part of cell identity).
     return [
-        RunResult(
-            protocol_name=row.protocol.name,
-            n=int(n),
-            seed=seed,
-            converged=converged[r],
-            interactions=row.interactions,
-            parallel_time=row.parallel_time,
-            states_used=row.states_ever_occupied,
-            final_counts=row.state_counts(),
-            final_outputs=row.counts_by_output(),
-            # Rows share one wall clock; attribute it evenly (the field is
-            # for throughput reporting only and is not part of cell
-            # identity).
-            wall_clock_seconds=elapsed / len(rows),
-        )
-        for r, (row, seed) in enumerate(zip(rows, seeds))
+        RunResult.of(row, seed, verdict, wall_clock_seconds=elapsed / len(rows))
+        for row, seed, verdict in zip(rows, seeds, converged)
     ]
 
 
@@ -397,7 +351,7 @@ def _execute_unit(
     if kind == "mega":
         n = cells[0][0]
         seeds = [seed for _, seed in cells]
-        results = _run_replicated(
+        results = _run_mega_cell(
             factory, n, seeds, max_parallel_time, convergence_factory, run_kwargs
         )
         return [
@@ -435,7 +389,7 @@ def _plan_units(
     execution order deterministic.
     """
     units: List[Tuple[str, List[_Job]]] = []
-    if _mega_run_options(run_kwargs) is None:
+    if not _mega_groupable(run_kwargs):
         return [("cell", [job]) for job in pending]
     groups: Dict[int, List[_Job]] = {}
     verdicts: Dict[int, bool] = {}

@@ -22,6 +22,7 @@ from __future__ import annotations
 import abc
 import threading
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.errors import ProtocolError
@@ -31,7 +32,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.engine.state import StateEncoder
     from repro.engine.table import TransitionTable
 
-__all__ = ["PopulationProtocol", "ProtocolSpec", "LEADER_OUTPUT", "FOLLOWER_OUTPUT"]
+__all__ = [
+    "PopulationProtocol",
+    "ProtocolSpec",
+    "LEADER_OUTPUT",
+    "FOLLOWER_OUTPUT",
+    "initial_count_items",
+]
 
 #: Serialises first-time table compilation per protocol instance (one
 #: module-wide lock is fine — compilation is a rare, one-time event and a
@@ -43,6 +50,13 @@ _compile_lock = threading.Lock()
 LEADER_OUTPUT = "L"
 #: Conventional output symbol for "this agent currently maps to a follower".
 FOLLOWER_OUTPUT = "F"
+
+#: Population size from which falling back to ``initial_configuration`` is an
+#: error rather than a slow path: the fallback walks an O(n) sequence, which
+#: at 10^7+ agents means multi-GB transient allocations inside engines whose
+#: selling point is O(k) memory.  Protocols must declare ``initial_counts``
+#: to run at this scale.
+_COUNTS_REQUIRED_MIN_N = 10**7
 
 
 class PopulationProtocol(abc.ABC):
@@ -123,8 +137,9 @@ class PopulationProtocol(abc.ABC):
     def initial_counts(self, n: int) -> Optional[Dict[State, int]]:
         """Optional ``{state: count}`` form of the initial configuration.
 
-        Configuration-level engines (``CountEngine``, ``CountBatchEngine``)
-        prefer this hook because it needs ``O(k)`` memory instead of the
+        Configuration-level engines (``CountBatchEngine``, ``TauLeapEngine``,
+        ``MeanFieldEngine``, through :func:`initial_count_items`) prefer this
+        hook because it needs ``O(k)`` memory instead of the
         ``O(n)`` list built by :meth:`initial_configuration` — the difference
         between fitting ``n = 10^8`` in a few kilobytes and allocating
         gigabytes.  The default ``None`` makes those engines fall back to
@@ -233,6 +248,59 @@ class PopulationProtocol(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} name={self.name!r}>"
+
+
+def initial_count_items(protocol: PopulationProtocol, n: int) -> List[tuple]:
+    """``(state, count)`` pairs of the initial configuration, in order.
+
+    Prefers the protocol's ``O(k)``-memory :meth:`initial_counts` hook and
+    falls back to run-length encoding :meth:`initial_configuration`.  The
+    fallback *streams* the configuration through :func:`itertools.groupby`
+    — no intermediate copy is built here, and a protocol whose
+    ``initial_configuration`` returns a lazy iterable is consumed in O(k)
+    memory (``k`` runs of equal states).  At ``n >= 10^7`` the fallback is
+    refused outright with a :class:`ProtocolError` naming the fix (declare
+    ``initial_counts``): the stock implementations return O(n) lists, and
+    whether a particular override would stream lazily cannot be known
+    without *invoking* it — at which point a list-returning protocol has
+    already allocated the gigabytes this guard exists to prevent.
+    """
+    counts = protocol.initial_counts(n)
+    if counts is not None:
+        items = list(counts.items())
+        total = sum(count for _, count in items)
+        if total != n or any(count < 0 for _, count in items):
+            raise ProtocolError(
+                f"initial_counts of protocol {protocol.name!r} sums to {total} "
+                f"with population size {n} (counts must be non-negative and "
+                "sum to n)"
+            )
+        return [(state, int(count)) for state, count in items if count]
+    if n >= _COUNTS_REQUIRED_MIN_N:
+        raise ProtocolError(
+            f"protocol {protocol.name!r} declares no initial_counts; the "
+            f"initial_configuration fallback is refused at n={n} (stock "
+            "implementations materialise an O(n) list, and checking for a "
+            "lazy override would already invoke it) — implement "
+            "initial_counts (the O(k) {state: count} form of the initial "
+            "configuration) to simulate populations of 10^7 and beyond"
+        )
+    configuration = protocol.initial_configuration(n)
+    if hasattr(configuration, "__len__"):
+        # Sized configurations keep the protocol's validate_configuration
+        # hook (subclasses may enforce extra invariants there); lazy
+        # iterables skip it — their length is validated from the stream.
+        protocol.validate_configuration(configuration, n)
+    items = [
+        (state, sum(1 for _ in run)) for state, run in groupby(configuration)
+    ]
+    total = sum(count for _, count in items)
+    if total != n:
+        raise ProtocolError(
+            f"initial configuration of protocol {protocol.name!r} has length "
+            f"{total}, expected n={n}"
+        )
+    return items
 
 
 @dataclass

@@ -16,11 +16,11 @@ states should be compiled into state-property views
 over the engine's count vector:
 
     >>> from repro.engine.recorder import MetricRecorder
-    >>> from repro.engine.count_engine import CountEngine
+    >>> from repro.engine.count_batch import CountBatchEngine
     >>> from repro.protocols.slow import SlowLeaderElection
     >>> recorder = MetricRecorder(metric=lambda e: e.count_of("L"),
     ...                           name="leaders")
-    >>> engine = CountEngine(SlowLeaderElection(), 32, rng=0)
+    >>> engine = CountBatchEngine(SlowLeaderElection(), 32, rng=0)
     >>> recorder.record(engine)
     >>> recorder.last()   # everyone starts as a leader
     32

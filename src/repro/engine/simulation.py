@@ -52,7 +52,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
-from repro.engine.base import BaseEngine
+from repro.engine.base import (
+    AdaptiveCadence,
+    BaseEngine,
+    cadence_for,
+    drive_checks,
+    run_checks,
+)
 from repro.engine.convergence import ConvergencePredicate, SingleLeader
 from repro.engine.dispatch import ENGINE_REGISTRY, EngineSpec, resolve_engine
 from repro.engine.engine import SequentialEngine
@@ -67,13 +73,6 @@ __all__ = ["RunResult", "Simulation", "run_protocol"]
 #: A run's convergence-check cadence: an interaction period, ``"auto"`` for
 #: the adaptive geometric back-off, or ``None`` for the default (``n``).
 CheckEvery = Optional[Union[int, str]]
-
-#: Adaptive cadence: the first check runs after ``n // _AUTO_BASE_DIVISOR``
-#: interactions and the period doubles while the output census is
-#: unchanged, capped at ``_AUTO_MAX_UNITS * n`` interactions between checks
-#: (so convergence is detected within a bounded parallel-time lag).
-_AUTO_BASE_DIVISOR = 4
-_AUTO_MAX_UNITS = 4
 
 
 @dataclass
@@ -120,6 +119,22 @@ class RunResult:
     wall_clock_seconds: float = 0.0
     metadata: Dict[str, object] = field(default_factory=dict)
 
+    @classmethod
+    def of(cls, engine: BaseEngine, seed, converged: bool, **fields) -> "RunResult":
+        """The result of ``engine``'s run as it stands now."""
+        return cls(
+            protocol_name=engine.protocol.name,
+            n=engine.n,
+            seed=seed,
+            converged=converged,
+            interactions=engine.interactions,
+            parallel_time=engine.parallel_time,
+            states_used=engine.states_ever_occupied,
+            final_counts=engine.state_counts(),
+            final_outputs=engine.counts_by_output(),
+            **fields,
+        )
+
     @property
     def leader_count(self) -> int:
         """Number of agents with the leader output at the end of the run."""
@@ -159,13 +174,10 @@ class Simulation:
         Observers invoked at every check point.
     check_every:
         Convergence-check period in interactions (default: ``n``), or
-        ``"auto"`` for the adaptive cadence: checks start every ``n // 4``
-        interactions and back off geometrically (doubling, capped at
-        ``4 n``) while the output census is unchanged, snapping back to
-        the base period the moment it changes.  Observation then
-        concentrates where the dynamics are, and a long quiescent tail
-        costs a handful of checks instead of one per parallel-time unit.
-        Recorder time series inherit the adaptive spacing.
+        ``"auto"`` for the adaptive back-off
+        (:class:`~repro.engine.base.AdaptiveCadence`): observation
+        concentrates where the dynamics are, and recorder time series
+        inherit its spacing.
     checkpoint_every:
         When set (with ``checkpoint_path``), write a resumable checkpoint
         at every convergence check point at least this many interactions
@@ -230,11 +242,7 @@ class Simulation:
         )
         self.convergence = convergence if convergence is not None else SingleLeader()
         self.recorders: List[Recorder] = list(recorders or [])
-        if isinstance(check_every, str) and check_every != "auto":
-            raise ConfigurationError(
-                f"check_every must be a positive interaction period or "
-                f"'auto', got {check_every!r}"
-            )
+        cadence_for(check_every, self.n)  # validates check_every up front
         self.check_every = check_every
         self._warm_views()
         if checkpoint_every is not None and checkpoint_every <= 0:
@@ -255,23 +263,11 @@ class Simulation:
         # Stateful-predicate memory recovered from a checkpoint, applied on
         # the next run() (after its reset) and then discarded.
         self._pending_convergence_state: Optional[dict] = None
-        # Adaptive-cadence controller state (current period + last output
-        # census).  Live only while _run_adaptive drives the run; carried
-        # through checkpoints because the chunk sequence it produces shapes
-        # randomness consumption — restarting the controller on resume
-        # would silently fork the trajectory from the uninterrupted run's.
-        self._auto_period: Optional[int] = None
-        self._auto_signature: Optional[Dict[str, int]] = None
+        # The cadence of the current (or last) run; an adaptive one rides in
+        # checkpoints, and a recorded one waits in _pending_auto_state for
+        # the next run().
+        self._cadence = None
         self._pending_auto_state: Optional[dict] = None
-        # Whether the current check point lies on the run's natural chunk
-        # grid.  The adaptive driver clears it for a check reached through
-        # a budget-clipped chunk: that configuration is an artifact of
-        # *this* run's deadline — a longer run never visits it — so a
-        # checkpoint written there could not resume bit-exactly.  Fixed
-        # cadences have the same hazard at their final clipped check;
-        # _on_check detects those arithmetically from the run's start.
-        self._at_aligned_check = True
-        self._run_started_at = self.engine.interactions
 
     def _warm_views(self) -> None:
         """Compile every view declared by the predicate and the recorders.
@@ -323,22 +319,13 @@ class Simulation:
             # memory into a different predicate on resume.
             "convergence_type": type(self.convergence).__name__,
             "convergence_state": self.convergence.state_snapshot(),
-            # The adaptive controller as of *before* the current check's
-            # update (checkpoints are written before the predicate and the
-            # controller run at a check point), so a resumed run applies
-            # the same update the interrupted run applied right after
-            # writing this checkpoint.
+            # The adaptive controller as of *before* this check's update
+            # (the observer writes checkpoints first), so a resumed run
+            # applies the update the interrupted run applied next.
             "auto_cadence": (
-                None
-                if self._auto_period is None
-                else {
-                    "period": int(self._auto_period),
-                    "signature": (
-                        None
-                        if self._auto_signature is None
-                        else dict(self._auto_signature)
-                    ),
-                }
+                self._cadence.state()
+                if isinstance(self._cadence, AdaptiveCadence)
+                else None
             ),
         }
         # Present only for disrupted runs: the scenario (a picklable frozen
@@ -425,13 +412,21 @@ class Simulation:
                 "parameters"
             )
         spec = checkpoint["engine_cls"]
-        if spec in ENGINE_REGISTRY:
-            engine_cls = ENGINE_REGISTRY[spec]
-        else:  # pragma: no cover - custom engine classes
+        engine_cls = ENGINE_REGISTRY.get(spec)
+        if engine_cls is None:
+            # Custom engine classes are recorded as "module:qualname"; a
+            # bare name outside the registry is an engine this build lacks.
             import importlib
 
             module_name, _, qualname = spec.partition(":")
-            engine_cls = getattr(importlib.import_module(module_name), qualname)
+            try:
+                engine_cls = getattr(importlib.import_module(module_name), qualname)
+            except (ImportError, AttributeError, ValueError):
+                raise CheckpointError(
+                    f"checkpoint was taken on engine {spec!r}, which this "
+                    f"build does not provide; valid engine names are "
+                    f"{', '.join(sorted(ENGINE_REGISTRY))}"
+                ) from None
         if engine_kwargs is None:
             engine_kwargs = checkpoint.get("engine_kwargs") or {}
         # The recorded scenario is authoritative for reconstruction; a
@@ -492,31 +487,14 @@ class Simulation:
             self.engine.table.view_values(view)
         return recorder
 
-    def _notify_recorders(self, engine: BaseEngine) -> None:
+    def _on_check(self, engine: BaseEngine, aligned: bool) -> None:
+        """Per-check hook: recorders, then a due checkpoint if ``aligned``
+        (see :func:`~repro.engine.base.drive_checks`)."""
         for recorder in self.recorders:
             recorder.record(engine)
-
-    def _on_check(self, engine: BaseEngine) -> None:
-        """Per-check-point hook: recorders first, then due checkpoints.
-
-        Checkpoints are written only at checks on the run's natural chunk
-        grid.  A budget-exhausted run's final check can be reached through
-        a deadline-clipped chunk; the chunk sequence shapes randomness
-        consumption, so that configuration is an artifact of the shorter
-        budget — a longer run never visits it — and a checkpoint written
-        there could not resume the longer run bit-exactly.
-        """
-        self._notify_recorders(engine)
-        if self.checkpoint_every is None:
-            return
-        aligned = self._at_aligned_check
-        if aligned and self.check_every != "auto":
-            # Fixed cadence: grid points are check_every multiples from the
-            # run's start (which itself is a grid point for resumed runs).
-            period = self.check_every if self.check_every is not None else engine.n
-            aligned = (engine.interactions - self._run_started_at) % period == 0
         if (
             aligned
+            and self.checkpoint_every is not None
             and engine.interactions - self._last_checkpoint >= self.checkpoint_every
         ):
             self.write_checkpoint()
@@ -551,33 +529,24 @@ class Simulation:
         if self._pending_convergence_state is not None:
             self.convergence.state_restore(self._pending_convergence_state)
             self._pending_convergence_state = None
-        self._at_aligned_check = True
-        self._run_started_at = self.engine.interactions
-        self._auto_period = None
-        self._auto_signature = None
-        if self._pending_auto_state is not None:
-            # Only an adaptive run may continue the recorded controller; a
-            # fixed-cadence resume must not carry it into its own
-            # checkpoints as stale state.
-            if self.check_every == "auto":
-                self._auto_period = int(self._pending_auto_state["period"])
-                signature = self._pending_auto_state.get("signature")
-                self._auto_signature = None if signature is None else dict(signature)
-            self._pending_auto_state = None
-        budget = int(round(max_parallel_time * self.n))
-        if self._resumed:
-            budget = max(0, budget - self.engine.interactions)
+        # A recorded controller continues only in an adaptive run (fixed
+        # cadences ignore it, so it never leaks into their checkpoints).
+        self._cadence = cadence_for(self.check_every, self.n, self._pending_auto_state)
+        self._pending_auto_state = None
+        engine = self.engine
+        deadline = int(round(max_parallel_time * self.n))
+        if not self._resumed:  # resumed budgets count from interaction 0
+            deadline += engine.interactions
         use_hook = bool(self.recorders) or self.checkpoint_every is not None
         started = _time.perf_counter()
-        if self.check_every == "auto":
-            converged = self._run_adaptive(budget, use_hook)
-        else:
-            converged = self.engine.run_until(
-                self.convergence,
-                max_interactions=budget,
-                check_every=self.check_every,
-                on_check=self._on_check if use_hook else None,
-            )
+        checks = drive_checks(
+            engine,
+            self.convergence,
+            deadline,
+            self._cadence,
+            self._on_check if use_hook else None,
+        )
+        converged = run_checks([checks], lambda chunks: engine.run(chunks[0]))[0]
         elapsed = _time.perf_counter() - started
         if not converged and raise_on_budget:
             raise ConvergenceError(
@@ -586,51 +555,6 @@ class Simulation:
                 f"{self.convergence.description!r}",
             )
         return self.result(converged=converged, wall_clock_seconds=elapsed)
-
-    def _run_adaptive(self, budget: int, use_hook: bool) -> bool:
-        """Drive the run at the adaptive check cadence.
-
-        Mirrors :meth:`BaseEngine.run_until` (observer first, then the
-        predicate, at every check point including the starting position),
-        but chooses the next check period from the observed dynamics: the
-        period doubles while the output census is unchanged between checks
-        and snaps back to the base period (``n // 4`` interactions) when it
-        changes, capped at ``4 n``.  The census comes from
-        ``counts_by_output()`` — a vector reduction on the count-space
-        engines — so the cadence controller itself costs O(occupied) per
-        check.
-
-        The controller lives in ``self._auto_period`` /
-        ``self._auto_signature`` and is updated *after* the check's
-        observer hook, so a checkpoint written at a check point records
-        the pre-update state; restoring it makes the resumed run's first
-        controller update identical to the one the interrupted run applied
-        right after writing the checkpoint — the chunk sequence (and with
-        it the randomness consumption) continues bit-exactly.
-        """
-        engine = self.engine
-        base = max(1, self.n // _AUTO_BASE_DIVISOR)
-        cap = max(base, _AUTO_MAX_UNITS * self.n)
-        if self._auto_period is None:
-            self._auto_period = base
-            self._auto_signature = None
-        deadline = engine.interactions + budget
-        while True:
-            if use_hook:
-                self._on_check(engine)
-            if self.convergence(engine):
-                return True
-            current = engine.counts_by_output()
-            if current == self._auto_signature:
-                self._auto_period = min(2 * self._auto_period, cap)
-            else:
-                self._auto_signature = current
-                self._auto_period = base
-            if engine.interactions >= deadline:
-                return False
-            chunk = min(self._auto_period, deadline - engine.interactions)
-            self._at_aligned_check = chunk >= self._auto_period
-            engine.run(chunk)
 
     def result(self, *, converged: bool, wall_clock_seconds: float = 0.0) -> RunResult:
         """Build a :class:`RunResult` from the engine's current state."""
@@ -643,16 +567,10 @@ class Simulation:
                 events = counters()
                 if events is not None:
                     metadata["scenario_events"] = events
-        return RunResult(
-            protocol_name=self.protocol.name,
-            n=self.n,
-            seed=self.seed,
-            converged=converged,
-            interactions=engine.interactions,
-            parallel_time=engine.parallel_time,
-            states_used=engine.states_ever_occupied,
-            final_counts=engine.state_counts(),
-            final_outputs=engine.counts_by_output(),
+        return RunResult.of(
+            engine,
+            self.seed,
+            converged,
             wall_clock_seconds=wall_clock_seconds,
             metadata=metadata,
         )
@@ -706,9 +624,10 @@ def run_protocol(
     recorders:
         Observers invoked at every convergence check point.
     engine_cls:
-        An engine class, a registry name (``"sequential"``, ``"count"``,
-        ``"countbatch"``, ``"fastbatch"``, ``"batch"``) or ``"auto"`` to
-        dispatch on ``(protocol, n)`` — see :mod:`repro.engine.dispatch`.
+        An engine class, a registry name (``"sequential"``,
+        ``"countbatch"``, ``"fastbatch"``, ``"tauleap"``, ``"meanfield"``)
+        or ``"auto"`` to dispatch on ``(protocol, n)`` — see
+        :mod:`repro.engine.dispatch`.
         For ``n >= 10^7`` population sizes use ``"countbatch"`` (or
         ``"auto"``): it is exact in distribution, needs ``O(k)`` memory,
         and beats the C kernel's throughput there.

@@ -46,8 +46,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.engine.base import BaseEngine
-from repro.engine.count_engine import initial_count_items
-from repro.engine.protocol import PopulationProtocol
+from repro.engine.protocol import PopulationProtocol, initial_count_items
 from repro.engine.rng import RngLike, make_rng, restore_rng_state, rng_state
 from repro.errors import ConfigurationError, SimulationError
 

@@ -22,7 +22,8 @@ asymptotically (AG15, AAE+17, BCER17, AAG18, BKKO18, SOI+18).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from functools import partial
+from typing import Dict, List
 
 from repro.analysis.scaling import rank_models
 from repro.analysis.stats import summarize
@@ -47,14 +48,25 @@ PAPER_TABLE1_ROWS = [
     ("SOI+18", "O(log n)", "O(log n) expected"),
 ]
 
+
+def _slow(n: int) -> SlowLeaderElection:
+    return SlowLeaderElection()
+
+
+def _calibrated(cls, n: int):
+    return cls.for_population(n)
+
+
 #: Protocols simulated for the measured half of the table, with the factory
 #: used to build them and whether they are Θ(n)-time (and therefore capped to
-#: ``ExperimentConfig.slow_protocol_max_n``).
+#: ``ExperimentConfig.slow_protocol_max_n``).  The factories are module-level
+#: functions and partials, never lambdas: process-pool sweep workers pickle
+#: them.
 SIMULATED_PROTOCOLS: List[tuple] = [
-    ("slow-leader-election", lambda n: SlowLeaderElection(), True),
-    ("lottery-leader-election", lambda n: LotteryLeaderElection.for_population(n), True),
-    ("gs18-leader-election", lambda n: GS18LeaderElection.for_population(n), False),
-    ("gsu19-leader-election", lambda n: GSULeaderElection.for_population(n), False),
+    ("slow-leader-election", _slow, True),
+    ("lottery-leader-election", partial(_calibrated, LotteryLeaderElection), True),
+    ("gs18-leader-election", partial(_calibrated, GS18LeaderElection), False),
+    ("gsu19-leader-election", partial(_calibrated, GSULeaderElection), False),
 ]
 
 

@@ -17,7 +17,7 @@ import pytest
 
 from test_engine_trajectory_digests import _CHUNKS, ENGINES, EXPECTED, PROTOCOLS
 
-from repro.engine.count_engine import CountEngine
+from repro.engine.count_batch import CountBatchEngine
 from repro.engine.engine import SequentialEngine
 from repro.engine.scheduler import PairSampler
 from repro.errors import CheckpointError
@@ -27,11 +27,11 @@ from repro.protocols.slow import SlowLeaderElection
 
 #: The (protocol, engine) grid: every engine family of the acceptance
 #: criterion — sequential, fastbatch (C when available), fastbatch-numpy,
-#: countbatch, count — against a lazily discovering protocol (gsu19, where
+#: countbatch — against a lazily discovering protocol (gsu19, where
 #: mid-run state discovery makes the encoder layout part of the snapshot)
 #: and an eagerly registered one (epidemic).
 _PROTOCOL_NAMES = ("epidemic", "gsu19")
-_ENGINE_NAMES = ("sequential", "fastbatch", "fastbatch-numpy", "count", "countbatch")
+_ENGINE_NAMES = ("sequential", "fastbatch", "fastbatch-numpy", "countbatch")
 
 
 def _digest_update(digest, engine) -> None:
@@ -113,29 +113,13 @@ def test_pair_sampler_snapshot_rejects_population_mismatch():
         other.state_restore(snapshot)
 
 
-def test_count_engine_snapshot_preserves_pending_uniforms():
-    """Chunk sizes that leave uniforms unconsumed must restore bit-exactly."""
-    protocol = SlowLeaderElection()
-    n = 64
-    engine = CountEngine(protocol, n, rng=3)
-    engine.run(37)  # far from the 2^14 uniform block boundary
-    snapshot = engine.snapshot()
-    engine.run(200)
-
-    resumed = CountEngine(SlowLeaderElection(), n, rng=77)
-    resumed.restore(snapshot)
-    resumed.run(200)
-    assert resumed.state_counts() == engine.state_counts()
-    assert resumed.interactions == engine.interactions
-
-
 # ----------------------------------------------------------------------
 # Restore validation
 # ----------------------------------------------------------------------
 def test_restore_rejects_engine_mismatch():
     protocol_factory, n = PROTOCOLS["epidemic"]
     snapshot = SequentialEngine(protocol_factory(), n, rng=1).snapshot()
-    other = CountEngine(protocol_factory(), n, rng=1)
+    other = CountBatchEngine(protocol_factory(), n, rng=1)
     with pytest.raises(CheckpointError, match="SequentialEngine"):
         other.restore(snapshot)
 
@@ -236,14 +220,36 @@ def test_run_protocol_resume_preserves_auto_engine_choice(tmp_path):
         OneWayEpidemic(),
         n,
         rng=4,
-        engine_cls="count",
+        engine_cls="countbatch",
         checkpoint_every=n,
         checkpoint_path=tmp_path / "c.ckpt",
     )
     simulation.run(max_parallel_time=4.0)
     resumed = Simulation.from_checkpoint(OneWayEpidemic(), tmp_path / "c.ckpt")
-    assert type(resumed.engine) is resolve_engine("count")
+    assert type(resumed.engine) is resolve_engine("countbatch")
     assert resumed.engine.interactions == simulation.engine.interactions
+
+
+@pytest.mark.parametrize("recorded", ["count", "batch", "nowhere.module:Engine"])
+def test_resume_rejects_engine_this_build_does_not_provide(tmp_path, recorded):
+    """A checkpoint naming an engine outside the registry (such as the
+    retired ``count`` and ``batch`` engines) fails with a CheckpointError
+    that names it and the valid engines, not an import error."""
+    from repro.engine.simulation import Simulation
+
+    simulation = Simulation(
+        OneWayEpidemic(),
+        64,
+        rng=4,
+        engine_cls="countbatch",
+        checkpoint_path=tmp_path / "c.ckpt",
+    )
+    payload = simulation.checkpoint_payload()
+    payload["engine_cls"] = recorded
+    with pytest.raises(CheckpointError, match="valid engine names") as error:
+        Simulation.from_checkpoint(OneWayEpidemic(), payload)
+    assert repr(recorded) in str(error.value)
+    assert "countbatch" in str(error.value)
 
 
 def test_resume_rejects_different_protocol_parameters(tmp_path):
@@ -351,26 +357,6 @@ def test_scenario_resume_rejects_different_scenario(tmp_path):
     resumed = Simulation.from_checkpoint(SlowLeaderElection(), path)
     assert resumed.scenario is not None
     assert resumed.scenario.describe() == get_scenario("cycle-churn").describe()
-
-
-def test_batch_engine_snapshot_round_trip():
-    """The approximate engine shares the snapshot API (ablation runs can be
-    checkpointed too)."""
-    import warnings
-
-    from repro.engine.batch_engine import BatchEngine
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", FutureWarning)
-        engine = BatchEngine(SlowLeaderElection(), 128, rng=6)
-        engine.run(512)
-        snapshot = engine.snapshot()
-        engine.run(512)
-        resumed = BatchEngine(SlowLeaderElection(), 128, rng=1)
-    resumed.restore(snapshot)
-    resumed.run(512)
-    assert resumed.interactions == engine.interactions
-    assert resumed.state_counts() == engine.state_counts()
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Tests for convergence predicates.
 
 Predicates are exercised on the per-agent reference engine *and* on the
-count-space engines (``CountEngine``, ``CountBatchEngine``): every predicate
+count-space engine (``CountBatchEngine``): every predicate
 reads the configuration exclusively through the ``BaseEngine`` inspection
 API (``state_count_items`` / ``counts_by_output``), so it must behave
 identically whichever population representation is underneath.
@@ -19,14 +19,13 @@ from repro.engine.convergence import (
     StableOutputs,
 )
 from repro.engine.count_batch import CountBatchEngine
-from repro.engine.count_engine import CountEngine
 from repro.engine.engine import SequentialEngine
 from repro.protocols.epidemic import OneWayEpidemic
 from repro.protocols.slow import SlowLeaderElection
 
 #: The configuration-space engines (exercised against every predicate below;
 #: the per-agent engines were already covered by the original suite).
-COUNT_ENGINES = [CountEngine, CountBatchEngine]
+COUNT_ENGINES = [CountBatchEngine]
 
 
 @pytest.fixture

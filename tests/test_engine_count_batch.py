@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.protocol import GSULeaderElection
 from repro.engine.count_batch import CountBatchEngine
-from repro.engine.count_engine import initial_count_items
+from repro.engine.protocol import initial_count_items
 from repro.engine.protocol import PopulationProtocol
 from repro.errors import ConfigurationError, ProtocolError
 from repro.protocols.approximate_majority import ApproximateMajority

@@ -1,7 +1,7 @@
 """Cross-engine distributional equivalence tests (exact tier).
 
-The four exact engines — :class:`SequentialEngine`, :class:`CountEngine`,
-:class:`FastBatchEngine` and :class:`CountBatchEngine` — implement the same
+The three exact engines — :class:`SequentialEngine`, :class:`FastBatchEngine`
+and :class:`CountBatchEngine` — implement the same
 probabilistic model with different data structures, so the *distribution* of
 any run statistic must agree across them.  The tests here pin that down on
 five workloads: each engine produces a sample of convergence times over its
@@ -42,12 +42,11 @@ import pytest
 from repro.analysis.accuracy import WORKLOADS, convergence_sample
 from repro.analysis.stats import ks_two_sample, quantile_profile_distance
 from repro.engine.count_batch import CountBatchEngine
-from repro.engine.count_engine import CountEngine
 from repro.engine.engine import SequentialEngine
 from repro.engine.fast_batch import FastBatchEngine
 from repro.protocols.epidemic import OneWayEpidemic
 
-EXACT_ENGINES = (SequentialEngine, CountEngine, FastBatchEngine, CountBatchEngine)
+EXACT_ENGINES = (SequentialEngine, FastBatchEngine, CountBatchEngine)
 
 #: The workloads every exact engine must agree on (all count-capable).
 EXACT_WORKLOADS = (

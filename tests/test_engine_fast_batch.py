@@ -22,9 +22,7 @@ from repro.engine import (
     resolve_engine,
     run_protocol,
 )
-from repro.engine.batch_engine import BatchEngine
 from repro.engine.count_batch import CountBatchEngine
-from repro.engine.count_engine import CountEngine
 from repro.engine.dispatch import _FASTBATCH_MIN_N
 from repro.engine.engine import SequentialEngine
 from repro.engine.fast_batch import (
@@ -295,7 +293,7 @@ def test_auto_engine_cost_model_discriminates_by_state_count(monkeypatch):
     compiled count kernel its per-batch cost collapses and the same
     protocol dispatches straight to count-batch."""
     from repro.engine import dispatch
-    from repro.engine.dispatch import _COUNTBATCH_FORCE_N, count_capable
+    from repro.engine.dispatch import COUNTBATCH_FORCE_N, count_capable
     from repro.protocols.exact_majority import ExactMajority
 
     # NumPy tier: 4 states is ~4x the epidemic's per-batch cost, pushing
@@ -314,11 +312,11 @@ def test_auto_engine_cost_model_discriminates_by_state_count(monkeypatch):
     # on either tier.
     from repro.protocols.gs18 import GS18LeaderElection
 
-    gs18 = GS18LeaderElection.for_population(_COUNTBATCH_FORCE_N)
-    assert count_capable(gs18, _COUNTBATCH_FORCE_N) is None
-    assert auto_engine(gs18, _COUNTBATCH_FORCE_N) is FastBatchEngine
+    gs18 = GS18LeaderElection.for_population(COUNTBATCH_FORCE_N)
+    assert count_capable(gs18, COUNTBATCH_FORCE_N) is None
+    assert auto_engine(gs18, COUNTBATCH_FORCE_N) is FastBatchEngine
     monkeypatch.setattr(dispatch, "count_kernel_available", lambda: False)
-    assert auto_engine(gs18, _COUNTBATCH_FORCE_N) is FastBatchEngine
+    assert auto_engine(gs18, COUNTBATCH_FORCE_N) is FastBatchEngine
 
 
 def test_auto_engine_dispatches_closure_registered_gsu19(monkeypatch):
@@ -329,14 +327,14 @@ def test_auto_engine_dispatches_closure_registered_gsu19(monkeypatch):
     (test_engine_closure.py)."""
     from repro.core.params import GSUParams
     from repro.engine import dispatch
-    from repro.engine.dispatch import _COUNTBATCH_FORCE_N, count_capable
+    from repro.engine.dispatch import COUNTBATCH_FORCE_N, count_capable
 
     protocol = GSULeaderElection(
-        GSUParams(n_hint=_COUNTBATCH_FORCE_N, gamma=4, phi=1, psi=1)
+        GSUParams(n_hint=COUNTBATCH_FORCE_N, gamma=4, phi=1, psi=1)
     )
-    states = count_capable(protocol, _COUNTBATCH_FORCE_N)
+    states = count_capable(protocol, COUNTBATCH_FORCE_N)
     assert states is not None and states > 64  # beyond the old flat cap
-    assert auto_engine(protocol, _COUNTBATCH_FORCE_N) is CountBatchEngine
+    assert auto_engine(protocol, COUNTBATCH_FORCE_N) is CountBatchEngine
     # Below the force threshold the measured cost model is honest about the
     # occupied frontier: on the NumPy tier this small closure's per-batch
     # cost loses to the fast-batch C kernel, while the compiled count
@@ -353,12 +351,8 @@ def test_resolve_engine_accepts_names_classes_and_none():
     assert resolve_engine(None) is SequentialEngine
     assert resolve_engine("sequential") is SequentialEngine
     assert resolve_engine("FASTBATCH") is FastBatchEngine
-    assert resolve_engine("count") is CountEngine
     assert resolve_engine("countbatch") is CountBatchEngine
-    # Resolution is silent for every spelling; the FutureWarning now lives
-    # on BatchEngine.__init__ so direct class use sees it too.
-    assert resolve_engine("batch") is BatchEngine
-    assert resolve_engine(BatchEngine) is BatchEngine
+    assert resolve_engine(CountBatchEngine) is CountBatchEngine
     assert resolve_engine("auto", epidemic, 64) is SequentialEngine
     with pytest.raises(ConfigurationError):
         resolve_engine("auto")  # needs protocol and n
@@ -368,16 +362,15 @@ def test_resolve_engine_accepts_names_classes_and_none():
         resolve_engine(42)
 
 
-def test_batch_engine_warns_on_every_construction_path(recwarn):
-    """Both entry points — registry name and direct class — construct the
-    same warning-emitting engine; resolution itself stays silent."""
-    assert resolve_engine("batch") is BatchEngine
-    assert resolve_engine(BatchEngine) is BatchEngine
-    assert not [w for w in recwarn.list if issubclass(w.category, FutureWarning)]
-    with pytest.warns(FutureWarning, match="superseded by CountBatchEngine"):
-        resolve_engine("batch")(OneWayEpidemic(), 16, rng=0)
-    with pytest.warns(FutureWarning, match="superseded by CountBatchEngine"):
-        BatchEngine(OneWayEpidemic(), 16, rng=0)
+@pytest.mark.parametrize(
+    "retired,replacement", [("count", "countbatch"), ("batch", "fastbatch")]
+)
+def test_retired_engine_names_suggest_their_replacement(retired, replacement):
+    """The retired ``count`` and ``batch`` engines are gone from the
+    registry; asking for them names the closest surviving engine."""
+    assert retired not in ENGINE_NAMES
+    with pytest.raises(ConfigurationError, match=f"did you mean '{replacement}'"):
+        resolve_engine(retired)
 
 
 def test_kernel_cache_dir_resolution(monkeypatch, tmp_path):
@@ -404,7 +397,7 @@ def test_registry_and_names_are_consistent():
     assert set(ENGINE_NAMES) == set(ENGINE_REGISTRY) | {"auto"}
     for name, engine_cls in ENGINE_REGISTRY.items():
         assert resolve_engine(name) is engine_cls
-    # The dispatcher never selects the approximate engine.
-    assert BatchEngine not in {
-        auto_engine(OneWayEpidemic(), n) for n in (64, 10**4, 10**6, 1 << 28)
-    }
+    # The dispatcher never selects an approximate engine.
+    assert all(
+        auto_engine(OneWayEpidemic(), n).exact for n in (64, 10**4, 10**6, 1 << 28)
+    )

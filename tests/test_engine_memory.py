@@ -1,7 +1,7 @@
 """Allocation regression tests for the O(k)-memory claims.
 
-The configuration-level engines (:class:`CountEngine`,
-:class:`CountBatchEngine`) advertise O(k) memory — construction must not
+The configuration-level engine (:class:`CountBatchEngine`) advertises O(k)
+memory — construction must not
 allocate anything proportional to the population.  Before the
 ``initial_counts`` hooks landed, count-capable-looking protocols silently
 fell back to materialising ``initial_configuration`` — an O(n) Python list
@@ -10,7 +10,7 @@ engine documented as O(k)*.  These tests pin the fix two ways:
 
 * construction at ``n = 10^7`` stays under a peak-allocation budget that an
   O(n) path would exceed by more than an order of magnitude, for every
-  count-capable protocol x count engine pair, and
+  count-capable protocol, and
 * the O(n) fallback is refused outright (``ProtocolError``) at ``10^7+``
   for protocols with no O(k) path.
 
@@ -31,8 +31,7 @@ import pytest
 from repro.core.params import GSUParams
 from repro.core.protocol import GSULeaderElection
 from repro.engine.count_batch import CountBatchEngine
-from repro.engine.count_engine import CountEngine
-from repro.engine.protocol import ProtocolSpec
+from repro.engine.protocol import ProtocolSpec, initial_count_items
 from repro.errors import ProtocolError
 from repro.protocols.approximate_majority import ApproximateMajority
 from repro.protocols.epidemic import OneWayEpidemic
@@ -69,7 +68,7 @@ COUNT_CAPABLE_PROTOCOLS = [
 _FACTORIES = dict(COUNT_CAPABLE_PROTOCOLS)
 
 
-@pytest.mark.parametrize("engine_cls", [CountEngine, CountBatchEngine])
+@pytest.mark.parametrize("engine_cls", [CountBatchEngine])
 @pytest.mark.parametrize("protocol_name", [name for name, _ in COUNT_CAPABLE_PROTOCOLS])
 def test_count_engine_construction_is_o_k(protocol_name, engine_cls):
     protocol = _FACTORIES[protocol_name]()
@@ -101,7 +100,7 @@ def _no_counts_protocol() -> ProtocolSpec:
     )
 
 
-@pytest.mark.parametrize("engine_cls", [CountEngine, CountBatchEngine])
+@pytest.mark.parametrize("engine_cls", [CountBatchEngine])
 def test_count_engines_refuse_o_n_fallback_at_scale(engine_cls):
     with pytest.raises(ProtocolError, match="initial_counts"):
         engine_cls(_no_counts_protocol(), _N, rng=0)
@@ -111,8 +110,6 @@ def test_o_n_fallback_still_streams_below_the_threshold():
     """Below 10^7 the fallback is allowed but streams the configuration
     through groupby — and validates the total from the stream itself, so
     lazily produced configurations work without len()."""
-    from repro.engine.count_engine import initial_count_items
-
     class LazyConfiguration(ProtocolSpec):
         def initial_configuration(self, n):
             return (
@@ -129,8 +126,6 @@ def test_o_n_fallback_still_streams_below_the_threshold():
 
 
 def test_streamed_fallback_validates_length():
-    from repro.engine.count_engine import initial_count_items
-
     class WrongLength(ProtocolSpec):
         def initial_configuration(self, n):
             return ["x"] * (n + 2)

@@ -236,16 +236,44 @@ def test_mega_cell_grouping_is_bit_identical(tmp_path):
     ]
 
 
+def test_auto_cadence_cells_group_into_bit_identical_mega_cells():
+    # Every mega-cell row runs the scalar check loop, adaptive cadence
+    # included, so "auto" sweeps group and each row equals its scalar run.
+    seeds = [5, 6, 7]
+    points = run_cells(
+        _factory,
+        64,
+        seeds,
+        max_parallel_time=1000,
+        engine="countbatch",
+        check_every="auto",
+    )
+    assert all(point.extra.get("replicated") for point in points)
+    for point, seed in zip(points, seeds):
+        scalar = run_protocol(
+            SlowLeaderElection(),
+            64,
+            seed=seed,
+            max_parallel_time=1000,
+            engine_cls="countbatch",
+            check_every="auto",
+        )
+        assert point.result.converged == scalar.converged
+        assert point.result.interactions == scalar.interactions
+        assert point.result.final_counts == scalar.final_counts
+        assert point.result.states_used == scalar.states_used
+
+
 def test_ungroupable_run_kwargs_fall_back_to_per_cell():
-    # The adaptive "auto" cadence is per-row state the mega-cell driver
-    # does not replay; such sweeps take the per-cell path.
+    # Checkpointing is per-run state a mega-cell does not carry; such
+    # sweeps take the per-cell path.
     points = run_cells(
         _factory,
         64,
         [5, 6],
         max_parallel_time=1000,
         engine="countbatch",
-        check_every="auto",
+        raise_on_budget=True,
     )
     assert all("replicated" not in point.extra for point in points)
     assert all(point.result.converged for point in points)

@@ -2,9 +2,9 @@
 
 Recorders observe engines only through the shared ``BaseEngine`` inspection
 API, so beyond the per-agent reference engine the suite drives every
-recorder against the count-space engines (``CountEngine``,
-``CountBatchEngine``) too — their count vectors and lazily-aggregated
-outputs must feed recorders exactly like a per-agent array does.
+recorder against the count-space engine (``CountBatchEngine``) too — its
+count vector and lazily-aggregated outputs must feed recorders exactly
+like a per-agent array does.
 """
 
 from __future__ import annotations
@@ -12,13 +12,12 @@ from __future__ import annotations
 import pytest
 
 from repro.engine.count_batch import CountBatchEngine
-from repro.engine.count_engine import CountEngine
 from repro.engine.engine import SequentialEngine
 from repro.engine.recorder import MetricRecorder, OutputCountRecorder, SnapshotRecorder
 from repro.protocols.epidemic import OneWayEpidemic
 from repro.protocols.slow import SlowLeaderElection
 
-COUNT_ENGINES = [CountEngine, CountBatchEngine]
+COUNT_ENGINES = [CountBatchEngine]
 
 
 def _engine(n: int = 32, seed: int = 0) -> SequentialEngine:

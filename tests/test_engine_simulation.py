@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.engine.convergence import NeverConverge, SingleLeader
-from repro.engine.count_engine import CountEngine
+from repro.engine.count_batch import CountBatchEngine
 from repro.engine.recorder import MetricRecorder
 from repro.engine.simulation import RunResult, Simulation, run_protocol
 from repro.errors import ConfigurationError, ConvergenceError
@@ -40,7 +40,11 @@ def test_run_protocol_budget_exhaustion_can_raise():
 
 def test_run_protocol_with_alternative_engine():
     result = run_protocol(
-        SlowLeaderElection(), 64, seed=2, max_parallel_time=2000, engine_cls=CountEngine
+        SlowLeaderElection(),
+        64,
+        seed=2,
+        max_parallel_time=2000,
+        engine_cls=CountBatchEngine,
     )
     assert result.converged
     assert result.leader_count == 1

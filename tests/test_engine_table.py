@@ -7,7 +7,6 @@ import pytest
 
 from repro.core.protocol import GSULeaderElection
 from repro.engine.count_batch import CountBatchEngine
-from repro.engine.count_engine import CountEngine
 from repro.engine.engine import SequentialEngine
 from repro.engine.fast_batch import FastBatchEngine
 from repro.engine.state import StateEncoder
@@ -120,7 +119,6 @@ def test_engines_share_one_table_per_protocol_instance():
     protocol = OneWayEpidemic()
     engines = [
         SequentialEngine(protocol, 64, rng=0),
-        CountEngine(protocol, 64, rng=1),
         FastBatchEngine(protocol, 64, rng=2),
         CountBatchEngine(protocol, 64, rng=3),
     ]

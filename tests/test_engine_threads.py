@@ -194,7 +194,6 @@ def test_unknown_backend_rejected():
 
 def test_releases_gil_predicate():
     from repro.engine._ckernel import kernel_available
-    from repro.engine.count_engine import CountEngine
     from repro.engine.engine import SequentialEngine
     from repro.engine.fast_batch import FastBatchEngine
 
@@ -203,7 +202,6 @@ def test_releases_gil_predicate():
     assert releases_gil(FastBatchEngine) == kernel_available()
     assert not releases_gil(FastBatchEngine, {"kernel": "numpy"})
     assert not releases_gil(SequentialEngine)
-    assert not releases_gil(CountEngine)
 
 
 def test_auto_backend_selection():

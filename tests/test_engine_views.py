@@ -27,7 +27,6 @@ from repro.core.params import GSUParams
 from repro.core.protocol import GSULeaderElection
 from repro.core.state import is_active_leader, is_alive_leader
 from repro.engine.count_batch import CountBatchEngine
-from repro.engine.count_engine import CountEngine
 from repro.engine.engine import SequentialEngine
 from repro.engine.fast_batch import FastBatchEngine
 from repro.engine.protocol import LEADER_OUTPUT
@@ -200,7 +199,7 @@ def test_monitor_views_match_decode_loops(protocol_name, engine_name):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize(
     "engine_cls",
-    [SequentialEngine, CountEngine, CountBatchEngine, FastBatchEngine],
+    [SequentialEngine, CountBatchEngine, FastBatchEngine],
     ids=lambda cls: cls.__name__,
 )
 def test_count_vector_contract(engine_cls):

@@ -191,6 +191,19 @@ def test_lemma41_experiment_runs(tiny_config):
 # ----------------------------------------------------------------------
 # IO
 # ----------------------------------------------------------------------
+def test_table1_process_pool_matches_serial():
+    """Table 1's protocol factories pickle: at n = 64 ``auto`` resolves to
+    an interpreted engine, so ``workers=2`` drains the cells through a
+    process pool, and the measured table equals the serial one."""
+    from repro.experiments.table1 import run_table1
+
+    config = ExperimentConfig.smoke().with_sizes([64]).with_repetitions(2)
+    config = config.with_engine("auto")
+    serial = run_table1(config)
+    pooled = run_table1(config.with_workers(2))
+    assert pooled.table("measured").rows == serial.table("measured").rows
+
+
 def test_write_result_creates_files(tmp_path: Path):
     result = ExperimentResult(experiment="demo", description="d")
     table = result.add_table("numbers", ["a", "b"])

@@ -112,6 +112,7 @@ __all__ = [
     "resolve_engine",
     "scenario_capable",
     "state_space_size",
+    "table_shareable",
 ]
 
 #: Named engines accepted everywhere an engine specification is taken.
@@ -287,10 +288,29 @@ def replica_capable(engine_cls: Type[BaseEngine]) -> bool:
     does today: its per-row state is a count vector plus an RNG stream, and
     its replica mode is pinned row-wise bit-identical to the scalar path.
     The per-agent engines would need (R, n) arrays — at which point the
-    process pool is the better parallelism — so they always run one cell
-    per task.
+    worker pool is the better parallelism — so they never form mega-cells
+    (their cells share a compiled table instead, see
+    :func:`table_shareable`).
     """
     return engine_cls is CountBatchEngine
+
+
+def table_shareable(engine_cls: Type[BaseEngine]) -> bool:
+    """Whether cells resolved to ``engine_cls`` may share one protocol table.
+
+    The sweep scheduler (:func:`repro.engine.parallel.run_many`) runs
+    same-``(protocol, n, engine)`` cells of such an engine in order on one
+    protocol instance, so every seed after the first finds its transitions
+    already compiled.  That is invisible in the results only when the
+    trajectory does not depend on the state-identifier layout the table's
+    compilation history produced.  The per-agent engines qualify: they draw
+    agent indices, never state ids, and ids only index the lookup table.
+    The count-space engines sample by identifier order, so a lazily
+    discovered layout changes their trajectories; they keep one fresh
+    protocol per cell (or share a complete layout inside a mega-cell, see
+    :func:`replica_capable`).
+    """
+    return engine_cls is FastBatchEngine or engine_cls is SequentialEngine
 
 
 def releases_gil(

@@ -50,19 +50,35 @@ does not divide one budget between the two layers — cap the product via
 ``REPRO_MAX_WORKERS`` / ``REPRO_KERNEL_THREADS`` when oversubscription
 matters.
 
-A work unit is normally one cell.  When several pending cells share
-``(protocol, n, engine)`` and the resolved engine supports it
-(:func:`repro.engine.dispatch.replica_capable` — the configuration-space
-``CountBatchEngine``), the scheduler groups them into a *mega-cell*: one
-:class:`~repro.engine.count_batch.ReplicatedCountBatchEngine` advances all
-R seeds as an (R, k) count matrix, paying protocol construction, the
-survival curve and the per-batch kernel transitions once per call instead
-of once per replica.  Mega-cells are sharded so every worker still gets
-one, and each row reproduces the scalar cell for its seed **bit-for-bit**
-(the same check loop at the same cadence — fixed or ``"auto"`` — so the
-same chunk sequence, RNG stream and convergence checks), so
-grouping is invisible in the results and in the store — a sweep resumed on
-a machine that groups differently still reuses every cell.
+Each size's engine is resolved once per sweep, and that one resolution
+decides both the ``"auto"`` backend and how the size's cells group.  When
+several pending cells share ``(protocol, n, engine)``, the scheduler
+groups them into one of two unit kinds:
+
+* a *mega-cell* when the resolved engine is replica-capable
+  (:func:`repro.engine.dispatch.replica_capable` — the configuration-space
+  ``CountBatchEngine``): one
+  :class:`~repro.engine.count_batch.ReplicatedCountBatchEngine` advances
+  all R seeds as an (R, k) count matrix, paying protocol construction, the
+  survival curve and the per-batch kernel transitions once per call
+  instead of once per replica.  Each row runs the scalar cell's check loop
+  at its cadence (fixed or ``"auto"``), so the same chunk sequence, RNG
+  stream and convergence checks;
+* a *table-sharing unit* when the resolved engine is table-shareable
+  (:func:`repro.engine.dispatch.table_shareable` — the per-agent
+  ``FastBatchEngine`` and ``SequentialEngine``): the unit builds
+  ``factory(n)`` once and runs its seeds in order on that instance, so
+  every seed after the first finds the transitions the earlier ones
+  compiled in the shared :class:`~repro.engine.table.TransitionTable`.
+  These engines draw agent indices, never state ids, so a warm table
+  changes no trajectory.  A seed that raises fails only its own cell.
+
+Both kinds are sharded so every worker still gets a unit, and each cell
+reproduces its one-cell run **bit-for-bit**, so grouping is invisible in
+the results and in the store — a sweep resumed on a machine that groups
+differently still reuses every cell.  Recorders, checkpoints,
+``scenario=`` and ``raise_on_budget`` keep every cell a one-cell unit on
+a fresh protocol.
 
 A failing cell does not abandon the sweep: the remaining units still run,
 completed cells are recorded, and the failures surface at the end as one
@@ -112,7 +128,7 @@ from concurrent.futures import (
 )
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.engine.base import cadence_for, drive_checks, run_checks
 from repro.engine.convergence import ConvergencePredicate, SingleLeader
@@ -122,6 +138,7 @@ from repro.engine.dispatch import (
     releases_gil,
     replica_capable,
     resolve_engine,
+    table_shareable,
 )
 from repro.engine.rng import spawn_seeds
 from repro.engine.simulation import RunResult, run_protocol
@@ -151,7 +168,7 @@ class SweepPoint:
 
 
 def _run_single(
-    factory: ProtocolFactory,
+    protocol: "PopulationProtocol",  # noqa: F821 - doc only
     n: int,
     seed: int,
     max_parallel_time: float,
@@ -159,7 +176,6 @@ def _run_single(
     engine: EngineSpec,
     run_kwargs: Dict[str, object],
 ) -> SweepPoint:
-    protocol = factory(n)
     convergence = convergence_factory(n) if convergence_factory is not None else None
     result = run_protocol(
         protocol,
@@ -224,14 +240,14 @@ class _ProtocolConvergence:
 
 
 # ----------------------------------------------------------------------
-# Replica-vectorised mega-cells
+# Grouped work units: mega-cells and table-sharing units
 # ----------------------------------------------------------------------
-def _mega_groupable(run_kwargs: Dict[str, object]) -> bool:
-    """Whether ``run_kwargs`` permit replica grouping.
+def _groupable_kwargs(run_kwargs: Dict[str, object]) -> bool:
+    """Whether ``run_kwargs`` permit grouping cells into one work unit.
 
-    Mega-cell rows run the scalar check loop at any cadence; recorders,
-    checkpointing, ``raise_on_budget`` and engine keywords other than the
-    kernel selectors keep the cell on the per-cell path.
+    Grouped cells run the scalar check loop at any cadence; recorders,
+    checkpointing, scenarios, ``raise_on_budget`` and engine keywords other
+    than the kernel selectors keep the cell on the per-cell path.
     """
     engine_kwargs = run_kwargs.get("engine_kwargs") or {}
     return not (
@@ -240,46 +256,57 @@ def _mega_groupable(run_kwargs: Dict[str, object]) -> bool:
     )
 
 
-def _groupable(factory: ProtocolFactory, n: int, engine: EngineSpec) -> bool:
-    """Whether cells at this ``n`` resolve to a replica-capable engine."""
-    try:
-        return replica_capable(resolve_engine(engine, factory(n), n))
-    except Exception:  # noqa: BLE001 - a broken cell fails in its worker
-        return False
+def _resolve_sizes(
+    factory: ProtocolFactory, sizes: Iterable[int], engine: EngineSpec
+) -> Dict[int, Optional[type]]:
+    """Each size's resolved engine class, ``None`` where resolving fails
+    (the cell itself then fails the same way in its worker)."""
+    engines: Dict[int, Optional[type]] = {}
+    for n in sizes:
+        try:
+            engines[n] = resolve_engine(engine, factory(n), n)
+        except Exception:  # noqa: BLE001 - a broken cell fails in its worker
+            engines[n] = None
+    return engines
+
+
+def _group_kind(engine_cls: Optional[type]) -> Optional[str]:
+    """The grouped unit kind cells on ``engine_cls`` form, or ``None``."""
+    if engine_cls is None:
+        return None
+    if replica_capable(engine_cls):
+        return "mega"
+    if table_shareable(engine_cls):
+        return "shared"
+    return None
 
 
 def _use_thread_backend(
     backend: str,
-    factory: ProtocolFactory,
-    pending: Sequence[_Job],
-    engine: EngineSpec,
+    engines: Iterable[Optional[type]],
     run_kwargs: Dict[str, object],
 ) -> bool:
     """Decide threads vs processes for this sweep's worker pool.
 
     ``"thread"`` / ``"process"`` are explicit.  ``"auto"`` picks threads
-    exactly when every pending cell resolves to an engine whose hot loop
-    runs outside the GIL (:func:`repro.engine.dispatch.releases_gil`) —
-    then threads deliver process-level parallelism while sharing one
-    address space: no factory/result pickling, one kernel-build cache, one
-    in-process store handle.  Any cell on an interpreted engine (or one
-    that fails to resolve — it will fail identically in its worker) makes
-    ``"auto"`` fall back to processes, where the GIL cannot serialise the
-    sweep.
+    exactly when every pending size's resolved engine (``engines``, from
+    :func:`_resolve_sizes`) runs its hot loop outside the GIL
+    (:func:`repro.engine.dispatch.releases_gil`) — then threads deliver
+    process-level parallelism while sharing one address space: no
+    factory/result pickling, one kernel-build cache, one in-process store
+    handle.  Any cell on an interpreted engine (or one that fails to
+    resolve — it will fail identically in its worker) makes ``"auto"``
+    fall back to processes, where the GIL cannot serialise the sweep.
     """
     if backend == "thread":
         return True
     if backend == "process":
         return False
     engine_kwargs = dict(run_kwargs.get("engine_kwargs") or {})
-    for n in {job[1] for job in pending}:
-        try:
-            resolved = resolve_engine(engine, factory(n), n)
-        except Exception:  # noqa: BLE001 - the cell itself will fail later
-            return False
-        if not releases_gil(resolved, engine_kwargs):
-            return False
-    return True
+    return all(
+        resolved is not None and releases_gil(resolved, engine_kwargs)
+        for resolved in engines
+    )
 
 
 def _run_mega_cell(
@@ -346,10 +373,17 @@ def _execute_unit(
     convergence_factory: Optional[ConvergenceFactory],
     engine: EngineSpec,
     run_kwargs: Dict[str, object],
-) -> List[SweepPoint]:
-    """Run one work unit (in a worker process or inline) → one point per cell."""
+) -> List[Union[SweepPoint, Exception]]:
+    """Run one work unit (in a worker or inline) → one outcome per cell.
+
+    An outcome is the cell's point or, in a one-cell or table-sharing
+    unit, the exception its run raised: a failing seed fails only its own
+    cell.  A one-cell unit builds a fresh protocol; a table-sharing unit
+    builds one and runs its seeds on it in order, so each seed after the
+    first reuses the transitions its predecessors compiled.
+    """
+    n = cells[0][0]
     if kind == "mega":
-        n = cells[0][0]
         seeds = [seed for _, seed in cells]
         results = _run_mega_cell(
             factory, n, seeds, max_parallel_time, convergence_factory, run_kwargs
@@ -358,51 +392,56 @@ def _execute_unit(
             SweepPoint(n=n, seed=seed, result=result, extra={"replicated": True})
             for (_, seed), result in zip(cells, results)
         ]
-    (n, seed), = cells
-    return [
-        _run_single(
-            factory,
-            n,
-            seed,
-            max_parallel_time,
-            convergence_factory,
-            engine,
-            dict(run_kwargs),
-        )
-    ]
+    protocol = factory(n)
+    outcomes: List[Union[SweepPoint, Exception]] = []
+    for _, seed in cells:
+        try:
+            outcomes.append(
+                _run_single(
+                    protocol,
+                    n,
+                    seed,
+                    max_parallel_time,
+                    convergence_factory,
+                    engine,
+                    dict(run_kwargs),
+                )
+            )
+        except Exception as error:  # noqa: BLE001 - surfaced via SweepError
+            outcomes.append(error)
+    return outcomes
 
 
 def _plan_units(
     pending: List[_Job],
-    factory: ProtocolFactory,
-    engine: EngineSpec,
+    engines: Dict[int, Optional[type]],
     run_kwargs: Dict[str, object],
     shard_count: int,
 ) -> List[Tuple[str, List[_Job]]]:
-    """Turn pending cells into work units, grouping replica-capable runs.
+    """Turn pending cells into work units, grouping cells of one size.
 
-    Cells sharing a replica-capable ``(protocol, n, engine)`` combination
-    are grouped into mega-cells and sharded into at most ``shard_count``
-    pieces per size, so a multi-worker sweep still spreads across the pool;
-    everything else becomes a one-cell unit.  Units come out ordered by
-    their first cell's result index, which keeps the serial path's
-    execution order deterministic.
+    ``engines`` maps each pending size to its resolved engine class (see
+    :func:`_resolve_sizes`).  Cells sharing ``(protocol, n, engine)`` are
+    grouped into mega-cells when that engine is replica-capable and into
+    table-sharing units when it is table-shareable
+    (:func:`repro.engine.dispatch.table_shareable`).  Each group is
+    sharded into at most ``shard_count`` pieces, so a multi-worker sweep
+    still spreads across the pool; one-cell shards and everything else
+    become one-cell units.  Units come out ordered by their first cell's
+    result index, which keeps the serial path's execution order
+    deterministic.
     """
-    units: List[Tuple[str, List[_Job]]] = []
-    if not _mega_groupable(run_kwargs):
+    if not _groupable_kwargs(run_kwargs):
         return [("cell", [job]) for job in pending]
+    kinds = {n: _group_kind(engine_cls) for n, engine_cls in engines.items()}
+    units: List[Tuple[str, List[_Job]]] = []
     groups: Dict[int, List[_Job]] = {}
-    verdicts: Dict[int, bool] = {}
     for job in pending:
-        n = job[1]
-        if n not in verdicts:
-            verdicts[n] = _groupable(factory, n, engine)
-        if verdicts[n]:
-            groups.setdefault(n, []).append(job)
-        else:
+        if kinds[job[1]] is None:
             units.append(("cell", [job]))
-    for n in sorted(groups):
-        group = groups[n]
+        else:
+            groups.setdefault(job[1], []).append(job)
+    for n, group in groups.items():
         shards = max(1, min(shard_count, len(group)))
         base, remainder = divmod(len(group), shards)
         cursor = 0
@@ -410,9 +449,7 @@ def _plan_units(
             size = base + (1 if index < remainder else 0)
             shard = group[cursor : cursor + size]
             cursor += size
-            if not shard:
-                continue
-            units.append(("mega" if len(shard) > 1 else "cell", [*shard]))
+            units.append((kinds[n] if len(shard) > 1 else "cell", shard))
     units.sort(key=lambda unit: unit[1][0][0])
     return units
 
@@ -470,26 +507,31 @@ def _run_jobs(
 
     points: Dict[int, SweepPoint] = dict(cached)
 
-    def record(unit_jobs: List[_Job], unit_points: List[SweepPoint]) -> None:
+    def record(
+        unit_jobs: List[_Job], outcomes: List[Union[SweepPoint, Exception]]
+    ) -> None:
         # Stream every completed cell into the store the moment its unit
         # finishes: an interrupt after this call cannot lose the cell.
-        for (index, _, _, key, inputs), point in zip(unit_jobs, unit_points):
+        for (index, n, seed, key, inputs), outcome in zip(unit_jobs, outcomes):
+            if isinstance(outcome, Exception):
+                failures.append((n, seed, outcome))
+                continue
             if store is not None and key is not None:
-                store.save_result(key, point.result, inputs)
-                point.extra["cached"] = False
-            points[index] = point
+                store.save_result(key, outcome.result, inputs)
+                outcome.extra["cached"] = False
+            points[index] = outcome
 
     def fail(unit_jobs: List[_Job], error: BaseException) -> None:
         failures.extend((n, seed, error) for _, n, seed, _, _ in unit_jobs)
 
     effective = max(1, min(workers, available_cpus(), len(pending) or 1))
-    units = _plan_units(
-        pending, factory, engine, dict(run_kwargs), shard_count=effective
-    )
+    # One resolution per size feeds both the planner and the backend choice.
+    engines = _resolve_sizes(factory, {job[1] for job in pending}, engine)
+    units = _plan_units(pending, engines, run_kwargs, shard_count=effective)
     if effective <= 1 or len(units) <= 1:
         for kind, unit_jobs in units:
             try:
-                unit_points = _execute_unit(
+                outcomes = _execute_unit(
                     kind,
                     factory,
                     [(n, seed) for _, n, seed, _, _ in unit_jobs],
@@ -501,16 +543,14 @@ def _run_jobs(
             except Exception as error:  # noqa: BLE001 - surfaced via SweepError
                 fail(unit_jobs, error)
             else:
-                record(unit_jobs, unit_points)
+                record(unit_jobs, outcomes)
     else:
         max_workers = min(effective, len(units))
         # Threads and processes share the Future/as_completed protocol, so
         # the backend decision is purely which executor class drains the
         # units.  record() always runs here in the submitting thread, so
         # store writes stay single-threaded on both backends.
-        use_threads = _use_thread_backend(
-            backend, factory, pending, engine, dict(run_kwargs)
-        )
+        use_threads = _use_thread_backend(backend, engines.values(), run_kwargs)
         executor_cls = ThreadPoolExecutor if use_threads else ProcessPoolExecutor
         with executor_cls(max_workers=max_workers) as executor:
             futures = {
@@ -581,9 +621,10 @@ def run_many(
     engine:
         Engine specification — a name, ``"auto"``, an engine class, or
         ``None`` for the default sequential engine (see
-        :func:`repro.engine.dispatch.resolve_engine`).  Cells resolving to
-        a replica-capable engine are grouped into replica-vectorised
-        mega-cells (bit-identical per cell; see the module docstring).
+        :func:`repro.engine.dispatch.resolve_engine`).  Cells of one size
+        are grouped into replica-vectorised mega-cells or table-sharing
+        units when the resolved engine allows it (bit-identical per cell;
+        see the module docstring).
     backend:
         Worker-pool flavour when ``workers > 1``: ``"process"`` (one OS
         process per worker, full isolation, pickling at the boundary),
@@ -664,7 +705,7 @@ def run_cells(
 
     The experiment layer's entry into the sweep scheduler
     (:func:`repro.experiments.runner.run_cell` routes recorder-free cells
-    here): same store resumability, mega-cell grouping, worker-pool
+    here): same store resumability, cell grouping, worker-pool
     ``backend`` selection and failure semantics as :func:`run_many`, but
     with caller-provided seeds and a single ``n``.  When
     ``convergence_factory`` is ``None`` the predicate comes from the

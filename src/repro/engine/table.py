@@ -33,13 +33,18 @@ sample by identifier order) independent of per-run discovery order.
 Every engine obtains its table through
 :meth:`PopulationProtocol.compile() <repro.engine.protocol.PopulationProtocol.compile>`,
 which caches one table per protocol instance — engines built on the same
-protocol object therefore share compiled transitions (a warm start for
-multi-seed sweeps).  Sharing is sound because transition functions are
-required to be pure and deterministic; per-run quantities (state counts,
-ever-occupied tracking, interaction counters) stay in the engines.  For
-bit-reproducible *count-engine* runs construct a fresh protocol instance per
-run (all sweep drivers already do), since identifier layout for lazily
-discovered states depends on the table's compilation history.
+protocol object therefore share compiled transitions.  Sharing is sound
+because transition functions are required to be pure and deterministic;
+per-run quantities (state counts, ever-occupied tracking, interaction
+counters) stay in the engines.  What sharing can change is the identifier
+layout of lazily discovered states, which follows the table's compilation
+history.  The per-agent engines never let an identifier steer randomness,
+so their runs are identical on a fresh or a warm table, and the sweep
+scheduler runs a size's seeds on one protocol instance for them (its
+table-sharing units, see :func:`repro.engine.dispatch.table_shareable`).
+The count-space engines sample by identifier order: the scheduler builds
+them a fresh protocol per run, or shares one across the rows of a
+mega-cell only when the protocol declares its complete state space.
 
 Thread safety
 =============

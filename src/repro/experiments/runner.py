@@ -140,9 +140,10 @@ def run_cell(
     Recorder-free cells go through the sweep scheduler
     (:func:`repro.engine.parallel.run_cells`): seeds whose resolved engine
     is replica-capable advance together as one replica-vectorised
-    mega-cell (bit-identical per seed), ``workers > 1`` drains missing
-    seeds through a process pool, and every completed seed is persisted
-    as it finishes.  Cells with recorders keep the in-process serial loop
+    mega-cell, seeds on a per-agent engine share one protocol and its
+    compiled table (both bit-identical per seed), ``workers > 1`` drains
+    missing seeds through a worker pool, and every completed seed is
+    persisted as it finishes.  Cells with recorders keep the in-process serial loop
     — recorders observe a live engine and cannot cross a process
     boundary.
 

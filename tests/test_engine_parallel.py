@@ -277,3 +277,211 @@ def test_ungroupable_run_kwargs_fall_back_to_per_cell():
     )
     assert all("replicated" not in point.extra for point in points)
     assert all(point.result.converged for point in points)
+
+
+# ----------------------------------------------------------------------
+# Table-sharing units: per-agent cells share one protocol per unit
+# ----------------------------------------------------------------------
+def _gsu_factory(n: int):
+    from repro.core.protocol import GSULeaderElection
+
+    return GSULeaderElection.for_population(n)
+
+
+def _gs18_factory(n: int):
+    from repro.protocols.gs18 import GS18LeaderElection
+
+    return GS18LeaderElection.for_population(n)
+
+
+_SHARING_FACTORIES = {"gsu19": _gsu_factory, "gs18": _gs18_factory}
+_SHARING_SIZES = (256, 512)
+_SHARING_REPETITIONS = 4
+_SHARING_BASE_SEED = 31
+_SHARING_MPT = 200.0
+
+#: Fresh per-cell references, computed once per test process.
+_FRESH_REFERENCES: dict = {}
+
+
+def _fresh_reference(name: str, n: int, seed: int):
+    from repro.experiments.runner import convergence_for
+
+    key = (name, n, seed)
+    if key not in _FRESH_REFERENCES:
+        protocol = _SHARING_FACTORIES[name](n)
+        _FRESH_REFERENCES[key] = run_protocol(
+            protocol,
+            n,
+            seed=seed,
+            max_parallel_time=_SHARING_MPT,
+            convergence=convergence_for(protocol),
+            engine_cls="auto",
+        )
+    return _FRESH_REFERENCES[key]
+
+
+def _same_result(observed, expected) -> bool:
+    """Field-for-field equality except the wall clock."""
+
+    def fields(result):
+        values = dict(vars(result))
+        values.pop("wall_clock_seconds")
+        return values
+
+    return fields(observed) == fields(expected)
+
+
+def _protocols_used(monkeypatch) -> list:
+    """Record the protocol instance every cell of a sweep runs on."""
+    used = []
+    original = parallel.run_protocol
+
+    def recording(protocol, n, **kwargs):
+        used.append(protocol)
+        return original(protocol, n, **kwargs)
+
+    monkeypatch.setattr(parallel, "run_protocol", recording)
+    return used
+
+
+@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+def test_table_sharing_units_match_fresh_runs(backend, tmp_path, monkeypatch):
+    """Sharing one protocol across seeds reproduces every fresh cell exactly.
+
+    The per-agent engines never let a state id steer randomness, so a seed
+    run on a table another seed already filled is the fresh run, field for
+    field; cell keys do not depend on grouping, so the store holds every
+    cell under the key a one-cell sweep uses.
+    """
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+    store = ExperimentStore(tmp_path / "shared")
+    reference_store = ExperimentStore(tmp_path / "fresh")
+    for name, factory in sorted(_SHARING_FACTORIES.items()):
+        convergence = parallel._ProtocolConvergence(factory)
+        points = run_many(
+            factory,
+            list(_SHARING_SIZES),
+            repetitions=_SHARING_REPETITIONS,
+            base_seed=_SHARING_BASE_SEED,
+            max_parallel_time=_SHARING_MPT,
+            convergence_factory=convergence,
+            engine="auto",
+            workers=0 if backend == "serial" else 2,
+            backend="auto" if backend == "serial" else backend,
+            store=store,
+        )
+        for point in points:
+            fresh = _fresh_reference(name, point.n, point.seed)
+            assert _same_result(point.result, fresh)
+            key, _ = parallel._cell_key_for(
+                store, factory, point.n, point.seed, _SHARING_MPT,
+                convergence, "auto", {},
+            )
+            reference_store.save_result(key, fresh)
+            assert _same_result(
+                store.load_result(key), reference_store.load_result(key)
+            )
+
+
+def test_run_cells_shares_one_protocol_per_unit(monkeypatch):
+    used = _protocols_used(monkeypatch)
+    run_cells(_gsu_factory, 256, [1, 2, 3], max_parallel_time=50.0, engine="auto")
+    assert len(used) == 3 and len({id(protocol) for protocol in used}) == 1
+
+
+@pytest.mark.parametrize(
+    "run_kwargs",
+    [
+        pytest.param({"recorders": []}, id="recorders"),
+        pytest.param({"checkpoint_every": 256}, id="checkpoint_every"),
+        pytest.param({"scenario": "cycle"}, id="scenario"),
+        pytest.param({"raise_on_budget": False}, id="raise_on_budget"),
+    ],
+)
+def test_ungroupable_cells_run_on_fresh_protocols(run_kwargs, tmp_path, monkeypatch):
+    from repro.scenarios.scenario import get_scenario
+
+    run_kwargs = dict(run_kwargs)
+    if "scenario" in run_kwargs:
+        run_kwargs["scenario"] = get_scenario(run_kwargs["scenario"])
+    if "checkpoint_every" in run_kwargs:
+        run_kwargs["checkpoint_path"] = tmp_path / "cell.ckpt"
+    assert not parallel._groupable_kwargs(run_kwargs)
+    used = _protocols_used(monkeypatch)
+    run_cells(
+        _gsu_factory, 256, [1, 2, 3], max_parallel_time=20.0,
+        engine="sequential", **run_kwargs,
+    )
+    assert len(used) == 3 and len({id(protocol) for protocol in used}) == 3
+
+
+def test_plan_units_groups_by_resolved_engine():
+    from repro.engine.count_batch import CountBatchEngine
+    from repro.engine.engine import SequentialEngine
+    from repro.engine.fast_batch import FastBatchEngine
+    from repro.engine.tauleap import TauLeapEngine
+
+    engines = {
+        16: FastBatchEngine,
+        32: SequentialEngine,
+        64: CountBatchEngine,
+        128: TauLeapEngine,
+        256: None,  # failed to resolve: the cell fails in its worker
+    }
+    pending = [
+        (index, n, seed, None, None)
+        for index, (n, seed) in enumerate(
+            (n, seed) for n in engines for seed in (1, 2, 3)
+        )
+    ]
+
+    def kinds(units):
+        return [(kind, [job[1] for job in jobs]) for kind, jobs in units]
+
+    serial = parallel._plan_units(pending, engines, {}, shard_count=1)
+    assert kinds(serial) == [
+        ("shared", [16, 16, 16]),
+        ("shared", [32, 32, 32]),
+        ("mega", [64, 64, 64]),
+        *[("cell", [n]) for n in (128, 128, 128, 256, 256, 256)],
+    ]
+    # Two workers: each group is sharded so both get work; a one-cell
+    # shard is a plain cell.
+    sharded = parallel._plan_units(pending, engines, {}, shard_count=2)
+    assert kinds(sharded)[:6] == [
+        ("shared", [16, 16]), ("cell", [16]),
+        ("shared", [32, 32]), ("cell", [32]),
+        ("mega", [64, 64]), ("cell", [64]),
+    ]
+    ungroupable = parallel._plan_units(
+        pending, engines, {"raise_on_budget": True}, shard_count=1
+    )
+    assert all(kind == "cell" for kind, _ in ungroupable)
+
+
+@pytest.mark.parametrize("backend", ["serial", "thread"])
+def test_failing_seed_in_sharing_unit_fails_only_its_cell(backend, tmp_path, monkeypatch):
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+    original = parallel.run_protocol
+
+    def flaky(protocol, n, *, seed, **kwargs):
+        if seed == 42:
+            raise RuntimeError("seed 42 breaks")
+        return original(protocol, n, seed=seed, **kwargs)
+
+    monkeypatch.setattr(parallel, "run_protocol", flaky)
+    store = ExperimentStore(tmp_path)
+    seeds = [41, 42, 43, 44]
+    with pytest.raises(SweepError) as excinfo:
+        run_cells(
+            _gsu_factory, 256, seeds, max_parallel_time=50.0, engine="auto",
+            workers=0 if backend == "serial" else 2,
+            backend="auto" if backend == "serial" else backend,
+            store=store,
+        )
+    error = excinfo.value
+    assert [(n, seed) for n, seed, _ in error.failures] == [(256, 42)]
+    assert isinstance(error.failures[0][2], RuntimeError)
+    assert [point.seed for point in error.points] == [41, 43, 44]
+    assert store.stored == 3

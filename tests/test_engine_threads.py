@@ -205,23 +205,24 @@ def test_releases_gil_predicate():
 
 
 def test_auto_backend_selection():
-    pending = [(0, 64, 1, None, None), (1, 64, 2, None, None)]
+    def engines(spec):
+        return parallel._resolve_sizes(_slow_factory, {64}, spec).values()
+
     # Explicit wins unconditionally.
-    assert parallel._use_thread_backend("thread", _slow_factory, pending, None, {})
-    assert not parallel._use_thread_backend("process", _slow_factory, pending, None, {})
+    assert parallel._use_thread_backend("thread", engines(None), {})
+    assert not parallel._use_thread_backend("process", engines(None), {})
     # The sequential engine holds the GIL -> auto picks processes.
-    assert not parallel._use_thread_backend("auto", _slow_factory, pending, None, {})
+    assert not parallel._use_thread_backend("auto", engines(None), {})
     # The count-batch kernel engine releases it -> auto picks threads
     # (exactly when the kernel is actually compiled here).
-    verdict = parallel._use_thread_backend(
-        "auto", _slow_factory, pending, "countbatch", {}
-    )
+    verdict = parallel._use_thread_backend("auto", engines("countbatch"), {})
     assert verdict == count_kernel_available()
     # Forcing the interpreted kernel flips auto back to processes.
     assert not parallel._use_thread_backend(
-        "auto", _slow_factory, pending, "countbatch",
-        {"engine_kwargs": {"kernel": "python"}},
+        "auto", engines("countbatch"), {"engine_kwargs": {"kernel": "python"}}
     )
+    # A size that fails to resolve (it will fail in its worker) -> processes.
+    assert not parallel._use_thread_backend("auto", engines("no-such-engine"), {})
 
 
 # ----------------------------------------------------------------------

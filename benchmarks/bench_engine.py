@@ -774,8 +774,8 @@ def run_threads_ablation(
     Two measurements:
 
     * ``kernel_scaling`` — one replicated engine (``replicas`` rows of the
-      headline calibration at ``n``) advanced a full budget at each
-      ``kernel_threads`` value (``None`` = all available CPUs).  Results
+      headline calibration at ``n``) advanced a full budget at each kernel
+      thread count (``None`` = all available CPUs).  Results
       are bit-identical at every thread count by construction (pinned by
       ``tests/test_engine_threads.py``), so the legs time identical work
       and the ratio of bests is pure thread scaling.
@@ -790,8 +790,8 @@ def run_threads_ablation(
     Requires the compiled count kernel (the caller gates on it).
     """
     from repro.engine._count_kernel import kernel_thread_backend
-    from repro.engine.count_batch import replicated_engine
-    from repro.engine.cpus import available_cpus, resolve_kernel_threads
+    from repro.engine.count_batch import _advance_rows, replicated_engine
+    from repro.engine.cpus import available_cpus
     from repro.engine.parallel import run_cells
     from repro.engine.rng import spawn_seeds
 
@@ -805,12 +805,12 @@ def run_threads_ablation(
     scaling: List[dict] = []
     one_thread_best: Optional[float] = None
     for requested in thread_counts:
-        threads = resolve_kernel_threads(requested)
+        threads = cpus if requested is None else requested
         legs: List[float] = []
         for _ in range(rounds):
-            engine = replicated_engine(factory, n, seeds, kernel_threads=threads)
+            engine = replicated_engine(factory, n, seeds)
             start = time.perf_counter()
-            engine.run(n)
+            _advance_rows(engine, engine.rows, [n] * replicas, threads)
             legs.append(time.perf_counter() - start)
         best = min(legs)
         if requested == 1:

@@ -32,13 +32,22 @@ Design notes
   runs possible at all.
 * **Miss-restart.**  The packed transition LUT may lack a pair (lazy
   compilation).  The kernel snapshots its RNG words at every batch start;
-  on a miss it restores them, re-zeroes its scratch writes and returns the
-  missing ``(responder, initiator)`` ids through ``miss``.  The caller
-  compiles the pair in Python (possibly growing the encoder) and re-enters;
-  the batch is then redrawn identically, so a miss costs one wasted batch
-  of arithmetic and nothing else.  ``seen`` (the ever-occupied byte mask)
-  and ``counts`` are only written at batch commit, never mid-batch, so a
-  restarted batch leaves no trace.
+  on a miss it restores them, re-zeroes its scratch writes and reports the
+  missing ``(responder, initiator)`` ids.  The caller compiles the pair in
+  Python (possibly growing the encoder) and re-enters; the batch is then
+  redrawn identically, so a miss costs one wasted batch of arithmetic and
+  nothing else.  ``seen`` (the ever-occupied byte mask) and ``counts`` are
+  only written at batch commit, never mid-batch, so a restarted batch
+  leaves no trace.
+* **One entry, R rows.**  ``repro_count_rows`` advances a list of rows,
+  each described by a :class:`CountRow` argument block (its counts, seen
+  mask, xoshiro words and LUT addresses, ``k``, budget, and the outputs).
+  A scalar :class:`~repro.engine.count_batch.CountBatchEngine` is the
+  one-row call on the calling thread; a
+  :class:`~repro.engine.count_batch.ReplicatedCountBatchEngine` passes all
+  its rows, spread over OpenMP or POSIX threads.  Every row owns its
+  stream and buffers and every thread its scratch slab, so a row's
+  trajectory is the same at any row count and thread count.
 
 Built through :func:`repro.engine._ckernel.build_library` — same cache
 directory, same atomic publish, same ``REPRO_NO_C_KERNEL=1`` escape hatch
@@ -57,8 +66,8 @@ import numpy as np
 from repro.engine._ckernel import build_library
 
 __all__ = [
+    "CountRow",
     "load_count_kernel",
-    "load_count_kernel_multi",
     "count_kernel_available",
     "kernel_thread_backend",
     "seed_kernel_rng",
@@ -74,7 +83,7 @@ _SOURCE = r"""
 /* Threading backend, chosen at compile time by the loader's flag probe:
  * OpenMP (-fopenmp) where the toolchain has it, raw POSIX threads
  * (-DREPRO_USE_PTHREADS -pthread) as the portable fallback, and a serial
- * build (no flags) as the last resort -- the multi-row entry then simply
+ * build (no flags) as the last resort -- the batch entry then simply
  * runs its rows sequentially whatever thread count it is handed. */
 #if defined(_OPENMP)
 #include <omp.h>
@@ -342,32 +351,54 @@ static void cand_insert(int64_t *cand, int64_t *ncand, int64_t sid)
     *ncand += 1;
 }
 
-/* Advance one replica's count-space batched simulation by up to
- * `budget` interactions.
+/* One row of a batch call: a replica's state buffers, its LUT snapshot
+ * and budget in, what the call did out.  The Python side keeps one per
+ * engine (CountRow, a ctypes mirror of this layout) and rewrites a pointer
+ * field only when that buffer is reallocated, so entering the kernel costs
+ * no per-call address lookups.
  *
- * counts       : per-state-id agent counts, length >= k (mutated at
- *                batch commits only)
- * k            : number of registered state ids (encoder length)
+ * counts     : per-state-id agent counts, length >= k (mutated at batch
+ *              commits only)
+ * seen       : byte mask over state ids, length >= k; outputs of every
+ *              committed transition are marked 1
+ * rng        : 4 xoshiro256++ state words (mutated)
+ * lut        : flattened (cap x cap) packed transition table; entry
+ *              r*cap + i holds (new_r << 32) | new_i or < 0 if the pair is
+ *              not compiled yet.  Rows sharing one compiled table carry the
+ *              same address; rows with private tables (lazily discovering
+ *              protocols, whose id layouts are seed-dependent) their own
+ * k          : number of registered state ids (encoder length)
+ * cap        : side length of the lookup table
+ * budget     : interaction budget for this call; rows at <= 0 are skipped
+ * applied    : out, interactions applied (commits are all-or-nothing per
+ *              batch; a miss rolls the batch back fully, RNG included)
+ * miss_r/i   : out, the uncompiled (responder, initiator) pair that
+ *              stopped the row, or (-1, -1)
+ */
+typedef struct {
+    int64_t *counts;
+    uint8_t *seen;
+    uint64_t *rng;
+    const int64_t *lut;
+    int64_t k;
+    int64_t cap;
+    int64_t budget;
+    int64_t applied;
+    int64_t miss_r;
+    int64_t miss_i;
+} count_row;
+
+/* Advance one replica's count-space batched simulation by up to
+ * row->budget interactions.
+ *
  * n            : population size
- * budget       : interaction budget for this call
  * neg_survival : -P(L >= j+1) ascending, length jmax (see CountBatchEngine)
  * jmax         : survival-curve truncation length
- * lut          : flattened (cap x cap) packed transition table; entry
- *                r*cap + i holds (new_r << 32) | new_i or < 0 if the pair
- *                is not compiled yet
- * cap          : side length of the lookup table
- * rng          : 4 xoshiro256++ state words (mutated)
- * seen         : byte mask over state ids (length >= k); outputs of every
- *                committed transition are marked 1
- * scratch      : 10*k int64 workspace.  The five weight regions (first
- *                5*k entries) must be all-zero on entry and are restored
+ * sk           : scratch stride, >= row->k
+ * scratch      : 10*sk int64 workspace.  The five weight regions (first
+ *                5*sk entries) must be all-zero on entry and are restored
  *                to zero on exit; the four id-list regions and the
  *                candidate region are plain scratch
- * miss         : out: the uncompiled (responder, initiator) pair that
- *                stopped the call, or (-1, -1)
- *
- * Returns the number of interactions applied (commits are all-or-nothing
- * per batch; a miss rolls the batch back fully, including the RNG).
  *
  * The occupied scan is served from a sorted candidate list built by one
  * full k-scan at call entry and extended at every commit with the
@@ -376,30 +407,25 @@ static void cand_insert(int64_t *cand, int64_t *ncand, int64_t sid)
  * applied, so the frontier (and with it every draw) is bit-identical
  * while per-batch scan cost follows the frontier, not k.
  */
-static int64_t run_row(
-    int64_t *counts,
-    int64_t k,
-    int64_t sk,
-    int64_t n,
-    int64_t budget,
-    const double *neg_survival,
-    int64_t jmax,
-    const int64_t *lut,
-    int64_t cap,
-    uint64_t *rng,
-    uint8_t *seen,
-    int64_t *scratch,
-    int64_t *miss)
+static void run_row(count_row *row, int64_t n, const double *neg_survival,
+                    int64_t jmax, int64_t sk, int64_t *scratch)
 {
-    /* Scratch regions are laid out at stride `sk` (>= k), NOT at k: the
-     * multi-row entry shares one workspace across rows with different
-     * encoder lengths, and a k-based layout would let one row's id-list
-     * regions (plain scratch, no zero-on-exit contract) land inside the
-     * next row's weight regions (which require zeros at entry). */
+    int64_t *counts = row->counts;
+    uint8_t *seen = row->seen;
+    uint64_t *rng = row->rng;
+    const int64_t *lut = row->lut;
+    int64_t k = row->k;
+    int64_t cap = row->cap;
+    int64_t budget = row->budget;
+    /* Scratch regions are laid out at stride `sk` (>= k), NOT at k: one
+     * workspace serves rows with different encoder lengths, and a k-based
+     * layout would let one row's id-list regions (plain scratch, no
+     * zero-on-exit contract) land inside the next row's weight regions
+     * (which require zeros at entry). */
     int64_t *involved = scratch;
     int64_t *responders = scratch + sk;
     int64_t *remaining_i = scratch + 2 * sk;
-    int64_t *row = scratch + 3 * sk;
+    int64_t *pair_row = scratch + 3 * sk;
     int64_t *used = scratch + 4 * sk;
     int64_t *occ = scratch + 5 * sk;
     int64_t *inv_occ = scratch + 6 * sk;
@@ -413,8 +439,6 @@ static int64_t run_row(
             cand[ncand++] = sid;
 
     int64_t applied = 0;
-    miss[0] = -1;
-    miss[1] = -1;
 
     while (applied < budget) {
         /* Batch-start RNG snapshot: a LUT miss rolls the batch back. */
@@ -513,11 +537,11 @@ static int64_t run_row(
                     int64_t rest = total - color;
                     int64_t drawn =
                         (rest == 0) ? m : hyp_draw(rng, color, rest, m);
-                    row[sid] = drawn;
+                    pair_row[sid] = drawn;
                     m -= drawn;
                     total = rest;
                 }
-                rowp = row;
+                rowp = pair_row;
                 row_is_tmp = 1;
             }
             const int64_t *lut_row = lut + a * cap;
@@ -546,8 +570,8 @@ static int64_t run_row(
                 for (int64_t idx = 0; idx < ninv; idx++) {
                     int64_t sid = inv_occ[idx];
                     if (!missed)
-                        remaining_i[sid] -= row[sid];
-                    row[sid] = 0;
+                        remaining_i[sid] -= pair_row[sid];
+                    pair_row[sid] = 0;
                 }
                 rem_total -= slots;
             }
@@ -604,9 +628,9 @@ static int64_t run_row(
             }
             for (int64_t idx = 0; idx < nused; idx++)
                 used[used_occ[idx]] = 0;
-            miss[0] = miss_r;
-            miss[1] = miss_i;
-            return applied;
+            row->miss_r = miss_r;
+            row->miss_i = miss_i;
+            break;
         }
 
         /* 5. Commit. */
@@ -637,31 +661,12 @@ static int64_t run_row(
             applied += 1;
         }
     }
-    return applied;
-}
-
-/* Single-replica entry point (the CountBatchEngine hot path). */
-int64_t repro_count_batches(
-    int64_t *counts,
-    int64_t k,
-    int64_t n,
-    int64_t budget,
-    const double *neg_survival,
-    int64_t jmax,
-    const int64_t *lut,
-    int64_t cap,
-    uint64_t *rng,
-    uint8_t *seen,
-    int64_t *scratch,
-    int64_t *miss)
-{
-    return run_row(counts, k, k, n, budget, neg_survival, jmax, lut, cap,
-                   rng, seen, scratch, miss);
+    row->applied = applied;
 }
 
 /* Which threading backend this build carries: 2 = OpenMP, 1 = POSIX
- * threads, 0 = serial.  Lets the Python side report how the multi-row
- * entry actually parallelises without re-deriving the flag probe. */
+ * threads, 0 = serial.  Lets the Python side report how the batch entry
+ * actually parallelises its rows without re-deriving the flag probe. */
 int32_t repro_thread_backend(void)
 {
 #if defined(_OPENMP)
@@ -673,132 +678,98 @@ int32_t repro_thread_backend(void)
 #endif
 }
 
-/* Shared read-only description of one multi-row call, plus the atomic
- * row cursor the pthread workers steal rows from.  Everything a row
- * writes (its counts/seen/rng/applied/miss slices and its thread's
- * scratch slab) is disjoint per row or per thread, so the rows are
- * embarrassingly parallel and scheduling cannot change any trajectory. */
+/* Shared read-only description of one batch call, plus the atomic row
+ * cursor the pthread workers steal rows from.  Everything a row writes
+ * (its own buffers and count_row outputs, its thread's scratch slab) is
+ * disjoint per row or per thread, so the rows are embarrassingly parallel
+ * and scheduling cannot change any trajectory. */
 typedef struct {
-    int64_t *counts;
-    int64_t rows;
+    count_row *const *rows;
+    int64_t nrows;
     int64_t stride;
-    const int64_t *ks;
     int64_t n;
-    const int64_t *budgets;
     const double *neg_survival;
     int64_t jmax;
-    const uint64_t *luts;
-    const int64_t *caps;
-    uint64_t *rng;
-    uint8_t *seen;
     int64_t *scratch;
-    int64_t *applied;
-    int64_t *miss;
     int64_t cursor;
-} multi_job;
+} batch_job;
 
-static void multi_row(multi_job *job, int64_t r, int64_t slot)
+static void batch_row(batch_job *job, int64_t r, int64_t slot)
 {
-    int64_t stride = job->stride;
-    job->applied[r] = run_row(
-        job->counts + r * stride, job->ks[r], stride, job->n,
-        job->budgets[r], job->neg_survival, job->jmax,
-        (const int64_t *)(uintptr_t)job->luts[r], job->caps[r],
-        job->rng + 4 * r, job->seen + r * stride,
-        job->scratch + slot * 10 * stride, job->miss + 2 * r);
+    count_row *row = job->rows[r];
+    if (row->budget > 0)
+        run_row(row, job->n, job->neg_survival, job->jmax, job->stride,
+                job->scratch + slot * 10 * job->stride);
 }
 
 #if defined(REPRO_USE_PTHREADS)
 typedef struct {
-    multi_job *job;
+    batch_job *job;
     int64_t slot;
-} multi_worker_arg;
+} batch_worker_arg;
 
-static void *multi_worker(void *arg)
+static void *batch_worker(void *arg)
 {
-    multi_worker_arg *wa = (multi_worker_arg *)arg;
-    multi_job *job = wa->job;
+    batch_worker_arg *wa = (batch_worker_arg *)arg;
+    batch_job *job = wa->job;
     for (;;) {
         int64_t r = __atomic_fetch_add(&job->cursor, 1, __ATOMIC_RELAXED);
-        if (r >= job->rows)
+        if (r >= job->nrows)
             break;
-        if (job->budgets[r] > 0)
-            multi_row(job, r, wa->slot);
+        batch_row(job, r, wa->slot);
     }
     return 0;
 }
 #endif
 
-/* Replica-vectorised entry point: advance `rows` independent replicas,
- * one (rows, stride) count matrix row each, through the same per-row
- * code as the scalar entry -- per-row trajectories are bit-identical
- * to `rows` scalar calls with the same per-row state, at EVERY thread
- * count: each row owns its xoshiro256++ stream and its state slices,
+/* The one batch entry point: advance `nrows` independent replicas, each
+ * by up to its own budget.  A scalar engine is the one-row case; a
+ * replicated engine passes all its rows.  Per-row trajectories are
+ * bit-identical to one-row calls with the same per-row state at EVERY
+ * thread count: each row owns its xoshiro256++ stream and its buffers,
  * each thread owns a private scratch slab, and the only shared data
  * (survival curve, LUTs, log-factorial tables) is read-only for the
  * duration of the call, so thread scheduling decides nothing but the
- * order rows finish in.  The LUT is per row (rows sharing one compiled
- * table pass the same address `rows` times, rows with private tables --
- * lazily discovering protocols, whose id layouts are seed-dependent --
- * pass their own).
+ * order rows finish in.
  *
- * counts   : (rows, stride) row-major count matrix
- * stride   : matrix row stride, >= every ks[r]
- * ks       : per-row registered-state counts (encoder lengths)
- * budgets  : per-row interaction budgets (length rows)
- * rng      : (rows, 4) xoshiro256++ state words
- * luts     : per-row packed-LUT base addresses (length rows)
- * caps     : per-row LUT side lengths (length rows)
- * seen     : (rows, stride) ever-occupied byte masks
+ * rows     : per-row count_row addresses (length nrows)
+ * stride   : scratch stride, >= every active row's k
  * scratch  : nthreads contiguous 10*stride int64 workspace slabs; every
  *            slab obeys run_row's zero contract on entry and exit
- * nthreads : worker count; clamped to [1, rows], and a serial build
- *            runs the rows sequentially whatever it is handed
- * applied  : out, per-row interactions applied (length rows)
- * miss     : out, (rows, 2) per-row uncompiled pair or (-1, -1)
+ * nthreads : worker count; clamped to [1, nrows].  One thread runs the
+ *            rows in order on the calling thread, and a serial build does
+ *            so whatever it is handed
  *
- * Returns the total number of interactions applied across rows.  Rows
- * are independent: one row's miss stops only that row; the caller
+ * Rows are independent: one row's miss stops only that row; the caller
  * compiles every reported pair and re-enters with the reduced budgets.
  */
-int64_t repro_count_batches_multi(
-    int64_t *counts,
-    int64_t rows,
+void repro_count_rows(
+    count_row *const *rows,
+    int64_t nrows,
     int64_t stride,
-    const int64_t *ks,
     int64_t n,
-    const int64_t *budgets,
     const double *neg_survival,
     int64_t jmax,
-    const uint64_t *luts,
-    const int64_t *caps,
-    uint64_t *rng,
-    uint8_t *seen,
     int64_t *scratch,
-    int64_t nthreads,
-    int64_t *applied,
-    int64_t *miss)
+    int64_t nthreads)
 {
-    for (int64_t r = 0; r < rows; r++) {
-        applied[r] = 0;
-        miss[2 * r] = -1;
-        miss[2 * r + 1] = -1;
+    for (int64_t r = 0; r < nrows; r++) {
+        rows[r]->applied = 0;
+        rows[r]->miss_r = -1;
+        rows[r]->miss_i = -1;
     }
     int64_t nt = nthreads < 1 ? 1 : nthreads;
-    if (nt > rows)
-        nt = rows;
-    multi_job job = {counts, rows, stride, ks, n, budgets, neg_survival,
-                     jmax, luts, caps, rng, seen, scratch, applied, miss, 0};
+    if (nt > nrows)
+        nt = nrows;
+    batch_job job = {rows, nrows, stride, n, neg_survival, jmax, scratch, 0};
 #if defined(_OPENMP)
     if (nt > 1) {
         #pragma omp parallel num_threads((int)nt)
         {
             int64_t slot = (int64_t)omp_get_thread_num();
             #pragma omp for schedule(dynamic, 1)
-            for (int64_t r = 0; r < rows; r++) {
-                if (budgets[r] > 0)
-                    multi_row(&job, r, slot);
-            }
+            for (int64_t r = 0; r < nrows; r++)
+                batch_row(&job, r, slot);
         }
         nt = 0; /* handled */
     }
@@ -806,29 +777,26 @@ int64_t repro_count_batches_multi(
     if (nt > 1) {
         pthread_t *threads =
             (pthread_t *)malloc((size_t)(nt - 1) * sizeof(pthread_t));
-        multi_worker_arg *args = (multi_worker_arg *)malloc(
-            (size_t)nt * sizeof(multi_worker_arg));
+        batch_worker_arg *args = (batch_worker_arg *)malloc(
+            (size_t)nt * sizeof(batch_worker_arg));
         if (threads && args) {
             int64_t spawned = 0;
             for (int64_t t = 1; t < nt; t++) {
                 args[t].job = &job;
                 args[t].slot = t;
-                if (pthread_create(&threads[t - 1], 0, multi_worker,
+                if (pthread_create(&threads[t - 1], 0, batch_worker,
                                    &args[t]) != 0)
                     break;
                 spawned = t;
             }
             args[0].job = &job;
             args[0].slot = 0;
-            multi_worker(&args[0]);
+            batch_worker(&args[0]);
             for (int64_t t = 1; t <= spawned; t++)
                 pthread_join(threads[t - 1], 0);
-            /* Rows skipped because a create failed mid-spawn: the cursor
-             * has run past them only if some worker claimed them, so a
-             * serial sweep over still-zero applied rows would double-run.
-             * The cursor protocol already guarantees every row was
-             * claimed exactly once by *someone* (main thread included),
-             * so nothing is left over. */
+            /* A failed create leaves nothing over: the cursor protocol has
+             * every row claimed exactly once by *someone* (main thread
+             * included). */
             nt = 0; /* handled */
         }
         free(threads);
@@ -836,20 +804,13 @@ int64_t repro_count_batches_multi(
     }
 #endif
     if (nt != 0) {
-        for (int64_t r = 0; r < rows; r++) {
-            if (budgets[r] > 0)
-                multi_row(&job, r, 0);
-        }
+        for (int64_t r = 0; r < nrows; r++)
+            batch_row(&job, r, 0);
     }
-    int64_t total = 0;
-    for (int64_t r = 0; r < rows; r++)
-        total += applied[r];
-    return total;
 }
 """
 
 _kernel: Optional[ctypes.CFUNCTYPE] = None
-_kernel_multi: Optional[ctypes.CFUNCTYPE] = None
 _logfact_reserve: Optional[ctypes.CFUNCTYPE] = None
 _thread_backend: Optional[str] = None
 _load_attempted = False
@@ -875,6 +836,28 @@ _THREAD_BACKEND_NAMES = {2: "openmp", 1: "pthread", 0: "serial"}
 _MASK64 = (1 << 64) - 1
 
 
+class CountRow(ctypes.Structure):
+    """One row's argument block for the batch entry (the C ``count_row``).
+
+    The pointer fields address NumPy buffers the caller keeps alive; the
+    caller sets ``k``, ``cap`` and ``budget`` and the kernel writes
+    ``applied`` and the ``miss_*`` pair.
+    """
+
+    _fields_ = [
+        ("counts", ctypes.c_void_p),
+        ("seen", ctypes.c_void_p),
+        ("rng", ctypes.c_void_p),
+        ("lut", ctypes.c_void_p),
+        ("k", ctypes.c_int64),
+        ("cap", ctypes.c_int64),
+        ("budget", ctypes.c_int64),
+        ("applied", ctypes.c_int64),
+        ("miss_r", ctypes.c_int64),
+        ("miss_i", ctypes.c_int64),
+    ]
+
+
 def seed_kernel_rng(rng) -> np.ndarray:
     """Four xoshiro256++ state words derived from a NumPy generator.
 
@@ -898,7 +881,7 @@ def seed_kernel_rng(rng) -> np.ndarray:
 
 
 def load_count_kernel():
-    """The compiled count-batch function, or ``None`` when unavailable.
+    """The compiled batch entry (``repro_count_rows``), or ``None``.
 
     Same contract as :func:`repro.engine._ckernel.load_kernel`: lazy, cached,
     thread-safe (double-checked, lock-free when warm), never raises, honours
@@ -918,7 +901,6 @@ def load_count_kernel():
 
 
 def _load_count_kernel_locked() -> None:
-    global _kernel, _kernel_multi, _logfact_reserve, _thread_backend
     if os.environ.get("REPRO_NO_C_KERNEL"):
         return
     library = None
@@ -934,78 +916,50 @@ def _load_count_kernel_locked() -> None:
     if library is None:
         return
     try:
-        function = library.repro_count_batches
-        function.restype = ctypes.c_int64
-        function.argtypes = [
-            ctypes.c_void_p,  # counts
-            ctypes.c_int64,  # k
-            ctypes.c_int64,  # n
-            ctypes.c_int64,  # budget
-            ctypes.c_void_p,  # neg_survival
-            ctypes.c_int64,  # jmax
-            ctypes.c_void_p,  # lut
-            ctypes.c_int64,  # cap
-            ctypes.c_void_p,  # rng
-            ctypes.c_void_p,  # seen
-            ctypes.c_void_p,  # scratch
-            ctypes.c_void_p,  # miss
-        ]
-        multi = library.repro_count_batches_multi
-        multi.restype = ctypes.c_int64
-        multi.argtypes = [
-            ctypes.c_void_p,  # counts (rows, stride)
-            ctypes.c_int64,  # rows
-            ctypes.c_int64,  # stride
-            ctypes.c_void_p,  # ks (rows)
-            ctypes.c_int64,  # n
-            ctypes.c_void_p,  # budgets (rows)
-            ctypes.c_void_p,  # neg_survival
-            ctypes.c_int64,  # jmax
-            ctypes.c_void_p,  # luts (rows) -- per-row LUT base addresses
-            ctypes.c_void_p,  # caps (rows)
-            ctypes.c_void_p,  # rng (rows, 4)
-            ctypes.c_void_p,  # seen (rows, stride)
-            ctypes.c_void_p,  # scratch (nthreads * 10 * stride)
-            ctypes.c_int64,  # nthreads
-            ctypes.c_void_p,  # applied (rows)
-            ctypes.c_void_p,  # miss (rows, 2)
-        ]
-        reserve = library.repro_logfact_reserve
-        reserve.restype = None
-        reserve.argtypes = [ctypes.c_int64]
-        backend = library.repro_thread_backend
-        backend.restype = ctypes.c_int32
-        backend.argtypes = []
-        _kernel = function
-        _kernel_multi = multi
-        _logfact_reserve = reserve
-        _thread_backend = _THREAD_BACKEND_NAMES.get(int(backend()))
-    except Exception:
-        _kernel = None
-        _kernel_multi = None
-        _logfact_reserve = None
-        _thread_backend = None
+        _bind(library)
+    except Exception:  # a library without these symbols: no kernel
+        pass
 
 
-def load_count_kernel_multi():
-    """The replica-vectorised count-batch entry point, or ``None``.
+def _bind(library) -> None:
+    """Publish ``library``'s entry points; raises before publishing any
+    when a symbol is missing.
 
-    Loads (and caches) the same shared library as :func:`load_count_kernel`;
-    per-row trajectories are bit-identical to the scalar entry point's at
-    every thread count (rows own their streams and state slices; threads
-    own their scratch slabs).
+    Split from the loader so a build with other flags (a sanitizer build,
+    say) can be swapped in: ``_bind(ctypes.CDLL(path))`` then mark the
+    load attempted.
     """
-    load_count_kernel()
-    return _kernel_multi
+    global _kernel, _logfact_reserve, _thread_backend
+    function = library.repro_count_rows
+    function.restype = None
+    function.argtypes = [
+        ctypes.c_void_p,  # rows: CountRow addresses (nrows)
+        ctypes.c_int64,  # nrows
+        ctypes.c_int64,  # stride
+        ctypes.c_int64,  # n
+        ctypes.c_void_p,  # neg_survival
+        ctypes.c_int64,  # jmax
+        ctypes.c_void_p,  # scratch (nthreads * 10 * stride)
+        ctypes.c_int64,  # nthreads
+    ]
+    reserve = library.repro_logfact_reserve
+    reserve.restype = None
+    reserve.argtypes = [ctypes.c_int64]
+    backend = library.repro_thread_backend
+    backend.restype = ctypes.c_int32
+    backend.argtypes = []
+    _kernel = function
+    _logfact_reserve = reserve
+    _thread_backend = _THREAD_BACKEND_NAMES.get(int(backend()))
 
 
 def kernel_thread_backend() -> Optional[str]:
-    """How the loaded multi-row kernel parallelises its rows.
+    """How the loaded batch entry parallelises its rows.
 
     ``"openmp"``, ``"pthread"`` or ``"serial"`` once the kernel is loaded;
     ``None`` when the kernel is unavailable.  ``"serial"`` means the build
     carries no threading support at all (the rarest case: a toolchain with
-    neither OpenMP nor ``-pthread``) and the multi-row entry runs its rows
+    neither OpenMP nor ``-pthread``) and the batch entry runs its rows
     sequentially whatever thread count it is handed — results are identical
     either way, only the wall clock differs.
     """

@@ -61,19 +61,20 @@ function of.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.engine._count_kernel import (
+    CountRow,
     load_count_kernel,
-    load_count_kernel_multi,
     logfact_reserve,
     seed_kernel_rng,
 )
 from repro.engine.base import BaseEngine
-from repro.engine.cpus import resolve_kernel_threads
+from repro.engine.cpus import available_cpus
 from repro.engine.protocol import PopulationProtocol, initial_count_items
 from repro.engine.rng import RngLike, make_rng, restore_rng_state, rng_state
 from repro.errors import ConfigurationError, ProtocolError
@@ -323,12 +324,19 @@ class CountBatchEngine(BaseEngine):
             self._hyper = self._hypergeometric_checked
         # Optional compiled hot path (own RNG stream, seeded from the
         # engine generator only when active so the Python path's stream
-        # is byte-identical to pre-kernel releases).
+        # is byte-identical to pre-kernel releases).  The kernel state is
+        # this engine's row of a batch call (see _advance_rows): its
+        # CountRow argument block, a one-entry pointer array to it, the
+        # buffers the block points at and the one-row scratch workspace.
         self._kernel = None
         self._kernel_rng = None
-        self._scratch = None
-        self._seen_mask = None
-        self._miss = np.empty(2, dtype=np.int64)
+        self._kernel_args: Optional[CountRow] = None
+        self._row_pointers = None
+        self._scratch: Optional[np.ndarray] = None
+        self._scratch_address = 0
+        self._seen_mask: Optional[np.ndarray] = None
+        self._bound_counts: Optional[np.ndarray] = None
+        self._bound_lut: Optional[np.ndarray] = None
         if kernel in ("auto", "c"):
             self._kernel = load_count_kernel()
             if self._kernel is None and kernel == "c":
@@ -338,6 +346,11 @@ class CountBatchEngine(BaseEngine):
                 )
             if self._kernel is not None:
                 self._kernel_rng = seed_kernel_rng(self._rng)
+                self._kernel_args = CountRow(rng=self._kernel_rng.ctypes.data)
+                self._row_pointers = (ctypes.c_void_p * 1)(
+                    ctypes.addressof(self._kernel_args)
+                )
+                self._survival_address = self._neg_survival.ctypes.data
                 # Cover every batch-bounded HRUA operand (<= 2L <= 2*jmax)
                 # with table-served log-factorials; the entries equal the
                 # lgamma fallback bit-for-bit, so the stream is unchanged.
@@ -595,66 +608,12 @@ class CountBatchEngine(BaseEngine):
             self._ever_occupied.add(new_initiator_id)
 
     def _perform_steps(self, count: int) -> None:
-        remaining = int(count)
         if self._kernel is None:
+            remaining = int(count)
             while remaining > 0:
                 remaining -= self._run_batch(remaining)
             return
-        while remaining > 0:
-            remaining -= self._kernel_run(remaining)
-
-    def _kernel_run(self, budget: int) -> int:
-        """Advance up to ``budget`` interactions through the C kernel.
-
-        One ctypes call executes whole batches against the shared packed
-        LUT; an uncompiled state pair stops the call (the batch fully
-        rolled back, RNG included), is compiled here in Python — growing
-        the encoder exactly as the scalar engines would — and the next
-        call redraws the batch against the completed row.
-        """
-        self._ensure_counts()
-        k = len(self.encoder)
-        if self._scratch is None or self._scratch.shape[0] < 10 * k:
-            # Weight regions must be zero; id-list and candidate regions
-            # are plain scratch, so a fresh zeroed allocation needs no
-            # copying.
-            self._scratch = np.zeros(10 * k, dtype=np.int64)
-        if self._seen_mask is None or self._seen_mask.shape[0] < k:
-            seen = np.zeros(k, dtype=np.uint8)
-            if self._seen_mask is not None:
-                seen[: self._seen_mask.shape[0]] = self._seen_mask
-            self._seen_mask = seen
-        table = self.table
-        # Consistent (array, capacity) snapshot; holding ``lut`` keeps the
-        # buffer alive for the duration of the GIL-released C call even if
-        # another thread grows the table meanwhile (stale misses re-run).
-        lut, cap = table.packed_view()
-        applied = int(
-            self._kernel(
-                self._counts.ctypes.data,
-                k,
-                self.n,
-                int(budget),
-                self._neg_survival.ctypes.data,
-                self._jmax,
-                lut.ctypes.data,
-                cap,
-                self._kernel_rng.ctypes.data,
-                self._seen_mask.ctypes.data,
-                self._scratch.ctypes.data,
-                self._miss.ctypes.data,
-            )
-        )
-        self.interactions += applied
-        if len(self._ever_occupied) < len(self.encoder):
-            self._ever_occupied.update(
-                np.flatnonzero(self._seen_mask[:k]).tolist()
-            )
-        if self._miss[0] >= 0:
-            # Compile the missing pair (possibly registering new states);
-            # the next _kernel_run picks up the grown encoder/LUT/buffers.
-            table.apply(int(self._miss[0]), int(self._miss[1]))
-        return applied
+        _advance_rows(self, [self], [int(count)], 1)
 
     # ------------------------------------------------------------------
     # Snapshot / restore
@@ -676,7 +635,8 @@ class CountBatchEngine(BaseEngine):
         restore_rng_state(self._rng, payload["rng"])
         kernel_rng = payload.get("kernel_rng")
         if kernel_rng is not None and self._kernel is not None:
-            self._kernel_rng = np.asarray(kernel_rng, dtype=np.uint64).copy()
+            # In place: the kernel argument block holds this buffer's address.
+            self._kernel_rng[:] = np.asarray(kernel_rng, dtype=np.uint64)
         elif kernel_rng is None:
             # Pre-kernel (or Python-path) checkpoint: the recorded
             # trajectory consumed the NumPy stream only, so continuing it
@@ -695,6 +655,25 @@ class CountBatchEngine(BaseEngine):
     # ------------------------------------------------------------------
     # Inspection
     # ------------------------------------------------------------------
+    def _merge_seen(self) -> None:
+        """Fold the kernel's seen mask into the ever-occupied set.
+
+        The kernel marks every state a commit lands in; merging when the
+        set is read, not after every kernel call, keeps the call path free
+        of NumPy allocations.
+        """
+        if self._seen_mask is not None:
+            self._ever_occupied.update(np.flatnonzero(self._seen_mask).tolist())
+
+    @property
+    def states_ever_occupied(self) -> int:
+        self._merge_seen()
+        return len(self._ever_occupied)
+
+    def _occupied_ids(self) -> List[int]:
+        self._merge_seen()
+        return super()._occupied_ids()
+
     def state_count_items(self) -> List[Tuple[int, int]]:
         counts = self._counts
         return [(int(sid), int(counts[sid])) for sid in np.flatnonzero(counts > 0)]
@@ -709,8 +688,85 @@ class CountBatchEngine(BaseEngine):
         return self.table.aggregate_counts(self._counts)
 
 
+def _advance_rows(
+    owner, rows: Sequence[CountBatchEngine], budgets: Sequence[int], threads: int
+) -> None:
+    """Advance kernel-path ``rows`` by per-row ``budgets`` through the C entry.
+
+    The one count-kernel driver: a scalar engine passes itself as its only
+    row on one thread, a replicated engine all its rows.  Each round grows
+    every row's buffers to its encoder, makes one C call for all rows, then
+    commits interactions and compiles any reported LUT miss (possibly
+    registering states) before re-entering with the remaining budgets.  A
+    miss rolls the missed batch back, RNG included, so the re-entry redraws
+    it against the completed table.  Ever-occupied bits stay in each row's
+    seen mask until read (:meth:`CountBatchEngine._merge_seen`).
+
+    ``owner`` holds what outlives the call: ``_row_pointers``, the rows'
+    :class:`CountRow` addresses as one C array, and the ``_scratch``
+    workspace with its ``_scratch_address``.  An address is read only when
+    its buffer is (re)allocated: ``.ctypes.data`` costs microseconds and
+    the scalar path enters the kernel once per LUT miss, tens of thousands
+    of times in a GSU19 run.  ``threads`` never changes a trajectory; it
+    only sets how many rows advance concurrently.
+    """
+    for row, budget in zip(rows, budgets):
+        row._kernel_args.budget = budget
+    first = rows[0]
+    nthreads = max(1, min(threads, len(rows)))
+    while any(row._kernel_args.budget > 0 for row in rows):
+        stride = 1
+        for row in rows:
+            row._ensure_counts()
+            args = row._kernel_args
+            args.k = k = len(row.encoder)
+            stride = max(stride, k)
+            if row._counts is not row._bound_counts:
+                row._bound_counts = row._counts
+                args.counts = row._counts.ctypes.data
+            seen = row._seen_mask
+            if seen is None or seen.shape[0] < k:
+                grown = np.zeros(k, dtype=np.uint8)
+                if seen is not None:
+                    grown[: seen.shape[0]] = seen
+                row._seen_mask = grown
+                args.seen = grown.ctypes.data
+            # Consistent (array, capacity) snapshot; holding the array keeps
+            # it alive through the GIL-released call even if another thread
+            # grows the table meanwhile (a stale snapshot only misses).
+            lut, cap = row.table.packed_view()
+            if lut is not row._bound_lut:
+                row._bound_lut = lut
+                args.lut = lut.ctypes.data
+                args.cap = cap
+        size = nthreads * 10 * stride
+        if owner._scratch is None or owner._scratch.shape[0] != size:
+            # Weight regions must be zero; id-list and candidate regions
+            # are plain scratch, so a fresh zeroed allocation needs no
+            # copying.  Any size change reallocates: slab offsets move
+            # with the stride.
+            owner._scratch = np.zeros(size, dtype=np.int64)
+            owner._scratch_address = owner._scratch.ctypes.data
+        first._kernel(
+            owner._row_pointers,
+            len(rows),
+            stride,
+            first.n,
+            first._survival_address,
+            first._jmax,
+            owner._scratch_address,
+            nthreads,
+        )
+        for row in rows:
+            args = row._kernel_args
+            row.interactions += args.applied
+            args.budget -= args.applied
+            if args.miss_r >= 0:
+                row.table.apply(args.miss_r, args.miss_i)
+
+
 class ReplicatedCountBatchEngine:
-    """R independent count-batch replicas advanced as an (R, k) matrix.
+    """R independent count-batch replicas advanced by one kernel call.
 
     Each row is a full :class:`CountBatchEngine` with its own RNG stream,
     counts, seen mask and interaction counter — snapshots, inspection and
@@ -723,9 +779,10 @@ class ReplicatedCountBatchEngine:
     the protocol declares a
     :meth:`~repro.engine.protocol.PopulationProtocol.complete_state_space`,
     and on the kernel path all rows advance through **one** ctypes call per
-    sweep (``repro_count_batches_multi``) instead of one per row — the
-    LUT/table setup, survival buffers and Python↔C transitions are paid per
-    batch-call, not per replica.
+    round instead of one per row.  That call is the same one a scalar
+    engine makes with itself as the only row (:func:`_advance_rows`); here
+    the rows run on :func:`~repro.engine.cpus.available_cpus` threads,
+    which changes no trajectory, only how many rows advance at once.
 
     Table sharing and bit-identity
     ==============================
@@ -755,17 +812,10 @@ class ReplicatedCountBatchEngine:
     seeds:
         One RNG seed (or generator) per row.
     kernel:
-        Forwarded to every row engine.  The replica-vectorised C sweep is
-        used when every row holds the compiled kernel; otherwise (or with
-        ``kernel="python"``) rows advance through their own scalar path.
-    kernel_threads:
-        Threads the multi-row C sweep runs rows on (OpenMP or pthreads,
-        whichever the kernel was built with).  Defaults to the
-        ``REPRO_KERNEL_THREADS`` environment variable, then
-        :func:`~repro.engine.cpus.available_cpus`.  Every row's RNG
-        stream, counts and scratch slab are thread-private, so results
-        are **bit-for-bit identical at any thread count** — the knob only
-        sets how many rows advance concurrently.
+        Forwarded to every row engine.  The rows advance through one
+        kernel call when every row holds the compiled kernel; otherwise (or
+        with ``kernel="python"``) each row advances through its own Python
+        path.
     """
 
     def __init__(
@@ -775,7 +825,6 @@ class ReplicatedCountBatchEngine:
         seeds: Sequence[RngLike],
         *,
         kernel: str = "auto",
-        kernel_threads: Optional[int] = None,
     ) -> None:
         if not protocols:
             raise ConfigurationError("replicated engine requires at least one row")
@@ -794,11 +843,13 @@ class ReplicatedCountBatchEngine:
                     protocol, n, rng=seed, kernel=kernel, survival=shared_survival
                 )
             )
-        self._multi = None
-        if all(row._kernel is not None for row in self.rows):
-            self._multi = load_count_kernel_multi()
-        self._kernel_threads = resolve_kernel_threads(kernel_threads)
+        self._row_pointers = None
         self._scratch: Optional[np.ndarray] = None
+        self._scratch_address = 0
+        if all(row._kernel is not None for row in self.rows):
+            self._row_pointers = (ctypes.c_void_p * len(self.rows))(
+                *(ctypes.addressof(row._kernel_args) for row in self.rows)
+            )
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -807,22 +858,6 @@ class ReplicatedCountBatchEngine:
     def interactions(self) -> List[int]:
         """Per-row interaction counters."""
         return [row.interactions for row in self.rows]
-
-    def count_matrix(self) -> np.ndarray:
-        """Current counts as an (R, kmax) int64 matrix (copy).
-
-        Rows whose encoder registered fewer than ``kmax`` states are
-        zero-padded on the right; ``rows[r].count_vector()`` remains the
-        exact per-row view.
-        """
-        for row in self.rows:
-            row._ensure_counts()
-        kmax = max(len(row.encoder) for row in self.rows)
-        matrix = np.zeros((len(self.rows), kmax), dtype=np.int64)
-        for r, row in enumerate(self.rows):
-            k = len(row.encoder)
-            matrix[r, :k] = row._counts[:k]
-        return matrix
 
     def run(self, interactions: int) -> None:
         """Advance every replica by ``interactions`` interactions."""
@@ -833,12 +868,11 @@ class ReplicatedCountBatchEngine:
 
         Equivalent to ``for r: rows[r].run(budgets[r])`` — and exactly that
         on the Python path — but on the kernel path all rows advance
-        through one multi-row C call per sweep.  Per-row budgets let a
-        sweep driver keep rows with different remaining budgets (or
-        already-converged rows, budget 0) in a single call: run lengths
-        are budget-capped draws, so issuing the same per-row budget
-        sequence as the scalar driver is part of the bit-identity
-        contract.
+        through one C call per round.  Per-row budgets let a sweep driver
+        keep rows with different remaining budgets (or already-converged
+        rows, budget 0) in a single call: run lengths are budget-capped
+        draws, so issuing the same per-row budget sequence as the scalar
+        driver is part of the bit-identity contract.
         """
         if len(budgets) != len(self.rows):
             raise ConfigurationError(
@@ -847,100 +881,12 @@ class ReplicatedCountBatchEngine:
         budgets = [int(budget) for budget in budgets]
         if any(budget < 0 for budget in budgets):
             raise ConfigurationError("row budgets must be non-negative")
-        if self._multi is None:
+        if self._row_pointers is None:
             for row, budget in zip(self.rows, budgets):
                 if budget > 0:
                     row.run(budget)
             return
-        remaining = np.array(budgets, dtype=np.int64)
-        while np.any(remaining > 0):
-            remaining -= self._multi_sweep(remaining)
-
-    def _multi_sweep(self, remaining: np.ndarray) -> np.ndarray:
-        """One ``repro_count_batches_multi`` call over every active row.
-
-        Mirrors the scalar :meth:`CountBatchEngine._kernel_run` per row:
-        gather each row's counts / seen mask / xoshiro words into (R,
-        stride) matrices, run every row to its budget or first uncompiled
-        pair inside C, scatter the state back, then compile every reported
-        miss (growing that row's encoder exactly as the scalar path
-        would).  Returns the per-row interactions applied.
-        """
-        rows = self.rows
-        count = len(rows)
-        for row in rows:
-            row._ensure_counts()
-            k = len(row.encoder)
-            # Same persistent per-row buffers as the scalar path.
-            if row._seen_mask is None or row._seen_mask.shape[0] < k:
-                seen = np.zeros(k, dtype=np.uint8)
-                if row._seen_mask is not None:
-                    seen[: row._seen_mask.shape[0]] = row._seen_mask
-                row._seen_mask = seen
-        ks = np.array([len(row.encoder) for row in rows], dtype=np.int64)
-        stride = int(ks.max())
-        counts = np.zeros((count, stride), dtype=np.int64)
-        seen = np.zeros((count, stride), dtype=np.uint8)
-        rng = np.empty((count, 4), dtype=np.uint64)
-        luts = np.empty(count, dtype=np.uint64)
-        caps = np.empty(count, dtype=np.int64)
-        # Per-row (array, capacity) snapshots taken together under the
-        # table lock; holding the array references keeps every LUT buffer
-        # alive for the duration of the GIL-released C call even if a
-        # table is grown concurrently (another engine sharing it on a
-        # thread-backend sweep) — stale snapshots only produce misses.
-        packed = [row.table.packed_view() for row in rows]
-        for r, row in enumerate(rows):
-            k = int(ks[r])
-            counts[r, :k] = row._counts[:k]
-            seen[r, :k] = row._seen_mask[:k]
-            rng[r] = row._kernel_rng
-            luts[r] = packed[r][0].ctypes.data
-            caps[r] = packed[r][1]
-        # Rows are distributed over threads; each thread works in its own
-        # 10*stride scratch slab (the weight regions obey the same
-        # zero-on-entry/zero-on-exit contract as the scalar path, so a
-        # fresh zeroed allocation needs no copying between sweeps).
-        nthreads = max(1, min(self._kernel_threads, count))
-        if self._scratch is None or self._scratch.shape[0] < nthreads * 10 * stride:
-            self._scratch = np.zeros(nthreads * 10 * stride, dtype=np.int64)
-        applied = np.zeros(count, dtype=np.int64)
-        miss = np.empty((count, 2), dtype=np.int64)
-        first = rows[0]
-        self._multi(
-            counts.ctypes.data,
-            count,
-            stride,
-            ks.ctypes.data,
-            self.n,
-            remaining.ctypes.data,
-            first._neg_survival.ctypes.data,
-            first._jmax,
-            luts.ctypes.data,
-            caps.ctypes.data,
-            rng.ctypes.data,
-            seen.ctypes.data,
-            self._scratch.ctypes.data,
-            nthreads,
-            applied.ctypes.data,
-            miss.ctypes.data,
-        )
-        for r, row in enumerate(rows):
-            k = int(ks[r])
-            row._counts[:k] = counts[r, :k]
-            row._seen_mask[:k] = seen[r, :k]
-            row._kernel_rng[:] = rng[r]
-            row.interactions += int(applied[r])
-            if len(row._ever_occupied) < k:
-                row._ever_occupied.update(
-                    np.flatnonzero(row._seen_mask[:k]).tolist()
-                )
-            if miss[r, 0] >= 0:
-                # Compile the missing pair on the row's own table (possibly
-                # registering new states); the next sweep regathers against
-                # the grown encoder/LUT/buffers.
-                row.table.apply(int(miss[r, 0]), int(miss[r, 1]))
-        return applied
+        _advance_rows(self, self.rows, budgets, available_cpus())
 
 
 def replicated_engine(
@@ -949,7 +895,6 @@ def replicated_engine(
     seeds: Sequence[RngLike],
     *,
     kernel: str = "auto",
-    kernel_threads: Optional[int] = None,
 ) -> ReplicatedCountBatchEngine:
     """Build a :class:`ReplicatedCountBatchEngine` from a protocol factory.
 
@@ -967,6 +912,4 @@ def replicated_engine(
         protocols: List[PopulationProtocol] = [probe] * len(seeds)
     else:
         protocols = [probe] + [factory(n) for _ in range(len(seeds) - 1)]
-    return ReplicatedCountBatchEngine(
-        protocols, n, seeds, kernel=kernel, kernel_threads=kernel_threads
-    )
+    return ReplicatedCountBatchEngine(protocols, n, seeds, kernel=kernel)

@@ -2,10 +2,10 @@
 
 One module answers "how many workers/threads should run here?" for every
 consumer — the sweep scheduler's worker pools (process *and* thread
-backends, :mod:`repro.engine.parallel`) and the multi-row count kernel's
-default thread count (:mod:`repro.engine.count_batch`) — so a single
-``REPRO_MAX_WORKERS`` setting caps them all at once (a shared CI box, a
-benchmark that must not steal cores from a co-located service).
+backends, :mod:`repro.engine.parallel`) and the threads a replicated count
+engine spreads its kernel rows over (:mod:`repro.engine.count_batch`) — so
+a single ``REPRO_MAX_WORKERS`` setting caps them all at once (a shared CI
+box, a benchmark that must not steal cores from a co-located service).
 
 It lives apart from :mod:`repro.engine.parallel` because the engine layer
 needs it too: ``parallel`` imports the simulation/dispatch stack, which the
@@ -15,28 +15,8 @@ engines must not import back.
 from __future__ import annotations
 
 import os
-from typing import Optional
 
-from repro.errors import ConfigurationError
-
-__all__ = ["available_cpus", "resolve_kernel_threads"]
-
-
-def _positive_env_int(name: str) -> Optional[int]:
-    """``int(os.environ[name])`` when set and >= 1, else ``None``.
-
-    Misconfiguration (garbage, zero, negatives) is ignored rather than
-    raised: these are deployment-environment knobs read deep inside library
-    calls, where an exception would fail innocent sweeps far from the typo.
-    """
-    raw = os.environ.get(name)
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        return None
-    return value if value >= 1 else None
+__all__ = ["available_cpus"]
 
 
 def available_cpus() -> int:
@@ -47,37 +27,20 @@ def available_cpus() -> int:
     back to ``os.cpu_count()``.  A ``REPRO_MAX_WORKERS`` environment
     variable lowers the answer further (clamped to the affinity count — it
     is a cap, never a way to oversubscribe).  Used to clamp sweep worker
-    counts and the multi-row kernel's default thread count, so CI runners
-    with a CPU quota are not oversubscribed.
+    counts and as the replicated count engine's kernel thread count, so CI
+    runners with a CPU quota are not oversubscribed.  A garbage, zero or
+    negative cap is ignored rather than raised: the variable is read deep
+    inside library calls, where an exception would fail innocent sweeps far
+    from the typo.
     """
     try:
         cpus = len(os.sched_getaffinity(0)) or 1
     except (AttributeError, OSError):  # pragma: no cover - non-Linux
         cpus = os.cpu_count() or 1
-    cap = _positive_env_int("REPRO_MAX_WORKERS")
-    if cap is not None:
+    try:
+        cap = int(os.environ.get("REPRO_MAX_WORKERS", ""))
+    except ValueError:
+        cap = 0
+    if cap >= 1:
         cpus = min(cpus, cap)
     return cpus
-
-
-def resolve_kernel_threads(explicit: Optional[int] = None) -> int:
-    """Thread count for the multi-row count kernel.
-
-    Resolution order: the explicit ``kernel_threads=`` engine keyword, the
-    ``REPRO_KERNEL_THREADS`` environment variable, then
-    :func:`available_cpus` (which itself honours ``REPRO_MAX_WORKERS``).
-    Thread count never changes results — every row's stream and state are
-    thread-private, so the multi-row kernel is bit-for-bit identical at any
-    value — it only sets how many rows advance concurrently.
-    """
-    if explicit is not None:
-        threads = int(explicit)
-        if threads < 1:
-            raise ConfigurationError(
-                f"kernel_threads must be >= 1, got {explicit!r}"
-            )
-        return threads
-    env = _positive_env_int("REPRO_KERNEL_THREADS")
-    if env is not None:
-        return env
-    return available_cpus()

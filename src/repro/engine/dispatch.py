@@ -283,10 +283,11 @@ def replica_capable(engine_cls: Type[BaseEngine]) -> bool:
     The sweep scheduler (:func:`repro.engine.parallel.run_many`) groups
     same-``(protocol, n, engine)`` cells into one
     :class:`~repro.engine.count_batch.ReplicatedCountBatchEngine` mega-cell
-    when the *resolved* engine supports advancing R independent replicas as
-    an (R, k) count matrix.  Only the configuration-space batched engine
-    does today: its per-row state is a count vector plus an RNG stream, and
-    its replica mode is pinned row-wise bit-identical to the scalar path.
+    when the *resolved* engine supports advancing R independent replicas
+    through one kernel call.  Only the configuration-space batched engine
+    does today: its per-row state is a count vector plus an RNG stream, a
+    scalar run is the one-row call, and its replica mode is pinned row-wise
+    bit-identical to the scalar path.
     The per-agent engines would need (R, n) arrays — at which point the
     worker pool is the better parallelism — so they never form mega-cells
     (their cells share a compiled table instead, see

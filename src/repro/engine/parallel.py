@@ -45,10 +45,9 @@ exactly when every cell resolves to a GIL-releasing kernel engine
 (:func:`repro.engine.dispatch.releases_gil`) and processes otherwise.
 Either way the cells themselves are bit-identical to serial execution.
 Thread-backend workers running replica-vectorised mega-cells may each
-drive a multi-threaded kernel sweep (``kernel_threads``); the scheduler
-does not divide one budget between the two layers — cap the product via
-``REPRO_MAX_WORKERS`` / ``REPRO_KERNEL_THREADS`` when oversubscription
-matters.
+spread their rows over :func:`~repro.engine.cpus.available_cpus` kernel
+threads; the scheduler does not divide one budget between the two layers
+— ``REPRO_MAX_WORKERS`` caps both when oversubscription matters.
 
 Each size's engine is resolved once per sweep, and that one resolution
 decides both the ``"auto"`` backend and how the size's cells group.  When
@@ -59,9 +58,9 @@ groups them into one of two unit kinds:
   (:func:`repro.engine.dispatch.replica_capable` — the configuration-space
   ``CountBatchEngine``): one
   :class:`~repro.engine.count_batch.ReplicatedCountBatchEngine` advances
-  all R seeds as an (R, k) count matrix, paying protocol construction, the
-  survival curve and the per-batch kernel transitions once per call
-  instead of once per replica.  Each row runs the scalar cell's check loop
+  all R seeds through one kernel call per round, paying protocol
+  construction, the survival curve and the Python↔C transitions once per
+  call instead of once per replica.  Each row runs the scalar cell's check loop
   at its cadence (fixed or ``"auto"``), so the same chunk sequence, RNG
   stream and convergence checks;
 * a *table-sharing unit* when the resolved engine is table-shareable
@@ -247,12 +246,12 @@ def _groupable_kwargs(run_kwargs: Dict[str, object]) -> bool:
 
     Grouped cells run the scalar check loop at any cadence; recorders,
     checkpointing, scenarios, ``raise_on_budget`` and engine keywords other
-    than the kernel selectors keep the cell on the per-cell path.
+    than the kernel selector keep the cell on the per-cell path.
     """
     engine_kwargs = run_kwargs.get("engine_kwargs") or {}
     return not (
         set(run_kwargs) - {"check_every", "engine_kwargs"}
-        or set(engine_kwargs) - {"kernel", "kernel_threads"}
+        or set(engine_kwargs) - {"kernel"}
     )
 
 
@@ -335,11 +334,7 @@ def _run_mega_cell(
         )
     engine_kwargs = run_kwargs.get("engine_kwargs") or {}
     engine = replicated_engine(
-        factory,
-        n,
-        list(seeds),
-        kernel=engine_kwargs.get("kernel", "auto"),
-        kernel_threads=engine_kwargs.get("kernel_threads"),
+        factory, n, list(seeds), kernel=engine_kwargs.get("kernel", "auto")
     )
     rows = engine.rows
     budget = int(round(max_parallel_time * n))

@@ -279,6 +279,32 @@ def test_ungroupable_run_kwargs_fall_back_to_per_cell():
     assert all(point.result.converged for point in points)
 
 
+def test_groupable_engine_kwargs_are_count_batch_keywords():
+    # A one-cell unit (a single seed, or the one missing cell of a resumed
+    # size) passes engine_kwargs straight to CountBatchEngine, while a
+    # mega-cell passes them to replicated_engine.  Every engine keyword that
+    # lets cells group must therefore be one the scalar engine takes, or the
+    # same sweep succeeds with two seeds and fails with one.
+    import inspect
+
+    from repro.engine.count_batch import CountBatchEngine, replicated_engine
+
+    scalar = set(inspect.signature(CountBatchEngine).parameters)
+    for key in inspect.signature(replicated_engine).parameters:
+        if parallel._groupable_kwargs({"engine_kwargs": {key: None}}):
+            assert key in scalar, key
+    for seeds in ([5], [5, 6]):
+        points = run_cells(
+            _factory,
+            64,
+            seeds,
+            max_parallel_time=1000,
+            engine="countbatch",
+            engine_kwargs={"kernel": "auto"},
+        )
+        assert all(point.result.converged for point in points)
+
+
 # ----------------------------------------------------------------------
 # Table-sharing units: per-agent cells share one protocol per unit
 # ----------------------------------------------------------------------

@@ -2,10 +2,10 @@
 
 Three properties are pinned here:
 
-* **Thread-count invariance** — the multi-row count kernel is bit-for-bit
-  identical at every thread count (rows own their RNG streams, counts and
-  seen slices; threads own their scratch slabs), so ``kernel_threads`` is
-  purely a wall-clock knob.
+* **Thread-count invariance** — the count kernel's batch entry is
+  bit-for-bit identical at every thread count (rows own their RNG streams,
+  counts and seen masks; threads own their scratch slabs), so the thread
+  count its driver is handed only sets the wall clock.
 * **Backend invariance** — the sweep scheduler's ``backend="thread"`` /
   ``"process"`` / serial paths produce identical cells and share one store
   key space.
@@ -26,8 +26,8 @@ import pytest
 from repro.core.protocol import GSULeaderElection
 from repro.engine import parallel
 from repro.engine._count_kernel import count_kernel_available, kernel_thread_backend
-from repro.engine.count_batch import CountBatchEngine, replicated_engine
-from repro.engine.cpus import available_cpus, resolve_kernel_threads
+from repro.engine.count_batch import CountBatchEngine, _advance_rows, replicated_engine
+from repro.engine.cpus import available_cpus
 from repro.engine.dispatch import releases_gil
 from repro.engine.parallel import run_cells, run_many
 from repro.engine.rng import spawn_seeds
@@ -63,7 +63,7 @@ def _digest(engine: CountBatchEngine) -> str:
 
 
 # ----------------------------------------------------------------------
-# CPU budget resolution (REPRO_MAX_WORKERS / REPRO_KERNEL_THREADS)
+# CPU budget resolution (REPRO_MAX_WORKERS)
 # ----------------------------------------------------------------------
 def test_available_cpus_honours_max_workers_env(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
@@ -79,22 +79,6 @@ def test_available_cpus_honours_max_workers_env(monkeypatch):
     assert available_cpus() == 8
     monkeypatch.setenv("REPRO_MAX_WORKERS", "0")
     assert available_cpus() == 8
-
-
-def test_resolve_kernel_threads_priority(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(6)), raising=False)
-    monkeypatch.delenv("REPRO_KERNEL_THREADS", raising=False)
-    monkeypatch.delenv("REPRO_MAX_WORKERS", raising=False)
-    # Default: all available CPUs (which REPRO_MAX_WORKERS caps too).
-    assert resolve_kernel_threads() == 6
-    monkeypatch.setenv("REPRO_MAX_WORKERS", "2")
-    assert resolve_kernel_threads() == 2
-    # The env knob beats the CPU default; the explicit kwarg beats both.
-    monkeypatch.setenv("REPRO_KERNEL_THREADS", "4")
-    assert resolve_kernel_threads() == 4
-    assert resolve_kernel_threads(5) == 5
-    with pytest.raises(ConfigurationError):
-        resolve_kernel_threads(0)
 
 
 def test_sweep_worker_clamp_uses_shared_cpu_budget(monkeypatch):
@@ -119,26 +103,18 @@ def test_multi_row_kernel_bit_identical_across_thread_counts(threads):
     n = 4096
     seeds = spawn_seeds(424242, 8)
     chunk = 2 * n + 3
-    reference = replicated_engine(_gsu_factory, n, seeds, kernel_threads=1)
-    candidate = replicated_engine(_gsu_factory, n, seeds, kernel_threads=threads)
+    reference = replicated_engine(_gsu_factory, n, seeds)
+    candidate = replicated_engine(_gsu_factory, n, seeds)
+    budgets = [chunk] * len(seeds)
     for _ in range(3):
-        reference.run(chunk)
-        candidate.run(chunk)
+        _advance_rows(reference, reference.rows, budgets, 1)
+        _advance_rows(candidate, candidate.rows, budgets, threads)
         for ref_row, row in zip(reference.rows, candidate.rows):
             assert _digest(ref_row) == _digest(row)
     # Stronger than the digest: full snapshots (counts, PCG64 state,
     # xoshiro words, encoder layout) agree byte-for-byte.
     for ref_row, row in zip(reference.rows, candidate.rows):
         assert repr(ref_row.snapshot()) == repr(row.snapshot())
-
-
-@needs_kernel
-def test_kernel_threads_env_default_is_used(monkeypatch):
-    monkeypatch.setenv("REPRO_KERNEL_THREADS", "3")
-    engine = replicated_engine(_gsu_factory, 1024, [1, 2, 3, 4])
-    assert engine._kernel_threads == 3
-    explicit = replicated_engine(_gsu_factory, 1024, [1, 2, 3, 4], kernel_threads=2)
-    assert explicit._kernel_threads == 2
 
 
 # ----------------------------------------------------------------------

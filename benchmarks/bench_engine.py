@@ -21,7 +21,7 @@ Two entry points:
   ``countbatch`` cell at ``n = 10^9``); writes the machine-readable
   ``BENCH_engine.json`` at the repo root so the performance trajectory is
   tracked PR over PR.  The GSU19
-  section pays the one-time ~45 s closure BFS; skip it with
+  section pays the one-time ~36 s closure BFS; skip it with
   ``--no-gsu19``.  ``--observed`` adds the observation-pipeline section:
   observed-vs-unobserved GSU19 throughput with the ``SingleLeader``
   predicate and a role-census recorder attached at a dense check cadence
@@ -330,7 +330,7 @@ def run_gsu19_ablation(
     """Measure the exact engines on the headline GSU19 protocol.
 
     The protocol instances are built at count-batch scale, so the reachable
-    closure (~1.8k states at this calibration) is computed once (cached per
+    closure (1,789 states at this calibration) is computed once (cached per
     calibration) and registered with every engine's table.  Each engine
     first *warms* the configuration for two parallel-time units from a
     fresh engine before the timed window — GSU19's occupied frontier grows
@@ -625,8 +625,9 @@ def run_topology_ablation(
     }
 
 
-#: Sweep section workload: the headline closure calibration (k ~ 1.8k
-#: states, a ~25 MB packed table per engine) at a count-batch population —
+#: Sweep section workload: the headline closure calibration (k = 1,789
+#: states, one shared 25.6 MB packed table adopted from the closure BFS) at
+#: a count-batch population —
 #: the (protocol, n) cell the replica dimension was built for.
 _SWEEP_N = 10**6
 _SWEEP_REPLICAS = 32
@@ -910,7 +911,7 @@ def _gsu19_lazy(n: int) -> GSULeaderElection:
     """GSU19 at the calibration of ``n`` but without the closure BFS.
 
     ``for_population(n)`` at count-batch scale pre-registers the reachable
-    closure (a ~45 s BFS per calibration, amortised against exact
+    closure (a ~36 s BFS per calibration, amortised against exact
     count-space sweeps); the approximate tier discovers its active states
     lazily in milliseconds, so this derives the (gamma, phi, psi)
     calibration from ``n`` and pins ``n_hint`` below the closure gate.
@@ -1107,7 +1108,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--no-gsu19",
         action="store_true",
-        help="skip the GSU19 count-space section (saves its ~45s closure BFS)",
+        help="skip the GSU19 count-space section (saves its ~36 s closure BFS)",
     )
     parser.add_argument(
         "--no-epidemic",

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.clocks.phase_clock import PhaseClockRules
 from repro.core.backup import apply_slow_backup
 from repro.core.context import InteractionContext
@@ -40,7 +42,7 @@ from repro.core.params import GSUParams
 from repro.core.roles import apply_initialisation
 from repro.core.state import GSUAgentState, is_alive_leader, zero_state
 from repro.engine.base import BaseEngine
-from repro.engine.closure import reachable_states
+from repro.engine.closure import reachable_closure
 from repro.engine.convergence import SingleLeader
 from repro.engine.dispatch import COUNTBATCH_FORCE_N
 from repro.engine.protocol import FOLLOWER_OUTPUT, LEADER_OUTPUT, PopulationProtocol
@@ -54,17 +56,21 @@ __all__ = ["GSULeaderElection", "CLOSURE_MIN_N_HINT"]
 #: the size from which GSU19 is actually count-dispatched.  Below it the
 #: cost model always keeps GSU19 on the per-agent engines (the occupied
 #: frontier prices count-batch out), so the ``Θ(K²)`` BFS (tens of seconds
-#: for the default calibration, ``K ≈ 1.3–1.8·10³`` states) would be pure
+#: at the default calibrations: ``K = 1,348`` states at ``Γ=24, Φ=1, Ψ=3``,
+#: ``1,789`` at ``n = 10^8``'s ``Φ=2, Ψ=4``) would be pure
 #: construction overhead; those instances keep the lazily discovered state
 #: space — which also keeps their seed-pinned count-engine trajectories
 #: unchanged — and the count engines still run them fine via lazy growth
 #: (or an explicit :meth:`GSULeaderElection.reachable_state_closure`).
 CLOSURE_MIN_N_HINT = COUNTBATCH_FORCE_N
 
-#: Reachable-closure cache.  Keyed by ``(gamma, phi, psi)`` — the only
-#: parameters the transition function reads (``n_hint`` is validation-only),
-#: so every protocol instance sharing a calibration shares one BFS.
-_CLOSURE_CACHE: Dict[Tuple[int, int, int], Tuple[GSUAgentState, ...]] = {}
+#: Reachable-closure cache: the closure and its read-only ``(K, K)``
+#: transition LUT.  Keyed by ``(gamma, phi, psi)`` — the only parameters
+#: the transition function reads (``n_hint`` is validation-only), so every
+#: protocol instance sharing a calibration shares one BFS and one LUT.
+_CLOSURE_CACHE: Dict[
+    Tuple[int, int, int], Tuple[Tuple[GSUAgentState, ...], np.ndarray]
+] = {}
 
 
 class GSULeaderElection(PopulationProtocol):
@@ -137,12 +143,24 @@ class GSULeaderElection(PopulationProtocol):
             return None
         return self.reachable_state_closure()
 
+    def canonical_transitions(self) -> Optional[np.ndarray]:
+        """The closure BFS's transition LUT, whenever the closure is declared.
+
+        Tables compiled from this instance adopt it and start with every
+        pair of the closure compiled, so count-space runs never take a LUT
+        miss.
+        """
+        if self.canonical_states() is None:
+            return None
+        params = self.params
+        return _CLOSURE_CACHE[(params.gamma, params.phi, params.psi)][1]
+
     def occupied_states_hint(self) -> int:
         """Empirical envelope of the simultaneously occupied state count.
 
         Measured runs occupy far fewer states at a time than the reachable
         closure declares (40-75 at the default calibration across
-        ``n = 10^6``-``10^7``, versus ``K ~ 1.8*10^3`` reachable): the phase
+        ``n = 10^6``-``10^7``, versus ``K = 1,789`` reachable): the phase
         clock keeps each sub-population's phases in a narrow moving band.
         The bound below — a few phases' worth of every role's field
         combinations — envelopes every measurement with ~2x headroom and
@@ -156,14 +174,16 @@ class GSULeaderElection(PopulationProtocol):
 
         Unlike :meth:`canonical_states` this always runs the BFS, whatever
         the instance's ``n_hint`` — the explicit opt-in for state-space
-        audits and for count-dispatching small calibrations.
+        audits and for count-dispatching small calibrations.  The same BFS
+        fills the transition LUT that :meth:`canonical_transitions` serves,
+        cached with the closure.
         """
         key = (self.params.gamma, self.params.phi, self.params.psi)
-        closure = _CLOSURE_CACHE.get(key)
-        if closure is None:
-            closure = tuple(reachable_states(self.transition, [zero_state()]))
-            _CLOSURE_CACHE[key] = closure
-        return closure
+        cached = _CLOSURE_CACHE.get(key)
+        if cached is None:
+            states, lut = reachable_closure(self.transition, [zero_state()])
+            cached = _CLOSURE_CACHE[key] = (tuple(states), lut)
+        return cached[0]
 
     def transition(self, responder: GSUAgentState, initiator: GSUAgentState):
         params = self.params

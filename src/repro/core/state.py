@@ -27,7 +27,8 @@ fast elimination implies ``drag = 0``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 from repro.types import CoinMode, Elevation, Flip, LeaderMode, Role
 
@@ -65,15 +66,29 @@ class GSUAgentState:
     void: bool = True
 
     # ------------------------------------------------------------------
+    # Copies rebuild through the generated __init__ from the current field
+    # values instead of dataclasses.replace, whose per-call field walk and
+    # keyword plumbing were the largest share of transition time.  Going
+    # through __init__ rather than copying __dict__ keeps CPython's inline
+    # attribute storage, so copies hash and read as fast as constructed
+    # states; equality, hash, repr and pickle bytes equal replace()'s.
     def with_phase(self, phase: int) -> "GSUAgentState":
         """Copy of this state with a different clock phase."""
         if phase == self.phase:
             return self
-        return replace(self, phase=phase)
+        values = list(_field_values(self))
+        values[_PHASE_INDEX] = phase
+        return self.__class__(*values)
 
     def evolve(self, **changes) -> "GSUAgentState":
         """Copy of this state with the given field changes."""
-        return replace(self, **changes)
+        values = list(_field_values(self))
+        for name, value in changes.items():
+            index = _FIELD_INDEX.get(name)
+            if index is None:
+                raise TypeError(f"{type(self).__name__} has no field {name!r}")
+            values[index] = value
+        return self.__class__(*values)
 
     # ------------------------------------------------------------------
     @property
@@ -115,6 +130,12 @@ class GSUAgentState:
                 f"{self.flip.name}, void={self.void}, drag={self.drag})"
             )
         return f"{self.role.name}(phase={self.phase})"
+
+
+#: Field name -> its position in declaration (= positional ``__init__``) order.
+_FIELD_INDEX = {field.name: index for index, field in enumerate(fields(GSUAgentState))}
+_field_values = attrgetter(*_FIELD_INDEX)
+_PHASE_INDEX = _FIELD_INDEX["phase"]
 
 
 # ----------------------------------------------------------------------

@@ -38,7 +38,9 @@ Design notes
   redrawn identically, so a miss costs one wasted batch of arithmetic and
   nothing else.  ``seen`` (the ever-occupied byte mask) and ``counts`` are
   only written at batch commit, never mid-batch, so a restarted batch
-  leaves no trace.
+  leaves no trace.  A table that adopted its protocol's closure-compiled
+  LUT (GSU19 at count-space scale, see :mod:`repro.engine.table`) has
+  every pair from the start, so those runs never take this path.
 * **One entry, R rows.**  ``repro_count_rows`` advances a list of rows,
   each described by a :class:`CountRow` argument block (its counts, seen
   mask, xoshiro words and LUT addresses, ``k``, budget, and the outputs).

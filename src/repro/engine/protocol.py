@@ -29,6 +29,8 @@ from repro.errors import ProtocolError
 from repro.types import State, TransitionResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    import numpy as np
+
     from repro.engine.state import StateEncoder
     from repro.engine.table import TransitionTable
 
@@ -116,6 +118,20 @@ class PopulationProtocol(abc.ABC):
         to pre-register states); ``None`` means "discover lazily"."""
         return None
 
+    def canonical_transitions(self) -> Optional["np.ndarray"]:
+        """Optionally the compiled transition table over :meth:`canonical_states`.
+
+        A read-only ``(K, K)`` ``int64`` array whose entry ``[r, i]`` is
+        ``(r' << 32) | i'`` when ``transition(states[r], states[i]) ==
+        (states[r'], states[i'])``, ``states`` being the canonical states in
+        order (the layout :func:`~repro.engine.closure.reachable_closure`
+        returns).  A :class:`~repro.engine.table.TransitionTable` whose ids
+        ``0..K-1`` are exactly those states adopts it as its packed LUT
+        instead of compiling pairs one miss at a time; the array is shared,
+        never written.  ``None`` (the default) means "compile lazily".
+        """
+        return None
+
     def complete_state_space(self) -> bool:
         """Whether :meth:`canonical_states` enumerates *every* state any run
         can occupy.
@@ -157,7 +173,7 @@ class PopulationProtocol(abc.ABC):
 
         Protocols whose declared state space is much larger than the set of
         states any configuration actually occupies at one time (GSU19: a
-        reachable closure of ``~1.8*10^3`` states, but runs occupy well
+        reachable closure of 1,789 states at ``n = 10^8``, but runs occupy well
         under a hundred at once — agents' clock phases stay in a narrow
         moving band) can declare that envelope here.  The dispatcher's
         count-batch cost model evaluates per-batch cost at this bound

@@ -30,6 +30,25 @@ states registered eagerly at compile time, which makes state-identifier
 layout (and therefore the trajectories of the count-based engines, which
 sample by identifier order) independent of per-run discovery order.
 
+Closure-compiled LUT
+====================
+
+A protocol whose canonical states come from the reachable-closure BFS
+(:func:`repro.engine.closure.reachable_closure`, GSU19 at count-space
+scale) also hands over the BFS's ``(K, K)`` transition array through
+:meth:`~repro.engine.protocol.PopulationProtocol.canonical_transitions`.
+When the table's ids ``0..K-1`` are exactly those states in order (the
+encoder was empty before registration), the table adopts that array as its
+packed LUT, with capacity ``K``: every pair is compiled from the start, so
+the kernels never miss.  The array is shared read-only by every table of
+the calibration and never written: :meth:`_compile_pair` serves a pair
+present in the packed array by filling ``delta`` from it, without
+evaluating the transition, and growth past ``K`` (a state outside the
+closure) copies it into a private writable array.  A table over a
+pre-populated encoder (``compile(encoder=...)``) compiles lazily.
+Adoption changes no trajectory: a lazy table's misses roll their batch
+back, RNG included, so the same run on either table is identical.
+
 Every engine obtains its table through
 :meth:`PopulationProtocol.compile() <repro.engine.protocol.PopulationProtocol.compile>`,
 which caches one table per protocol instance — engines built on the same
@@ -63,7 +82,8 @@ mutated again, so a kernel call still reading one sees a consistent —
 merely staler — table, takes a miss on any pair compiled since, and
 re-enters against the current buffers; entries themselves are aligned
 int64 stores written exactly once (``-1`` → final value), which every
-platform this project targets performs atomically.
+platform this project targets performs atomically.  An adopted closure
+LUT is never written at all.
 """
 
 from __future__ import annotations
@@ -102,14 +122,25 @@ class TransitionTable:
     def __init__(self, protocol, encoder: Optional[StateEncoder] = None) -> None:
         self.protocol = protocol
         self.encoder = encoder if encoder is not None else StateEncoder()
+        pristine = len(self.encoder) == 0
         canonical = protocol.canonical_states()
+        lut = None
         if canonical is not None:
             for state in canonical:
                 self.encoder.encode(state)
+            if pristine:
+                lut = protocol.canonical_transitions()
         #: Scalar transition memo shared by every engine on this protocol.
         self.delta: Dict[Tuple[int, int], Tuple[int, int]] = {}
-        self._capacity = max(_INITIAL_CAPACITY, len(self.encoder))
-        self._packed = np.full(self._capacity * self._capacity, -1, dtype=np.int64)
+        if lut is not None and lut.shape == (len(self.encoder),) * 2:
+            # The closure's compiled LUT, shared read-only: ids 0..K-1 are
+            # exactly the canonical states in order, so it is this table's
+            # packed array already.  Growth past K copies it (see _grow).
+            self._capacity = len(self.encoder)
+            self._packed = lut.reshape(-1)
+        else:
+            self._capacity = max(_INITIAL_CAPACITY, len(self.encoder))
+            self._packed = np.full(self._capacity * self._capacity, -1, dtype=np.int64)
         # Output maps: per-state symbol memo plus interned symbol ids for the
         # vectorised aggregation path.
         self._output_symbols: List[Optional[str]] = []
@@ -207,6 +238,13 @@ class TransitionTable:
             cached = self.delta.get((responder_id, initiator_id))
             if cached is not None:
                 return cached
+            entry = int(self._packed[responder_id * self._capacity + initiator_id])
+            if entry >= 0:
+                # Compiled into the packed LUT already (an adopted closure
+                # LUT): fill delta from it, never re-evaluate or write it.
+                result = (entry >> 32, entry & 0xFFFFFFFF)
+                self.delta[(responder_id, initiator_id)] = result
+                return result
             responder = self.encoder.decode(responder_id)
             initiator = self.encoder.decode(initiator_id)
             try:

@@ -56,6 +56,43 @@ def test_with_phase_returns_same_object_when_unchanged():
     assert state.with_phase(6).phase == 6
 
 
+@pytest.mark.parametrize(
+    "state, changes",
+    [
+        (zero_state(phase=2), {"phase": 7}),
+        (coin_state(phase=1, level=2), {"level": 3, "coin_mode": CoinMode.STOPPED}),
+        (inhibitor_state(drag=1), {"elevation": Elevation.HIGH, "phase": 0}),
+        (leader_state(cnt=4), {"flip": Flip.HEADS, "void": False, "cnt": 3}),
+        (leader_state(), {}),
+    ],
+)
+def test_copies_match_dataclasses_replace(state, changes):
+    """with_phase/evolve bypass dataclasses.replace; the copies must be
+    indistinguishable from replace()'s for the store and checkpoints:
+    equality, hash, repr and pickle bytes at every protocol."""
+    import pickle
+
+    copies = [state.evolve(**changes)]
+    if set(changes) == {"phase"}:
+        copies.append(state.with_phase(changes["phase"]))
+    expected = dataclasses.replace(state, **changes)
+    for copy in copies:
+        assert type(copy) is GSUAgentState
+        assert copy == expected
+        assert hash(copy) == hash(expected)
+        assert repr(copy) == repr(expected)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.dumps(copy, protocol) == pickle.dumps(expected, protocol)
+        assert pickle.loads(pickle.dumps(copy)) == expected
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            copy.phase = 1  # type: ignore[misc]
+
+
+def test_evolve_rejects_unknown_fields():
+    with pytest.raises(TypeError, match="colour"):
+        leader_state().evolve(colour=1)
+
+
 def test_evolve_changes_only_named_fields():
     state = leader_state(cnt=4, flip=Flip.NONE)
     evolved = state.evolve(flip=Flip.HEADS, void=False)

@@ -5,32 +5,46 @@ GSU19 protocol *count-capable*: a finite ``canonical_states`` enumeration
 plus the ``initial_counts`` hook lets ``engine="auto"`` dispatch it to the
 configuration-space engines at ``n = 10^7``–``10^8``.  Tier-1 tests use
 small clock calibrations (``gamma=4`` gives a 144-state closure computed in
-a fraction of a second); the default calibration (``K ~ 1.8*10^3`` states,
-a ~45 s BFS) is exercised by the ``slow``-marked acceptance test at
-``n = 10^8``.
+a fraction of a second, ``gamma=8, psi=3`` a 444-state one in ~2 s); the
+default calibration at ``n = 10^8`` (1,789 states, a BFS of ~36 s) is
+exercised by the ``slow``-marked acceptance test.
 """
 
 from __future__ import annotations
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from repro.core.params import GSUParams
 from repro.core.protocol import CLOSURE_MIN_N_HINT, GSULeaderElection
 from repro.core.state import zero_state
-from repro.engine.closure import reachable_states
+from repro.engine._count_kernel import count_kernel_available
+from repro.engine.closure import reachable_closure, reachable_states
 from repro.engine.count_batch import CountBatchEngine
 from repro.engine.dispatch import auto_engine, state_space_size
 from repro.engine.engine import SequentialEngine
 from repro.engine.protocol import ProtocolSpec
 from repro.engine.simulation import Simulation
+from repro.engine.state import StateEncoder
+from repro.engine.table import TransitionTable
 from repro.errors import ProtocolError
 
 
-def _small_gsu(n_hint: int = CLOSURE_MIN_N_HINT) -> GSULeaderElection:
+def _small_gsu(
+    n_hint: int = CLOSURE_MIN_N_HINT, gamma: int = 4, psi: int = 1
+) -> GSULeaderElection:
     """A count-batch-scale GSU19 instance with a fast, small closure."""
-    return GSULeaderElection(GSUParams(n_hint=n_hint, gamma=4, phi=1, psi=1))
+    return GSULeaderElection(GSUParams(n_hint=n_hint, gamma=gamma, phi=1, psi=psi))
+
+
+class _LazyLutGSU(GSULeaderElection):
+    """GSU19 with the closure registered but no adopted LUT: the same id
+    layout as the closure-registered protocol, compiled one miss at a time."""
+
+    def canonical_transitions(self):
+        return None
 
 
 # ----------------------------------------------------------------------
@@ -60,6 +74,26 @@ def test_reachable_states_only_reports_reachable():
         return responder, initiator
 
     assert reachable_states(transition, ["a"]) == ["a"]
+
+
+def test_reachable_closure_lut_encodes_every_pair():
+    """The BFS records every ordered pair it evaluates, in the packed
+    layout, over the ids of its discovery order."""
+    cycle = {"a": "b", "b": "c", "c": "a"}
+
+    def transition(responder, initiator):
+        if responder == initiator:
+            return cycle[responder], initiator
+        return initiator, responder
+
+    states, lut = reachable_closure(transition, ["a"])
+    assert states == ["a", "b", "c"] == reachable_states(transition, ["a"])
+    assert lut.shape == (3, 3) and lut.dtype == np.int64
+    assert not lut.flags.writeable
+    for r, responder in enumerate(states):
+        for i, initiator in enumerate(states):
+            new_r, new_i = transition(responder, initiator)
+            assert int(lut[r, i]) == (states.index(new_r) << 32) | states.index(new_i)
 
 
 def test_reachable_states_requires_a_seed():
@@ -117,6 +151,130 @@ def test_closure_cache_is_shared_per_calibration():
     assert first is second
 
 
+# ----------------------------------------------------------------------
+# The closure's LUT, adopted by the transition table
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("gamma, psi, size", [(4, 1, 144), (8, 3, 444)])
+def test_adopted_lut_equals_encoded_transitions(gamma, psi, size):
+    """A closure-registered table starts fully compiled: its packed array
+    is the BFS's LUT, and every entry is the encoded protocol transition."""
+    protocol = _small_gsu(gamma=gamma, psi=psi)
+    table = protocol.compile()
+    closure = protocol.canonical_states()
+    lut = protocol.canonical_transitions()
+    assert len(closure) == len(table) == table.capacity == size
+    assert table.encoder.states() == list(closure)
+    assert np.shares_memory(table.packed, lut)
+    ids = {state: sid for sid, state in enumerate(closure)}
+    transition = protocol.transition
+    for r, responder in enumerate(closure):
+        row = lut[r].tolist()
+        for i, initiator in enumerate(closure):
+            new_r, new_i = transition(responder, initiator)
+            assert row[i] == (ids[new_r] << 32) | ids[new_i], (r, i)
+
+
+def test_adopted_lut_is_shared_and_read_only():
+    """Every table of a calibration shares one read-only LUT; serving a pair
+    through apply() fills delta from it and leaves it unchanged."""
+    first = _small_gsu().compile()
+    second = _small_gsu(n_hint=10**9).compile()
+    assert first is not second
+    lut = _small_gsu().canonical_transitions()
+    for table in (first, second):
+        assert table.packed.base is lut
+        assert not table.packed.flags.writeable
+    with pytest.raises(ValueError):
+        lut[0, 0] = 0
+    entry = int(lut[3, 5])
+    assert first.apply(3, 5) == (entry >> 32, entry & 0xFFFFFFFF)
+    assert first.compiled_pairs == 1
+    assert int(lut[3, 5]) == entry
+
+
+def test_prepopulated_encoder_falls_back_to_lazy_compilation():
+    """compile(encoder=...) on an already populated encoder keeps the lazy
+    table, even when the encoder holds the closure in order."""
+    protocol = _small_gsu()
+    closure = protocol.canonical_states()
+    lazy = protocol.compile(encoder=StateEncoder(closure))
+    assert lazy.encoder.states() == list(closure)
+    assert lazy.packed.flags.writeable
+    assert int(lazy.packed.max()) == -1
+    adopted = protocol.compile()
+    assert lazy.apply(7, 11) == adopted.apply(7, 11)
+    assert lazy.compiled_pairs == 1
+
+
+def test_table_grows_past_an_adopted_lut():
+    """A state outside the closure (a hand-built configuration) grows the
+    table into a private writable array that keeps the closure's entries."""
+    protocol = _small_gsu()
+    table = TransitionTable(protocol)
+    size = len(table)
+    lut = protocol.canonical_transitions()
+    outsider = zero_state().evolve(phase=protocol.params.gamma + 1)
+    sid = table.encode(outsider)
+    assert sid == size and table.capacity > size
+    assert table.packed.flags.writeable
+    grown = table.packed.reshape(table.capacity, table.capacity)
+    assert np.array_equal(grown[:size, :size], lut)
+    assert int(grown[sid, 0]) == -1
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        pytest.param(
+            "c",
+            marks=pytest.mark.skipif(
+                not count_kernel_available(), reason="count kernel unavailable"
+            ),
+        ),
+        "python",
+    ],
+)
+def test_closure_registered_count_run_never_misses(monkeypatch, kernel):
+    """On the adopted LUT a count run compiles nothing: the kernel never
+    reports a miss (TransitionTable.apply is never entered) and the Python
+    path never evaluates a transition.  The run equals the same seed on a
+    lazily compiled table with the same id layout, which does miss."""
+    applies = []
+    original_apply = TransitionTable.apply
+
+    def counting_apply(self, responder_id, initiator_id):
+        applies.append((responder_id, initiator_id))
+        return original_apply(self, responder_id, initiator_id)
+
+    monkeypatch.setattr(TransitionTable, "apply", counting_apply)
+    # The Python path pays per batch in Python; a smaller run keeps it quick.
+    n = 10**5 if kernel == "c" else 4096
+    budget, seed = 20 * n, 17
+    snapshots = {}
+    for name, cls in (("adopted", GSULeaderElection), ("lazy", _LazyLutGSU)):
+        protocol = cls(GSUParams(n_hint=CLOSURE_MIN_N_HINT, gamma=4, phi=1, psi=1))
+        protocol.compile()  # the closure BFS runs before counting starts
+        evaluated = []
+
+        def counting_transition(responder, initiator, transition=protocol.transition):
+            evaluated.append(None)
+            return transition(responder, initiator)
+
+        protocol.transition = counting_transition
+        del applies[:]
+        engine = CountBatchEngine(protocol, n, rng=seed, kernel=kernel)
+        engine.run(budget)
+        assert engine.interactions == budget
+        snapshots[name] = repr(engine.snapshot())
+        if name == "adopted":
+            assert not evaluated
+            if kernel == "c":
+                assert not applies
+        else:
+            assert evaluated and applies
+    assert snapshots["adopted"] == snapshots["lazy"]
+
+
 def test_gsu_initial_counts_declared():
     protocol = _small_gsu()
     assert protocol.initial_counts(10**8) == {zero_state(): 10**8}
@@ -154,11 +312,11 @@ def test_closure_registered_countbatch_matches_sequential_quantiles():
 def test_auto_dispatch_below_force_threshold_skips_the_closure_bfs():
     """In the 3e6..3e7 window the cost model prices GSU19's occupied
     frontier out before canonical_states is consulted — dispatch must not
-    pay the ~45s default-calibration closure BFS just to pick fastbatch.
+    pay the ~36 s default-calibration closure BFS just to pick fastbatch.
 
     The instance is built with the *default* calibration and an n_hint past
     the closure gate, so canonical_states() genuinely would run the BFS if
-    consulted (this test would take ~45s if the guard regressed); the
+    consulted (this test would take ~36 s if the guard regressed); the
     dispatched n sits in the window where the model rejects count-batch.
     """
     from repro.core import protocol as core_protocol
@@ -200,7 +358,7 @@ def test_auto_simulation_on_closure_registered_gsu_uses_countbatch():
 def test_headline_auto_dispatch_at_default_calibration_1e8():
     """`run_protocol(GSULeaderElection.for_population(10**8), 10**8,
     engine="auto")` must dispatch to CountBatchEngine and simulate with peak
-    memory independent of n (the packed table for the ~1.8k-state closure
+    memory independent of n (the packed table for the 1,789-state closure
     plus O(sqrt(n)) survival curve — tens of MB, not the >= 10 GB a
     per-agent engine would need)."""
     n = 10**8

@@ -31,6 +31,7 @@ from repro.engine.cpus import available_cpus
 from repro.engine.dispatch import releases_gil
 from repro.engine.parallel import run_cells, run_many
 from repro.engine.rng import spawn_seeds
+from repro.engine.state import StateEncoder
 from repro.engine.views import PredicateView
 from repro.errors import ConfigurationError
 from repro.experiments.store import ExperimentStore
@@ -206,16 +207,21 @@ def test_auto_backend_selection():
 # ----------------------------------------------------------------------
 def _closure_protocol() -> GSULeaderElection:
     # The closure-parameterised GSU19 protocol declares its complete
-    # reachable state space (~1.8k states) — a real surface to hammer.
+    # reachable state space (144 states) — a real surface to hammer.
     from repro.core.params import GSUParams
 
     return GSULeaderElection(GSUParams(n_hint=10**8, gamma=4, phi=1, psi=1))
 
 
 def test_concurrent_table_extension_hammer():
-    """8 threads extending one table agree with a serial build exactly."""
+    """8 threads extending one table agree with a serial build exactly.
+
+    The hammered table is built over a pre-populated encoder, so it keeps
+    the closure's id layout but compiles lazily instead of adopting the
+    closure's LUT; the reference adopts it."""
     protocol = _closure_protocol()
-    table = protocol.compile()
+    table = protocol.compile(encoder=StateEncoder(protocol.canonical_states()))
+    assert int(table.packed.max()) == -1
     k = len(table.encoder)
     assert k > 100  # the hammer needs a real state space
     pairs = [

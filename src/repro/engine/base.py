@@ -38,9 +38,10 @@ __all__ = [
 
 #: Version stamp embedded in every engine snapshot.  Bump when the snapshot
 #: layout changes incompatibly; :meth:`BaseEngine.restore` refuses snapshots
-#: from another version — restoring guessed fields would silently change
-#: trajectories, the one thing a checkpoint must never do.
-SNAPSHOT_VERSION = 1
+#: from an unknown version — restoring guessed fields would silently change
+#: trajectories, the one thing a checkpoint must never do.  Version 1 (the
+#: whole layout, sorted occupied ids, dense counts) is still read.
+SNAPSHOT_VERSION = 2
 
 
 class BaseEngine(abc.ABC):
@@ -204,6 +205,17 @@ class BaseEngine(abc.ABC):
         the registered state-identifier layout, which lazily discovering
         engines depend on.
 
+        Its size follows what the run occupies, not what the protocol could
+        reach.  The layout is stored as ``canonical``, the
+        ``(count, sha256)`` of the table's canonical prefix
+        (:attr:`~repro.engine.table.TransitionTable.canonical_count`, which
+        every fresh table of the protocol rebuilds), plus ``encoder_tail``,
+        the states registered after it; for protocols without canonical
+        states the tail is the whole layout.  ``occupied`` is the
+        ever-occupied set as ``np.packbits`` over the layout.  The count
+        engines store their counts sparse (occupied ids and values as raw
+        little-endian bytes); the per-agent payloads are O(n) by nature.
+
         The invariant (pinned by ``tests/test_engine_checkpoint.py``): a run
         interrupted at any driver boundary (a ``run``/``run_until`` check
         point — never inside ``_perform_steps``) and resumed through
@@ -216,14 +228,17 @@ class BaseEngine(abc.ABC):
         *not* JSON-serialisable); persist it with
         :func:`repro.experiments.io.write_checkpoint`.
         """
+        prefix = self.table.canonical_count
+        tail = self.encoder.states(prefix)
         return {
             "version": SNAPSHOT_VERSION,
             "engine": type(self).__name__,
             "protocol": self.protocol.name,
             "n": self.n,
             "interactions": self.interactions,
-            "encoder_states": self.encoder.states(),
-            "occupied_ids": self._occupied_ids(),
+            "canonical": (prefix, self.table.canonical_digest()),
+            "encoder_tail": tail,
+            "occupied": np.packbits(self._occupied_mask(prefix + len(tail))).tobytes(),
             "payload": self._state_snapshot(),
         }
 
@@ -233,16 +248,18 @@ class BaseEngine(abc.ABC):
         The engine must have been constructed for the same protocol (by
         name), population size and engine class as the snapshot's source;
         mismatches raise :class:`~repro.errors.CheckpointError`.  Restoring
-        first re-registers the snapshot's states in its recorded order, so
+        first checks the canonical prefix's digest against this table's and
+        re-registers the snapshot's tail states in their recorded order, so
         the state-identifier layout — which the count engines' sampling
         order and the packed lookup tables depend on — is reproduced exactly
-        even on a freshly compiled protocol instance.
+        even on a freshly compiled protocol instance.  Version-1 snapshots
+        (the whole layout and sorted occupied ids) are restored too.
         """
         version = snapshot.get("version")
-        if version != SNAPSHOT_VERSION:
+        if version not in (1, SNAPSHOT_VERSION):
             raise CheckpointError(
                 f"snapshot version {version!r} is not supported by this "
-                f"build (expected {SNAPSHOT_VERSION})"
+                f"build (expected 1 or {SNAPSHOT_VERSION})"
             )
         if snapshot.get("engine") != type(self).__name__:
             raise CheckpointError(
@@ -259,12 +276,27 @@ class BaseEngine(abc.ABC):
                 f"snapshot was taken at population size {snapshot.get('n')}, "
                 f"cannot restore into n={self.n}"
             )
-        # Reproduce the state-identifier layout.  Registration is append-only
+        if version == 1:
+            start, layout = 0, snapshot["encoder_states"]
+            occupied = snapshot["occupied_ids"]
+        else:
+            (start, digest), layout = snapshot["canonical"], snapshot["encoder_tail"]
+            ours = (self.table.canonical_count, self.table.canonical_digest())
+            if start and (start, digest) != ours:
+                raise CheckpointError(
+                    f"the snapshot's canonical state prefix ({start} states, "
+                    f"sha256 {digest}) does not match this protocol's "
+                    f"({ours[0]} states, sha256 {ours[1]}); restore into a "
+                    "freshly constructed protocol with the original parameters"
+                )
+            bits = np.frombuffer(snapshot["occupied"], dtype=np.uint8)
+            occupied = np.flatnonzero(np.unpackbits(bits, count=start + len(layout)))
+        # Reproduce the rest of the layout.  Registration is append-only
         # and deterministic (canonical states, then initial states, then
         # discovery order), so encoding the recorded states in order must
         # yield their recorded identifiers; anything else means the target
         # table has an incompatible compilation history.
-        for expected_id, state in enumerate(snapshot["encoder_states"]):
+        for expected_id, state in enumerate(layout, start):
             sid = self.table.encode(state)
             if sid != expected_id:
                 raise CheckpointError(
@@ -274,7 +306,7 @@ class BaseEngine(abc.ABC):
                     "(restore into a freshly constructed protocol)"
                 )
         self.interactions = int(snapshot["interactions"])
-        self._restore_occupied(snapshot["occupied_ids"])
+        self._restore_occupied(occupied)
         self._state_restore(snapshot["payload"])
 
     @classmethod
@@ -304,9 +336,13 @@ class BaseEngine(abc.ABC):
         identifier in the payload.
         """
 
-    def _occupied_ids(self) -> List[int]:
-        """Sorted ever-occupied state ids (overridden by mask-based engines)."""
-        return sorted(int(sid) for sid in self._ever_occupied)
+    def _occupied_mask(self, size: int) -> np.ndarray:
+        """``uint8`` mask over ids ``< size`` of the ever-occupied states
+        (overridden by mask-based engines)."""
+        mask = np.zeros(size, dtype=np.uint8)
+        occupied = self._ever_occupied
+        mask[np.fromiter(occupied, dtype=np.int64, count=len(occupied))] = 1
+        return mask
 
     def _restore_occupied(self, ids) -> None:
         """Restore the ever-occupied set (overridden by mask-based engines)."""

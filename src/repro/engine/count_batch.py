@@ -621,22 +621,38 @@ class CountBatchEngine(BaseEngine):
     def _state_snapshot(self) -> dict:
         # The survival curve is a pure function of n, rebuilt at
         # construction; only the counts and the RNG position(s) are run
-        # state.  ``kernel_rng`` (the xoshiro256++ words) appears only for
-        # kernel-path engines, keeping Python-path snapshots byte-identical
-        # to pre-kernel releases.
-        payload = {"counts": self._counts.copy(), "rng": rng_state(self._rng)}
+        # state.  Counts are sparse: the occupied ids and their counts as
+        # raw little-endian bytes, plus the length of the count buffer.
+        # ``kernel_rng`` (the xoshiro256++ words, raw bytes too) appears
+        # only for kernel-path engines.
+        counts = self._counts
+        ids = np.flatnonzero(counts)
+        payload = {
+            "size": int(counts.shape[0]),
+            "ids": ids.astype("<i4").tobytes(),
+            "values": counts[ids].astype("<i8").tobytes(),
+            "rng": rng_state(self._rng),
+        }
         if self._kernel is not None:
-            payload["kernel_rng"] = self._kernel_rng.copy()
+            payload["kernel_rng"] = self._kernel_rng.astype("<u8").tobytes()
         return payload
 
     def _state_restore(self, payload: dict) -> None:
-        counts = np.asarray(payload["counts"], dtype=np.int64).copy()
+        if "counts" in payload:  # version-1 snapshots store dense counts
+            counts = np.asarray(payload["counts"], dtype=np.int64).copy()
+        else:
+            counts = np.zeros(payload["size"], dtype=np.int64)
+            counts[np.frombuffer(payload["ids"], dtype="<i4")] = np.frombuffer(
+                payload["values"], dtype="<i8"
+            )
         self._counts = self._grown(counts, len(self.encoder))
         restore_rng_state(self._rng, payload["rng"])
         kernel_rng = payload.get("kernel_rng")
         if kernel_rng is not None and self._kernel is not None:
+            if isinstance(kernel_rng, bytes):  # version 1 stored an array instead
+                kernel_rng = np.frombuffer(kernel_rng, dtype="<u8")
             # In place: the kernel argument block holds this buffer's address.
-            self._kernel_rng[:] = np.asarray(kernel_rng, dtype=np.uint64)
+            self._kernel_rng[:] = kernel_rng
         elif kernel_rng is None:
             # Pre-kernel (or Python-path) checkpoint: the recorded
             # trajectory consumed the NumPy stream only, so continuing it
@@ -670,9 +686,13 @@ class CountBatchEngine(BaseEngine):
         self._merge_seen()
         return len(self._ever_occupied)
 
-    def _occupied_ids(self) -> List[int]:
-        self._merge_seen()
-        return super()._occupied_ids()
+    def _occupied_mask(self, size: int) -> np.ndarray:
+        mask = super()._occupied_mask(size)
+        seen = self._seen_mask
+        if seen is not None:
+            seen = seen[:size]
+            mask[: seen.shape[0]] |= seen
+        return mask
 
     def state_count_items(self) -> List[Tuple[int, int]]:
         counts = self._counts

@@ -383,8 +383,11 @@ class FastBatchEngine(BaseEngine):
     def states_ever_occupied(self) -> int:
         return int(np.count_nonzero(self._seen))
 
-    def _occupied_ids(self) -> List[int]:
-        return np.flatnonzero(self._seen).tolist()
+    def _occupied_mask(self, size: int) -> np.ndarray:
+        mask = np.zeros(size, dtype=np.uint8)
+        seen = self._seen[:size]
+        mask[: seen.shape[0]] = seen
+        return mask
 
     def _restore_occupied(self, ids) -> None:
         self._ensure_seen()

@@ -256,6 +256,9 @@ class Simulation:
         self.checkpoint_every = checkpoint_every
         self.checkpoint_path = Path(checkpoint_path) if checkpoint_path else None
         self._last_checkpoint = self.engine.interactions
+        # protocol.fingerprint(), computed at the first checkpoint and
+        # reused by every later one (the protocol never changes).
+        self._fingerprint: Optional[dict] = None
         # When True, run() interprets max_parallel_time as the TOTAL budget
         # measured from interaction 0 (resume semantics) rather than as
         # additional interactions from the current position.
@@ -297,6 +300,8 @@ class Simulation:
                 break
         else:  # pragma: no cover - custom engine classes
             engine_spec = f"{engine_cls.__module__}:{engine_cls.__qualname__}"
+        if self._fingerprint is None:
+            self._fingerprint = self.protocol.fingerprint()
         payload = {
             "kind": "simulation",
             "engine_cls": engine_spec,
@@ -309,7 +314,7 @@ class Simulation:
             # parameters too — continuing a run under different transition
             # rules would silently produce a trajectory that is neither the
             # original nor a valid fresh one.
-            "protocol_fingerprint": self.protocol.fingerprint(),
+            "protocol_fingerprint": self._fingerprint,
             "n": self.n,
             "seed": self.seed,
             "check_every": self.check_every,
@@ -402,11 +407,12 @@ class Simulation:
                 f"{protocol.name!r}"
             )
         recorded = checkpoint.get("protocol_fingerprint")
-        if recorded is not None and recorded != protocol.fingerprint():
+        fingerprint = protocol.fingerprint()
+        if recorded is not None and recorded != fingerprint:
             raise CheckpointError(
                 f"checkpoint was taken from a {protocol.name!r} instance "
                 f"with different parameters (recorded fingerprint "
-                f"{recorded!r} != {protocol.fingerprint()!r}); resuming "
+                f"{recorded!r} != {fingerprint!r}); resuming "
                 "under different transition rules would corrupt the "
                 "trajectory — reconstruct the protocol with the original "
                 "parameters"
@@ -464,6 +470,7 @@ class Simulation:
         )
         simulation.engine.restore(checkpoint["engine_snapshot"])
         simulation._last_checkpoint = simulation.engine.interactions
+        simulation._fingerprint = fingerprint
         simulation._resumed = True
         recorded_state = checkpoint.get("convergence_state")
         if (

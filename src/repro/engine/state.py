@@ -77,9 +77,10 @@ class StateEncoder:
         """Iterate over ``(state, identifier)`` pairs in registration order."""
         return self._to_id.items()
 
-    def states(self) -> List[State]:
-        """All registered states, in registration order."""
-        return list(self._to_state)
+    def states(self, start: int = 0) -> List[State]:
+        """Registered states with ids ``>= start`` (default: all), in
+        registration order."""
+        return self._to_state[start:]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<StateEncoder {len(self)} states>"

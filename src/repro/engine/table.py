@@ -28,7 +28,10 @@ first use, and the packed array doubles its side length when the encoder
 outgrows it.  Protocols that declare :meth:`canonical_states` get those
 states registered eagerly at compile time, which makes state-identifier
 layout (and therefore the trajectories of the count-based engines, which
-sample by identifier order) independent of per-run discovery order.
+sample by identifier order) independent of per-run discovery order.  On a
+pristine encoder those states are ids ``0..canonical_count-1``, a prefix
+every fresh table of the protocol rebuilds, so engine snapshots reference
+it by :meth:`TransitionTable.canonical_digest` instead of storing it.
 
 Closure-compiled LUT
 ====================
@@ -88,6 +91,7 @@ LUT is never written at all.
 
 from __future__ import annotations
 
+import hashlib
 import threading
 from typing import Dict, List, Optional, Tuple
 
@@ -125,10 +129,17 @@ class TransitionTable:
         pristine = len(self.encoder) == 0
         canonical = protocol.canonical_states()
         lut = None
+        #: Number of leading ids registered from ``canonical_states()`` on a
+        #: pristine encoder (0 otherwise): a layout prefix every fresh table
+        #: of this protocol reproduces, which snapshots reference by
+        #: :meth:`canonical_digest` instead of storing its states.
+        self.canonical_count = 0
+        self._canonical_digest: Optional[str] = None
         if canonical is not None:
             for state in canonical:
                 self.encoder.encode(state)
             if pristine:
+                self.canonical_count = len(self.encoder)
                 lut = protocol.canonical_transitions()
         #: Scalar transition memo shared by every engine on this protocol.
         self.delta: Dict[Tuple[int, int], Tuple[int, int]] = {}
@@ -185,6 +196,21 @@ class TransitionTable:
         """
         with self._lock:
             return self._packed, self._capacity
+
+    def canonical_digest(self) -> str:
+        """sha256 (hex) over the ``canonical_count`` prefix of the layout.
+
+        Hashes each prefix state's ``repr``, one per line, so canonical
+        states need a ``repr`` that is stable across processes (strings and
+        dataclasses of plain fields are).  Computed on first use and cached:
+        the prefix never changes once the table is built.
+        """
+        digest = self._canonical_digest
+        if digest is None:
+            prefix = self.encoder.states()[: self.canonical_count]
+            text = "\n".join(repr(state) for state in prefix)
+            digest = self._canonical_digest = hashlib.sha256(text.encode()).hexdigest()
+        return digest
 
     @property
     def compiled_pairs(self) -> int:

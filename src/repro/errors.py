@@ -75,8 +75,9 @@ class CheckpointError(SimulationError):
 
     Raised when a snapshot targets a different engine class, protocol or
     population size than the one it is being restored into, when the
-    registered state-identifier layout cannot be reproduced, or when a
-    checkpoint file has an unknown format or version.
+    registered state-identifier layout cannot be reproduced, when a
+    checkpoint file has an unknown format or version or fails its checksum,
+    or when a checkpoint cannot be read or written.
     """
 
 

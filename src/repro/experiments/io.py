@@ -11,17 +11,27 @@ Two kinds of artefact are written here:
   (:mod:`repro.experiments.store`) builds on.
 * **Run checkpoints** — :func:`write_checkpoint` / :func:`read_checkpoint`
   persist engine snapshots (:meth:`repro.engine.base.BaseEngine.snapshot`)
-  in a versioned envelope.  Checkpoints are written **atomically**
-  (temp file in the target directory, then ``os.replace``), so a crash
-  mid-write can never leave a truncated checkpoint behind — the previous
-  complete checkpoint simply survives.  Snapshots contain arbitrary
-  protocol state objects, so the payload is pickled; checkpoints are a
-  *resume* format for your own runs, not an interchange format.
+  in a versioned, checksummed envelope: the magic line
+  ``repro-checkpoint 2``, a line with the sha256 (hex) of the pickled
+  payload, then the payload.  The reader verifies the checksum before it
+  unpickles anything, so a truncated or corrupt file raises
+  :class:`~repro.errors.CheckpointError` naming the file instead of
+  reaching ``pickle``.  Version-1 files (a bare pickled envelope, no
+  checksum) are still read.  Checkpoints are written **atomically** (temp
+  file in the target directory, then ``os.replace``), so a crash mid-write
+  can never leave a truncated checkpoint behind — the previous complete
+  checkpoint simply survives — and a failed write raises
+  :class:`~repro.errors.CheckpointError` naming the file.  No ``fsync`` is
+  issued: the write is atomic, not durable across a power loss.
+  Snapshots contain arbitrary protocol state objects, so the payload is
+  pickled; checkpoints are a *resume* format for your own runs, not an
+  interchange format.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import os
 import pickle
@@ -50,12 +60,12 @@ __all__ = [
 
 PathLike = Union[str, Path]
 
-#: Identifies a repro checkpoint file (first key of the pickled envelope).
+#: Identifies a repro checkpoint file (the first word of its magic line).
 CHECKPOINT_MAGIC = "repro-checkpoint"
 #: Envelope version; bump on incompatible layout changes.  The engine
 #: snapshot inside carries its own version
 #: (:data:`repro.engine.base.SNAPSHOT_VERSION`).
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 # ----------------------------------------------------------------------
@@ -188,40 +198,74 @@ def write_checkpoint(payload: dict, path: PathLike) -> Path:
     ``payload`` is typically the dictionary built by
     :meth:`repro.engine.simulation.Simulation.write_checkpoint` (an engine
     snapshot plus run metadata), but any picklable dictionary is accepted.
-    The on-disk form is a versioned pickled envelope; a crash mid-write
-    leaves the previous checkpoint intact (write-replace).
+    The on-disk form is the checksummed envelope described in the module
+    docstring; a crash mid-write leaves the previous checkpoint intact
+    (write-replace).  An ``OSError`` (a full disk, a missing permission)
+    raises :class:`~repro.errors.CheckpointError` naming ``path``, after
+    the temp file is removed.
     """
-    envelope = {
-        "format": CHECKPOINT_MAGIC,
-        "version": CHECKPOINT_VERSION,
-        "payload": payload,
-    }
-    return _atomic_write_bytes(
-        Path(path), pickle.dumps(envelope, protocol=pickle.HIGHEST_PROTOCOL)
-    )
+    path = Path(path)
+    body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+    checksum = hashlib.sha256(body).hexdigest()
+    header = f"{CHECKPOINT_MAGIC} {CHECKPOINT_VERSION}\n{checksum}\n".encode("ascii")
+    try:
+        return _atomic_write_bytes(path, header + body)
+    except OSError as exc:
+        raise CheckpointError(f"cannot write checkpoint {path}: {exc}") from exc
 
 
 def read_checkpoint(path: PathLike) -> dict:
     """Read a checkpoint written by :func:`write_checkpoint`.
 
-    Raises :class:`~repro.errors.CheckpointError` when the file is not a
-    repro checkpoint or carries an unsupported envelope version.
+    Raises :class:`~repro.errors.CheckpointError`, naming the file, when it
+    cannot be read, is not a repro checkpoint, carries an unsupported
+    envelope version, or fails its checksum (truncated or corrupt).
     """
     path = Path(path)
     try:
-        with path.open("rb") as handle:
-            envelope = pickle.load(handle)
-    except (OSError, pickle.UnpicklingError, EOFError) as exc:
+        data = path.read_bytes()
+    except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
+    if data[:1] == b"\x80":  # a pickle opcode: a version-1 envelope
+        return _read_version_1(path, data)
+    magic, _, rest = data.partition(b"\n")
+    name, _, version = magic.partition(b" ")
+    if name != CHECKPOINT_MAGIC.encode("ascii"):
+        raise CheckpointError(f"{path} is not a repro checkpoint file")
+    if version != str(CHECKPOINT_VERSION).encode("ascii"):
+        raise CheckpointError(
+            f"checkpoint {path} has envelope version "
+            f"{version.decode('ascii', 'replace')!r}; this build supports "
+            f"1 and {CHECKPOINT_VERSION}"
+        )
+    checksum, _, body = rest.partition(b"\n")
+    if checksum != hashlib.sha256(body).hexdigest().encode("ascii"):
+        raise CheckpointError(
+            f"checkpoint {path} is truncated or corrupt: its payload does "
+            "not match the recorded sha256"
+        )
+    return _unpickle(path, body)
+
+
+def _read_version_1(path: Path, data: bytes) -> dict:
+    """The payload of a version-1 file: a pickled envelope, no checksum."""
+    envelope = _unpickle(path, data)
     if not isinstance(envelope, dict) or envelope.get("format") != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path} is not a repro checkpoint file")
     version = envelope.get("version")
-    if version != CHECKPOINT_VERSION:
+    if version != 1:
         raise CheckpointError(
             f"checkpoint {path} has envelope version {version!r}; this build "
-            f"supports {CHECKPOINT_VERSION}"
+            f"supports 1 and {CHECKPOINT_VERSION}"
         )
     return envelope["payload"]
+
+
+def _unpickle(path: Path, data: bytes):
+    try:
+        return pickle.loads(data)
+    except Exception as exc:  # noqa: BLE001 - unpickling can raise any type
+        raise CheckpointError(f"cannot read checkpoint {path}: {exc!r}") from exc
 
 
 def jsonable(value):

@@ -11,7 +11,16 @@ instance**, i.e. exactly the crashed-process-restarts scenario.
 
 from __future__ import annotations
 
+import errno
 import hashlib
+import os
+import random
+import re
+import shutil
+import sys
+import tempfile
+import threading
+from pathlib import Path
 
 import pytest
 
@@ -507,3 +516,257 @@ def test_fixed_cadence_resume_does_not_inherit_auto_controller(tmp_path):
     )
     resumed.run(max_parallel_time=6.0)
     assert resumed.checkpoint_payload()["auto_cadence"] is None
+
+
+# ----------------------------------------------------------------------
+# Checkpoint file faults
+# ----------------------------------------------------------------------
+def _small_checkpoint(path):
+    """A small countbatch simulation checkpoint (under 1 KB) and its bytes."""
+    from repro.engine.simulation import run_protocol
+
+    run_protocol(
+        SlowLeaderElection(),
+        64,
+        seed=3,
+        engine_cls="countbatch",
+        max_parallel_time=4.0,
+        checkpoint_every=64,
+        checkpoint_path=path,
+    )
+    return path.read_bytes()
+
+
+def _assert_refused(path):
+    """Resuming from ``path`` raises CheckpointError naming the file."""
+    from repro.engine.simulation import Simulation
+
+    with pytest.raises(CheckpointError, match=re.escape(str(path))):
+        Simulation.from_checkpoint(SlowLeaderElection(), path)
+
+
+def test_every_truncation_is_refused(tmp_path):
+    good = _small_checkpoint(tmp_path / "good.ckpt")
+    path = tmp_path / "torn.ckpt"
+    for length in range(len(good)):
+        path.write_bytes(good[:length])
+        _assert_refused(path)
+
+
+def test_bit_flips_are_refused(tmp_path):
+    good = _small_checkpoint(tmp_path / "good.ckpt")
+    path = tmp_path / "flipped.ckpt"
+    rng = random.Random(20190622)
+    for _ in range(400):
+        corrupt = bytearray(good)
+        corrupt[rng.randrange(len(good))] ^= 1 << rng.randrange(8)
+        path.write_bytes(bytes(corrupt))
+        _assert_refused(path)
+
+
+@pytest.mark.parametrize(
+    "magic", [b"repro-checkpoint 3", b"repro-checkpoint", b"other-format 2", b""]
+)
+def test_wrong_magic_is_refused(tmp_path, magic):
+    good = _small_checkpoint(tmp_path / "good.ckpt")
+    path = tmp_path / "magic.ckpt"
+    path.write_bytes(magic + good[good.index(b"\n") :])
+    _assert_refused(path)
+
+
+def test_stray_temp_file_does_not_affect_resume(tmp_path):
+    """A temp file left by a crashed write is ignored: resume reads only
+    the checkpoint itself."""
+    from repro.engine.simulation import run_protocol
+
+    path = tmp_path / "run.ckpt"
+    kwargs = dict(seed=3, engine_cls="countbatch")
+    full = run_protocol(SlowLeaderElection(), 64, max_parallel_time=8.0, **kwargs)
+    _small_checkpoint(path)
+    stray = tmp_path / ".run.ckpt.crashed"
+    stray.write_bytes(b"repro-checkpoint 2\n" + b"0" * 64 + b"\npartial")
+    resumed = run_protocol(
+        SlowLeaderElection(), 64, max_parallel_time=8.0,
+        checkpoint_path=path, resume=True, **kwargs,
+    )
+    assert resumed.interactions == full.interactions
+    assert resumed.final_counts == full.final_counts
+    assert stray.exists()
+
+
+def test_concurrent_writers_leave_one_whole_checkpoint(tmp_path):
+    path = tmp_path / "shared.ckpt"
+    payloads = [{"writer": index, "data": bytes([index]) * 200_000} for index in (1, 2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            barrier = threading.Barrier(2)
+            errors = []
+
+            def write(payload):
+                try:
+                    barrier.wait(timeout=10)
+                    write_checkpoint(payload, path)
+                except Exception as error:  # noqa: BLE001 - reported below
+                    errors.append(error)
+
+            threads = [threading.Thread(target=write, args=(p,)) for p in payloads]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            assert not errors
+            assert read_checkpoint(path) in payloads
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["shared.ckpt"]
+
+
+def _fill_disk(monkeypatch):
+    """Make every temp-file write fail with ENOSPC after a partial write."""
+    real = tempfile.NamedTemporaryFile
+
+    class FullDisk:
+        def __init__(self, **kwargs):
+            self._handle = real(**kwargs)
+            self.name = self._handle.name
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            self._handle.close()
+
+        def write(self, data):
+            self._handle.write(data[:16])
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(tempfile, "NamedTemporaryFile", FullDisk)
+
+
+def test_write_failure_names_the_file_and_keeps_the_previous(tmp_path, monkeypatch):
+    from repro.experiments.io import atomic_write_text
+
+    path = tmp_path / "run.ckpt"
+    write_checkpoint({"generation": 1}, path)
+    _fill_disk(monkeypatch)
+    with pytest.raises(CheckpointError, match=re.escape(str(path))) as raised:
+        write_checkpoint({"generation": 2}, path)
+    assert isinstance(raised.value.__cause__, OSError)
+    assert raised.value.__cause__.errno == errno.ENOSPC
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ckpt"]
+    assert read_checkpoint(path) == {"generation": 1}
+    # Result files keep raising the OSError itself.
+    with pytest.raises(OSError) as raised_text:
+        atomic_write_text(tmp_path / "result.json", "{}")
+    assert not isinstance(raised_text.value, CheckpointError)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ckpt"]
+
+
+# ----------------------------------------------------------------------
+# Snapshot layout: version-1 files, closure prefix by digest
+# ----------------------------------------------------------------------
+_FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def _closure_gsu():
+    from repro.core.params import GSUParams
+    from repro.core.protocol import CLOSURE_MIN_N_HINT, GSULeaderElection
+
+    return GSULeaderElection(GSUParams(n_hint=CLOSURE_MIN_N_HINT, gamma=4, phi=1, psi=1))
+
+
+def _lazy_gsu():
+    from repro.core.protocol import GSULeaderElection
+
+    return GSULeaderElection.for_population(64)
+
+
+def _run_digest(result) -> str:
+    counts = sorted((repr(state), count) for state, count in result.final_counts.items())
+    return hashlib.sha256(
+        repr((result.interactions, counts, result.states_used)).encode()
+    ).hexdigest()[:16]
+
+
+#: Version-1 checkpoints written by the version-1 writer (envelope and
+#: snapshot version 1) halfway through a run of ``total`` parallel time,
+#: with the uninterrupted run's interactions and digest.  The countbatch one
+#: ran on the Python count path, so it resumes byte-exactly on a build with
+#: or without the count kernel.
+_V1_FIXTURES = {
+    "v1_countbatch_closure": dict(
+        factory=_closure_gsu, n=4096, seed=31, engine_cls="countbatch",
+        engine_kwargs={"kernel": "python"}, total=40.0,
+        interactions=163840, digest="cfffed9f97026548",
+    ),
+    "v1_sequential": dict(
+        factory=_lazy_gsu, n=64, seed=5, engine_cls="sequential",
+        engine_kwargs=None, total=300.0,
+        interactions=19200, digest="cf2e60406e4a4fe1",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_V1_FIXTURES))
+def test_version_1_checkpoint_resumes_to_the_uninterrupted_digest(tmp_path, name):
+    from repro.engine.convergence import NeverConverge
+    from repro.engine.simulation import run_protocol
+
+    case = _V1_FIXTURES[name]
+    path = tmp_path / f"{name}.ckpt"
+    shutil.copyfile(_FIXTURES / f"{name}.ckpt", path)
+    assert path.read_bytes()[:1] == b"\x80"  # a bare pickle: envelope version 1
+    assert read_checkpoint(path)["engine_snapshot"]["version"] == 1
+    resumed = run_protocol(
+        case["factory"](),
+        case["n"],
+        seed=case["seed"],
+        engine_cls=case["engine_cls"],
+        engine_kwargs=case["engine_kwargs"],
+        convergence=NeverConverge(),
+        check_every=case["n"],
+        max_parallel_time=case["total"],
+        checkpoint_path=path,
+        resume=True,
+    )
+    assert resumed.interactions == case["interactions"]
+    assert _run_digest(resumed) == case["digest"]
+
+
+def test_closure_snapshot_references_the_closure_by_digest(tmp_path):
+    """A closure-registered countbatch checkpoint stores no encoder states
+    and stays under 2 KB, and resumes to the uninterrupted run."""
+    from repro.engine.convergence import NeverConverge
+    from repro.engine.simulation import run_protocol
+
+    def run(max_parallel_time, **kwargs):
+        return run_protocol(
+            _closure_gsu(), 4096, seed=31, engine_cls="countbatch",
+            convergence=NeverConverge(), check_every=4096,
+            max_parallel_time=max_parallel_time, **kwargs,
+        )
+
+    path = tmp_path / "closure.ckpt"
+    full = run(40.0)
+    run(20.0, checkpoint_every=4096, checkpoint_path=path)
+    snapshot = read_checkpoint(path)["engine_snapshot"]
+    assert snapshot["version"] == 2
+    assert snapshot["canonical"][0] == len(_closure_gsu().canonical_states()) == 144
+    assert snapshot["encoder_tail"] == []
+    assert path.stat().st_size < 2048
+    resumed = run(40.0, checkpoint_path=path, resume=True)
+    assert resumed.interactions == full.interactions
+    assert _run_digest(resumed) == _run_digest(full)
+
+
+def test_restore_rejects_a_different_canonical_prefix():
+    engine = CountBatchEngine(_closure_gsu(), 4096, rng=1)
+    engine.run(4096)
+    snapshot = engine.snapshot()
+    count, digest = snapshot["canonical"]
+    snapshot["canonical"] = (count, "0" * 64)
+    with pytest.raises(CheckpointError, match=f"{'0' * 64}.*{digest}"):
+        CountBatchEngine(_closure_gsu(), 4096, rng=1).restore(snapshot)

@@ -39,7 +39,9 @@ heads-epidemic in the late half.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.engine.protocol import FOLLOWER_OUTPUT, PopulationProtocol
 from repro.errors import ConfigurationError
@@ -115,6 +117,26 @@ class PhaseClockRules:
         (both start and end phase in the late half)."""
         half = self.gamma // 2
         return old_phase >= half and new_phase >= half
+
+    def qualifier(self, old_phase: int, new_phase: int) -> int:
+        """Code of the arrows one update qualifies for: bit 0 ``→0``
+        (:meth:`passed_zero`), bit 1 ``early→``, bit 2 ``late→``."""
+        half = self.gamma // 2
+        if new_phase < half:
+            return (new_phase < old_phase) | (old_phase < half) << 1
+        return (new_phase < old_phase) | (old_phase >= half) << 2
+
+    def tables(self) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`advance` as a ``(Γ, Γ, 2)`` array by ``[responder phase,
+        initiator phase, is_junta]`` and :meth:`qualifier` as a ``(Γ, Γ)``
+        array by ``[old phase, new phase]``."""
+        phases = range(self.gamma)
+        advance = [
+            [[self.advance(r, i, junta) for junta in (0, 1)] for i in phases]
+            for r in phases
+        ]
+        qualifier = [[self.qualifier(old, new) for new in phases] for old in phases]
+        return np.array(advance, dtype=np.intp), np.array(qualifier, dtype=np.intp)
 
 
 @dataclass(frozen=True)

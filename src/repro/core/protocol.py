@@ -42,7 +42,7 @@ from repro.core.params import GSUParams
 from repro.core.roles import apply_initialisation
 from repro.core.state import GSUAgentState, is_alive_leader, zero_state
 from repro.engine.base import BaseEngine
-from repro.engine.closure import reachable_closure
+from repro.engine.closure import PhaseFactoring, reachable_closure
 from repro.engine.convergence import SingleLeader
 from repro.engine.dispatch import COUNTBATCH_FORCE_N
 from repro.engine.protocol import FOLLOWER_OUTPUT, LEADER_OUTPUT, PopulationProtocol
@@ -55,10 +55,10 @@ __all__ = ["GSULeaderElection", "CLOSURE_MIN_N_HINT"]
 #: *force* threshold (:data:`repro.engine.dispatch.COUNTBATCH_FORCE_N`) —
 #: the size from which GSU19 is actually count-dispatched.  Below it the
 #: cost model always keeps GSU19 on the per-agent engines (the occupied
-#: frontier prices count-batch out), so the ``Θ(K²)`` BFS (tens of seconds
+#: frontier prices count-batch out), so the BFS (0.7-0.8 s on a 2-CPU host
 #: at the default calibrations: ``K = 1,348`` states at ``Γ=24, Φ=1, Ψ=3``,
-#: ``1,789`` at ``n = 10^8``'s ``Φ=2, Ψ=4``) would be pure
-#: construction overhead; those instances keep the lazily discovered state
+#: ``1,789`` at ``n = 10^8``'s ``Φ=2, Ψ=4``) and its ``(K, K)`` LUT would be
+#: pure construction overhead; those instances keep the lazily discovered state
 #: space — which also keeps their seed-pinned count-engine trajectories
 #: unchanged — and the count engines still run them fine via lazy growth
 #: (or an explicit :meth:`GSULeaderElection.reachable_state_closure`).
@@ -71,6 +71,12 @@ CLOSURE_MIN_N_HINT = COUNTBATCH_FORCE_N
 _CLOSURE_CACHE: Dict[
     Tuple[int, int, int], Tuple[Tuple[GSUAgentState, ...], np.ndarray]
 ] = {}
+
+#: The rule context of each :meth:`PhaseClockRules.qualifier` code.
+_CONTEXTS = tuple(
+    InteractionContext(bool(code & 1), bool(code & 2), bool(code & 4))
+    for code in range(8)
+)
 
 
 class GSULeaderElection(PopulationProtocol):
@@ -127,8 +133,9 @@ class GSULeaderElection(PopulationProtocol):
         ``drag ≤ Ψ``, ``cnt ≤ 2Φ+3``), so the set of states reachable from
         the all-zero start is finite and
         :func:`~repro.engine.closure.reachable_states` enumerates it exactly.
-        The BFS costs ``Θ(K²)`` transition evaluations (tens of seconds at
-        the default calibration) and is therefore only performed when the
+        The BFS runs the rule families once per phase-free pair and clock
+        qualifier (about 0.7 s at the default calibration on a 2-CPU host)
+        and builds a ``(K, K)`` LUT, so it is only performed when the
         parameters were derived for a population at configuration-space
         scale (``n_hint >= CLOSURE_MIN_N_HINT``), where it is amortised
         against the run itself; the result is cached per ``(gamma, phi,
@@ -181,33 +188,42 @@ class GSULeaderElection(PopulationProtocol):
         key = (self.params.gamma, self.params.phi, self.params.psi)
         cached = _CLOSURE_CACHE.get(key)
         if cached is None:
-            states, lut = reachable_closure(self.transition, [zero_state()])
+            phi = self.params.phi
+            factoring = PhaseFactoring(
+                *self.clock.tables(),
+                lambda state: (state.phase, state.with_phase(0), state.is_junta(phi)),
+                lambda phase, part: part.with_phase(phase),
+                self.apply_rules,
+            )
+            states, lut = reachable_closure(
+                self.transition, [zero_state()], factoring=factoring
+            )
             cached = _CLOSURE_CACHE[key] = (tuple(states), lut)
         return cached[0]
 
     def transition(self, responder: GSUAgentState, initiator: GSUAgentState):
-        params = self.params
-        clock = self.clock
+        # 1. Phase-clock update of the responder; steps 2-7 in apply_rules.
+        clock, old_phase = self.clock, responder.phase
+        junta = responder.is_junta(self.params.phi)
+        new_phase = clock.advance(old_phase, initiator.phase, junta)
+        qualifier = clock.qualifier(old_phase, new_phase)
+        return self.apply_rules(responder.with_phase(new_phase), initiator, qualifier)
 
-        # 1. Phase-clock update of the responder.
-        old_phase = responder.phase
-        new_phase = clock.advance(
-            old_phase, initiator.phase, responder.is_junta(params.phi)
-        )
-        ctx = InteractionContext(
-            passed_zero=clock.passed_zero(old_phase, new_phase),
-            early=clock.is_early(old_phase, new_phase),
-            late=clock.is_late(old_phase, new_phase),
-        )
-        updated = responder.with_phase(new_phase)
-        partner = initiator
+    def apply_rules(
+        self, responder: GSUAgentState, initiator: GSUAgentState, qualifier: int
+    ):
+        """Steps 2-7 on a pair whose responder's clock advanced with the
+        given :meth:`PhaseClockRules.qualifier` code.  The rules never read a
+        phase, so the closure BFS runs them once per phase-free pair."""
+        params = self.params
+        ctx = _CONTEXTS[qualifier]
 
         # 2. Initialisation / role assignment.  If a role was assigned (or an
         # agent deactivated) in this interaction, the agents do not also act
         # in their new roles within the same interaction — the remaining rule
         # families are skipped.  Without this, e.g. a freshly created coin
         # would immediately be stopped by its own creation partner.
-        updated, partner = apply_initialisation(updated, partner, ctx, params)
+        updated, partner = apply_initialisation(responder, initiator, ctx, params)
         if updated.role != responder.role or partner.role != initiator.role:
             return updated, partner
 

@@ -266,8 +266,8 @@ def count_capable(protocol: PopulationProtocol, n: int) -> Optional[int]:
 
     The ``initial_counts`` probe runs first: it is O(k) cheap, while
     ``canonical_states`` may trigger a protocol's reachable-closure BFS
-    (tens of seconds for GSU19 — amortised against a ``>= 3*10^6``-agent
-    run, but not worth paying for a protocol that lacks the counts hook).
+    (about 1 s for GSU19 on a 2-CPU host — not worth paying for a protocol
+    that lacks the counts hook).
     """
     if protocol.initial_counts(n) is None:
         return None
@@ -398,7 +398,7 @@ def auto_engine(
         hint = protocol.occupied_states_hint()
         # Below the force threshold, an unprofitable frontier hint prices
         # count-batch out *before* canonical_states is consulted: that
-        # enumeration may be expensive (GSU19's closure BFS, ~36 s at n = 10^8), and it
+        # enumeration may be expensive (GSU19's closure BFS, ~1 s at n = 10^8), and it
         # must only be paid when it can change the decision — not to be
         # told "fastbatch", which is what the cost model says for GSU19's
         # frontier in the 3*10^6..3*10^7 window.

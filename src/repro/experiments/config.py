@@ -140,7 +140,7 @@ class ExperimentConfig:
         fast-batch C kernel at ``10^7`` and the O(k)-memory
         ``CountBatchEngine`` at ``10^8`` (where per-agent engines would need
         gigabytes and a minutes-scale construction loop; GSU19's
-        reachable-state closure of 1,789 states is computed once, ~36 s, and
+        reachable-state closure of 1,789 states is computed once, ~1 s, and
         cached).  The Θ(n)-time baselines are capped hard — simulating them
         at this scale would measure nothing but wall clock.  Expect hours
         per seed at ``10^7`` and a day-scale run at ``10^8``; repetitions

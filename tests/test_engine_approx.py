@@ -103,7 +103,7 @@ def _lazy_gsu19(n: int) -> GSULeaderElection:
     """GSU19 at the calibration of ``n`` but without the closure BFS.
 
     ``for_population(n)`` at count-batch scale pre-registers the reachable
-    closure (a ~36 s BFS amortised against count-space runs); the fluid
+    closure (a ~1 s BFS amortised against count-space runs); the fluid
     limit discovers its active states lazily in milliseconds, so the
     scaling-speed test derives the (gamma, phi, psi) calibration from
     ``n`` and pins ``n_hint`` below the closure gate.

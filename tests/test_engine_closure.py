@@ -3,15 +3,17 @@
 The closure pass (:mod:`repro.engine.closure`) is what makes the headline
 GSU19 protocol *count-capable*: a finite ``canonical_states`` enumeration
 plus the ``initial_counts`` hook lets ``engine="auto"`` dispatch it to the
-configuration-space engines at ``n = 10^7``–``10^8``.  Tier-1 tests use
-small clock calibrations (``gamma=4`` gives a 144-state closure computed in
-a fraction of a second, ``gamma=8, psi=3`` a 444-state one in ~2 s); the
-default calibration at ``n = 10^8`` (1,789 states, a BFS of ~36 s) is
-exercised by the ``slow``-marked acceptance test.
+configuration-space engines at ``n = 10^7``–``10^8``.  The BFS evaluates
+GSU19's rules once per phase-free pair, so even the default calibrations
+(1,348 states at ``Γ=24, Φ=1, Ψ=3``, 1,789 at ``n = 10^8``'s ``Φ=2, Ψ=4``)
+close in under a second on a 2-CPU host.  Its exactness is pinned against a
+pair-by-pair oracle at small calibrations (``gamma=4`` gives 144 states,
+``gamma=8, psi=3`` 444) and by digests of the two production closures.
 """
 
 from __future__ import annotations
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -19,7 +21,7 @@ import pytest
 
 from repro.core.params import GSUParams
 from repro.core.protocol import CLOSURE_MIN_N_HINT, GSULeaderElection
-from repro.core.state import zero_state
+from repro.core.state import deactivated_state, zero_state
 from repro.engine._count_kernel import count_kernel_available
 from repro.engine.closure import reachable_closure, reachable_states
 from repro.engine.count_batch import CountBatchEngine
@@ -30,6 +32,7 @@ from repro.engine.simulation import Simulation
 from repro.engine.state import StateEncoder
 from repro.engine.table import TransitionTable
 from repro.errors import ProtocolError
+from repro.types import Role
 
 
 def _small_gsu(
@@ -45,6 +48,47 @@ class _LazyLutGSU(GSULeaderElection):
 
     def canonical_transitions(self):
         return None
+
+
+class _PhaseReadingGSU(GSULeaderElection):
+    """Rules that read the phase, breaking the closure's factoring: an
+    uninitialised responder at an odd phase deactivates."""
+
+    def apply_rules(self, responder, initiator, qualifier):
+        if responder.role == Role.ZERO and responder.phase % 2:
+            return deactivated_state(responder.phase), initiator
+        return super().apply_rules(responder, initiator, qualifier)
+
+
+def _pair_loop_closure(transition, seeds):
+    """The closure BFS pair by pair: one scalar transition call per ordered
+    pair per layer, ids in first-occurrence order of each fresh state's
+    forward then backward results.  The exactness oracle for the factored
+    BFS."""
+    ids = {}
+    for seed in seeds:
+        ids.setdefault(seed, len(ids))
+    states = list(ids)
+    results = {}
+    lo, hi = 0, len(states)
+    while lo < hi:
+        for fresh in states[lo:hi]:
+            for other in states[:hi]:
+                for pair in ((fresh, other), (other, fresh)):
+                    results[pair] = transition(*pair)
+                    for state in results[pair]:
+                        if state not in ids:
+                            ids[state] = len(states)
+                            states.append(state)
+        lo, hi = hi, len(states)
+    lut = np.array(
+        [
+            [(ids[results[r, i][0]] << 32) | ids[results[r, i][1]] for i in states]
+            for r in states
+        ],
+        dtype=np.int64,
+    )
+    return states, lut
 
 
 # ----------------------------------------------------------------------
@@ -110,6 +154,66 @@ def test_reachable_states_guards_against_unbounded_spaces():
 
     with pytest.raises(ProtocolError, match="exceeded 64 states"):
         reachable_states(transition, [0], max_states=64)
+
+
+# ----------------------------------------------------------------------
+# The factored BFS is exact
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("psi", [1, 3])
+@pytest.mark.parametrize("gamma", [4, 6, 8])
+def test_factored_closure_equals_pair_loop_oracle(gamma, psi):
+    """Same states in the same order, and the same LUT entry for entry, as
+    evaluating the scalar transition on every ordered pair."""
+    protocol = _small_gsu(gamma=gamma, psi=psi)
+    states, lut = _pair_loop_closure(protocol.transition, [zero_state()])
+    assert list(protocol.reachable_state_closure()) == states
+    assert np.array_equal(protocol.canonical_transitions(), lut)
+
+
+@pytest.mark.parametrize(
+    "phi, psi, size, states_sha, lut_sha",
+    [
+        (
+            1,
+            3,
+            1348,
+            "d866ec4bc091a633efa4222cd56ee40bd8ebb51231ba3b7ecdd7849db7d2db1c",
+            "6df01b1d65defd190d69ef19df749c704d7d596c6fa2673b50fbbe94d295a4aa",
+        ),
+        (
+            2,
+            4,
+            1789,
+            "cd65f25f18bccf9f754c848dfcb052c7cbff0313734467cee7273d4777d63bbf",
+            "63a6e78d0c827a493e408886c8385b674f039a2a378a6388128b484cd7adee0d",
+        ),
+    ],
+)
+def test_production_closures_pinned(phi, psi, size, states_sha, lut_sha):
+    """The two closures count-space runs use (Γ=24), pinned by digests
+    recorded from the pair-by-pair BFS: sha256 of the states' reprs, one
+    per line, and of the LUT's bytes."""
+    protocol = GSULeaderElection(
+        GSUParams(n_hint=CLOSURE_MIN_N_HINT, gamma=24, phi=phi, psi=psi)
+    )
+    states = protocol.reachable_state_closure()
+    lut = protocol.canonical_transitions()
+    assert len(states) == size and lut.shape == (size, size)
+    reprs = "\n".join(map(repr, states)).encode()
+    assert hashlib.sha256(reprs).hexdigest() == states_sha
+    assert hashlib.sha256(lut.tobytes()).hexdigest() == lut_sha
+
+
+def test_phase_reading_rules_fail_the_spot_check(monkeypatch):
+    """Rules that read the phase break the factoring the BFS relies on; the
+    spot check against the scalar transition raises, naming the pair."""
+    from repro.core import protocol as core_protocol
+
+    monkeypatch.setattr(core_protocol, "_CLOSURE_CACHE", {})
+    params = GSUParams(n_hint=CLOSURE_MIN_N_HINT, gamma=4, phi=1, psi=1)
+    protocol = _PhaseReadingGSU(params)
+    with pytest.raises(ProtocolError, match="disagrees with the transition at"):
+        protocol.reachable_state_closure()
 
 
 # ----------------------------------------------------------------------
@@ -312,12 +416,12 @@ def test_closure_registered_countbatch_matches_sequential_quantiles():
 def test_auto_dispatch_below_force_threshold_skips_the_closure_bfs():
     """In the 3e6..3e7 window the cost model prices GSU19's occupied
     frontier out before canonical_states is consulted — dispatch must not
-    pay the ~36 s default-calibration closure BFS just to pick fastbatch.
+    pay the default-calibration closure BFS just to pick fastbatch.
 
     The instance is built with the *default* calibration and an n_hint past
     the closure gate, so canonical_states() genuinely would run the BFS if
-    consulted (this test would take ~36 s if the guard regressed); the
-    dispatched n sits in the window where the model rejects count-batch.
+    consulted (and cache its closure); the dispatched n sits in the window
+    where the model rejects count-batch.
     """
     from repro.core import protocol as core_protocol
     from repro.engine.dispatch import COUNTBATCH_FORCE_N
@@ -351,10 +455,8 @@ def test_auto_simulation_on_closure_registered_gsu_uses_countbatch():
 
 
 # ----------------------------------------------------------------------
-# The headline acceptance run (slow: ~1 min closure BFS at the default
-# calibration)
+# The headline acceptance run
 # ----------------------------------------------------------------------
-@pytest.mark.slow
 def test_headline_auto_dispatch_at_default_calibration_1e8():
     """`run_protocol(GSULeaderElection.for_population(10**8), 10**8,
     engine="auto")` must dispatch to CountBatchEngine and simulate with peak

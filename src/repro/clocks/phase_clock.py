@@ -120,11 +120,13 @@ class PhaseClockRules:
 
     def qualifier(self, old_phase: int, new_phase: int) -> int:
         """Code of the arrows one update qualifies for: bit 0 ``→0``
-        (:meth:`passed_zero`), bit 1 ``early→``, bit 2 ``late→``."""
-        half = self.gamma // 2
-        if new_phase < half:
-            return (new_phase < old_phase) | (old_phase < half) << 1
-        return (new_phase < old_phase) | (old_phase >= half) << 2
+        (:meth:`passed_zero`), bit 1 ``early→`` (:meth:`is_early`), bit 2
+        ``late→`` (:meth:`is_late`)."""
+        return (
+            self.passed_zero(old_phase, new_phase)
+            | self.is_early(old_phase, new_phase) << 1
+            | self.is_late(old_phase, new_phase) << 2
+        )
 
     def tables(self) -> Tuple[np.ndarray, np.ndarray]:
         """:meth:`advance` as a ``(Γ, Γ, 2)`` array by ``[responder phase,

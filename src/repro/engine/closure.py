@@ -100,8 +100,9 @@ def reachable_closure(
     factoring:
         ``transition`` as a phase clock plus phase-blind rules, which the
         BFS evaluates instead (by default the one-phase factoring: every
-        state is its own part).  A sample of the finished table is checked
-        against ``transition``; a mismatch raises
+        state is its own part, so the memo is a second ``(K, K)`` array and
+        the peak is about twice the table's).  A sample of the finished
+        table is checked against ``transition``; a mismatch raises
         :class:`~repro.errors.ProtocolError` naming the pair.
 
     Returns
@@ -129,11 +130,21 @@ def reachable_closure(
     ids = np.zeros(0, dtype=np.int64)
     memo = np.full((0, 0, contexts), -1, dtype=np.int64)
 
+    def check_size(count: int) -> None:
+        if count > max_states:
+            raise ProtocolError(
+                f"reachable-state closure exceeded {max_states} states; the "
+                "protocol's state space looks unbounded for these parameters "
+                "(raise max_states if this is intentional)"
+            )
+
     def code_of(state: State) -> int:
         nonlocal ids
         phase, part, is_junta = split(state)
         pid = part_ids.setdefault(part, len(parts))
         if pid == len(parts):
+            # Every part is in some reachable state: check before the memo grows.
+            check_size(pid + 1)
             parts.append(part)
             junta.append(is_junta)
             if len(ids) < len(parts) * gamma:
@@ -147,18 +158,14 @@ def reachable_closure(
             states.append(join(phase, parts[pid]))
             phases.append(phase)
             owners.append(pid)
-        if len(states) > max_states:
-            raise ProtocolError(
-                f"reachable-state closure exceeded {max_states} states; the "
-                "protocol's state space looks unbounded for these parameters "
-                "(raise max_states if this is intentional)"
-            )
+        check_size(len(states))
 
     def evaluate(responders: np.ndarray, initiators: np.ndarray):
         """Codes of ``δ(responders, initiators)`` (broadcast id arrays)."""
         nonlocal memo
         if len(memo) < len(parts):
-            grown = np.full((len(parts) * 3 // 2,) * 2 + (contexts,), -1, np.int64)
+            # Exact size: for a plain transition the memo is (K, K), like the LUT.
+            grown = np.full((len(parts),) * 2 + (contexts,), -1, np.int64)
             grown[: len(memo), : len(memo)] = memo
             memo = grown
         state_phase = np.array(phases, dtype=np.intp)

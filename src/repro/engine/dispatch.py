@@ -398,10 +398,10 @@ def auto_engine(
         hint = protocol.occupied_states_hint()
         # Below the force threshold, an unprofitable frontier hint prices
         # count-batch out *before* canonical_states is consulted: that
-        # enumeration may be expensive (GSU19's closure BFS, ~1 s at n = 10^8), and it
-        # must only be paid when it can change the decision — not to be
-        # told "fastbatch", which is what the cost model says for GSU19's
-        # frontier in the 3*10^6..3*10^7 window.
+        # enumeration may be expensive (GSU19's closure BFS, ~1 s at
+        # n = 10^8), and it must only be paid when it can change the
+        # decision — not to be told "fastbatch", which is what the cost
+        # model says for GSU19's frontier in the 3*10^6..3*10^7 window.
         worth_probing = (
             n >= COUNTBATCH_FORCE_N
             or hint is None

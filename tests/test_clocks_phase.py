@@ -120,6 +120,20 @@ def test_early_and_late_are_mutually_exclusive():
             assert not (rules.is_early(old, new) and rules.is_late(old, new))
 
 
+def test_tables_match_advance_and_arrow_predicates():
+    rules = PhaseClockRules(8)
+    advance, qualifier = rules.tables()
+    assert advance.shape == (8, 8, 2) and qualifier.shape == (8, 8)
+    for old in range(8):
+        for other in range(8):
+            for junta in (0, 1):
+                assert advance[old, other, junta] == rules.advance(old, other, junta)
+            code = int(qualifier[old, other])
+            assert bool(code & 1) == rules.passed_zero(old, other)
+            assert bool(code & 2) == rules.is_early(old, other)
+            assert bool(code & 4) == rules.is_late(old, other)
+
+
 # ----------------------------------------------------------------------
 # Standalone clock protocol
 # ----------------------------------------------------------------------

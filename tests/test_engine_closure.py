@@ -156,6 +156,24 @@ def test_reachable_states_guards_against_unbounded_spaces():
         reachable_states(transition, [0], max_states=64)
 
 
+def test_reachable_states_guard_trips_before_a_layer_explodes():
+    """Every pair yields a new state, so one BFS block meets far more new
+    states than the cap: the guard must raise ProtocolError there, not
+    allocate a memo for them (a (2000, 2000) int64 memo is 32 MB)."""
+
+    def transition(responder, initiator):
+        return responder * 100_003 + initiator + 1, initiator
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(ProtocolError, match="exceeded 2000 states"):
+            reachable_states(transition, [0], max_states=2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20
+
+
 # ----------------------------------------------------------------------
 # The factored BFS is exact
 # ----------------------------------------------------------------------
@@ -413,7 +431,7 @@ def test_closure_registered_countbatch_matches_sequential_quantiles():
     assert quantile_profile_distance(reference, batched) < 1.5
 
 
-def test_auto_dispatch_below_force_threshold_skips_the_closure_bfs():
+def test_auto_dispatch_below_force_threshold_skips_the_closure_bfs(monkeypatch):
     """In the 3e6..3e7 window the cost model prices GSU19's occupied
     frontier out before canonical_states is consulted — dispatch must not
     pay the default-calibration closure BFS just to pick fastbatch.
@@ -427,19 +445,19 @@ def test_auto_dispatch_below_force_threshold_skips_the_closure_bfs():
     from repro.engine.dispatch import COUNTBATCH_FORCE_N
     from repro.engine.fast_batch import FastBatchEngine
 
+    # An empty cache, so an earlier test's closure cannot hide a BFS here.
+    monkeypatch.setattr(core_protocol, "_CLOSURE_CACHE", {})
     protocol = GSULeaderElection(
         GSUParams.from_population_size(COUNTBATCH_FORCE_N)
     )
     assert protocol.params.n_hint >= core_protocol.CLOSURE_MIN_N_HINT
     params = protocol.params
     key = (params.gamma, params.phi, params.psi)
-    cached_before = key in core_protocol._CLOSURE_CACHE
     assert auto_engine(protocol, 5_000_000) is FastBatchEngine
-    if not cached_before:
-        assert key not in core_protocol._CLOSURE_CACHE, (
-            "auto dispatch computed the reachable closure for a decision "
-            "the frontier hint already settled"
-        )
+    assert key not in core_protocol._CLOSURE_CACHE, (
+        "auto dispatch computed the reachable closure for a decision "
+        "the frontier hint already settled"
+    )
 
 
 def test_auto_simulation_on_closure_registered_gsu_uses_countbatch():

@@ -26,10 +26,7 @@ Two entry points:
   observed-vs-unobserved GSU19 throughput with the ``SingleLeader``
   predicate and a role-census recorder attached at a dense check cadence
   (the compiled-view acceptance bound is observed <= 1.25x unobserved at
-  ``n = 10^7`` on the count-batch engine).  ``--sweep`` adds the sweep
-  scheduler section: 32 replica-vectorised GSU19 runs against 32 scalar
-  runs at ``n = 10^6`` (wall-clock ratio scalar / replica) plus the sweep
-  scheduler's serial-vs-workers wall clock.  ``--topology`` adds the
+  ``n = 10^7`` on the count-batch engine).  ``--topology`` adds the
   scheduler section: ``pair_block`` throughput of every interaction
   topology (complete / cycle / 2D torus / random 4-regular / power-law)
   at ``n = 10^6`` — the scenario axis's randomness hot path; combine
@@ -625,266 +622,6 @@ def run_topology_ablation(
     }
 
 
-#: Sweep section workload: the headline closure calibration (k = 1,789
-#: states, one shared 25.6 MB packed table adopted from the closure BFS) at
-#: a count-batch population —
-#: the (protocol, n) cell the replica dimension was built for.
-_SWEEP_N = 10**6
-_SWEEP_REPLICAS = 32
-
-
-def _gsu19_headline_calibration(n: int) -> GSULeaderElection:
-    """The headline-tier calibration, independent of the sweep's ``n``.
-
-    Module-level (not a lambda) so the sweep scheduler can ship it to pool
-    workers.
-    """
-    return GSULeaderElection.for_population(5 * 10**7)
-
-
-def run_sweep_ablation(
-    n: int = _SWEEP_N,
-    replicas: int = _SWEEP_REPLICAS,
-    rounds: int = 3,
-    seeds_per_cell: int = 8,
-) -> dict:
-    """Measure the replica-vectorised sweep path against scalar sweeps.
-
-    Two measurements:
-
-    * ``replica`` — ``replicas`` scalar runs (fresh engine per seed, the
-      per-cell sweep path) against one replicated engine advancing the same
-      seeds as an (R, k) count matrix.  Each leg is timed ``rounds`` times
-      and reports its best round: the legs are deterministic, so the best
-      round is the least-noise measurement and the ratio of bests is the
-      machine-independent quantity (shared-host wall clocks see
-      multiplicative noise bursts that medians do not fully reject at
-      second-scale legs).
-    * ``scheduler`` — a budget-capped mini-sweep (one cell per seed) driven
-      through :func:`repro.engine.parallel.run_cells` serially and with
-      ``workers=available_cpus()``, recording both wall clocks and the CPU
-      count so multi-worker scaling is tracked where CI machines have the
-      cores (on a single-CPU runner both legs run serially by design — the
-      scheduler clamps to the affinity mask).
-    """
-    from repro.engine.count_batch import replicated_engine
-    from repro.engine.parallel import available_cpus, run_cells
-    from repro.engine.rng import spawn_seeds
-
-    factory = _gsu19_headline_calibration
-    factory(n).reachable_state_closure()  # one-time BFS outside timings
-    seeds = spawn_seeds(777, replicas)
-    warm = CountBatchEngine(factory(n), n, rng=1)
-    warm.run(n)
-    kernel_used = "c" if count_kernel_available() else "python"
-
-    scalar_rounds: List[float] = []
-    replica_rounds: List[float] = []
-    for _ in range(rounds):
-        start = time.perf_counter()
-        for seed in seeds:
-            engine = CountBatchEngine(factory(n), n, rng=seed)
-            engine.run(n)
-        scalar_rounds.append(time.perf_counter() - start)
-        start = time.perf_counter()
-        replicated = replicated_engine(factory, n, seeds)
-        replicated.run(n)
-        replica_rounds.append(time.perf_counter() - start)
-    scalar_best = min(scalar_rounds)
-    replica_best = min(replica_rounds)
-
-    cpus = available_cpus()
-    sweep_seeds = list(spawn_seeds(888, seeds_per_cell))
-    serial_rounds: List[float] = []
-    pooled_rounds: List[float] = []
-    for _ in range(rounds):
-        start = time.perf_counter()
-        run_cells(factory, n, sweep_seeds, max_parallel_time=4.0, engine="countbatch")
-        serial_rounds.append(time.perf_counter() - start)
-        start = time.perf_counter()
-        run_cells(
-            factory,
-            n,
-            sweep_seeds,
-            max_parallel_time=4.0,
-            engine="countbatch",
-            workers=cpus,
-        )
-        pooled_rounds.append(time.perf_counter() - start)
-
-    return {
-        "sweep": {
-            "schema": "bench-engine-sweep/v1",
-            "workload": {
-                "protocol": "gsu19-leader-election (headline calibration)",
-                "n": n,
-                "replicas": replicas,
-                "metric": "best-of-rounds leg seconds; ratio = scalar / replica",
-                "rounds": rounds,
-                "kernel": kernel_used,
-                "count_kernel_available": count_kernel_available(),
-                "acceptance": (
-                    "none: tests/test_engine_replicated.py counts what "
-                    "replication saves (one shared LUT, one kernel call "
-                    "per step for 32 rows)"
-                ),
-            },
-            "replica": {
-                "scalar_best_seconds": scalar_best,
-                "scalar_rounds_seconds": scalar_rounds,
-                "replica_best_seconds": replica_best,
-                "replica_rounds_seconds": replica_rounds,
-                "speedup_replica_vs_scalar": scalar_best / replica_best,
-            },
-            "scheduler": {
-                "cells": seeds_per_cell,
-                "max_parallel_time": 4.0,
-                "available_cpus": cpus,
-                # On < 2 CPUs both legs run serially by design (the
-                # scheduler clamps workers to the affinity mask), so the
-                # speedup ratio measures scheduling overhead, not scaling.
-                "cpu_starved": cpus < 2,
-                "serial_best_seconds": min(serial_rounds),
-                "workers_best_seconds": min(pooled_rounds),
-                "speedup_workers_vs_serial": min(serial_rounds)
-                / min(pooled_rounds),
-            },
-        }
-    }
-
-
-# ----------------------------------------------------------------------
-# In-process parallelism section (--threads)
-
-#: Threads section workload: same headline calibration as the sweep
-#: section, at a population where each timed leg is second-scale — large
-#: enough that the kernel's GIL-released row loop dominates the leg.
-_THREADS_N = 10**7
-_THREADS_REPLICAS = 32
-
-
-def run_threads_ablation(
-    n: int = _THREADS_N,
-    replicas: int = _THREADS_REPLICAS,
-    rounds: int = 3,
-    thread_counts: Sequence[Optional[int]] = (1, 2, 4, None),
-    sweep_n: int = _SWEEP_N,
-    seeds_per_cell: int = 8,
-) -> dict:
-    """Measure the multi-row kernel's thread scaling and the sweep backends.
-
-    Two measurements:
-
-    * ``kernel_scaling`` — one replicated engine (``replicas`` rows of the
-      headline calibration at ``n``) advanced a full budget at each kernel
-      thread count (``None`` = all available CPUs).  Results
-      are bit-identical at every thread count by construction (pinned by
-      ``tests/test_engine_threads.py``), so the legs time identical work
-      and the ratio of bests is pure thread scaling.
-    * ``backends`` — the same budget-capped mini-sweep as the sweep
-      section's scheduler leg, driven serially, on the thread backend and
-      on the process backend.
-
-    Both record ``available_cpus`` and a ``cpu_starved`` flag: on a
-    single-CPU runner every leg necessarily times the same serialised work
-    and the ratios measure overhead, not scaling — the acceptance number
-    (>= 3x at 4 threads) is only meaningful where ``cpu_starved`` is false.
-    Requires the compiled count kernel (the caller gates on it).
-    """
-    from repro.engine._count_kernel import kernel_thread_backend
-    from repro.engine.count_batch import _advance_rows, replicated_engine
-    from repro.engine.cpus import available_cpus
-    from repro.engine.parallel import run_cells
-    from repro.engine.rng import spawn_seeds
-
-    factory = _gsu19_headline_calibration
-    factory(n).reachable_state_closure()  # one-time BFS outside timings
-    cpus = available_cpus()
-    seeds = spawn_seeds(777, replicas)
-    warm = CountBatchEngine(factory(n), n, rng=1)
-    warm.run(n)
-
-    scaling: List[dict] = []
-    one_thread_best: Optional[float] = None
-    for requested in thread_counts:
-        threads = cpus if requested is None else requested
-        legs: List[float] = []
-        for _ in range(rounds):
-            engine = replicated_engine(factory, n, seeds)
-            start = time.perf_counter()
-            _advance_rows(engine, engine.rows, [n] * replicas, threads)
-            legs.append(time.perf_counter() - start)
-        best = min(legs)
-        if requested == 1:
-            one_thread_best = best
-        scaling.append(
-            {
-                "requested": "all" if requested is None else requested,
-                "threads": threads,
-                "best_seconds": best,
-                "rounds_seconds": legs,
-            }
-        )
-    if one_thread_best is not None:
-        for record in scaling:
-            record["speedup_vs_1_thread"] = one_thread_best / record["best_seconds"]
-
-    sweep_seeds = list(spawn_seeds(888, seeds_per_cell))
-    backend_rounds: Dict[str, List[float]] = {"serial": [], "thread": [], "process": []}
-    for _ in range(rounds):
-        start = time.perf_counter()
-        run_cells(
-            factory, sweep_n, sweep_seeds, max_parallel_time=4.0, engine="countbatch"
-        )
-        backend_rounds["serial"].append(time.perf_counter() - start)
-        for backend in ("thread", "process"):
-            start = time.perf_counter()
-            run_cells(
-                factory,
-                sweep_n,
-                sweep_seeds,
-                max_parallel_time=4.0,
-                engine="countbatch",
-                workers=cpus,
-                backend=backend,
-            )
-            backend_rounds[backend].append(time.perf_counter() - start)
-
-    return {
-        "threads": {
-            "schema": "bench-engine-threads/v1",
-            "workload": {
-                "protocol": "gsu19-leader-election (headline calibration)",
-                "n": n,
-                "replicas": replicas,
-                "rounds": rounds,
-                "metric": "best-of-rounds leg seconds",
-                "kernel_thread_backend": kernel_thread_backend(),
-                "available_cpus": cpus,
-                "cpu_starved": cpus < 2,
-                "acceptance": (
-                    "kernel at 4 threads >= 3x faster than 1 thread "
-                    "(meaningful only where cpu_starved is false)"
-                ),
-            },
-            "kernel_scaling": scaling,
-            "backends": {
-                "cells": seeds_per_cell,
-                "n": sweep_n,
-                "max_parallel_time": 4.0,
-                "workers": cpus,
-                "serial_best_seconds": min(backend_rounds["serial"]),
-                "thread_best_seconds": min(backend_rounds["thread"]),
-                "process_best_seconds": min(backend_rounds["process"]),
-                "speedup_thread_vs_serial": min(backend_rounds["serial"])
-                / min(backend_rounds["thread"]),
-                "speedup_thread_vs_process": min(backend_rounds["process"])
-                / min(backend_rounds["thread"]),
-            },
-        }
-    }
-
-
 # ----------------------------------------------------------------------
 # Approximate-tier section (--approx)
 
@@ -1138,25 +875,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ),
     )
     parser.add_argument(
-        "--sweep",
-        action="store_true",
-        help=(
-            "also measure the sweep scheduler: 32 replica-vectorised GSU19 "
-            "runs against 32 scalar runs, and serial-vs-workers sweep wall "
-            "clock (pays the headline calibration's one-time closure BFS)"
-        ),
-    )
-    parser.add_argument(
-        "--threads",
-        action="store_true",
-        help=(
-            "also measure in-process parallelism: multi-row kernel wall "
-            "clock at 1/2/4/all threads (32 GSU19 replicas at n = 10^7, "
-            "bit-identical legs) and thread-vs-process sweep backends "
-            "(requires the compiled count kernel)"
-        ),
-    )
-    parser.add_argument(
         "--approx",
         action="store_true",
         help=(
@@ -1209,17 +927,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 "--observed skipped: the observed section measures at "
                 f"n in {list(_OBSERVED_SIZES)}, all above the largest "
                 f"requested size {max(args.sizes)}",
-                file=sys.stderr,
-            )
-    if args.sweep:
-        document.update(run_sweep_ablation(rounds=max(2, args.rounds - 2)))
-    if args.threads:
-        if count_kernel_available():
-            document.update(run_threads_ablation(rounds=max(2, args.rounds - 2)))
-        else:
-            print(
-                "--threads skipped: the multi-row kernel scaling section "
-                "requires the compiled count kernel",
                 file=sys.stderr,
             )
     if args.topology:
@@ -1276,45 +983,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             f"approx ks {record['workload']:>14}  "
             f"convergence p={record['convergence_ks_pvalue']:.3f}  "
             f"census p={record['census_ks_pvalue']:.3f}"
-        )
-    sweep_section = document.get("sweep")
-    if sweep_section:
-        replica = sweep_section["replica"]
-        scheduler = sweep_section["scheduler"]
-        print(
-            f"sweep replica: {replica['replica_best_seconds']:.3f}s for "
-            f"{sweep_section['workload']['replicas']} replicated runs vs "
-            f"{replica['scalar_best_seconds']:.3f}s scalar "
-            f"(x{replica['speedup_replica_vs_scalar']:.2f})"
-        )
-        print(
-            f"sweep scheduler: serial {scheduler['serial_best_seconds']:.3f}s "
-            f"vs {scheduler['workers_best_seconds']:.3f}s with "
-            f"{scheduler['available_cpus']} worker(s) "
-            f"(x{scheduler['speedup_workers_vs_serial']:.2f})"
-            + (" [cpu starved]" if scheduler.get("cpu_starved") else "")
-        )
-    threads_section = document.get("threads")
-    if threads_section:
-        workload = threads_section["workload"]
-        starved = " [cpu starved]" if workload["cpu_starved"] else ""
-        for record in threads_section["kernel_scaling"]:
-            speedup = record.get("speedup_vs_1_thread")
-            gain = f"  (x{speedup:.2f} vs 1 thread)" if speedup else ""
-            print(
-                f"threads kernel: {record['requested']!s:>4} -> "
-                f"{record['threads']} thread(s)  "
-                f"{record['best_seconds']:.3f}s{gain}{starved}"
-            )
-        backends = threads_section["backends"]
-        print(
-            f"threads backends: serial {backends['serial_best_seconds']:.3f}s, "
-            f"thread {backends['thread_best_seconds']:.3f}s, "
-            f"process {backends['process_best_seconds']:.3f}s with "
-            f"{backends['workers']} worker(s) "
-            f"(thread x{backends['speedup_thread_vs_serial']:.2f} vs serial, "
-            f"x{backends['speedup_thread_vs_process']:.2f} vs process)"
-            f"{starved}"
         )
     print(f"wrote {path}")
     return 0

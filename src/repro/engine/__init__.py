@@ -131,11 +131,12 @@ sequential otherwise.
 The :mod:`repro.engine.simulation` module layers run management (convergence
 predicates, interaction budgets, recorders, result objects) on top of the
 engines, and :mod:`repro.engine.parallel` adds multi-seed sweep drivers.
-Every run — ``BaseEngine.run_until``, ``Simulation.run`` and each row of a
-replica-vectorised sweep mega-cell — is driven by one check loop,
-:func:`~repro.engine.base.drive_checks`: observe, test the predicate,
-update the check cadence (a fixed period or the adaptive back-off), then
-advance by the next chunk, clipped to the budget.
+Every run — ``BaseEngine.run_until`` and ``Simulation.run`` — is driven by
+one check loop, :func:`~repro.engine.base.drive_checks`: observe, test the
+predicate, update the check cadence (a fixed period or the adaptive
+back-off), then advance by the next chunk, clipped to the budget.  Engines
+run one seed each; a sweep's seeds run in parallel only through
+:func:`~repro.engine.parallel.run_many`'s ``workers=`` pool.
 
 Observation pipeline
 ====================

@@ -143,16 +143,15 @@ def build_library(
     The artifact name embeds a digest of the source *and* any extra compile
     flags (``{stem}_{digest}.so``), so a source or flag change compiles a
     fresh library and an unchanged one is a single ``Path.exists`` check —
-    the same cache can hold e.g. an OpenMP and a pthread build of one kernel
+    the same cache can hold e.g. a plain and a sanitizer build of one kernel
     side by side.  The build runs entirely inside a per-process temporary
     directory created *within* the cache directory (same filesystem, so the
     final ``os.replace`` publish is atomic) and the temp dir is removed
     whatever happens — concurrent builders each work in their own directory
     and race only on the atomic rename, never on the intermediate
     ``.c``/``.so`` files.  ``extra_flags`` are inserted before the output
-    arguments (e.g. ``("-fopenmp",)``); a flag the toolchain rejects makes
-    the compile raise, which is how the count kernel's loader probes its
-    threading variants in order.  Raises on any failure; callers that must
+    arguments (e.g. ``("-fsanitize=address",)``); a flag the toolchain
+    rejects makes the compile raise.  Raises on any failure; callers that must
     not raise (the kernel loaders) wrap this in their own guard.
     """
     cache = kernel_cache_dir() if cache_dir is None else cache_dir

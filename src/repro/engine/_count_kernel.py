@@ -41,15 +41,12 @@ Design notes
   leaves no trace.  A table that adopted its protocol's closure-compiled
   LUT (GSU19 at count-space scale, see :mod:`repro.engine.table`) has
   every pair from the start, so those runs never take this path.
-* **One entry, R rows.**  ``repro_count_rows`` advances a list of rows,
-  each described by a :class:`CountRow` argument block (its counts, seen
-  mask, xoshiro words and LUT addresses, ``k``, budget, and the outputs).
-  A scalar :class:`~repro.engine.count_batch.CountBatchEngine` is the
-  one-row call on the calling thread; a
-  :class:`~repro.engine.count_batch.ReplicatedCountBatchEngine` passes all
-  its rows, spread over OpenMP or POSIX threads.  Every row owns its
-  stream and buffers and every thread its scratch slab, so a row's
-  trajectory is the same at any row count and thread count.
+* **One entry, one engine.**  ``repro_count_row`` advances one engine,
+  described by a :class:`CountRow` argument block (its counts, seen mask,
+  xoshiro words and LUT addresses, ``k``, budget, and the outputs), on the
+  calling thread.  Independent seeds run in parallel one level up, on the
+  sweep scheduler's worker pool (:mod:`repro.engine.parallel`); ctypes
+  drops the GIL for the call, so thread-backend workers overlap.
 
 Built through :func:`repro.engine._ckernel.build_library` — same cache
 directory, same atomic publish, same ``REPRO_NO_C_KERNEL=1`` escape hatch
@@ -81,17 +78,6 @@ _SOURCE = r"""
 #include <stdlib.h>
 #include <string.h>
 #include <math.h>
-
-/* Threading backend, chosen at compile time by the loader's flag probe:
- * OpenMP (-fopenmp) where the toolchain has it, raw POSIX threads
- * (-DREPRO_USE_PTHREADS -pthread) as the portable fallback, and a serial
- * build (no flags) as the last resort -- the batch entry then simply
- * runs its rows sequentially whatever thread count it is handed. */
-#if defined(_OPENMP)
-#include <omp.h>
-#elif defined(REPRO_USE_PTHREADS)
-#include <pthread.h>
-#endif
 
 /* ------------------------------------------------------------------ */
 /* xoshiro256++ (Blackman & Vigna, public domain)                      */
@@ -133,7 +119,7 @@ static inline double xo_double(uint64_t *s)
 /* and keep the lgamma fallback).                                      */
 /*                                                                     */
 /* Thread safety: the static table is filled by a dlopen-time          */
-/* constructor, so parallel rows only ever read it.  The heap           */
+/* constructor, so concurrent calls only ever read it.  The heap        */
 /* extension is published as an immutable block (its own limit inside   */
 /* the struct) through one release-store; readers take one acquire     */
 /* load, so a repro_logfact_reserve racing a running kernel call --    */
@@ -353,8 +339,8 @@ static void cand_insert(int64_t *cand, int64_t *ncand, int64_t sid)
     *ncand += 1;
 }
 
-/* One row of a batch call: a replica's state buffers, its LUT snapshot
- * and budget in, what the call did out.  The Python side keeps one per
+/* One engine's kernel call: its state buffers, LUT snapshot and budget
+ * in, what the call did out.  The Python side keeps one per
  * engine (CountRow, a ctypes mirror of this layout) and rewrites a pointer
  * field only when that buffer is reallocated, so entering the kernel costs
  * no per-call address lookups.
@@ -366,16 +352,14 @@ static void cand_insert(int64_t *cand, int64_t *ncand, int64_t sid)
  * rng        : 4 xoshiro256++ state words (mutated)
  * lut        : flattened (cap x cap) packed transition table; entry
  *              r*cap + i holds (new_r << 32) | new_i or < 0 if the pair is
- *              not compiled yet.  Rows sharing one compiled table carry the
- *              same address; rows with private tables (lazily discovering
- *              protocols, whose id layouts are seed-dependent) their own
+ *              not compiled yet
  * k          : number of registered state ids (encoder length)
  * cap        : side length of the lookup table
- * budget     : interaction budget for this call; rows at <= 0 are skipped
+ * budget     : interaction budget for this call; <= 0 does nothing
  * applied    : out, interactions applied (commits are all-or-nothing per
  *              batch; a miss rolls the batch back fully, RNG included)
  * miss_r/i   : out, the uncompiled (responder, initiator) pair that
- *              stopped the row, or (-1, -1)
+ *              stopped the call, or (-1, -1)
  */
 typedef struct {
     int64_t *counts;
@@ -390,7 +374,7 @@ typedef struct {
     int64_t miss_i;
 } count_row;
 
-/* Advance one replica's count-space batched simulation by up to
+/* Advance one engine's count-space batched simulation by up to
  * row->budget interactions.
  *
  * n            : population size
@@ -419,11 +403,9 @@ static void run_row(count_row *row, int64_t n, const double *neg_survival,
     int64_t k = row->k;
     int64_t cap = row->cap;
     int64_t budget = row->budget;
-    /* Scratch regions are laid out at stride `sk` (>= k), NOT at k: one
-     * workspace serves rows with different encoder lengths, and a k-based
-     * layout would let one row's id-list regions (plain scratch, no
-     * zero-on-exit contract) land inside the next row's weight regions
-     * (which require zeros at entry). */
+    /* Scratch regions are laid out at stride `sk` (>= k); the id-list
+     * regions (plain scratch, no zero-on-exit contract) must never overlap
+     * the weight regions (which require zeros at entry). */
     int64_t *involved = scratch;
     int64_t *responders = scratch + sk;
     int64_t *remaining_i = scratch + 2 * sk;
@@ -666,155 +648,30 @@ static void run_row(count_row *row, int64_t n, const double *neg_survival,
     row->applied = applied;
 }
 
-/* Which threading backend this build carries: 2 = OpenMP, 1 = POSIX
- * threads, 0 = serial.  Lets the Python side report how the batch entry
- * actually parallelises its rows without re-deriving the flag probe. */
-int32_t repro_thread_backend(void)
-{
-#if defined(_OPENMP)
-    return 2;
-#elif defined(REPRO_USE_PTHREADS)
-    return 1;
-#else
-    return 0;
-#endif
-}
-
-/* Shared read-only description of one batch call, plus the atomic row
- * cursor the pthread workers steal rows from.  Everything a row writes
- * (its own buffers and count_row outputs, its thread's scratch slab) is
- * disjoint per row or per thread, so the rows are embarrassingly parallel
- * and scheduling cannot change any trajectory. */
-typedef struct {
-    count_row *const *rows;
-    int64_t nrows;
-    int64_t stride;
-    int64_t n;
-    const double *neg_survival;
-    int64_t jmax;
-    int64_t *scratch;
-    int64_t cursor;
-} batch_job;
-
-static void batch_row(batch_job *job, int64_t r, int64_t slot)
-{
-    count_row *row = job->rows[r];
-    if (row->budget > 0)
-        run_row(row, job->n, job->neg_survival, job->jmax, job->stride,
-                job->scratch + slot * 10 * job->stride);
-}
-
-#if defined(REPRO_USE_PTHREADS)
-typedef struct {
-    batch_job *job;
-    int64_t slot;
-} batch_worker_arg;
-
-static void *batch_worker(void *arg)
-{
-    batch_worker_arg *wa = (batch_worker_arg *)arg;
-    batch_job *job = wa->job;
-    for (;;) {
-        int64_t r = __atomic_fetch_add(&job->cursor, 1, __ATOMIC_RELAXED);
-        if (r >= job->nrows)
-            break;
-        batch_row(job, r, wa->slot);
-    }
-    return 0;
-}
-#endif
-
-/* The one batch entry point: advance `nrows` independent replicas, each
- * by up to its own budget.  A scalar engine is the one-row case; a
- * replicated engine passes all its rows.  Per-row trajectories are
- * bit-identical to one-row calls with the same per-row state at EVERY
- * thread count: each row owns its xoshiro256++ stream and its buffers,
- * each thread owns a private scratch slab, and the only shared data
- * (survival curve, LUTs, log-factorial tables) is read-only for the
- * duration of the call, so thread scheduling decides nothing but the
- * order rows finish in.
+/* The entry point: advance one engine by up to row->budget interactions
+ * (see run_row).  A miss stops the call early; the caller compiles the
+ * reported pair and re-enters with the reduced budget.
  *
- * rows     : per-row count_row addresses (length nrows)
- * stride   : scratch stride, >= every active row's k
- * scratch  : nthreads contiguous 10*stride int64 workspace slabs; every
- *            slab obeys run_row's zero contract on entry and exit
- * nthreads : worker count; clamped to [1, nrows].  One thread runs the
- *            rows in order on the calling thread, and a serial build does
- *            so whatever it is handed
- *
- * Rows are independent: one row's miss stops only that row; the caller
- * compiles every reported pair and re-enters with the reduced budgets.
+ * scratch : 10*row->k int64 workspace obeying run_row's zero contract on
+ *           entry and exit
  */
-void repro_count_rows(
-    count_row *const *rows,
-    int64_t nrows,
-    int64_t stride,
+void repro_count_row(
+    count_row *row,
     int64_t n,
     const double *neg_survival,
     int64_t jmax,
-    int64_t *scratch,
-    int64_t nthreads)
+    int64_t *scratch)
 {
-    for (int64_t r = 0; r < nrows; r++) {
-        rows[r]->applied = 0;
-        rows[r]->miss_r = -1;
-        rows[r]->miss_i = -1;
-    }
-    int64_t nt = nthreads < 1 ? 1 : nthreads;
-    if (nt > nrows)
-        nt = nrows;
-    batch_job job = {rows, nrows, stride, n, neg_survival, jmax, scratch, 0};
-#if defined(_OPENMP)
-    if (nt > 1) {
-        #pragma omp parallel num_threads((int)nt)
-        {
-            int64_t slot = (int64_t)omp_get_thread_num();
-            #pragma omp for schedule(dynamic, 1)
-            for (int64_t r = 0; r < nrows; r++)
-                batch_row(&job, r, slot);
-        }
-        nt = 0; /* handled */
-    }
-#elif defined(REPRO_USE_PTHREADS)
-    if (nt > 1) {
-        pthread_t *threads =
-            (pthread_t *)malloc((size_t)(nt - 1) * sizeof(pthread_t));
-        batch_worker_arg *args = (batch_worker_arg *)malloc(
-            (size_t)nt * sizeof(batch_worker_arg));
-        if (threads && args) {
-            int64_t spawned = 0;
-            for (int64_t t = 1; t < nt; t++) {
-                args[t].job = &job;
-                args[t].slot = t;
-                if (pthread_create(&threads[t - 1], 0, batch_worker,
-                                   &args[t]) != 0)
-                    break;
-                spawned = t;
-            }
-            args[0].job = &job;
-            args[0].slot = 0;
-            batch_worker(&args[0]);
-            for (int64_t t = 1; t <= spawned; t++)
-                pthread_join(threads[t - 1], 0);
-            /* A failed create leaves nothing over: the cursor protocol has
-             * every row claimed exactly once by *someone* (main thread
-             * included). */
-            nt = 0; /* handled */
-        }
-        free(threads);
-        free(args);
-    }
-#endif
-    if (nt != 0) {
-        for (int64_t r = 0; r < nrows; r++)
-            batch_row(&job, r, 0);
-    }
+    row->applied = 0;
+    row->miss_r = -1;
+    row->miss_i = -1;
+    if (row->budget > 0)
+        run_row(row, n, neg_survival, jmax, row->k, scratch);
 }
 """
 
 _kernel: Optional[ctypes.CFUNCTYPE] = None
 _logfact_reserve: Optional[ctypes.CFUNCTYPE] = None
-_thread_backend: Optional[str] = None
 _load_attempted = False
 
 #: Serialises the first (build + CDLL) load; the warm path is a lock-free
@@ -822,24 +679,11 @@ _load_attempted = False
 #: :mod:`repro.engine._ckernel`).
 _load_lock = threading.Lock()
 
-#: Threading build variants, probed in order: OpenMP where the toolchain
-#: carries it, raw POSIX threads as the portable fallback, a serial build
-#: (rows run sequentially) as the last resort.  Each variant caches under
-#: its own flag-keyed digest, so a machine that gains or loses OpenMP
-#: simply resolves to a different cached artifact.
-_BUILD_VARIANTS = (
-    ("-fopenmp",),
-    ("-DREPRO_USE_PTHREADS", "-pthread"),
-    (),
-)
-
-_THREAD_BACKEND_NAMES = {2: "openmp", 1: "pthread", 0: "serial"}
-
 _MASK64 = (1 << 64) - 1
 
 
 class CountRow(ctypes.Structure):
-    """One row's argument block for the batch entry (the C ``count_row``).
+    """One engine's argument block for the kernel entry (the C ``count_row``).
 
     The pointer fields address NumPy buffers the caller keeps alive; the
     caller sets ``k``, ``cap`` and ``budget`` and the kernel writes
@@ -883,13 +727,11 @@ def seed_kernel_rng(rng) -> np.ndarray:
 
 
 def load_count_kernel():
-    """The compiled batch entry (``repro_count_rows``), or ``None``.
+    """The compiled kernel entry (``repro_count_row``), or ``None``.
 
     Same contract as :func:`repro.engine._ckernel.load_kernel`: lazy, cached,
     thread-safe (double-checked, lock-free when warm), never raises, honours
-    ``REPRO_NO_C_KERNEL=1``.  The build probes the threading variants in
-    :data:`_BUILD_VARIANTS` order; :func:`kernel_thread_backend` reports
-    which one the loaded library carries.
+    ``REPRO_NO_C_KERNEL=1``.
     """
     global _load_attempted
     if _load_attempted:
@@ -905,21 +747,9 @@ def load_count_kernel():
 def _load_count_kernel_locked() -> None:
     if os.environ.get("REPRO_NO_C_KERNEL"):
         return
-    library = None
-    for flags in _BUILD_VARIANTS:
-        try:
-            lib_path = build_library(
-                _SOURCE, "repro_count_kernel", extra_flags=flags
-            )
-            library = ctypes.CDLL(str(lib_path))
-            break
-        except Exception:
-            continue
-    if library is None:
-        return
     try:
-        _bind(library)
-    except Exception:  # a library without these symbols: no kernel
+        _bind(ctypes.CDLL(str(build_library(_SOURCE, "repro_count_kernel"))))
+    except Exception:  # no compiler, or a library without these symbols
         pass
 
 
@@ -931,42 +761,31 @@ def _bind(library) -> None:
     say) can be swapped in: ``_bind(ctypes.CDLL(path))`` then mark the
     load attempted.
     """
-    global _kernel, _logfact_reserve, _thread_backend
-    function = library.repro_count_rows
+    global _kernel, _logfact_reserve
+    function = library.repro_count_row
     function.restype = None
     function.argtypes = [
-        ctypes.c_void_p,  # rows: CountRow addresses (nrows)
-        ctypes.c_int64,  # nrows
-        ctypes.c_int64,  # stride
+        ctypes.c_void_p,  # row: CountRow address
         ctypes.c_int64,  # n
         ctypes.c_void_p,  # neg_survival
         ctypes.c_int64,  # jmax
-        ctypes.c_void_p,  # scratch (nthreads * 10 * stride)
-        ctypes.c_int64,  # nthreads
+        ctypes.c_void_p,  # scratch (10 * k)
     ]
     reserve = library.repro_logfact_reserve
     reserve.restype = None
     reserve.argtypes = [ctypes.c_int64]
-    backend = library.repro_thread_backend
-    backend.restype = ctypes.c_int32
-    backend.argtypes = []
     _kernel = function
     _logfact_reserve = reserve
-    _thread_backend = _THREAD_BACKEND_NAMES.get(int(backend()))
 
 
 def kernel_thread_backend() -> Optional[str]:
-    """How the loaded batch entry parallelises its rows.
+    """``"serial"`` once the kernel is loaded, ``None`` when unavailable.
 
-    ``"openmp"``, ``"pthread"`` or ``"serial"`` once the kernel is loaded;
-    ``None`` when the kernel is unavailable.  ``"serial"`` means the build
-    carries no threading support at all (the rarest case: a toolchain with
-    neither OpenMP nor ``-pthread``) and the batch entry runs its rows
-    sequentially whatever thread count it is handed — results are identical
-    either way, only the wall clock differs.
+    The kernel runs every call on the calling thread; parallel seeds come
+    from the sweep scheduler's worker pool.  Kept because run stamps
+    record it.
     """
-    load_count_kernel()
-    return _thread_backend
+    return "serial" if load_count_kernel() is not None else None
 
 
 #: The heap-extended log-factorial table is capped here (16 MB of

@@ -17,7 +17,7 @@ C kernel alike.
 from __future__ import annotations
 
 import abc
-from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -33,7 +33,6 @@ __all__ = [
     "SNAPSHOT_VERSION",
     "cadence_for",
     "drive_checks",
-    "run_checks",
 ]
 
 #: Version stamp embedded in every engine snapshot.  Bump when the snapshot
@@ -393,14 +392,13 @@ class BaseEngine(abc.ABC):
         bool
             ``True`` if the predicate held at some evaluation point.
         """
-        checks = drive_checks(
+        return drive_checks(
             self,
             predicate,
             self.interactions + int(max_interactions),
             cadence_for(check_every, self.n),
             None if on_check is None else lambda engine, _: on_check(engine),
         )
-        return run_checks([checks], lambda chunks: self.run(chunks[0]))[0]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -478,15 +476,15 @@ def drive_checks(
     deadline: int,
     cadence: Cadence,
     observer: Optional[Callable[[BaseEngine, bool], None]] = None,
-) -> Generator[int, None, bool]:
+) -> bool:
     """The check loop every run is driven by.
 
     Each step — the first at the starting position — runs
     ``observer(engine, aligned)``, then ``predicate(engine)`` (returning
-    ``True`` when it holds), then ``cadence(engine)``, and yields the next
-    chunk: the period, clipped to ``deadline``.  The caller advances the
-    engine by exactly that chunk.  At or past the deadline it returns
-    ``False``.  ``aligned`` is false for a check reached through a clipped
+    ``True`` when it holds), then ``cadence(engine)``, and advances the
+    engine by the next chunk: the period, clipped to ``deadline``.  At or
+    past the deadline it returns ``False``.  ``aligned`` is false for a
+    check reached through a clipped
     chunk: that configuration is an artifact of this run's budget, so a
     checkpoint written there could not resume a longer run bit-exactly.
     """
@@ -501,28 +499,4 @@ def drive_checks(
         if remaining <= 0:
             return False
         aligned = remaining >= period
-        yield min(period, remaining)
-
-
-def run_checks(
-    checks: Sequence[Generator[int, None, bool]],
-    advance: Callable[[List[int]], None],
-) -> List[bool]:
-    """Drive :func:`drive_checks` generators in lockstep; their verdicts.
-
-    ``advance(chunks)`` must advance row ``r`` by ``chunks[r]``
-    interactions; finished rows get ``0``.  One generator with
-    ``advance = lambda chunks: engine.run(chunks[0])`` is a scalar run.
-    """
-    verdicts: List[Optional[bool]] = [None] * len(checks)
-    chunks = [0] * len(checks)
-    while True:
-        for row, verdict in enumerate(verdicts):
-            if verdict is None:
-                try:
-                    chunks[row] = next(checks[row])
-                except StopIteration as stop:
-                    chunks[row], verdicts[row] = 0, stop.value
-        if all(verdict is not None for verdict in verdicts):
-            return verdicts
-        advance(chunks)
+        engine.run(min(period, remaining))

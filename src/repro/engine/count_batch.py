@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import ctypes
 import math
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -74,17 +74,11 @@ from repro.engine._count_kernel import (
     seed_kernel_rng,
 )
 from repro.engine.base import BaseEngine
-from repro.engine.cpus import available_cpus
 from repro.engine.protocol import PopulationProtocol, initial_count_items
 from repro.engine.rng import RngLike, make_rng, restore_rng_state, rng_state
 from repro.errors import ConfigurationError, ProtocolError
 
-__all__ = [
-    "CountBatchEngine",
-    "MAX_EXACT_N",
-    "ReplicatedCountBatchEngine",
-    "replicated_engine",
-]
+__all__ = ["CountBatchEngine", "MAX_EXACT_N"]
 
 #: Survival-curve truncation: beyond ``_SURVIVAL_SPAN * sqrt(n)`` pairs the
 #: all-distinct probability is ~1e-30; conditioning on reaching the cap and
@@ -251,13 +245,6 @@ class CountBatchEngine(BaseEngine):
         paths are equal in distribution but consume randomness differently
         (the kernel runs its own xoshiro256++ stream), so each carries its
         own trajectory-digest pins.
-    survival:
-        Internal: a precomputed ``(neg_survival, jmax)`` pair to adopt
-        instead of recomputing the curve.  The curve is a pure function of
-        ``n``, so sharing one across engines at the same ``n`` changes no
-        trajectory; :class:`ReplicatedCountBatchEngine` uses this to pay
-        the ``O(sqrt(n))`` cumulative-product construction once per batch
-        of replicas instead of once per row.
     """
 
     exact = True
@@ -269,7 +256,6 @@ class CountBatchEngine(BaseEngine):
         rng: RngLike = None,
         *,
         kernel: str = "auto",
-        survival: Optional[Tuple[np.ndarray, int]] = None,
     ) -> None:
         super().__init__(protocol, n, rng)
         if n > MAX_EXACT_N:
@@ -298,22 +284,18 @@ class CountBatchEngine(BaseEngine):
         # precision once n approaches 2^53.  The _SURVIVAL_MAX_LEN cap
         # bounds the table's memory at huge n (exact by conditioning, see
         # the constant's docstring).
-        if survival is not None:
-            self._neg_survival, jmax = survival
-            self._jmax = jmax = int(jmax)
-        else:
-            jmax = max(
-                1,
-                min(
-                    n // 2,
-                    int(_SURVIVAL_SPAN * math.sqrt(n)) + 16,
-                    _SURVIVAL_MAX_LEN,
-                ),
-            )
-            steps = np.arange(jmax, dtype=np.float64)
-            log_p = np.log1p(-2.0 * steps / n) + np.log1p(-2.0 * steps / (n - 1.0))
-            self._neg_survival = -np.exp(np.cumsum(log_p))
-            self._jmax = jmax
+        jmax = max(
+            1,
+            min(
+                n // 2,
+                int(_SURVIVAL_SPAN * math.sqrt(n)) + 16,
+                _SURVIVAL_MAX_LEN,
+            ),
+        )
+        steps = np.arange(jmax, dtype=np.float64)
+        log_p = np.log1p(-2.0 * steps / n) + np.log1p(-2.0 * steps / (n - 1.0))
+        self._neg_survival = -np.exp(np.cumsum(log_p))
+        self._jmax = jmax
         # Scalar hypergeometric entry point: NumPy's generator below its
         # 10^9 operand cap (total <= n bounds every operand, so small-n
         # engines keep the exact NumPy stream the digest pins record), the
@@ -325,13 +307,13 @@ class CountBatchEngine(BaseEngine):
         # Optional compiled hot path (own RNG stream, seeded from the
         # engine generator only when active so the Python path's stream
         # is byte-identical to pre-kernel releases).  The kernel state is
-        # this engine's row of a batch call (see _advance_rows): its
-        # CountRow argument block, a one-entry pointer array to it, the
-        # buffers the block points at and the one-row scratch workspace.
+        # this engine's CountRow argument block and its address, the
+        # buffers the block points at and the scratch workspace (see
+        # _advance_kernel).
         self._kernel = None
         self._kernel_rng = None
         self._kernel_args: Optional[CountRow] = None
-        self._row_pointers = None
+        self._row_address = 0
         self._scratch: Optional[np.ndarray] = None
         self._scratch_address = 0
         self._seen_mask: Optional[np.ndarray] = None
@@ -347,9 +329,7 @@ class CountBatchEngine(BaseEngine):
             if self._kernel is not None:
                 self._kernel_rng = seed_kernel_rng(self._rng)
                 self._kernel_args = CountRow(rng=self._kernel_rng.ctypes.data)
-                self._row_pointers = (ctypes.c_void_p * 1)(
-                    ctypes.addressof(self._kernel_args)
-                )
+                self._row_address = ctypes.addressof(self._kernel_args)
                 self._survival_address = self._neg_survival.ctypes.data
                 # Cover every batch-bounded HRUA operand (<= 2L <= 2*jmax)
                 # with table-served log-factorials; the entries equal the
@@ -613,7 +593,64 @@ class CountBatchEngine(BaseEngine):
             while remaining > 0:
                 remaining -= self._run_batch(remaining)
             return
-        _advance_rows(self, [self], [int(count)], 1)
+        self._advance_kernel(int(count))
+
+    def _advance_kernel(self, budget: int) -> None:
+        """Advance by ``budget`` interactions through the C entry.
+
+        Each round grows the buffers to the encoder, makes one C call, then
+        commits interactions and compiles any reported LUT miss (possibly
+        registering states) before re-entering with the remaining budget.
+        A miss rolls the missed batch back, RNG included, so the re-entry
+        redraws it against the completed table.  Ever-occupied bits stay in
+        the seen mask until read (:meth:`_merge_seen`).
+
+        An address is read only when its buffer is (re)allocated:
+        ``.ctypes.data`` costs microseconds and a lazily compiling run
+        enters the kernel once per LUT miss, tens of thousands of times in
+        a GSU19 run.
+        """
+        args = self._kernel_args
+        args.budget = budget
+        while args.budget > 0:
+            self._ensure_counts()
+            args.k = k = len(self.encoder)
+            if self._counts is not self._bound_counts:
+                self._bound_counts = self._counts
+                args.counts = self._counts.ctypes.data
+            seen = self._seen_mask
+            if seen is None or seen.shape[0] < k:
+                grown = np.zeros(k, dtype=np.uint8)
+                if seen is not None:
+                    grown[: seen.shape[0]] = seen
+                self._seen_mask = grown
+                args.seen = grown.ctypes.data
+            # Consistent (array, capacity) snapshot; holding the array keeps
+            # it alive through the GIL-released call even if another thread
+            # grows the table meanwhile (a stale snapshot only misses).
+            lut, cap = self.table.packed_view()
+            if lut is not self._bound_lut:
+                self._bound_lut = lut
+                args.lut = lut.ctypes.data
+                args.cap = cap
+            if self._scratch is None or self._scratch.shape[0] != 10 * k:
+                # Weight regions must be zero; id-list and candidate regions
+                # are plain scratch, so a fresh zeroed allocation needs no
+                # copying.  Any size change reallocates: slab offsets move
+                # with k.
+                self._scratch = np.zeros(10 * k, dtype=np.int64)
+                self._scratch_address = self._scratch.ctypes.data
+            self._kernel(
+                self._row_address,
+                self.n,
+                self._survival_address,
+                self._jmax,
+                self._scratch_address,
+            )
+            self.interactions += args.applied
+            args.budget -= args.applied
+            if args.miss_r >= 0:
+                self.table.apply(args.miss_r, args.miss_i)
 
     # ------------------------------------------------------------------
     # Snapshot / restore
@@ -706,230 +743,3 @@ class CountBatchEngine(BaseEngine):
     def counts_by_output(self):
         """Vectorised aggregation through the table's output maps."""
         return self.table.aggregate_counts(self._counts)
-
-
-def _advance_rows(
-    owner, rows: Sequence[CountBatchEngine], budgets: Sequence[int], threads: int
-) -> None:
-    """Advance kernel-path ``rows`` by per-row ``budgets`` through the C entry.
-
-    The one count-kernel driver: a scalar engine passes itself as its only
-    row on one thread, a replicated engine all its rows.  Each round grows
-    every row's buffers to its encoder, makes one C call for all rows, then
-    commits interactions and compiles any reported LUT miss (possibly
-    registering states) before re-entering with the remaining budgets.  A
-    miss rolls the missed batch back, RNG included, so the re-entry redraws
-    it against the completed table.  Ever-occupied bits stay in each row's
-    seen mask until read (:meth:`CountBatchEngine._merge_seen`).
-
-    ``owner`` holds what outlives the call: ``_row_pointers``, the rows'
-    :class:`CountRow` addresses as one C array, and the ``_scratch``
-    workspace with its ``_scratch_address``.  An address is read only when
-    its buffer is (re)allocated: ``.ctypes.data`` costs microseconds and
-    the scalar path enters the kernel once per LUT miss, tens of thousands
-    of times in a GSU19 run.  ``threads`` never changes a trajectory; it
-    only sets how many rows advance concurrently.
-    """
-    for row, budget in zip(rows, budgets):
-        row._kernel_args.budget = budget
-    first = rows[0]
-    nthreads = max(1, min(threads, len(rows)))
-    while any(row._kernel_args.budget > 0 for row in rows):
-        stride = 1
-        for row in rows:
-            row._ensure_counts()
-            args = row._kernel_args
-            args.k = k = len(row.encoder)
-            stride = max(stride, k)
-            if row._counts is not row._bound_counts:
-                row._bound_counts = row._counts
-                args.counts = row._counts.ctypes.data
-            seen = row._seen_mask
-            if seen is None or seen.shape[0] < k:
-                grown = np.zeros(k, dtype=np.uint8)
-                if seen is not None:
-                    grown[: seen.shape[0]] = seen
-                row._seen_mask = grown
-                args.seen = grown.ctypes.data
-            # Consistent (array, capacity) snapshot; holding the array keeps
-            # it alive through the GIL-released call even if another thread
-            # grows the table meanwhile (a stale snapshot only misses).
-            lut, cap = row.table.packed_view()
-            if lut is not row._bound_lut:
-                row._bound_lut = lut
-                args.lut = lut.ctypes.data
-                args.cap = cap
-        size = nthreads * 10 * stride
-        if owner._scratch is None or owner._scratch.shape[0] != size:
-            # Weight regions must be zero; id-list and candidate regions
-            # are plain scratch, so a fresh zeroed allocation needs no
-            # copying.  Any size change reallocates: slab offsets move
-            # with the stride.
-            owner._scratch = np.zeros(size, dtype=np.int64)
-            owner._scratch_address = owner._scratch.ctypes.data
-        first._kernel(
-            owner._row_pointers,
-            len(rows),
-            stride,
-            first.n,
-            first._survival_address,
-            first._jmax,
-            owner._scratch_address,
-            nthreads,
-        )
-        for row in rows:
-            args = row._kernel_args
-            row.interactions += args.applied
-            args.budget -= args.applied
-            if args.miss_r >= 0:
-                row.table.apply(args.miss_r, args.miss_i)
-
-
-class ReplicatedCountBatchEngine:
-    """R independent count-batch replicas advanced by one kernel call.
-
-    Each row is a full :class:`CountBatchEngine` with its own RNG stream,
-    counts, seen mask and interaction counter — snapshots, inspection and
-    the Python fallback all delegate to the row engines unchanged, so every
-    per-row trajectory is **bit-for-bit identical** to the scalar engine
-    run with that row's seed (the property the replica digest-equality
-    tests pin for all count-capable protocols).  What the replica dimension
-    buys is amortisation: the survival curve is computed once, the compiled
-    table (and its whole protocol/encoder construction) is shared whenever
-    the protocol declares a
-    :meth:`~repro.engine.protocol.PopulationProtocol.complete_state_space`,
-    and on the kernel path all rows advance through **one** ctypes call per
-    round instead of one per row.  That call is the same one a scalar
-    engine makes with itself as the only row (:func:`_advance_rows`); here
-    the rows run on :func:`~repro.engine.cpus.available_cpus` threads,
-    which changes no trajectory, only how many rows advance at once.
-
-    Table sharing and bit-identity
-    ==============================
-
-    A run's trajectory depends on the state-id *layout* (the occupied scan
-    is id-ascending), and lazily discovering protocols register states in
-    seed-dependent discovery order.  Sharing one table across rows is
-    therefore only bit-safe when no run can ever discover a state — i.e.
-    when the declared canonical space is complete.  The
-    :func:`replicated_engine` helper encodes the rule: a shared protocol
-    instance (one compile, one encoder) when
-    ``protocol.complete_state_space()`` holds, per-row protocol instances
-    (private tables, exactly the scalar cost) otherwise.  Compiling a
-    transition pair is stream-neutral either way — a kernel miss rolls the
-    batch back RNG-and-all before the pair is compiled and the batch
-    redrawn — so a table pre-warmed by an earlier row changes nothing in a
-    later row's trajectory.
-
-    Parameters
-    ----------
-    protocols:
-        One protocol instance per row.  Rows may share an instance (and
-        with it the compiled table) **only** when its state space is
-        complete; :func:`replicated_engine` makes that decision for you.
-    n:
-        Population size, shared by every row.
-    seeds:
-        One RNG seed (or generator) per row.
-    kernel:
-        Forwarded to every row engine.  The rows advance through one
-        kernel call when every row holds the compiled kernel; otherwise (or
-        with ``kernel="python"``) each row advances through its own Python
-        path.
-    """
-
-    def __init__(
-        self,
-        protocols: Sequence[PopulationProtocol],
-        n: int,
-        seeds: Sequence[RngLike],
-        *,
-        kernel: str = "auto",
-    ) -> None:
-        if not protocols:
-            raise ConfigurationError("replicated engine requires at least one row")
-        if len(protocols) != len(seeds):
-            raise ConfigurationError(
-                f"got {len(protocols)} protocols for {len(seeds)} seeds; "
-                "replicated rows pair one protocol instance with one seed"
-            )
-        self.n = int(n)
-        first = CountBatchEngine(protocols[0], n, rng=seeds[0], kernel=kernel)
-        shared_survival = (first._neg_survival, first._jmax)
-        self.rows: List[CountBatchEngine] = [first]
-        for protocol, seed in zip(protocols[1:], seeds[1:]):
-            self.rows.append(
-                CountBatchEngine(
-                    protocol, n, rng=seed, kernel=kernel, survival=shared_survival
-                )
-            )
-        self._row_pointers = None
-        self._scratch: Optional[np.ndarray] = None
-        self._scratch_address = 0
-        if all(row._kernel is not None for row in self.rows):
-            self._row_pointers = (ctypes.c_void_p * len(self.rows))(
-                *(ctypes.addressof(row._kernel_args) for row in self.rows)
-            )
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    @property
-    def interactions(self) -> List[int]:
-        """Per-row interaction counters."""
-        return [row.interactions for row in self.rows]
-
-    def run(self, interactions: int) -> None:
-        """Advance every replica by ``interactions`` interactions."""
-        self.run_chunks([interactions] * len(self.rows))
-
-    def run_chunks(self, budgets: Sequence[int]) -> None:
-        """Advance row ``r`` by ``budgets[r]`` interactions.
-
-        Equivalent to ``for r: rows[r].run(budgets[r])`` — and exactly that
-        on the Python path — but on the kernel path all rows advance
-        through one C call per round.  Per-row budgets let a sweep driver
-        keep rows with different remaining budgets (or already-converged
-        rows, budget 0) in a single call: run lengths are budget-capped
-        draws, so issuing the same per-row budget sequence as the scalar
-        driver is part of the bit-identity contract.
-        """
-        if len(budgets) != len(self.rows):
-            raise ConfigurationError(
-                f"got {len(budgets)} budgets for {len(self.rows)} rows"
-            )
-        budgets = [int(budget) for budget in budgets]
-        if any(budget < 0 for budget in budgets):
-            raise ConfigurationError("row budgets must be non-negative")
-        if self._row_pointers is None:
-            for row, budget in zip(self.rows, budgets):
-                if budget > 0:
-                    row.run(budget)
-            return
-        _advance_rows(self, self.rows, budgets, available_cpus())
-
-
-def replicated_engine(
-    factory: Callable[[int], PopulationProtocol],
-    n: int,
-    seeds: Sequence[RngLike],
-    *,
-    kernel: str = "auto",
-) -> ReplicatedCountBatchEngine:
-    """Build a :class:`ReplicatedCountBatchEngine` from a protocol factory.
-
-    Encodes the table-sharing rule: when ``factory(n)`` declares a complete
-    state space (no run can ever discover a state, so every row sees the
-    same immutable id layout) all rows share that one instance — protocol
-    construction, canonical-state registration and the compiled table are
-    paid once for the whole batch.  Lazily discovering protocols get one
-    fresh instance per row, because their id layouts are seed-dependent
-    discovery orders and sharing would silently reorder a row's occupied
-    scans away from its scalar trajectory.
-    """
-    probe = factory(n)
-    if probe.complete_state_space():
-        protocols: List[PopulationProtocol] = [probe] * len(seeds)
-    else:
-        protocols = [probe] + [factory(n) for _ in range(len(seeds) - 1)]
-    return ReplicatedCountBatchEngine(protocols, n, seeds, kernel=kernel)

@@ -1,15 +1,15 @@
-"""CPU budgets for the in-process parallelism layer.
+"""CPU budget for the sweep scheduler's worker pool.
 
-One module answers "how many workers/threads should run here?" for every
-consumer — the sweep scheduler's worker pools (process *and* thread
-backends, :mod:`repro.engine.parallel`) and the threads a replicated count
-engine spreads its kernel rows over (:mod:`repro.engine.count_batch`) — so
-a single ``REPRO_MAX_WORKERS`` setting caps them all at once (a shared CI
-box, a benchmark that must not steal cores from a co-located service).
+One function answers "how many workers should run here?" for the sweep
+scheduler's pools (process *and* thread backends,
+:mod:`repro.engine.parallel`), the only parallel layer: every engine runs
+one seed on its calling thread.  ``REPRO_MAX_WORKERS`` caps the pool alone
+(a shared CI box, a benchmark that must not steal cores from a co-located
+service).
 
-It lives apart from :mod:`repro.engine.parallel` because the engine layer
-needs it too: ``parallel`` imports the simulation/dispatch stack, which the
-engines must not import back.
+It lives apart from :mod:`repro.engine.parallel` so that callers which
+only need the count (run stamps, benchmarks) do not import the
+simulation/dispatch stack ``parallel`` pulls in.
 """
 
 from __future__ import annotations
@@ -27,11 +27,10 @@ def available_cpus() -> int:
     back to ``os.cpu_count()``.  A ``REPRO_MAX_WORKERS`` environment
     variable lowers the answer further (clamped to the affinity count — it
     is a cap, never a way to oversubscribe).  Used to clamp sweep worker
-    counts and as the replicated count engine's kernel thread count, so CI
-    runners with a CPU quota are not oversubscribed.  A garbage, zero or
-    negative cap is ignored rather than raised: the variable is read deep
-    inside library calls, where an exception would fail innocent sweeps far
-    from the typo.
+    counts, so CI runners with a CPU quota are not oversubscribed.  A
+    garbage, zero or negative cap is ignored rather than raised: the
+    variable is read deep inside library calls, where an exception would
+    fail innocent sweeps far from the typo.
     """
     try:
         cpus = len(os.sched_getaffinity(0)) or 1

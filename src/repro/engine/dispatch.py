@@ -108,7 +108,6 @@ __all__ = [
     "count_capable",
     "countbatch_batch_seconds",
     "releases_gil",
-    "replica_capable",
     "resolve_engine",
     "scenario_capable",
     "state_space_size",
@@ -277,25 +276,6 @@ def count_capable(protocol: PopulationProtocol, n: int) -> Optional[int]:
     return states
 
 
-def replica_capable(engine_cls: Type[BaseEngine]) -> bool:
-    """Whether cells resolved to ``engine_cls`` may be replica-vectorised.
-
-    The sweep scheduler (:func:`repro.engine.parallel.run_many`) groups
-    same-``(protocol, n, engine)`` cells into one
-    :class:`~repro.engine.count_batch.ReplicatedCountBatchEngine` mega-cell
-    when the *resolved* engine supports advancing R independent replicas
-    through one kernel call.  Only the configuration-space batched engine
-    does today: its per-row state is a count vector plus an RNG stream, a
-    scalar run is the one-row call, and its replica mode is pinned row-wise
-    bit-identical to the scalar path.
-    The per-agent engines would need (R, n) arrays — at which point the
-    worker pool is the better parallelism — so they never form mega-cells
-    (their cells share a compiled table instead, see
-    :func:`table_shareable`).
-    """
-    return engine_cls is CountBatchEngine
-
-
 def table_shareable(engine_cls: Type[BaseEngine]) -> bool:
     """Whether cells resolved to ``engine_cls`` may share one protocol table.
 
@@ -308,8 +288,7 @@ def table_shareable(engine_cls: Type[BaseEngine]) -> bool:
     agent indices, never state ids, and ids only index the lookup table.
     The count-space engines sample by identifier order, so a lazily
     discovered layout changes their trajectories; they keep one fresh
-    protocol per cell (or share a complete layout inside a mega-cell, see
-    :func:`replica_capable`).
+    protocol per cell.
     """
     return engine_cls is FastBatchEngine or engine_cls is SequentialEngine
 

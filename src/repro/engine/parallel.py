@@ -44,40 +44,28 @@ in-process store handle.  The default ``backend="auto"`` picks threads
 exactly when every cell resolves to a GIL-releasing kernel engine
 (:func:`repro.engine.dispatch.releases_gil`) and processes otherwise.
 Either way the cells themselves are bit-identical to serial execution.
-Thread-backend workers running replica-vectorised mega-cells may each
-spread their rows over :func:`~repro.engine.cpus.available_cpus` kernel
-threads; the scheduler does not divide one budget between the two layers
-— ``REPRO_MAX_WORKERS`` caps both when oversubscription matters.
+The pool is the only parallelism: every engine runs one seed on its
+calling thread, so ``workers=`` (capped by ``REPRO_MAX_WORKERS`` through
+:func:`~repro.engine.cpus.available_cpus`) is the whole CPU budget.
 
 Each size's engine is resolved once per sweep, and that one resolution
-decides both the ``"auto"`` backend and how the size's cells group.  When
-several pending cells share ``(protocol, n, engine)``, the scheduler
-groups them into one of two unit kinds:
-
-* a *mega-cell* when the resolved engine is replica-capable
-  (:func:`repro.engine.dispatch.replica_capable` — the configuration-space
-  ``CountBatchEngine``): one
-  :class:`~repro.engine.count_batch.ReplicatedCountBatchEngine` advances
-  all R seeds through one kernel call per round, paying protocol
-  construction, the survival curve and the Python↔C transitions once per
-  call instead of once per replica.  Each row runs the scalar cell's check loop
-  at its cadence (fixed or ``"auto"``), so the same chunk sequence, RNG
-  stream and convergence checks;
-* a *table-sharing unit* when the resolved engine is table-shareable
-  (:func:`repro.engine.dispatch.table_shareable` — the per-agent
-  ``FastBatchEngine`` and ``SequentialEngine``): the unit builds
-  ``factory(n)`` once and runs its seeds in order on that instance, so
-  every seed after the first finds the transitions the earlier ones
-  compiled in the shared :class:`~repro.engine.table.TransitionTable`.
-  These engines draw agent indices, never state ids, so a warm table
-  changes no trajectory.  A seed that raises fails only its own cell.
-
-Both kinds are sharded so every worker still gets a unit, and each cell
-reproduces its one-cell run **bit-for-bit**, so grouping is invisible in
-the results and in the store — a sweep resumed on a machine that groups
-differently still reuses every cell.  Recorders, checkpoints,
-``scenario=`` and ``raise_on_budget`` keep every cell a one-cell unit on
-a fresh protocol.
+decides both the ``"auto"`` backend and how the size's cells group.
+Pending cells that share ``(protocol, n, engine)`` form *table-sharing
+units* when the resolved engine is table-shareable
+(:func:`repro.engine.dispatch.table_shareable` — the per-agent
+``FastBatchEngine`` and ``SequentialEngine``): the unit builds
+``factory(n)`` once and runs its seeds in order on that instance, so every
+seed after the first finds the transitions the earlier ones compiled in
+the shared :class:`~repro.engine.table.TransitionTable`.  These engines
+draw agent indices, never state ids, so a warm table changes no
+trajectory, and a seed that raises fails only its own cell.  Groups are
+sharded so every worker still gets a unit; every other cell (the
+count-space engines among them, whose trajectories depend on the id
+layout) is a one-cell unit on a fresh protocol.  Each cell reproduces its
+one-cell run **bit-for-bit**, so grouping is invisible in the results and
+in the store — a sweep resumed on a machine that groups differently still
+reuses every cell.  Recorders, checkpoints, ``scenario=`` and
+``raise_on_budget`` keep every cell a one-cell unit.
 
 A failing cell does not abandon the sweep: the remaining units still run,
 completed cells are recorded, and the failures surface at the end as one
@@ -114,12 +102,13 @@ marked with ``extra={"cached": True}`` on their :class:`SweepPoint`:
 Per-run seeds are spawned prefix-stably from ``base_seed`` (the first
 ``repetitions`` seeds of a size do not depend on how many sizes follow), so
 growing a sweep — more sizes, more repetitions — reuses every cell the
-smaller sweep already computed.
+smaller sweep already computed.  The store is also the only way a sweep
+resumes: ``resume=True`` names one checkpoint file, which cannot stand for
+several cells, so sweeps refuse it.
 """
 
 from __future__ import annotations
 
-import time as _time
 from concurrent.futures import (
     ProcessPoolExecutor,
     ThreadPoolExecutor,
@@ -129,19 +118,17 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.engine.base import cadence_for, drive_checks, run_checks
-from repro.engine.convergence import ConvergencePredicate, SingleLeader
+from repro.engine.convergence import ConvergencePredicate
 from repro.engine.cpus import available_cpus
 from repro.engine.dispatch import (
     EngineSpec,
     releases_gil,
-    replica_capable,
     resolve_engine,
     table_shareable,
 )
 from repro.engine.rng import spawn_seeds
 from repro.engine.simulation import RunResult, run_protocol
-from repro.errors import ConfigurationError, ReproError, SweepError
+from repro.errors import ConfigurationError, SweepError
 
 __all__ = ["SweepPoint", "available_cpus", "run_cells", "run_many"]
 
@@ -239,14 +226,15 @@ class _ProtocolConvergence:
 
 
 # ----------------------------------------------------------------------
-# Grouped work units: mega-cells and table-sharing units
+# Grouped work units: table-sharing units
 # ----------------------------------------------------------------------
 def _groupable_kwargs(run_kwargs: Dict[str, object]) -> bool:
     """Whether ``run_kwargs`` permit grouping cells into one work unit.
 
-    Grouped cells run the scalar check loop at any cadence; recorders,
-    checkpointing, scenarios, ``raise_on_budget`` and engine keywords other
-    than the kernel selector keep the cell on the per-cell path.
+    Grouped cells may differ from one-cell runs only in sharing a table,
+    so any cadence and the kernel selector are allowed; recorders,
+    checkpointing, scenarios, ``raise_on_budget`` and other engine keywords
+    keep the cell on the per-cell path, on a fresh protocol.
     """
     engine_kwargs = run_kwargs.get("engine_kwargs") or {}
     return not (
@@ -267,17 +255,6 @@ def _resolve_sizes(
         except Exception:  # noqa: BLE001 - a broken cell fails in its worker
             engines[n] = None
     return engines
-
-
-def _group_kind(engine_cls: Optional[type]) -> Optional[str]:
-    """The grouped unit kind cells on ``engine_cls`` form, or ``None``."""
-    if engine_cls is None:
-        return None
-    if replica_capable(engine_cls):
-        return "mega"
-    if table_shareable(engine_cls):
-        return "shared"
-    return None
 
 
 def _use_thread_backend(
@@ -308,60 +285,10 @@ def _use_thread_backend(
     )
 
 
-def _run_mega_cell(
-    factory: ProtocolFactory,
-    n: int,
-    seeds: Sequence[int],
-    max_parallel_time: float,
-    convergence_factory: Optional[ConvergenceFactory],
-    run_kwargs: Dict[str, object],
-) -> List[RunResult]:
-    """Run one mega-cell: every seed as a row of a replicated engine.
-
-    Each row gets the check loop :class:`~repro.engine.simulation.Simulation`
-    would build for its scalar run — budget ``round(mpt * n)``, the cell's
-    cadence, a fresh predicate — and :func:`~repro.engine.base.run_checks`
-    advances all rows in lockstep through ``run_chunks``.  Each row thus
-    issues its scalar run's chunk sequence and is bit-identical to it;
-    finished rows get zero-budget chunks, which leave their RNG streams
-    untouched.
-    """
-    from repro.engine.count_batch import replicated_engine
-
-    if max_parallel_time <= 0:
-        raise ConfigurationError(
-            f"max_parallel_time must be positive, got {max_parallel_time}"
-        )
-    engine_kwargs = run_kwargs.get("engine_kwargs") or {}
-    engine = replicated_engine(
-        factory, n, list(seeds), kernel=engine_kwargs.get("kernel", "auto")
-    )
-    rows = engine.rows
-    budget = int(round(max_parallel_time * n))
-    checks = []
-    for row in rows:
-        predicate = convergence_factory(n) if convergence_factory is not None else None
-        if predicate is None:
-            predicate = SingleLeader()
-        predicate.reset()
-        cadence = cadence_for(run_kwargs.get("check_every"), n)
-        checks.append(drive_checks(row, predicate, row.interactions + budget, cadence))
-    started = _time.perf_counter()
-    converged = run_checks(checks, engine.run_chunks)
-    elapsed = _time.perf_counter() - started
-    # Rows share one wall clock; attribute it evenly (the field is for
-    # throughput reporting only and is not part of cell identity).
-    return [
-        RunResult.of(row, seed, verdict, wall_clock_seconds=elapsed / len(rows))
-        for row, seed, verdict in zip(rows, seeds, converged)
-    ]
-
-
 # ----------------------------------------------------------------------
 # The scheduler core
 # ----------------------------------------------------------------------
 def _execute_unit(
-    kind: str,
     factory: ProtocolFactory,
     cells: List[Tuple[int, int]],  # (n, seed) per cell
     max_parallel_time: float,
@@ -371,22 +298,12 @@ def _execute_unit(
 ) -> List[Union[SweepPoint, Exception]]:
     """Run one work unit (in a worker or inline) → one outcome per cell.
 
-    An outcome is the cell's point or, in a one-cell or table-sharing
-    unit, the exception its run raised: a failing seed fails only its own
-    cell.  A one-cell unit builds a fresh protocol; a table-sharing unit
-    builds one and runs its seeds on it in order, so each seed after the
-    first reuses the transitions its predecessors compiled.
+    An outcome is the cell's point or the exception its run raised: a
+    failing seed fails only its own cell.  The unit builds one protocol and
+    runs its seeds on it in order, so in a table-sharing unit each seed
+    after the first reuses the transitions its predecessors compiled.
     """
     n = cells[0][0]
-    if kind == "mega":
-        seeds = [seed for _, seed in cells]
-        results = _run_mega_cell(
-            factory, n, seeds, max_parallel_time, convergence_factory, run_kwargs
-        )
-        return [
-            SweepPoint(n=n, seed=seed, result=result, extra={"replicated": True})
-            for (_, seed), result in zip(cells, results)
-        ]
     protocol = factory(n)
     outcomes: List[Union[SweepPoint, Exception]] = []
     for _, seed in cells:
@@ -412,40 +329,37 @@ def _plan_units(
     engines: Dict[int, Optional[type]],
     run_kwargs: Dict[str, object],
     shard_count: int,
-) -> List[Tuple[str, List[_Job]]]:
+) -> List[List[_Job]]:
     """Turn pending cells into work units, grouping cells of one size.
 
     ``engines`` maps each pending size to its resolved engine class (see
     :func:`_resolve_sizes`).  Cells sharing ``(protocol, n, engine)`` are
-    grouped into mega-cells when that engine is replica-capable and into
-    table-sharing units when it is table-shareable
+    grouped into table-sharing units when that engine is table-shareable
     (:func:`repro.engine.dispatch.table_shareable`).  Each group is
     sharded into at most ``shard_count`` pieces, so a multi-worker sweep
-    still spreads across the pool; one-cell shards and everything else
-    become one-cell units.  Units come out ordered by their first cell's
-    result index, which keeps the serial path's execution order
-    deterministic.
+    still spreads across the pool; everything else becomes one-cell units.
+    Units come out ordered by their first cell's result index, which keeps
+    the serial path's execution order deterministic.
     """
     if not _groupable_kwargs(run_kwargs):
-        return [("cell", [job]) for job in pending]
-    kinds = {n: _group_kind(engine_cls) for n, engine_cls in engines.items()}
-    units: List[Tuple[str, List[_Job]]] = []
+        return [[job] for job in pending]
+    units: List[List[_Job]] = []
     groups: Dict[int, List[_Job]] = {}
     for job in pending:
-        if kinds[job[1]] is None:
-            units.append(("cell", [job]))
-        else:
+        engine_cls = engines[job[1]]
+        if engine_cls is not None and table_shareable(engine_cls):
             groups.setdefault(job[1], []).append(job)
-    for n, group in groups.items():
+        else:
+            units.append([job])
+    for group in groups.values():
         shards = max(1, min(shard_count, len(group)))
         base, remainder = divmod(len(group), shards)
         cursor = 0
         for index in range(shards):
             size = base + (1 if index < remainder else 0)
-            shard = group[cursor : cursor + size]
+            units.append(group[cursor : cursor + size])
             cursor += size
-            units.append((kinds[n] if len(shard) > 1 else "cell", shard))
-    units.sort(key=lambda unit: unit[1][0][0])
+    units.sort(key=lambda unit: unit[0][0])
     return units
 
 
@@ -465,6 +379,11 @@ def _run_jobs(
     if backend not in _BACKENDS:
         raise ConfigurationError(
             f"unknown sweep backend {backend!r}; expected one of {_BACKENDS}"
+        )
+    if run_kwargs.get("resume"):
+        raise ConfigurationError(
+            "resume=True cannot be used in a sweep: every cell would resume "
+            "the same checkpoint file; pass store= to resume a sweep"
         )
     # Resolve every cell against the store first, so the scheduler only
     # ever sees the missing cells.
@@ -524,10 +443,9 @@ def _run_jobs(
     engines = _resolve_sizes(factory, {job[1] for job in pending}, engine)
     units = _plan_units(pending, engines, run_kwargs, shard_count=effective)
     if effective <= 1 or len(units) <= 1:
-        for kind, unit_jobs in units:
+        for unit_jobs in units:
             try:
                 outcomes = _execute_unit(
-                    kind,
                     factory,
                     [(n, seed) for _, n, seed, _, _ in unit_jobs],
                     max_parallel_time,
@@ -551,18 +469,17 @@ def _run_jobs(
             futures = {
                 executor.submit(
                     _execute_unit,
-                    kind,
                     factory,
                     [(n, seed) for _, n, seed, _, _ in unit_jobs],
                     max_parallel_time,
                     convergence_factory,
                     engine,
                     dict(run_kwargs),
-                ): (kind, unit_jobs)
-                for kind, unit_jobs in units
+                ): unit_jobs
+                for unit_jobs in units
             }
             for future in as_completed(futures):
-                _, unit_jobs = futures[future]
+                unit_jobs = futures[future]
                 error = future.exception()
                 if error is not None:
                     fail(unit_jobs, error)
@@ -607,19 +524,20 @@ def run_many(
         Optional callable building the convergence predicate for a given
         population size (defaults to the standard single-leader predicate).
     workers:
-        ``None`` or ``0``/``1`` runs serially; larger values drain the work
-        units through ``min(workers, available CPUs, pending cells)``
-        worker processes (available CPUs respect the scheduler affinity
-        mask, see :func:`available_cpus`).  Serial execution is the default
+        ``None`` or ``0``/``1`` runs serially, one seed at a time on the
+        calling thread; larger values drain the work units through
+        ``min(workers, available CPUs, pending cells)`` pool workers
+        (available CPUs respect the scheduler affinity mask and
+        ``REPRO_MAX_WORKERS``, see :func:`available_cpus`).  This is the
+        only parallelism a sweep has.  Serial execution is the default
         because individual runs are already long relative to scheduling
         overhead and serial mode keeps tracebacks simple.
     engine:
         Engine specification — a name, ``"auto"``, an engine class, or
         ``None`` for the default sequential engine (see
         :func:`repro.engine.dispatch.resolve_engine`).  Cells of one size
-        are grouped into replica-vectorised mega-cells or table-sharing
-        units when the resolved engine allows it (bit-identical per cell;
-        see the module docstring).
+        share one protocol table when the resolved engine allows it
+        (bit-identical per cell; see the module docstring).
     backend:
         Worker-pool flavour when ``workers > 1``: ``"process"`` (one OS
         process per worker, full isolation, pickling at the boundary),
@@ -640,7 +558,9 @@ def run_many(
     run_kwargs:
         Forwarded to :func:`repro.engine.simulation.run_protocol` (and, when
         a store is used, hashed into the cell key — a sweep with a
-        different ``check_every`` is a different sweep).
+        different ``check_every`` is a different sweep).  ``resume=True``
+        raises :class:`~repro.errors.ConfigurationError`: resume a sweep
+        through ``store=``.
 
     Returns
     -------

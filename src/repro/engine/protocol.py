@@ -132,24 +132,6 @@ class PopulationProtocol(abc.ABC):
         """
         return None
 
-    def complete_state_space(self) -> bool:
-        """Whether :meth:`canonical_states` enumerates *every* state any run
-        can occupy.
-
-        When true, engines built on the same protocol instance may share one
-        compiled table across independent replicas: every replica sees the
-        same pre-registered state-id layout, so no run ever appends ids in a
-        seed-dependent discovery order.  Replica-vectorised engines
-        (:class:`~repro.engine.count_batch.ReplicatedCountBatchEngine`) use
-        this to decide between one shared table and per-row private tables.
-        The default says "complete whenever canonical states are declared",
-        which matches every protocol in this repository (declared sets are
-        either full enumerations or reachable closures); a protocol that
-        declares a deliberately *partial* canonical set must override this
-        to return ``False``.
-        """
-        return self.canonical_states() is not None
-
     def initial_counts(self, n: int) -> Optional[Dict[State, int]]:
         """Optional ``{state: count}`` form of the initial configuration.
 

@@ -86,11 +86,10 @@ def spawn_seeds(base_seed: int, count: int) -> List[int]:
     The derivation is also **prefix-stable**: child ``i`` depends only on
     ``(base_seed, i)``, never on ``count``, so
     ``spawn_seeds(s, k) == spawn_seeds(s, m)[:k]`` for ``k <= m``.  The
-    sweep scheduler leans on this twice — a grown sweep (more sizes or
-    repetitions) reuses every stored cell of the smaller sweep, and a
-    replica-vectorised mega-cell assigns row ``r`` the same seed the scalar
-    sweep would give that cell, which is what makes the rows' trajectories
-    bit-identical to their scalar counterparts.
+    sweep scheduler leans on this: a grown sweep (more sizes or
+    repetitions) reuses every stored cell of the smaller sweep.  Each seed
+    is one independent run; seeds run in parallel only through the sweep's
+    ``workers=`` pool.
     """
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")

@@ -50,14 +50,13 @@ from __future__ import annotations
 import time as _time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.engine.base import (
     AdaptiveCadence,
     BaseEngine,
     cadence_for,
     drive_checks,
-    run_checks,
 )
 from repro.engine.convergence import ConvergencePredicate, SingleLeader
 from repro.engine.dispatch import ENGINE_REGISTRY, EngineSpec, resolve_engine
@@ -546,14 +545,13 @@ class Simulation:
             deadline += engine.interactions
         use_hook = bool(self.recorders) or self.checkpoint_every is not None
         started = _time.perf_counter()
-        checks = drive_checks(
+        converged = drive_checks(
             engine,
             self.convergence,
             deadline,
             self._cadence,
             self._on_check if use_hook else None,
         )
-        converged = run_checks([checks], lambda chunks: engine.run(chunks[0]))[0]
         elapsed = _time.perf_counter() - started
         if not converged and raise_on_budget:
             raise ConvergenceError(

@@ -65,8 +65,7 @@ so their runs are identical on a fresh or a warm table, and the sweep
 scheduler runs a size's seeds on one protocol instance for them (its
 table-sharing units, see :func:`repro.engine.dispatch.table_shareable`).
 The count-space engines sample by identifier order: the scheduler builds
-them a fresh protocol per run, or shares one across the rows of a
-mega-cell only when the protocol declares its complete state space.
+them a fresh protocol per run.
 
 Thread safety
 =============

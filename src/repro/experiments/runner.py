@@ -138,19 +138,18 @@ def run_cell(
     are not persisted, so cells with a ``recorder_factory`` always run.
 
     Recorder-free cells go through the sweep scheduler
-    (:func:`repro.engine.parallel.run_cells`): seeds whose resolved engine
-    is replica-capable advance together as one replica-vectorised
-    mega-cell, seeds on a per-agent engine share one protocol and its
-    compiled table (both bit-identical per seed), ``workers > 1`` drains
-    missing seeds through a worker pool, and every completed seed is
-    persisted as it finishes.  Cells with recorders keep the in-process serial loop
-    — recorders observe a live engine and cannot cross a process
-    boundary.
+    (:func:`repro.engine.parallel.run_cells`): seeds on a per-agent engine
+    share one protocol and its compiled table (bit-identical per seed),
+    ``workers > 1`` runs missing seeds in parallel on a worker pool (the
+    only parallelism; serial otherwise), and every completed seed is
+    persisted as it finishes.  Cells with recorders keep the in-process
+    serial loop — recorders observe a live engine and cannot cross a
+    process boundary.
 
     ``scenario`` (a :class:`~repro.scenarios.Scenario`) runs every seed
     under a non-default interaction model.  Scenario cells use the serial
-    in-process loop: the replica-vectorised and multi-process schedulers
-    assume the complete fault-free model.
+    in-process loop: the multi-process scheduler assumes the complete
+    fault-free model.
 
     Returns a list of ``(RunResult, recorders)`` pairs, where ``recorders``
     is the (possibly empty) list produced by ``recorder_factory`` for that

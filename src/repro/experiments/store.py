@@ -13,9 +13,9 @@ order, not submission order — the sweep scheduler records each work unit
 the moment its future resolves), so an interrupted 45-minute sweep loses
 at most the cells in flight and a restart with the same arguments redoes
 none of the finished work.  Cell keys are independent of how the
-scheduler executed the cell: serial, multi-process and replica-vectorised
-runs of the same cell produce the same key and the same result, so stores
-written by any mode resume any other.
+scheduler executed the cell: serial, thread-pool and multi-process runs,
+alone or in a table-sharing unit, produce the same key and the same
+result, so stores written by any mode resume any other.
 
 The registry layer caches at coarser granularity: a full
 :class:`~repro.experiments.runner.ExperimentResult` keyed by

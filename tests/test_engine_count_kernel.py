@@ -40,7 +40,7 @@ from repro.analysis.stats import ks_two_sample, quantile_profile_distance
 from repro.core.params import GSUParams
 from repro.core.protocol import GSULeaderElection
 from repro.engine import count_batch
-from repro.engine._count_kernel import count_kernel_available
+from repro.engine._count_kernel import count_kernel_available, kernel_thread_backend
 from repro.engine.count_batch import (
     _NUMPY_HYPERGEOMETRIC_CAP,
     _SURVIVAL_MAX_LEN,
@@ -48,7 +48,7 @@ from repro.engine.count_batch import (
     CountBatchEngine,
     _hypergeometric_large,
 )
-from repro.engine.rng import make_rng
+from repro.engine.rng import make_rng, spawn_seeds
 from repro.errors import ConfigurationError, ProtocolError
 from repro.experiments.io import read_checkpoint, write_checkpoint
 from repro.protocols.approximate_majority import ApproximateMajority
@@ -307,6 +307,36 @@ def test_kernel_population_conserved_with_lazy_discovery():
         assert all(count > 0 for count in counts.values())
         assert sum(counts.values()) == n
     assert engine.states_ever_occupied > 10
+
+
+@needs_kernel
+def test_closure_engines_share_one_lut_and_one_kernel_call_per_run():
+    """32 GSU19 engines at n = 10^6 over the K = 1,789 closure, each on its
+    own protocol instance, share one read-only packed LUT and compile no
+    pair; a run of n interactions never misses, so it is one kernel call."""
+    n = 10**6
+    seeds = spawn_seeds(777, 32)
+    table = None
+    calls = []
+    for seed in seeds:
+        engine = _kernel_engine(GSULeaderElection.for_population(5 * 10**7), n, rng=seed)
+        if table is None:
+            table = engine.table
+            assert not table.packed.flags.writeable
+            assert table.packed.size == len(table) ** 2 == 1789**2
+        assert engine.table.packed.base is table.packed.base
+        kernel = engine._kernel
+        engine._kernel = lambda *args: calls.append(None) or kernel(*args)
+        engine.run(n)
+        assert engine.interactions == n
+        assert engine.table.compiled_pairs == 0
+    assert len(calls) == len(seeds)
+
+
+def test_kernel_thread_backend_is_serial():
+    # Run stamps record it; the kernel has no threads of its own.
+    expected = "serial" if count_kernel_available() else None
+    assert kernel_thread_backend() == expected
 
 
 @needs_kernel

@@ -17,7 +17,7 @@ import pytest
 
 from repro.core.protocol import GSULeaderElection
 from repro.engine._ckernel import kernel_available
-from repro.engine.base import cadence_for, drive_checks, run_checks
+from repro.engine.base import cadence_for, drive_checks
 from repro.engine.convergence import SingleLeader
 from repro.engine.count_batch import CountBatchEngine
 from repro.engine.dispatch import table_shareable
@@ -63,10 +63,7 @@ def _checked_run(protocol, engine_cls, engine_kwargs, seed) -> tuple:
         return verdict
 
     budget = int(round(MAX_PARALLEL_TIME * N))
-    (converged,) = run_checks(
-        [drive_checks(engine, check, budget, cadence_for(None, N))],
-        lambda chunks: engine.run(chunks[0]),
-    )
+    converged = drive_checks(engine, check, budget, cadence_for(None, N))
     return (
         converged,
         engine.interactions,

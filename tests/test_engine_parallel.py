@@ -196,7 +196,8 @@ def test_interrupted_sweep_resumes_only_missing_cells(tmp_path):
 
 
 def test_mega_cell_grouping_is_bit_identical(tmp_path):
-    """Replica-grouped cells reproduce the scalar per-cell results exactly."""
+    """Count-space sweep cells (once grouped into mega-cells) reproduce
+    ``run_protocol`` exactly, and a larger sweep resumes a smaller one."""
     points = run_cells(
         _factory,
         64,
@@ -204,7 +205,6 @@ def test_mega_cell_grouping_is_bit_identical(tmp_path):
         max_parallel_time=1000,
         engine="countbatch",
     )
-    assert all(point.extra.get("replicated") for point in points)
     for point in points:
         reference = run_protocol(
             _factory(64),
@@ -220,8 +220,8 @@ def test_mega_cell_grouping_is_bit_identical(tmp_path):
         assert point.result.final_counts == reference.final_counts
         assert point.result.final_outputs == reference.final_outputs
 
-    # Grouping is invisible in the store: a mega-cell sweep and a scalar
-    # sweep share cell keys, so either one resumes the other.
+    # Cell keys depend on the cell alone, so a grown sweep reuses every
+    # stored cell.
     store = ExperimentStore(tmp_path)
     run_cells(
         _factory, 64, [101, 102], max_parallel_time=1000,
@@ -237,8 +237,8 @@ def test_mega_cell_grouping_is_bit_identical(tmp_path):
 
 
 def test_auto_cadence_cells_group_into_bit_identical_mega_cells():
-    # Every mega-cell row runs the scalar check loop, adaptive cadence
-    # included, so "auto" sweeps group and each row equals its scalar run.
+    # Count-space sweep cells with the adaptive cadence (once grouped into
+    # mega-cells) each equal their run_protocol run.
     seeds = [5, 6, 7]
     points = run_cells(
         _factory,
@@ -248,7 +248,6 @@ def test_auto_cadence_cells_group_into_bit_identical_mega_cells():
         engine="countbatch",
         check_every="auto",
     )
-    assert all(point.extra.get("replicated") for point in points)
     for point, seed in zip(points, seeds):
         scalar = run_protocol(
             SlowLeaderElection(),
@@ -265,8 +264,9 @@ def test_auto_cadence_cells_group_into_bit_identical_mega_cells():
 
 
 def test_ungroupable_run_kwargs_fall_back_to_per_cell():
-    # Checkpointing is per-run state a mega-cell does not carry; such
-    # sweeps take the per-cell path.
+    # raise_on_budget is per-run state; such sweeps take the per-cell path
+    # and every cell still runs to its verdict.
+    assert not parallel._groupable_kwargs({"raise_on_budget": True})
     points = run_cells(
         _factory,
         64,
@@ -275,34 +275,26 @@ def test_ungroupable_run_kwargs_fall_back_to_per_cell():
         engine="countbatch",
         raise_on_budget=True,
     )
-    assert all("replicated" not in point.extra for point in points)
     assert all(point.result.converged for point in points)
 
 
-def test_groupable_engine_kwargs_are_count_batch_keywords():
-    # A one-cell unit (a single seed, or the one missing cell of a resumed
-    # size) passes engine_kwargs straight to CountBatchEngine, while a
-    # mega-cell passes them to replicated_engine.  Every engine keyword that
-    # lets cells group must therefore be one the scalar engine takes, or the
-    # same sweep succeeds with two seeds and fails with one.
-    import inspect
-
-    from repro.engine.count_batch import CountBatchEngine, replicated_engine
-
-    scalar = set(inspect.signature(CountBatchEngine).parameters)
-    for key in inspect.signature(replicated_engine).parameters:
-        if parallel._groupable_kwargs({"engine_kwargs": {key: None}}):
-            assert key in scalar, key
-    for seeds in ([5], [5, 6]):
-        points = run_cells(
-            _factory,
-            64,
-            seeds,
-            max_parallel_time=1000,
-            engine="countbatch",
-            engine_kwargs={"kernel": "auto"},
+def test_sweep_refuses_resume(tmp_path):
+    # One checkpoint path cannot stand for several cells: with resume=True
+    # every cell would continue the first cell's checkpoint and report its
+    # trajectory under its own seed.  Sweeps resume through store= instead.
+    path = tmp_path / "cell.ckpt"
+    with pytest.raises(ConfigurationError, match="resume.*store="):
+        run_many(
+            _factory, [64], repetitions=3, max_parallel_time=500.0,
+            checkpoint_every=64, checkpoint_path=path, resume=True,
         )
-        assert all(point.result.converged for point in points)
+    with pytest.raises(ConfigurationError, match="resume.*store="):
+        run_cells(
+            _factory, 64, [1, 2], max_parallel_time=500.0,
+            checkpoint_every=64, checkpoint_path=path, resume=True,
+            store=tmp_path / "store",
+        )
+    assert not path.exists()
 
 
 # ----------------------------------------------------------------------
@@ -462,28 +454,24 @@ def test_plan_units_groups_by_resolved_engine():
         )
     ]
 
-    def kinds(units):
-        return [(kind, [job[1] for job in jobs]) for kind, jobs in units]
+    def sizes(units):
+        return [[job[1] for job in jobs] for jobs in units]
 
+    # Per-agent engines share a table; count-space, approximate and
+    # unresolved sizes run one cell per unit.
     serial = parallel._plan_units(pending, engines, {}, shard_count=1)
-    assert kinds(serial) == [
-        ("shared", [16, 16, 16]),
-        ("shared", [32, 32, 32]),
-        ("mega", [64, 64, 64]),
-        *[("cell", [n]) for n in (128, 128, 128, 256, 256, 256)],
+    assert sizes(serial) == [
+        [16, 16, 16],
+        [32, 32, 32],
+        *[[n] for n in (64, 64, 64, 128, 128, 128, 256, 256, 256)],
     ]
-    # Two workers: each group is sharded so both get work; a one-cell
-    # shard is a plain cell.
+    # Two workers: each group is sharded so both get work.
     sharded = parallel._plan_units(pending, engines, {}, shard_count=2)
-    assert kinds(sharded)[:6] == [
-        ("shared", [16, 16]), ("cell", [16]),
-        ("shared", [32, 32]), ("cell", [32]),
-        ("mega", [64, 64]), ("cell", [64]),
-    ]
+    assert sizes(sharded)[:4] == [[16, 16], [16], [32, 32], [32]]
     ungroupable = parallel._plan_units(
         pending, engines, {"raise_on_budget": True}, shard_count=1
     )
-    assert all(kind == "cell" for kind, _ in ungroupable)
+    assert all(len(jobs) == 1 for jobs in ungroupable)
 
 
 @pytest.mark.parametrize("backend", ["serial", "thread"])

@@ -1,11 +1,7 @@
-"""In-process parallelism: multi-row kernel threads, sweep backends, locking.
+"""In-process parallelism: the CPU budget, sweep backends, locking.
 
-Three properties are pinned here:
+Two properties are pinned here:
 
-* **Thread-count invariance** — the count kernel's batch entry is
-  bit-for-bit identical at every thread count (rows own their RNG streams,
-  counts and seen masks; threads own their scratch slabs), so the thread
-  count its driver is handed only sets the wall clock.
 * **Backend invariance** — the sweep scheduler's ``backend="thread"`` /
   ``"process"`` / serial paths produce identical cells and share one store
   key space.
@@ -17,7 +13,6 @@ Three properties are pinned here:
 
 from __future__ import annotations
 
-import hashlib
 import os
 import threading
 
@@ -25,42 +20,20 @@ import pytest
 
 from repro.core.protocol import GSULeaderElection
 from repro.engine import parallel
-from repro.engine._count_kernel import count_kernel_available, kernel_thread_backend
-from repro.engine.count_batch import CountBatchEngine, _advance_rows, replicated_engine
+from repro.engine._count_kernel import count_kernel_available
+from repro.engine.count_batch import CountBatchEngine
 from repro.engine.cpus import available_cpus
 from repro.engine.dispatch import releases_gil
 from repro.engine.parallel import run_cells, run_many
-from repro.engine.rng import spawn_seeds
 from repro.engine.state import StateEncoder
 from repro.engine.views import PredicateView
 from repro.errors import ConfigurationError
 from repro.experiments.store import ExperimentStore
 from repro.protocols.slow import SlowLeaderElection
 
-needs_kernel = pytest.mark.skipif(
-    not count_kernel_available(), reason="compiled count kernel unavailable"
-)
-
-
-def _gsu_factory(n: int) -> GSULeaderElection:
-    return GSULeaderElection.for_population(n)
-
 
 def _slow_factory(n: int) -> SlowLeaderElection:
     return SlowLeaderElection()
-
-
-def _digest(engine: CountBatchEngine) -> str:
-    payload = repr(
-        (
-            engine.interactions,
-            sorted(
-                (repr(state), count) for state, count in engine.state_counts().items()
-            ),
-            engine.states_ever_occupied,
-        )
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()
 
 
 # ----------------------------------------------------------------------
@@ -87,35 +60,6 @@ def test_sweep_worker_clamp_uses_shared_cpu_budget(monkeypatch):
     # scheduler's worker clamp honours REPRO_MAX_WORKERS without its own
     # plumbing.
     assert parallel.available_cpus is available_cpus
-
-
-# ----------------------------------------------------------------------
-# Multi-row kernel: thread-count invariance
-# ----------------------------------------------------------------------
-@needs_kernel
-def test_kernel_thread_backend_reported():
-    assert kernel_thread_backend() in {"openmp", "pthread", "serial"}
-
-
-@needs_kernel
-@pytest.mark.parametrize("threads", [2, 4])
-def test_multi_row_kernel_bit_identical_across_thread_counts(threads):
-    """T-thread replica runs reproduce the single-thread digests exactly."""
-    n = 4096
-    seeds = spawn_seeds(424242, 8)
-    chunk = 2 * n + 3
-    reference = replicated_engine(_gsu_factory, n, seeds)
-    candidate = replicated_engine(_gsu_factory, n, seeds)
-    budgets = [chunk] * len(seeds)
-    for _ in range(3):
-        _advance_rows(reference, reference.rows, budgets, 1)
-        _advance_rows(candidate, candidate.rows, budgets, threads)
-        for ref_row, row in zip(reference.rows, candidate.rows):
-            assert _digest(ref_row) == _digest(row)
-    # Stronger than the digest: full snapshots (counts, PCG64 state,
-    # xoshiro words, encoder layout) agree byte-for-byte.
-    for ref_row, row in zip(reference.rows, candidate.rows):
-        assert repr(ref_row.snapshot()) == repr(row.snapshot())
 
 
 # ----------------------------------------------------------------------

@@ -179,10 +179,13 @@ DRIVER_EXPECTED = {
     "slow-le/fastbatch/fixed": (2619, "e492227fa71e45e8aaa4a26bdc0718e03ca2e36a0695619c9ba661e2c060b395", "464269f8581fa5fd94e66a5ca1a548ffdc894ed6d91a4d9a60a24865b54d4f04", 27),
 }
 
-#: Mega-cell pins: four seeds of one ``run_cells`` call on the count-space
+#: Sweep-cell pins: four seeds of one ``run_cells`` call on the count-space
 #: engine's Python path, one (converged, interactions, final-counts digest)
-#: per row.  Both budgets end on a clipped chunk; slow-le's splits the rows
-#: between converged and budget-exhausted.
+#: per cell.  Recorded when these seeds formed one replica-vectorised
+#: mega-cell; they now run as one-cell units, so the unchanged values show
+#: that retiring mega-cells changed no trajectory.  Both budgets end on a
+#: clipped chunk; slow-le's splits the cells between converged and
+#: budget-exhausted.
 MEGA_SEEDS = (11, 12, 13, 14)
 MEGA_CASES = {
     # protocol key in PROTOCOLS -> max_parallel_time
@@ -261,8 +264,8 @@ def driver_pin(protocol_name, engine_name, cadence, checkpoint_path) -> tuple:
 
 
 def mega_pins(protocol_name, cadence) -> list:
-    """Per-row ``(converged, interactions, final-counts digest)`` of one
-    mega-cell."""
+    """Per-cell ``(converged, interactions, final-counts digest)`` of one
+    ``run_cells`` sweep (formerly one mega-cell)."""
     from repro.engine.parallel import run_cells
 
     factory, n = PROTOCOLS[protocol_name]
@@ -379,7 +382,7 @@ if __name__ == "__main__":  # pragma: no cover - pin regeneration helper
                     path = Path(directory) / "run.ckpt"
                     value = driver_pin(protocol_name, engine_name, cadence, path)
                     print(f'    "{protocol_name}/{engine_name}/{cadence}": {value!r},')
-    print("# mega-cells:")
+    print("# sweep cells:")
     for protocol_name in sorted(MEGA_CASES):
         for cadence in sorted(DRIVER_CADENCES):
             value = mega_pins(protocol_name, cadence)

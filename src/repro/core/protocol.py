@@ -240,6 +240,11 @@ class GSULeaderElection(PopulationProtocol):
     def output(self, state: GSUAgentState) -> str:
         return LEADER_OUTPUT if is_alive_leader(state) else FOLLOWER_OUTPUT
 
+    def transition_key(self) -> tuple:
+        # n_hint is validation-only: every size of a calibration shares a table.
+        params, cls = self.params, type(self)
+        return (f"{cls.__module__}.{cls.__qualname__}", params.gamma, params.phi, params.psi)
+
     def describe_state(self, state: GSUAgentState) -> str:
         return state.describe()
 

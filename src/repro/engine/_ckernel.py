@@ -111,7 +111,7 @@ _load_attempted = False
 #: after the attempt flag is set — stays lock-free: the flag is only ever
 #: flipped False -> True under the lock, and module-global reads are atomic
 #: under the GIL, so double-checked locking is sound here.  Without it, two
-#: sweep threads starting cold could each run the build probe and publish
+#: threads starting cold could each run the build probe and publish
 #: racing ``CDLL`` handles.
 _load_lock = threading.Lock()
 

@@ -45,8 +45,8 @@ Design notes
   described by a :class:`CountRow` argument block (its counts, seen mask,
   xoshiro words and LUT addresses, ``k``, budget, and the outputs), on the
   calling thread.  Independent seeds run in parallel one level up, on the
-  sweep scheduler's worker pool (:mod:`repro.engine.parallel`); ctypes
-  drops the GIL for the call, so thread-backend workers overlap.
+  sweep scheduler's worker processes (:mod:`repro.engine.parallel`);
+  ctypes drops the GIL for the call, so threads calling it overlap.
 
 Built through :func:`repro.engine._ckernel.build_library` — same cache
 directory, same atomic publish, same ``REPRO_NO_C_KERNEL=1`` escape hatch
@@ -123,7 +123,7 @@ static inline double xo_double(uint64_t *s)
 /* extension is published as an immutable block (its own limit inside   */
 /* the struct) through one release-store; readers take one acquire     */
 /* load, so a repro_logfact_reserve racing a running kernel call --    */
-/* possible under the threaded sweep backend, where ctypes has          */
+/* possible when threads share the kernel, since ctypes has            */
 /* dropped the GIL -- serves either the old block or the new one, both  */
 /* bit-identical to the lgamma fallback.  Superseded blocks are leaked  */
 /* on purpose (readers may still hold them); doubling growth bounds     */

@@ -1,9 +1,9 @@
 """CPU budget for the sweep scheduler's worker pool.
 
 One function answers "how many workers should run here?" for the sweep
-scheduler's pools (process *and* thread backends,
-:mod:`repro.engine.parallel`), the only parallel layer: every engine runs
-one seed on its calling thread.  ``REPRO_MAX_WORKERS`` caps the pool alone
+scheduler's pool of worker processes (:mod:`repro.engine.parallel`), the
+only parallel layer: every engine runs one seed on its calling thread.
+``REPRO_MAX_WORKERS`` caps the pool alone
 (a shared CI box, a benchmark that must not steal cores from a co-located
 service).
 

@@ -107,7 +107,6 @@ __all__ = [
     "canonical_name",
     "count_capable",
     "countbatch_batch_seconds",
-    "releases_gil",
     "resolve_engine",
     "scenario_capable",
     "state_space_size",
@@ -277,42 +276,22 @@ def count_capable(protocol: PopulationProtocol, n: int) -> Optional[int]:
 
 
 def table_shareable(engine_cls: Type[BaseEngine]) -> bool:
-    """Whether cells resolved to ``engine_cls`` may share one protocol table.
+    """Whether cells resolved to ``engine_cls`` may share one compiled table.
 
-    The sweep scheduler (:func:`repro.engine.parallel.run_many`) runs
-    same-``(protocol, n, engine)`` cells of such an engine in order on one
-    protocol instance, so every seed after the first finds its transitions
-    already compiled.  That is invisible in the results only when the
+    Each worker of the sweep scheduler (:func:`repro.engine.parallel.run_many`)
+    keeps one :class:`~repro.engine.table.TransitionTable` per calibration
+    (protocol :meth:`~repro.engine.protocol.PopulationProtocol.transition_key`
+    and engine) for the whole sweep and hands it to every cell of such an
+    engine, so a cell finds the transitions earlier cells compiled, across
+    seeds and sizes.  That is invisible in the results only when the
     trajectory does not depend on the state-identifier layout the table's
     compilation history produced.  The per-agent engines qualify: they draw
     agent indices, never state ids, and ids only index the lookup table.
     The count-space engines sample by identifier order, so a lazily
-    discovered layout changes their trajectories; they keep one fresh
-    protocol per cell.
+    discovered layout changes their trajectories; every cell of theirs
+    compiles a fresh table.
     """
     return engine_cls is FastBatchEngine or engine_cls is SequentialEngine
-
-
-def releases_gil(
-    engine_cls: Type[BaseEngine], engine_kwargs: Optional[Dict] = None
-) -> bool:
-    """Whether ``engine_cls`` spends its hot loop outside the GIL.
-
-    True exactly when the engine's run path is a compiled C kernel invoked
-    through ctypes (which drops the GIL for the duration of the foreign
-    call): the count-space batched engine with the count kernel, and the
-    exact batched engine with the block-apply kernel.  ``engine_kwargs``
-    are the per-run engine options (``kernel="python"``/``"numpy"`` force
-    the interpreted paths, which hold the GIL throughout).  This is the
-    predicate behind the sweep scheduler's ``backend="auto"`` rule: threads
-    only beat processes when workers genuinely run concurrently.
-    """
-    kernel = (engine_kwargs or {}).get("kernel", "auto")
-    if engine_cls is CountBatchEngine:
-        return kernel != "python" and count_kernel_available()
-    if engine_cls is FastBatchEngine:
-        return kernel != "numpy" and kernel_available()
-    return False
 
 
 def scenario_capable(engine_cls: Type[BaseEngine], scenario=None) -> bool:

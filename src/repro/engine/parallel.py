@@ -23,49 +23,39 @@ untouched.
 How a sweep is scheduled
 ========================
 
-The scheduler turns the job list into *work units* and drains them through
-``min(workers, available CPUs, len(pending))`` pool workers (available
-CPUs come from :func:`repro.engine.cpus.available_cpus` — the scheduler
-affinity mask capped by ``REPRO_MAX_WORKERS``, so a containerised CI with
-a CPU quota is not oversubscribed).  Work units are pulled from a shared
-queue as workers free up — work stealing at unit granularity — and each
-completed unit is recorded (and, with a store, persisted) **as it
+The scheduler drains the sweep's cells — every size and seed, in one job
+list — through ``min(workers, available CPUs, pending cells)`` worker
+processes (available CPUs come from
+:func:`repro.engine.cpus.available_cpus` — the scheduler affinity mask
+capped by ``REPRO_MAX_WORKERS``, so a containerised CI with a CPU quota is
+not oversubscribed).  Cells are pulled from one shared queue as workers
+free up — work stealing at cell granularity across all sizes — and each
+completed cell is recorded (and, with a store, persisted) **as it
 finishes**, in completion order, not submission order.  A crash or kill
-therefore loses at most the units in flight; everything recorded before
-the interrupt is already on disk.
+therefore loses at most the cells in flight; everything recorded before
+the interrupt is already on disk.  The pool is the only parallelism:
+every engine runs one seed on its calling thread, so ``workers=`` is the
+whole CPU budget, and ``workers=0``/``1`` runs the cells in order in this
+process.
 
-The pool itself comes in two flavours, selected by ``backend=``:
-``"process"`` workers (full isolation, factories and results pickled
-across the boundary) and ``"thread"`` workers — plain threads in this
-process, useful because the compiled kernel engines spend their hot loops
-inside GIL-*releasing* ctypes calls, so threads deliver the same
-parallelism with no pickling, one shared kernel-build cache and one
-in-process store handle.  The default ``backend="auto"`` picks threads
-exactly when every cell resolves to a GIL-releasing kernel engine
-(:func:`repro.engine.dispatch.releases_gil`) and processes otherwise.
-Either way the cells themselves are bit-identical to serial execution.
-The pool is the only parallelism: every engine runs one seed on its
-calling thread, so ``workers=`` (capped by ``REPRO_MAX_WORKERS`` through
-:func:`~repro.engine.cpus.available_cpus`) is the whole CPU budget.
-
-Each size's engine is resolved once per sweep, and that one resolution
-decides both the ``"auto"`` backend and how the size's cells group.
-Pending cells that share ``(protocol, n, engine)`` form *table-sharing
-units* when the resolved engine is table-shareable
+Every cell builds its own ``factory(n)``.  Each size's engine is resolved
+once per sweep; when it is table-shareable
 (:func:`repro.engine.dispatch.table_shareable` — the per-agent
-``FastBatchEngine`` and ``SequentialEngine``): the unit builds
-``factory(n)`` once and runs its seeds in order on that instance, so every
-seed after the first finds the transitions the earlier ones compiled in
-the shared :class:`~repro.engine.table.TransitionTable`.  These engines
-draw agent indices, never state ids, so a warm table changes no
-trajectory, and a seed that raises fails only its own cell.  Groups are
-sharded so every worker still gets a unit; every other cell (the
-count-space engines among them, whose trajectories depend on the id
-layout) is a one-cell unit on a fresh protocol.  Each cell reproduces its
-one-cell run **bit-for-bit**, so grouping is invisible in the results and
-in the store — a sweep resumed on a machine that groups differently still
-reuses every cell.  Recorders, checkpoints, ``scenario=`` and
-``raise_on_budget`` keep every cell a one-cell unit.
+``FastBatchEngine`` and ``SequentialEngine``), each worker keeps one
+:class:`~repro.engine.table.TransitionTable` per ``(transition key,
+engine)`` for the whole sweep and hands it to the cell's protocol through
+:meth:`~repro.engine.protocol.PopulationProtocol.share_table`.  The
+transition key (:meth:`~repro.engine.protocol.PopulationProtocol.transition_key`)
+names the calibration, not the size — GSU19 and GS18 key on ``(Γ, Φ,
+Ψ)`` — so a cell finds the transitions every earlier cell of its worker
+compiled, across seeds and sizes.  These engines draw agent indices, never
+state ids, so a warm table changes no trajectory: each cell reproduces its
+fresh run **bit-for-bit**, at any worker count, and cell keys do not
+depend on sharing.  The cache is a local of the serial loop or, in a
+worker process, module state reset by the pool initializer, so it dies
+with the sweep.  Count-space engines (whose trajectories depend on the id
+layout), recorders, checkpoints, ``scenario=`` and ``raise_on_budget``
+give every cell its own fresh table.
 
 A failing cell does not abandon the sweep: the remaining units still run,
 completed cells are recorded, and the failures surface at the end as one
@@ -109,31 +99,19 @@ several cells, so sweeps refuse it.
 
 from __future__ import annotations
 
-from concurrent.futures import (
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    as_completed,
-)
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.engine.convergence import ConvergencePredicate
 from repro.engine.cpus import available_cpus
-from repro.engine.dispatch import (
-    EngineSpec,
-    releases_gil,
-    resolve_engine,
-    table_shareable,
-)
+from repro.engine.dispatch import EngineSpec, resolve_engine, table_shareable
 from repro.engine.rng import spawn_seeds
 from repro.engine.simulation import RunResult, run_protocol
 from repro.errors import ConfigurationError, SweepError
 
 __all__ = ["SweepPoint", "available_cpus", "run_cells", "run_many"]
-
-#: Worker-pool backends :func:`run_many` / :func:`run_cells` accept.
-_BACKENDS = ("auto", "thread", "process")
 
 ProtocolFactory = Callable[[int], "PopulationProtocol"]  # noqa: F821 - doc only
 ConvergenceFactory = Callable[[int], Optional[ConvergencePredicate]]
@@ -141,6 +119,13 @@ ConvergenceFactory = Callable[[int], Optional[ConvergencePredicate]]
 #: One sweep job: (result index, population size, seed, store key, store
 #: inputs) — key/inputs are ``None`` for storeless sweeps.
 _Job = Tuple[int, int, int, Optional[str], Optional[dict]]
+
+#: One worker's compiled tables: ``(transition key, engine class) -> table``.
+_TableCache = Dict[Tuple[Hashable, type], "TransitionTable"]  # noqa: F821
+
+#: The table cache of this process when it is a pool worker.  The pool
+#: initializer empties it, so it lives exactly as long as one sweep's pool.
+_worker_tables: _TableCache = {}
 
 
 @dataclass
@@ -151,28 +136,6 @@ class SweepPoint:
     seed: int
     result: RunResult
     extra: Dict[str, object] = field(default_factory=dict)
-
-
-def _run_single(
-    protocol: "PopulationProtocol",  # noqa: F821 - doc only
-    n: int,
-    seed: int,
-    max_parallel_time: float,
-    convergence_factory: Optional[ConvergenceFactory],
-    engine: EngineSpec,
-    run_kwargs: Dict[str, object],
-) -> SweepPoint:
-    convergence = convergence_factory(n) if convergence_factory is not None else None
-    result = run_protocol(
-        protocol,
-        n,
-        seed=seed,
-        max_parallel_time=max_parallel_time,
-        convergence=convergence,
-        engine_cls=engine,
-        **run_kwargs,
-    )
-    return SweepPoint(n=n, seed=seed, result=result)
 
 
 def _cell_key_for(
@@ -226,15 +189,15 @@ class _ProtocolConvergence:
 
 
 # ----------------------------------------------------------------------
-# Grouped work units: table-sharing units
+# Table sharing
 # ----------------------------------------------------------------------
 def _groupable_kwargs(run_kwargs: Dict[str, object]) -> bool:
-    """Whether ``run_kwargs`` permit grouping cells into one work unit.
+    """Whether ``run_kwargs`` let a cell run on a worker's shared table.
 
-    Grouped cells may differ from one-cell runs only in sharing a table,
-    so any cadence and the kernel selector are allowed; recorders,
-    checkpointing, scenarios, ``raise_on_budget`` and other engine keywords
-    keep the cell on the per-cell path, on a fresh protocol.
+    A shared table may differ from a fresh one only in its compilation
+    history, so any cadence and the kernel selector are allowed;
+    recorders, checkpointing, scenarios, ``raise_on_budget`` and other
+    engine keywords give the cell its own fresh table.
     """
     engine_kwargs = run_kwargs.get("engine_kwargs") or {}
     return not (
@@ -243,124 +206,80 @@ def _groupable_kwargs(run_kwargs: Dict[str, object]) -> bool:
     )
 
 
-def _resolve_sizes(
-    factory: ProtocolFactory, sizes: Iterable[int], engine: EngineSpec
-) -> Dict[int, Optional[type]]:
-    """Each size's resolved engine class, ``None`` where resolving fails
-    (the cell itself then fails the same way in its worker)."""
-    engines: Dict[int, Optional[type]] = {}
-    for n in sizes:
-        try:
-            engines[n] = resolve_engine(engine, factory(n), n)
-        except Exception:  # noqa: BLE001 - a broken cell fails in its worker
-            engines[n] = None
-    return engines
-
-
-def _use_thread_backend(
-    backend: str,
-    engines: Iterable[Optional[type]],
+def _shared_engines(
+    factory: ProtocolFactory,
+    sizes: Iterable[int],
+    engine: EngineSpec,
     run_kwargs: Dict[str, object],
-) -> bool:
-    """Decide threads vs processes for this sweep's worker pool.
+) -> Dict[int, Optional[type]]:
+    """Each size's resolved engine class where its cells share tables.
 
-    ``"thread"`` / ``"process"`` are explicit.  ``"auto"`` picks threads
-    exactly when every pending size's resolved engine (``engines``, from
-    :func:`_resolve_sizes`) runs its hot loop outside the GIL
-    (:func:`repro.engine.dispatch.releases_gil`) — then threads deliver
-    process-level parallelism while sharing one address space: no
-    factory/result pickling, one kernel-build cache, one in-process store
-    handle.  Any cell on an interpreted engine (or one that fails to
-    resolve — it will fail identically in its worker) makes ``"auto"``
-    fall back to processes, where the GIL cannot serialise the sweep.
+    ``None`` marks a size whose cells compile fresh tables: its engine is
+    not table-shareable, ``run_kwargs`` forbid sharing, or resolving fails
+    (the cell itself then fails the same way in its worker).
     """
-    if backend == "thread":
-        return True
-    if backend == "process":
-        return False
-    engine_kwargs = dict(run_kwargs.get("engine_kwargs") or {})
-    return all(
-        resolved is not None and releases_gil(resolved, engine_kwargs)
-        for resolved in engines
-    )
+    shared: Dict[int, Optional[type]] = dict.fromkeys(sizes)
+    if not _groupable_kwargs(run_kwargs):
+        return shared
+    for n in shared:
+        try:
+            resolved = resolve_engine(engine, factory(n), n)
+        except Exception:  # noqa: BLE001 - a broken cell fails in its worker
+            continue
+        if table_shareable(resolved):
+            shared[n] = resolved
+    return shared
+
+
+def _start_worker() -> None:
+    """Pool initializer: every worker starts its sweep with no tables."""
+    _worker_tables.clear()
 
 
 # ----------------------------------------------------------------------
 # The scheduler core
 # ----------------------------------------------------------------------
-def _execute_unit(
+def _execute_cell(
     factory: ProtocolFactory,
-    cells: List[Tuple[int, int]],  # (n, seed) per cell
+    n: int,
+    seed: int,
     max_parallel_time: float,
     convergence_factory: Optional[ConvergenceFactory],
     engine: EngineSpec,
     run_kwargs: Dict[str, object],
-) -> List[Union[SweepPoint, Exception]]:
-    """Run one work unit (in a worker or inline) → one outcome per cell.
+    shared_engine: Optional[type],
+    tables: _TableCache,
+) -> SweepPoint:
+    """Run one cell on a fresh ``factory(n)``.
 
-    An outcome is the cell's point or the exception its run raised: a
-    failing seed fails only its own cell.  The unit builds one protocol and
-    runs its seeds on it in order, so in a table-sharing unit each seed
-    after the first reuses the transitions its predecessors compiled.
+    With a ``shared_engine`` the protocol compiles to the table ``tables``
+    holds for its calibration and that engine, which the first such cell
+    creates.
     """
-    n = cells[0][0]
     protocol = factory(n)
-    outcomes: List[Union[SweepPoint, Exception]] = []
-    for _, seed in cells:
-        try:
-            outcomes.append(
-                _run_single(
-                    protocol,
-                    n,
-                    seed,
-                    max_parallel_time,
-                    convergence_factory,
-                    engine,
-                    dict(run_kwargs),
-                )
-            )
-        except Exception as error:  # noqa: BLE001 - surfaced via SweepError
-            outcomes.append(error)
-    return outcomes
-
-
-def _plan_units(
-    pending: List[_Job],
-    engines: Dict[int, Optional[type]],
-    run_kwargs: Dict[str, object],
-    shard_count: int,
-) -> List[List[_Job]]:
-    """Turn pending cells into work units, grouping cells of one size.
-
-    ``engines`` maps each pending size to its resolved engine class (see
-    :func:`_resolve_sizes`).  Cells sharing ``(protocol, n, engine)`` are
-    grouped into table-sharing units when that engine is table-shareable
-    (:func:`repro.engine.dispatch.table_shareable`).  Each group is
-    sharded into at most ``shard_count`` pieces, so a multi-worker sweep
-    still spreads across the pool; everything else becomes one-cell units.
-    Units come out ordered by their first cell's result index, which keeps
-    the serial path's execution order deterministic.
-    """
-    if not _groupable_kwargs(run_kwargs):
-        return [[job] for job in pending]
-    units: List[List[_Job]] = []
-    groups: Dict[int, List[_Job]] = {}
-    for job in pending:
-        engine_cls = engines[job[1]]
-        if engine_cls is not None and table_shareable(engine_cls):
-            groups.setdefault(job[1], []).append(job)
+    if shared_engine is not None:
+        key = (protocol.transition_key(), shared_engine)
+        table = tables.get(key)
+        if table is None:
+            tables[key] = protocol.compile()
         else:
-            units.append([job])
-    for group in groups.values():
-        shards = max(1, min(shard_count, len(group)))
-        base, remainder = divmod(len(group), shards)
-        cursor = 0
-        for index in range(shards):
-            size = base + (1 if index < remainder else 0)
-            units.append(group[cursor : cursor + size])
-            cursor += size
-    units.sort(key=lambda unit: unit[0][0])
-    return units
+            protocol.share_table(table)
+    convergence = convergence_factory(n) if convergence_factory is not None else None
+    result = run_protocol(
+        protocol,
+        n,
+        seed=seed,
+        max_parallel_time=max_parallel_time,
+        convergence=convergence,
+        engine_cls=engine,
+        **run_kwargs,
+    )
+    return SweepPoint(n=n, seed=seed, result=result)
+
+
+def _execute_in_worker(*args) -> SweepPoint:
+    """:func:`_execute_cell` on this pool worker's table cache."""
+    return _execute_cell(*args, _worker_tables)
 
 
 def _run_jobs(
@@ -373,13 +292,8 @@ def _run_jobs(
     engine: EngineSpec,
     store,
     run_kwargs: Dict[str, object],
-    backend: str = "auto",
 ) -> List[SweepPoint]:
     """Shared scheduler behind :func:`run_many` and :func:`run_cells`."""
-    if backend not in _BACKENDS:
-        raise ConfigurationError(
-            f"unknown sweep backend {backend!r}; expected one of {_BACKENDS}"
-        )
     if run_kwargs.get("resume"):
         raise ConfigurationError(
             "resume=True cannot be used in a sweep: every cell would resume "
@@ -421,70 +335,52 @@ def _run_jobs(
 
     points: Dict[int, SweepPoint] = dict(cached)
 
-    def record(
-        unit_jobs: List[_Job], outcomes: List[Union[SweepPoint, Exception]]
-    ) -> None:
-        # Stream every completed cell into the store the moment its unit
+    def record(job: _Job, point: SweepPoint) -> None:
+        # Stream every completed cell into the store the moment it
         # finishes: an interrupt after this call cannot lose the cell.
-        for (index, n, seed, key, inputs), outcome in zip(unit_jobs, outcomes):
-            if isinstance(outcome, Exception):
-                failures.append((n, seed, outcome))
-                continue
-            if store is not None and key is not None:
-                store.save_result(key, outcome.result, inputs)
-                outcome.extra["cached"] = False
-            points[index] = outcome
+        index, _, _, key, inputs = job
+        if store is not None and key is not None:
+            store.save_result(key, point.result, inputs)
+            point.extra["cached"] = False
+        points[index] = point
 
-    def fail(unit_jobs: List[_Job], error: BaseException) -> None:
-        failures.extend((n, seed, error) for _, n, seed, _, _ in unit_jobs)
+    shared = _shared_engines(factory, {job[1] for job in pending}, engine, run_kwargs)
+
+    def arguments(job: _Job) -> tuple:
+        _, n, seed, _, _ = job
+        return (
+            factory,
+            n,
+            seed,
+            max_parallel_time,
+            convergence_factory,
+            engine,
+            dict(run_kwargs),
+            shared[n],
+        )
 
     effective = max(1, min(workers, available_cpus(), len(pending) or 1))
-    # One resolution per size feeds both the planner and the backend choice.
-    engines = _resolve_sizes(factory, {job[1] for job in pending}, engine)
-    units = _plan_units(pending, engines, run_kwargs, shard_count=effective)
-    if effective <= 1 or len(units) <= 1:
-        for unit_jobs in units:
+    if effective <= 1:
+        tables: _TableCache = {}
+        for job in pending:
             try:
-                outcomes = _execute_unit(
-                    factory,
-                    [(n, seed) for _, n, seed, _, _ in unit_jobs],
-                    max_parallel_time,
-                    convergence_factory,
-                    engine,
-                    dict(run_kwargs),
-                )
+                point = _execute_cell(*arguments(job), tables)
             except Exception as error:  # noqa: BLE001 - surfaced via SweepError
-                fail(unit_jobs, error)
+                failures.append((job[1], job[2], error))
             else:
-                record(unit_jobs, outcomes)
+                record(job, point)
     else:
-        max_workers = min(effective, len(units))
-        # Threads and processes share the Future/as_completed protocol, so
-        # the backend decision is purely which executor class drains the
-        # units.  record() always runs here in the submitting thread, so
-        # store writes stay single-threaded on both backends.
-        use_threads = _use_thread_backend(backend, engines.values(), run_kwargs)
-        executor_cls = ThreadPoolExecutor if use_threads else ProcessPoolExecutor
-        with executor_cls(max_workers=max_workers) as executor:
-            futures = {
-                executor.submit(
-                    _execute_unit,
-                    factory,
-                    [(n, seed) for _, n, seed, _, _ in unit_jobs],
-                    max_parallel_time,
-                    convergence_factory,
-                    engine,
-                    dict(run_kwargs),
-                ): unit_jobs
-                for unit_jobs in units
-            }
+        # record() runs here, in the submitting process, so store writes
+        # stay single-threaded.
+        with ProcessPoolExecutor(max_workers=effective, initializer=_start_worker) as pool:
+            futures = {pool.submit(_execute_in_worker, *arguments(job)): job for job in pending}
             for future in as_completed(futures):
-                unit_jobs = futures[future]
+                job = futures[future]
                 error = future.exception()
                 if error is not None:
-                    fail(unit_jobs, error)
+                    failures.append((job[1], job[2], error))
                 else:
-                    record(unit_jobs, future.result())
+                    record(job, future.result())
     if failures:
         ordered = [points[index] for index in sorted(points)]
         raise SweepError(failures, ordered)
@@ -501,7 +397,6 @@ def run_many(
     convergence_factory: Optional[ConvergenceFactory] = None,
     workers: Optional[int] = None,
     engine: EngineSpec = None,
-    backend: str = "auto",
     store: Union["ExperimentStore", str, Path, None] = None,  # noqa: F821
     **run_kwargs: object,
 ) -> List[SweepPoint]:
@@ -524,30 +419,22 @@ def run_many(
         Optional callable building the convergence predicate for a given
         population size (defaults to the standard single-leader predicate).
     workers:
-        ``None`` or ``0``/``1`` runs serially, one seed at a time on the
-        calling thread; larger values drain the work units through
-        ``min(workers, available CPUs, pending cells)`` pool workers
-        (available CPUs respect the scheduler affinity mask and
-        ``REPRO_MAX_WORKERS``, see :func:`available_cpus`).  This is the
-        only parallelism a sweep has.  Serial execution is the default
-        because individual runs are already long relative to scheduling
-        overhead and serial mode keeps tracebacks simple.
+        ``None`` or ``0``/``1`` runs serially, one cell at a time in this
+        process; larger values drain the cells through ``min(workers,
+        available CPUs, pending cells)`` worker processes (available CPUs
+        respect the scheduler affinity mask and ``REPRO_MAX_WORKERS``, see
+        :func:`available_cpus`).  This is the only parallelism a sweep
+        has, and it never changes results: cells are bit-identical at
+        every worker count.  Serial execution is the default because
+        individual runs are already long relative to scheduling overhead
+        and serial mode keeps tracebacks simple.
     engine:
         Engine specification — a name, ``"auto"``, an engine class, or
         ``None`` for the default sequential engine (see
-        :func:`repro.engine.dispatch.resolve_engine`).  Cells of one size
-        share one protocol table when the resolved engine allows it
-        (bit-identical per cell; see the module docstring).
-    backend:
-        Worker-pool flavour when ``workers > 1``: ``"process"`` (one OS
-        process per worker, full isolation, pickling at the boundary),
-        ``"thread"`` (one thread per worker in this process — no pickling,
-        shared kernel caches and store handle; parallel only when the
-        engine's hot loop releases the GIL), or ``"auto"`` (the default:
-        threads exactly when every cell resolves to a GIL-releasing kernel
-        engine, processes otherwise).  The backend never changes results —
-        cells are bit-identical across ``"thread"``, ``"process"`` and
-        serial execution.
+        :func:`repro.engine.dispatch.resolve_engine`).  Cells on a
+        per-agent engine share each worker's table for their calibration,
+        across seeds and sizes (bit-identical per cell; see the module
+        docstring).
     store:
         Optional on-disk experiment store (directory path or
         :class:`~repro.experiments.store.ExperimentStore`).  Completed
@@ -599,7 +486,6 @@ def run_many(
         engine=engine,
         store=store,
         run_kwargs=dict(run_kwargs),
-        backend=backend,
     )
 
 
@@ -612,20 +498,18 @@ def run_cells(
     convergence_factory: Optional[ConvergenceFactory] = None,
     workers: int = 0,
     engine: EngineSpec = None,
-    backend: str = "auto",
     store: Union["ExperimentStore", str, Path, None] = None,  # noqa: F821
     **run_kwargs: object,
 ) -> List[SweepPoint]:
     """Run one population size across an explicit seed list.
 
-    The experiment layer's entry into the sweep scheduler
+    The experiment layer's entry into the sweep scheduler for one cell
     (:func:`repro.experiments.runner.run_cell` routes recorder-free cells
-    here): same store resumability, cell grouping, worker-pool
-    ``backend`` selection and failure semantics as :func:`run_many`, but
-    with caller-provided seeds and a single ``n``.  When
-    ``convergence_factory`` is ``None`` the predicate comes from the
-    protocol's own ``convergence()`` hook (the experiment convention),
-    falling back to the single-leader default.
+    here): same store resumability, worker pool, table sharing and
+    failure semantics as :func:`run_many`, but with caller-provided seeds
+    and a single ``n``.  When ``convergence_factory`` is ``None`` the
+    predicate comes from the protocol's own ``convergence()`` hook (the
+    experiment convention), falling back to the single-leader default.
     """
     if not seeds:
         raise ConfigurationError("run_cells requires at least one seed")
@@ -645,5 +529,4 @@ def run_cells(
         engine=engine,
         store=store,
         run_kwargs=dict(run_kwargs),
-        backend=backend,
     )

@@ -20,12 +20,13 @@ is the agent listed first and is typically the one updated.
 from __future__ import annotations
 
 import abc
+import json
 import threading
 from dataclasses import dataclass, field
 from itertools import groupby
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, Hashable, Iterable, List, Optional, Sequence
 
-from repro.errors import ProtocolError
+from repro.errors import ConfigurationError, ProtocolError
 from repro.types import State, TransitionResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -175,9 +176,9 @@ class PopulationProtocol(abc.ABC):
         — the basis of the engines' shared-transition guarantee and a warm
         start for repeated runs.  Passing an ``encoder`` always builds a
         fresh, uncached table on top of it.  Caching is thread-safe
-        (double-checked against a module lock), so two thread-backend sweep
-        workers building engines on one shared protocol get the same table
-        instead of racing two into existence.
+        (double-checked against a module lock), so two threads building
+        engines on one shared protocol get the same table instead of racing
+        two into existence.
         """
         from repro.engine.table import TransitionTable
 
@@ -191,6 +192,37 @@ class PopulationProtocol(abc.ABC):
                     table = TransitionTable(self)
                     self._compiled_table = table
         return table
+
+    def share_table(self, table: "TransitionTable") -> None:
+        """Make :meth:`compile` return ``table``, compiled by another instance.
+
+        ``table`` must come from a protocol with an equal
+        :meth:`transition_key`, which promises the same transition and
+        output functions; anything else raises
+        :class:`~repro.errors.ConfigurationError`.  The sweep scheduler
+        hands each worker's cached table to every later cell of the same
+        calibration this way (:mod:`repro.engine.parallel`).
+        """
+        if table.protocol.transition_key() != self.transition_key():
+            raise ConfigurationError(
+                f"cannot share a table compiled for {table.protocol!r} with "
+                f"{self!r}: their transition keys differ"
+            )
+        with _compile_lock:
+            self._compiled_table = table
+
+    def transition_key(self) -> Hashable:
+        """Hashable identity of the transition and output functions.
+
+        Two instances with equal keys must have identical :meth:`transition`
+        and :meth:`output` functions, so one compiled
+        :class:`~repro.engine.table.TransitionTable` can serve both (see
+        :meth:`share_table`).  The default is the canonical JSON text of
+        :meth:`fingerprint`; a protocol whose rules read only some of its
+        parameters overrides it with just those, so instances built for
+        different population sizes share a table.
+        """
+        return json.dumps(self.fingerprint(), sort_keys=True)
 
     def describe_state(self, state: State) -> str:
         """Human readable rendering of a state (for traces and debugging)."""

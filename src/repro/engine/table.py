@@ -61,21 +61,23 @@ per-run quantities (state counts, ever-occupied tracking, interaction
 counters) stay in the engines.  What sharing can change is the identifier
 layout of lazily discovered states, which follows the table's compilation
 history.  The per-agent engines never let an identifier steer randomness,
-so their runs are identical on a fresh or a warm table, and the sweep
-scheduler runs a size's seeds on one protocol instance for them (its
-table-sharing units, see :func:`repro.engine.dispatch.table_shareable`).
-The count-space engines sample by identifier order: the scheduler builds
-them a fresh protocol per run.
+so their runs are identical on a fresh or a warm table.  For them each
+sweep worker keeps one table per calibration for the whole sweep and
+hands it to every cell whose protocol has an equal
+:meth:`~repro.engine.protocol.PopulationProtocol.transition_key` (see
+:func:`repro.engine.dispatch.table_shareable`).  The count-space engines
+sample by identifier order: every run of theirs compiles a fresh table.
 
 Thread safety
 =============
 
-Engines on one table may now live in different threads (the sweep
-scheduler's ``backend="thread"`` path, :mod:`repro.engine.parallel`), so
-every lazily *extending* operation — state registration, pair compilation,
-packed-array growth, output memoisation, view-vector extension — runs under
-one per-table lock, double-checked so the compiled hot paths (a ``delta``
-dict hit, an already-interned state, a filled view vector) stay lock-free.
+Sweep workers are processes, each with its own tables
+(:mod:`repro.engine.parallel`), but one table stays safe to share between
+threads of a process: every lazily *extending* operation — state
+registration, pair compilation, packed-array growth, output memoisation,
+view-vector extension — runs under one per-table lock, double-checked so
+the compiled hot paths (a ``delta`` dict hit, an already-interned state, a
+filled view vector) stay lock-free.
 Readers that hand raw buffer addresses to the C kernels must snapshot the
 packed array and its capacity *together* through :meth:`packed_view`:
 growth swaps in a new array, and pairing a stale capacity with a fresh
@@ -362,13 +364,19 @@ class TransitionTable:
         """``state id -> output-symbol id`` map for ids ``< size``.
 
         Forces memoisation of any not-yet-evaluated outputs, so the returned
-        array (a view into the table) contains no ``-1`` entries below
-        ``size``.
+        array (a view into the table) has length ``size`` and no ``-1``
+        entries.  A fully memoised prefix is served lock-free; otherwise
+        the scan runs under the table lock, where the encoder and the
+        output array cannot be caught mid-growth (a state registered but
+        its array not yet grown would escape a lock-free scan).
         """
         ids = self._output_ids
-        for sid in np.flatnonzero(ids[:size] < 0).tolist():
-            self.output_of(sid)
-        return self._output_ids[:size]
+        if ids.shape[0] >= size and not (ids[:size] < 0).any():
+            return ids[:size]
+        with self._lock:
+            for sid in np.flatnonzero(self._output_ids[:size] < 0).tolist():
+                self.output_of(sid)
+            return self._output_ids[:size]
 
     def aggregate_counts(self, counts: np.ndarray) -> Dict[str, int]:
         """Aggregate a dense state-count vector by output symbol.

@@ -224,7 +224,7 @@ class CategoricalView(StateView):
         # The interning tables are shared by every TransitionTable holding
         # this view's compiled codes, and each table compiles under its
         # *own* lock — so concurrent compilation of one view against two
-        # tables (a thread-backend sweep) must serialise here, not there.
+        # tables from two threads must serialise here, not there.
         self._lock = threading.Lock()
         for category in categories:
             self._intern(category)

@@ -139,12 +139,12 @@ def run_cell(
 
     Recorder-free cells go through the sweep scheduler
     (:func:`repro.engine.parallel.run_cells`): seeds on a per-agent engine
-    share one protocol and its compiled table (bit-identical per seed),
-    ``workers > 1`` runs missing seeds in parallel on a worker pool (the
-    only parallelism; serial otherwise), and every completed seed is
-    persisted as it finishes.  Cells with recorders keep the in-process
-    serial loop — recorders observe a live engine and cannot cross a
-    process boundary.
+    share one compiled table per worker (bit-identical per seed),
+    ``workers > 1`` runs missing seeds in parallel on a pool of worker
+    processes (the only parallelism; serial otherwise), and every
+    completed seed is persisted as it finishes.  Cells with recorders keep
+    the in-process serial loop — recorders observe a live engine and
+    cannot cross a process boundary.
 
     ``scenario`` (a :class:`~repro.scenarios.Scenario`) runs every seed
     under a non-default interaction model.  Scenario cells use the serial
@@ -209,14 +209,42 @@ def sweep(
 ) -> Dict[int, List[tuple]]:
     """Run a full (sizes × seeds) sweep; returns ``{n: [(result, recorders)]}``.
 
-    ``store`` and ``workers`` are forwarded to :func:`run_cell` (cell-level
-    resumability and multi-process scheduling for recorder-free sweeps),
-    as is ``scenario`` (non-default interaction model; scenario cells run
-    through the serial loop).  Seeds are spawned prefix-stably from
+    A recorder-free, scenario-free sweep is one call of the sweep
+    scheduler (:func:`repro.engine.parallel.run_many`) over every size: one
+    pool of ``workers`` processes steals cells across all sizes, each
+    worker compiles one table per calibration for the whole sweep, and
+    ``store`` makes every cell resumable.  The predicate is the
+    protocol's own ``convergence()`` hook, as in :func:`run_cell`, so cell
+    keys equal those of the per-size path.  Sweeps with recorders or a
+    ``scenario`` (non-default interaction model) run size by size through
+    :func:`run_cell`'s serial loop.  Seeds are spawned prefix-stably from
     ``base_seed``, so extending ``ns`` or ``repetitions`` keeps the keys —
     and therefore the stored results — of the smaller sweep valid.
     """
     ns = [int(n) for n in ns]
+    if scenario is not None:
+        from repro.scenarios import active_scenario
+
+        scenario = active_scenario(scenario)
+    if recorder_factory is None and scenario is None and ns:
+        from repro.engine.parallel import _ProtocolConvergence, run_many
+
+        points = run_many(
+            protocol_factory,
+            ns,
+            repetitions=repetitions,
+            base_seed=base_seed,
+            max_parallel_time=max_parallel_time,
+            convergence_factory=_ProtocolConvergence(protocol_factory),
+            workers=workers,
+            engine=engine,
+            store=store,
+            **({"check_every": check_every} if check_every else {}),
+        )
+        return {
+            n: [(point.result, []) for point in points[i * repetitions : (i + 1) * repetitions]]
+            for i, n in enumerate(ns)
+        }
     seeds = spawn_seeds(base_seed, len(ns) * repetitions)
     cells: Dict[int, List[tuple]] = {}
     cursor = 0

@@ -9,13 +9,13 @@ and its key is the SHA-256 of the canonical JSON rendering of those inputs
 cells are written as small JSON files under ``<store>/cells/``;
 :func:`repro.engine.parallel.run_many` consults the store before running a
 cell and **streams every completed cell in as it finishes** (completion
-order, not submission order — the sweep scheduler records each work unit
-the moment its future resolves), so an interrupted 45-minute sweep loses
-at most the cells in flight and a restart with the same arguments redoes
+order, not submission order — the sweep scheduler records each cell the
+moment its future resolves), so an interrupted 45-minute sweep loses at
+most the cells in flight and a restart with the same arguments redoes
 none of the finished work.  Cell keys are independent of how the
-scheduler executed the cell: serial, thread-pool and multi-process runs,
-alone or in a table-sharing unit, produce the same key and the same
-result, so stores written by any mode resume any other.
+scheduler executed the cell: serial and multi-process runs, on a fresh or
+a shared table, produce the same key and the same result, so stores
+written by either mode resume the other.
 
 The registry layer caches at coarser granularity: a full
 :class:`~repro.experiments.runner.ExperimentResult` keyed by

@@ -166,6 +166,11 @@ class GS18LeaderElection(PopulationProtocol):
     def output(self, state: GS18State) -> str:
         return LEADER_OUTPUT if state.candidate else FOLLOWER_OUTPUT
 
+    def transition_key(self) -> tuple:
+        # n_hint is validation-only: every size of a calibration shares a table.
+        params, cls = self.params, type(self)
+        return (f"{cls.__module__}.{cls.__qualname__}", params.gamma, params.phi, params.psi)
+
     # ------------------------------------------------------------------
     def phase_of(self, state: GS18State) -> int:
         """Clock-phase accessor (round-tracking utilities)."""

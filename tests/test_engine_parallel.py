@@ -298,7 +298,7 @@ def test_sweep_refuses_resume(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Table-sharing units: per-agent cells share one protocol per unit
+# Table sharing: per-agent cells share one table per calibration
 # ----------------------------------------------------------------------
 def _gsu_factory(n: int):
     from repro.core.protocol import GSULeaderElection
@@ -363,19 +363,22 @@ def _protocols_used(monkeypatch) -> list:
     return used
 
 
-@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+@pytest.mark.parametrize("backend", ["serial", "process"])
 def test_table_sharing_units_match_fresh_runs(backend, tmp_path, monkeypatch):
-    """Sharing one protocol across seeds reproduces every fresh cell exactly.
+    """Sharing one table across seeds and sizes reproduces every fresh cell.
 
-    The per-agent engines never let a state id steer randomness, so a seed
-    run on a table another seed already filled is the fresh run, field for
-    field; cell keys do not depend on grouping, so the store holds every
-    cell under the key a one-cell sweep uses.
+    Both sizes of each protocol have one calibration, so a worker's cells
+    all run on one table.  The per-agent engines never let a state id steer
+    randomness, so a seed run on a table other cells already filled is the
+    fresh run, field for field; cell keys do not depend on sharing, so the
+    store holds every cell under the key a one-cell sweep uses.
     """
     monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
     store = ExperimentStore(tmp_path / "shared")
     reference_store = ExperimentStore(tmp_path / "fresh")
     for name, factory in sorted(_SHARING_FACTORIES.items()):
+        keys = {factory(n).transition_key() for n in _SHARING_SIZES}
+        assert len(keys) == 1
         convergence = parallel._ProtocolConvergence(factory)
         points = run_many(
             factory,
@@ -386,7 +389,6 @@ def test_table_sharing_units_match_fresh_runs(backend, tmp_path, monkeypatch):
             convergence_factory=convergence,
             engine="auto",
             workers=0 if backend == "serial" else 2,
-            backend="auto" if backend == "serial" else backend,
             store=store,
         )
         for point in points:
@@ -402,10 +404,64 @@ def test_table_sharing_units_match_fresh_runs(backend, tmp_path, monkeypatch):
             )
 
 
-def test_run_cells_shares_one_protocol_per_unit(monkeypatch):
+def test_sweep_shares_one_table_per_calibration(monkeypatch):
+    # Every cell builds its own protocol; per-agent cells of one
+    # calibration compile to one table, across sizes too.
     used = _protocols_used(monkeypatch)
-    run_cells(_gsu_factory, 256, [1, 2, 3], max_parallel_time=50.0, engine="auto")
-    assert len(used) == 3 and len({id(protocol) for protocol in used}) == 1
+    run_many(_gsu_factory, [256, 512], repetitions=2, max_parallel_time=50.0, engine="auto")
+    assert len(used) == 4 and len({id(protocol) for protocol in used}) == 4
+    assert len({id(protocol.compile()) for protocol in used}) == 1
+
+
+def test_serial_sweep_compiles_each_pair_once(monkeypatch):
+    from repro.core.protocol import GSULeaderElection
+
+    evaluated = []
+    transition = GSULeaderElection.transition
+
+    def counting(self, responder, initiator):
+        evaluated.append((responder, initiator))
+        return transition(self, responder, initiator)
+
+    monkeypatch.setattr(GSULeaderElection, "transition", counting)
+    used = _protocols_used(monkeypatch)
+    run_many(_gsu_factory, [256, 512], repetitions=2, max_parallel_time=200.0, engine="auto")
+    (table,) = {id(protocol.compile()): protocol.compile() for protocol in used}.values()
+    assert len(evaluated) == len(set(evaluated)) == table.compiled_pairs
+
+
+def test_transition_keys_name_the_calibration():
+    from repro.experiments.config import ExperimentConfig
+    from repro.experiments.table1 import SIMULATED_PROTOCOLS
+
+    sizes = ExperimentConfig.default().population_sizes
+    factories = {name: factory for name, factory, _ in SIMULATED_PROTOCOLS}
+    for name in ("gsu19-leader-election", "gs18-leader-election"):
+        keys = {factories[name](n).transition_key() for n in sizes}
+        assert len(keys) == 1, name
+    lottery = factories["lottery-leader-election"]
+    keys = {lottery(n).transition_key() for n in (256, 512, 1024)}
+    assert len(keys) == 3
+    with pytest.raises(ConfigurationError, match="transition keys differ"):
+        lottery(256).share_table(lottery(512).compile())
+
+
+def test_table1_cell_key_is_pinned(tmp_path):
+    # One GSU19 cell of the default Table 1 sweep, stored through
+    # runner.sweep: table sharing must not change cell keys.
+    from repro.experiments.config import ExperimentConfig
+    from repro.experiments.runner import sweep
+    from repro.experiments.table1 import SIMULATED_PROTOCOLS
+
+    config = ExperimentConfig.default()
+    _, factory, _ = SIMULATED_PROTOCOLS[3]
+    sweep(
+        factory, [256], repetitions=1, base_seed=config.base_seed,
+        max_parallel_time=config.max_parallel_time, engine="auto", store=tmp_path,
+    )
+    assert [path.stem for path in (tmp_path / "cells").glob("*.json")] == [
+        "357bd6815118c7bb39681032e6f08a6dae79fcdefefa527552194a5466cc7ee4"
+    ]
 
 
 @pytest.mark.parametrize(
@@ -432,49 +488,10 @@ def test_ungroupable_cells_run_on_fresh_protocols(run_kwargs, tmp_path, monkeypa
         engine="sequential", **run_kwargs,
     )
     assert len(used) == 3 and len({id(protocol) for protocol in used}) == 3
+    assert len({id(protocol.compile()) for protocol in used}) == 3
 
 
-def test_plan_units_groups_by_resolved_engine():
-    from repro.engine.count_batch import CountBatchEngine
-    from repro.engine.engine import SequentialEngine
-    from repro.engine.fast_batch import FastBatchEngine
-    from repro.engine.tauleap import TauLeapEngine
-
-    engines = {
-        16: FastBatchEngine,
-        32: SequentialEngine,
-        64: CountBatchEngine,
-        128: TauLeapEngine,
-        256: None,  # failed to resolve: the cell fails in its worker
-    }
-    pending = [
-        (index, n, seed, None, None)
-        for index, (n, seed) in enumerate(
-            (n, seed) for n in engines for seed in (1, 2, 3)
-        )
-    ]
-
-    def sizes(units):
-        return [[job[1] for job in jobs] for jobs in units]
-
-    # Per-agent engines share a table; count-space, approximate and
-    # unresolved sizes run one cell per unit.
-    serial = parallel._plan_units(pending, engines, {}, shard_count=1)
-    assert sizes(serial) == [
-        [16, 16, 16],
-        [32, 32, 32],
-        *[[n] for n in (64, 64, 64, 128, 128, 128, 256, 256, 256)],
-    ]
-    # Two workers: each group is sharded so both get work.
-    sharded = parallel._plan_units(pending, engines, {}, shard_count=2)
-    assert sizes(sharded)[:4] == [[16, 16], [16], [32, 32], [32]]
-    ungroupable = parallel._plan_units(
-        pending, engines, {"raise_on_budget": True}, shard_count=1
-    )
-    assert all(len(jobs) == 1 for jobs in ungroupable)
-
-
-@pytest.mark.parametrize("backend", ["serial", "thread"])
+@pytest.mark.parametrize("backend", ["serial", "process"])
 def test_failing_seed_in_sharing_unit_fails_only_its_cell(backend, tmp_path, monkeypatch):
     monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
     original = parallel.run_protocol
@@ -491,7 +508,6 @@ def test_failing_seed_in_sharing_unit_fails_only_its_cell(backend, tmp_path, mon
         run_cells(
             _gsu_factory, 256, seeds, max_parallel_time=50.0, engine="auto",
             workers=0 if backend == "serial" else 2,
-            backend="auto" if backend == "serial" else backend,
             store=store,
         )
     error = excinfo.value

@@ -1,10 +1,9 @@
-"""In-process parallelism: the CPU budget, sweep backends, locking.
+"""In-process parallelism: the CPU budget, pooled sweeps, locking.
 
 Two properties are pinned here:
 
-* **Backend invariance** — the sweep scheduler's ``backend="thread"`` /
-  ``"process"`` / serial paths produce identical cells and share one store
-  key space.
+* **Pool invariance** — the sweep scheduler's worker processes produce
+  the serial cells exactly.
 * **Table thread-safety** — the lazily extending ``TransitionTable``
   structures (delta memo, packed LUT, output maps, view vectors) survive
   concurrent extension from many threads and end up exactly as a serial
@@ -16,19 +15,16 @@ from __future__ import annotations
 import os
 import threading
 
+import numpy as np
 import pytest
 
 from repro.core.protocol import GSULeaderElection
 from repro.engine import parallel
-from repro.engine._count_kernel import count_kernel_available
-from repro.engine.count_batch import CountBatchEngine
 from repro.engine.cpus import available_cpus
-from repro.engine.dispatch import releases_gil
-from repro.engine.parallel import run_cells, run_many
+from repro.engine.parallel import SweepPoint, run_many
+from repro.engine.simulation import run_protocol
 from repro.engine.state import StateEncoder
 from repro.engine.views import PredicateView
-from repro.errors import ConfigurationError
-from repro.experiments.store import ExperimentStore
 from repro.protocols.slow import SlowLeaderElection
 
 
@@ -63,7 +59,7 @@ def test_sweep_worker_clamp_uses_shared_cpu_budget(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Sweep backends: thread vs process vs serial
+# Pooled sweeps vs serial
 # ----------------------------------------------------------------------
 def _cell_signature(points):
     return [
@@ -73,77 +69,25 @@ def _cell_signature(points):
     ]
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("backend", ["serial", "process"])
 def test_pooled_backends_bit_identical_to_serial(monkeypatch, backend):
-    serial = run_many(
-        _slow_factory, [16, 32], repetitions=2, base_seed=3, max_parallel_time=1000
-    )
+    """Serial and 2-process sweeps both equal one plain run per cell."""
     monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
-    pooled = run_many(
+    points = run_many(
         _slow_factory,
         [16, 32],
         repetitions=2,
         base_seed=3,
         max_parallel_time=1000,
-        workers=2,
-        backend=backend,
+        workers=0 if backend == "serial" else 2,
     )
-    assert _cell_signature(pooled) == _cell_signature(serial)
-
-
-def test_thread_backend_shares_store(monkeypatch, tmp_path):
-    monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
-    store = ExperimentStore(tmp_path)
-    first = run_cells(
-        _slow_factory, 32, [7, 8, 9], max_parallel_time=1000,
-        workers=3, backend="thread", store=store,
-    )
-    assert store.stored == 3
-    again = run_cells(
-        _slow_factory, 32, [7, 8, 9], max_parallel_time=1000,
-        workers=3, backend="thread", store=store,
-    )
-    assert [p.extra.get("cached") for p in again] == [True, True, True]
-    assert [p.seed for p in again] == [p.seed for p in first]
-    assert store.stored == 3
-
-
-def test_unknown_backend_rejected():
-    with pytest.raises(ConfigurationError):
-        run_many(_slow_factory, [16], repetitions=1, backend="fiber")
-
-
-def test_releases_gil_predicate():
-    from repro.engine._ckernel import kernel_available
-    from repro.engine.engine import SequentialEngine
-    from repro.engine.fast_batch import FastBatchEngine
-
-    assert releases_gil(CountBatchEngine) == count_kernel_available()
-    assert not releases_gil(CountBatchEngine, {"kernel": "python"})
-    assert releases_gil(FastBatchEngine) == kernel_available()
-    assert not releases_gil(FastBatchEngine, {"kernel": "numpy"})
-    assert not releases_gil(SequentialEngine)
-
-
-def test_auto_backend_selection():
-    def engines(spec):
-        return parallel._resolve_sizes(_slow_factory, {64}, spec).values()
-
-    # Explicit wins unconditionally.
-    assert parallel._use_thread_backend("thread", engines(None), {})
-    assert not parallel._use_thread_backend("process", engines(None), {})
-    # The sequential engine holds the GIL -> auto picks processes.
-    assert not parallel._use_thread_backend("auto", engines(None), {})
-    # The count-batch kernel engine releases it -> auto picks threads
-    # (exactly when the kernel is actually compiled here).
-    verdict = parallel._use_thread_backend("auto", engines("countbatch"), {})
-    assert verdict == count_kernel_available()
-    # Forcing the interpreted kernel flips auto back to processes.
-    assert not parallel._use_thread_backend(
-        "auto", engines("countbatch"), {"engine_kwargs": {"kernel": "python"}}
-    )
-    # A size that fails to resolve (it will fail in its worker) -> processes.
-    assert not parallel._use_thread_backend("auto", engines("no-such-engine"), {})
+    fresh = [
+        SweepPoint(p.n, p.seed, run_protocol(
+            _slow_factory(p.n), p.n, seed=p.seed, max_parallel_time=1000
+        ))
+        for p in points
+    ]
+    assert _cell_signature(points) == _cell_signature(fresh)
 
 
 # ----------------------------------------------------------------------
@@ -212,3 +156,52 @@ def test_concurrent_table_extension_hammer():
     values = table.view_values(is_leader)
     for sid in range(k):
         assert values[sid] == is_leader.compile_state(table.encoder.decode(sid))
+
+
+def test_output_id_array_while_table_grows():
+    """An output map read while another thread's pair compile has
+    registered a new state but not yet grown the table covers that state.
+
+    The compile is held between registration and growth; the concurrent
+    reader must wait for the growth and memoise the new id, never return a
+    short array or a ``-1`` entry.
+    """
+    from repro.engine.protocol import ProtocolSpec
+
+    protocol = ProtocolSpec(
+        name="counter",
+        initial=0,
+        rules=lambda responder, initiator: (max(responder, initiator) + 1, initiator),
+        outputs=lambda state: "L" if state % 2 else "F",
+    )
+    table = protocol.compile()
+    for state in range(table.capacity):
+        table.encode(state)
+    size = table.capacity + 1
+    grow = table._grow
+    registered, proceed = threading.Event(), threading.Event()
+
+    def held_grow(new_size: int) -> None:
+        registered.set()
+        assert proceed.wait(timeout=30)
+        grow(new_size)
+
+    table._grow = held_grow
+    results = []
+    compiler = threading.Thread(
+        target=table.apply, args=(size - 2, size - 2)
+    )
+    compiler.start()
+    assert registered.wait(timeout=30)
+    assert len(table.encoder) == size
+    reader = threading.Thread(target=lambda: results.append(table.output_id_array(size)))
+    reader.start()
+    reader.join(timeout=0.2)
+    proceed.set()
+    compiler.join(timeout=30)
+    reader.join(timeout=30)
+    (ids,) = results
+    assert ids.shape == (size,)
+    expected = [table._symbol_ids[protocol.output(state)] for state in range(size)]
+    assert ids.tolist() == expected
+    assert int(np.min(ids)) >= 0

@@ -57,6 +57,13 @@ with the sweep.  Count-space engines (whose trajectories depend on the id
 layout), recorders, checkpoints, ``scenario=`` and ``raise_on_budget``
 give every cell its own fresh table.
 
+Recorder and scenario cells take the same path at every worker count.
+``recorder_factory=`` builds each cell's recorders in the process that
+runs the cell, and they return, pickled, on :attr:`SweepPoint.recorders`;
+recorder cells skip the store, because their series are not persisted.  A
+``scenario=`` is a run keyword like any other: it reaches every cell and
+enters the store key through :meth:`~repro.scenarios.Scenario.describe`.
+
 A failing cell does not abandon the sweep: the remaining units still run,
 completed cells are recorded, and the failures surface at the end as one
 :class:`~repro.errors.SweepError` carrying ``(n, seed, exception)`` triples
@@ -107,6 +114,7 @@ from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence,
 from repro.engine.convergence import ConvergencePredicate
 from repro.engine.cpus import available_cpus
 from repro.engine.dispatch import EngineSpec, resolve_engine, table_shareable
+from repro.engine.recorder import Recorder
 from repro.engine.rng import spawn_seeds
 from repro.engine.simulation import RunResult, run_protocol
 from repro.errors import ConfigurationError, SweepError
@@ -115,6 +123,7 @@ __all__ = ["SweepPoint", "available_cpus", "run_cells", "run_many"]
 
 ProtocolFactory = Callable[[int], "PopulationProtocol"]  # noqa: F821 - doc only
 ConvergenceFactory = Callable[[int], Optional[ConvergencePredicate]]
+RecorderFactory = Callable[[], Sequence[Recorder]]
 
 #: One sweep job: (result index, population size, seed, store key, store
 #: inputs) — key/inputs are ``None`` for storeless sweeps.
@@ -130,12 +139,18 @@ _worker_tables: _TableCache = {}
 
 @dataclass
 class SweepPoint:
-    """One (population size, seed) cell of a sweep and its result."""
+    """One (population size, seed) cell of a sweep and its result.
+
+    ``recorders`` are the cell's recorders from the sweep's
+    ``recorder_factory`` (empty without one), returned with the series they
+    observed.
+    """
 
     n: int
     seed: int
     result: RunResult
     extra: Dict[str, object] = field(default_factory=dict)
+    recorders: List[Recorder] = field(default_factory=list)
 
 
 def _cell_key_for(
@@ -160,6 +175,9 @@ def _cell_key_for(
         convergence_factory(n) if convergence_factory is not None else None
     )
     description = convergence.description if convergence is not None else None
+    extra = {key: run_kwargs[key] for key in sorted(run_kwargs)}
+    if extra.get("scenario") is not None:
+        extra["scenario"] = extra["scenario"].describe()
     inputs = store.cell_inputs(
         factory(n),
         n,
@@ -167,7 +185,7 @@ def _cell_key_for(
         engine=engine,
         convergence=description,
         max_parallel_time=max_parallel_time,
-        extra={key: run_kwargs[key] for key in sorted(run_kwargs)} or None,
+        extra=extra or None,
     )
     return content_key(inputs), inputs
 
@@ -245,12 +263,13 @@ def _execute_cell(
     seed: int,
     max_parallel_time: float,
     convergence_factory: Optional[ConvergenceFactory],
+    recorder_factory: Optional[RecorderFactory],
     engine: EngineSpec,
     run_kwargs: Dict[str, object],
     shared_engine: Optional[type],
     tables: _TableCache,
 ) -> SweepPoint:
-    """Run one cell on a fresh ``factory(n)``.
+    """Run one cell on a fresh ``factory(n)`` with its own recorders.
 
     With a ``shared_engine`` the protocol compiles to the table ``tables``
     holds for its calibration and that engine, which the first such cell
@@ -265,6 +284,8 @@ def _execute_cell(
         else:
             protocol.share_table(table)
     convergence = convergence_factory(n) if convergence_factory is not None else None
+    if recorder_factory is not None:
+        run_kwargs = {**run_kwargs, "recorders": list(recorder_factory())}
     result = run_protocol(
         protocol,
         n,
@@ -274,7 +295,9 @@ def _execute_cell(
         engine_cls=engine,
         **run_kwargs,
     )
-    return SweepPoint(n=n, seed=seed, result=result)
+    return SweepPoint(
+        n=n, seed=seed, result=result, recorders=list(run_kwargs.get("recorders", ()))
+    )
 
 
 def _execute_in_worker(*args) -> SweepPoint:
@@ -288,6 +311,7 @@ def _run_jobs(
     *,
     max_parallel_time: float,
     convergence_factory: Optional[ConvergenceFactory],
+    recorder_factory: Optional[RecorderFactory],
     workers: int,
     engine: EngineSpec,
     store,
@@ -299,6 +323,10 @@ def _run_jobs(
             "resume=True cannot be used in a sweep: every cell would resume "
             "the same checkpoint file; pass store= to resume a sweep"
         )
+    if recorder_factory is not None:
+        # Recorder series are live observations that are not persisted, so
+        # recorder cells always run, each on a fresh table.
+        store = None
     # Resolve every cell against the store first, so the scheduler only
     # ever sees the missing cells.
     cached: Dict[int, SweepPoint] = {}
@@ -344,7 +372,12 @@ def _run_jobs(
             point.extra["cached"] = False
         points[index] = point
 
-    shared = _shared_engines(factory, {job[1] for job in pending}, engine, run_kwargs)
+    sizes = {job[1] for job in pending}
+    shared = (
+        _shared_engines(factory, sizes, engine, run_kwargs)
+        if recorder_factory is None
+        else dict.fromkeys(sizes)
+    )
 
     def arguments(job: _Job) -> tuple:
         _, n, seed, _, _ = job
@@ -354,6 +387,7 @@ def _run_jobs(
             seed,
             max_parallel_time,
             convergence_factory,
+            recorder_factory,
             engine,
             dict(run_kwargs),
             shared[n],
@@ -395,6 +429,7 @@ def run_many(
     base_seed: int = 12345,
     max_parallel_time: float = 1024.0,
     convergence_factory: Optional[ConvergenceFactory] = None,
+    recorder_factory: Optional[RecorderFactory] = None,
     workers: Optional[int] = None,
     engine: EngineSpec = None,
     store: Union["ExperimentStore", str, Path, None] = None,  # noqa: F821
@@ -418,6 +453,12 @@ def run_many(
     convergence_factory:
         Optional callable building the convergence predicate for a given
         population size (defaults to the standard single-leader predicate).
+    recorder_factory:
+        Optional callable returning fresh recorders for one cell.  Each
+        cell builds its own in the process that runs it, and they come
+        back, with their series, on :attr:`SweepPoint.recorders`.  Recorder
+        cells never touch ``store`` and each compiles a fresh table.  Must
+        be picklable when ``workers > 1``.
     workers:
         ``None`` or ``0``/``1`` runs serially, one cell at a time in this
         process; larger values drain the cells through ``min(workers,
@@ -482,6 +523,7 @@ def run_many(
         jobs,
         max_parallel_time=max_parallel_time,
         convergence_factory=convergence_factory,
+        recorder_factory=recorder_factory,
         workers=workers or 0,
         engine=engine,
         store=store,
@@ -496,6 +538,7 @@ def run_cells(
     *,
     max_parallel_time: float,
     convergence_factory: Optional[ConvergenceFactory] = None,
+    recorder_factory: Optional[RecorderFactory] = None,
     workers: int = 0,
     engine: EngineSpec = None,
     store: Union["ExperimentStore", str, Path, None] = None,  # noqa: F821
@@ -503,13 +546,13 @@ def run_cells(
 ) -> List[SweepPoint]:
     """Run one population size across an explicit seed list.
 
-    The experiment layer's entry into the sweep scheduler for one cell
-    (:func:`repro.experiments.runner.run_cell` routes recorder-free cells
-    here): same store resumability, worker pool, table sharing and
-    failure semantics as :func:`run_many`, but with caller-provided seeds
-    and a single ``n``.  When ``convergence_factory`` is ``None`` the
-    predicate comes from the protocol's own ``convergence()`` hook (the
-    experiment convention), falling back to the single-leader default.
+    The experiments' entry into the sweep scheduler for one size with
+    their own seeds (``figure3``, ``matrix``): same recorders, store
+    resumability, worker pool, table sharing and failure semantics as
+    :func:`run_many`, but with caller-provided seeds and a single ``n``.
+    When ``convergence_factory`` is ``None`` the predicate comes from the
+    protocol's own ``convergence()`` hook (the experiment convention),
+    falling back to the single-leader default.
     """
     if not seeds:
         raise ConfigurationError("run_cells requires at least one seed")
@@ -525,6 +568,7 @@ def run_cells(
         jobs,
         max_parallel_time=max_parallel_time,
         convergence_factory=convergence_factory,
+        recorder_factory=recorder_factory,
         workers=workers,
         engine=engine,
         store=store,

@@ -76,6 +76,12 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"population sizes must be >= 8, got {self.population_sizes}"
             )
+        sizes = self.population_sizes
+        duplicates = sorted({n for n in sizes if sizes.count(n) > 1})
+        if duplicates:
+            raise ConfigurationError(
+                f"population sizes must be distinct, {duplicates} repeat"
+            )
         if self.repetitions < 1:
             raise ConfigurationError(
                 f"repetitions must be >= 1, got {self.repetitions}"

@@ -50,6 +50,11 @@ def idealised_survivor_series(n: int, params: GSUParams) -> Dict[int, float]:
     return series
 
 
+def _fast_elimination_trackers() -> List[FastEliminationTracker]:
+    """Recorder factory of one cell (module-level: sweep workers pickle it)."""
+    return [FastEliminationTracker()]
+
+
 def run_figure2(config: ExperimentConfig) -> ExperimentResult:
     """Run the Figure 2 experiment under ``config``."""
 
@@ -85,14 +90,15 @@ def run_figure2(config: ExperimentConfig) -> ExperimentResult:
 
         for n in config.population_sizes:
             cells = sweep(
-                lambda size: GSULeaderElection.for_population(size),
+                GSULeaderElection.for_population,
                 [n],
                 repetitions=config.repetitions,
                 base_seed=config.base_seed + n,
                 max_parallel_time=config.max_parallel_time,
-                recorder_factory=lambda: [FastEliminationTracker()],
+                recorder_factory=_fast_elimination_trackers,
                 check_every=max(1, n // 2),
                 engine=config.engine,
+                workers=config.workers,
             )
             params = GSUParams.from_population_size(n)
             idealised = idealised_survivor_series(n, params)

@@ -15,18 +15,18 @@ with a :class:`~repro.core.monitor.DragTickTracker` attached and reports:
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List
 
 from repro.analysis.stats import summarize
 from repro.core.monitor import DragTickTracker, inhibitor_drag_census
+from repro.core.params import GSUParams
 from repro.core.protocol import GSULeaderElection
 from repro.core.theory import predicted_drag_group_sizes
 from repro.engine.dispatch import EngineSpec, resolve_engine
+from repro.engine.parallel import run_cells
 from repro.engine.rng import spawn_seeds
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import ExperimentResult, convergence_for, timed
-from repro.engine.simulation import run_protocol
+from repro.experiments.runner import ExperimentResult, timed
 
 __all__ = ["run_figure3", "measure_inhibitor_groups"]
 
@@ -40,6 +40,11 @@ def measure_inhibitor_groups(
     engine = resolve_engine(engine, protocol, n)(protocol, n, rng=seed)
     engine.run_parallel_time(parallel_time)
     return inhibitor_drag_census(engine)
+
+
+def _drag_trackers() -> List[DragTickTracker]:
+    """Recorder factory of one cell (module-level: sweep workers pickle it)."""
+    return [DragTickTracker()]
 
 
 def run_figure3(config: ExperimentConfig) -> ExperimentResult:
@@ -71,33 +76,27 @@ def run_figure3(config: ExperimentConfig) -> ExperimentResult:
             ["n", "drag l", "measured D_l (mean)", "predicted D_l"],
         )
 
-        seeds = spawn_seeds(config.base_seed + 3, len(config.population_sizes) * config.repetitions)
-        cursor = 0
-        for n in config.population_sizes:
+        repetitions = config.repetitions
+        seeds = spawn_seeds(config.base_seed + 3, len(config.population_sizes) * repetitions)
+        for index, n in enumerate(config.population_sizes):
             tick_samples: Dict[int, List[float]] = {}
             group_samples: Dict[int, List[int]] = {}
-            psi = None
-            for _ in range(config.repetitions):
-                seed = seeds[cursor]
-                cursor += 1
-                protocol = GSULeaderElection.for_population(n)
-                psi = protocol.params.psi
-                tracker = DragTickTracker()
-                run_protocol(
-                    protocol,
-                    n,
-                    seed=seed,
-                    max_parallel_time=config.max_parallel_time,
-                    convergence=convergence_for(protocol),
-                    recorders=[tracker],
-                    check_every=max(1, n // 2),
-                    engine_cls=config.engine,
-                )
-                for level, interval in tracker.tick_intervals().items():
+            points = run_cells(
+                GSULeaderElection.for_population,
+                n,
+                seeds[index * repetitions : (index + 1) * repetitions],
+                max_parallel_time=config.max_parallel_time,
+                recorder_factory=_drag_trackers,
+                check_every=max(1, n // 2),
+                engine=config.engine,
+                workers=config.workers,
+            )
+            for point in points:
+                for level, interval in point.recorders[0].tick_intervals().items():
                     tick_samples.setdefault(level, []).append(interval)
                 for level, count in measure_inhibitor_groups(
                     n,
-                    seed + 1,
+                    point.seed + 1,
                     parallel_time=min(200.0, config.max_parallel_time),
                     engine=config.engine,
                 ).items():
@@ -117,7 +116,8 @@ def run_figure3(config: ExperimentConfig) -> ExperimentResult:
                     f"{4.0 ** level:.0f}",
                     measured.count,
                 )
-            predicted_groups = predicted_drag_group_sizes(n, psi or 2)
+            psi = GSUParams.from_population_size(n).psi
+            predicted_groups = predicted_drag_group_sizes(n, psi)
             for level in sorted(group_samples):
                 measured = summarize(group_samples[level])
                 predicted = (

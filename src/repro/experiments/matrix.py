@@ -28,8 +28,8 @@ from __future__ import annotations
 from typing import List
 
 from repro.analysis.stats import summarize
+from repro.engine.parallel import run_cells
 from repro.engine.rng import spawn_seeds
-from repro.engine.simulation import run_protocol
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import ExperimentResult, timed
 from repro.experiments.table1 import SIMULATED_PROTOCOLS
@@ -59,6 +59,11 @@ MATRIX_SCENARIOS: List[str] = [
 #: within a couple of thousand parallel-time units at matrix sizes or keep
 #: churning forever, so longer budgets only buy wall clock.
 _MATRIX_MAX_PARALLEL_TIME = 2000.0
+
+
+def _single_alive_leader(n: int) -> SingleAliveLeader:
+    """Convergence factory of every cell (module-level: workers pickle it)."""
+    return SingleAliveLeader()
 
 
 def run_matrix(config: ExperimentConfig) -> ExperimentResult:
@@ -104,19 +109,17 @@ def run_matrix(config: ExperimentConfig) -> ExperimentResult:
         for name, factory in MATRIX_PROTOCOLS:
             grid_row: List[object] = [name]
             for scenario_name in MATRIX_SCENARIOS:
-                scenario = get_scenario(scenario_name)
-                runs = [
-                    run_protocol(
-                        factory(n),
-                        n,
-                        seed=seed,
-                        max_parallel_time=budget,
-                        convergence=SingleAliveLeader(),
-                        engine_cls="auto",
-                        scenario=scenario,
-                    )
-                    for seed in seeds
-                ]
+                points = run_cells(
+                    factory,
+                    n,
+                    seeds,
+                    max_parallel_time=budget,
+                    convergence_factory=_single_alive_leader,
+                    engine="auto",
+                    workers=config.workers,
+                    scenario=get_scenario(scenario_name),
+                )
+                runs = [point.result for point in points]
                 converged = [run for run in runs if run.converged]
                 passed = len(converged) * 2 > len(runs)
                 grid_row.append(

@@ -1,5 +1,8 @@
-"""Shared experiment plumbing: run loops, result containers, reporting.
+"""Shared experiment plumbing: the sweep entry, result containers, reporting.
 
+Every to-convergence experiment cell runs through the sweep scheduler
+(:mod:`repro.engine.parallel`): :func:`sweep` for a sizes × seeds grid,
+:func:`repro.engine.parallel.run_cells` for one size with explicit seeds.
 An experiment produces an :class:`ExperimentResult`: a set of named tables
 (each a header plus rows of plain values) together with free-form metadata.
 Results render to text (CLI), markdown (``EXPERIMENTS.md``) and CSV/JSON
@@ -15,17 +18,16 @@ from typing import Callable, Dict, List, Optional, Sequence
 from repro.analysis.tables import format_markdown_table, format_text_table
 from repro.engine.convergence import ConvergencePredicate
 from repro.engine.dispatch import EngineSpec
+from repro.engine.parallel import _ProtocolConvergence, run_many
 from repro.engine.protocol import PopulationProtocol
 from repro.engine.recorder import Recorder
-from repro.engine.rng import spawn_seeds
-from repro.engine.simulation import RunResult, run_protocol
-from repro.errors import ExperimentError
+from repro.errors import ConfigurationError, ExperimentError
+from repro.scenarios.scenario import active_scenario
 
 __all__ = [
     "ExperimentTable",
     "ExperimentResult",
     "convergence_for",
-    "run_cell",
     "sweep",
 ]
 
@@ -112,87 +114,6 @@ def convergence_for(protocol: PopulationProtocol) -> Optional[ConvergencePredica
     return None
 
 
-def run_cell(
-    protocol_factory: Callable[[int], PopulationProtocol],
-    n: int,
-    seeds: Sequence[int],
-    *,
-    max_parallel_time: float,
-    recorder_factory: Optional[Callable[[], Sequence[Recorder]]] = None,
-    check_every: Optional[int] = None,
-    engine: EngineSpec = None,
-    store=None,
-    workers: int = 0,
-    scenario=None,
-) -> List[tuple]:
-    """Run one experiment cell (fixed protocol and ``n``, several seeds).
-
-    ``engine`` is an engine specification (name, ``"auto"`` or class);
-    ``None`` keeps the sequential default.
-
-    ``store`` (a directory path or
-    :class:`~repro.experiments.store.ExperimentStore`) makes the cell
-    resumable: completed per-seed runs are loaded from disk instead of
-    re-executed.  The store only applies to *recorder-free* cells —
-    recorder time series are in-memory observations of a live engine and
-    are not persisted, so cells with a ``recorder_factory`` always run.
-
-    Recorder-free cells go through the sweep scheduler
-    (:func:`repro.engine.parallel.run_cells`): seeds on a per-agent engine
-    share one compiled table per worker (bit-identical per seed),
-    ``workers > 1`` runs missing seeds in parallel on a pool of worker
-    processes (the only parallelism; serial otherwise), and every
-    completed seed is persisted as it finishes.  Cells with recorders keep
-    the in-process serial loop — recorders observe a live engine and
-    cannot cross a process boundary.
-
-    ``scenario`` (a :class:`~repro.scenarios.Scenario`) runs every seed
-    under a non-default interaction model.  Scenario cells use the serial
-    in-process loop: the multi-process scheduler assumes the complete
-    fault-free model.
-
-    Returns a list of ``(RunResult, recorders)`` pairs, where ``recorders``
-    is the (possibly empty) list produced by ``recorder_factory`` for that
-    run — experiments read their time series from these.
-    """
-    if scenario is not None:
-        from repro.scenarios import active_scenario
-
-        scenario = active_scenario(scenario)
-    if recorder_factory is None and scenario is None:
-        from repro.engine.parallel import run_cells
-
-        points = run_cells(
-            protocol_factory,
-            n,
-            list(seeds),
-            max_parallel_time=max_parallel_time,
-            workers=workers,
-            engine=engine,
-            store=store,
-            **({"check_every": check_every} if check_every else {}),
-        )
-        return [(point.result, []) for point in points]
-    outcomes = []
-    for seed in seeds:
-        protocol = protocol_factory(n)
-        convergence = convergence_for(protocol)
-        recorders = list(recorder_factory()) if recorder_factory else []
-        result = run_protocol(
-            protocol,
-            n,
-            seed=seed,
-            max_parallel_time=max_parallel_time,
-            convergence=convergence,
-            recorders=recorders,
-            check_every=check_every,
-            engine_cls=engine,
-            scenario=scenario,
-        )
-        outcomes.append((result, recorders))
-    return outcomes
-
-
 def sweep(
     protocol_factory: Callable[[int], PopulationProtocol],
     ns: Sequence[int],
@@ -209,61 +130,49 @@ def sweep(
 ) -> Dict[int, List[tuple]]:
     """Run a full (sizes × seeds) sweep; returns ``{n: [(result, recorders)]}``.
 
-    A recorder-free, scenario-free sweep is one call of the sweep
-    scheduler (:func:`repro.engine.parallel.run_many`) over every size: one
-    pool of ``workers`` processes steals cells across all sizes, each
-    worker compiles one table per calibration for the whole sweep, and
-    ``store`` makes every cell resumable.  The predicate is the
-    protocol's own ``convergence()`` hook, as in :func:`run_cell`, so cell
-    keys equal those of the per-size path.  Sweeps with recorders or a
-    ``scenario`` (non-default interaction model) run size by size through
-    :func:`run_cell`'s serial loop.  Seeds are spawned prefix-stably from
+    The sweep is one call of the sweep scheduler
+    (:func:`repro.engine.parallel.run_many`) over every size: one pool of
+    ``workers`` processes steals cells across all sizes (serial for
+    ``workers`` 0 or 1), each worker compiles one table per calibration for
+    the whole sweep, and ``store`` makes every recorder-free cell
+    resumable.  The predicate is the protocol's own ``convergence()`` hook
+    (:func:`convergence_for`).  ``recorder_factory`` gives every cell fresh
+    recorders, returned beside its result; ``scenario`` (a
+    :class:`~repro.scenarios.Scenario`) runs every cell under a
+    non-default interaction model, and the default complete fault-free
+    scenario is the same as none.  Seeds are spawned prefix-stably from
     ``base_seed``, so extending ``ns`` or ``repetitions`` keeps the keys —
-    and therefore the stored results — of the smaller sweep valid.
+    and therefore the stored results — of the smaller sweep valid.  A size
+    may appear in ``ns`` only once.
     """
     ns = [int(n) for n in ns]
+    duplicates = sorted({n for n in ns if ns.count(n) > 1})
+    if duplicates:
+        raise ConfigurationError(f"sweep sizes must be distinct, {duplicates} repeat")
+    run_kwargs: Dict[str, object] = {"check_every": check_every} if check_every else {}
+    scenario = active_scenario(scenario)
     if scenario is not None:
-        from repro.scenarios import active_scenario
-
-        scenario = active_scenario(scenario)
-    if recorder_factory is None and scenario is None and ns:
-        from repro.engine.parallel import _ProtocolConvergence, run_many
-
-        points = run_many(
-            protocol_factory,
-            ns,
-            repetitions=repetitions,
-            base_seed=base_seed,
-            max_parallel_time=max_parallel_time,
-            convergence_factory=_ProtocolConvergence(protocol_factory),
-            workers=workers,
-            engine=engine,
-            store=store,
-            **({"check_every": check_every} if check_every else {}),
-        )
-        return {
-            n: [(point.result, []) for point in points[i * repetitions : (i + 1) * repetitions]]
-            for i, n in enumerate(ns)
-        }
-    seeds = spawn_seeds(base_seed, len(ns) * repetitions)
-    cells: Dict[int, List[tuple]] = {}
-    cursor = 0
-    for n in ns:
-        cell_seeds = seeds[cursor : cursor + repetitions]
-        cursor += repetitions
-        cells[n] = run_cell(
-            protocol_factory,
-            n,
-            cell_seeds,
-            max_parallel_time=max_parallel_time,
-            recorder_factory=recorder_factory,
-            check_every=check_every,
-            engine=engine,
-            store=store,
-            workers=workers,
-            scenario=scenario,
-        )
-    return cells
+        run_kwargs["scenario"] = scenario
+    points = run_many(
+        protocol_factory,
+        ns,
+        repetitions=repetitions,
+        base_seed=base_seed,
+        max_parallel_time=max_parallel_time,
+        convergence_factory=_ProtocolConvergence(protocol_factory),
+        recorder_factory=recorder_factory,
+        workers=workers,
+        engine=engine,
+        store=store,
+        **run_kwargs,
+    )
+    return {
+        n: [
+            (point.result, point.recorders)
+            for point in points[i * repetitions : (i + 1) * repetitions]
+        ]
+        for i, n in enumerate(ns)
+    }
 
 
 def timed(fn: Callable[[], ExperimentResult]) -> ExperimentResult:

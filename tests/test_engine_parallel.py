@@ -116,6 +116,30 @@ def test_pool_results_match_serial(monkeypatch):
     ]
 
 
+def _output_recorders():
+    from repro.engine.recorder import OutputCountRecorder
+
+    return [OutputCountRecorder()]
+
+
+def test_recorder_cells_return_their_series_from_the_pool(tmp_path, monkeypatch):
+    """Recorders are built per cell in the worker and come back with their
+    series; recorder cells neither read nor write the store."""
+    kwargs = dict(
+        repetitions=2, base_seed=3, max_parallel_time=1000, check_every=8,
+        recorder_factory=_output_recorders, store=tmp_path,
+    )
+    serial = run_many(_factory, [16, 32], **kwargs)
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+    pooled = run_many(_factory, [16, 32], workers=2, **kwargs)
+    for points in (serial, pooled):
+        assert all(len(p.recorders) == 1 and p.recorders[0].times for p in points)
+        assert len({id(p.recorders[0]) for p in points}) == len(points)
+        assert all("cached" not in p.extra for p in points)
+    assert [vars(p.recorders[0]) for p in pooled] == [vars(p.recorders[0]) for p in serial]
+    assert not list(tmp_path.rglob("*.json"))
+
+
 def test_failing_cell_does_not_abandon_sweep(tmp_path):
     """One broken cell fails the sweep *after* recording every other cell."""
     store = ExperimentStore(tmp_path)

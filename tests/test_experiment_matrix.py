@@ -114,18 +114,18 @@ def test_cli_without_scenario_flags_leaves_config_untouched():
     assert config_from_args(args).scenario is None
 
 
-def test_run_cell_routes_scenario_through_serial_loop():
-    from repro.experiments.runner import run_cell
+def test_run_cells_routes_scenario_through_scheduler():
+    from repro.engine.parallel import run_cells
     from repro.protocols.slow import SlowLeaderElection
 
-    outcomes = run_cell(
+    points = run_cells(
         lambda n: SlowLeaderElection(),
         48,
         [1, 2],
         max_parallel_time=20.0,
         scenario=Scenario(topology=Cycle()),
     )
-    assert len(outcomes) == 2
-    for result, recorders in outcomes:
-        assert recorders == []
-        assert result.metadata["scenario"]
+    assert len(points) == 2
+    for point in points:
+        assert point.recorders == []
+        assert point.result.metadata["scenario"]

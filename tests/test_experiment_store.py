@@ -13,10 +13,10 @@ import pytest
 
 import repro.engine.parallel as parallel
 from repro.engine.convergence import NeverConverge
-from repro.engine.parallel import run_many
+from repro.engine.parallel import run_cells, run_many
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.registry import experiment_key, run_experiment
-from repro.experiments.runner import ExperimentResult, run_cell
+from repro.experiments.runner import ExperimentResult, sweep
 from repro.experiments.store import ExperimentStore, canonical_engine_spec, content_key
 from repro.protocols.epidemic import OneWayEpidemic
 from repro.protocols.slow import SlowLeaderElection
@@ -24,9 +24,7 @@ from repro.protocols.slow import SlowLeaderElection
 
 @pytest.fixture
 def run_counter(monkeypatch):
-    """Counts actual simulation executions behind run_many and run_cell."""
-    import repro.experiments.runner as runner_module
-
+    """Counts actual simulation executions behind the sweep scheduler."""
     calls = []
     real = parallel.run_protocol
 
@@ -35,7 +33,6 @@ def run_counter(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(parallel, "run_protocol", counting)
-    monkeypatch.setattr(runner_module, "run_protocol", counting)
     return calls
 
 
@@ -205,19 +202,19 @@ def test_run_many_with_store_and_workers(tmp_path):
     ]
 
 
-def test_run_cell_uses_store_only_without_recorders(tmp_path, run_counter):
+def test_run_cells_uses_store_only_without_recorders(tmp_path, run_counter):
     store = ExperimentStore(tmp_path)
     kwargs = dict(max_parallel_time=200.0, store=store)
-    run_cell(lambda n: SlowLeaderElection(), 16, [1, 2], **kwargs)
+    run_cells(lambda n: SlowLeaderElection(), 16, [1, 2], **kwargs)
     assert len(run_counter) == 2
-    run_cell(lambda n: SlowLeaderElection(), 16, [1, 2], **kwargs)
+    run_cells(lambda n: SlowLeaderElection(), 16, [1, 2], **kwargs)
     assert len(run_counter) == 2  # cached
 
     # Recorder-bearing cells never consult the store: the time series are
     # live observations that are not persisted.
     from repro.engine.recorder import OutputCountRecorder
 
-    run_cell(
+    run_cells(
         lambda n: SlowLeaderElection(),
         16,
         [1],
@@ -225,6 +222,33 @@ def test_run_cell_uses_store_only_without_recorders(tmp_path, run_counter):
         **kwargs,
     )
     assert len(run_counter) == 3
+
+
+def _cycle_sweep(store):
+    from repro.scenarios import get_scenario
+
+    return sweep(
+        _slow_factory, [16, 24], repetitions=2, base_seed=3, max_parallel_time=200.0,
+        scenario=get_scenario("cycle"), store=store, workers=2,
+    )
+
+
+def test_scenario_sweep_stores_and_reloads_every_cell(tmp_path, monkeypatch):
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+    store = ExperimentStore(tmp_path)
+    first = _cycle_sweep(store)
+    assert store.stored == 4 and store.loaded == 0
+    again = _cycle_sweep(store)
+    assert store.stored == 4 and store.loaded == 4
+
+    def summary(cells):
+        return {
+            n: [(r.interactions, r.converged, r.final_counts) for r, _ in outcomes]
+            for n, outcomes in cells.items()
+        }
+
+    assert summary(again) == summary(first)
+    assert all(r.metadata["scenario"] == "cycle" for r, _ in first[16])
 
 
 def test_experiment_level_store_skips_completed_experiments(tmp_path, monkeypatch):

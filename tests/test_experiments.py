@@ -16,7 +16,8 @@ from repro.experiments.figure2 import idealised_survivor_series
 from repro.experiments.io import write_result, write_result_json, write_table_csv
 from repro.experiments.lemmas import simulate_final_elimination_rounds
 from repro.experiments.registry import available_experiments, get_experiment, run_experiment
-from repro.experiments.runner import ExperimentResult, ExperimentTable, convergence_for, run_cell
+from repro.engine.parallel import run_cells
+from repro.experiments.runner import ExperimentResult, ExperimentTable, convergence_for, sweep
 from repro.core.params import GSUParams
 from repro.engine.rng import make_rng
 from repro.protocols.slow import SlowLeaderElection
@@ -103,12 +104,29 @@ def test_convergence_for_prefers_protocol_method():
     assert convergence_for(SlowLeaderElection()) is None
 
 
-def test_run_cell_returns_results_per_seed():
-    outcomes = run_cell(
+def test_run_cells_returns_results_per_seed():
+    points = run_cells(
         lambda n: SlowLeaderElection(), 32, [1, 2, 3], max_parallel_time=2000
     )
-    assert len(outcomes) == 3
-    assert all(result.converged for result, _ in outcomes)
+    assert len(points) == 3
+    assert all(point.result.converged for point in points)
+
+
+def test_repeated_sizes_are_rejected():
+    # A sweep returns {n: outcomes}, so a repeated size would silently lose
+    # the cells of all but one of its runs.
+    with pytest.raises(ConfigurationError, match=r"\[16\] repeat"):
+        sweep(
+            lambda n: SlowLeaderElection(), [16, 32, 16],
+            repetitions=2, base_seed=1, max_parallel_time=200,
+        )
+    with pytest.raises(ConfigurationError, match=r"\[128\] repeat"):
+        ExperimentConfig.smoke().with_sizes((128, 128))
+    from repro.cli import build_parser, config_from_args
+
+    args = build_parser().parse_args(["run", "table1", "--sizes", "128", "128"])
+    with pytest.raises(ConfigurationError, match=r"\[128\] repeat"):
+        config_from_args(args)
 
 
 # ----------------------------------------------------------------------

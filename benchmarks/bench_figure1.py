@@ -7,7 +7,10 @@ quarter of the agents.
 
 from __future__ import annotations
 
-from repro.experiments.figure1 import coin_census_after_preprocessing, run_figure1
+from repro.core.protocol import GSULeaderElection
+from repro.engine.parallel import run_cells
+from repro.experiments.figure1 import _coin_census, _preprocessing_settled, run_figure1
+from repro.experiments.runner import metric_recorders
 
 
 def test_figure1_experiment(benchmark, smoke_config):
@@ -24,12 +27,20 @@ def test_figure1_experiment(benchmark, smoke_config):
 
 
 def test_bench_coin_preprocessing_census(benchmark):
-    """Time a single coin-preprocessing run plus census (the Figure 1 kernel)."""
+    """Time a single coin-preprocessing run plus census (the Figure 1 kernel),
+    as one sweep cell."""
     n = 512
 
     def kernel():
-        params, observation = coin_census_after_preprocessing(n, 3, max_parallel_time=4000)
-        return observation
+        (point,) = run_cells(
+            GSULeaderElection.for_population,
+            n,
+            [3],
+            max_parallel_time=4000,
+            convergence_factory=_preprocessing_settled,
+            recorder_factory=metric_recorders(_coin_census),
+        )
+        return point.recorders[0].last()
 
     observation = benchmark(kernel)
     assert 0.15 * n < observation.total_coins < 0.35 * n

@@ -8,7 +8,11 @@ reliably; the default-preset numbers are recorded in EXPERIMENTS.md).
 
 from __future__ import annotations
 
-from repro.experiments.figure3 import measure_inhibitor_groups, run_figure3
+from repro.core.monitor import inhibitor_drag_census
+from repro.core.protocol import GSULeaderElection
+from repro.engine.parallel import run_cells
+from repro.experiments.figure3 import run_figure3
+from repro.experiments.runner import metric_recorders, never_converge
 
 
 def test_figure3_experiment(benchmark, tiny_config):
@@ -26,7 +30,22 @@ def test_figure3_experiment(benchmark, tiny_config):
 
 
 def test_bench_inhibitor_group_measurement(benchmark):
-    """Time the inhibitor drag-group measurement kernel."""
-    census = benchmark(measure_inhibitor_groups, 512, 5)
+    """Time the inhibitor drag-group measurement kernel: one sweep cell run
+    for 200 parallel time in one chunk, then the drag census."""
+    n = 512
+
+    def kernel():
+        (point,) = run_cells(
+            GSULeaderElection.for_population,
+            n,
+            [5],
+            max_parallel_time=200.0,
+            convergence_factory=never_converge,
+            recorder_factory=metric_recorders(inhibitor_drag_census),
+            check_every=200 * n,
+        )
+        return point.recorders[0].last()
+
+    census = benchmark(kernel)
     assert sum(census.values()) > 0
     assert census.get(0, 0) >= census.get(1, 0)

@@ -21,7 +21,6 @@ __all__ = [
     "predicted_junta_window",
     "predicted_drag_group_sizes",
     "predicted_drag_tick_parallel_time",
-    "predicted_active_after_fast_elimination",
     "predicted_final_elimination_rounds",
     "predicted_expected_parallel_time",
     "predicted_whp_parallel_time",
@@ -71,12 +70,6 @@ def predicted_drag_tick_parallel_time(level: int, n: int, constant: float = 1.0)
     if level < 0:
         raise ConfigurationError(f"level must be non-negative, got {level}")
     return constant * (4.0**level) * math.log2(n)
-
-
-def predicted_active_after_fast_elimination(n: int, constant: float = 1.0) -> float:
-    """Active candidates surviving fast elimination: ``O(log n)`` (Lemma 6.2)."""
-    _check_n(n)
-    return constant * math.log2(n)
 
 
 def predicted_final_elimination_rounds(n: int, constant: float = 1.0) -> float:

@@ -119,7 +119,7 @@ from repro.engine.rng import spawn_seeds
 from repro.engine.simulation import RunResult, run_protocol
 from repro.errors import ConfigurationError, SweepError
 
-__all__ = ["SweepPoint", "available_cpus", "run_cells", "run_many"]
+__all__ = ["SweepPoint", "available_cpus", "convergence_for", "run_cells", "run_many"]
 
 ProtocolFactory = Callable[[int], "PopulationProtocol"]  # noqa: F821 - doc only
 ConvergenceFactory = Callable[[int], Optional[ConvergencePredicate]]
@@ -190,20 +190,23 @@ def _cell_key_for(
     return content_key(inputs), inputs
 
 
-class _ProtocolConvergence:
-    """Picklable convergence factory reading the protocol's own hook.
+def convergence_for(protocol) -> Optional[ConvergencePredicate]:
+    """The protocol's own ``convergence()`` predicate, when it provides one;
+    ``None`` otherwise, which lets :func:`run_protocol` fall back to the
+    plain single-leader predicate."""
+    hook = getattr(protocol, "convergence", None)
+    return hook() if callable(hook) else None
 
-    Mirrors :func:`repro.experiments.runner.convergence_for` — the
-    experiment layer's convention that a protocol may carry its own
-    ``convergence()`` factory — in a form the process pool can ship.
-    """
+
+class _ProtocolConvergence:
+    """Picklable convergence factory: :func:`convergence_for` of ``factory(n)``,
+    in a form the process pool can ship."""
 
     def __init__(self, factory: ProtocolFactory) -> None:
         self.factory = factory
 
     def __call__(self, n: int) -> Optional[ConvergencePredicate]:
-        hook = getattr(self.factory(n), "convergence", None)
-        return hook() if callable(hook) else None
+        return convergence_for(self.factory(n))
 
 
 # ----------------------------------------------------------------------
@@ -547,7 +550,7 @@ def run_cells(
     """Run one population size across an explicit seed list.
 
     The experiments' entry into the sweep scheduler for one size with
-    their own seeds (``figure3``, ``matrix``): same recorders, store
+    their own seeds (``figure3``, ``matrix``, ``clock``): same recorders, store
     resumability, worker pool, table sharing and failure semantics as
     :func:`run_many`, but with caller-provided seeds and a single ``n``.
     When ``convergence_factory`` is ``None`` the predicate comes from the

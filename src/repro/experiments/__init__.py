@@ -1,9 +1,9 @@
 """Experiment harness: one module per paper table / figure plus lemma checks.
 
 Every experiment follows the same pattern: a workload generator (protocol +
-population sizes + seeds), a measurement loop built on
-:func:`repro.engine.simulation.run_protocol`, and a reporting step that
-produces an :class:`~repro.experiments.runner.ExperimentResult` containing
+population sizes + seeds), cells run through the sweep scheduler
+(:mod:`repro.engine.parallel`, see :mod:`repro.experiments.runner`), and a
+reporting step that produces an :class:`~repro.experiments.runner.ExperimentResult` containing
 the same rows/series the paper reports.  ``repro.cli`` exposes them from the
 command line and the ``benchmarks/`` directory wraps each one in a
 pytest-benchmark target.

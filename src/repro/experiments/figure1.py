@@ -19,120 +19,99 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.analysis.stats import summarize
-from repro.coins.analysis import coin_level_histogram, junta_bounds
+from repro.coins.analysis import CoinLevelObservation, coin_level_histogram, junta_bounds
+from repro.core.params import GSUParams
 from repro.core.protocol import GSULeaderElection
 from repro.core.theory import predicted_level_counts
+from repro.engine.base import BaseEngine
 from repro.engine.convergence import AllAgentsSatisfy
-from repro.engine.dispatch import EngineSpec, resolve_engine
-from repro.engine.rng import spawn_seeds
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import ExperimentResult, timed
+from repro.experiments.runner import ExperimentResult, final_metrics, timed
 from repro.types import CoinMode, Role
 
-__all__ = ["run_figure1", "coin_census_after_preprocessing"]
+__all__ = ["run_figure1"]
 
 
 def _preprocessing_finished(state) -> bool:
-    """All agents have a role and no coin is still advancing its level."""
-    if state.role in (Role.ZERO, Role.X):
-        return False
-    if state.role == Role.COIN and state.coin_mode == CoinMode.ADVANCING:
-        return False
-    return True
+    """The agent has a role and, if a coin, no longer advances its level."""
+    if state.role == Role.COIN:
+        return state.coin_mode != CoinMode.ADVANCING
+    return state.role not in (Role.ZERO, Role.X)
 
 
-def coin_census_after_preprocessing(
-    n: int, seed: int, *, max_parallel_time: float, engine: EngineSpec = None
-):
-    """Run the protocol until coin preprocessing has settled; return the census.
-
-    "Settled" means every agent has received its role (or deactivated) and no
-    coin can change its level any more, so the census is the protocol's final
-    coin stratification.
-    """
-    protocol = GSULeaderElection.for_population(n)
-    engine = resolve_engine(engine, protocol, n)(protocol, n, rng=seed)
-    predicate = AllAgentsSatisfy(
-        _preprocessing_finished, "roles fixed and coin levels final"
-    )
-    engine.run_until(predicate, max_interactions=int(max_parallel_time * n))
-    observation = coin_level_histogram(engine, max_level=protocol.params.phi)
-    return protocol.params, observation
+def _preprocessing_settled(n: int) -> AllAgentsSatisfy:
+    """Convergence factory: every agent has received its role (or
+    deactivated) and no coin can change its level any more, so the census
+    is the protocol's final coin stratification."""
+    return AllAgentsSatisfy(_preprocessing_finished, "roles fixed and coin levels final")
 
 
+def _coin_census(engine: BaseEngine) -> CoinLevelObservation:
+    """The coin levels ``0..Φ`` of the current configuration."""
+    return coin_level_histogram(engine, max_level=engine.protocol.params.phi)
+
+
+@timed
 def run_figure1(config: ExperimentConfig) -> ExperimentResult:
     """Run the Figure 1 experiment under ``config``."""
+    result = ExperimentResult(
+        experiment="figure1",
+        description=(
+            "Coin level populations C_l after preprocessing, their implied "
+            "heads probabilities, and the junta size versus the window of "
+            "Lemma 5.3."
+        ),
+    )
+    levels_table = result.add_table(
+        "coin levels",
+        [
+            "n",
+            "level",
+            "measured C_l (mean)",
+            "idealised C_l",
+            "measured heads prob",
+            "idealised heads prob",
+        ],
+    )
+    junta_table = result.add_table(
+        "junta size (Lemma 5.3)",
+        ["n", "junta size (mean)", "window low n^0.45", "window high n^0.77", "inside window"],
+    )
 
-    def _run() -> ExperimentResult:
-        result = ExperimentResult(
-            experiment="figure1",
-            description=(
-                "Coin level populations C_l after preprocessing, their implied "
-                "heads probabilities, and the junta size versus the window of "
-                "Lemma 5.3."
-            ),
-        )
-        levels_table = result.add_table(
-            "coin levels",
-            [
-                "n",
-                "level",
-                "measured C_l (mean)",
-                "idealised C_l",
-                "measured heads prob",
-                "idealised heads prob",
-            ],
-        )
-        junta_table = result.add_table(
-            "junta size (Lemma 5.3)",
-            ["n", "junta size (mean)", "window low n^0.45", "window high n^0.77", "inside window"],
-        )
-
-        seeds = spawn_seeds(config.base_seed, len(config.population_sizes) * config.repetitions)
-        cursor = 0
-        for n in config.population_sizes:
-            per_level: Dict[int, List[int]] = {}
-            junta_sizes: List[int] = []
-            phi = None
-            for _ in range(config.repetitions):
-                params, observation = coin_census_after_preprocessing(
-                    n,
-                    seeds[cursor],
-                    max_parallel_time=config.max_parallel_time,
-                    engine=config.engine,
-                )
-                cursor += 1
-                phi = params.phi
-                for level, count in enumerate(observation.at_least):
-                    per_level.setdefault(level, []).append(count)
-                junta_sizes.append(observation.junta_size)
-            idealised = predicted_level_counts(n, phi)
-            for level in sorted(per_level):
-                measured = summarize(per_level[level])
-                ideal = idealised[level] if level < len(idealised) else float("nan")
-                levels_table.add_row(
-                    n,
-                    level,
-                    f"{measured.mean:.1f}",
-                    f"{ideal:.1f}",
-                    f"{measured.mean / n:.4f}",
-                    f"{ideal / n:.4f}",
-                )
-            low, high = junta_bounds(n)
-            junta_summary = summarize(junta_sizes)
-            junta_table.add_row(
+    observations = final_metrics(
+        GSULeaderElection.for_population, config, _coin_census, _preprocessing_settled
+    )
+    for n, censuses in observations.items():
+        per_level: Dict[int, List[int]] = {}
+        for census in censuses:
+            for level, count in enumerate(census.at_least):
+                per_level.setdefault(level, []).append(count)
+        phi = GSUParams.from_population_size(n).phi
+        idealised = predicted_level_counts(n, phi)
+        for level in sorted(per_level):
+            measured = summarize(per_level[level])
+            ideal = idealised[level] if level < len(idealised) else float("nan")
+            levels_table.add_row(
                 n,
-                f"{junta_summary.mean:.1f}",
-                f"{low:.1f}",
-                f"{high:.1f}",
-                "yes" if low <= junta_summary.mean <= high else "NO",
+                level,
+                f"{measured.mean:.1f}",
+                f"{ideal:.1f}",
+                f"{measured.mean / n:.4f}",
+                f"{ideal / n:.4f}",
             )
-        result.metadata.update(
-            {
-                "population_sizes": list(config.population_sizes),
-                "repetitions": config.repetitions,
-            }
+        low, high = junta_bounds(n)
+        junta_summary = summarize([census.junta_size for census in censuses])
+        junta_table.add_row(
+            n,
+            f"{junta_summary.mean:.1f}",
+            f"{low:.1f}",
+            f"{high:.1f}",
+            "yes" if low <= junta_summary.mean <= high else "NO",
         )
-        return result
-
-    return timed(_run)
+    result.metadata.update(
+        {
+            "population_sizes": list(config.population_sizes),
+            "repetitions": config.repetitions,
+        }
+    )
+    return result

@@ -55,120 +55,117 @@ def _fast_elimination_trackers() -> List[FastEliminationTracker]:
     return [FastEliminationTracker()]
 
 
+@timed
 def run_figure2(config: ExperimentConfig) -> ExperimentResult:
     """Run the Figure 2 experiment under ``config``."""
+    result = ExperimentResult(
+        experiment="figure2",
+        description=(
+            "Active leader candidates remaining after each biased-coin "
+            "application of the fast-elimination epoch, versus the idealised "
+            "reduction; end-of-epoch counts compared against O(log n)."
+        ),
+    )
+    series_table = result.add_table(
+        "survivors per coin application",
+        [
+            "n",
+            "cnt",
+            "coin level",
+            "measured active (mean)",
+            "idealised active",
+        ],
+    )
+    end_table = result.add_table(
+        "end of fast elimination (Lemma 6.2)",
+        [
+            "n",
+            "active after schedule (mean)",
+            "log2 n",
+            "ratio",
+            "never zero alive",
+        ],
+    )
 
-    def _run() -> ExperimentResult:
-        result = ExperimentResult(
-            experiment="figure2",
-            description=(
-                "Active leader candidates remaining after each biased-coin "
-                "application of the fast-elimination epoch, versus the idealised "
-                "reduction; end-of-epoch counts compared against O(log n)."
-            ),
+    for n in config.population_sizes:
+        cells = sweep(
+            GSULeaderElection.for_population,
+            [n],
+            repetitions=config.repetitions,
+            base_seed=config.base_seed + n,
+            max_parallel_time=config.max_parallel_time,
+            recorder_factory=_fast_elimination_trackers,
+            check_every=max(1, n // 2),
+            engine=config.engine,
+            workers=config.workers,
         )
-        series_table = result.add_table(
-            "survivors per coin application",
-            [
-                "n",
-                "cnt",
-                "coin level",
-                "measured active (mean)",
-                "idealised active",
-            ],
-        )
-        end_table = result.add_table(
-            "end of fast elimination (Lemma 6.2)",
-            [
-                "n",
-                "active after schedule (mean)",
-                "log2 n",
-                "ratio",
-                "never zero alive",
-            ],
-        )
-
-        for n in config.population_sizes:
-            cells = sweep(
-                GSULeaderElection.for_population,
-                [n],
-                repetitions=config.repetitions,
-                base_seed=config.base_seed + n,
-                max_parallel_time=config.max_parallel_time,
-                recorder_factory=_fast_elimination_trackers,
-                check_every=max(1, n // 2),
-                engine=config.engine,
-                workers=config.workers,
+        params = GSUParams.from_population_size(n)
+        idealised = idealised_survivor_series(n, params)
+        per_cnt: Dict[int, List[int]] = {}
+        end_counts: List[int] = []
+        never_zero = True
+        for _, recorders in cells[n]:
+            tracker: FastEliminationTracker = recorders[0]
+            survivors = tracker.survivors_per_cnt()
+            for cnt, active in survivors.items():
+                if 0 < cnt <= params.coin_schedule_length:
+                    per_cnt.setdefault(cnt, []).append(active)
+            schedule_counts = [
+                active
+                for cnt, active in survivors.items()
+                if 0 < cnt <= params.coin_schedule_length
+            ]
+            if survivors.get(1) is not None:
+                end_counts.append(survivors[1])
+            elif schedule_counts:
+                end_counts.append(schedule_counts[-1])
+            else:
+                # Small populations can finish their elimination between
+                # two check points; fall back to the smallest positive
+                # active count observed, which upper-bounds the count at
+                # the end of the schedule.
+                positive = [c for c in tracker.active_counts if c > 0]
+                if positive:
+                    end_counts.append(min(positive))
+            # The Las Vegas guarantee (Lemma 8.1): once leader candidates
+            # exist, the number of *alive* candidates (active or passive)
+            # never returns to zero.  Checks before the first candidate is
+            # created (the very start of the run) are excluded.
+            alive_series = tracker.alive_counts
+            first_candidate = next(
+                (index for index, count in enumerate(alive_series) if count > 0),
+                None,
             )
-            params = GSUParams.from_population_size(n)
-            idealised = idealised_survivor_series(n, params)
-            per_cnt: Dict[int, List[int]] = {}
-            end_counts: List[int] = []
-            never_zero = True
-            for _, recorders in cells[n]:
-                tracker: FastEliminationTracker = recorders[0]
-                survivors = tracker.survivors_per_cnt()
-                for cnt, active in survivors.items():
-                    if 0 < cnt <= params.coin_schedule_length:
-                        per_cnt.setdefault(cnt, []).append(active)
-                schedule_counts = [
-                    active
-                    for cnt, active in survivors.items()
-                    if 0 < cnt <= params.coin_schedule_length
-                ]
-                if survivors.get(1) is not None:
-                    end_counts.append(survivors[1])
-                elif schedule_counts:
-                    end_counts.append(schedule_counts[-1])
-                else:
-                    # Small populations can finish their elimination between
-                    # two check points; fall back to the smallest positive
-                    # active count observed, which upper-bounds the count at
-                    # the end of the schedule.
-                    positive = [c for c in tracker.active_counts if c > 0]
-                    if positive:
-                        end_counts.append(min(positive))
-                # The Las Vegas guarantee (Lemma 8.1): once leader candidates
-                # exist, the number of *alive* candidates (active or passive)
-                # never returns to zero.  Checks before the first candidate is
-                # created (the very start of the run) are excluded.
-                alive_series = tracker.alive_counts
-                first_candidate = next(
-                    (index for index, count in enumerate(alive_series) if count > 0),
-                    None,
-                )
-                if first_candidate is not None and any(
-                    count == 0 for count in alive_series[first_candidate:]
-                ):
-                    never_zero = False
+            if first_candidate is not None and any(
+                count == 0 for count in alive_series[first_candidate:]
+            ):
+                never_zero = False
 
-            for cnt in sorted(per_cnt, reverse=True):
-                measured = summarize(per_cnt[cnt])
-                series_table.add_row(
-                    n,
-                    cnt,
-                    params.coin_level_for_cnt(cnt),
-                    f"{measured.mean:.1f}",
-                    f"{idealised.get(cnt, float('nan')):.1f}",
-                )
-            if end_counts:
-                import math
+        for cnt in sorted(per_cnt, reverse=True):
+            measured = summarize(per_cnt[cnt])
+            series_table.add_row(
+                n,
+                cnt,
+                params.coin_level_for_cnt(cnt),
+                f"{measured.mean:.1f}",
+                f"{idealised.get(cnt, float('nan')):.1f}",
+            )
+        if end_counts:
+            import math
 
-                end_summary = summarize(end_counts)
-                log_n = math.log2(n)
-                end_table.add_row(
-                    n,
-                    f"{end_summary.mean:.1f}",
-                    f"{log_n:.1f}",
-                    f"{end_summary.mean / log_n:.2f}",
-                    "yes" if never_zero else "NO",
-                )
-        result.metadata.update(
-            {
-                "population_sizes": list(config.population_sizes),
-                "repetitions": config.repetitions,
-            }
-        )
-        return result
-
-    return timed(_run)
+            end_summary = summarize(end_counts)
+            log_n = math.log2(n)
+            end_table.add_row(
+                n,
+                f"{end_summary.mean:.1f}",
+                f"{log_n:.1f}",
+                f"{end_summary.mean / log_n:.2f}",
+                "yes" if never_zero else "NO",
+            )
+    result.metadata.update(
+        {
+            "population_sizes": list(config.population_sizes),
+            "repetitions": config.repetitions,
+        }
+    )
+    return result

@@ -66,6 +66,7 @@ def _single_alive_leader(n: int) -> SingleAliveLeader:
     return SingleAliveLeader()
 
 
+@timed
 def run_matrix(config: ExperimentConfig) -> ExperimentResult:
     """Run the protocols × scenarios matrix under ``config``.
 
@@ -74,85 +75,76 @@ def run_matrix(config: ExperimentConfig) -> ExperimentResult:
     engine preference (the count-space engines assume the complete
     fault-free model), and ``auto`` dispatch already encodes that routing.
     """
+    n = config.sizes_capped(config.slow_protocol_max_n)[-1]
+    budget = min(config.max_parallel_time, _MATRIX_MAX_PARALLEL_TIME)
+    seeds = spawn_seeds(config.base_seed, config.repetitions)
+    result = ExperimentResult(
+        experiment="matrix",
+        description=(
+            "Leader re-election under relaxed model assumptions: each cell "
+            f"runs {config.repetitions} seed(s) at n = {n} under a scenario "
+            "(interaction topology / churn / crash faults) and passes when "
+            "a majority of seeds reach a single alive leader within a "
+            f"parallel-time budget of {budget:g}."
+        ),
+    )
+    grid = result.add_table("re-election matrix", ["protocol"] + MATRIX_SCENARIOS)
+    detail = result.add_table(
+        "detail",
+        [
+            "protocol",
+            "scenario",
+            "n",
+            "runs",
+            "converged",
+            "parallel time (mean of converged)",
+            "events (mean joins/leaves/crashes/drops)",
+        ],
+    )
 
-    def _run() -> ExperimentResult:
-        n = config.sizes_capped(config.slow_protocol_max_n)[-1]
-        budget = min(config.max_parallel_time, _MATRIX_MAX_PARALLEL_TIME)
-        seeds = spawn_seeds(config.base_seed, config.repetitions)
-        result = ExperimentResult(
-            experiment="matrix",
-            description=(
-                "Leader re-election under relaxed model assumptions: each cell "
-                f"runs {config.repetitions} seed(s) at n = {n} under a scenario "
-                "(interaction topology / churn / crash faults) and passes when "
-                "a majority of seeds reach a single alive leader within a "
-                f"parallel-time budget of {budget:g}."
-            ),
-        )
-        grid = result.add_table(
-            "re-election matrix",
-            ["protocol"] + MATRIX_SCENARIOS,
-        )
-        detail = result.add_table(
-            "detail",
-            [
-                "protocol",
-                "scenario",
-                "n",
-                "runs",
-                "converged",
-                "parallel time (mean of converged)",
-                "events (mean joins/leaves/crashes/drops)",
-            ],
-        )
+    for name, factory in MATRIX_PROTOCOLS:
+        grid_row: List[object] = [name]
+        for scenario_name in MATRIX_SCENARIOS:
+            points = run_cells(
+                factory,
+                n,
+                seeds,
+                max_parallel_time=budget,
+                convergence_factory=_single_alive_leader,
+                engine="auto",
+                workers=config.workers,
+                scenario=get_scenario(scenario_name),
+            )
+            runs = [point.result for point in points]
+            converged = [run for run in runs if run.converged]
+            passed = len(converged) * 2 > len(runs)
+            grid_row.append(
+                f"{'PASS' if passed else 'fail'} "
+                f"({len(converged)}/{len(runs)})"
+            )
+            times = summarize([run.parallel_time for run in converged]) if converged else None
+            events = [run.metadata.get("scenario_events") or {} for run in runs]
+            means = tuple(
+                sum(e.get(k, 0) for e in events) / len(runs)
+                for k in ("joins", "leaves", "crashes", "dropped")
+            )
+            detail.add_row(
+                name,
+                scenario_name,
+                n,
+                len(runs),
+                len(converged),
+                f"{times.mean:.1f}" if times else "—",
+                "/".join(f"{m:.1f}" for m in means),
+            )
+        grid.add_row(*grid_row)
 
-        for name, factory in MATRIX_PROTOCOLS:
-            grid_row: List[object] = [name]
-            for scenario_name in MATRIX_SCENARIOS:
-                points = run_cells(
-                    factory,
-                    n,
-                    seeds,
-                    max_parallel_time=budget,
-                    convergence_factory=_single_alive_leader,
-                    engine="auto",
-                    workers=config.workers,
-                    scenario=get_scenario(scenario_name),
-                )
-                runs = [point.result for point in points]
-                converged = [run for run in runs if run.converged]
-                passed = len(converged) * 2 > len(runs)
-                grid_row.append(
-                    f"{'PASS' if passed else 'fail'} "
-                    f"({len(converged)}/{len(runs)})"
-                )
-                times = summarize([run.parallel_time for run in converged]) if converged else None
-                events = [
-                    run.metadata.get("scenario_events") or {} for run in runs
-                ]
-                means = tuple(
-                    sum(e.get(k, 0) for e in events) / len(runs)
-                    for k in ("joins", "leaves", "crashes", "dropped")
-                )
-                detail.add_row(
-                    name,
-                    scenario_name,
-                    n,
-                    len(runs),
-                    len(converged),
-                    f"{times.mean:.1f}" if times else "—",
-                    "/".join(f"{m:.1f}" for m in means),
-                )
-            grid.add_row(*grid_row)
-
-        result.metadata.update(
-            {
-                "n": n,
-                "repetitions": config.repetitions,
-                "max_parallel_time": budget,
-                "scenarios": list(MATRIX_SCENARIOS),
-            }
-        )
-        return result
-
-    return timed(_run)
+    result.metadata.update(
+        {
+            "n": n,
+            "repetitions": config.repetitions,
+            "max_parallel_time": budget,
+            "scenarios": list(MATRIX_SCENARIOS),
+        }
+    )
+    return result

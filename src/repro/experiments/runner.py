@@ -1,33 +1,40 @@
 """Shared experiment plumbing: the sweep entry, result containers, reporting.
 
-Every to-convergence experiment cell runs through the sweep scheduler
-(:mod:`repro.engine.parallel`): :func:`sweep` for a sizes × seeds grid,
-:func:`repro.engine.parallel.run_cells` for one size with explicit seeds.
-An experiment produces an :class:`ExperimentResult`: a set of named tables
-(each a header plus rows of plain values) together with free-form metadata.
-Results render to text (CLI), markdown (``EXPERIMENTS.md``) and CSV/JSON
-(:mod:`repro.experiments.io`).
+Every experiment that drives an engine runs its cells through the sweep
+scheduler (:mod:`repro.engine.parallel`): :func:`sweep` (sizes × seeds to
+convergence), :func:`final_metrics` (one metric at each cell's last check)
+or :func:`~repro.engine.parallel.run_cells` (one size, explicit seeds); a
+fixed horizon is a :func:`never_converge` cell.  Experiments produce an
+:class:`ExperimentResult` of named tables (a header plus rows of plain
+values) and free-form metadata, rendered to text (CLI), markdown
+(``EXPERIMENTS.md``) and CSV/JSON (:mod:`repro.experiments.io`).
 """
 
 from __future__ import annotations
 
+import functools
 import time as _time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.analysis.tables import format_markdown_table, format_text_table
-from repro.engine.convergence import ConvergencePredicate
+from repro.engine.base import BaseEngine
+from repro.engine.convergence import ConvergencePredicate, NeverConverge
 from repro.engine.dispatch import EngineSpec
-from repro.engine.parallel import _ProtocolConvergence, run_many
+from repro.engine.parallel import _ProtocolConvergence, convergence_for, run_many
 from repro.engine.protocol import PopulationProtocol
-from repro.engine.recorder import Recorder
+from repro.engine.recorder import MetricRecorder, Recorder
 from repro.errors import ConfigurationError, ExperimentError
+from repro.experiments.config import ExperimentConfig
 from repro.scenarios.scenario import active_scenario
 
 __all__ = [
     "ExperimentTable",
     "ExperimentResult",
     "convergence_for",
+    "final_metrics",
+    "metric_recorders",
+    "never_converge",
     "sweep",
 ]
 
@@ -103,15 +110,49 @@ class ExperimentResult:
 # ----------------------------------------------------------------------
 # Run helpers
 # ----------------------------------------------------------------------
-def convergence_for(protocol: PopulationProtocol) -> Optional[ConvergencePredicate]:
-    """The protocol-specific convergence predicate, when the protocol
-    provides one (``protocol.convergence()``); ``None`` otherwise, which lets
-    :func:`repro.engine.simulation.run_protocol` fall back to the plain
-    single-leader predicate."""
-    factory = getattr(protocol, "convergence", None)
-    if callable(factory):
-        return factory()
-    return None
+def never_converge(n: int) -> NeverConverge:
+    """Convergence factory of a fixed-horizon cell: it runs to its budget."""
+    return NeverConverge()
+
+
+def _metric_recorder(metric: Callable[[BaseEngine], object]) -> List[Recorder]:
+    return [MetricRecorder(metric=metric)]
+
+
+def metric_recorders(metric: Callable[[BaseEngine], object]) -> Callable[[], List[Recorder]]:
+    """Recorder factory of one ``MetricRecorder(metric)`` per cell.  It
+    pickles for the process pool when ``metric`` is a module-level function."""
+    return functools.partial(_metric_recorder, metric)
+
+
+def final_metrics(
+    protocol_factory: Callable[[int], PopulationProtocol],
+    config: ExperimentConfig,
+    metric: Callable[[BaseEngine], object],
+    convergence_factory: Callable[[int], ConvergencePredicate],
+    *,
+    seed_offset: int = 0,
+) -> Dict[int, List[object]]:
+    """``{n: [metric at the last check, one per repetition]}`` over
+    ``config``'s sizes: one :func:`~repro.engine.parallel.run_many`, seeded
+    from ``config.base_seed + seed_offset``, whose cells run until
+    ``convergence_factory(n)`` holds."""
+    sizes, repetitions = config.population_sizes, config.repetitions
+    points = run_many(
+        protocol_factory,
+        sizes,
+        repetitions=repetitions,
+        base_seed=config.base_seed + seed_offset,
+        max_parallel_time=config.max_parallel_time,
+        convergence_factory=convergence_factory,
+        recorder_factory=metric_recorders(metric),
+        engine=config.engine,
+        workers=config.workers,
+    )
+    return {
+        n: [point.recorders[0].last() for point in points[i * repetitions : (i + 1) * repetitions]]
+        for i, n in enumerate(sizes)
+    }
 
 
 def sweep(
@@ -175,9 +216,15 @@ def sweep(
     }
 
 
-def timed(fn: Callable[[], ExperimentResult]) -> ExperimentResult:
-    """Run ``fn`` and stamp the wall-clock duration on its result."""
-    started = _time.perf_counter()
-    result = fn()
-    result.wall_clock_seconds = _time.perf_counter() - started
-    return result
+def timed(run: Callable[..., ExperimentResult]) -> Callable[..., ExperimentResult]:
+    """Decorator of an experiment entry: stamps each call's wall-clock
+    duration on the result it returns."""
+
+    @functools.wraps(run)
+    def timed_run(config: ExperimentConfig) -> ExperimentResult:
+        started = _time.perf_counter()
+        result = run(config)
+        result.wall_clock_seconds = _time.perf_counter() - started
+        return result
+
+    return timed_run

@@ -70,99 +70,96 @@ SIMULATED_PROTOCOLS: List[tuple] = [
 ]
 
 
+@timed
 def run_table1(config: ExperimentConfig) -> ExperimentResult:
     """Run the Table 1 experiment under ``config``."""
+    result = ExperimentResult(
+        experiment="table1",
+        description=(
+            "Measured parallel convergence time and observed state usage for "
+            "the simulable rows of the paper's Table 1, plus growth-model "
+            "fits of time against n."
+        ),
+    )
+    measured = result.add_table(
+        "measured",
+        [
+            "protocol",
+            "n",
+            "runs",
+            "parallel time (mean ± se)",
+            "parallel time (median)",
+            "states used (mean)",
+            "always one leader",
+        ],
+    )
+    fits = result.add_table(
+        "growth fits",
+        ["protocol", "best model", "constant", "relative RMS", "runner-up"],
+    )
+    reference = result.add_table(
+        "paper reference (asymptotic)",
+        ["protocol", "states", "time"],
+    )
+    for name, states, time_bound in PAPER_TABLE1_ROWS:
+        reference.add_row(name, states, time_bound)
 
-    def _run() -> ExperimentResult:
-        result = ExperimentResult(
-            experiment="table1",
-            description=(
-                "Measured parallel convergence time and observed state usage for "
-                "the simulable rows of the paper's Table 1, plus growth-model "
-                "fits of time against n."
-            ),
+    summary_points: Dict[str, List[tuple]] = {}
+    for name, factory, is_slow in SIMULATED_PROTOCOLS:
+        sizes = (
+            config.sizes_capped(config.slow_protocol_max_n)
+            if is_slow
+            else list(config.population_sizes)
         )
-        measured = result.add_table(
-            "measured",
-            [
-                "protocol",
-                "n",
-                "runs",
-                "parallel time (mean ± se)",
-                "parallel time (median)",
-                "states used (mean)",
-                "always one leader",
-            ],
+        cells = sweep(
+            factory,
+            sizes,
+            repetitions=config.repetitions,
+            base_seed=config.base_seed,
+            max_parallel_time=config.max_parallel_time,
+            engine=config.engine,
+            workers=config.workers,
+            scenario=config.scenario,
         )
-        fits = result.add_table(
-            "growth fits",
-            ["protocol", "best model", "constant", "relative RMS", "runner-up"],
-        )
-        reference = result.add_table(
-            "paper reference (asymptotic)",
-            ["protocol", "states", "time"],
-        )
-        for name, states, time_bound in PAPER_TABLE1_ROWS:
-            reference.add_row(name, states, time_bound)
-
-        summary_points: Dict[str, List[tuple]] = {}
-        for name, factory, is_slow in SIMULATED_PROTOCOLS:
-            sizes = (
-                config.sizes_capped(config.slow_protocol_max_n)
-                if is_slow
-                else list(config.population_sizes)
+        for n, outcomes in cells.items():
+            times = [run.parallel_time for run, _ in outcomes]
+            states = [run.states_used for run, _ in outcomes]
+            leaders_ok = all(
+                run.converged and run.leader_count == 1 for run, _ in outcomes
             )
-            cells = sweep(
-                factory,
-                sizes,
-                repetitions=config.repetitions,
-                base_seed=config.base_seed,
-                max_parallel_time=config.max_parallel_time,
-                engine=config.engine,
-                workers=config.workers,
-                scenario=config.scenario,
-            )
-            for n, outcomes in cells.items():
-                times = [run.parallel_time for run, _ in outcomes]
-                states = [run.states_used for run, _ in outcomes]
-                leaders_ok = all(
-                    run.converged and run.leader_count == 1 for run, _ in outcomes
-                )
-                time_summary = summarize(times)
-                state_summary = summarize(states)
-                measured.add_row(
-                    name,
-                    n,
-                    len(outcomes),
-                    time_summary.format(1),
-                    f"{time_summary.median:.1f}",
-                    f"{state_summary.mean:.1f}",
-                    "yes" if leaders_ok else "NO",
-                )
-                summary_points.setdefault(name, []).append((n, time_summary.mean))
-
-        for name, points in summary_points.items():
-            if len(points) < 2:
-                continue
-            ns = [n for n, _ in points]
-            times = [t for _, t in points]
-            ranking = rank_models(ns, times, ("log", "log_loglog", "log2", "linear"))
-            best, runner_up = ranking[0], ranking[1]
-            fits.add_row(
+            time_summary = summarize(times)
+            state_summary = summarize(states)
+            measured.add_row(
                 name,
-                best.model.description,
-                f"{best.constant:.2f}",
-                f"{best.relative_rms:.1%}",
-                f"{runner_up.model.description} ({runner_up.relative_rms:.1%})",
+                n,
+                len(outcomes),
+                time_summary.format(1),
+                f"{time_summary.median:.1f}",
+                f"{state_summary.mean:.1f}",
+                "yes" if leaders_ok else "NO",
             )
+            summary_points.setdefault(name, []).append((n, time_summary.mean))
 
-        result.metadata.update(
-            {
-                "population_sizes": list(config.population_sizes),
-                "repetitions": config.repetitions,
-                "max_parallel_time": config.max_parallel_time,
-            }
+    for name, points in summary_points.items():
+        if len(points) < 2:
+            continue
+        ns = [n for n, _ in points]
+        times = [t for _, t in points]
+        ranking = rank_models(ns, times, ("log", "log_loglog", "log2", "linear"))
+        best, runner_up = ranking[0], ranking[1]
+        fits.add_row(
+            name,
+            best.model.description,
+            f"{best.constant:.2f}",
+            f"{best.relative_rms:.1%}",
+            f"{runner_up.model.description} ({runner_up.relative_rms:.1%})",
         )
-        return result
 
-    return timed(_run)
+    result.metadata.update(
+        {
+            "population_sizes": list(config.population_sizes),
+            "repetitions": config.repetitions,
+            "max_parallel_time": config.max_parallel_time,
+        }
+    )
+    return result

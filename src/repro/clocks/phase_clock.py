@@ -38,16 +38,29 @@ heads-epidemic in the late half.
 
 from __future__ import annotations
 
+import abc
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.engine.closure import PhaseFactoring, reachable_closure
 from repro.engine.protocol import FOLLOWER_OUTPUT, PopulationProtocol
 from repro.errors import ConfigurationError
-from repro.types import ClockMode
+from repro.types import ClockMode, State, TransitionResult
 
-__all__ = ["max_gamma", "PhaseClockRules", "ClockState", "JuntaPhaseClockProtocol"]
+__all__ = [
+    "max_gamma",
+    "PhaseClockRules",
+    "PhaseClockedProtocol",
+    "ClockState",
+    "JuntaPhaseClockProtocol",
+]
+
+#: Reachable closures of every :class:`PhaseClockedProtocol` calibration:
+#: ``(class, Γ, Φ, Ψ) -> (states, read-only (K, K) LUT)``, shared by every
+#: instance of the calibration (``n_hint`` is validation-only).
+_CLOSURE_CACHE: Dict[tuple, Tuple[Tuple[State, ...], np.ndarray]] = {}
 
 
 def max_gamma(x: int, y: int, gamma: int) -> int:
@@ -139,6 +152,70 @@ class PhaseClockRules:
         ]
         qualifier = [[self.qualifier(old, new) for new in phases] for old in phases]
         return np.array(advance, dtype=np.intp), np.array(qualifier, dtype=np.intp)
+
+
+class PhaseClockedProtocol(PopulationProtocol):
+    """A Γ-phase clock step on the responder, then phase-blind rules.
+
+    GSU19 and GS18 have this shape.  :meth:`transition` advances the
+    responder's clock (:class:`PhaseClockRules`, paced by the junta) and
+    hands the pair to :meth:`apply_rules` with the step's
+    :meth:`PhaseClockRules.qualifier` code; the rules read no phase.  That
+    is the :class:`~repro.engine.closure.PhaseFactoring` the closure BFS
+    evaluates, so a calibration's whole reachable state space enumerates
+    in under a second (:meth:`reachable_state_closure`), and every
+    per-agent run starts on a table adopted from it (:meth:`state_closure`).
+
+    ``params`` carries ``gamma``, ``phi``, ``psi`` and ``n_hint``; states
+    carry ``phase``, ``with_phase(phase)`` and ``is_junta(phi)``.
+    """
+
+    def __init__(self, params) -> None:
+        self.params = params
+        self.clock = PhaseClockRules(params.gamma)
+
+    @abc.abstractmethod
+    def apply_rules(self, responder: State, initiator: State, qualifier: int) -> TransitionResult:
+        """The rules on a pair whose responder's clock advanced with the given
+        :meth:`PhaseClockRules.qualifier` code; they must not read a phase."""
+
+    def transition(self, responder: State, initiator: State) -> TransitionResult:
+        clock, old_phase = self.clock, responder.phase
+        junta = responder.is_junta(self.params.phi)
+        new_phase = clock.advance(old_phase, initiator.phase, junta)
+        qualifier = clock.qualifier(old_phase, new_phase)
+        return self.apply_rules(responder.with_phase(new_phase), initiator, qualifier)
+
+    def _closure_key(self) -> tuple:
+        params = self.params
+        return (type(self), params.gamma, params.phi, params.psi)
+
+    def reachable_state_closure(self) -> Tuple[State, ...]:
+        """Every state reachable from the initial state, in BFS order.
+
+        Computed once per calibration and cached with its transition LUT,
+        whatever the instance's ``n_hint``.  The BFS runs :meth:`apply_rules`
+        once per phase-free pair and qualifier, and checks a sample of the
+        LUT against :meth:`transition`.
+        """
+        cached = _CLOSURE_CACHE.get(self._closure_key())
+        if cached is None:
+            phi = self.params.phi
+            factoring = PhaseFactoring(
+                *self.clock.tables(),
+                lambda state: (state.phase, state.with_phase(0), state.is_junta(phi)),
+                lambda phase, part: part.with_phase(phase),
+                self.apply_rules,
+            )
+            seed = self.initial_state(self.params.n_hint)
+            states, lut = reachable_closure(self.transition, [seed], factoring=factoring)
+            cached = _CLOSURE_CACHE[self._closure_key()] = (tuple(states), lut)
+        return cached[0]
+
+    def state_closure(self) -> Tuple[Tuple[State, ...], np.ndarray]:
+        """:meth:`reachable_state_closure` and its cached transition LUT."""
+        states = self.reachable_state_closure()
+        return states, _CLOSURE_CACHE[self._closure_key()][1]
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,9 @@ All engines consume one shared **compiled transition-table IR**
 the transition/output functions are lowered into a scalar memo dict, a
 packed dense lookup array (the C kernel's input) and vectorised output
 maps.  Engines built on the same protocol instance share one table, so a
-state pair compiled anywhere serves every hot path.
+state pair compiled anywhere serves every hot path; per-agent runs of a
+protocol with a reachable-state closure (GSU19, GS18) start on a table
+adopted from it, with every pair compiled (``protocol.compile_closure()``).
 
 Five engines are provided — three exact, plus an opt-in approximate tier:
 
@@ -121,9 +123,8 @@ this table.  A protocol is *count-capable* when it declares an ``O(k)``
 ``initial_counts`` and a finite ``canonical_states`` (epidemic, both
 majorities, the slow election; GSU19 via its cached reachable-state
 closure).  For count-capable protocols above ``3*10^6`` agents the
-dispatcher evaluates a measured per-batch cost model at the protocol's
-occupied-frontier bound (``occupied_states_hint()``) against the fast-batch
-reference, and from ``3*10^7`` it forces count-batch outright — per-agent
+dispatcher evaluates a measured per-batch cost model at the declared
+state-space size against the fast-batch reference, and from ``3*10^7`` it forces count-batch outright — per-agent
 construction is O(n) in time and memory there.  Everything else gets
 fastbatch above the crossover for whichever hot path is actually available,
 sequential otherwise.

@@ -64,14 +64,41 @@ class BaseEngine(abc.ABC):
     #: hypergeometric splits assume uniform complete-graph pairing).
     scenario_capabilities: frozenset = frozenset()
 
-    def __init__(self, protocol: PopulationProtocol, n: int, rng: RngLike = None) -> None:
+    #: Whether no trajectory of this engine depends on its table's state-id
+    #: layout: it draws agents, never state ids, and ids only index the
+    #: lookup table.  Such an engine starts an idealised-world run on the
+    #: protocol's closure table (see :meth:`__init__`), and :meth:`restore`
+    #: maps a snapshot's recorded ids onto its table, so its snapshot
+    #: payload keeps the configuration as per-agent ids in
+    #: ``"agent_states"``.
+    layout_free: bool = False
+
+    def __init__(
+        self, protocol: PopulationProtocol, n: int, rng: RngLike = None, scenario=None
+    ) -> None:
         if n < 2:
             raise ConfigurationError(f"population size must be >= 2, got {n}")
         self.protocol = protocol
         self.n = int(n)
+        if scenario is not None:
+            # Imported lazily: repro.scenarios imports the scheduler module,
+            # whose package-level import would otherwise cycle through here.
+            from repro.scenarios.scenario import active_scenario
+
+            scenario = active_scenario(scenario)
+        #: The active scenario, or ``None`` in the idealised world.
+        self._scenario = scenario
         #: The protocol's compiled transition-table IR, shared across every
-        #: engine built on the same protocol instance.
-        self.table = protocol.compile()
+        #: engine built on the same protocol instance and layout.  The one
+        #: layout rule: a layout-free engine in the idealised world starts
+        #: on the closure table; every other run keeps compile()'s, which
+        #: follows canonical_states().  Scenario runs keep it because the
+        #: Byzantine fault draws a state id below len(encoder).
+        self.table = (
+            protocol.compile_closure()
+            if self.layout_free and scenario is None
+            else protocol.compile()
+        )
         self.encoder = self.table.encoder
         self.interactions = 0
         # Distinct states occupied by at least one agent at any point of this
@@ -251,8 +278,12 @@ class BaseEngine(abc.ABC):
         re-registers the snapshot's tail states in their recorded order, so
         the state-identifier layout — which the count engines' sampling
         order and the packed lookup tables depend on — is reproduced exactly
-        even on a freshly compiled protocol instance.  Version-1 snapshots
-        (the whole layout and sorted occupied ids) are restored too.
+        even on a freshly compiled protocol instance.  A layout-free engine
+        instead maps the recorded ids (the ever-occupied set and its
+        per-agent ``agent_states`` payload) onto its own table, so a
+        snapshot taken on a lazily laid-out table resumes onto the closure
+        table.  Version-1 snapshots (the whole layout and sorted occupied
+        ids) are restored too.
         """
         version = snapshot.get("version")
         if version not in (1, SNAPSHOT_VERSION):
@@ -292,21 +323,31 @@ class BaseEngine(abc.ABC):
             occupied = np.flatnonzero(np.unpackbits(bits, count=start + len(layout)))
         # Reproduce the rest of the layout.  Registration is append-only
         # and deterministic (canonical states, then initial states, then
-        # discovery order), so encoding the recorded states in order must
-        # yield their recorded identifiers; anything else means the target
-        # table has an incompatible compilation history.
+        # discovery order), so encoding the recorded states in order yields
+        # their recorded identifiers on a table with the snapshot's
+        # compilation history.  A layout-free engine may sit on another
+        # layout (a lazily laid-out snapshot resumed onto the closure
+        # table): its recorded ids are mapped onto this table's.
+        ids = np.arange(start + len(layout))
         for expected_id, state in enumerate(layout, start):
-            sid = self.table.encode(state)
-            if sid != expected_id:
+            ids[expected_id] = self.table.encode(state)
+        payload = snapshot["payload"]
+        moved = np.flatnonzero(ids != np.arange(len(ids)))
+        if moved.size:
+            if not self.layout_free:
+                recorded = int(moved[0])
                 raise CheckpointError(
-                    f"state {state!r} registered under id {sid}, but the "
-                    f"snapshot recorded id {expected_id}; the protocol "
-                    "instance has an incompatible state-registration history "
-                    "(restore into a freshly constructed protocol)"
+                    f"state {layout[recorded - start]!r} registered under id "
+                    f"{ids[recorded]}, but the snapshot recorded id {recorded}; "
+                    "the protocol instance has an incompatible state-"
+                    "registration history (restore into a freshly "
+                    "constructed protocol)"
                 )
+            occupied = ids[np.asarray(occupied, dtype=np.int64)]
+            payload = {**payload, "agent_states": ids[np.asarray(payload["agent_states"])]}
         self.interactions = int(snapshot["interactions"])
         self._restore_occupied(occupied)
-        self._state_restore(snapshot["payload"])
+        self._state_restore(payload)
 
     @classmethod
     def from_snapshot(

@@ -20,13 +20,16 @@ clock phase plus a phase-free *part*, phases come from Γ×Γ arrays, and the
 rules run once per distinct ``(responder part, initiator part, clock
 qualifier)`` triple, memoised; each layer is a few NumPy gathers.  GSU19's
 1,348 states at ``Γ=24, Φ=1, Ψ=3`` have 63 parts and 13,432 triples, so its
-BFS takes about 0.7 s on a 2-CPU host instead of 1.8M transition calls.  A
-plain transition is the one-phase case.  A second pass fills the dense
-``(K, K)`` ``int64`` table of ``(r' << 32) | i'`` (the packed layout of
-:class:`~repro.engine.table.TransitionTable`, which adopts it through
-:meth:`~repro.engine.protocol.PopulationProtocol.canonical_transitions` and
-starts fully compiled), and a fixed sample of it is re-checked against the
-scalar transition.  :func:`reachable_states` is the states-only view.
+BFS takes about 0.7 s on a 2-CPU host instead of 1.8M transition calls
+(GS18, the same shape through
+:class:`~repro.clocks.phase_clock.PhaseClockedProtocol`, closes 1,555
+states at ``Γ=24, Φ=4``).  A plain transition is the one-phase case.  A
+second pass fills the dense ``(K, K)`` ``int64`` table of ``(r' << 32) |
+i'`` (the packed layout of :class:`~repro.engine.table.TransitionTable`,
+which adopts it through
+:meth:`~repro.engine.protocol.PopulationProtocol.state_closure` and starts
+fully compiled), and a fixed sample of it is re-checked against the scalar
+transition.  :func:`reachable_states` is the states-only view.
 
 The discovery order is deterministic (BFS layers; within a layer, first
 occurrence over the frontier's pairs, forward then backward), so state-

@@ -55,24 +55,21 @@ sqrt(n)`` interactions; its cost is a fixed overhead plus a term in the
 number ``k`` of *occupied* states (scalar hypergeometric splits while ``k``
 is small, one compacted vectorised split per pairing row beyond that — see
 :mod:`repro.engine.count_batch`).  The dispatcher compares that per-batch
-cost, evaluated at the protocol's occupied-frontier bound
-(:meth:`~repro.engine.protocol.PopulationProtocol.occupied_states_hint`,
-defaulting to the declared state-space size), against the fast-batch
-engine's measured per-interaction cost.  All constants were measured on the
-``BENCH_engine.json`` workloads.
+cost, evaluated at the declared state-space size (a bound on the occupied
+frontier), against the fast-batch engine's measured per-interaction cost.
+All constants were measured on the ``BENCH_engine.json`` workloads.
 
 The model is evaluated against the tier the engine would actually run:
 with the compiled count kernel (:mod:`repro.engine._count_kernel`,
 available whenever ``_ckernel``'s compiler probe succeeds) the per-batch
 cost is one C call — ~1us fixed plus ~0.13us per occupied pairing cell —
 which moves the countbatch-vs-fastbatch crossover down to
-``_COUNTBATCH_MIN_N`` for protocols whose frontier hint stays below ~30
-states.  (GSU19's *hint* — 124 states at headline calibrations — still
-prices it onto fastbatch until ``COUNTBATCH_FORCE_N``; its *realised*
-frontier is far sparser, so an explicit ``engine="countbatch"`` beats
-``auto`` by ~10x in that window on kernel machines.  The hint is a bound,
-and the model deliberately trusts it — mispricing toward the bit-exact
-engine is the safe direction.)  Below
+``_COUNTBATCH_MIN_N`` for protocols that declare fewer than ~30 states.
+(GSU19's declared closure — 1,789 states at n = 10^8's calibration — prices
+it onto fastbatch until ``COUNTBATCH_FORCE_N``; its *realised* frontier is
+far sparser, so an explicit ``engine="countbatch"`` beats ``auto`` by ~10x
+in that window on kernel machines.  The bound is deliberately trusted —
+mispricing toward the bit-exact engine is the safe direction.)  Below
 ``_COUNTBATCH_MIN_N`` the policy stays deliberately kernel-independent:
 every ``auto`` choice there is in the bit-for-bit sequential-identical
 engine family, so seed-pinned results agree across machines with and
@@ -110,7 +107,6 @@ __all__ = [
     "resolve_engine",
     "scenario_capable",
     "state_space_size",
-    "table_shareable",
 ]
 
 #: Named engines accepted everywhere an engine specification is taken.
@@ -275,25 +271,6 @@ def count_capable(protocol: PopulationProtocol, n: int) -> Optional[int]:
     return states
 
 
-def table_shareable(engine_cls: Type[BaseEngine]) -> bool:
-    """Whether cells resolved to ``engine_cls`` may share one compiled table.
-
-    Each worker of the sweep scheduler (:func:`repro.engine.parallel.run_many`)
-    keeps one :class:`~repro.engine.table.TransitionTable` per calibration
-    (protocol :meth:`~repro.engine.protocol.PopulationProtocol.transition_key`
-    and engine) for the whole sweep and hands it to every cell of such an
-    engine, so a cell finds the transitions earlier cells compiled, across
-    seeds and sizes.  That is invisible in the results only when the
-    trajectory does not depend on the state-identifier layout the table's
-    compilation history produced.  The per-agent engines qualify: they draw
-    agent indices, never state ids, and ids only index the lookup table.
-    The count-space engines sample by identifier order, so a lazily
-    discovered layout changes their trajectories; every cell of theirs
-    compiles a fresh table.
-    """
-    return engine_cls is FastBatchEngine or engine_cls is SequentialEngine
-
-
 def scenario_capable(engine_cls: Type[BaseEngine], scenario=None) -> bool:
     """Whether ``engine_cls`` can simulate ``scenario``.
 
@@ -353,26 +330,11 @@ def auto_engine(
                     return FastBatchEngine
             return SequentialEngine
     if n >= _COUNTBATCH_MIN_N:
-        hint = protocol.occupied_states_hint()
-        # Below the force threshold, an unprofitable frontier hint prices
-        # count-batch out *before* canonical_states is consulted: that
-        # enumeration may be expensive (GSU19's closure BFS, ~1 s at
-        # n = 10^8), and it must only be paid when it can change the
-        # decision — not to be told "fastbatch", which is what the cost
-        # model says for GSU19's frontier in the 3*10^6..3*10^7 window.
-        worth_probing = (
-            n >= COUNTBATCH_FORCE_N
-            or hint is None
-            or _countbatch_profitable(hint, n)
-        )
-        if worth_probing:
-            states = count_capable(protocol, n)
-            if states is not None:
-                if n >= COUNTBATCH_FORCE_N:
-                    return CountBatchEngine
-                occupied = states if hint is None else min(states, hint)
-                if _countbatch_profitable(occupied, n):
-                    return CountBatchEngine
+        states = count_capable(protocol, n)
+        if states is not None and (
+            n >= COUNTBATCH_FORCE_N or _countbatch_profitable(states, n)
+        ):
+            return CountBatchEngine
     threshold = (
         _FASTBATCH_MIN_N_CKERNEL if kernel_available() else _FASTBATCH_MIN_N
     )

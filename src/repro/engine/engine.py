@@ -62,6 +62,8 @@ class SequentialEngine(BaseEngine):
 
     scenario_capabilities = frozenset({"topology", "churn", "faults"})
 
+    layout_free = True
+
     def __init__(
         self,
         protocol: PopulationProtocol,
@@ -70,15 +72,9 @@ class SequentialEngine(BaseEngine):
         *,
         scenario=None,
     ) -> None:
-        super().__init__(protocol, n, rng)
+        super().__init__(protocol, n, rng, scenario)
         generator = make_rng(rng)
-        if scenario is not None:
-            # Imported lazily: repro.scenarios imports the scheduler module,
-            # whose package-level import would otherwise cycle through here.
-            from repro.scenarios.scenario import active_scenario
-
-            scenario = active_scenario(scenario)
-        self._scenario = scenario
+        scenario = self._scenario
         if scenario is None:
             self._sampler = PairSampler(n, generator)
         else:

@@ -284,6 +284,8 @@ class FastBatchEngine(BaseEngine):
 
     scenario_capabilities = frozenset({"topology"})
 
+    layout_free = True
+
     def __init__(
         self,
         protocol: PopulationProtocol,
@@ -294,29 +296,23 @@ class FastBatchEngine(BaseEngine):
         kernel: str = "auto",
         scenario=None,
     ) -> None:
-        super().__init__(protocol, n, rng)
+        super().__init__(protocol, n, rng, scenario)
         if block < 1:
             raise ConfigurationError(f"block size must be >= 1, got {block}")
         if kernel not in ("auto", "c", "numpy"):
             raise ConfigurationError(
                 f"kernel must be 'auto', 'c' or 'numpy', got {kernel!r}"
             )
+        scenario = self._scenario
         if scenario is not None:
-            # Imported lazily to avoid a package-import cycle (scenarios
-            # imports the scheduler module at package level).
-            from repro.scenarios.scenario import active_scenario
-
-            scenario = active_scenario(scenario)
-            if scenario is not None:
-                missing = scenario.requirements() - self.scenario_capabilities
-                if missing:
-                    raise ConfigurationError(
-                        f"FastBatchEngine supports topology-only scenarios; "
-                        f"scenario {scenario.label()!r} also needs "
-                        f"{', '.join(sorted(missing))} — use "
-                        "engine='sequential' for churn/fault scenarios"
-                    )
-        self._scenario = scenario
+            missing = scenario.requirements() - self.scenario_capabilities
+            if missing:
+                raise ConfigurationError(
+                    f"FastBatchEngine supports topology-only scenarios; "
+                    f"scenario {scenario.label()!r} also needs "
+                    f"{', '.join(sorted(missing))} — use "
+                    "engine='sequential' for churn/fault scenarios"
+                )
         self._c_kernel = load_kernel() if kernel in ("auto", "c") else None
         if kernel == "c" and self._c_kernel is None:
             raise ConfigurationError(

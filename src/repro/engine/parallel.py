@@ -38,24 +38,13 @@ every engine runs one seed on its calling thread, so ``workers=`` is the
 whole CPU budget, and ``workers=0``/``1`` runs the cells in order in this
 process.
 
-Every cell builds its own ``factory(n)``.  Each size's engine is resolved
-once per sweep; when it is table-shareable
-(:func:`repro.engine.dispatch.table_shareable` — the per-agent
-``FastBatchEngine`` and ``SequentialEngine``), each worker keeps one
-:class:`~repro.engine.table.TransitionTable` per ``(transition key,
-engine)`` for the whole sweep and hands it to the cell's protocol through
-:meth:`~repro.engine.protocol.PopulationProtocol.share_table`.  The
-transition key (:meth:`~repro.engine.protocol.PopulationProtocol.transition_key`)
-names the calibration, not the size — GSU19 and GS18 key on ``(Γ, Φ,
-Ψ)`` — so a cell finds the transitions every earlier cell of its worker
-compiled, across seeds and sizes.  These engines draw agent indices, never
-state ids, so a warm table changes no trajectory: each cell reproduces its
-fresh run **bit-for-bit**, at any worker count, and cell keys do not
-depend on sharing.  The cache is a local of the serial loop or, in a
-worker process, module state reset by the pool initializer, so it dies
-with the sweep.  Count-space engines (whose trajectories depend on the id
-layout), recorders, checkpoints, ``scenario=`` and ``raise_on_budget``
-give every cell its own fresh table.
+Every cell builds its own ``factory(n)`` and runs on that protocol's own
+table, so cells are bit-identical at any worker count and cell keys depend
+on the cell alone.  What a process keeps between cells is the closure
+cache: an idealised-world per-agent cell of GSU19 or GS18 starts on a
+table adopted from its calibration's reachable-state closure
+(:meth:`~repro.engine.protocol.PopulationProtocol.compile_closure`), which
+each process enumerates once, and then compiles no transition pair.
 
 Recorder and scenario cells take the same path at every worker count.
 ``recorder_factory=`` builds each cell's recorders in the process that
@@ -109,11 +98,11 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.engine.convergence import ConvergencePredicate
 from repro.engine.cpus import available_cpus
-from repro.engine.dispatch import EngineSpec, resolve_engine, table_shareable
+from repro.engine.dispatch import EngineSpec
 from repro.engine.recorder import Recorder
 from repro.engine.rng import spawn_seeds
 from repro.engine.simulation import RunResult, run_protocol
@@ -128,13 +117,6 @@ RecorderFactory = Callable[[], Sequence[Recorder]]
 #: One sweep job: (result index, population size, seed, store key, store
 #: inputs) — key/inputs are ``None`` for storeless sweeps.
 _Job = Tuple[int, int, int, Optional[str], Optional[dict]]
-
-#: One worker's compiled tables: ``(transition key, engine class) -> table``.
-_TableCache = Dict[Tuple[Hashable, type], "TransitionTable"]  # noqa: F821
-
-#: The table cache of this process when it is a pool worker.  The pool
-#: initializer empties it, so it lives exactly as long as one sweep's pool.
-_worker_tables: _TableCache = {}
 
 
 @dataclass
@@ -210,54 +192,6 @@ class _ProtocolConvergence:
 
 
 # ----------------------------------------------------------------------
-# Table sharing
-# ----------------------------------------------------------------------
-def _groupable_kwargs(run_kwargs: Dict[str, object]) -> bool:
-    """Whether ``run_kwargs`` let a cell run on a worker's shared table.
-
-    A shared table may differ from a fresh one only in its compilation
-    history, so any cadence and the kernel selector are allowed;
-    recorders, checkpointing, scenarios, ``raise_on_budget`` and other
-    engine keywords give the cell its own fresh table.
-    """
-    engine_kwargs = run_kwargs.get("engine_kwargs") or {}
-    return not (
-        set(run_kwargs) - {"check_every", "engine_kwargs"}
-        or set(engine_kwargs) - {"kernel"}
-    )
-
-
-def _shared_engines(
-    factory: ProtocolFactory,
-    sizes: Iterable[int],
-    engine: EngineSpec,
-    run_kwargs: Dict[str, object],
-) -> Dict[int, Optional[type]]:
-    """Each size's resolved engine class where its cells share tables.
-
-    ``None`` marks a size whose cells compile fresh tables: its engine is
-    not table-shareable, ``run_kwargs`` forbid sharing, or resolving fails
-    (the cell itself then fails the same way in its worker).
-    """
-    shared: Dict[int, Optional[type]] = dict.fromkeys(sizes)
-    if not _groupable_kwargs(run_kwargs):
-        return shared
-    for n in shared:
-        try:
-            resolved = resolve_engine(engine, factory(n), n)
-        except Exception:  # noqa: BLE001 - a broken cell fails in its worker
-            continue
-        if table_shareable(resolved):
-            shared[n] = resolved
-    return shared
-
-
-def _start_worker() -> None:
-    """Pool initializer: every worker starts its sweep with no tables."""
-    _worker_tables.clear()
-
-
-# ----------------------------------------------------------------------
 # The scheduler core
 # ----------------------------------------------------------------------
 def _execute_cell(
@@ -269,23 +203,9 @@ def _execute_cell(
     recorder_factory: Optional[RecorderFactory],
     engine: EngineSpec,
     run_kwargs: Dict[str, object],
-    shared_engine: Optional[type],
-    tables: _TableCache,
 ) -> SweepPoint:
-    """Run one cell on a fresh ``factory(n)`` with its own recorders.
-
-    With a ``shared_engine`` the protocol compiles to the table ``tables``
-    holds for its calibration and that engine, which the first such cell
-    creates.
-    """
+    """Run one cell on a fresh ``factory(n)`` with its own recorders."""
     protocol = factory(n)
-    if shared_engine is not None:
-        key = (protocol.transition_key(), shared_engine)
-        table = tables.get(key)
-        if table is None:
-            tables[key] = protocol.compile()
-        else:
-            protocol.share_table(table)
     convergence = convergence_factory(n) if convergence_factory is not None else None
     if recorder_factory is not None:
         run_kwargs = {**run_kwargs, "recorders": list(recorder_factory())}
@@ -301,11 +221,6 @@ def _execute_cell(
     return SweepPoint(
         n=n, seed=seed, result=result, recorders=list(run_kwargs.get("recorders", ()))
     )
-
-
-def _execute_in_worker(*args) -> SweepPoint:
-    """:func:`_execute_cell` on this pool worker's table cache."""
-    return _execute_cell(*args, _worker_tables)
 
 
 def _run_jobs(
@@ -328,7 +243,7 @@ def _run_jobs(
         )
     if recorder_factory is not None:
         # Recorder series are live observations that are not persisted, so
-        # recorder cells always run, each on a fresh table.
+        # recorder cells always run.
         store = None
     # Resolve every cell against the store first, so the scheduler only
     # ever sees the missing cells.
@@ -375,13 +290,6 @@ def _run_jobs(
             point.extra["cached"] = False
         points[index] = point
 
-    sizes = {job[1] for job in pending}
-    shared = (
-        _shared_engines(factory, sizes, engine, run_kwargs)
-        if recorder_factory is None
-        else dict.fromkeys(sizes)
-    )
-
     def arguments(job: _Job) -> tuple:
         _, n, seed, _, _ = job
         return (
@@ -393,15 +301,13 @@ def _run_jobs(
             recorder_factory,
             engine,
             dict(run_kwargs),
-            shared[n],
         )
 
     effective = max(1, min(workers, available_cpus(), len(pending) or 1))
     if effective <= 1:
-        tables: _TableCache = {}
         for job in pending:
             try:
-                point = _execute_cell(*arguments(job), tables)
+                point = _execute_cell(*arguments(job))
             except Exception as error:  # noqa: BLE001 - surfaced via SweepError
                 failures.append((job[1], job[2], error))
             else:
@@ -409,8 +315,8 @@ def _run_jobs(
     else:
         # record() runs here, in the submitting process, so store writes
         # stay single-threaded.
-        with ProcessPoolExecutor(max_workers=effective, initializer=_start_worker) as pool:
-            futures = {pool.submit(_execute_in_worker, *arguments(job)): job for job in pending}
+        with ProcessPoolExecutor(max_workers=effective) as pool:
+            futures = {pool.submit(_execute_cell, *arguments(job)): job for job in pending}
             for future in as_completed(futures):
                 job = futures[future]
                 error = future.exception()
@@ -460,8 +366,7 @@ def run_many(
         Optional callable returning fresh recorders for one cell.  Each
         cell builds its own in the process that runs it, and they come
         back, with their series, on :attr:`SweepPoint.recorders`.  Recorder
-        cells never touch ``store`` and each compiles a fresh table.  Must
-        be picklable when ``workers > 1``.
+        cells never touch ``store``.  Must be picklable when ``workers > 1``.
     workers:
         ``None`` or ``0``/``1`` runs serially, one cell at a time in this
         process; larger values drain the cells through ``min(workers,
@@ -475,10 +380,7 @@ def run_many(
     engine:
         Engine specification — a name, ``"auto"``, an engine class, or
         ``None`` for the default sequential engine (see
-        :func:`repro.engine.dispatch.resolve_engine`).  Cells on a
-        per-agent engine share each worker's table for their calibration,
-        across seeds and sizes (bit-identical per cell; see the module
-        docstring).
+        :func:`repro.engine.dispatch.resolve_engine`).
     store:
         Optional on-disk experiment store (directory path or
         :class:`~repro.experiments.store.ExperimentStore`).  Completed
@@ -551,7 +453,7 @@ def run_cells(
 
     The experiments' entry into the sweep scheduler for one size with
     their own seeds (``figure3``, ``matrix``, ``clock``): same recorders, store
-    resumability, worker pool, table sharing and failure semantics as
+    resumability, worker pool and failure semantics as
     :func:`run_many`, but with caller-provided seeds and a single ``n``.
     When ``convergence_factory`` is ``None`` the predicate comes from the
     protocol's own ``convergence()`` hook (the experiment convention),

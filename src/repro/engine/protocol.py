@@ -20,13 +20,12 @@ is the agent listed first and is typically the one updated.
 from __future__ import annotations
 
 import abc
-import json
 import threading
 from dataclasses import dataclass, field
 from itertools import groupby
-from typing import TYPE_CHECKING, Callable, Dict, Hashable, Iterable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.errors import ConfigurationError, ProtocolError
+from repro.errors import ProtocolError
 from repro.types import State, TransitionResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -119,17 +118,20 @@ class PopulationProtocol(abc.ABC):
         to pre-register states); ``None`` means "discover lazily"."""
         return None
 
-    def canonical_transitions(self) -> Optional["np.ndarray"]:
-        """Optionally the compiled transition table over :meth:`canonical_states`.
+    def state_closure(self) -> Optional[Tuple[Sequence[State], "np.ndarray"]]:
+        """Optionally the reachable-state closure and its transition table.
 
-        A read-only ``(K, K)`` ``int64`` array whose entry ``[r, i]`` is
-        ``(r' << 32) | i'`` when ``transition(states[r], states[i]) ==
-        (states[r'], states[i'])``, ``states`` being the canonical states in
-        order (the layout :func:`~repro.engine.closure.reachable_closure`
-        returns).  A :class:`~repro.engine.table.TransitionTable` whose ids
-        ``0..K-1`` are exactly those states adopts it as its packed LUT
-        instead of compiling pairs one miss at a time; the array is shared,
-        never written.  ``None`` (the default) means "compile lazily".
+        ``(states, lut)``: every state reachable from the initial
+        configuration, in a fixed order, and the read-only ``(K, K)``
+        ``int64`` array whose entry ``[r, i]`` is ``(r' << 32) | i'`` when
+        ``transition(states[r], states[i]) == (states[r'], states[i'])``
+        (the layout :func:`~repro.engine.closure.reachable_closure`
+        returns).  A table laid out over it adopts ``lut`` as its packed
+        LUT and never misses (:meth:`compile_closure`); the array is
+        shared, never written.  A protocol that declares both this and
+        :meth:`canonical_states` must declare the closure's states, in
+        order, as its canonical states.  ``None`` (the default) means "no
+        closure is known".
         """
         return None
 
@@ -151,78 +153,59 @@ class PopulationProtocol(abc.ABC):
         """
         return None
 
-    def occupied_states_hint(self) -> Optional[int]:
-        """Optional bound on the *simultaneously occupied* state count.
-
-        Protocols whose declared state space is much larger than the set of
-        states any configuration actually occupies at one time (GSU19: a
-        reachable closure of 1,789 states at ``n = 10^8``, but runs occupy well
-        under a hundred at once — agents' clock phases stay in a narrow
-        moving band) can declare that envelope here.  The dispatcher's
-        count-batch cost model evaluates per-batch cost at this bound
-        instead of the full declared size; it never affects correctness,
-        only engine choice, so an empirically measured envelope is fine.
-        ``None`` (the default) makes the dispatcher fall back to the
-        declared state-space size.
-        """
-        return None
-
     def compile(self, encoder: Optional["StateEncoder"] = None) -> "TransitionTable":
         """Lower this protocol to a packed :class:`TransitionTable` IR.
 
+        The table registers :meth:`canonical_states` first when they are
+        declared (adopting :meth:`state_closure`'s LUT on a pristine
+        encoder) and otherwise lays states out lazily, in discovery order.
         With no ``encoder`` argument the compiled table is cached on the
         protocol instance, so every engine built on the same protocol object
-        shares one table (scalar ``delta`` dict, packed LUT and output maps)
-        — the basis of the engines' shared-transition guarantee and a warm
-        start for repeated runs.  Passing an ``encoder`` always builds a
-        fresh, uncached table on top of it.  Caching is thread-safe
-        (double-checked against a module lock), so two threads building
-        engines on one shared protocol get the same table instead of racing
-        two into existence.
+        with this layout shares one table (scalar ``delta`` dict, packed LUT
+        and output maps) — the basis of the engines' shared-transition
+        guarantee and a warm start for repeated runs.  Passing an
+        ``encoder`` always builds a fresh, uncached table on top of it.
+        Caching is thread-safe (double-checked against a module lock), so
+        two threads building engines on one shared protocol get the same
+        table instead of racing two into existence.
         """
         from repro.engine.table import TransitionTable
 
         if encoder is not None:
             return TransitionTable(self, encoder)
-        table = self.__dict__.get("_compiled_table")
+        return self._cached_table("_compiled_table", lambda: TransitionTable(self))
+
+    def compile_closure(self) -> "TransitionTable":
+        """The cached table laid out over :meth:`state_closure`.
+
+        Its ids ``0..K-1`` are the closure's states and its packed array is
+        the closure's LUT, so it starts with every pair compiled.  Engines
+        whose trajectories do not depend on the state-id layout start on it
+        (:class:`~repro.engine.base.BaseEngine`).  A protocol without a
+        closure, or whose canonical states already are its closure, gets
+        :meth:`compile`'s table.
+        """
+        from repro.engine.table import TransitionTable
+
+        if self.canonical_states() is not None or self.state_closure() is None:
+            return self.compile()
+
+        def laid_out() -> "TransitionTable":
+            table = TransitionTable(self)
+            table.adopt_closure(*self.state_closure())
+            return table
+
+        return self._cached_table("_closure_table", laid_out)
+
+    def _cached_table(self, name: str, build: Callable[[], "TransitionTable"]):
+        table = self.__dict__.get(name)
         if table is None:
             with _compile_lock:
-                table = self.__dict__.get("_compiled_table")
+                table = self.__dict__.get(name)
                 if table is None:
-                    table = TransitionTable(self)
-                    self._compiled_table = table
+                    table = build()
+                    setattr(self, name, table)
         return table
-
-    def share_table(self, table: "TransitionTable") -> None:
-        """Make :meth:`compile` return ``table``, compiled by another instance.
-
-        ``table`` must come from a protocol with an equal
-        :meth:`transition_key`, which promises the same transition and
-        output functions; anything else raises
-        :class:`~repro.errors.ConfigurationError`.  The sweep scheduler
-        hands each worker's cached table to every later cell of the same
-        calibration this way (:mod:`repro.engine.parallel`).
-        """
-        if table.protocol.transition_key() != self.transition_key():
-            raise ConfigurationError(
-                f"cannot share a table compiled for {table.protocol!r} with "
-                f"{self!r}: their transition keys differ"
-            )
-        with _compile_lock:
-            self._compiled_table = table
-
-    def transition_key(self) -> Hashable:
-        """Hashable identity of the transition and output functions.
-
-        Two instances with equal keys must have identical :meth:`transition`
-        and :meth:`output` functions, so one compiled
-        :class:`~repro.engine.table.TransitionTable` can serve both (see
-        :meth:`share_table`).  The default is the canonical JSON text of
-        :meth:`fingerprint`; a protocol whose rules read only some of its
-        parameters overrides it with just those, so instances built for
-        different population sizes share a table.
-        """
-        return json.dumps(self.fingerprint(), sort_keys=True)
 
     def describe_state(self, state: State) -> str:
         """Human readable rendering of a state (for traces and debugging)."""

@@ -36,37 +36,36 @@ it by :meth:`TransitionTable.canonical_digest` instead of storing it.
 Closure-compiled LUT
 ====================
 
-A protocol whose canonical states come from the reachable-closure BFS
-(:func:`repro.engine.closure.reachable_closure`, GSU19 at count-space
-scale) also hands over the BFS's ``(K, K)`` transition array through
-:meth:`~repro.engine.protocol.PopulationProtocol.canonical_transitions`.
-When the table's ids ``0..K-1`` are exactly those states in order (the
-encoder was empty before registration), the table adopts that array as its
-packed LUT, with capacity ``K``: every pair is compiled from the start, so
-the kernels never miss.  The array is shared read-only by every table of
-the calibration and never written: :meth:`_compile_pair` serves a pair
-present in the packed array by filling ``delta`` from it, without
-evaluating the transition, and growth past ``K`` (a state outside the
-closure) copies it into a private writable array.  A table over a
-pre-populated encoder (``compile(encoder=...)``) compiles lazily.
-Adoption changes no trajectory: a lazy table's misses roll their batch
+A protocol with a reachable-state closure
+(:meth:`~repro.engine.protocol.PopulationProtocol.state_closure`, from
+:func:`repro.engine.closure.reachable_closure`: GSU19 and GS18) hands over
+the BFS's states and ``(K, K)`` transition array.  A table laid out over it
+(:meth:`TransitionTable.adopt_closure`) takes the states as ids ``0..K-1``
+and the array as its packed LUT, with capacity ``K``: every pair is
+compiled from the start, so the kernels never miss.  The array is shared
+read-only by every table of the calibration and never written:
+:meth:`_compile_pair` serves a pair present in the packed array by filling
+``delta`` from it, without evaluating the transition, and growth past
+``K`` (a state outside the closure) copies it into a private writable
+array.  A pristine table whose protocol declares the closure as its
+canonical states adopts it at construction; a table over a pre-populated
+encoder (``compile(encoder=...)``) compiles lazily.  Adoption changes no
+trajectory of a per-agent engine: a lazy table's misses roll their batch
 back, RNG included, so the same run on either table is identical.
 
 Every engine obtains its table through
-:meth:`PopulationProtocol.compile() <repro.engine.protocol.PopulationProtocol.compile>`,
-which caches one table per protocol instance — engines built on the same
-protocol object therefore share compiled transitions.  Sharing is sound
+:meth:`PopulationProtocol.compile() <repro.engine.protocol.PopulationProtocol.compile>`
+or, for an idealised-world run of a layout-free engine (the per-agent
+engines, which never let an identifier steer randomness),
+:meth:`~repro.engine.protocol.PopulationProtocol.compile_closure`; both
+cache one table per protocol instance, so engines built on the same
+protocol object and layout share compiled transitions.  Sharing is sound
 because transition functions are required to be pure and deterministic;
 per-run quantities (state counts, ever-occupied tracking, interaction
 counters) stay in the engines.  What sharing can change is the identifier
 layout of lazily discovered states, which follows the table's compilation
-history.  The per-agent engines never let an identifier steer randomness,
-so their runs are identical on a fresh or a warm table.  For them each
-sweep worker keeps one table per calibration for the whole sweep and
-hands it to every cell whose protocol has an equal
-:meth:`~repro.engine.protocol.PopulationProtocol.transition_key` (see
-:func:`repro.engine.dispatch.table_shareable`).  The count-space engines
-sample by identifier order: every run of theirs compiles a fresh table.
+history; the count-space engines sample by identifier order, so the sweep
+gives every cell a fresh protocol and table.
 
 Thread safety
 =============
@@ -129,30 +128,24 @@ class TransitionTable:
         self.encoder = encoder if encoder is not None else StateEncoder()
         pristine = len(self.encoder) == 0
         canonical = protocol.canonical_states()
-        lut = None
+        # A protocol with a closure declares canonical states only as the
+        # closure's states, in order (see PopulationProtocol.state_closure).
+        closure = protocol.state_closure() if canonical is not None and pristine else None
         #: Number of leading ids registered from ``canonical_states()`` on a
         #: pristine encoder (0 otherwise): a layout prefix every fresh table
         #: of this protocol reproduces, which snapshots reference by
         #: :meth:`canonical_digest` instead of storing its states.
         self.canonical_count = 0
         self._canonical_digest: Optional[str] = None
-        if canonical is not None:
+        if canonical is not None and closure is None:
             for state in canonical:
                 self.encoder.encode(state)
             if pristine:
                 self.canonical_count = len(self.encoder)
-                lut = protocol.canonical_transitions()
         #: Scalar transition memo shared by every engine on this protocol.
         self.delta: Dict[Tuple[int, int], Tuple[int, int]] = {}
-        if lut is not None and lut.shape == (len(self.encoder),) * 2:
-            # The closure's compiled LUT, shared read-only: ids 0..K-1 are
-            # exactly the canonical states in order, so it is this table's
-            # packed array already.  Growth past K copies it (see _grow).
-            self._capacity = len(self.encoder)
-            self._packed = lut.reshape(-1)
-        else:
-            self._capacity = max(_INITIAL_CAPACITY, len(self.encoder))
-            self._packed = np.full(self._capacity * self._capacity, -1, dtype=np.int64)
+        self._capacity = max(_INITIAL_CAPACITY, len(self.encoder))
+        self._packed = np.full(self._capacity * self._capacity, -1, dtype=np.int64)
         # Output maps: per-state symbol memo plus interned symbol ids for the
         # vectorised aggregation path.
         self._output_symbols: List[Optional[str]] = []
@@ -168,6 +161,8 @@ class TransitionTable:
         # compilation registers output states through encode() while
         # already holding it.
         self._lock = threading.RLock()
+        if closure is not None:
+            self.adopt_closure(*closure)
 
     # ------------------------------------------------------------------
     # State registration and capacity
@@ -197,6 +192,20 @@ class TransitionTable:
         """
         with self._lock:
             return self._packed, self._capacity
+
+    def adopt_closure(self, states, lut: np.ndarray) -> None:
+        """Lay this empty table out over a reachable closure.
+
+        Ids ``0..K-1`` become ``states`` (the canonical prefix) and the
+        read-only ``(K, K)`` ``lut`` becomes the packed array, shared and
+        never written: every pair is compiled from the start.
+        """
+        with self._lock:
+            for state in states:
+                self.encoder.encode(state)
+            self.canonical_count = self._capacity = len(self.encoder)
+            self._packed = lut.reshape(-1)
+            self._output_ids = np.full(self._capacity, -1, dtype=np.int64)
 
     def canonical_digest(self) -> str:
         """sha256 (hex) over the ``canonical_count`` prefix of the layout.

@@ -174,9 +174,9 @@ def sweep(
     The sweep is one call of the sweep scheduler
     (:func:`repro.engine.parallel.run_many`) over every size: one pool of
     ``workers`` processes steals cells across all sizes (serial for
-    ``workers`` 0 or 1), each worker compiles one table per calibration for
-    the whole sweep, and ``store`` makes every recorder-free cell
-    resumable.  The predicate is the protocol's own ``convergence()`` hook
+    ``workers`` 0 or 1), each per-agent GSU19 or GS18 cell starts on its
+    calibration's closure table (one closure BFS per process), and
+    ``store`` makes every recorder-free cell resumable.  The predicate is the protocol's own ``convergence()`` hook
     (:func:`convergence_for`).  ``recorder_factory`` gives every cell fresh
     recorders, returned beside its result; ``scenario`` (a
     :class:`~repro.scenarios.Scenario`) runs every cell under a

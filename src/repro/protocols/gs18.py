@@ -30,9 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from repro.clocks.phase_clock import PhaseClockRules
+from repro.clocks.phase_clock import PhaseClockedProtocol
 from repro.core.params import GSUParams
-from repro.engine.protocol import FOLLOWER_OUTPUT, LEADER_OUTPUT, PopulationProtocol
+from repro.engine.protocol import FOLLOWER_OUTPUT, LEADER_OUTPUT
 from repro.types import CoinMode, Flip
 
 __all__ = ["GS18LeaderElection", "GS18State"]
@@ -54,15 +54,25 @@ class GS18State:
     #: the junta has stabilised.
     started: bool = False
 
+    def with_phase(self, phase: int) -> "GS18State":
+        """Copy of this state with a different clock phase."""
+        return self if phase == self.phase else replace(self, phase=phase)
 
-class GS18LeaderElection(PopulationProtocol):
-    """Junta clock + repeated fair synthetic coin flips (``O(log² n)`` whp)."""
+    def is_junta(self, phi: int) -> bool:
+        """Whether the agent drives the phase clock (it reached level ``Φ``)."""
+        return self.level >= phi
+
+
+class GS18LeaderElection(PhaseClockedProtocol):
+    """Junta clock + repeated fair synthetic coin flips (``O(log² n)`` whp).
+
+    Its :meth:`transition` is the shared clock step followed by
+    :meth:`apply_rules`, so its whole state space (1,555 states at Table 1's
+    ``Γ=24, Φ=4``) closes through the phase-factored BFS and per-agent runs
+    start fully compiled.
+    """
 
     name = "gs18-leader-election"
-
-    def __init__(self, params: GSUParams) -> None:
-        self.params = params
-        self.clock = PhaseClockRules(params.gamma)
 
     @classmethod
     def for_population(
@@ -89,18 +99,11 @@ class GS18LeaderElection(PopulationProtocol):
         # never materialise a per-agent list).
         return {GS18State(): n}
 
-    def transition(self, responder: GS18State, initiator: GS18State):
+    def apply_rules(self, responder: GS18State, initiator: GS18State, qualifier: int):
+        """Everything after the clock step; ``qualifier`` bit 0 is the pass
+        through 0, bit 1 an early and bit 2 a late step.  No rule reads a
+        phase."""
         params = self.params
-        clock = self.clock
-
-        # Phase clock (junta = agents at the top level).
-        old_phase = responder.phase
-        is_junta = responder.level >= params.phi
-        new_phase = clock.advance(old_phase, initiator.phase, is_junta)
-        passed_zero = clock.passed_zero(old_phase, new_phase)
-        early = clock.is_early(old_phase, new_phase)
-        late = clock.is_late(old_phase, new_phase)
-
         level = responder.level
         level_mode = responder.level_mode
         candidate = responder.candidate
@@ -122,13 +125,13 @@ class GS18LeaderElection(PopulationProtocol):
 
         # Round boundary: clear the flip, mark the round void, note the clock
         # is running.
-        if passed_zero:
+        if qualifier & 1:
             flip = Flip.NONE
             void = True
             started = True
 
         # Early half: flip the fair synthetic coin (the partner's parity bit).
-        if early and candidate and started and flip == Flip.NONE:
+        if qualifier & 2 and candidate and started and flip == Flip.NONE:
             if initiator.parity == 1:
                 flip = Flip.HEADS
                 void = False
@@ -136,7 +139,7 @@ class GS18LeaderElection(PopulationProtocol):
                 flip = Flip.TAILS
 
         # Late half: heads epidemic among candidates / former candidates.
-        if late and void and not initiator.void:
+        if qualifier & 4 and void and not initiator.void:
             if candidate and flip == Flip.TAILS:
                 candidate = False
             void = False
@@ -149,8 +152,10 @@ class GS18LeaderElection(PopulationProtocol):
         if not candidate:
             flip = Flip.NONE
 
+        # The parity bit flips on every interaction, so the responder always
+        # changes.
         new_responder = GS18State(
-            phase=new_phase,
+            phase=responder.phase,
             level=level,
             level_mode=level_mode,
             candidate=candidate,
@@ -159,17 +164,10 @@ class GS18LeaderElection(PopulationProtocol):
             parity=1 - responder.parity,
             started=started,
         )
-        if new_responder == responder:
-            return responder, initiator
         return new_responder, initiator
 
     def output(self, state: GS18State) -> str:
         return LEADER_OUTPUT if state.candidate else FOLLOWER_OUTPUT
-
-    def transition_key(self) -> tuple:
-        # n_hint is validation-only: every size of a calibration shares a table.
-        params, cls = self.params, type(self)
-        return (f"{cls.__module__}.{cls.__qualname__}", params.gamma, params.phi, params.psi)
 
     # ------------------------------------------------------------------
     def phase_of(self, state: GS18State) -> int:
@@ -178,4 +176,4 @@ class GS18LeaderElection(PopulationProtocol):
 
     def is_junta_member(self, state: GS18State) -> bool:
         """Whether the agent drives the phase clock."""
-        return state.level >= self.params.phi
+        return state.is_junta(self.params.phi)

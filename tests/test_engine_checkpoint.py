@@ -736,6 +736,41 @@ def test_version_1_checkpoint_resumes_to_the_uninterrupted_digest(tmp_path, name
     assert _run_digest(resumed) == case["digest"]
 
 
+def test_lazy_layout_checkpoint_resumes_onto_the_closure_table(tmp_path):
+    """A fast-batch GSU19 checkpoint written on a lazily laid-out table
+    (snapshot version 2, no canonical prefix, the discovered layout as its
+    tail) resumes onto the closure table the engine now starts on: the
+    recorded ids are mapped onto the table's, and the run reaches the
+    uninterrupted run's digest, recorded with the checkpoint."""
+    from repro.engine.convergence import NeverConverge
+    from repro.engine.simulation import run_protocol
+
+    path = tmp_path / "v2_fastbatch.ckpt"
+    shutil.copyfile(_FIXTURES / "v2_fastbatch.ckpt", path)
+    snapshot = read_checkpoint(path)["engine_snapshot"]
+    assert snapshot["version"] == 2 and snapshot["canonical"][0] == 0
+    assert snapshot["engine"] == "FastBatchEngine" and snapshot["encoder_tail"]
+    resumed = run_protocol(
+        _lazy_gsu(), 64, seed=7, engine_cls="fastbatch", convergence=NeverConverge(),
+        check_every=64, max_parallel_time=300.0, checkpoint_path=path, resume=True,
+    )
+    assert resumed.interactions == 19200
+    assert _run_digest(resumed) == "47c9778885e2b33a"
+
+
+def test_count_space_restore_keeps_the_strict_layout_check():
+    """Count-space engines sample by state id, so a snapshot whose layout
+    this table cannot reproduce is refused rather than remapped."""
+    engine = CountBatchEngine(_lazy_gsu(), 64, rng=3)
+    engine.run(64 * 50)
+    snapshot = engine.snapshot()
+    assert snapshot["canonical"][0] == 0 and len(snapshot["encoder_tail"]) > 2
+    tail = snapshot["encoder_tail"]
+    snapshot["encoder_tail"] = [tail[1], tail[0], *tail[2:]]
+    with pytest.raises(CheckpointError, match="incompatible state-registration"):
+        CountBatchEngine(_lazy_gsu(), 64, rng=3).restore(snapshot)
+
+
 def test_closure_snapshot_references_the_closure_by_digest(tmp_path):
     """A closure-registered countbatch checkpoint stores no encoder states
     and stays under 2 KB, and resumes to the uninterrupted run."""

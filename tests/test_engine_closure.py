@@ -4,11 +4,12 @@ The closure pass (:mod:`repro.engine.closure`) is what makes the headline
 GSU19 protocol *count-capable*: a finite ``canonical_states`` enumeration
 plus the ``initial_counts`` hook lets ``engine="auto"`` dispatch it to the
 configuration-space engines at ``n = 10^7``–``10^8``.  The BFS evaluates
-GSU19's rules once per phase-free pair, so even the default calibrations
-(1,348 states at ``Γ=24, Φ=1, Ψ=3``, 1,789 at ``n = 10^8``'s ``Φ=2, Ψ=4``)
-close in under a second on a 2-CPU host.  Its exactness is pinned against a
-pair-by-pair oracle at small calibrations (``gamma=4`` gives 144 states,
-``gamma=8, psi=3`` 444) and by digests of the two production closures.
+the rules of GSU19 and GS18 once per phase-free pair, so even the default
+calibrations (GSU19: 1,348 states at ``Γ=24, Φ=1, Ψ=3``, 1,789 at
+``n = 10^8``'s ``Φ=2, Ψ=4``; GS18: 1,555 at ``Γ=24, Φ=4``) close in under a
+second on a 2-CPU host.  Its exactness is pinned against a pair-by-pair
+oracle at small calibrations (``gamma=4`` gives 144 GSU19 states,
+``gamma=8, psi=3`` 444) and by digests of the three production closures.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from repro.engine.simulation import Simulation
 from repro.engine.state import StateEncoder
 from repro.engine.table import TransitionTable
 from repro.errors import ProtocolError
+from repro.protocols.gs18 import GS18LeaderElection
 from repro.types import Role
 
 
@@ -46,7 +48,7 @@ class _LazyLutGSU(GSULeaderElection):
     """GSU19 with the closure registered but no adopted LUT: the same id
     layout as the closure-registered protocol, compiled one miss at a time."""
 
-    def canonical_transitions(self):
+    def state_closure(self):
         return None
 
 
@@ -177,45 +179,75 @@ def test_reachable_states_guard_trips_before_a_layer_explodes():
 # ----------------------------------------------------------------------
 # The factored BFS is exact
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("psi", [1, 3])
-@pytest.mark.parametrize("gamma", [4, 6, 8])
-def test_factored_closure_equals_pair_loop_oracle(gamma, psi):
+@pytest.mark.parametrize(
+    "protocol",
+    [
+        pytest.param(_small_gsu(gamma=gamma, psi=psi), id=f"{gamma}-{psi}")
+        for gamma in (4, 6, 8)
+        for psi in (1, 3)
+    ]
+    + [
+        pytest.param(
+            GS18LeaderElection(GSUParams(n_hint=4096, gamma=8, phi=2, psi=3)),
+            id="gs18-8-2",
+        )
+    ],
+)
+def test_factored_closure_equals_pair_loop_oracle(protocol):
     """Same states in the same order, and the same LUT entry for entry, as
     evaluating the scalar transition on every ordered pair."""
-    protocol = _small_gsu(gamma=gamma, psi=psi)
-    states, lut = _pair_loop_closure(protocol.transition, [zero_state()])
+    seed = protocol.initial_state(protocol.params.n_hint)
+    states, lut = _pair_loop_closure(protocol.transition, [seed])
     assert list(protocol.reachable_state_closure()) == states
-    assert np.array_equal(protocol.canonical_transitions(), lut)
+    assert np.array_equal(protocol.state_closure()[1], lut)
+
+
+_PRODUCTION_CLOSURES = [
+    (
+        GSULeaderElection,
+        1,
+        3,
+        1348,
+        "d866ec4bc091a633efa4222cd56ee40bd8ebb51231ba3b7ecdd7849db7d2db1c",
+        "6df01b1d65defd190d69ef19df749c704d7d596c6fa2673b50fbbe94d295a4aa",
+    ),
+    (
+        GSULeaderElection,
+        2,
+        4,
+        1789,
+        "cd65f25f18bccf9f754c848dfcb052c7cbff0313734467cee7273d4777d63bbf",
+        "63a6e78d0c827a493e408886c8385b674f039a2a378a6388128b484cd7adee0d",
+    ),
+    (
+        GS18LeaderElection,
+        4,
+        3,
+        1555,
+        "e5905a2ed892d9a47a106968d0a8bb0d85a34d634ce84f9b8a462ab3e7de6f2b",
+        "a432beb937ffcd50532c2289f5d3b8562cfa5cf284e1f405ae11dd75ea4367a9",
+    ),
+]
 
 
 @pytest.mark.parametrize(
-    "phi, psi, size, states_sha, lut_sha",
+    "cls, phi, psi, size, states_sha, lut_sha",
     [
-        (
-            1,
-            3,
-            1348,
-            "d866ec4bc091a633efa4222cd56ee40bd8ebb51231ba3b7ecdd7849db7d2db1c",
-            "6df01b1d65defd190d69ef19df749c704d7d596c6fa2673b50fbbe94d295a4aa",
-        ),
-        (
-            2,
-            4,
-            1789,
-            "cd65f25f18bccf9f754c848dfcb052c7cbff0313734467cee7273d4777d63bbf",
-            "63a6e78d0c827a493e408886c8385b674f039a2a378a6388128b484cd7adee0d",
-        ),
+        pytest.param(
+            *case,
+            id=("gs18-" if case[0] is GS18LeaderElection else "")
+            + "-".join(map(str, case[1:])),
+        )
+        for case in _PRODUCTION_CLOSURES
     ],
 )
-def test_production_closures_pinned(phi, psi, size, states_sha, lut_sha):
-    """The two closures count-space runs use (Γ=24), pinned by digests
-    recorded from the pair-by-pair BFS: sha256 of the states' reprs, one
-    per line, and of the LUT's bytes."""
-    protocol = GSULeaderElection(
-        GSUParams(n_hint=CLOSURE_MIN_N_HINT, gamma=24, phi=phi, psi=psi)
-    )
-    states = protocol.reachable_state_closure()
-    lut = protocol.canonical_transitions()
+def test_production_closures_pinned(cls, phi, psi, size, states_sha, lut_sha):
+    """The closures Table 1's per-agent runs (GSU19 at Φ=1 and GS18, Γ=24)
+    and count-space runs (GSU19 at n = 10^8's Φ=2) start on, pinned by
+    digests recorded from the pair-by-pair BFS: sha256 of the states'
+    reprs, one per line, and of the LUT's bytes."""
+    protocol = cls(GSUParams(n_hint=CLOSURE_MIN_N_HINT, gamma=24, phi=phi, psi=psi))
+    states, lut = protocol.state_closure()
     assert len(states) == size and lut.shape == (size, size)
     reprs = "\n".join(map(repr, states)).encode()
     assert hashlib.sha256(reprs).hexdigest() == states_sha
@@ -225,9 +257,9 @@ def test_production_closures_pinned(phi, psi, size, states_sha, lut_sha):
 def test_phase_reading_rules_fail_the_spot_check(monkeypatch):
     """Rules that read the phase break the factoring the BFS relies on; the
     spot check against the scalar transition raises, naming the pair."""
-    from repro.core import protocol as core_protocol
+    from repro.clocks import phase_clock
 
-    monkeypatch.setattr(core_protocol, "_CLOSURE_CACHE", {})
+    monkeypatch.setattr(phase_clock, "_CLOSURE_CACHE", {})
     params = GSUParams(n_hint=CLOSURE_MIN_N_HINT, gamma=4, phi=1, psi=1)
     protocol = _PhaseReadingGSU(params)
     with pytest.raises(ProtocolError, match="disagrees with the transition at"):
@@ -283,7 +315,7 @@ def test_adopted_lut_equals_encoded_transitions(gamma, psi, size):
     protocol = _small_gsu(gamma=gamma, psi=psi)
     table = protocol.compile()
     closure = protocol.canonical_states()
-    lut = protocol.canonical_transitions()
+    lut = protocol.state_closure()[1]
     assert len(closure) == len(table) == table.capacity == size
     assert table.encoder.states() == list(closure)
     assert np.shares_memory(table.packed, lut)
@@ -302,7 +334,7 @@ def test_adopted_lut_is_shared_and_read_only():
     first = _small_gsu().compile()
     second = _small_gsu(n_hint=10**9).compile()
     assert first is not second
-    lut = _small_gsu().canonical_transitions()
+    lut = _small_gsu().state_closure()[1]
     for table in (first, second):
         assert table.packed.base is lut
         assert not table.packed.flags.writeable
@@ -334,7 +366,7 @@ def test_table_grows_past_an_adopted_lut():
     protocol = _small_gsu()
     table = TransitionTable(protocol)
     size = len(table)
-    lut = protocol.canonical_transitions()
+    lut = protocol.state_closure()[1]
     outsider = zero_state().evolve(phase=protocol.params.gamma + 1)
     sid = table.encode(outsider)
     assert sid == size and table.capacity > size
@@ -431,33 +463,22 @@ def test_closure_registered_countbatch_matches_sequential_quantiles():
     assert quantile_profile_distance(reference, batched) < 1.5
 
 
-def test_auto_dispatch_below_force_threshold_skips_the_closure_bfs(monkeypatch):
-    """In the 3e6..3e7 window the cost model prices GSU19's occupied
-    frontier out before canonical_states is consulted — dispatch must not
-    pay the default-calibration closure BFS just to pick fastbatch.
-
-    The instance is built with the *default* calibration and an n_hint past
-    the closure gate, so canonical_states() genuinely would run the BFS if
-    consulted (and cache its closure); the dispatched n sits in the window
-    where the model rejects count-batch.
-    """
-    from repro.core import protocol as core_protocol
-    from repro.engine.dispatch import COUNTBATCH_FORCE_N
+@pytest.mark.parametrize("kernel", [True, False], ids=["kernel", "no-kernel"])
+@pytest.mark.parametrize("n", [3_000_000, 10_000_000])
+def test_auto_dispatch_keeps_closure_declaring_gsu_on_fastbatch(monkeypatch, n, kernel):
+    """Below the force threshold the cost model, priced at GSU19's declared
+    closure (1,789 states at the default calibration past the closure
+    gate), keeps it on fastbatch, with or without the compiled kernels."""
+    from repro.engine import dispatch
     from repro.engine.fast_batch import FastBatchEngine
 
-    # An empty cache, so an earlier test's closure cannot hide a BFS here.
-    monkeypatch.setattr(core_protocol, "_CLOSURE_CACHE", {})
+    monkeypatch.setattr(dispatch, "kernel_available", lambda: kernel)
+    monkeypatch.setattr(dispatch, "count_kernel_available", lambda: kernel)
     protocol = GSULeaderElection(
-        GSUParams.from_population_size(COUNTBATCH_FORCE_N)
+        GSUParams.from_population_size(dispatch.COUNTBATCH_FORCE_N)
     )
-    assert protocol.params.n_hint >= core_protocol.CLOSURE_MIN_N_HINT
-    params = protocol.params
-    key = (params.gamma, params.phi, params.psi)
-    assert auto_engine(protocol, 5_000_000) is FastBatchEngine
-    assert key not in core_protocol._CLOSURE_CACHE, (
-        "auto dispatch computed the reachable closure for a decision "
-        "the frontier hint already settled"
-    )
+    assert state_space_size(protocol) == 1789
+    assert auto_engine(protocol, n) is FastBatchEngine
 
 
 def test_auto_simulation_on_closure_registered_gsu_uses_countbatch():

@@ -1,14 +1,16 @@
-"""State-id layout invariance: what lets a sweep share one transition table.
+"""State-id layout invariance: what lets per-agent runs start on the closure.
 
-The sweep scheduler runs same-``(protocol, n, engine)`` cells of a
-table-shareable engine (:func:`repro.engine.dispatch.table_shareable`) on
-one protocol instance, so a later seed starts on a table whose state ids
-were laid out by an earlier seed's discovery order.  These pins show that
-the per-agent engines do not notice: a run on a table pre-warmed by a
-different seed reproduces the fresh run's interactions, final counts,
-``states_used``, leader count and convergence-check series exactly.  The
-counter-case pins why the count-space engines are excluded: they sample by
-state-id order, so the same warm start changes their trajectory.
+A layout-free engine (:attr:`repro.engine.base.BaseEngine.layout_free`: the
+sequential and fast-batch engines) starts an idealised-world run on the
+protocol's closure table — every reachable state registered in BFS order
+and every pair compiled from the closure's LUT — instead of a table that
+discovers states lazily in this run's order.  These pins show that the
+per-agent engines do not notice: a run on the warm closure table
+reproduces the run on a fresh lazily compiled table exactly, in
+interactions, final counts, ``states_used``, leader count and the series
+of convergence checks.  The counter-case pins why the count-space engines
+keep the lazily discovered layout below the closure gate: they sample by
+state-id order, so a different layout changes their trajectory.
 """
 
 from __future__ import annotations
@@ -20,14 +22,13 @@ from repro.engine._ckernel import kernel_available
 from repro.engine.base import cadence_for, drive_checks
 from repro.engine.convergence import SingleLeader
 from repro.engine.count_batch import CountBatchEngine
-from repro.engine.dispatch import table_shareable
 from repro.engine.engine import SequentialEngine
 from repro.engine.fast_batch import FastBatchEngine
 from repro.protocols.gs18 import GS18LeaderElection
 
 N = 512
 SEED = 7
-#: The seed whose run warms the shared table first.
+#: The seed whose run warms the count-space counter-case's table first.
 WARM_SEED = 1234
 #: Enough to converge at n = 512 (both protocols elect by ~1000).
 MAX_PARALLEL_TIME = 3000
@@ -44,9 +45,15 @@ ENGINES = {
 }
 
 
-def _layout(protocol) -> list:
-    encoder = protocol.compile().encoder
-    return [encoder.decode(sid) for sid in range(len(encoder))]
+def _lazy(protocol):
+    """``protocol`` with its closure hidden, so every engine compiles it
+    lazily, one miss at a time."""
+    protocol.state_closure = lambda: None
+    return protocol
+
+
+def _layout(table) -> list:
+    return table.encoder.states()
 
 
 def _checked_run(protocol, engine_cls, engine_kwargs, seed) -> tuple:
@@ -64,7 +71,7 @@ def _checked_run(protocol, engine_cls, engine_kwargs, seed) -> tuple:
 
     budget = int(round(MAX_PARALLEL_TIME * N))
     converged = drive_checks(engine, check, budget, cadence_for(None, N))
-    return (
+    return engine.table, (
         converged,
         engine.interactions,
         engine.state_counts(),
@@ -77,37 +84,39 @@ def _checked_run(protocol, engine_cls, engine_kwargs, seed) -> tuple:
 @pytest.mark.parametrize("engine_name", sorted(ENGINES))
 @pytest.mark.parametrize("protocol_name", sorted(PROTOCOLS))
 def test_warm_table_reproduces_fresh_run(protocol_name, engine_name):
+    """The run on the warm closure table equals the run on a fresh lazily
+    compiled table."""
     engine_cls, engine_kwargs = ENGINES[engine_name]
     if engine_kwargs.get("kernel") == "c" and not kernel_available():
         pytest.skip("C kernel unavailable")
-    assert table_shareable(engine_cls)
+    assert engine_cls.layout_free
     factory = PROTOCOLS[protocol_name]
 
-    fresh_protocol = factory(N)
-    fresh = _checked_run(fresh_protocol, engine_cls, engine_kwargs, SEED)
+    lazy_table, fresh = _checked_run(_lazy(factory(N)), engine_cls, engine_kwargs, SEED)
+    closure_table, warm = _checked_run(factory(N), engine_cls, engine_kwargs, SEED)
 
-    warm_protocol = factory(N)
-    _checked_run(warm_protocol, engine_cls, engine_kwargs, WARM_SEED)
-    warm_pairs = warm_protocol.compile().compiled_pairs
-    warm = _checked_run(warm_protocol, engine_cls, engine_kwargs, SEED)
-
-    # The pin means something only if the warm start really changed the
-    # layout: the fresh table's ids are not a prefix of the shared one's.
-    fresh_layout = _layout(fresh_protocol)
-    assert _layout(warm_protocol)[: len(fresh_layout)] != fresh_layout
-    assert warm_pairs > 0
-    assert fresh[0], "the fresh run should converge within the budget"
+    # The pin means something only if the layouts really differ: the
+    # closure table is the BFS's layout and LUT, never grown or written,
+    # and the lazy table's ids are not a prefix of it.
+    states, lut = factory(N).state_closure()
+    assert closure_table.packed.base is lut
+    assert _layout(closure_table) == list(states)
+    assert _layout(closure_table)[: len(lazy_table)] != _layout(lazy_table)
+    assert lazy_table.compiled_pairs > 0
+    assert fresh[0], "the lazy-table run should converge within the budget"
     assert warm == fresh
 
 
 def test_count_space_engine_is_layout_dependent():
     """CountBatchEngine on lazily discovered GS18 changes its trajectory
-    on a warm table, so the scheduler never shares one across its cells."""
-    assert not table_shareable(CountBatchEngine)
+    on a table whose layout another seed's run laid out, so count-space
+    runs never start on the closure table unless the protocol declares it
+    as its canonical states."""
+    assert not CountBatchEngine.layout_free
     assert GS18LeaderElection.for_population(N).canonical_states() is None
 
-    fresh = _checked_run(GS18LeaderElection.for_population(N), CountBatchEngine, {}, SEED)
+    _, fresh = _checked_run(GS18LeaderElection.for_population(N), CountBatchEngine, {}, SEED)
     warm_protocol = GS18LeaderElection.for_population(N)
     _checked_run(warm_protocol, CountBatchEngine, {}, WARM_SEED)
-    warm = _checked_run(warm_protocol, CountBatchEngine, {}, SEED)
+    _, warm = _checked_run(warm_protocol, CountBatchEngine, {}, SEED)
     assert warm[:3] != fresh[:3]

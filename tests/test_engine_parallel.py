@@ -288,9 +288,7 @@ def test_auto_cadence_cells_group_into_bit_identical_mega_cells():
 
 
 def test_ungroupable_run_kwargs_fall_back_to_per_cell():
-    # raise_on_budget is per-run state; such sweeps take the per-cell path
-    # and every cell still runs to its verdict.
-    assert not parallel._groupable_kwargs({"raise_on_budget": True})
+    # raise_on_budget is per-run state; every cell still runs to its verdict.
     points = run_cells(
         _factory,
         64,
@@ -322,7 +320,7 @@ def test_sweep_refuses_resume(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Table sharing: per-agent cells share one table per calibration
+# Closure tables: per-agent cells start on their calibration's closure
 # ----------------------------------------------------------------------
 def _gsu_factory(n: int):
     from repro.core.protocol import GSULeaderElection
@@ -389,20 +387,17 @@ def _protocols_used(monkeypatch) -> list:
 
 @pytest.mark.parametrize("backend", ["serial", "process"])
 def test_table_sharing_units_match_fresh_runs(backend, tmp_path, monkeypatch):
-    """Sharing one table across seeds and sizes reproduces every fresh cell.
+    """Sweep cells reproduce one-cell runs, serially and on the pool.
 
-    Both sizes of each protocol have one calibration, so a worker's cells
-    all run on one table.  The per-agent engines never let a state id steer
-    randomness, so a seed run on a table other cells already filled is the
-    fresh run, field for field; cell keys do not depend on sharing, so the
-    store holds every cell under the key a one-cell sweep uses.
+    Both sizes of each protocol have one calibration, so a process builds
+    one closure and every cell starts on a table adopted from it.  A cell
+    equals its ``run_protocol`` run field for field, and the store holds
+    every cell under the key a one-cell sweep uses.
     """
     monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
     store = ExperimentStore(tmp_path / "shared")
     reference_store = ExperimentStore(tmp_path / "fresh")
     for name, factory in sorted(_SHARING_FACTORIES.items()):
-        keys = {factory(n).transition_key() for n in _SHARING_SIZES}
-        assert len(keys) == 1
         convergence = parallel._ProtocolConvergence(factory)
         points = run_many(
             factory,
@@ -429,17 +424,23 @@ def test_table_sharing_units_match_fresh_runs(backend, tmp_path, monkeypatch):
 
 
 def test_sweep_shares_one_table_per_calibration(monkeypatch):
-    # Every cell builds its own protocol; per-agent cells of one
-    # calibration compile to one table, across sizes too.
+    # Every cell builds its own protocol and table; per-agent cells of one
+    # calibration share its closure's one read-only LUT, across sizes too.
     used = _protocols_used(monkeypatch)
     run_many(_gsu_factory, [256, 512], repetitions=2, max_parallel_time=50.0, engine="auto")
     assert len(used) == 4 and len({id(protocol) for protocol in used}) == 4
-    assert len({id(protocol.compile()) for protocol in used}) == 1
+    tables = [protocol.compile_closure() for protocol in used]
+    assert len({id(table) for table in tables}) == 4
+    (lut,) = {id(table.packed.base): table.packed.base for table in tables}.values()
+    assert lut is _gsu_factory(256).state_closure()[1]
 
 
 def test_serial_sweep_compiles_each_pair_once(monkeypatch):
+    # The closure BFS compiled every pair of the calibration once; no cell
+    # evaluates a transition again.
     from repro.core.protocol import GSULeaderElection
 
+    _gsu_factory(256).reachable_state_closure()
     evaluated = []
     transition = GSULeaderElection.transition
 
@@ -449,30 +450,16 @@ def test_serial_sweep_compiles_each_pair_once(monkeypatch):
 
     monkeypatch.setattr(GSULeaderElection, "transition", counting)
     used = _protocols_used(monkeypatch)
-    run_many(_gsu_factory, [256, 512], repetitions=2, max_parallel_time=200.0, engine="auto")
-    (table,) = {id(protocol.compile()): protocol.compile() for protocol in used}.values()
-    assert len(evaluated) == len(set(evaluated)) == table.compiled_pairs
-
-
-def test_transition_keys_name_the_calibration():
-    from repro.experiments.config import ExperimentConfig
-    from repro.experiments.table1 import SIMULATED_PROTOCOLS
-
-    sizes = ExperimentConfig.default().population_sizes
-    factories = {name: factory for name, factory, _ in SIMULATED_PROTOCOLS}
-    for name in ("gsu19-leader-election", "gs18-leader-election"):
-        keys = {factories[name](n).transition_key() for n in sizes}
-        assert len(keys) == 1, name
-    lottery = factories["lottery-leader-election"]
-    keys = {lottery(n).transition_key() for n in (256, 512, 1024)}
-    assert len(keys) == 3
-    with pytest.raises(ConfigurationError, match="transition keys differ"):
-        lottery(256).share_table(lottery(512).compile())
+    points = run_many(
+        _gsu_factory, [256, 512], repetitions=2, max_parallel_time=200.0, engine="auto"
+    )
+    assert len(used) == 4 and all(point.result.states_used for point in points)
+    assert not evaluated
 
 
 def test_table1_cell_key_is_pinned(tmp_path):
     # One GSU19 cell of the default Table 1 sweep, stored through
-    # runner.sweep: table sharing must not change cell keys.
+    # runner.sweep: the table layout must not change cell keys.
     from repro.experiments.config import ExperimentConfig
     from repro.experiments.runner import sweep
     from repro.experiments.table1 import SIMULATED_PROTOCOLS
@@ -505,14 +492,12 @@ def test_ungroupable_cells_run_on_fresh_protocols(run_kwargs, tmp_path, monkeypa
         run_kwargs["scenario"] = get_scenario(run_kwargs["scenario"])
     if "checkpoint_every" in run_kwargs:
         run_kwargs["checkpoint_path"] = tmp_path / "cell.ckpt"
-    assert not parallel._groupable_kwargs(run_kwargs)
     used = _protocols_used(monkeypatch)
     run_cells(
         _gsu_factory, 256, [1, 2, 3], max_parallel_time=20.0,
         engine="sequential", **run_kwargs,
     )
     assert len(used) == 3 and len({id(protocol) for protocol in used}) == 3
-    assert len({id(protocol.compile()) for protocol in used}) == 3
 
 
 @pytest.mark.parametrize("backend", ["serial", "process"])

@@ -79,10 +79,13 @@ def test_apply_block_fills_misses_and_matches_scalar():
 
 
 def test_capacity_grows_beyond_initial():
+    # Count-space engines keep GSU19's lazily discovered table below the
+    # closure gate (per-agent engines would start on the closure table).
     n = 1024
     protocol = GSULeaderElection.for_population(n)
     table = protocol.compile()
-    engine = SequentialEngine(protocol, n, rng=1)
+    engine = CountBatchEngine(protocol, n, rng=1)
+    assert engine.table is table
     engine.run(40 * n)
     assert len(table) > 64
     assert table.capacity >= len(table)

@@ -191,38 +191,48 @@ def load_kernel():
     module-global read.  Thread-safe (double-checked on ``_load_attempted``,
     so the warm path costs nothing) and never raises.
     """
-    global _kernel, _load_attempted
+    global _load_attempted
     if _load_attempted:
         return _kernel
     with _load_lock:
         if _load_attempted:
             return _kernel
-        _kernel = _load_kernel_locked()
+        _load_kernel_locked()
         _load_attempted = True
     return _kernel
 
 
-def _load_kernel_locked():
+def _load_kernel_locked() -> None:
     if os.environ.get("REPRO_NO_C_KERNEL"):
-        return None
+        return
     try:
-        lib_path = build_library(_SOURCE, "repro_kernel")
-        library = ctypes.CDLL(str(lib_path))
-        function = library.repro_apply_block
-        function.restype = ctypes.c_int64
-        function.argtypes = [
-            ctypes.c_void_p,  # states
-            ctypes.c_void_p,  # responders
-            ctypes.c_void_p,  # initiators
-            ctypes.c_int64,  # n_pairs
-            ctypes.c_int64,  # start
-            ctypes.c_void_p,  # lut
-            ctypes.c_int64,  # cap
-            ctypes.c_void_p,  # seen
-        ]
-        return function
-    except Exception:
-        return None
+        _bind(ctypes.CDLL(str(build_library(_SOURCE, "repro_kernel"))))
+    except Exception:  # no compiler, or a library without the symbol
+        pass
+
+
+def _bind(library) -> None:
+    """Publish ``library``'s block-apply entry; raises before publishing
+    when the symbol is missing.
+
+    Split from the loader so a build with other flags (a sanitizer build,
+    say) can be swapped in: ``_bind(ctypes.CDLL(path))`` then mark the
+    load attempted.
+    """
+    global _kernel
+    function = library.repro_apply_block
+    function.restype = ctypes.c_int64
+    function.argtypes = [
+        ctypes.c_void_p,  # states
+        ctypes.c_void_p,  # responders
+        ctypes.c_void_p,  # initiators
+        ctypes.c_int64,  # n_pairs
+        ctypes.c_int64,  # start
+        ctypes.c_void_p,  # lut
+        ctypes.c_int64,  # cap
+        ctypes.c_void_p,  # seen
+    ]
+    _kernel = function
 
 
 def kernel_available() -> bool:

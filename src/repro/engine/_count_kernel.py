@@ -113,10 +113,12 @@ static inline double xo_double(uint64_t *s)
 /* fallback evaluates -- so growing the covered range changes no       */
 /* sampled value, only how fast HRUA's four log-factorial terms are    */
 /* served.  repro_logfact_reserve() extends coverage on the heap up    */
-/* to a caller-chosen bound (the engine passes 2*jmax: every          */
-/* responder/pairing-split operand is <= 2L <= 2*jmax, so those HRUA   */
-/* draws become lgamma-free; participant-split operands scale with n   */
-/* and keep the lgamma fallback).                                      */
+/* to a caller-chosen bound.  The engine passes n + 1 below            */
+/* LOGFACT_RESERVE_CAP, which covers every HRUA operand (all are       */
+/* <= n), and 2*jmax + 4 at or above it, which covers the responder    */
+/* and pairing splits (operands <= 2L <= 2*jmax) while the             */
+/* participant split's operands, which scale with n, keep the lgamma   */
+/* fallback.                                                           */
 /*                                                                     */
 /* Thread safety: the static table is filled by a dlopen-time          */
 /* constructor, so concurrent calls only ever read it.  The heap        */
@@ -381,10 +383,10 @@ typedef struct {
  * neg_survival : -P(L >= j+1) ascending, length jmax (see CountBatchEngine)
  * jmax         : survival-curve truncation length
  * sk           : scratch stride, >= row->k
- * scratch      : 10*sk int64 workspace.  The five weight regions (first
+ * scratch      : 11*sk int64 workspace.  The five weight regions (first
  *                5*sk entries) must be all-zero on entry and are restored
- *                to zero on exit; the four id-list regions and the
- *                candidate region are plain scratch
+ *                to zero on exit; the four id-list regions, the candidate
+ *                region and the initiator-pool region are plain scratch
  *
  * The occupied scan is served from a sorted candidate list built by one
  * full k-scan at call entry and extended at every commit with the
@@ -416,6 +418,7 @@ static void run_row(count_row *row, int64_t n, const double *neg_survival,
     int64_t *resp_occ = scratch + 7 * sk;
     int64_t *used_occ = scratch + 8 * sk;
     int64_t *cand = scratch + 9 * sk;
+    int64_t *pool = scratch + 10 * sk;
 
     int64_t ncand = 0;
     for (int64_t sid = 0; sid < k; sid++)
@@ -491,13 +494,25 @@ static void run_row(count_row *row, int64_t n, const double *neg_survival,
             total = rest;
         }
 
+        /* Initiator pool: the involved states with initiators left, in
+         * inv_occ order.  Rows drop the states they deplete, so each row
+         * walks only states that can still draw. */
+        int64_t npool = 0;
         for (int64_t idx = 0; idx < ninv; idx++) {
             int64_t sid = inv_occ[idx];
             remaining_i[sid] = involved[sid] - responders[sid];
+            if (remaining_i[sid] > 0)
+                pool[npool++] = sid;
         }
         int64_t rem_total = length;
 
-        /* 3. Pairing rows -> post-state multiset `used` via the LUT. */
+        /* 3. Pairing rows -> post-state multiset `used` via the LUT.
+         * A row's draw stops once its slots are filled; `reach` is how far
+         * into the pool it got.  States outside the pool have no
+         * initiators left and entries past `reach` drew nothing, so the
+         * walk over pool[0, reach) meets every nonzero cell of the row in
+         * inv_occ order: used_occ's order and the first missing pair do
+         * not depend on the compaction. */
         int64_t nused = 0;
         int missed = 0;
         int64_t miss_r = -1, miss_i = -1;
@@ -506,6 +521,7 @@ static void run_row(count_row *row, int64_t n, const double *neg_survival,
             int64_t slots = responders[a];
             const int64_t *rowp;
             int row_is_tmp = 0;
+            int64_t reach = npool;
             if (ridx == nresp - 1) {
                 /* Final responder state takes the whole remaining
                  * initiator pool -- deterministic, no draw. */
@@ -513,11 +529,9 @@ static void run_row(count_row *row, int64_t n, const double *neg_survival,
             } else {
                 m = slots;
                 total = rem_total;
-                for (int64_t idx = 0; idx < ninv && m > 0; idx++) {
-                    int64_t sid = inv_occ[idx];
+                for (reach = 0; reach < npool && m > 0; reach++) {
+                    int64_t sid = pool[reach];
                     int64_t color = remaining_i[sid];
-                    if (color <= 0)
-                        continue;
                     int64_t rest = total - color;
                     int64_t drawn =
                         (rest == 0) ? m : hyp_draw(rng, color, rest, m);
@@ -529,8 +543,8 @@ static void run_row(count_row *row, int64_t n, const double *neg_survival,
                 row_is_tmp = 1;
             }
             const int64_t *lut_row = lut + a * cap;
-            for (int64_t idx = 0; idx < ninv; idx++) {
-                int64_t b = inv_occ[idx];
+            for (int64_t idx = 0; idx < reach; idx++) {
+                int64_t b = pool[idx];
                 int64_t mult = rowp[b];
                 if (mult <= 0)
                     continue;
@@ -551,11 +565,21 @@ static void run_row(count_row *row, int64_t n, const double *neg_survival,
                 used[new_i] += mult;
             }
             if (row_is_tmp) {
-                for (int64_t idx = 0; idx < ninv; idx++) {
-                    int64_t sid = inv_occ[idx];
+                /* Zero the row and drop the states it depleted; the pool
+                 * past `reach` is untouched and shifts down intact. */
+                int64_t kept = 0;
+                for (int64_t idx = 0; idx < reach; idx++) {
+                    int64_t sid = pool[idx];
                     if (!missed)
                         remaining_i[sid] -= pair_row[sid];
                     pair_row[sid] = 0;
+                    if (remaining_i[sid] > 0)
+                        pool[kept++] = sid;
+                }
+                if (kept < reach) {
+                    memmove(pool + kept, pool + reach,
+                            (size_t)(npool - reach) * sizeof(int64_t));
+                    npool -= reach - kept;
                 }
                 rem_total -= slots;
             }
@@ -652,7 +676,7 @@ static void run_row(count_row *row, int64_t n, const double *neg_survival,
  * (see run_row).  A miss stops the call early; the caller compiles the
  * reported pair and re-enters with the reduced budget.
  *
- * scratch : 10*row->k int64 workspace obeying run_row's zero contract on
+ * scratch : 11*row->k int64 workspace obeying run_row's zero contract on
  *           entry and exit
  */
 void repro_count_row(
@@ -769,7 +793,7 @@ def _bind(library) -> None:
         ctypes.c_int64,  # n
         ctypes.c_void_p,  # neg_survival
         ctypes.c_int64,  # jmax
-        ctypes.c_void_p,  # scratch (10 * k)
+        ctypes.c_void_p,  # scratch (11 * k)
     ]
     reserve = library.repro_logfact_reserve
     reserve.restype = None
@@ -789,9 +813,11 @@ def kernel_thread_backend() -> Optional[str]:
 
 
 #: The heap-extended log-factorial table is capped here (16 MB of
-#: doubles): ``2 * jmax`` fits under the cap for every ``n`` up to
-#: ~1.4 * 10^10, and beyond it the affected arguments simply keep the
-#: (bit-identical) lgamma fallback.
+#: doubles).  Below the cap an engine reserves ``n + 1`` entries, so every
+#: log-factorial its draws need comes from the table; at or above it,
+#: ``2 * jmax + 4``, which fits under the cap for every ``n`` up to
+#: ~1.4 * 10^10.  Arguments past the table keep the (bit-identical)
+#: lgamma fallback.
 LOGFACT_RESERVE_CAP = 1 << 21
 
 
@@ -800,10 +826,9 @@ def logfact_reserve(limit: int) -> None:
 
     Every entry is ``lgamma(k + 1)`` — exactly the fallback expression —
     so reserving changes no sampled value on any path; it only removes the
-    per-draw lgamma evaluations from the HRUA splits whose operands are
-    bounded by the batch length (responder and pairing rows).  No-op when
-    the kernel is unavailable; the limit is clamped to
-    :data:`LOGFACT_RESERVE_CAP`.
+    per-draw lgamma evaluations from the HRUA splits whose operands stay
+    below ``limit``.  No-op when the kernel is unavailable; the limit is
+    clamped to :data:`LOGFACT_RESERVE_CAP`.
     """
     load_count_kernel()
     if _logfact_reserve is not None and limit > 0:

@@ -5,8 +5,9 @@ experiments at ``n = 10^7``–``10^8`` run on.  Agents are anonymous, so the
 multiset of states is a sufficient statistic: the engine stores only the
 state counts (``O(k)`` memory — no per-agent array, no ``O(n)``
 construction) and processes interactions in *collision-free runs* of
-expected length ``Θ(sqrt(n))``, in the style of Berenbrink et al.'s
-batched population-protocol simulation (see PAPERS.md).
+expected length ``Θ(sqrt(n))``, in the style of Berenbrink et al.,
+"Simulating Population Protocols in Sub-Constant Time per Interaction"
+(ESA 2020).
 Per-run work follows the *occupied* state frontier ``k`` — quadratic scalar
 hypergeometric splits while ``k`` is small, one compacted vectorised split
 per pairing row beyond ``_MVH_SCALAR_MAX_OCCUPIED`` — so the
@@ -68,6 +69,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.engine._count_kernel import (
+    LOGFACT_RESERVE_CAP,
     CountRow,
     load_count_kernel,
     logfact_reserve,
@@ -331,10 +333,11 @@ class CountBatchEngine(BaseEngine):
                 self._kernel_args = CountRow(rng=self._kernel_rng.ctypes.data)
                 self._row_address = ctypes.addressof(self._kernel_args)
                 self._survival_address = self._neg_survival.ctypes.data
-                # Cover every batch-bounded HRUA operand (<= 2L <= 2*jmax)
-                # with table-served log-factorials; the entries equal the
-                # lgamma fallback bit-for-bit, so the stream is unchanged.
-                logfact_reserve(2 * jmax + 4)
+                # Table-served log-factorials for every HRUA operand (all
+                # are <= n); past the cap, for the batch-bounded ones only
+                # (<= 2L <= 2*jmax).  The entries equal the lgamma fallback
+                # bit-for-bit, so the stream is unchanged.
+                logfact_reserve(n + 1 if n < LOGFACT_RESERVE_CAP else 2 * jmax + 4)
 
     # ------------------------------------------------------------------
     # Count bookkeeping
@@ -633,12 +636,12 @@ class CountBatchEngine(BaseEngine):
                 self._bound_lut = lut
                 args.lut = lut.ctypes.data
                 args.cap = cap
-            if self._scratch is None or self._scratch.shape[0] != 10 * k:
-                # Weight regions must be zero; id-list and candidate regions
-                # are plain scratch, so a fresh zeroed allocation needs no
-                # copying.  Any size change reallocates: slab offsets move
-                # with k.
-                self._scratch = np.zeros(10 * k, dtype=np.int64)
+            if self._scratch is None or self._scratch.shape[0] != 11 * k:
+                # Weight regions must be zero; id-list, candidate and pool
+                # regions are plain scratch, so a fresh zeroed allocation
+                # needs no copying.  Any size change reallocates: slab
+                # offsets move with k.
+                self._scratch = np.zeros(11 * k, dtype=np.int64)
                 self._scratch_address = self._scratch.ctypes.data
             self._kernel(
                 self._row_address,

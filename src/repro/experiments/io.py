@@ -35,7 +35,6 @@ import hashlib
 import json
 import os
 import pickle
-import tempfile
 from pathlib import Path
 from typing import Union
 
@@ -76,19 +75,21 @@ def _atomic_write_bytes(path: Path, data: bytes) -> Path:
 
     ``os.replace`` is atomic on POSIX and Windows when source and target
     share a filesystem, which the same-directory temp file guarantees;
-    readers therefore only ever observe complete files.
+    readers therefore only ever observe complete files.  The temp file is
+    created with mode ``0o666`` under the umask, so the published file gets
+    the permissions a plain ``open(path, "wb")`` would give it.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
-    handle = tempfile.NamedTemporaryFile(
-        dir=path.parent, prefix=f".{path.name}.", delete=False
-    )
+    temp = path.parent / f".{path.name}.{os.getpid()}.{os.urandom(6).hex()}"
+    flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY | getattr(os, "O_BINARY", 0)
+    descriptor = os.open(temp, flags, 0o666)
     try:
-        with handle:
+        with os.fdopen(descriptor, "wb") as handle:
             handle.write(data)
-        os.replace(handle.name, path)
+        os.replace(temp, path)
     except BaseException:
         try:
-            os.unlink(handle.name)
+            os.unlink(temp)
         except OSError:
             pass
         raise

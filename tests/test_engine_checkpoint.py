@@ -18,7 +18,6 @@ import random
 import re
 import shutil
 import sys
-import tempfile
 import threading
 from pathlib import Path
 
@@ -626,12 +625,11 @@ def test_concurrent_writers_leave_one_whole_checkpoint(tmp_path):
 
 def _fill_disk(monkeypatch):
     """Make every temp-file write fail with ENOSPC after a partial write."""
-    real = tempfile.NamedTemporaryFile
+    real = os.fdopen
 
     class FullDisk:
-        def __init__(self, **kwargs):
-            self._handle = real(**kwargs)
-            self.name = self._handle.name
+        def __init__(self, descriptor, mode):
+            self._handle = real(descriptor, mode)
 
         def __enter__(self):
             return self
@@ -643,7 +641,7 @@ def _fill_disk(monkeypatch):
             self._handle.write(data[:16])
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
-    monkeypatch.setattr(tempfile, "NamedTemporaryFile", FullDisk)
+    monkeypatch.setattr(os, "fdopen", FullDisk)
 
 
 def test_write_failure_names_the_file_and_keeps_the_previous(tmp_path, monkeypatch):
@@ -663,6 +661,28 @@ def test_write_failure_names_the_file_and_keeps_the_previous(tmp_path, monkeypat
         atomic_write_text(tmp_path / "result.json", "{}")
     assert not isinstance(raised_text.value, CheckpointError)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ckpt"]
+
+
+def test_atomic_writes_get_plain_file_permissions(tmp_path):
+    """Checkpoints, store cells and result.json come out as a plain write
+    would make them under the umask: 0o644 under 0o022, not 0o600."""
+    from repro.engine.simulation import run_protocol
+    from repro.experiments.io import write_result
+    from repro.experiments.runner import ExperimentResult
+    from repro.experiments.store import ExperimentStore
+
+    run = run_protocol(SlowLeaderElection(), 16, seed=1, max_parallel_time=50.0)
+    previous = os.umask(0o022)
+    try:
+        paths = [
+            write_checkpoint({"generation": 1}, tmp_path / "run.ckpt"),
+            ExperimentStore(tmp_path / "store").save_result("cell", run),
+            write_result(ExperimentResult("demo", "permissions"), tmp_path / "out")
+            / "result.json",
+        ]
+    finally:
+        os.umask(previous)
+    assert [oct(path.stat().st_mode & 0o777) for path in paths] == ["0o644"] * 3
 
 
 # ----------------------------------------------------------------------

@@ -109,6 +109,20 @@ KERNEL_EXPECTED = {
 _EXTREME_DIGEST = "fe33266bed0714de5d682ecda00945b0f8a456478740c8da75290eb93706ae55"
 _EXTREME_CHUNK = 2_000_000
 
+#: Pins in the benchmark's regime, where the grid above (<= 256 agents for
+#: ~6n interactions) never reaches: participant-split operands up to n, a
+#: frontier of dozens of states, and lazily compiled rows missing mid-row.
+#: GSU19 at its production calibration with the closure registered,
+#: n = 20,000, five chunks of 200,000 interactions (the frontier holds 38,
+#: 60, 65, 87 and 70 states after them).
+_PRODUCTION_CLOSURE_DIGEST = (
+    "b21f363a2b1d1a99cec2e1606821d5a696762cb216e8e79843e10b4a6203f1ae"
+)
+#: Lazily compiled ``for_population(2000)``, one run of 200,000
+#: interactions: 11,278 LUT misses, each a kernel rollback and re-entry.
+_LAZY_MISS_DIGEST = "b17e330646a9bedfcbe233d79d9479671387c2b69d06c0fed1219e10de7e0f41"
+_LAZY_MISS_PAIRS = 11_278
+
 
 @needs_kernel
 @pytest.mark.parametrize("protocol_name", sorted(PROTOCOLS))
@@ -183,6 +197,28 @@ def test_kernel_interrupted_run_matches_pinned_digest(
         f"kernel path on {protocol_name}: resume after chunk "
         f"{interrupt_after} diverged from the uninterrupted pinned trajectory"
     )
+
+
+@needs_kernel
+def test_kernel_pinned_at_production_calibration():
+    protocol = GSULeaderElection(GSUParams(n_hint=10**8, gamma=24, phi=1, psi=3))
+    engine = _kernel_engine(protocol, 20_000, rng=_SEED)
+    digest = hashlib.sha256()
+    for _ in range(5):
+        engine.run(200_000)
+        _digest_update(digest, engine)
+    assert engine.table.compiled_pairs == 0
+    assert digest.hexdigest() == _PRODUCTION_CLOSURE_DIGEST
+
+
+@needs_kernel
+def test_kernel_pinned_through_lazy_misses():
+    engine = _kernel_engine(GSULeaderElection.for_population(2000), 2000, rng=_SEED)
+    engine.run(200_000)
+    digest = hashlib.sha256()
+    _digest_update(digest, engine)
+    assert engine.table.compiled_pairs == _LAZY_MISS_PAIRS
+    assert digest.hexdigest() == _LAZY_MISS_DIGEST
 
 
 @needs_kernel

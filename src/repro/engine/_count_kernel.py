@@ -113,12 +113,11 @@ static inline double xo_double(uint64_t *s)
 /* fallback evaluates -- so growing the covered range changes no       */
 /* sampled value, only how fast HRUA's four log-factorial terms are    */
 /* served.  repro_logfact_reserve() extends coverage on the heap up    */
-/* to a caller-chosen bound.  The engine passes n + 1 below            */
-/* LOGFACT_RESERVE_CAP, which covers every HRUA operand (all are       */
-/* <= n), and 2*jmax + 4 at or above it, which covers the responder    */
-/* and pairing splits (operands <= 2L <= 2*jmax) while the             */
-/* participant split's operands, which scale with n, keep the lgamma   */
-/* fallback.                                                           */
+/* to a caller-chosen bound.  The engine passes n + 1, which covers    */
+/* every HRUA operand (all are <= n); past LOGFACT_RESERVE_CAP the     */
+/* clamped table still covers the responder and pairing splits         */
+/* (operands <= 2L <= 2*jmax), while the participant split's larger    */
+/* operands keep the lgamma fallback.                                  */
 /*                                                                     */
 /* Thread safety: the static table is filled by a dlopen-time          */
 /* constructor, so concurrent calls only ever read it.  The heap        */
@@ -813,11 +812,11 @@ def kernel_thread_backend() -> Optional[str]:
 
 
 #: The heap-extended log-factorial table is capped here (16 MB of
-#: doubles).  Below the cap an engine reserves ``n + 1`` entries, so every
-#: log-factorial its draws need comes from the table; at or above it,
-#: ``2 * jmax + 4``, which fits under the cap for every ``n`` up to
-#: ~1.4 * 10^10.  Arguments past the table keep the (bit-identical)
-#: lgamma fallback.
+#: doubles).  An engine reserves ``n + 1`` entries, clamped to the cap, so
+#: below it every log-factorial its draws need comes from the table; above
+#: it the table still covers the batch-bounded operands (``<= 2 * jmax``)
+#: for every ``n`` up to ~1.4 * 10^10.  Arguments past the table keep the
+#: (bit-identical) lgamma fallback.
 LOGFACT_RESERVE_CAP = 1 << 21
 
 

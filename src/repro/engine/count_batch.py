@@ -69,7 +69,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.engine._count_kernel import (
-    LOGFACT_RESERVE_CAP,
     CountRow,
     load_count_kernel,
     logfact_reserve,
@@ -334,10 +333,10 @@ class CountBatchEngine(BaseEngine):
                 self._row_address = ctypes.addressof(self._kernel_args)
                 self._survival_address = self._neg_survival.ctypes.data
                 # Table-served log-factorials for every HRUA operand (all
-                # are <= n); past the cap, for the batch-bounded ones only
-                # (<= 2L <= 2*jmax).  The entries equal the lgamma fallback
-                # bit-for-bit, so the stream is unchanged.
-                logfact_reserve(n + 1 if n < LOGFACT_RESERVE_CAP else 2 * jmax + 4)
+                # are <= n; the reserve clamps to its cap).  The entries
+                # equal the lgamma fallback bit-for-bit, so the stream is
+                # unchanged.
+                logfact_reserve(n + 1)
 
     # ------------------------------------------------------------------
     # Count bookkeeping

@@ -3,7 +3,7 @@
 Regenerates the drag-tick-interval series and the inhibitor drag-group
 census, asserting Lemma 7.1's geometric group sizes (the tick-interval
 growth itself needs larger populations than the smoke preset to show up
-reliably; the default-preset numbers are recorded in EXPERIMENTS.md).
+reliably; run ``--preset default`` through the CLI, as README shows).
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ def test_lemma41_experiment(benchmark, smoke_config):
 
 def test_lemma53_experiment(benchmark, smoke_config):
     """Lemma 5.3: the junta is tiny but non-empty (the literal [n^0.45,
-    n^0.77] window needs n ≥ ~1024; see EXPERIMENTS.md)."""
+    n^0.77] window needs n ≥ ~1024)."""
     result = benchmark.pedantic(run_lemma53, args=(smoke_config,), iterations=1, rounds=1)
     rows = result.table("junta size").rows
     assert rows

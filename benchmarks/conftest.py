@@ -1,29 +1,18 @@
 """Shared configuration for the benchmark suite.
 
 Every benchmark regenerates (a smoke-sized version of) one of the paper's
-tables or figures through the same experiment harness the CLI uses, so that
+figures or lemmas through the same experiment harness the CLI uses, so that
 ``pytest benchmarks/ --benchmark-only`` both exercises the full pipeline and
-reports how long each experiment takes.  The ``EXPERIMENTS.md`` numbers come
-from the ``default`` preset run through the CLI; the benchmarks use the
-``smoke`` preset (or small direct workloads) to stay minutes-scale.
-
-In addition to pytest-benchmark's own console table, the session hook below
-folds the stats of every benchmark that ran into the machine-readable
-``BENCH_engine.json`` at the repo root (under the ``"pytest_benchmarks"``
-key, next to the standalone ablation written by
-``python benchmarks/bench_engine.py``), so the performance trajectory is
-tracked PR over PR.
+reports how long each experiment takes.  README's experiment table runs
+the ``default`` preset through the CLI; the benchmarks use the ``smoke``
+preset (or small direct workloads) to stay minutes-scale.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import pytest
 
 from repro.experiments.config import ExperimentConfig
-
-_BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 
 
 @pytest.fixture(scope="session")
@@ -40,40 +29,4 @@ def tiny_config() -> ExperimentConfig:
         repetitions=1,
         max_parallel_time=6000.0,
         slow_protocol_max_n=128,
-    )
-
-
-def pytest_sessionfinish(session: pytest.Session, exitstatus: int) -> None:
-    """Write the stats of every benchmark that ran to ``BENCH_engine.json``."""
-    benchmark_session = getattr(session.config, "_benchmarksession", None)
-    if benchmark_session is None or not benchmark_session.benchmarks:
-        return
-    records = []
-    for bench in benchmark_session.benchmarks:
-        stats = getattr(bench, "stats", None)
-        # A benchmark whose kernel raised leaves an empty Stats behind;
-        # touching stats.min there raises and would mask the real failure.
-        if stats is None or not getattr(stats, "rounds", 0):
-            continue
-        records.append(
-            {
-                "name": bench.name,
-                "group": bench.group,
-                "min_seconds": stats.min,
-                "mean_seconds": stats.mean,
-                "stddev_seconds": stats.stddev,
-                "rounds": stats.rounds,
-            }
-        )
-    if not records:
-        return
-    try:
-        # benchmarks/ is on sys.path whenever one of its modules was
-        # collected, which is the only way benchmark results can exist here.
-        from bench_engine import write_bench_json
-    except ImportError:  # pragma: no cover - defensive
-        return
-    write_bench_json(
-        {"pytest_benchmarks": sorted(records, key=lambda r: r["name"])},
-        _BENCH_JSON,
     )

@@ -4,7 +4,7 @@
 This is a thin convenience wrapper around the experiment harness: it runs all
 registered experiments (Table 1, Figures 1–3, the lemma checks and the
 phase-clock validation) at a chosen preset and writes the reports to an
-output directory — the same pipeline that produced ``EXPERIMENTS.md``.
+output directory — the pipeline behind README's experiment table.
 
 Run with::
 

@@ -18,8 +18,8 @@ Quick start::
     result = run_protocol(protocol, n, seed=7, max_parallel_time=4000)
     print(result.summary())          # exactly one leader, parallel time, states used
 
-See ``README.md`` for the architecture overview, ``DESIGN.md`` for the
-system inventory and ``EXPERIMENTS.md`` for the paper-versus-measured record.
+See ``README.md`` for the tour and the paper's experiments, and
+``docs/ARCHITECTURE.md`` for the layer map and design.
 """
 
 from __future__ import annotations

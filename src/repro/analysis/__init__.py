@@ -13,7 +13,7 @@ provides
   promises?"),
 * :mod:`repro.analysis.states` — state-usage accounting across protocols,
 * :mod:`repro.analysis.tables` — plain-text / markdown table rendering for
-  reports and ``EXPERIMENTS.md``.
+  reports.
 """
 
 from repro.analysis.stats import (

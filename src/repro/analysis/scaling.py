@@ -6,9 +6,9 @@ measured parallel time grow with* ``n``?  The paper's protocol is
 protocol ``Θ(n)``.  This module fits measured ``(n, time)`` points against a
 small library of one-parameter growth models ``T(n) = c · g(n)`` by least
 squares and ranks the models by residual error, so experiments can report
-which shape explains the data best (with the caveat — recorded in
-EXPERIMENTS.md — that the polylogarithmic shapes are hard to distinguish at
-simulable population sizes).
+which shape explains the data best (with the caveat that the
+polylogarithmic shapes are hard to distinguish at simulable population
+sizes).
 """
 
 from __future__ import annotations

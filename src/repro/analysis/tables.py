@@ -2,7 +2,8 @@
 
 The experiment harness produces its reports as text (there is no plotting
 dependency available offline), so tables are the primary output format: the
-CLI prints text tables, and ``EXPERIMENTS.md`` embeds the markdown variant.
+CLI prints text tables, and each result directory carries the markdown
+variant (``result.md``).
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ def format_text_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) 
 
 
 def format_markdown_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
-    """GitHub-flavoured markdown table (for ``EXPERIMENTS.md``)."""
+    """GitHub-flavoured markdown table (for ``result.md``)."""
     rendered = _normalise(headers, rows)
     lines = ["| " + " | ".join(str(h) for h in headers) + " |"]
     lines.append("|" + "|".join("---" for _ in headers) + "|")

@@ -11,7 +11,7 @@ agent pushes, the phase band is wider and the round structure is noisier than
 with a junta — which is exactly the comparison the ablation benchmark makes.
 
 This module is **not** part of the reproduced protocol; it exists so that the
-"why a junta?" design choice called out in DESIGN.md can be benchmarked.
+"why a junta?" design choice can be benchmarked.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ interaction partner is a **coin**, and the first failure freezes the
 counter.  This stratifies the inhibitors into sub-groups of expected size
 ``n·4^{-ℓ}`` for ``ℓ = 0 … Ψ``.  (The displayed rule in the paper increments
 on a *non*-coin partner, which contradicts Lemma 7.1 and its proof; we follow
-the lemma — see DESIGN.md.)  As printed in the paper, the preprocessing rules
+the lemma; the ``lemma71`` experiment checks the group sizes.)  As printed in the paper, the preprocessing rules
 carry the ``late→`` qualifier, which also guarantees they only fire once the
 phase clock is actually running.
 

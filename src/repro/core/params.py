@@ -14,7 +14,7 @@ dependencies are collected in :class:`GSUParams`:
   ``⌊log log n⌋ − 3``, a constant offset tuned for asymptotically large
   ``n``.  We use ``max(1, ⌊log₂ log₂ n⌋ − 2)``, which keeps the junta size
   inside the ``[n^0.45, n^0.77]`` window of Lemma 5.3 at simulable sizes
-  (DESIGN.md discusses the calibration),
+  (the ``lemma53`` experiment measures the window),
 * ``psi`` — the drag-counter range ``Ψ = Θ(log log n)``, chosen so that
   ``4^Ψ ≳ log n`` and hence the slowing-down counter covers the first
   ``Θ(n log² n)`` interactions as required in Section 7.

@@ -35,9 +35,9 @@ Five engines are provided — three exact, plus an opt-in approximate tier:
   simulates the model *exactly*.
 * :class:`~repro.engine.fast_batch.FastBatchEngine` — exact *and* batched:
   pre-samples blocks of ordered pairs and applies them either through a
-  tiny compiled C kernel (when the system has a C compiler — an order of
-  magnitude faster than the sequential engine at every population size) or
-  through collision-free dependency waves with vectorised NumPy lookups.
+  tiny compiled C kernel (when the system has a C compiler; faster than
+  the sequential engine at every population size) or through
+  collision-free dependency waves with vectorised NumPy lookups.
   Bit-for-bit identical trajectories to the sequential engine for the same
   seed on both paths.
 * :class:`~repro.engine.count_batch.CountBatchEngine` — exact **in
@@ -47,9 +47,9 @@ Five engines are provided — three exact, plus an opt-in approximate tier:
   (Berenbrink et al.-style batching).  With a C compiler the whole
   occupied-frontier loop runs in a compiled count kernel
   (:mod:`repro.engine._count_kernel`) that executes many batches per call
-  on its own ``xoshiro256++`` stream — tens of times the Python path's
-  throughput, and exact hypergeometric samplers without NumPy's ``10^9``
-  operand cap carry it to ``n = 10^12`` and beyond (engine-validated
+  on its own ``xoshiro256++`` stream, far ahead of the Python path, and
+  exact hypergeometric samplers without NumPy's ``10^9`` operand cap
+  carry it to ``n = 10^12`` and beyond (engine-validated
   bound: ``count_batch.MAX_EXACT_N = 2^53``).  The engine for
   ``n >= 10^7``, where per-agent arrays are slow (cache misses) or
   impossible (memory).  Requires a *count-capable* protocol at scale: an
@@ -81,7 +81,9 @@ All run entry points accept ``engine_cls`` / ``engine`` as a class, a name
 (``"sequential"``, ``"countbatch"``, ``"fastbatch"``, ``"tauleap"``,
 ``"meanfield"``) or ``"auto"`` (the CLI exposes
 the same choices via ``--engine``).  Rules of thumb, with per-interaction
-costs (``k`` = number of distinct occupied states):
+costs (``k`` = number of distinct occupied states); the measured rates are
+in README's "Measured engine throughput" table, rendered from
+``BENCH_engine.json``:
 
 ===============  ==========  ==========================  ======================
 engine           exactness   cost per interaction        use when
@@ -89,10 +91,9 @@ engine           exactness   cost per interaction        use when
 sequential       exact       O(1) Python                 tiny n, or as the
                  trajectory                              reference
 fastbatch        exact       O(1): ~ns in the C kernel,  the in-cache workhorse
-                 trajectory  or O(1) NumPy amortised     — 10-15x sequential
-                             over sqrt(n)-long waves     with a C compiler; on
-                                                         pure NumPy above
-                                                         ~5*10^4 agents
+                 trajectory  or O(1) NumPy amortised     with a C compiler; on
+                             over sqrt(n)-long waves     pure NumPy above
+                                                         5*10^4 agents
 countbatch       exact in    occupied-frontier work      huge n with an O(k)
                  distribu-   amortised over sqrt(n)      count path; the
                  tion        interactions — vanishes     n >= 10^7 engine, to
@@ -156,8 +157,8 @@ decode loops).  Predicates and recorders declare the views they evaluate
 warms them up front.  ``Simulation(check_every="auto")`` additionally
 replaces the fixed check period with a geometric back-off driven by the
 output census, so observation cost concentrates where the dynamics are.
-The observed-vs-unobserved overhead is tracked in the ``observed`` section
-of ``BENCH_engine.json`` (``benchmarks/bench_engine.py --observed``).
+The observed-vs-unobserved overhead is the ``observed`` section of
+``BENCH_engine.json``, rendered in README's measured table.
 
 Checkpoint / resume
 ===================

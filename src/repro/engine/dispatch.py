@@ -6,7 +6,8 @@ specification*: an engine class, one of the registry names below, or
 ``"auto"``.  :func:`resolve_engine` normalises all three to a concrete
 engine class; :func:`auto_engine` implements the ``"auto"`` policy.
 
-Selection policy (see the measured crossovers in ``BENCH_engine.json``):
+Selection policy (measured rates: README's "Measured engine throughput"
+table, rendered from ``BENCH_engine.json``):
 
 * ``SequentialEngine`` — per-agent Python loop with transitions from the
   protocol's shared compiled table.  Lowest constant factors among the
@@ -14,11 +15,11 @@ Selection policy (see the measured crossovers in ``BENCH_engine.json``):
   C compiler is available.
 * ``FastBatchEngine`` — exact batching over the per-agent array.  With its
   compiled C kernel (available whenever the system has a C compiler, see
-  :mod:`repro.engine._ckernel`) it beats the sequential engine by an order
-  of magnitude at *every* population size, so the dispatcher prefers it
-  from a few hundred agents up.  Without the kernel it falls back to
+  :mod:`repro.engine._ckernel`) it beats the sequential engine at *every*
+  population size, so the dispatcher prefers it from a few hundred agents
+  up.  Without the kernel it falls back to
   collision-aware NumPy batching, which overtakes the sequential engine
-  around ``5 * 10^4`` agents (collision-free runs lengthen like
+  at ``_FASTBATCH_MIN_N`` agents (collision-free runs lengthen like
   ``sqrt(n)``, so its advantage grows with ``n``).
 * ``CountBatchEngine`` — exact in distribution, ``O(k)`` memory, and
   processes collision-free runs of ``Θ(sqrt(n))`` interactions per batched
@@ -27,8 +28,8 @@ Selection policy (see the measured crossovers in ``BENCH_engine.json``):
   space (for GSU19 the reachable-state closure, see
   :meth:`repro.core.protocol.GSULeaderElection.canonical_states`) *and* an
   ``O(k)`` ``initial_counts`` path.  Among eligible protocols the choice is
-  a measured cost model (below): the classic small-state-space workloads
-  cross over around ``3*10^6`` agents, and above ``COUNTBATCH_FORCE_N``
+  a measured cost model (below), consulted from ``_COUNTBATCH_MIN_N``
+  agents, and above ``COUNTBATCH_FORCE_N``
   count-batch is selected unconditionally — the per-agent engines' ``O(n)``
   arrays and construction loops stop being viable long before ``10^8``.
 
@@ -57,18 +58,19 @@ is small, one compacted vectorised split per pairing row beyond that — see
 :mod:`repro.engine.count_batch`).  The dispatcher compares that per-batch
 cost, evaluated at the declared state-space size (a bound on the occupied
 frontier), against the fast-batch engine's measured per-interaction cost.
-All constants were measured on the ``BENCH_engine.json`` workloads.
+The constants were fitted to the workloads of ``benchmarks/bench_engine.py``.
 
 The model is evaluated against the tier the engine would actually run:
 with the compiled count kernel (:mod:`repro.engine._count_kernel`,
 available whenever ``_ckernel``'s compiler probe succeeds) the per-batch
-cost is one C call — ~1us fixed plus ~0.13us per occupied pairing cell —
+cost is one C call, a fixed overhead plus a cost per occupied pairing cell,
 which moves the countbatch-vs-fastbatch crossover down to
-``_COUNTBATCH_MIN_N`` for protocols that declare fewer than ~30 states.
-(GSU19's declared closure — 1,789 states at n = 10^8's calibration — prices
-it onto fastbatch until ``COUNTBATCH_FORCE_N``; its *realised* frontier is
-far sparser, so an explicit ``engine="countbatch"`` beats ``auto`` by ~10x
-in that window on kernel machines.  The bound is deliberately trusted —
+``_COUNTBATCH_MIN_N`` for protocols that declare few states.  (GSU19's
+declared closure — 1,789 states at n = 10^8's calibration — prices it onto
+fastbatch until ``COUNTBATCH_FORCE_N``; its *realised* frontier is far
+sparser, so an explicit ``engine="countbatch"`` beats ``auto`` in that
+window on kernel machines: compare README's GSU19 ``countbatch`` and
+``fastbatch`` rows at ``10^7``.  The bound is deliberately trusted —
 mispricing toward the bit-exact engine is the safe direction.)  Below
 ``_COUNTBATCH_MIN_N`` the policy stays deliberately kernel-independent:
 every ``auto`` choice there is in the bit-for-bit sequential-identical
@@ -125,7 +127,7 @@ EngineSpec = Union[str, Type[BaseEngine], None]
 
 #: Population size above which the exact batched engine beats the sequential
 #: one *without* the C kernel, i.e. on its NumPy wave path (measured on the
-#: epidemic and GSU19 workloads; see BENCH_engine.json).
+#: epidemic and GSU19 workloads of benchmarks/bench_engine.py).
 _FASTBATCH_MIN_N = 50_000
 
 #: Crossover when the C kernel compiled: the batched engine then wins by an
@@ -159,7 +161,7 @@ COUNTBATCH_FORCE_N = 30_000_000
 #: being "small" and the count engines lose their memory argument.
 _COUNTBATCH_MAX_DECLARED_STATES = 4096
 
-# --- measured count-batch cost model (see BENCH_engine.json) -----------
+# --- measured count-batch cost model (benchmarks/bench_engine.py) ------
 #: Fixed per-batch overhead: survival-curve inversion, the participant /
 #: responder hypergeometric splits and the Python bookkeeping around them.
 _COUNTBATCH_BATCH_OVERHEAD_SECONDS = 2.7e-5
@@ -172,10 +174,10 @@ _COUNTBATCH_SCALAR_CELL_SECONDS = 1.7e-6
 #: row's share of the bulk update; measured ~30us/row on the GSU19
 #: workload at n = 10^7).
 _COUNTBATCH_ROW_SECONDS = 3.0e-5
-#: Fast-batch reference cost per interaction.  The C-kernel figure is used
-#: on purpose even where the kernel is absent (kernel-independent policy,
-#: see _COUNTBATCH_MIN_N): ~34-38 M interactions/s on the BENCH_engine
-#: workloads at n >= 10^6.
+#: Fast-batch reference cost per interaction: the C kernel's, used on
+#: purpose even where the kernel is absent (kernel-independent policy, see
+#: _COUNTBATCH_MIN_N), fitted to its rate at n >= 10^6 on the
+#: bench_engine workloads.
 _FASTBATCH_SECONDS_PER_INTERACTION = 2.9e-8
 
 # --- compiled count-kernel tier (see repro.engine._count_kernel) --------

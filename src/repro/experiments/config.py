@@ -7,8 +7,8 @@ the common uses:
 
 * :meth:`ExperimentConfig.smoke` — minutes-scale sanity run used by the test
   suite and the pytest-benchmark targets,
-* :meth:`ExperimentConfig.default` — the configuration used to produce the
-  numbers recorded in ``EXPERIMENTS.md``,
+* :meth:`ExperimentConfig.default` — the configuration of README's
+  reproduction commands (``--preset default``),
 * :meth:`ExperimentConfig.large` — the heavier sweep for readers with more
   patience (bigger ``n``, more seeds); invoked through the CLI,
 * :meth:`ExperimentConfig.headline` — the ``n = 10^7``/``10^8`` GSU19 tier
@@ -120,7 +120,7 @@ class ExperimentConfig:
 
     @classmethod
     def default(cls) -> "ExperimentConfig":
-        """The configuration behind the numbers in ``EXPERIMENTS.md``."""
+        """The configuration of README's reproduction commands."""
         return cls(
             population_sizes=(256, 512, 1024, 2048, 4096),
             repetitions=5,

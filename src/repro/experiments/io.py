@@ -3,9 +3,9 @@
 Two kinds of artefact are written here:
 
 * **Experiment results** — the CLI writes every experiment's tables to an
-  output directory so results can be versioned and diffed;
-  ``EXPERIMENTS.md`` embeds the markdown rendering of the
-  default-configuration runs.  :func:`read_result_json` round-trips the JSON
+  output directory so results can be versioned and diffed, with a
+  markdown rendering (``result.md``) beside the JSON and CSV forms.
+  :func:`read_result_json` round-trips the JSON
   form back into an :class:`~repro.experiments.runner.ExperimentResult`,
   which is what the on-disk experiment store
   (:mod:`repro.experiments.store`) builds on.

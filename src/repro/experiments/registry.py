@@ -1,8 +1,8 @@
 """Registry mapping experiment identifiers to their runners.
 
 The CLI, the benchmarks and the documentation all refer to experiments by
-the identifiers in DESIGN.md (``table1``, ``figure1`` …); this module is the
-single source of truth for that mapping.
+the identifiers in README's experiment table (``table1``, ``figure1`` …);
+this module is the single source of truth for that mapping.
 
 :func:`run_experiment` optionally consults the on-disk experiment store
 (:mod:`repro.experiments.store`): with ``store=`` every completed

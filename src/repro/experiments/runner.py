@@ -6,8 +6,8 @@ convergence), :func:`final_metrics` (one metric at each cell's last check)
 or :func:`~repro.engine.parallel.run_cells` (one size, explicit seeds); a
 fixed horizon is a :func:`never_converge` cell.  Experiments produce an
 :class:`ExperimentResult` of named tables (a header plus rows of plain
-values) and free-form metadata, rendered to text (CLI), markdown
-(``EXPERIMENTS.md``) and CSV/JSON (:mod:`repro.experiments.io`).
+values) and free-form metadata, rendered to text (CLI), markdown and
+CSV/JSON (:mod:`repro.experiments.io`).
 """
 
 from __future__ import annotations

@@ -25,7 +25,9 @@ completed experiments on a rerun.
 
 All writes are atomic (write-replace through
 :func:`repro.experiments.io.atomic_write_text`), so a crash can only lose
-the cell in flight, never corrupt the store.  Keys are *conservative*: any
+the cell in flight, never corrupt the store; a write that fails (a full
+disk, a missing permission) raises :class:`~repro.errors.ExperimentError`
+naming the record file.  Keys are *conservative*: any
 input difference — another seed, another engine spec, a different budget —
 changes the key, so the store can return stale results only if two
 genuinely different protocols produce equal fingerprints (see
@@ -234,6 +236,7 @@ class ExperimentStore:
     ) -> Path:
         """Persist a completed cell under ``key`` (atomic write-replace).
 
+        A failed write raises :class:`ExperimentError` naming the cell file.
         ``inputs`` — the dictionary the key was hashed from — is embedded
         verbatim so store files are self-describing and auditable.
         """
@@ -244,9 +247,7 @@ class ExperimentStore:
             "inputs": jsonable(inputs) if inputs is not None else None,
             "result": _result_to_record(result),
         }
-        path = atomic_write_text(
-            self._cell_path(key), json.dumps(record, indent=1, sort_keys=True)
-        )
+        path = self._write(self._cell_path(key), record)
         self.stored += 1
         return path
 
@@ -275,7 +276,8 @@ class ExperimentStore:
     def save_experiment(
         self, key: str, result: ExperimentResult, inputs: Optional[dict] = None
     ) -> Path:
-        """Persist a completed experiment under ``key`` (atomic)."""
+        """Persist a completed experiment under ``key`` (atomic); a failed
+        write raises :class:`ExperimentError` naming the file."""
         record = {
             "format": _EXPERIMENT_FORMAT,
             "version": _STORE_VERSION,
@@ -283,11 +285,19 @@ class ExperimentStore:
             "inputs": jsonable(inputs) if inputs is not None else None,
             "result": result_to_jsonable(result),
         }
-        path = atomic_write_text(
-            self._experiment_path(key), json.dumps(record, indent=1, sort_keys=True)
-        )
+        path = self._write(self._experiment_path(key), record)
         self.stored += 1
         return path
+
+    @staticmethod
+    def _write(path: Path, record: dict) -> Path:
+        """Atomically write ``record``; a failed write (a full disk, a
+        missing permission) raises :class:`ExperimentError` naming ``path``,
+        chained to the ``OSError``, after the temp file is removed."""
+        try:
+            return atomic_write_text(path, json.dumps(record, indent=1, sort_keys=True))
+        except OSError as exc:
+            raise ExperimentError(f"cannot write store record {path}: {exc}") from exc
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -7,13 +7,16 @@ actual ``run_protocol`` invocations.
 
 from __future__ import annotations
 
+import errno
 import json
+import re
 
 import pytest
 
 import repro.engine.parallel as parallel
 from repro.engine.convergence import NeverConverge
 from repro.engine.parallel import run_cells, run_many
+from repro.errors import ExperimentError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.registry import experiment_key, run_experiment
 from repro.experiments.runner import ExperimentResult, sweep
@@ -251,7 +254,9 @@ def test_scenario_sweep_stores_and_reloads_every_cell(tmp_path, monkeypatch):
     assert all(r.metadata["scenario"] == "cycle" for r, _ in first[16])
 
 
-def test_experiment_level_store_skips_completed_experiments(tmp_path, monkeypatch):
+@pytest.fixture
+def fake_experiment(monkeypatch):
+    """Registers a cheap ``fake-exp`` experiment; returns its calls."""
     import repro.experiments.registry as registry
 
     calls = []
@@ -264,6 +269,11 @@ def test_experiment_level_store_skips_completed_experiments(tmp_path, monkeypatc
         return result
 
     monkeypatch.setitem(registry._REGISTRY, "fake-exp", fake_runner)
+    return calls
+
+
+def test_experiment_level_store_skips_completed_experiments(tmp_path, fake_experiment):
+    calls = fake_experiment
     config = ExperimentConfig.smoke()
     store = ExperimentStore(tmp_path)
 
@@ -284,6 +294,46 @@ def test_experiment_level_store_skips_completed_experiments(tmp_path, monkeypatc
     assert experiment_key("fake-exp", other) != experiment_key("fake-exp", config)
     run_experiment("fake-exp", other, store=store, resume=True)
     assert len(calls) == 3
+
+
+def test_unreadable_experiment_record_is_a_miss_not_an_error(tmp_path, fake_experiment):
+    store = ExperimentStore(tmp_path)
+    config = ExperimentConfig.smoke()
+    run_experiment("fake-exp", config, store=store, resume=True)
+    assert len(fake_experiment) == 1
+    record = tmp_path / "experiments" / f"{experiment_key('fake-exp', config)}.json"
+    record.write_text("{truncated")
+    rerun = run_experiment("fake-exp", config, store=store, resume=True)
+    assert len(fake_experiment) == 2  # recomputed
+    assert not rerun.metadata.get("loaded_from_store")
+    # ... and the record was healed on the way out.
+    assert json.loads(record.read_text())["format"] == "repro-store-experiment"
+    loaded = run_experiment("fake-exp", config, store=store, resume=True)
+    assert len(fake_experiment) == 2
+    assert loaded.metadata["loaded_from_store"] is True
+
+
+def test_failed_store_writes_name_the_file(tmp_path, monkeypatch, fake_experiment):
+    """On a full disk a stored sweep and a stored experiment raise an
+    ExperimentError naming the record, chained to the OSError, and leave
+    no temp file behind."""
+    from test_engine_checkpoint import _fill_disk
+
+    store = ExperimentStore(tmp_path)
+    _fill_disk(monkeypatch)
+    cells = re.escape(str(tmp_path / "cells"))
+    with pytest.raises(ExperimentError, match=cells) as raised:
+        _sweep(store, [8], repetitions=1)
+    assert raised.value.__cause__.errno == errno.ENOSPC
+    assert list((tmp_path / "cells").iterdir()) == []
+
+    config = ExperimentConfig.smoke()
+    record = tmp_path / "experiments" / f"{experiment_key('fake-exp', config)}.json"
+    with pytest.raises(ExperimentError, match=re.escape(str(record))) as raised:
+        run_experiment("fake-exp", config, store=store)
+    assert raised.value.__cause__.errno == errno.ENOSPC
+    assert list((tmp_path / "experiments").iterdir()) == []
+    assert store.stored == 0
 
 
 def test_cli_store_resume_flags(tmp_path, capsys):

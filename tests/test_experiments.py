@@ -220,6 +220,8 @@ def test_table1_process_pool_matches_serial():
     serial = run_table1(config)
     pooled = run_table1(config.with_workers(2))
     assert pooled.table("measured").rows == serial.table("measured").rows
+    # The reference table reproduces the paper's eight asymptotic rows.
+    assert len(serial.table("paper reference (asymptotic)").rows) == 8
 
 
 def test_write_result_creates_files(tmp_path: Path):

@@ -1,10 +1,10 @@
 """Optional C hot-path kernel for the exact batched engine.
 
-:mod:`repro.engine.fast_batch` applies pre-sampled interaction blocks either
-through its vectorised NumPy wave schedule or — when a working C compiler is
-available — through the tiny C kernel below, which executes the block in
-strict sequential order against the protocol's shared packed transition
-table (:class:`~repro.engine.table.TransitionTable`).  The C path needs no
+:mod:`repro.engine.fast_batch` applies interaction blocks either through
+its vectorised NumPy wave schedule or — when a working C compiler is
+available — through the C kernel below, which executes them in strict
+sequential order against the protocol's shared packed transition table
+(:class:`~repro.engine.table.TransitionTable`).  The C path needs no
 collision analysis at all (it *is* the sequential semantics, just without
 the interpreter), runs at a few nanoseconds per interaction, and is
 bit-for-bit identical to both the NumPy path and
@@ -29,15 +29,38 @@ failure — no compiler, sandboxed filesystem, exotic platform — silently
 falls back to the NumPy path.  Set ``REPRO_NO_C_KERNEL=1`` to force the
 fallback (the test suite uses this to pin the NumPy path's exactness).
 
-The function contract mirrors the engine's miss-handling loop: the kernel
-applies interactions until it hits a state pair whose table entry is still
-``-1`` and returns that interaction's index; the caller compiles the pair
-in Python (registering new states exactly as the scalar engines do) and
-resumes.  Misses are a per-state-pair one-time cost, so the loop almost
-always completes in a single call.  Alongside each applied transition the
-kernel marks the two output state ids in the caller's ``seen`` byte mask,
-which is how :class:`~repro.engine.fast_batch.FastBatchEngine` keeps
-``states_ever_occupied`` exact without leaving C.
+The kernel has one entry, ``repro_fast_block``, which takes one engine's
+:class:`FastBlock` argument block (agent states, pair buffers, LUT, seen
+mask, bit generator).  Its contract:
+
+* **Drawing on or off.**  With ``bitgen`` set the entry advances a whole
+  ``remaining`` count chunk by chunk: each chunk of ``min(remaining,
+  block)`` pairs is drawn into the engine's pair buffers exactly as
+  :meth:`~repro.engine.scheduler.PairSampler.pair_block` draws it (all
+  responders, all initiators, then rounds of ascending-index redraws of
+  every initiator equal to its responder), through NumPy's public
+  ``bitgen_t`` interface (``bit_generator.ctypes.bit_generator``) and
+  Lemire's bounded rejection on ``next_uint32`` words — the very words and
+  arithmetic of ``Generator.integers`` — so the generator ends where
+  ``pair_block`` leaves it, whatever the bit generator.  With ``bitgen``
+  NULL the entry applies only the chunk the caller put in the buffers
+  (topology schedulers, explicit blocks).
+* **Scope of the draw.**  ``2 <= n <= 2**32 - 1``: NumPy takes raw
+  32-bit words at ``n = 2**32`` and 64-bit words above it, which the
+  kernel does not reproduce, so the engine keeps drawing through
+  ``pair_block`` there.
+* **The bit-generator lock.**  The caller holds ``bit_generator.lock``
+  around the call, as ``Generator.integers`` does, since ctypes drops the
+  GIL for it.
+* **Misses.**  The entry stops at the first state pair whose table entry is
+  still negative, with ``position`` at that interaction; the caller
+  compiles the pair in Python (registering new states exactly as the scalar
+  engines do) and calls again, which resumes there without drawing.  Misses
+  are a per-state-pair one-time cost.
+* **Occupancy.**  Alongside each applied transition the kernel marks the
+  two output state ids in the caller's ``seen`` byte mask, which is how
+  :class:`~repro.engine.fast_batch.FastBatchEngine` keeps
+  ``states_ever_occupied`` exact without leaving C.
 """
 
 from __future__ import annotations
@@ -52,57 +75,209 @@ import threading
 from pathlib import Path
 from typing import Optional, Sequence
 
-__all__ = ["build_library", "load_kernel", "kernel_available", "kernel_cache_dir"]
+__all__ = [
+    "FastBlock",
+    "build_library",
+    "load_kernel",
+    "kernel_available",
+    "kernel_cache_dir",
+]
 
 _SOURCE = r"""
 #include <stdint.h>
 
-/* Apply population-protocol interactions in strict sequential order.
+/* NumPy's bit-generator interface (numpy/random/bitgen.h): the generic
+ * bitgen_t every BitGenerator exposes as bit_generator.ctypes.bit_generator.
+ */
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
+
+/* A uniform integer in [0, range), 2 <= range <= 2^32 - 1, by Lemire's
+ * bounded multiply with rejection ("Fast Random Integer Generation in an
+ * Interval", ACM TOMACS 2019).  Word for word what
+ * Generator.integers(0, range, dtype=np.int64) draws per entry (NumPy's
+ * buffered_bounded_lemire_uint32 on the same next_uint32 words). */
+static inline int64_t bounded(bitgen_t *bitgen, uint32_t range)
+{
+    uint64_t m = (uint64_t)bitgen->next_uint32(bitgen->state) * range;
+    uint32_t leftover = (uint32_t)m;
+    if (leftover < range) {
+        const uint32_t threshold = (uint32_t)(0u - range) % range;
+        while (leftover < threshold) {
+            m = (uint64_t)bitgen->next_uint32(bitgen->state) * range;
+            leftover = (uint32_t)m;
+        }
+    }
+    return (int64_t)(m >> 32);
+}
+
+/* One engine's argument block (FastBlock, a ctypes mirror of this layout).
+ * The engine keeps it for its lifetime and rewrites a pointer field only
+ * when that buffer is reallocated.
  *
- * states     : per-agent state identifiers (int32, mutated in place)
- * responders : agent index of the responder of each interaction (int64)
- * initiators : agent index of the initiator of each interaction (int64)
- * n_pairs    : number of interactions in the block
- * start      : index to resume from
+ * states     : per-agent state identifiers (int32, mutated in place);
+ *              NULL draws one chunk only (see repro_fast_block)
+ * responders : pair buffer, agent index of each responder (int64, >= block)
+ * initiators : pair buffer, agent index of each initiator (int64, >= block)
+ * redraw     : scratch for the collision list (int64, >= block); unused
+ *              with drawing off
  * lut        : flattened (cap x cap) table; entry r*cap + i holds
  *              (new_r << 32) | new_i, or a negative value when the pair
  *              has not been compiled yet
- * cap        : side length of the lookup table
  * seen       : byte mask over state ids (>= cap entries); the outputs of
- *              every applied transition are marked 1 (ever-occupied
- *              tracking)
- *
- * Returns the index of the first interaction whose state pair is missing
- * from the table (the caller compiles it and resumes), or n_pairs once
- * the whole block has been applied.
+ *              every applied transition are marked 1
+ * bitgen     : the engine's bitgen_t, or NULL with drawing off
+ * n          : population size, 2 <= n <= 2^32 - 1 with drawing on
+ * cap        : side length of the lookup table
+ * block      : largest chunk one draw fills
+ * remaining  : in/out, interactions still to apply, counting the unapplied
+ *              tail of the buffered chunk
+ * chunk      : in/out, length of the chunk held in the pair buffers
+ * position   : in/out, next interaction of that chunk to apply
  */
-int64_t repro_apply_block(
-    int32_t *states,
-    const int64_t *responders,
-    const int64_t *initiators,
-    int64_t n_pairs,
-    int64_t start,
-    const int64_t *lut,
-    int64_t cap,
-    uint8_t *seen)
+typedef struct {
+    int32_t *states;
+    int64_t *responders;
+    int64_t *initiators;
+    int64_t *redraw;
+    const int64_t *lut;
+    uint8_t *seen;
+    bitgen_t *bitgen;
+    int64_t n;
+    int64_t cap;
+    int64_t block;
+    int64_t remaining;
+    int64_t chunk;
+    int64_t position;
+} fast_block;
+
+/* Fill the pair buffers with `count` pairs exactly as
+ * PairSampler.pair_block(count) draws them: every responder, then every
+ * initiator, then rounds of ascending-index redraws of the initiators
+ * that equal their responder (one round per NumPy call of the Python
+ * loop), until none does. */
+static void draw_pairs(fast_block *arg, int64_t count)
 {
-    for (int64_t t = start; t < n_pairs; t++) {
-        int64_t agent_r = responders[t];
-        int64_t agent_i = initiators[t];
-        int64_t packed = lut[(int64_t)states[agent_r] * cap + states[agent_i]];
-        if (packed < 0) {
-            return t;
-        }
-        int32_t new_r = (int32_t)(packed >> 32);
-        int32_t new_i = (int32_t)(packed & 0xFFFFFFFF);
-        states[agent_r] = new_r;
-        states[agent_i] = new_i;
-        seen[new_r] = 1;
-        seen[new_i] = 1;
+    bitgen_t *bitgen = arg->bitgen;
+    uint32_t n = (uint32_t)arg->n;
+    int64_t *a = arg->responders;
+    int64_t *b = arg->initiators;
+    int64_t *redraw = arg->redraw;
+    for (int64_t j = 0; j < count; j++) {
+        a[j] = bounded(bitgen, n);
     }
-    return n_pairs;
+    int64_t pending = 0;
+    for (int64_t j = 0; j < count; j++) {
+        b[j] = bounded(bitgen, n);
+        if (b[j] == a[j]) {
+            redraw[pending++] = j;
+        }
+    }
+    while (pending > 0) {
+        int64_t kept = 0;
+        for (int64_t i = 0; i < pending; i++) {
+            int64_t j = redraw[i];
+            b[j] = bounded(bitgen, n);
+            if (b[j] == a[j]) {
+                redraw[kept++] = j;
+            }
+        }
+        pending = kept;
+    }
+}
+
+/* Apply population-protocol interactions in strict sequential order.
+ *
+ * First the unapplied tail of the buffered chunk, then -- with drawing
+ * on -- fresh chunks of min(remaining, block) pairs drawn into the pair
+ * buffers, until `remaining` reaches 0.  With drawing off the call ends
+ * when the buffered chunk is exhausted.
+ *
+ * Returns 1 at the first interaction whose state pair is missing from the
+ * table, with `position` at that interaction (the caller compiles the pair
+ * and calls again, which resumes there without drawing), or 0 once done.
+ *
+ * With `states` NULL the call draws one chunk into the pair buffers and
+ * returns 0 without applying it: the draw on its own, checked against
+ * pair_block at population sizes no agent array could hold.
+ */
+int64_t repro_fast_block(fast_block *arg)
+{
+    int32_t *states = arg->states;
+    const int64_t *responders = arg->responders;
+    const int64_t *initiators = arg->initiators;
+    const int64_t *lut = arg->lut;
+    uint8_t *seen = arg->seen;
+    int64_t cap = arg->cap;
+    for (;;) {
+        if (arg->position >= arg->chunk) {
+            if (arg->remaining <= 0 || arg->bitgen == 0) {
+                return 0;
+            }
+            int64_t count = arg->remaining < arg->block ? arg->remaining : arg->block;
+            draw_pairs(arg, count);
+            arg->chunk = count;
+            arg->position = 0;
+            if (states == 0) {
+                return 0;
+            }
+        }
+        int64_t start = arg->position;
+        int64_t chunk = arg->chunk;
+        for (int64_t t = start; t < chunk; t++) {
+            int64_t agent_r = responders[t];
+            int64_t agent_i = initiators[t];
+            int64_t packed = lut[(int64_t)states[agent_r] * cap + states[agent_i]];
+            if (packed < 0) {
+                arg->position = t;
+                arg->remaining -= t - start;
+                return 1;
+            }
+            int32_t new_r = (int32_t)(packed >> 32);
+            int32_t new_i = (int32_t)(packed & 0xFFFFFFFF);
+            states[agent_r] = new_r;
+            states[agent_i] = new_i;
+            seen[new_r] = 1;
+            seen[new_i] = 1;
+        }
+        arg->position = chunk;
+        arg->remaining -= chunk - start;
+    }
 }
 """
+
+
+
+class FastBlock(ctypes.Structure):
+    """One engine's argument block for the kernel entry (the C ``fast_block``).
+
+    The pointer fields address NumPy buffers (and the bit generator's
+    ``bitgen_t``) that the caller keeps alive; the caller sets ``n``,
+    ``cap`` and ``block``, and the kernel reads and advances ``remaining``,
+    ``chunk`` and ``position``.
+    """
+
+    _fields_ = [
+        ("states", ctypes.c_void_p),
+        ("responders", ctypes.c_void_p),
+        ("initiators", ctypes.c_void_p),
+        ("redraw", ctypes.c_void_p),
+        ("lut", ctypes.c_void_p),
+        ("seen", ctypes.c_void_p),
+        ("bitgen", ctypes.c_void_p),
+        ("n", ctypes.c_int64),
+        ("cap", ctypes.c_int64),
+        ("block", ctypes.c_int64),
+        ("remaining", ctypes.c_int64),
+        ("chunk", ctypes.c_int64),
+        ("position", ctypes.c_int64),
+    ]
+
 
 _kernel: Optional[ctypes.CFUNCTYPE] = None
 _load_attempted = False
@@ -185,7 +360,8 @@ def build_library(
 
 
 def load_kernel():
-    """The compiled block-apply function, or ``None`` when unavailable.
+    """The compiled block entry (``repro_fast_block``), or ``None`` when
+    unavailable.
 
     The first call pays the (cached) compilation; subsequent calls are a
     module-global read.  Thread-safe (double-checked on ``_load_attempted``,
@@ -212,26 +388,17 @@ def _load_kernel_locked() -> None:
 
 
 def _bind(library) -> None:
-    """Publish ``library``'s block-apply entry; raises before publishing
-    when the symbol is missing.
+    """Publish ``library``'s block entry; raises before publishing when the
+    symbol is missing.
 
     Split from the loader so a build with other flags (a sanitizer build,
     say) can be swapped in: ``_bind(ctypes.CDLL(path))`` then mark the
     load attempted.
     """
     global _kernel
-    function = library.repro_apply_block
+    function = library.repro_fast_block
     function.restype = ctypes.c_int64
-    function.argtypes = [
-        ctypes.c_void_p,  # states
-        ctypes.c_void_p,  # responders
-        ctypes.c_void_p,  # initiators
-        ctypes.c_int64,  # n_pairs
-        ctypes.c_int64,  # start
-        ctypes.c_void_p,  # lut
-        ctypes.c_int64,  # cap
-        ctypes.c_void_p,  # seen
-    ]
+    function.argtypes = [ctypes.c_void_p]  # FastBlock address
     _kernel = function
 
 

@@ -8,7 +8,12 @@ one of two interchangeable hot paths:
 * the **C kernel** (:mod:`repro.engine._ckernel`), used whenever a system C
   compiler is available: the block is executed in strict sequential order
   against the packed transition lookup table at a few nanoseconds per
-  interaction — no collision analysis needed at all;
+  interaction — no collision analysis needed at all.  On the complete
+  graph (:class:`~repro.engine.scheduler.PairSampler`, ``n < 2**32``) one
+  kernel call also draws every block itself, from the engine's own bit
+  generator and word for word as ``pair_block`` would, so a whole
+  ``run(count)`` is one C call plus one per lookup-table miss; topology
+  schedulers fill the kernel's pair buffers through ``pair_block``;
 * the **NumPy wave schedule** documented below, the portable fallback that
   needs nothing beyond NumPy.
 
@@ -56,11 +61,13 @@ Exactness: the sequence of sampled pairs is i.i.d. uniform over ordered
 pairs of distinct agents, identical in distribution to the sequential
 engine's; applying a collision-free segment in bulk commutes with applying
 it pair by pair because the segment touches each agent at most once.  In
-fact the engine draws its randomness through the *same* ``pair_block`` calls
-with the same block size as :class:`~repro.engine.engine.SequentialEngine`,
-so for an identical seed and an identical driver call pattern the two
-engines produce bit-for-bit identical trajectories (a property the test
-suite pins down).
+fact the engine draws its randomness exactly as the ``pair_block`` calls of
+:class:`~repro.engine.engine.SequentialEngine` do, with the same block size
+— through those very calls on the NumPy path and for topology schedulers,
+through the C kernel's draw of the same words from the same bit generator
+otherwise — so for an identical seed and an identical driver call pattern
+the two engines produce bit-for-bit identical trajectories (a property the
+test suite pins down, along with the kernel draw against ``pair_block``).
 
 On the NumPy path the expected collision-free segment length grows like
 ``Θ(sqrt(n))`` (birthday problem over ``2k`` sampled indices), so the
@@ -73,12 +80,13 @@ states discovered so far.
 
 from __future__ import annotations
 
+import ctypes
 from itertools import groupby
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.engine._ckernel import load_kernel
+from repro.engine._ckernel import FastBlock, load_kernel
 from repro.engine.base import BaseEngine
 from repro.engine.protocol import PopulationProtocol
 from repro.engine.rng import RngLike, make_rng
@@ -354,6 +362,12 @@ class FastBatchEngine(BaseEngine):
             self._agent_states, minlength=len(self.encoder)
         )
         self._cached_counts_stamp = 0
+        # C-path state: this engine's FastBlock argument block and its
+        # address, the pair buffers it points at, and the buffers whose
+        # addresses it currently holds (see _bind_kernel_buffers).
+        self._kernel_args: Optional[FastBlock] = None
+        if self._c_kernel is not None:
+            self._setup_kernel()
 
     @property
     def scenario(self):
@@ -409,10 +423,105 @@ class FastBatchEngine(BaseEngine):
         ).copy()
         self._sampler.state_restore(payload["sampler"])
         self._block = int(payload["block"])
+        if self._kernel_args is not None:
+            self._reserve_pairs(self._block)
+            args = self._kernel_args
+            args.block = self._block
+            args.chunk = args.position = 0
         self._cached_counts = np.bincount(
             self._agent_states, minlength=len(self.encoder)
         )
         self._cached_counts_stamp = self.interactions
+
+    # ------------------------------------------------------------------
+    # C kernel
+    # ------------------------------------------------------------------
+    def _setup_kernel(self) -> None:
+        """Build the kernel's argument block and pair buffers.
+
+        The kernel draws each chunk itself, from this engine's bit generator,
+        only for the complete-graph sampler with ``n < 2**32`` (the range
+        its bounded draw reproduces); otherwise ``bitgen`` stays NULL and
+        Python fills the pair buffers through ``pair_block``.
+        """
+        generator = self._sampler.generator
+        args = FastBlock(n=self.n, block=self._block)
+        if type(self._sampler) is PairSampler and self.n < 1 << 32:
+            args.bitgen = generator.bit_generator.ctypes.bit_generator.value
+        self._kernel_args = args
+        self._kernel_address = ctypes.addressof(args)
+        self._bitgen_lock = generator.bit_generator.lock
+        self._responders = self._initiators = np.empty(0, dtype=np.int64)
+        self._redraw: Optional[np.ndarray] = None
+        self._bound_states: Optional[np.ndarray] = None
+        self._bound_lut: Optional[np.ndarray] = None
+        self._bound_seen: Optional[np.ndarray] = None
+        self._reserve_pairs(self._block)
+
+    def _reserve_pairs(self, size: int) -> None:
+        """Grow the pair buffers (and the redraw scratch) to ``size`` pairs."""
+        if self._responders.shape[0] >= size:
+            return
+        args = self._kernel_args
+        self._responders = np.empty(size, dtype=np.int64)
+        self._initiators = np.empty(size, dtype=np.int64)
+        args.responders = self._responders.ctypes.data
+        args.initiators = self._initiators.ctypes.data
+        if args.bitgen:
+            self._redraw = np.empty(size, dtype=np.int64)
+            args.redraw = self._redraw.ctypes.data
+
+    def _bind_kernel_buffers(self) -> None:
+        """Point the argument block at the current states, LUT and seen mask.
+
+        An address is rewritten only when its buffer was reallocated.  The
+        LUT is snapshotted before the seen mask grows: capacity only grows,
+        so the mask then covers every id the snapshot can emit.  Holding
+        the snapshot keeps it alive across the GIL-released call (a
+        concurrently grown table's stale snapshot only produces extra
+        misses).
+        """
+        args = self._kernel_args
+        states = self._agent_states
+        if states is not self._bound_states:
+            self._bound_states = states
+            args.states = states.ctypes.data
+        lut, cap = self.table.packed_view()
+        if lut is not self._bound_lut:
+            self._bound_lut = lut
+            args.lut = lut.ctypes.data
+            args.cap = cap
+        self._ensure_seen()
+        if self._seen is not self._bound_seen:
+            self._bound_seen = self._seen
+            args.seen = self._seen.ctypes.data
+
+    def _run_kernel(self) -> None:
+        """Call the kernel until it has applied ``args.remaining`` interactions.
+
+        The kernel stops at the first lookup-table miss with ``position`` at
+        that interaction; the missing pair is compiled into the shared table
+        in Python with the *current* agent states (so encoder registration
+        behaves exactly like the scalar engines) and the kernel resumes
+        there, without drawing.  The kernel also marks every applied
+        transition's outputs in the seen mask, so ``states_ever_occupied``
+        stays exact on this path too.  The bit generator's lock is held
+        around each call, as ``Generator.integers`` holds it.
+        """
+        args = self._kernel_args
+        kernel = self._c_kernel
+        address = self._kernel_address
+        while True:
+            self._bind_kernel_buffers()
+            with self._bitgen_lock:
+                missed = kernel(address)
+            if not missed:
+                return
+            states = self._agent_states
+            t = args.position
+            self.table.apply(
+                int(states[self._responders[t]]), int(states[self._initiators[t]])
+            )
 
     # ------------------------------------------------------------------
     # Stepping
@@ -469,49 +578,17 @@ class FastBatchEngine(BaseEngine):
             states[agent_r], states[agent_i] = result
         self._agent_states = np.asarray(states, dtype=np.int32)
 
-    def _apply_block_c(self, responders: np.ndarray, initiators: np.ndarray) -> None:
-        """Apply one block through the compiled sequential kernel.
-
-        The kernel stops at the first lookup-table miss and reports its
-        index; the missing pair is compiled into the shared table in Python
-        with the *current* agent states (so encoder registration behaves
-        exactly like the scalar engines) and the kernel resumes.  The kernel
-        also marks every applied transition's outputs in the seen mask, so
-        ``states_ever_occupied`` stays exact on this path too.
-        """
-        kernel = self._c_kernel
-        table = self.table
-        m = int(responders.shape[0])
-        start = 0
-        while True:
-            states = self._agent_states
-            # Re-snapshot per iteration: the ``table.apply`` below may have
-            # grown the table, and holding ``lut`` keeps the buffer alive
-            # across the GIL-released call (a concurrently-grown table's
-            # stale snapshot only produces extra misses).  Snapshot before
-            # growing the seen mask — capacity only grows, so the mask is
-            # then guaranteed to cover every id the snapshot can emit.
-            lut, cap = table.packed_view()
-            self._ensure_seen()
-            start = kernel(
-                states.ctypes.data,
-                responders.ctypes.data,
-                initiators.ctypes.data,
-                m,
-                start,
-                lut.ctypes.data,
-                cap,
-                self._seen.ctypes.data,
-            )
-            if start >= m:
-                return
-            table.apply(
-                int(states[responders[start]]), int(states[initiators[start]])
-            )
-
     def _apply_block(self, responders: np.ndarray, initiators: np.ndarray) -> None:
-        if self._c_kernel is not None:
-            self._apply_block_c(responders, initiators)
+        """Apply one pre-sampled block in sequential order, on either path."""
+        args = self._kernel_args
+        if args is not None:
+            m = int(responders.shape[0])
+            self._reserve_pairs(m)
+            self._responders[:m] = responders
+            self._initiators[:m] = initiators
+            args.chunk = args.remaining = m
+            args.position = 0
+            self._run_kernel()
             return
         conflict_r, conflict_i = conflict_columns(responders, initiators)
         depth = wave_depths(conflict_r, conflict_i)
@@ -533,6 +610,13 @@ class FastBatchEngine(BaseEngine):
 
     def _perform_steps(self, count: int) -> None:
         if count <= 0:
+            return
+        args = self._kernel_args
+        if args is not None and args.bitgen:
+            # The kernel draws every chunk exactly as pair_block would.
+            args.remaining = count
+            self._run_kernel()
+            self.interactions += count
             return
         remaining = count
         while remaining > 0:

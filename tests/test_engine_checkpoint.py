@@ -25,8 +25,10 @@ import pytest
 
 from test_engine_trajectory_digests import _CHUNKS, ENGINES, EXPECTED, PROTOCOLS
 
+from repro.engine._ckernel import kernel_available
 from repro.engine.count_batch import CountBatchEngine
 from repro.engine.engine import SequentialEngine
+from repro.engine.fast_batch import _BLOCK, FastBatchEngine
 from repro.engine.scheduler import PairSampler
 from repro.errors import CheckpointError
 from repro.experiments.io import read_checkpoint, write_checkpoint
@@ -49,19 +51,15 @@ def _digest_update(digest, engine) -> None:
     )
 
 
-@pytest.mark.parametrize("engine_name", _ENGINE_NAMES)
-@pytest.mark.parametrize("protocol_name", _PROTOCOL_NAMES)
-@pytest.mark.parametrize("interrupt_after", [1, 2])
-def test_interrupted_run_matches_pinned_digest(
-    tmp_path, protocol_name, engine_name, interrupt_after
-):
-    """snapshot → file → restore mid-run reproduces the pinned digest."""
+def _resumed_digest(tmp_path, protocol_name, before, after, interrupt_after) -> str:
+    """Digest of a run on ``before`` checkpointed after ``interrupt_after``
+    chunks and finished on ``after`` (``interrupt_after == _CHUNKS`` gives
+    the uninterrupted run's digest)."""
     protocol_factory, n = PROTOCOLS[protocol_name]
-    engine_factory = ENGINES[engine_name]
     seed = 20190622
 
     digest = hashlib.sha256()
-    engine = engine_factory(protocol_factory(), n, rng=seed)
+    engine = before(protocol_factory(), n, rng=seed)
     for _ in range(interrupt_after):
         engine.run(2 * n + 3)
         _digest_update(digest, engine)
@@ -73,16 +71,70 @@ def test_interrupted_run_matches_pinned_digest(
     del engine
 
     snapshot = read_checkpoint(path)
-    resumed = engine_factory(protocol_factory(), n, rng=0xDEAD)  # rng is overwritten
+    resumed = after(protocol_factory(), n, rng=0xDEAD)  # rng is overwritten
     resumed.restore(snapshot)
     for _ in range(_CHUNKS - interrupt_after):
         resumed.run(2 * n + 3)
         _digest_update(digest, resumed)
+    return digest.hexdigest()
 
-    assert digest.hexdigest() == EXPECTED[f"{protocol_name}/{engine_name}"], (
+
+@pytest.mark.parametrize("engine_name", _ENGINE_NAMES)
+@pytest.mark.parametrize("protocol_name", _PROTOCOL_NAMES)
+@pytest.mark.parametrize("interrupt_after", [1, 2])
+def test_interrupted_run_matches_pinned_digest(
+    tmp_path, protocol_name, engine_name, interrupt_after
+):
+    """snapshot → file → restore mid-run reproduces the pinned digest."""
+    engine_factory = ENGINES[engine_name]
+    digest = _resumed_digest(
+        tmp_path, protocol_name, engine_factory, engine_factory, interrupt_after
+    )
+    assert digest == EXPECTED[f"{protocol_name}/{engine_name}"], (
         f"{engine_name} on {protocol_name}: resume after chunk "
         f"{interrupt_after} diverged from the uninterrupted pinned trajectory"
     )
+
+
+def _fast_batch(kernel: str, block: int = _BLOCK):
+    def factory(protocol, n, rng=None):
+        return FastBatchEngine(protocol, n, rng, kernel=kernel, block=block)
+
+    return factory
+
+
+@pytest.mark.skipif(not kernel_available(), reason="no C kernel in this environment")
+@pytest.mark.parametrize("recorded,restoring", [("c", "numpy"), ("numpy", "c")])
+@pytest.mark.parametrize("protocol_name", _PROTOCOL_NAMES)
+def test_fast_batch_checkpoint_resumes_across_kernel_paths(
+    tmp_path, protocol_name, recorded, restoring
+):
+    """A fast-batch checkpoint resumes byte-exactly on the other
+    block-application path: the C kernel's own draws leave the generator
+    exactly where ``pair_block`` leaves it, so the recorded RNG state means
+    the same on both."""
+    digest = _resumed_digest(
+        tmp_path, protocol_name, _fast_batch(recorded), _fast_batch(restoring), 1
+    )
+    assert digest == EXPECTED[f"{protocol_name}/fastbatch"]
+
+
+@pytest.mark.parametrize("kernel", ["auto", "numpy"])
+@pytest.mark.parametrize("recorded,restoring", [(64, _BLOCK), (_BLOCK, 64)])
+def test_fast_batch_resume_follows_the_checkpoint_block(
+    tmp_path, kernel, recorded, restoring
+):
+    """The checkpoint's block, not the restoring engine's constructor block,
+    shapes the resumed draws; on the C path the pair buffers follow it (a
+    64-pair engine restoring a 16,384-pair checkpoint must grow them)."""
+    before = _fast_batch(kernel, recorded)
+    uninterrupted = _resumed_digest(tmp_path, "gsu19", before, before, _CHUNKS)
+    if recorded == _BLOCK:
+        assert uninterrupted == EXPECTED["gsu19/fastbatch"]
+    resumed = _resumed_digest(
+        tmp_path, "gsu19", before, _fast_batch(kernel, restoring), 1
+    )
+    assert resumed == uninterrupted
 
 
 def test_from_snapshot_classmethod_is_equivalent():

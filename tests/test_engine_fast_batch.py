@@ -1,18 +1,26 @@
 """Tests for the exact collision-aware batched engine and the auto-dispatcher.
 
 The engine's central guarantee — exactness — is pinned down at its strongest
-form: because :class:`FastBatchEngine` consumes the shared randomness stream
-through the same ``pair_block`` calls as :class:`SequentialEngine`, the two
+form: :class:`FastBatchEngine` consumes the shared randomness stream exactly
+as :class:`SequentialEngine`'s ``pair_block`` calls do — through those calls
+on the NumPy path and for topology schedulers, and through the C kernel's
+own draw from the same bit generator on the complete graph — so the two
 engines must produce *identical* trajectories for identical seeds, not
-merely equal distributions.  The scheduling helpers (conflict columns, wave
-depths, collision-free segments) are tested directly against brute-force
-reference implementations.
+merely equal distributions.  The kernel's draw is checked against
+``PairSampler.pair_block`` directly (equal pairs, equal generator state
+afterwards).  The scheduling helpers (conflict columns, wave depths,
+collision-free segments) are tested directly against brute-force reference
+implementations.
 """
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.protocol import GSULeaderElection
 from repro.engine import (
@@ -22,15 +30,18 @@ from repro.engine import (
     resolve_engine,
     run_protocol,
 )
+from repro.engine._ckernel import FastBlock, load_kernel
 from repro.engine.count_batch import CountBatchEngine
 from repro.engine.dispatch import _FASTBATCH_MIN_N
 from repro.engine.engine import SequentialEngine
 from repro.engine.fast_batch import (
+    _BLOCK,
     FastBatchEngine,
     collision_free_segments,
     conflict_columns,
     wave_depths,
 )
+from repro.engine.scheduler import PairSampler
 from repro.errors import ConfigurationError
 from repro.protocols.approximate_majority import ApproximateMajority
 from repro.protocols.epidemic import OneWayEpidemic
@@ -248,6 +259,79 @@ def test_run_protocol_accepts_engine_names_and_auto():
     # auto resolves to the sequential engine at this size; same stream, same
     # trajectory as the fastbatch run above.
     assert auto.final_counts == by_name.final_counts
+
+
+# ----------------------------------------------------------------------
+# The kernel's pair draw
+# ----------------------------------------------------------------------
+def _kernel_draw(generator: np.random.Generator, n: int, count: int):
+    """One chunk drawn by the C kernel alone (``states`` NULL: no apply)."""
+    responders, initiators, redraw = (np.empty(count, dtype=np.int64) for _ in range(3))
+    bit_generator = generator.bit_generator
+    args = FastBlock(
+        responders=responders.ctypes.data,
+        initiators=initiators.ctypes.data,
+        redraw=redraw.ctypes.data,
+        bitgen=bit_generator.ctypes.bit_generator.value,
+        n=n,
+        block=count,
+        remaining=count,
+    )
+    with bit_generator.lock:
+        assert load_kernel()(ctypes.addressof(args)) == 0
+    assert (args.chunk, args.position, args.remaining) == (count, 0, count)
+    return responders, initiators
+
+
+@pytest.mark.skipif(load_kernel() is None, reason="no C kernel in this environment")
+@given(
+    n=st.sampled_from([2, 3, 2**31 + 11, 2**32 - 1]) | st.integers(2, 2**32 - 1),
+    count=st.integers(1, _BLOCK),
+    seed=st.integers(0, 2**64 - 1),
+    bit_generator=st.sampled_from([np.random.PCG64, np.random.MT19937]),
+    offset=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_kernel_draw_matches_pair_block(n, count, seed, bit_generator, offset):
+    """The kernel draws a chunk word for word as ``PairSampler.pair_block``
+    does (responders, initiators, collision redraws), through the generic
+    ``bitgen_t`` of any bit generator, and leaves the generator exactly
+    where NumPy leaves it: equal state (PCG64's buffered half-word
+    included, which ``offset`` exercises) and an equal next draw."""
+    ours = np.random.Generator(bit_generator(seed))
+    theirs = np.random.Generator(bit_generator(seed))
+    if offset:  # start on a buffered 32-bit half-word
+        ours.integers(0, 5)
+        theirs.integers(0, 5)
+    responders, initiators = _kernel_draw(ours, n, count)
+    expected_r, expected_i = PairSampler(n, theirs).pair_block(count)
+    np.testing.assert_array_equal(responders, expected_r)
+    np.testing.assert_array_equal(initiators, expected_i)
+    np.testing.assert_equal(ours.bit_generator.state, theirs.bit_generator.state)
+    assert ours.random() == theirs.random()
+
+
+@pytest.mark.skipif(load_kernel() is None, reason="no C kernel in this environment")
+@pytest.mark.parametrize("n", [2, 3, 256])
+def test_kernel_draws_only_on_the_complete_graph(n):
+    """The C path draws in the kernel for the complete-graph sampler and
+    stays on ``pair_block`` elsewhere; either way the trajectory is the
+    NumPy path's, and the generator ends in the same state."""
+    from repro.scenarios.scenario import Scenario
+    from repro.scenarios.topology import Cycle
+
+    for scenario, draws in ((None, True), (Scenario(topology=Cycle()), False)):
+        engine = FastBatchEngine(OneWayEpidemic(), n, rng=9, kernel="c", scenario=scenario)
+        reference = FastBatchEngine(
+            OneWayEpidemic(), n, rng=9, kernel="numpy", scenario=scenario
+        )
+        assert bool(engine._kernel_args.bitgen) is draws
+        for count in (1, 5, _BLOCK + 7, 3 * n):
+            engine.run(count)
+            reference.run(count)
+            assert engine.population_snapshot() == reference.population_snapshot()
+        assert engine.interactions == reference.interactions
+        assert engine._sampler.generator.random() == reference._sampler.generator.random()
 
 
 # ----------------------------------------------------------------------

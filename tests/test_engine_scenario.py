@@ -56,15 +56,20 @@ def test_explicit_complete_scenario_is_invisible():
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("topology", [Cycle(), RandomRegular(degree=4)])
 def test_sequential_and_fastbatch_agree_on_topologies(topology):
-    """Two engines, one scheduler contract: identical trajectories."""
+    """Two engines, one scheduler contract: identical trajectories, on the
+    NumPy path and on the C path (where topology pairs come from the
+    scheduler's ``pair_block``, not from the kernel's own draw)."""
     scenario = Scenario(topology=topology)
     seq = SequentialEngine(OneWayEpidemic(), 48, rng=11, scenario=scenario)
-    fast = FastBatchEngine(
-        OneWayEpidemic(), 48, rng=11, scenario=scenario, kernel="numpy"
-    )
     seq.run(700)
-    fast.run(700)
-    assert _counts(seq) == _counts(fast)
+    for kernel in ("numpy", "auto"):
+        fast = FastBatchEngine(
+            OneWayEpidemic(), 48, rng=11, scenario=scenario, kernel=kernel
+        )
+        if fast._kernel_args is not None:
+            assert not fast._kernel_args.bitgen
+        fast.run(700)
+        assert _counts(seq) == _counts(fast)
 
 
 def test_cycle_epidemic_spreads_slower_than_complete():

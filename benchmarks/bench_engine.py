@@ -320,8 +320,10 @@ def run_observed_ablation(
                 engine = engine_cls(protocol, n, rng=1)
                 predicate = protocol.convergence()
                 recorder = RoleCensusRecorder()
+                # What Simulation warms: the output map and the views.
+                engine.table.output_id_array(len(engine.encoder))
                 for view in predicate.views + recorder.views:
-                    engine.table.view_values(view)  # what Simulation warms
+                    engine.table.view_values(view)
                 engine.run(2 * n)
                 start = time.perf_counter()
                 converged = engine.run_until(

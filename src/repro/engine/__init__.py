@@ -39,7 +39,8 @@ Five engines are provided — three exact, plus an opt-in approximate tier:
   the sequential engine at every population size) or through
   collision-free dependency waves with vectorised NumPy lookups.
   Bit-for-bit identical trajectories to the sequential engine for the same
-  seed on both paths.
+  seed on both paths.  Both keep its per-state count vector live, so a
+  convergence check costs ``O(k)``, not a recount of the ``n`` agents.
 * :class:`~repro.engine.count_batch.CountBatchEngine` — exact **in
   distribution**, ``O(k)`` memory: simulates over state counts only,
   processing collision-free runs of ``Θ(sqrt(n))`` interactions per

@@ -31,7 +31,7 @@ fallback (the test suite uses this to pin the NumPy path's exactness).
 
 The kernel has one entry, ``repro_fast_block``, which takes one engine's
 :class:`FastBlock` argument block (agent states, pair buffers, LUT, seen
-mask, bit generator).  Its contract:
+mask, count vector, bit generator).  Its contract:
 
 * **Drawing on or off.**  With ``bitgen`` set the entry advances a whole
   ``remaining`` count chunk by chunk: each chunk of ``min(remaining,
@@ -57,10 +57,11 @@ mask, bit generator).  Its contract:
   compiles the pair in Python (registering new states exactly as the scalar
   engines do) and calls again, which resumes there without drawing.  Misses
   are a per-state-pair one-time cost.
-* **Occupancy.**  Alongside each applied transition the kernel marks the
-  two output state ids in the caller's ``seen`` byte mask, which is how
-  :class:`~repro.engine.fast_batch.FastBatchEngine` keeps
-  ``states_ever_occupied`` exact without leaving C.
+* **Occupancy and counts.**  For each agent an applied transition
+  changes, the kernel marks its new state in the ``seen`` byte mask and
+  moves one unit of the ``counts`` vector from the old id to the new one,
+  which is how :class:`~repro.engine.fast_batch.FastBatchEngine` keeps
+  ``states_ever_occupied`` exact and its counts live without leaving C.
 """
 
 from __future__ import annotations
@@ -129,8 +130,11 @@ static inline int64_t bounded(bitgen_t *bitgen, uint32_t range)
  * lut        : flattened (cap x cap) table; entry r*cap + i holds
  *              (new_r << 32) | new_i, or a negative value when the pair
  *              has not been compiled yet
- * seen       : byte mask over state ids (>= cap entries); the outputs of
- *              every applied transition are marked 1
+ * seen       : byte mask over state ids (>= cap entries); every state an
+ *              applied transition moves an agent into is marked 1
+ * counts     : agents per state id (int64, >= cap entries); an applied
+ *              transition moves each agent whose state it changes from its
+ *              old id's count to its new id's
  * bitgen     : the engine's bitgen_t, or NULL with drawing off
  * n          : population size, 2 <= n <= 2^32 - 1 with drawing on
  * cap        : side length of the lookup table
@@ -147,6 +151,7 @@ typedef struct {
     int64_t *redraw;
     const int64_t *lut;
     uint8_t *seen;
+    int64_t *counts;
     bitgen_t *bitgen;
     int64_t n;
     int64_t cap;
@@ -213,6 +218,7 @@ int64_t repro_fast_block(fast_block *arg)
     const int64_t *initiators = arg->initiators;
     const int64_t *lut = arg->lut;
     uint8_t *seen = arg->seen;
+    int64_t *counts = arg->counts;
     int64_t cap = arg->cap;
     for (;;) {
         if (arg->position >= arg->chunk) {
@@ -232,7 +238,9 @@ int64_t repro_fast_block(fast_block *arg)
         for (int64_t t = start; t < chunk; t++) {
             int64_t agent_r = responders[t];
             int64_t agent_i = initiators[t];
-            int64_t packed = lut[(int64_t)states[agent_r] * cap + states[agent_i]];
+            int32_t old_r = states[agent_r];
+            int32_t old_i = states[agent_i];
+            int64_t packed = lut[(int64_t)old_r * cap + old_i];
             if (packed < 0) {
                 arg->position = t;
                 arg->remaining -= t - start;
@@ -240,10 +248,21 @@ int64_t repro_fast_block(fast_block *arg)
             }
             int32_t new_r = (int32_t)(packed >> 32);
             int32_t new_i = (int32_t)(packed & 0xFFFFFFFF);
-            states[agent_r] = new_r;
-            states[agent_i] = new_i;
-            seen[new_r] = 1;
-            seen[new_i] = 1;
+            /* Unchanged agents touch nothing: a branch-free update would
+             * chain read-modify-writes on one hot count (in a slow
+             * election nearly every agent shares one state). */
+            if (new_r != old_r) {
+                states[agent_r] = new_r;
+                seen[new_r] = 1;
+                counts[old_r]--;
+                counts[new_r]++;
+            }
+            if (new_i != old_i) {
+                states[agent_i] = new_i;
+                seen[new_i] = 1;
+                counts[old_i]--;
+                counts[new_i]++;
+            }
         }
         arg->position = chunk;
         arg->remaining -= chunk - start;
@@ -269,6 +288,7 @@ class FastBlock(ctypes.Structure):
         ("redraw", ctypes.c_void_p),
         ("lut", ctypes.c_void_p),
         ("seen", ctypes.c_void_p),
+        ("counts", ctypes.c_void_p),
         ("bitgen", ctypes.c_void_p),
         ("n", ctypes.c_int64),
         ("cap", ctypes.c_int64),

@@ -47,8 +47,9 @@ class BaseEngine(abc.ABC):
     """Common interface and bookkeeping for population-protocol engines.
 
     Concrete engines must implement :meth:`_perform_steps` (advance the
-    population by a number of interactions) and :meth:`state_count_items`
-    (iterate over ``(state_id, count)`` pairs with non-zero count).
+    population by a number of interactions) and :meth:`count_vector` (the
+    dense current counts by state id); every other inspection method is
+    derived from the count vector here.
     """
 
     #: Whether the engine simulates the sequential model exactly.  Approximate
@@ -113,8 +114,19 @@ class BaseEngine(abc.ABC):
         """Advance the simulation by ``count`` interactions."""
 
     @abc.abstractmethod
-    def state_count_items(self) -> List[Tuple[int, int]]:
-        """Return ``(state_id, count)`` pairs for states with count > 0."""
+    def count_vector(self) -> np.ndarray:
+        """Dense current counts indexed by state id.
+
+        The returned ``int64`` array has length exactly ``len(self.encoder)``
+        and ``count_vector()[sid]`` agents in the state registered under
+        ``sid``.  Every exact engine keeps it live as it steps and returns
+        its own buffer (the sequential engine converts its Python list),
+        so an inspection costs ``O(k)`` in the registered states, never
+        ``O(n)`` — treat the array as **read-only** and do not hold it
+        across simulation steps.  This is the substrate of every inspection
+        method below and of the compiled state-property views
+        (:mod:`repro.engine.views`).
+        """
 
     # ------------------------------------------------------------------
     # Occupancy tracking
@@ -148,31 +160,16 @@ class BaseEngine(abc.ABC):
             self.encoder.decode(sid): count for sid, count in self.state_count_items()
         }
 
+    def state_count_items(self) -> List[Tuple[int, int]]:
+        """``(state_id, count)`` pairs for states with count > 0, by id."""
+        counts = self.count_vector()
+        occupied = np.flatnonzero(counts)
+        return list(zip(occupied.tolist(), counts[occupied].tolist()))
+
     def count_of(self, state: State) -> int:
         """Number of agents currently in ``state``."""
         sid = self.encoder.try_encode(state)
-        if sid is None:
-            return 0
-        for candidate, count in self.state_count_items():
-            if candidate == sid:
-                return count
-        return 0
-
-    def count_vector(self) -> np.ndarray:
-        """Dense current counts indexed by state id.
-
-        The returned ``int64`` array has length exactly ``len(self.encoder)``
-        and ``count_vector()[sid]`` agents in the state registered under
-        ``sid``.  Engines with a native dense representation (the count
-        engines, the batched per-agent engine's cached bincount) return
-        their own buffer — treat the array as **read-only** and do not hold
-        it across simulation steps.  This is the substrate the compiled
-        state-property views (:mod:`repro.engine.views`) reduce against.
-        """
-        counts = np.zeros(len(self.encoder), dtype=np.int64)
-        for sid, count in self.state_count_items():
-            counts[sid] = count
-        return counts
+        return 0 if sid is None else int(self.count_vector()[sid])
 
     def count_where(self, predicate: Callable[[State], bool]) -> int:
         """Number of agents whose state satisfies ``predicate``.
@@ -191,12 +188,7 @@ class BaseEngine(abc.ABC):
 
     def counts_by_output(self) -> Dict[str, int]:
         """Aggregate current counts by output symbol."""
-        totals: Dict[str, int] = {}
-        output_of = self.table.output_of
-        for sid, count in self.state_count_items():
-            symbol = output_of(sid)
-            totals[symbol] = totals.get(symbol, 0) + count
-        return totals
+        return self.table.aggregate_counts(self.count_vector())
 
     def leader_count(self) -> int:
         """Number of agents whose output symbol is the leader symbol."""
@@ -206,7 +198,8 @@ class BaseEngine(abc.ABC):
 
     def distinct_states(self) -> List[State]:
         """States currently occupied by at least one agent."""
-        return [self.encoder.decode(sid) for sid, _ in self.state_count_items()]
+        decode = self.encoder.decode
+        return [decode(sid) for sid in np.flatnonzero(self.count_vector()).tolist()]
 
     @property
     def states_ever_occupied(self) -> int:

@@ -733,15 +733,7 @@ class CountBatchEngine(BaseEngine):
             mask[: seen.shape[0]] |= seen
         return mask
 
-    def state_count_items(self) -> List[Tuple[int, int]]:
-        counts = self._counts
-        return [(int(sid), int(counts[sid])) for sid in np.flatnonzero(counts > 0)]
-
     def count_vector(self) -> np.ndarray:
         """The engine's native count vector (read-only view, no copy)."""
         self._ensure_counts()
         return self._counts[: len(self.encoder)]
-
-    def counts_by_output(self):
-        """Vectorised aggregation through the table's output maps."""
-        return self.table.aggregate_counts(self._counts)

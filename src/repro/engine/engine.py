@@ -21,7 +21,7 @@ digests.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -313,9 +313,6 @@ class SequentialEngine(BaseEngine):
             self._scenario_rt.state_restore(scenario_payload)
 
     # ------------------------------------------------------------------
-    def state_count_items(self) -> List[Tuple[int, int]]:
-        return [(sid, count) for sid, count in enumerate(self._counts) if count > 0]
-
     def count_vector(self) -> np.ndarray:
         self._grow_counts()
         return np.asarray(self._counts, dtype=np.int64)

@@ -45,11 +45,14 @@ Per block the engine
 4. applies each wave in bulk: agent states are gathered into arrays, the
    transition is evaluated through the protocol's shared compiled
    :class:`~repro.engine.table.TransitionTable` (its packed dense lookup
-   array, filled lazily on first use of each state pair), and the new
-   states are scattered back.  State counts are not maintained per step;
-   they are recomputed lazily with one ``numpy.bincount`` whenever the
-   configuration is inspected (convergence checks run once per ~``n``
-   interactions, so the amortised cost is ``O(1)`` per interaction).
+   array, filled lazily on first use of each state pair), and the changed
+   states are scattered back.
+
+Every path keeps the per-state count vector live: each agent whose state a
+transition changes moves one count from its old state id to its new one
+(in the C kernel, per segment on the wave schedule, once per block in the
+scalar fallback), so an inspection reads ``O(k)`` counts and never
+recounts the ``n`` agents.
 
 Blocks whose dependency chains are deeper than :data:`_MAX_WAVES` (tiny
 populations, where an agent recurs hundreds of times per block) are applied
@@ -335,11 +338,6 @@ class FastBatchEngine(BaseEngine):
             self._sampler = scenario.topology.build(n, generator)
         configuration = protocol.initial_configuration(n)
         protocol.validate_configuration(configuration, n)
-        # Ever-occupied tracking as a dense byte mask (indexed by state id,
-        # sized with the shared table) instead of the base class's Python
-        # set: the NumPy waves mark whole changed-id arrays at once and the C
-        # kernel marks outputs with two byte stores per interaction.
-        self._seen = np.zeros(self.table.capacity, dtype=np.uint8)
         # int32 keeps the per-agent array (the hot gather/scatter target)
         # twice as cache-dense as int64; state identifiers are tiny.  Initial
         # configurations are almost always a handful of long runs of equal
@@ -349,19 +347,18 @@ class FastBatchEngine(BaseEngine):
         run_ids: List[int] = []
         run_lengths: List[int] = []
         for state, run in groupby(configuration):
-            run_ids.append(self._encode_initial(state))
+            run_ids.append(self.table.encode(state))
             run_lengths.append(len(list(run)))
         self._agent_states = np.repeat(
             np.asarray(run_ids, dtype=np.int32), run_lengths
         )
-        # State counts are derived lazily from the per-agent array (one
-        # bincount per inspection) instead of being maintained per segment;
-        # convergence checks run once per ~n interactions, so the amortised
-        # cost is O(1) per interaction.
-        self._cached_counts: np.ndarray = np.bincount(
-            self._agent_states, minlength=len(self.encoder)
-        )
-        self._cached_counts_stamp = 0
+        # Agents per state id, and ever-occupied tracking as a byte mask
+        # instead of the base class's Python set (the NumPy waves mark whole
+        # changed-id arrays at once, the C kernel one byte per changed
+        # output).  Both are indexed by state id, sized with the shared
+        # table and kept live by every stepping path.
+        self._counts = np.bincount(self._agent_states, minlength=self.table.capacity)
+        self._seen = (self._counts > 0).astype(np.uint8)
         # C-path state: this engine's FastBlock argument block and its
         # address, the pair buffers it points at, and the buffers whose
         # addresses it currently holds (see _bind_kernel_buffers).
@@ -375,19 +372,24 @@ class FastBatchEngine(BaseEngine):
         return self._scenario
 
     # ------------------------------------------------------------------
-    # Occupancy tracking (mask-based override of the base set)
+    # Occupancy and counts (mask-based override of the base set)
     # ------------------------------------------------------------------
-    def _ensure_seen(self) -> None:
-        """Grow the seen mask to the shared table's current capacity."""
+    def _ensure_capacity(self) -> None:
+        """Grow the seen mask and the count vector to the shared table's
+        current capacity."""
         capacity = self.table.capacity
-        if self._seen.shape[0] < capacity:
-            grown = np.zeros(capacity, dtype=np.uint8)
-            grown[: self._seen.shape[0]] = self._seen
-            self._seen = grown
+        size = self._seen.shape[0]
+        if size < capacity:
+            self._seen = np.concatenate((self._seen, np.zeros(capacity - size, np.uint8)))
+            self._counts = np.concatenate((self._counts, np.zeros(capacity - size, np.int64)))
 
-    def _mark_occupied(self, sid: int) -> None:
-        self._ensure_seen()
-        self._seen[sid] = 1
+    def _move(self, old_ids: np.ndarray, new_ids: np.ndarray) -> None:
+        """Count agents leaving ``old_ids`` for ``new_ids`` (equal-length
+        arrays, one entry per changed agent) and mark the new ids seen."""
+        self._ensure_capacity()
+        np.subtract.at(self._counts, old_ids, 1)
+        np.add.at(self._counts, new_ids, 1)
+        self._seen[new_ids] = 1
 
     @property
     def states_ever_occupied(self) -> int:
@@ -400,7 +402,7 @@ class FastBatchEngine(BaseEngine):
         return mask
 
     def _restore_occupied(self, ids) -> None:
-        self._ensure_seen()
+        self._ensure_capacity()
         self._seen[:] = 0
         for sid in ids:
             self._seen[int(sid)] = 1
@@ -421,6 +423,7 @@ class FastBatchEngine(BaseEngine):
         self._agent_states = np.asarray(
             payload["agent_states"], dtype=np.int32
         ).copy()
+        self._counts = np.bincount(self._agent_states, minlength=self._seen.shape[0])
         self._sampler.state_restore(payload["sampler"])
         self._block = int(payload["block"])
         if self._kernel_args is not None:
@@ -428,10 +431,6 @@ class FastBatchEngine(BaseEngine):
             args = self._kernel_args
             args.block = self._block
             args.chunk = args.position = 0
-        self._cached_counts = np.bincount(
-            self._agent_states, minlength=len(self.encoder)
-        )
-        self._cached_counts_stamp = self.interactions
 
     # ------------------------------------------------------------------
     # C kernel
@@ -456,6 +455,7 @@ class FastBatchEngine(BaseEngine):
         self._bound_states: Optional[np.ndarray] = None
         self._bound_lut: Optional[np.ndarray] = None
         self._bound_seen: Optional[np.ndarray] = None
+        self._bound_counts: Optional[np.ndarray] = None
         self._reserve_pairs(self._block)
 
     def _reserve_pairs(self, size: int) -> None:
@@ -472,11 +472,12 @@ class FastBatchEngine(BaseEngine):
             args.redraw = self._redraw.ctypes.data
 
     def _bind_kernel_buffers(self) -> None:
-        """Point the argument block at the current states, LUT and seen mask.
+        """Point the argument block at the current states, LUT, seen mask
+        and count vector.
 
         An address is rewritten only when its buffer was reallocated.  The
-        LUT is snapshotted before the seen mask grows: capacity only grows,
-        so the mask then covers every id the snapshot can emit.  Holding
+        LUT is snapshotted before the mask and counts grow: capacity only
+        grows, so they then cover every id the snapshot can emit.  Holding
         the snapshot keeps it alive across the GIL-released call (a
         concurrently grown table's stale snapshot only produces extra
         misses).
@@ -491,10 +492,13 @@ class FastBatchEngine(BaseEngine):
             self._bound_lut = lut
             args.lut = lut.ctypes.data
             args.cap = cap
-        self._ensure_seen()
+        self._ensure_capacity()
         if self._seen is not self._bound_seen:
             self._bound_seen = self._seen
             args.seen = self._seen.ctypes.data
+        if self._counts is not self._bound_counts:
+            self._bound_counts = self._counts
+            args.counts = self._counts.ctypes.data
 
     def _run_kernel(self) -> None:
         """Call the kernel until it has applied ``args.remaining`` interactions.
@@ -503,10 +507,10 @@ class FastBatchEngine(BaseEngine):
         that interaction; the missing pair is compiled into the shared table
         in Python with the *current* agent states (so encoder registration
         behaves exactly like the scalar engines) and the kernel resumes
-        there, without drawing.  The kernel also marks every applied
-        transition's outputs in the seen mask, so ``states_ever_occupied``
-        stays exact on this path too.  The bit generator's lock is held
-        around each call, as ``Generator.integers`` holds it.
+        there, without drawing.  The kernel also marks every changed state in
+        the seen mask and moves its count, so ``states_ever_occupied`` and
+        the count vector stay exact on this path too.  The bit generator's
+        lock is held around each call, as ``Generator.integers`` holds it.
         """
         args = self._kernel_args
         kernel = self._c_kernel
@@ -536,8 +540,6 @@ class FastBatchEngine(BaseEngine):
         new_responder_ids, new_initiator_ids = self.table.apply_block(
             responder_ids, initiator_ids
         )
-        self._ensure_seen()
-        seen = self._seen
         # All agent indices in the set are distinct, so the two scatters
         # below cannot overlap and the gather above saw pre-set states.
         # Scattering only the changed entries pays off massively once a
@@ -546,12 +548,12 @@ class FastBatchEngine(BaseEngine):
         if changed.any():
             changed_ids = new_responder_ids[changed]
             states[agents_r[changed]] = changed_ids
-            seen[changed_ids] = 1
+            self._move(responder_ids[changed], changed_ids)
         changed = new_initiator_ids != initiator_ids
         if changed.any():
             changed_ids = new_initiator_ids[changed]
             states[agents_i[changed]] = changed_ids
-            seen[changed_ids] = 1
+            self._move(initiator_ids[changed], changed_ids)
 
     def _apply_block_scalar(self, responders: np.ndarray, initiators: np.ndarray) -> None:
         """Scalar fallback mirroring the sequential engine's inner loop.
@@ -564,6 +566,8 @@ class FastBatchEngine(BaseEngine):
         table = self.table
         delta = table.delta
         apply_pair = table.apply
+        old_ids: List[int] = []
+        new_ids: List[int] = []
         for agent_r, agent_i in zip(responders.tolist(), initiators.tolist()):
             responder_id = states[agent_r]
             initiator_id = states[agent_i]
@@ -572,11 +576,14 @@ class FastBatchEngine(BaseEngine):
                 result = apply_pair(responder_id, initiator_id)
             new_responder_id, new_initiator_id = result
             if new_responder_id != responder_id:
-                self._mark_occupied(new_responder_id)
+                old_ids.append(responder_id)
+                new_ids.append(new_responder_id)
             if new_initiator_id != initiator_id:
-                self._mark_occupied(new_initiator_id)
+                old_ids.append(initiator_id)
+                new_ids.append(new_initiator_id)
             states[agent_r], states[agent_i] = result
         self._agent_states = np.asarray(states, dtype=np.int32)
+        self._move(np.asarray(old_ids, dtype=np.int64), np.asarray(new_ids, dtype=np.int64))
 
     def _apply_block(self, responders: np.ndarray, initiators: np.ndarray) -> None:
         """Apply one pre-sampled block in sequential order, on either path."""
@@ -629,31 +636,10 @@ class FastBatchEngine(BaseEngine):
     # ------------------------------------------------------------------
     # Inspection
     # ------------------------------------------------------------------
-    def _current_counts(self) -> np.ndarray:
-        # Recompute when the engine stepped since the cache was built, or
-        # when the shared encoder grew past it (a sibling engine on the
-        # same protocol can register states without this engine stepping).
-        if (
-            self._cached_counts_stamp != self.interactions
-            or self._cached_counts.shape[0] < len(self.encoder)
-        ):
-            self._cached_counts = np.bincount(
-                self._agent_states, minlength=len(self.encoder)
-            )
-            self._cached_counts_stamp = self.interactions
-        return self._cached_counts
-
-    def state_count_items(self) -> List[Tuple[int, int]]:
-        counts = self._current_counts()
-        return [(int(sid), int(counts[sid])) for sid in np.flatnonzero(counts > 0)]
-
     def count_vector(self) -> np.ndarray:
-        """The cached per-inspection bincount (read-only, O(n) on miss)."""
-        return self._current_counts()[: len(self.encoder)]
-
-    def counts_by_output(self):
-        """Vectorised aggregation through the table's output maps."""
-        return self.table.aggregate_counts(self._current_counts())
+        """The live count vector (read-only view, no copy)."""
+        self._ensure_capacity()
+        return self._counts[: len(self.encoder)]
 
     def agent_state(self, index: int):
         """State of agent ``index`` (useful in tests and traces)."""

@@ -47,7 +47,7 @@ deterministic by construction.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -279,12 +279,6 @@ class MeanFieldEngine(BaseEngine):
             order = np.argsort(expected - floors, kind="stable")
             counts[order[: -shortfall]] -= 1
         return counts
-
-    def state_count_items(self) -> List[Tuple[int, int]]:
-        counts = self.count_vector()
-        return [
-            (int(sid), int(counts[sid])) for sid in np.flatnonzero(counts > 0)
-        ]
 
     # ------------------------------------------------------------------
     # Snapshot / restore

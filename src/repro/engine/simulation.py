@@ -272,15 +272,18 @@ class Simulation:
         self._pending_auto_state: Optional[dict] = None
 
     def _warm_views(self) -> None:
-        """Compile every view declared by the predicate and the recorders.
+        """Compile the output map and every view declared by the predicate
+        and the recorders.
 
         For protocols with an eagerly registered state space (canonical
-        states / reachable closure) this evaluates each declared view over
-        the whole space once, at simulation-construction time; per-check
-        observation is then purely a vector reduction.  Lazily discovering
-        protocols still extend the vectors as states register.
+        states / reachable closure) this evaluates each state's output
+        symbol and each declared view over the whole space once, at
+        simulation-construction time; per-check observation is then purely
+        a vector reduction.  Lazily discovering protocols still extend the
+        vectors as states register.
         """
         table = self.engine.table
+        table.output_id_array(len(table.encoder))
         for view in getattr(self.convergence, "views", ()):
             table.view_values(view)
         for recorder in self.recorders:

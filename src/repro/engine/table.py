@@ -152,6 +152,8 @@ class TransitionTable:
         self._symbols: List[str] = []
         self._symbol_ids: Dict[str, int] = {}
         self._output_ids = np.full(self._capacity, -1, dtype=np.int64)
+        # Ids below this are known to have their output ids memoised.
+        self._outputs_known = 0
         # Compiled state-property vectors (see repro.engine.views), keyed by
         # view object: array plus the number of state ids already evaluated.
         self._views: Dict[object, np.ndarray] = {}
@@ -374,24 +376,26 @@ class TransitionTable:
 
         Forces memoisation of any not-yet-evaluated outputs, so the returned
         array (a view into the table) has length ``size`` and no ``-1``
-        entries.  A fully memoised prefix is served lock-free; otherwise
-        the scan runs under the table lock, where the encoder and the
-        output array cannot be caught mid-growth (a state registered but
-        its array not yet grown would escape a lock-free scan).
+        entries.  A prefix known to be memoised is served lock-free and
+        unscanned; otherwise the scan runs under the table lock, where the
+        encoder and the output array cannot be caught mid-growth (a state
+        registered but its array not yet grown would escape a lock-free
+        scan).
         """
-        ids = self._output_ids
-        if ids.shape[0] >= size and not (ids[:size] < 0).any():
-            return ids[:size]
+        if size <= self._outputs_known:
+            return self._output_ids[:size]
         with self._lock:
             for sid in np.flatnonzero(self._output_ids[:size] < 0).tolist():
                 self.output_of(sid)
+            self._outputs_known = max(self._outputs_known, size)
             return self._output_ids[:size]
 
     def aggregate_counts(self, counts: np.ndarray) -> Dict[str, int]:
         """Aggregate a dense state-count vector by output symbol.
 
-        One gather plus one ``bincount`` — the vectorised counterpart of the
-        per-state loop in :meth:`BaseEngine.counts_by_output`.
+        One gather plus one ``bincount``; every engine's
+        :meth:`~repro.engine.base.BaseEngine.counts_by_output` is this over
+        its count vector.
         """
         size = int(counts.shape[0])
         if size == 0:

@@ -41,7 +41,7 @@ it explicitly with ``engine="tauleap"``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict
 
 import numpy as np
 
@@ -228,12 +228,6 @@ class TauLeapEngine(BaseEngine):
     def count_vector(self) -> np.ndarray:
         self._ensure_width()
         return self._counts
-
-    def state_count_items(self) -> List[Tuple[int, int]]:
-        return [
-            (int(sid), int(self._counts[sid]))
-            for sid in np.flatnonzero(self._counts > 0)
-        ]
 
     def _state_snapshot(self) -> dict:
         return {

@@ -27,7 +27,10 @@ All writes are atomic (write-replace through
 :func:`repro.experiments.io.atomic_write_text`), so a crash can only lose
 the cell in flight, never corrupt the store; a write that fails (a full
 disk, a missing permission) raises :class:`~repro.errors.ExperimentError`
-naming the record file.  Keys are *conservative*: any
+naming the record file.  Every record carries its own key and a sha256 of
+its body, and a load checks both: an edited record, or one copied under
+another key's file name, is a miss and is recomputed, never served.  Keys
+are *conservative*: any
 input difference — another seed, another engine spec, a different budget —
 changes the key, so the store can return stale results only if two
 genuinely different protocols produce equal fingerprints (see
@@ -63,7 +66,9 @@ __all__ = ["ExperimentStore", "content_key", "canonical_engine_spec"]
 #: Format tags written into every store record.
 _CELL_FORMAT = "repro-store-cell"
 _EXPERIMENT_FORMAT = "repro-store-experiment"
-_STORE_VERSION = 1
+#: Version 2 records carry ``sha256``, the :func:`content_key` of the
+#: record without that field; version 1 records predate it.
+_STORE_VERSION = 2
 
 
 def content_key(inputs: dict) -> str:
@@ -212,24 +217,9 @@ class ExperimentStore:
         return self.directory / "cells" / f"{key}.json"
 
     def load_result(self, key: str) -> Optional[RunResult]:
-        """Completed cell for ``key``, or ``None`` when absent/unreadable.
-
-        Unreadable records (truncated by an unclean filesystem, foreign
-        files) are treated as misses — the cell is simply recomputed and
-        rewritten, which is always safe.
-        """
-        path = self._cell_path(key)
-        if not path.exists():
-            return None
-        try:
-            record = json.loads(path.read_text())
-            if record.get("format") != _CELL_FORMAT:
-                return None
-            result = _result_from_record(record["result"])
-        except (OSError, ValueError, KeyError, TypeError):
-            return None
-        self.loaded += 1
-        return result
+        """Completed cell for ``key``, or ``None`` on a miss (see
+        :meth:`_load`)."""
+        return self._load(self._cell_path(key), _CELL_FORMAT, key, _result_from_record)
 
     def save_result(
         self, key: str, result: RunResult, inputs: Optional[dict] = None
@@ -240,16 +230,9 @@ class ExperimentStore:
         ``inputs`` — the dictionary the key was hashed from — is embedded
         verbatim so store files are self-describing and auditable.
         """
-        record = {
-            "format": _CELL_FORMAT,
-            "version": _STORE_VERSION,
-            "key": key,
-            "inputs": jsonable(inputs) if inputs is not None else None,
-            "result": _result_to_record(result),
-        }
-        path = self._write(self._cell_path(key), record)
-        self.stored += 1
-        return path
+        return self._write(
+            self._cell_path(key), _CELL_FORMAT, key, inputs, _result_to_record(result)
+        )
 
     # ------------------------------------------------------------------
     # Experiment records (ExperimentResult)
@@ -258,46 +241,69 @@ class ExperimentStore:
         return self.directory / "experiments" / f"{key}.json"
 
     def load_experiment(self, key: str) -> Optional[ExperimentResult]:
-        """Completed experiment for ``key``, or ``None`` (misses include
-        unreadable records, as for :meth:`load_result`)."""
-        path = self._experiment_path(key)
-        if not path.exists():
-            return None
-        try:
-            record = json.loads(path.read_text())
-            if record.get("format") != _EXPERIMENT_FORMAT:
-                return None
-            result = result_from_jsonable(record["result"])
-        except (OSError, ValueError, KeyError, TypeError):
-            return None
-        self.loaded += 1
-        return result
+        """Completed experiment for ``key``, or ``None`` on a miss (see
+        :meth:`_load`)."""
+        return self._load(
+            self._experiment_path(key), _EXPERIMENT_FORMAT, key, result_from_jsonable
+        )
 
     def save_experiment(
         self, key: str, result: ExperimentResult, inputs: Optional[dict] = None
     ) -> Path:
         """Persist a completed experiment under ``key`` (atomic); a failed
         write raises :class:`ExperimentError` naming the file."""
+        return self._write(
+            self._experiment_path(key), _EXPERIMENT_FORMAT, key, inputs,
+            result_to_jsonable(result),
+        )
+
+    # ------------------------------------------------------------------
+    # Record I/O
+    # ------------------------------------------------------------------
+    def _load(self, path: Path, kind: str, key: str, parse):
+        """``parse`` of the result stored at ``path``, or ``None`` on a miss.
+
+        A miss is a record that is absent or unreadable (truncated by an
+        unclean filesystem, a foreign file), of another format, filed under
+        another key, or whose ``sha256`` does not match its body; version 1
+        records, which carry no checksum, load on the key check alone.  A
+        miss is always safe: the cell is recomputed and rewritten.
+        """
+        try:
+            record = json.loads(path.read_text())
+            checksum = record.pop("sha256", None)
+            if (
+                record.get("format") != kind
+                or record.get("key") != key
+                or (checksum is None and record.get("version") != 1)
+                or (checksum is not None and checksum != content_key(record))
+            ):
+                return None
+            result = parse(record["result"])
+        except (OSError, ValueError, KeyError, TypeError, AttributeError):
+            return None
+        self.loaded += 1
+        return result
+
+    def _write(self, path: Path, kind: str, key: str, inputs, result: dict) -> Path:
+        """Atomically write a ``kind`` record of ``result`` under ``key``,
+        with the ``sha256`` of its body; a failed write (a full disk, a
+        missing permission) raises :class:`ExperimentError` naming ``path``,
+        chained to the ``OSError``, after the temp file is removed."""
         record = {
-            "format": _EXPERIMENT_FORMAT,
+            "format": kind,
             "version": _STORE_VERSION,
             "key": key,
             "inputs": jsonable(inputs) if inputs is not None else None,
-            "result": result_to_jsonable(result),
+            "result": result,
         }
-        path = self._write(self._experiment_path(key), record)
-        self.stored += 1
-        return path
-
-    @staticmethod
-    def _write(path: Path, record: dict) -> Path:
-        """Atomically write ``record``; a failed write (a full disk, a
-        missing permission) raises :class:`ExperimentError` naming ``path``,
-        chained to the ``OSError``, after the temp file is removed."""
+        record["sha256"] = content_key(record)
         try:
-            return atomic_write_text(path, json.dumps(record, indent=1, sort_keys=True))
+            written = atomic_write_text(path, json.dumps(record, indent=1, sort_keys=True))
         except OSError as exc:
             raise ExperimentError(f"cannot write store record {path}: {exc}") from exc
+        self.stored += 1
+        return written
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -45,6 +45,9 @@ from repro.engine.scheduler import PairSampler
 from repro.errors import ConfigurationError
 from repro.protocols.approximate_majority import ApproximateMajority
 from repro.protocols.epidemic import OneWayEpidemic
+from repro.protocols.lottery import LotteryLeaderElection
+from repro.scenarios.scenario import Scenario
+from repro.scenarios.topology import Cycle
 
 
 # ----------------------------------------------------------------------
@@ -312,6 +315,54 @@ def test_kernel_draw_matches_pair_block(n, count, seed, bit_generator, offset):
     np.testing.assert_array_equal(initiators, expected_i)
     np.testing.assert_equal(ours.bit_generator.state, theirs.bit_generator.state)
     assert ours.random() == theirs.random()
+
+
+# ----------------------------------------------------------------------
+# The live count vector
+# ----------------------------------------------------------------------
+#: Protocols whose fresh tables compile lazily, so runs miss the LUT.
+_LAZY_PROTOCOLS = {
+    "lottery": LotteryLeaderElection.for_population,
+    "majority": lambda n: ApproximateMajority(initial_a_fraction=0.6),
+}
+
+
+def _assert_counts_match_agents(engine: FastBatchEngine) -> None:
+    expected = np.bincount(engine._agent_states, minlength=len(engine.encoder))
+    np.testing.assert_array_equal(engine.count_vector(), expected)
+
+
+@given(
+    protocol=st.sampled_from(sorted(_LAZY_PROTOCOLS)),
+    n=st.integers(3, 400),
+    kernel=st.sampled_from(["c", "numpy"] if load_kernel() is not None else ["numpy"]),
+    topology=st.booleans(),
+    chunks=st.lists(st.integers(1, 6_000), min_size=1, max_size=4),
+    cut=st.integers(0, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_live_counts_match_the_agents(protocol, n, kernel, topology, chunks, cut, seed):
+    """The count vector every stepping path maintains equals a bincount
+    of the agent array after every run: the C kernel drawing its own pairs
+    (complete graph) or applying ``pair_block``'s (a cycle), the NumPy
+    wave schedule and its scalar fallback (deep chains at small n and on
+    the cycle), through LUT misses, and after snapshot -> restore (at
+    ``cut``) into a fresh engine."""
+    factory = _LAZY_PROTOCOLS[protocol]
+    scenario = Scenario(topology=Cycle()) if topology else None
+    engine = FastBatchEngine(factory(n), n, rng=seed, kernel=kernel, scenario=scenario)
+    if kernel == "c":
+        assert bool(engine._kernel_args.bitgen) == (not topology)
+    for index, chunk in enumerate(chunks):
+        if index == cut:
+            engine = FastBatchEngine.from_snapshot(
+                factory(n), engine.snapshot(), kernel=kernel, scenario=scenario
+            )
+            _assert_counts_match_agents(engine)
+        engine.run(chunk)
+        _assert_counts_match_agents(engine)
+    assert engine.table.compiled_pairs > 0
 
 
 # ----------------------------------------------------------------------

@@ -192,6 +192,65 @@ def test_unreadable_cell_is_a_miss_not_an_error(tmp_path, run_counter):
     assert json.loads(cell.read_text())["format"] == "repro-store-cell"
 
 
+def _bump_last_digit(text: str, field: str, value) -> str:
+    """``text`` with the last digit of ``"field": value`` changed."""
+    digits = str(value)
+    edited = digits[:-1] + str((int(digits[-1]) + 1) % 10)
+    before = f'"{field}": {digits}'
+    assert text.count(before) == 1
+    return text.replace(before, f'"{field}": {edited}')
+
+
+def test_edited_cell_record_is_a_miss(tmp_path, run_counter):
+    """A one-digit edit of a stored cell's ``interactions`` fails the
+    record's checksum: the cell is recomputed and rewritten, and the edited
+    number is never served."""
+    store = ExperimentStore(tmp_path)
+    _sweep(store, [8], repetitions=1)
+    cell = next((tmp_path / "cells").glob("*.json"))
+    interactions = json.loads(cell.read_text())["result"]["interactions"]
+    cell.write_text(_bump_last_digit(cell.read_text(), "interactions", interactions))
+    assert store.load_result(cell.stem) is None
+    points = _sweep(store, [8], repetitions=1)
+    assert len(run_counter) == 2  # recomputed
+    assert points[0].extra["cached"] is False
+    assert points[0].result.interactions == interactions
+    assert json.loads(cell.read_text())["result"]["interactions"] == interactions
+
+
+def test_cell_record_under_another_key_is_a_miss(tmp_path, run_counter):
+    """A record copied under another cell's file name is not served as that
+    cell: its recorded key differs from the file's, so the cell is
+    recomputed and its own record written back."""
+    store = ExperimentStore(tmp_path)
+    _sweep(store, [8, 16], repetitions=1)
+    source, target = sorted((tmp_path / "cells").glob("*.json"))
+    target.write_text(source.read_text())
+    assert store.load_result(target.stem) is None
+    assert store.load_result(source.stem) is not None
+    _sweep(store, [8, 16], repetitions=1)
+    assert len(run_counter) == 3  # only the shadowed cell reran
+    assert json.loads(target.read_text())["key"] == target.stem
+
+
+def test_version_1_records_load_on_the_key_check_alone(tmp_path, run_counter):
+    """Records written before the checksum (version 1, no ``sha256``) still
+    load, but only under their own key."""
+    store = ExperimentStore(tmp_path)
+    _sweep(store, [8, 16], repetitions=1)
+    cells = sorted((tmp_path / "cells").glob("*.json"))
+    for cell in cells:
+        record = json.loads(cell.read_text())
+        del record["sha256"]
+        record["version"] = 1
+        cell.write_text(json.dumps(record, indent=1, sort_keys=True))
+    _sweep(store, [8, 16], repetitions=1)
+    assert len(run_counter) == 2  # both served from the store
+    cells[1].write_text(cells[0].read_text())
+    assert store.load_result(cells[1].stem) is None
+    assert store.load_result(cells[0].stem) is not None
+
+
 def test_run_many_with_store_and_workers(tmp_path):
     """The pool path resolves hits up-front and persists pool results."""
     store = ExperimentStore(tmp_path)
@@ -311,6 +370,22 @@ def test_unreadable_experiment_record_is_a_miss_not_an_error(tmp_path, fake_expe
     loaded = run_experiment("fake-exp", config, store=store, resume=True)
     assert len(fake_experiment) == 2
     assert loaded.metadata["loaded_from_store"] is True
+
+
+def test_edited_experiment_record_is_a_miss(tmp_path, fake_experiment):
+    """An experiment record whose table value was edited fails its
+    checksum: the experiment reruns and its record is rewritten."""
+    store = ExperimentStore(tmp_path)
+    config = ExperimentConfig.smoke()
+    run_experiment("fake-exp", config, store=store, resume=True)
+    record = tmp_path / "experiments" / f"{experiment_key('fake-exp', config)}.json"
+    record.write_text(record.read_text().replace("1.5", "2.5"))
+    rerun = run_experiment("fake-exp", config, store=store, resume=True)
+    assert len(fake_experiment) == 2  # recomputed
+    assert not rerun.metadata.get("loaded_from_store")
+    loaded = run_experiment("fake-exp", config, store=store, resume=True)
+    assert len(fake_experiment) == 2
+    assert loaded.table("t").rows == [[8, 1.5]]
 
 
 def test_failed_store_writes_name_the_file(tmp_path, monkeypatch, fake_experiment):

@@ -13,10 +13,10 @@ bit-for-bit identical to both the NumPy path and
 This module also owns the generic cached-build machinery
 (:func:`build_library`) shared with the count-space kernel
 (:mod:`repro.engine._count_kernel`): every kernel source is compiled once
-per source digest with the system ``cc`` into a **user cache directory** —
-``$REPRO_KERNEL_CACHE`` if set, else ``$XDG_CACHE_HOME/repro/kernels``,
-else ``~/.cache/repro/kernels`` — so installed or packaged source trees
-stay clean (releases before this scheme built into
+per digest of its source and flags with the system ``cc`` into a **user
+cache directory** — ``$REPRO_KERNEL_CACHE`` if set, else
+``$XDG_CACHE_HOME/repro/kernels``, else ``~/.cache/repro/kernels`` — so
+installed or packaged source trees stay clean (releases before this scheme built into
 ``src/repro/engine/_kernel_build/``, which remains gitignored for old
 checkouts).  Builds happen in a **per-process temporary directory** inside
 the cache and are published with one ``os.replace`` — the same
@@ -72,7 +72,6 @@ import os
 import shutil
 import subprocess
 import tempfile
-import threading
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -302,13 +301,10 @@ class FastBlock(ctypes.Structure):
 _kernel: Optional[ctypes.CFUNCTYPE] = None
 _load_attempted = False
 
-#: Serialises the first (build + CDLL) load.  The fast path — a re-load
-#: after the attempt flag is set — stays lock-free: the flag is only ever
-#: flipped False -> True under the lock, and module-global reads are atomic
-#: under the GIL, so double-checked locking is sound here.  Without it, two
-#: threads starting cold could each run the build probe and publish
-#: racing ``CDLL`` handles.
-_load_lock = threading.Lock()
+#: Flags of every kernel build.  ``-ffp-contract=off`` keeps the compiler
+#: from fusing multiply-adds on FMA targets (aarch64, say), so floating-point
+#: results, and with them the count kernel's draws, match across platforms.
+BUILD_FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
 
 def kernel_cache_dir() -> Path:
@@ -335,11 +331,11 @@ def build_library(
 ) -> Path:
     """Compile ``source`` into a cached shared library and return its path.
 
-    The artifact name embeds a digest of the source *and* any extra compile
-    flags (``{stem}_{digest}.so``), so a source or flag change compiles a
-    fresh library and an unchanged one is a single ``Path.exists`` check —
-    the same cache can hold e.g. a plain and a sanitizer build of one kernel
-    side by side.  The build runs entirely inside a per-process temporary
+    The artifact name embeds a digest of the source *and* every compile
+    flag (:data:`BUILD_FLAGS` plus ``extra_flags``; ``{stem}_{digest}.so``),
+    so a source or flag change compiles a fresh library and an unchanged
+    one is a single ``Path.exists`` check — the same cache can hold e.g. a
+    plain and a sanitizer build of one kernel side by side.  The build runs entirely inside a per-process temporary
     directory created *within* the cache directory (same filesystem, so the
     final ``os.replace`` publish is atomic) and the temp dir is removed
     whatever happens — concurrent builders each work in their own directory
@@ -350,8 +346,8 @@ def build_library(
     not raise (the kernel loaders) wrap this in their own guard.
     """
     cache = kernel_cache_dir() if cache_dir is None else cache_dir
-    extra = list(extra_flags)
-    fingerprint = source + "\x00" + "\x00".join(extra)
+    flags = [*BUILD_FLAGS, *extra_flags]
+    fingerprint = source + "\x00" + "\x00".join(flags)
     digest = hashlib.sha256(fingerprint.encode()).hexdigest()[:16]
     lib_path = cache / f"{stem}_{digest}.so"
     if lib_path.exists():
@@ -366,8 +362,7 @@ def build_library(
         so_path = build_dir / f"{stem}.so"
         c_path.write_text(source)
         subprocess.run(
-            [compiler, "-O2", "-shared", "-fPIC", *extra]
-            + ["-o", str(so_path), str(c_path), "-lm"],
+            [compiler, *flags, "-o", str(so_path), str(c_path), "-lm"],
             check=True,
             capture_output=True,
             timeout=120,
@@ -384,39 +379,28 @@ def load_kernel():
     unavailable.
 
     The first call pays the (cached) compilation; subsequent calls are a
-    module-global read.  Thread-safe (double-checked on ``_load_attempted``,
-    so the warm path costs nothing) and never raises.
+    module-global read.  Never raises.
     """
     global _load_attempted
-    if _load_attempted:
-        return _kernel
-    with _load_lock:
-        if _load_attempted:
-            return _kernel
-        _load_kernel_locked()
+    if not _load_attempted:
         _load_attempted = True
+        if not os.environ.get("REPRO_NO_C_KERNEL"):
+            try:
+                _bind(build_library(_SOURCE, "repro_kernel"))
+            except Exception:  # no compiler, or a library without the symbol
+                pass
     return _kernel
 
 
-def _load_kernel_locked() -> None:
-    if os.environ.get("REPRO_NO_C_KERNEL"):
-        return
-    try:
-        _bind(ctypes.CDLL(str(build_library(_SOURCE, "repro_kernel"))))
-    except Exception:  # no compiler, or a library without the symbol
-        pass
-
-
-def _bind(library) -> None:
-    """Publish ``library``'s block entry; raises before publishing when the
-    symbol is missing.
+def _bind(path) -> None:
+    """Publish the block entry of the library at ``path``; raises before
+    publishing when the symbol is missing.
 
     Split from the loader so a build with other flags (a sanitizer build,
-    say) can be swapped in: ``_bind(ctypes.CDLL(path))`` then mark the
-    load attempted.
+    say) can be swapped in: ``_bind(path)`` then mark the load attempted.
     """
     global _kernel
-    function = library.repro_fast_block
+    function = ctypes.CDLL(str(path)).repro_fast_block
     function.restype = ctypes.c_int64
     function.argtypes = [ctypes.c_void_p]  # FastBlock address
     _kernel = function

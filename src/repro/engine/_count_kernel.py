@@ -45,8 +45,7 @@ Design notes
   described by a :class:`CountRow` argument block (its counts, seen mask,
   xoshiro words and LUT addresses, ``k``, budget, and the outputs), on the
   calling thread.  Independent seeds run in parallel one level up, on the
-  sweep scheduler's worker processes (:mod:`repro.engine.parallel`);
-  ctypes drops the GIL for the call, so threads calling it overlap.
+  sweep scheduler's worker processes (:mod:`repro.engine.parallel`).
 
 Built through :func:`repro.engine._ckernel.build_library` — same cache
 directory, same atomic publish, same ``REPRO_NO_C_KERNEL=1`` escape hatch
@@ -57,7 +56,6 @@ from __future__ import annotations
 
 import ctypes
 import os
-import threading
 from typing import Optional
 
 import numpy as np
@@ -118,17 +116,6 @@ static inline double xo_double(uint64_t *s)
 /* clamped table still covers the responder and pairing splits         */
 /* (operands <= 2L <= 2*jmax), while the participant split's larger    */
 /* operands keep the lgamma fallback.                                  */
-/*                                                                     */
-/* Thread safety: the static table is filled by a dlopen-time          */
-/* constructor, so concurrent calls only ever read it.  The heap        */
-/* extension is published as an immutable block (its own limit inside   */
-/* the struct) through one release-store; readers take one acquire     */
-/* load, so a repro_logfact_reserve racing a running kernel call --    */
-/* possible when threads share the kernel, since ctypes has            */
-/* dropped the GIL -- serves either the old block or the new one, both  */
-/* bit-identical to the lgamma fallback.  Superseded blocks are leaked  */
-/* on purpose (readers may still hold them); doubling growth bounds     */
-/* the total leak by the final block's size.                            */
 /* ------------------------------------------------------------------ */
 #define LOGFACT_TABLE 1024
 static double logfact_table[LOGFACT_TABLE];
@@ -144,46 +131,36 @@ typedef struct {
     double values[];
 } logfact_block;
 
-static logfact_block *logfact_heap = 0;  /* __atomic acquire/release only */
-static int logfact_reserve_lock = 0;     /* spinlock serialising writers */
+static logfact_block *logfact_heap = 0;
 
 static double logfactorial(int64_t k)
 {
     if (k < LOGFACT_TABLE)
         return logfact_table[k];
-    logfact_block *blk = __atomic_load_n(&logfact_heap, __ATOMIC_ACQUIRE);
-    if (blk && k < blk->limit)
-        return blk->values[k - LOGFACT_TABLE];
+    if (logfact_heap && k < logfact_heap->limit)
+        return logfact_heap->values[k - LOGFACT_TABLE];
     return lgamma((double)k + 1.0);
 }
 
 /* Extend the log-factorial table to cover arguments < limit.  Growth
  * only (never shrinks); allocation failure just keeps the lgamma
- * fallback.  Safe against concurrent readers (see above) and against
- * concurrent reservers (the spinlock -- contention is one-off engine
- * construction, never a hot path). */
+ * fallback.  Bound through a GIL-holding handle (ctypes.PyDLL), so it
+ * never runs beside a kernel call. */
 void repro_logfact_reserve(int64_t limit)
 {
-    while (__atomic_exchange_n(&logfact_reserve_lock, 1, __ATOMIC_ACQUIRE))
-        ;
-    logfact_block *old = __atomic_load_n(&logfact_heap, __ATOMIC_RELAXED);
-    int64_t current = old ? old->limit : LOGFACT_TABLE;
-    if (limit > current) {
-        int64_t target = (limit > 2 * current) ? limit : 2 * current;
-        logfact_block *fresh = (logfact_block *)malloc(
-            sizeof(logfact_block)
-            + (size_t)(target - LOGFACT_TABLE) * sizeof(double));
-        if (fresh) {
-            if (old)
-                memcpy(fresh->values, old->values,
-                       (size_t)(current - LOGFACT_TABLE) * sizeof(double));
-            for (int64_t k = current; k < target; k++)
-                fresh->values[k - LOGFACT_TABLE] = lgamma((double)k + 1.0);
-            fresh->limit = target;
-            __atomic_store_n(&logfact_heap, fresh, __ATOMIC_RELEASE);
-        }
-    }
-    __atomic_store_n(&logfact_reserve_lock, 0, __ATOMIC_RELEASE);
+    int64_t current = logfact_heap ? logfact_heap->limit : LOGFACT_TABLE;
+    if (limit <= current)
+        return;
+    int64_t target = (limit > 2 * current) ? limit : 2 * current;
+    logfact_block *grown = (logfact_block *)realloc(
+        logfact_heap,
+        sizeof(logfact_block) + (size_t)(target - LOGFACT_TABLE) * sizeof(double));
+    if (!grown)
+        return;
+    for (int64_t k = current; k < target; k++)
+        grown->values[k - LOGFACT_TABLE] = lgamma((double)k + 1.0);
+    grown->limit = target;
+    logfact_heap = grown;
 }
 
 /* ------------------------------------------------------------------ */
@@ -697,11 +674,6 @@ _kernel: Optional[ctypes.CFUNCTYPE] = None
 _logfact_reserve: Optional[ctypes.CFUNCTYPE] = None
 _load_attempted = False
 
-#: Serialises the first (build + CDLL) load; the warm path is a lock-free
-#: double-checked read of ``_load_attempted`` (same discipline as
-#: :mod:`repro.engine._ckernel`).
-_load_lock = threading.Lock()
-
 _MASK64 = (1 << 64) - 1
 
 
@@ -753,39 +725,32 @@ def load_count_kernel():
     """The compiled kernel entry (``repro_count_row``), or ``None``.
 
     Same contract as :func:`repro.engine._ckernel.load_kernel`: lazy, cached,
-    thread-safe (double-checked, lock-free when warm), never raises, honours
-    ``REPRO_NO_C_KERNEL=1``.
+    never raises, honours ``REPRO_NO_C_KERNEL=1``.
     """
     global _load_attempted
-    if _load_attempted:
-        return _kernel
-    with _load_lock:
-        if _load_attempted:
-            return _kernel
-        _load_count_kernel_locked()
+    if not _load_attempted:
         _load_attempted = True
+        if not os.environ.get("REPRO_NO_C_KERNEL"):
+            try:
+                _bind(build_library(_SOURCE, "repro_count_kernel"))
+            except Exception:  # no compiler, or a library without these symbols
+                pass
     return _kernel
 
 
-def _load_count_kernel_locked() -> None:
-    if os.environ.get("REPRO_NO_C_KERNEL"):
-        return
-    try:
-        _bind(ctypes.CDLL(str(build_library(_SOURCE, "repro_count_kernel"))))
-    except Exception:  # no compiler, or a library without these symbols
-        pass
+def _bind(path) -> None:
+    """Publish the entry points of the library at ``path``; raises before
+    publishing any when a symbol is missing.
 
-
-def _bind(library) -> None:
-    """Publish ``library``'s entry points; raises before publishing any
-    when a symbol is missing.
-
-    Split from the loader so a build with other flags (a sanitizer build,
-    say) can be swapped in: ``_bind(ctypes.CDLL(path))`` then mark the
-    load attempted.
+    The row kernel is bound through ``CDLL``, which drops the GIL for the
+    call.  ``repro_logfact_reserve`` grows the library's log-factorial
+    heap, which the kernel reads, so it is bound through ``PyDLL`` on the
+    same library: the call holds the GIL and stays serial.  Split from
+    the loader so a build with other flags (a sanitizer build, say) can be
+    swapped in: ``_bind(path)`` then mark the load attempted.
     """
     global _kernel, _logfact_reserve
-    function = library.repro_count_row
+    function = ctypes.CDLL(str(path)).repro_count_row
     function.restype = None
     function.argtypes = [
         ctypes.c_void_p,  # row: CountRow address
@@ -794,7 +759,7 @@ def _bind(library) -> None:
         ctypes.c_int64,  # jmax
         ctypes.c_void_p,  # scratch (11 * k)
     ]
-    reserve = library.repro_logfact_reserve
+    reserve = ctypes.PyDLL(str(path)).repro_logfact_reserve
     reserve.restype = None
     reserve.argtypes = [ctypes.c_int64]
     _kernel = function

@@ -627,14 +627,11 @@ class CountBatchEngine(BaseEngine):
                     grown[: seen.shape[0]] = seen
                 self._seen_mask = grown
                 args.seen = grown.ctypes.data
-            # Consistent (array, capacity) snapshot; holding the array keeps
-            # it alive through the GIL-released call even if another thread
-            # grows the table meanwhile (a stale snapshot only misses).
-            lut, cap = self.table.packed_view()
+            lut = self.table.packed
             if lut is not self._bound_lut:
                 self._bound_lut = lut
                 args.lut = lut.ctypes.data
-                args.cap = cap
+                args.cap = self.table.capacity
             if self._scratch is None or self._scratch.shape[0] != 11 * k:
                 # Weight regions must be zero; id-list, candidate and pool
                 # regions are plain scratch, so a fresh zeroed allocation

@@ -475,23 +475,18 @@ class FastBatchEngine(BaseEngine):
         """Point the argument block at the current states, LUT, seen mask
         and count vector.
 
-        An address is rewritten only when its buffer was reallocated.  The
-        LUT is snapshotted before the mask and counts grow: capacity only
-        grows, so they then cover every id the snapshot can emit.  Holding
-        the snapshot keeps it alive across the GIL-released call (a
-        concurrently grown table's stale snapshot only produces extra
-        misses).
+        An address is rewritten only when its buffer was reallocated.
         """
         args = self._kernel_args
         states = self._agent_states
         if states is not self._bound_states:
             self._bound_states = states
             args.states = states.ctypes.data
-        lut, cap = self.table.packed_view()
+        lut = self.table.packed
         if lut is not self._bound_lut:
             self._bound_lut = lut
             args.lut = lut.ctypes.data
-            args.cap = cap
+            args.cap = self.table.capacity
         self._ensure_capacity()
         if self._seen is not self._bound_seen:
             self._bound_seen = self._seen

@@ -20,7 +20,6 @@ is the agent listed first and is typically the one updated.
 from __future__ import annotations
 
 import abc
-import threading
 from dataclasses import dataclass, field
 from itertools import groupby
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -41,12 +40,6 @@ __all__ = [
     "FOLLOWER_OUTPUT",
     "initial_count_items",
 ]
-
-#: Serialises first-time table compilation per protocol instance (one
-#: module-wide lock is fine — compilation is a rare, one-time event and a
-#: per-instance lock would burden every protocol ``__init__``).  The cached
-#: re-read inside ``compile`` stays lock-free.
-_compile_lock = threading.Lock()
 
 #: Conventional output symbol for "this agent currently maps to the leader".
 LEADER_OUTPUT = "L"
@@ -165,9 +158,6 @@ class PopulationProtocol(abc.ABC):
         and output maps) — the basis of the engines' shared-transition
         guarantee and a warm start for repeated runs.  Passing an
         ``encoder`` always builds a fresh, uncached table on top of it.
-        Caching is thread-safe (double-checked against a module lock), so
-        two threads building engines on one shared protocol get the same
-        table instead of racing two into existence.
         """
         from repro.engine.table import TransitionTable
 
@@ -200,11 +190,8 @@ class PopulationProtocol(abc.ABC):
     def _cached_table(self, name: str, build: Callable[[], "TransitionTable"]):
         table = self.__dict__.get(name)
         if table is None:
-            with _compile_lock:
-                table = self.__dict__.get(name)
-                if table is None:
-                    table = build()
-                    setattr(self, name, table)
+            table = build()
+            setattr(self, name, table)
         return table
 
     def describe_state(self, state: State) -> str:

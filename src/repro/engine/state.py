@@ -35,15 +35,7 @@ class StateEncoder:
 
     # ------------------------------------------------------------------
     def encode(self, state: State) -> int:
-        """Return the identifier for ``state``, registering it if new.
-
-        Registration appends to the decode list *before* publishing the id
-        in the lookup dict: writers are serialised by the owning
-        :class:`~repro.engine.table.TransitionTable`'s lock, but lock-free
-        readers (``try_encode`` on a warm table) may observe the dict entry
-        at any point, and this order guarantees any id they see already
-        decodes.
-        """
+        """Return the identifier for ``state``, registering it if new."""
         sid = self._to_id.get(state)
         if sid is None:
             sid = len(self._to_state)

@@ -67,32 +67,13 @@ layout of lazily discovered states, which follows the table's compilation
 history; the count-space engines sample by identifier order, so the sweep
 gives every cell a fresh protocol and table.
 
-Thread safety
-=============
-
-Sweep workers are processes, each with its own tables
-(:mod:`repro.engine.parallel`), but one table stays safe to share between
-threads of a process: every lazily *extending* operation — state
-registration, pair compilation, packed-array growth, output memoisation,
-view-vector extension — runs under one per-table lock, double-checked so
-the compiled hot paths (a ``delta`` dict hit, an already-interned state, a
-filled view vector) stay lock-free.
-Readers that hand raw buffer addresses to the C kernels must snapshot the
-packed array and its capacity *together* through :meth:`packed_view`:
-growth swaps in a new array, and pairing a stale capacity with a fresh
-array (or vice versa) would misindex.  A superseded packed array is never
-mutated again, so a kernel call still reading one sees a consistent —
-merely staler — table, takes a miss on any pair compiled since, and
-re-enters against the current buffers; entries themselves are aligned
-int64 stores written exactly once (``-1`` → final value), which every
-platform this project targets performs atomically.  An adopted closure
-LUT is never written at all.
+A table, like the engines and protocols that use it, belongs to one thread:
+the unit of parallelism is the process (:mod:`repro.engine.parallel`).
 """
 
 from __future__ import annotations
 
 import hashlib
-import threading
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -158,11 +139,6 @@ class TransitionTable:
         # view object: array plus the number of state ids already evaluated.
         self._views: Dict[object, np.ndarray] = {}
         self._views_filled: Dict[object, int] = {}
-        # Guards every lazily extending operation (see the module
-        # docstring's thread-safety contract).  Reentrant because pair
-        # compilation registers output states through encode() while
-        # already holding it.
-        self._lock = threading.RLock()
         if closure is not None:
             self.adopt_closure(*closure)
 
@@ -179,22 +155,6 @@ class TransitionTable:
         """The flat packed transition array (consumed by the C kernel)."""
         return self._packed
 
-    def packed_view(self) -> Tuple[np.ndarray, int]:
-        """``(packed array, capacity)`` as one consistent snapshot.
-
-        Kernel callers must take both through this method (under the table
-        lock) rather than reading :attr:`packed` and :attr:`capacity`
-        separately: a concurrent :meth:`_grow` swaps in a larger array and
-        updates the capacity together, and mixing the two generations would
-        misindex every lookup.  Holding the returned array reference also
-        keeps the buffer alive for the duration of a GIL-releasing C call
-        even if the table grows mid-call — the stale array is immutable
-        from then on, so the call simply sees fewer compiled pairs and
-        reports them as misses.
-        """
-        with self._lock:
-            return self._packed, self._capacity
-
     def adopt_closure(self, states, lut: np.ndarray) -> None:
         """Lay this empty table out over a reachable closure.
 
@@ -202,12 +162,11 @@ class TransitionTable:
         read-only ``(K, K)`` ``lut`` becomes the packed array, shared and
         never written: every pair is compiled from the start.
         """
-        with self._lock:
-            for state in states:
-                self.encoder.encode(state)
-            self.canonical_count = self._capacity = len(self.encoder)
-            self._packed = lut.reshape(-1)
-            self._output_ids = np.full(self._capacity, -1, dtype=np.int64)
+        for state in states:
+            self.encoder.encode(state)
+        self.canonical_count = self._capacity = len(self.encoder)
+        self._packed = lut.reshape(-1)
+        self._output_ids = np.full(self._capacity, -1, dtype=np.int64)
 
     def canonical_digest(self) -> str:
         """sha256 (hex) over the ``canonical_count`` prefix of the layout.
@@ -233,20 +192,11 @@ class TransitionTable:
         return len(self.encoder)
 
     def encode(self, state) -> int:
-        """Register ``state`` (growing the packed arrays) and return its id.
-
-        Lock-free for already-registered states (the overwhelmingly common
-        case once a run is warm); registration itself is serialised so two
-        threads discovering the same state concurrently agree on its id.
-        """
-        sid = self.encoder.try_encode(state)
-        if sid is not None:
-            return sid
-        with self._lock:
-            sid = self.encoder.encode(state)
-            if len(self.encoder) > self._capacity:
-                self._grow(len(self.encoder))
-            return sid
+        """Register ``state`` (growing the packed arrays) and return its id."""
+        sid = self.encoder.encode(state)
+        if len(self.encoder) > self._capacity:
+            self._grow(len(self.encoder))
+        return sid
 
     def _grow(self, size: int) -> None:
         capacity = self._capacity
@@ -265,24 +215,13 @@ class TransitionTable:
     # Transitions
     # ------------------------------------------------------------------
     def _compile_pair(self, responder_id: int, initiator_id: int) -> Tuple[int, int]:
-        """Evaluate one state pair and enter it into ``delta`` and ``packed``.
-
-        Serialised per table; re-checks ``delta`` under the lock so two
-        threads missing on the same pair compile it once (transitions are
-        pure, so a duplicate evaluation would be harmless — the re-check
-        just keeps the "compiled exactly once" accounting exact).
-        """
-        with self._lock:
-            cached = self.delta.get((responder_id, initiator_id))
-            if cached is not None:
-                return cached
-            entry = int(self._packed[responder_id * self._capacity + initiator_id])
-            if entry >= 0:
-                # Compiled into the packed LUT already (an adopted closure
-                # LUT): fill delta from it, never re-evaluate or write it.
-                result = (entry >> 32, entry & 0xFFFFFFFF)
-                self.delta[(responder_id, initiator_id)] = result
-                return result
+        """Evaluate one state pair and enter it into ``delta`` and ``packed``."""
+        entry = int(self._packed[responder_id * self._capacity + initiator_id])
+        if entry >= 0:
+            # Compiled into the packed LUT already (an adopted closure
+            # LUT): fill delta from it, never re-evaluate or write it.
+            result = (entry >> 32, entry & 0xFFFFFFFF)
+        else:
             responder = self.encoder.decode(responder_id)
             initiator = self.encoder.decode(initiator_id)
             try:
@@ -291,18 +230,12 @@ class TransitionTable:
                 )
             except Exception as exc:  # pragma: no cover - defensive
                 raise TransitionError(responder, initiator, str(exc)) from exc
-            new_responder_id = self.encoder.encode(new_responder)
-            new_initiator_id = self.encoder.encode(new_initiator)
-            if len(self.encoder) > self._capacity:
-                self._grow(len(self.encoder))
-            result = (new_responder_id, new_initiator_id)
+            result = (self.encode(new_responder), self.encode(new_initiator))
             self._packed[responder_id * self._capacity + initiator_id] = (
-                new_responder_id << 32
-            ) | new_initiator_id
-            # delta is published last: a lock-free apply() that sees the
-            # entry may rely on every other structure being complete.
-            self.delta[(responder_id, initiator_id)] = result
-            return result
+                result[0] << 32
+            ) | result[1]
+        self.delta[(responder_id, initiator_id)] = result
+        return result
 
     def apply(self, responder_id: int, initiator_id: int) -> Tuple[int, int]:
         """Compiled transition on one pair of state ids (compiling on miss)."""
@@ -320,51 +253,38 @@ class TransitionTable:
         state ids.  While the capacity is small enough, int32 inputs avoid a
         widening pass on the hot path.
         """
-        table, capacity = self.packed_view()
+        capacity = self._capacity
         if responder_ids.dtype == np.int32 and capacity < _INT32_SAFE_CAPACITY:
             flat = responder_ids * np.int32(capacity) + initiator_ids
         else:
             flat = responder_ids.astype(np.int64) * np.int64(capacity) + initiator_ids
-        packed = table.take(flat)
+        packed = self._packed.take(flat)
         if packed.size and int(packed.min()) < 0:
             for key in np.unique(flat[packed < 0]).tolist():
                 self._compile_pair(*divmod(int(key), capacity))
-            table, new_capacity = self.packed_view()
-            if new_capacity != capacity:
-                capacity = new_capacity
+            if self._capacity != capacity:
+                capacity = self._capacity
                 flat = responder_ids.astype(np.int64) * capacity + initiator_ids
-            packed = table.take(flat)
+            packed = self._packed.take(flat)
         return packed >> np.int64(32), packed & np.int64(0xFFFFFFFF)
 
     # ------------------------------------------------------------------
     # Outputs
     # ------------------------------------------------------------------
     def output_of(self, sid: int) -> str:
-        """Output symbol of the state registered under ``sid`` (memoised).
-
-        A memoised symbol is served lock-free; first evaluation (and the
-        symbol interning it may trigger) is serialised under the table lock.
-        """
+        """Output symbol of the state registered under ``sid`` (memoised)."""
         symbols = self._output_symbols
-        if sid < len(symbols):
-            symbol = symbols[sid]
-            if symbol is not None:
-                return symbol
-        with self._lock:
-            symbols = self._output_symbols
-            while len(symbols) < len(self.encoder):
-                symbols.append(None)
-            symbol = symbols[sid]
-            if symbol is None:
-                symbol = self.protocol.output(self.encoder.decode(sid))
-                symbol_id = self._symbol_ids.get(symbol)
-                if symbol_id is None:
-                    symbol_id = len(self._symbols)
-                    self._symbols.append(symbol)
-                    self._symbol_ids[symbol] = symbol_id
-                self._output_ids[sid] = symbol_id
-                symbols[sid] = symbol
-            return symbol
+        if sid >= len(symbols):
+            symbols.extend([None] * (len(self.encoder) - len(symbols)))
+        symbol = symbols[sid]
+        if symbol is None:
+            symbol = symbols[sid] = self.protocol.output(self.encoder.decode(sid))
+            symbol_id = self._symbol_ids.get(symbol)
+            if symbol_id is None:
+                symbol_id = self._symbol_ids[symbol] = len(self._symbols)
+                self._symbols.append(symbol)
+            self._output_ids[sid] = symbol_id
+        return symbol
 
     @property
     def symbols(self) -> List[str]:
@@ -376,19 +296,13 @@ class TransitionTable:
 
         Forces memoisation of any not-yet-evaluated outputs, so the returned
         array (a view into the table) has length ``size`` and no ``-1``
-        entries.  A prefix known to be memoised is served lock-free and
-        unscanned; otherwise the scan runs under the table lock, where the
-        encoder and the output array cannot be caught mid-growth (a state
-        registered but its array not yet grown would escape a lock-free
-        scan).
+        entries.  A prefix known to be memoised is served unscanned.
         """
-        if size <= self._outputs_known:
-            return self._output_ids[:size]
-        with self._lock:
+        if size > self._outputs_known:
             for sid in np.flatnonzero(self._output_ids[:size] < 0).tolist():
                 self.output_of(sid)
-            self._outputs_known = max(self._outputs_known, size)
-            return self._output_ids[:size]
+            self._outputs_known = size
+        return self._output_ids[:size]
 
     def aggregate_counts(self, counts: np.ndarray) -> Dict[str, int]:
         """Aggregate a dense state-count vector by output symbol.
@@ -425,34 +339,25 @@ class TransitionTable:
         the reduction itself.
 
         The returned slice aliases the cache: treat it as read-only.
-
-        A fully evaluated vector is served lock-free (the per-check hot
-        path); extension — first evaluation or newly registered states — is
-        serialised under the table lock.
         """
         size = len(self.encoder)
         array = self._views.get(view)
-        if array is not None and self._views_filled.get(view, 0) >= size:
-            return array[:size]
-        with self._lock:
-            size = len(self.encoder)
-            array = self._views.get(view)
-            filled = self._views_filled.get(view, 0)
-            if array is None:
-                array = np.empty(max(size, _INITIAL_CAPACITY), dtype=np.int64)
-                self._views[view] = array
-            elif array.shape[0] < size:
-                grown = np.empty(max(size, 2 * array.shape[0]), dtype=np.int64)
-                grown[:filled] = array[:filled]
-                array = grown
-                self._views[view] = grown
-            if filled < size:
-                decode = self.encoder.decode
-                compile_state = view.compile_state
-                for sid in range(filled, size):
-                    array[sid] = compile_state(decode(sid))
-                self._views_filled[view] = size
-            return array[:size]
+        filled = self._views_filled.get(view, 0)
+        if array is None:
+            array = self._views[view] = np.empty(
+                max(size, _INITIAL_CAPACITY), dtype=np.int64
+            )
+        elif array.shape[0] < size:
+            grown = np.empty(max(size, 2 * array.shape[0]), dtype=np.int64)
+            grown[:filled] = array[:filled]
+            array = self._views[view] = grown
+        if filled < size:
+            decode = self.encoder.decode
+            compile_state = view.compile_state
+            for sid in range(filled, size):
+                array[sid] = compile_state(decode(sid))
+            self._views_filled[view] = size
+        return array[:size]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -58,7 +58,6 @@ table-compile time and the per-check cost is purely the reduction.
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -207,7 +206,7 @@ class CategoricalView(StateView):
     instance that compiled it.
     """
 
-    __slots__ = ("_categories", "_category_ids", "_lock")
+    __slots__ = ("_categories", "_category_ids")
 
     __eq__ = object.__eq__
     __hash__ = object.__hash__
@@ -221,27 +220,14 @@ class CategoricalView(StateView):
         super().__init__(name, fn)
         self._categories: List[Hashable] = []
         self._category_ids: Dict[Hashable, int] = {}
-        # The interning tables are shared by every TransitionTable holding
-        # this view's compiled codes, and each table compiles under its
-        # *own* lock — so concurrent compilation of one view against two
-        # tables from two threads must serialise here, not there.
-        self._lock = threading.Lock()
         for category in categories:
             self._intern(category)
 
     def _intern(self, category: Hashable) -> int:
         code = self._category_ids.get(category)
-        if code is not None:
-            return code
-        with self._lock:
-            code = self._category_ids.get(category)
-            if code is None:
-                code = len(self._categories)
-                # Append before publishing the code: a lock-free census
-                # reader indexing ``_categories`` by a code it just saw
-                # must always find the label there.
-                self._categories.append(category)
-                self._category_ids[category] = code
+        if code is None:
+            code = self._category_ids[category] = len(self._categories)
+            self._categories.append(category)
         return code
 
     @property

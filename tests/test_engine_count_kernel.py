@@ -369,6 +369,19 @@ def test_closure_engines_share_one_lut_and_one_kernel_call_per_run():
     assert len(calls) == len(seeds)
 
 
+@needs_kernel
+def test_logfact_reserve_holds_the_gil():
+    """The log-factorial heap the kernel reads is grown only through a
+    ``PyDLL`` binding, whose calls hold the GIL; the row kernel is a
+    ``CDLL`` call, which releases it."""
+    import ctypes
+
+    from repro.engine import _count_kernel
+
+    assert _count_kernel._logfact_reserve._flags_ & ctypes._FUNCFLAG_PYTHONAPI
+    assert not _count_kernel._kernel._flags_ & ctypes._FUNCFLAG_PYTHONAPI
+
+
 def test_kernel_thread_backend_is_serial():
     # Run stamps record it; the kernel has no threads of its own.
     expected = "serial" if count_kernel_available() else None

@@ -505,6 +505,31 @@ def test_kernel_cache_dir_resolution(monkeypatch, tmp_path):
     assert package_root not in kernel_cache_dir().resolve().parents
 
 
+def test_kernel_builds_disable_fp_contraction(monkeypatch, tmp_path):
+    """Every kernel compiles with ``-ffp-contract=off``, and the flag enters
+    the artifact digest: a cached library built without it is not reused."""
+    import hashlib
+    from pathlib import Path
+
+    from repro.engine import _ckernel
+
+    commands = []
+
+    def compile_stub(command, **kwargs):
+        commands.append(command)
+        Path(command[command.index("-o") + 1]).write_bytes(b"")
+
+    monkeypatch.setattr(_ckernel.subprocess, "run", compile_stub)
+    monkeypatch.setattr(_ckernel.shutil, "which", lambda name: "cc")
+    source = "int f(void) { return 0; }"
+    # The artifact name an empty flag list hashes to.
+    unflagged = hashlib.sha256((source + "\x00").encode()).hexdigest()[:16]
+    (tmp_path / f"k_{unflagged}.so").write_bytes(b"")
+    path = _ckernel.build_library(source, "k", cache_dir=tmp_path)
+    assert path.name != f"k_{unflagged}.so"
+    assert len(commands) == 1 and "-ffp-contract=off" in commands[0]
+
+
 def test_registry_and_names_are_consistent():
     assert set(ENGINE_NAMES) == set(ENGINE_REGISTRY) | {"auto"}
     for name, engine_cls in ENGINE_REGISTRY.items():

@@ -118,6 +118,31 @@ def test_output_maps_and_vectorised_aggregation():
     ]
 
 
+def test_output_id_array_covers_states_registered_past_capacity():
+    """A pair compile that registers a state past the packed capacity grows
+    the output map with it: the map then covers the new id, with no ``-1``."""
+    from repro.engine.protocol import ProtocolSpec
+
+    protocol = ProtocolSpec(
+        name="counter",
+        initial=0,
+        rules=lambda responder, initiator: (max(responder, initiator) + 1, initiator),
+        outputs=lambda state: "L" if state % 2 else "F",
+    )
+    table = protocol.compile()
+    capacity = table.capacity
+    for state in range(capacity):
+        table.encode(state)
+    assert table.output_id_array(capacity).min() >= 0
+    table.apply(capacity - 1, capacity - 1)
+    assert len(table) == capacity + 1 and table.capacity > capacity
+    ids = table.output_id_array(capacity + 1)
+    symbols = table.symbols
+    assert [symbols[i] for i in ids.tolist()] == [
+        protocol.output(state) for state in range(capacity + 1)
+    ]
+
+
 def test_engines_share_one_table_per_protocol_instance():
     protocol = OneWayEpidemic()
     engines = [

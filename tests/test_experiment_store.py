@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import errno
 import json
+import multiprocessing
 import re
 
 import pytest
@@ -16,6 +17,7 @@ import pytest
 import repro.engine.parallel as parallel
 from repro.engine.convergence import NeverConverge
 from repro.engine.parallel import run_cells, run_many
+from repro.engine.simulation import RunResult
 from repro.errors import ExperimentError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.registry import experiment_key, run_experiment
@@ -249,6 +251,48 @@ def test_version_1_records_load_on_the_key_check_alone(tmp_path, run_counter):
     cells[1].write_text(cells[0].read_text())
     assert store.load_result(cells[1].stem) is None
     assert store.load_result(cells[0].stem) is not None
+
+
+def _save_cell_20_times(directory, key, result, barrier):
+    """Writer process of the two-writer test (module-level: it pickles)."""
+    store = ExperimentStore(directory)
+    barrier.wait(timeout=30)
+    for _ in range(20):
+        store.save_result(key, result)
+
+
+def test_two_processes_writing_one_cell_leave_one_whole_record(tmp_path):
+    """Two processes save one cell key 20 times each, with different
+    results: the record left loads whole as one of the two, its checksum
+    holds, and no temp file is left in the store."""
+    results = [
+        RunResult(
+            protocol_name="slow", n=8, seed=seed, converged=True,
+            interactions=100 * seed, parallel_time=12.5 * seed, states_used=2,
+            final_counts={"L": 1, "F": 7}, final_outputs={"L": 1, "F": 7},
+            metadata={"writer": seed},
+        )
+        for seed in (1, 2)
+    ]
+    key = content_key({"cell": "shared"})
+    context = multiprocessing.get_context()
+    barrier = context.Barrier(2)
+    writers = [
+        context.Process(
+            target=_save_cell_20_times, args=(str(tmp_path), key, result, barrier)
+        )
+        for result in results
+    ]
+    for writer in writers:
+        writer.start()
+    for writer in writers:
+        writer.join(timeout=60)
+        assert writer.exitcode == 0
+    assert ExperimentStore(tmp_path).load_result(key) in results
+    record = json.loads((tmp_path / "cells" / f"{key}.json").read_text())
+    assert record.pop("sha256") == content_key(record)
+    assert [p.name for p in tmp_path.iterdir()] == ["cells"]
+    assert [p.name for p in (tmp_path / "cells").iterdir()] == [f"{key}.json"]
 
 
 def test_run_many_with_store_and_workers(tmp_path):

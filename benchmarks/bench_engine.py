@@ -67,7 +67,8 @@ def _fastbatch_numpy(protocol, n, rng=None) -> FastBatchEngine:
 
 
 def _countbatch_python(protocol, n, rng=None) -> CountBatchEngine:
-    """CountBatchEngine pinned to the pure-Python path (count kernel off)."""
+    """CountBatchEngine on the Python implementation of its count kernel
+    (the same stream as the C one)."""
     return CountBatchEngine(protocol, n, rng, kernel="python")
 
 
@@ -188,7 +189,7 @@ _GSU19_ENGINES: Dict[str, Type[BaseEngine]] = {
 _GSU19_SIZES = (10**6, 10**7)
 
 #: Count-space-only sizes: past ~10^8 the per-agent engines need gigabytes
-#: and the Python count path's 2n-interaction warm-up alone takes minutes,
+#: and the Python count kernel's 2n-interaction warm-up alone takes minutes,
 #: so only the kernel-backed ``countbatch`` row is timed there.
 _GSU19_KERNEL_SIZES = (10**9,)
 
@@ -383,7 +384,7 @@ _APPROX_SIZES = (10**6, 10**8, 10**10)
 #: calibrations, so every engine sees steady-state dynamics.
 _APPROX_TAU = 10.0
 #: Exact countbatch comparator gating: always at 10^6; at 10^8 only
-#: through the compiled count kernel (the Python path takes minutes per
+#: through the compiled count kernel (the Python one takes minutes per
 #: round); never at 10^10, where the approximate tier is the point.
 _APPROX_EXACT_ALWAYS = 10**6
 _APPROX_EXACT_KERNEL = 10**8

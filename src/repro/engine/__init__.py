@@ -45,22 +45,22 @@ Five engines are provided — three exact, plus an opt-in approximate tier:
   distribution**, ``O(k)`` memory: simulates over state counts only,
   processing collision-free runs of ``Θ(sqrt(n))`` interactions per
   hypergeometric update whose cost follows the *occupied* state frontier
-  (Berenbrink et al.-style batching).  With a C compiler the whole
-  occupied-frontier loop runs in a compiled count kernel
-  (:mod:`repro.engine._count_kernel`) that executes many batches per call
-  on its own ``xoshiro256++`` stream, far ahead of the Python path, and
-  exact hypergeometric samplers without NumPy's ``10^9`` operand cap
-  carry it to ``n = 10^12`` and beyond (engine-validated
-  bound: ``count_batch.MAX_EXACT_N = 2^53``).  The engine for
+  (Berenbrink et al.-style batching).  The whole occupied-frontier loop
+  is the count kernel (:mod:`repro.engine._count_kernel`): one
+  ``xoshiro256++`` stream with two implementations, compiled C (many
+  batches per call, about 100x faster) and a statement-for-statement Python
+  mirror for machines without a compiler.  Its exact hypergeometric
+  samplers, without NumPy's ``10^9`` operand cap, carry it to
+  ``n = 10^12`` and beyond (engine-validated bound:
+  ``count_batch.MAX_EXACT_N = 2^53``).  The engine for
   ``n >= 10^7``, where per-agent arrays are slow (cache misses) or
   impossible (memory).  Requires a *count-capable* protocol at scale: an
   ``O(k)`` ``initial_counts`` (the O(n) configuration fallback is refused
   at ``n >= 10^7``) and — for auto dispatch — a finite
   ``canonical_states`` (GSU19 declares its reachable-state closure, see
-  :mod:`repro.engine.closure`).  The kernel and Python paths are equal in
-  distribution but consume randomness differently, so each carries its own
-  trajectory-digest pins; ``CountBatchEngine(..., kernel="python")`` pins
-  the portable path.
+  :mod:`repro.engine.closure`).  The two implementations are bit-identical
+  and share one set of trajectory-digest pins;
+  ``CountBatchEngine(..., kernel="python")`` selects the portable one.
 * :class:`~repro.engine.tauleap.TauLeapEngine` — the **approximate tier's**
   stochastic engine: count-space tau-leaping (binomial per-channel firing
   counts at frozen start-of-leap probabilities, Cao–Gillespie adaptive leap

@@ -1,28 +1,24 @@
-"""Optional C hot-path kernel for the count-space batched engine.
+"""The count-batch kernel: one random stream, two implementations.
 
 :class:`~repro.engine.count_batch.CountBatchEngine` samples collision-free
 runs configuration-level: one survival-curve inversion for the run length,
 a cascade of hypergeometric splits for the participant/responder/pairing
-multisets, and a weighted-category draw for the colliding interaction.  At
-``n >= 3 * 10^7`` it is the *forced* engine, yet every one of those draws
-used to cross the NumPy scalar-call boundary (~1-2 us each), capping the
-GSU19 headline regime at a few million interactions per second.  The kernel
-below executes whole batches — run length, all hypergeometric splits, the
-transition-table application and the collision — in one C call against the
-shared packed LUT, so per-batch cost drops to the raw sampling arithmetic.
+multisets, and a weighted-category draw for the colliding interaction.
+This module holds that whole batch loop twice: as C source (``run_row``,
+compiled on first use, one call per chunk of batches) and as its
+statement-for-statement Python mirror (:func:`run_row`), which the engine
+runs under ``kernel="python"`` and wherever no compiler exists.  Both
+consume the same xoshiro256++ stream word for word, so every count-batch
+trajectory is one pinned digest whichever implementation drew it.
 
 Design notes
 ============
 
-* **Own RNG stream.**  The kernel runs xoshiro256++ (public-domain
-  Blackman/Vigna generator), seeded once from the engine's NumPy generator
-  via SplitMix64 (:func:`seed_kernel_rng`).  The four 64-bit state words
-  live in a NumPy array owned by the engine, so checkpoint/restore is
-  byte-exact through the kernel path.  The kernel path therefore consumes
-  randomness differently from the Python path — equality between the two
-  holds *in distribution* (pinned by the KS cross-engine suite), exactly
-  like the CountBatch/Sequential relationship; each path carries its own
-  trajectory-digest pins.
+* **One stream.**  xoshiro256++ (public-domain Blackman/Vigna generator),
+  seeded once from the engine's NumPy generator via SplitMix64
+  (:func:`seed_kernel_rng`).  The four 64-bit state words live in a NumPy
+  array owned by the engine, so checkpoint/restore is byte-exact and a
+  checkpoint written by one implementation resumes on the other.
 * **Exact samplers, no NumPy caps.**  Hypergeometric variates use the same
   two algorithms NumPy does — explicit urn inversion when the (symmetrised)
   sample is tiny, Stadlober's HRUA ratio-of-uniforms rejection otherwise —
@@ -30,9 +26,15 @@ Design notes
   population arguments are exact in ``double`` up to ``2^53``, which is the
   engine's validated ``MAX_EXACT_N``.  This is what makes ``n = 10^12``
   runs possible at all.
+* **Bit-identical floating point.**  The C source is built with
+  ``-ffp-contract=off`` (no fused multiply-adds), and the mirror evaluates
+  every double in the C order.  Log-factorials come from libm's ``lgamma``
+  on both sides; the mirror calls it through ctypes, because CPython's
+  ``math.lgamma`` is its own implementation and differs from glibc's in
+  the last bit on a large share of arguments.
 * **Miss-restart.**  The packed transition LUT may lack a pair (lazy
-  compilation).  The kernel snapshots its RNG words at every batch start;
-  on a miss it restores them, re-zeroes its scratch writes and reports the
+  compilation).  Each batch starts from a snapshot of the RNG words; on a
+  miss the call restores them, drops the batch's scratch and reports the
   missing ``(responder, initiator)`` ids.  The caller compiles the pair in
   Python (possibly growing the encoder) and re-enters; the batch is then
   redrawn identically, so a miss costs one wasted batch of arithmetic and
@@ -44,17 +46,24 @@ Design notes
 * **One entry, one engine.**  ``repro_count_row`` advances one engine,
   described by a :class:`CountRow` argument block (its counts, seen mask,
   xoshiro words and LUT addresses, ``k``, budget, and the outputs), on the
-  calling thread.  Independent seeds run in parallel one level up, on the
-  sweep scheduler's worker processes (:mod:`repro.engine.parallel`).
+  calling thread; :func:`run_row` takes the same state as arguments.
+  Independent seeds run in parallel one level up, on the sweep
+  scheduler's worker processes (:mod:`repro.engine.parallel`).
 
-Built through :func:`repro.engine._ckernel.build_library` — same cache
-directory, same atomic publish, same ``REPRO_NO_C_KERNEL=1`` escape hatch
-and silent fallback contract as the fast-batch kernel.
+The C side is built through :func:`repro.engine._ckernel.build_library` —
+same cache directory, same atomic publish, same ``REPRO_NO_C_KERNEL=1``
+escape hatch and silent fallback contract as the fast-batch kernel.  The
+mirror ran GSU19 (closure registered) at 0.8 M interactions per second at
+``n = 10^6`` and 3 M at ``10^7`` on a 2-CPU x86-64 host, about 100x below
+the C kernel (``BENCH_engine.json``); ``tests/test_engine_count_kernel.py``
+pins the two together.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
+import math
 import os
 from typing import Optional
 
@@ -67,6 +76,7 @@ __all__ = [
     "load_count_kernel",
     "count_kernel_available",
     "kernel_thread_backend",
+    "run_row",
     "seed_kernel_rng",
     "logfact_reserve",
 ]
@@ -697,6 +707,316 @@ class CountRow(ctypes.Structure):
         ("miss_r", ctypes.c_int64),
         ("miss_i", ctypes.c_int64),
     ]
+
+
+# ----------------------------------------------------------------------
+# The pure-Python implementation: run_row, statement for statement
+# ----------------------------------------------------------------------
+#
+# Every double below is computed in the order and precision the C source
+# computes it: ints are converted to float exactly where C casts (all
+# operands are <= 2^53, so each conversion is exact), products of counts
+# are float products, and comparisons against ints are exact in both
+# languages.  Log-factorials come from libm's lgamma, the function the
+# kernel calls: CPython's math.lgamma is its own implementation and differs
+# from glibc's in the last bit on a large share of arguments.  math.log
+# and math.sqrt call libm (or are correctly rounded), so they agree.
+
+_UNIT = 1.0 / 9007199254740992.0  # 2^-53
+_HRUA_D1 = 1.7155277699214135  # 2*sqrt(2/e)
+_HRUA_D2 = 0.8989161620588987  # 3 - 2*sqrt(3/e)
+
+
+def _libm_lgamma():
+    """libm's ``lgamma`` from the process's global symbols.  Where those
+    cannot be searched (Windows) ``math.lgamma`` stands in, and the mirror
+    then need not match the C stream bit for bit."""
+    try:
+        function = ctypes.CDLL(None).lgamma
+    except (OSError, AttributeError, TypeError):  # pragma: no cover
+        return math.lgamma
+    function.restype = ctypes.c_double
+    function.argtypes = [ctypes.c_double]
+    return function
+
+
+_lgamma = _libm_lgamma()
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _logfactorial(k: int) -> float:
+    return _lgamma(k + 1.0)
+
+
+def _uniform(s: list) -> float:
+    """``xo_double``: advance the four xoshiro256++ words in ``s`` and
+    return a double in [0, 1) with 53 random bits."""
+    s0, s1, s2, s3 = s
+    x = (s0 + s3) & _MASK64
+    result = ((((x << 23) & _MASK64) | (x >> 41)) + s0) & _MASK64
+    s2 ^= s0
+    s3 ^= s1
+    s[0] = s0 ^ s3
+    s[1] = s1 ^ s2
+    s[2] = s2 ^ ((s1 << 17) & _MASK64)
+    s[3] = ((s3 << 45) & _MASK64) | (s3 >> 19)
+    return (result >> 11) * _UNIT
+
+
+def _hyp_inversion(s: list, good: int, bad: int, sample: int) -> int:
+    total = good + bad
+    computed = sample if sample <= total - sample else total - sample
+    rem_good = good
+    rem_total = total
+    taken = 0
+    for i in range(computed):
+        if rem_good == 0:
+            break
+        if rem_good == rem_total:
+            taken += computed - i
+            break
+        if _uniform(s) * rem_total < rem_good:
+            taken += 1
+            rem_good -= 1
+        rem_total -= 1
+    return taken if computed == sample else good - taken
+
+
+def _hyp_hrua(s: list, good: int, bad: int, sample: int) -> int:
+    uniform = _uniform
+    logfactorial = _logfactorial
+    floor = math.floor
+    popsize = good + bad
+    computed = sample if sample <= popsize - sample else popsize - sample
+    mingoodbad = good if good <= bad else bad
+    maxgoodbad = bad if good <= bad else good
+    p = float(mingoodbad) / popsize
+    q = float(maxgoodbad) / popsize
+    a = computed * p + 0.5
+    var = float(popsize - computed) * computed * p * q / (popsize - 1.0)
+    c = math.sqrt(var + 0.5)
+    h = _HRUA_D1 * c + _HRUA_D2
+    m = floor((computed + 1) * ((mingoodbad + 1) / (popsize + 2.0)))
+    shift = maxgoodbad - computed
+    g = (
+        logfactorial(m)
+        + logfactorial(mingoodbad - m)
+        + logfactorial(computed - m)
+        + logfactorial(shift + m)
+    )
+    bound = (computed if computed < mingoodbad else mingoodbad) + 1
+    a16 = floor(a + 16.0 * c)
+    if a16 < bound:
+        bound = a16
+    while True:
+        u = uniform(s)
+        v = uniform(s)
+        if u <= 0.0:
+            continue
+        x = a + h * (v - 0.5) / u
+        if x < 0.0 or x >= bound:
+            continue
+        k = floor(x)
+        t = g - (
+            logfactorial(k)
+            + logfactorial(mingoodbad - k)
+            + logfactorial(computed - k)
+            + logfactorial(shift + k)
+        )
+        if u * (4.0 - u) - 3.0 <= t:
+            break
+        if u * (u - t) >= 1.0:
+            continue
+        if 2.0 * math.log(u) <= t:
+            break
+    if good > bad:
+        k = computed - k
+    if computed < sample:
+        k = good - k
+    return k
+
+
+def _hyp_draw(s: list, good: int, bad: int, sample: int) -> int:
+    if good <= 0:
+        return 0
+    if bad <= 0:
+        return sample
+    if sample >= 10 and good + bad - sample >= 10:
+        return _hyp_hrua(s, good, bad, sample)
+    return _hyp_inversion(s, good, bad, sample)
+
+
+def _pick_state(s: list, weighted, total: int, exclude: int = -1) -> int:
+    """``pick_state`` over ``(id, weight)`` pairs in the kernel's walk order."""
+    target = _uniform(s) * total
+    acc = 0.0
+    last = -1
+    for sid, weight in weighted:
+        if sid == exclude:
+            weight -= 1
+        if weight <= 0:
+            continue
+        last = sid
+        acc += weight
+        if target < acc:
+            return sid
+    return last
+
+
+def _split(s: list, weighted, sample: int, total: int) -> list:
+    """A multivariate hypergeometric draw of ``sample`` from ``(id, weight)``
+    pairs (weights summing to ``total``) by sequential conditional splits.
+
+    Returns ``(id, drawn)`` for every visited id, zero draws included; the
+    walk stops once the sample is used up, as the kernel's loops do.
+    """
+    drawn_by = []
+    m = sample
+    for sid, color in weighted:
+        if m <= 0:
+            break
+        rest = total - color
+        drawn = m if rest == 0 else _hyp_draw(s, color, rest, m)
+        drawn_by.append((sid, drawn))
+        m -= drawn
+        total = rest
+    return drawn_by
+
+
+def _pair_rows(s: list, responders: dict, remaining_i: dict, pairs: int):
+    """Yield ``(responder id, [(initiator id, multiplicity), ...])`` rows.
+
+    Each responder state's slots are split over the initiator pool, the
+    states with initiators left in ``remaining_i`` order; the last row takes
+    the rest of the pool without a draw.  A row drops the states it
+    depletes, and the pool past the row's reach keeps its order.  A row's
+    draws happen when it is requested, so a consumer that stops early
+    stops the draws with it.
+    """
+    pool = [sid for sid, left in remaining_i.items() if left > 0]
+    final = len(responders) - 1
+    for ridx, (a, slots) in enumerate(responders.items()):
+        if ridx == final:
+            yield a, [(b, remaining_i[b]) for b in pool]
+            return
+        row = _split(s, ((b, remaining_i[b]) for b in pool), slots, pairs)
+        yield a, row
+        for b, drawn in row:
+            remaining_i[b] -= drawn
+        reach = len(row)
+        pool = [b for b in pool[:reach] if remaining_i[b] > 0] + pool[reach:]
+        pairs -= slots
+
+
+def run_row(counts, seen, rng, lut, k, cap, budget, n, neg_survival, jmax):
+    """``repro_count_row`` in Python: the same arguments, the same stream.
+
+    ``counts`` (int64, length >= ``k``), ``seen`` (uint8) and ``rng`` (the
+    four uint64 xoshiro words) are updated in place exactly as the kernel
+    updates them; ``lut`` is the flat packed table of side ``cap``.
+    Returns ``(applied, miss_r, miss_i)``.  A scratch region the kernel
+    indexes by state id is a dict here, whose insertion order is the id
+    list the kernel keeps beside it (``inv_occ``, ``resp_occ``,
+    ``used_occ``).
+    """
+    if budget <= 0:
+        return 0, -1, -1
+    s = [int(word) for word in rng]
+    count = counts[:k].tolist()
+    packed_at = lut.item
+    cand = {sid for sid in range(k) if count[sid] > 0}
+    ordered = sorted(cand)
+    touched = set()
+    applied = 0
+    miss_r = miss_i = -1
+    while applied < budget:
+        saved = s[:]
+        # 1. Run length by survival-curve inversion.
+        length = int(np.searchsorted(neg_survival[:jmax], -_uniform(s), side="right"))
+        length = max(1, length)
+        collide = length < jmax
+        if length >= budget - applied:
+            length = budget - applied
+            collide = False
+        occ = [sid for sid in ordered if count[sid] > 0]
+
+        # 2. Participants, then responders among them.
+        weighted = ((sid, count[sid]) for sid in occ)
+        involved = {sid: h for sid, h in _split(s, weighted, 2 * length, n) if h}
+        split = _split(s, involved.items(), length, 2 * length)
+        responders = {sid: r for sid, r in split if r}
+        remaining_i = {sid: h - responders.get(sid, 0) for sid, h in involved.items()}
+
+        # 3. Pairing rows through the LUT into the post-state multiset.
+        used = {}
+        for a, row in _pair_rows(s, responders, remaining_i, length):
+            base = a * cap
+            for b, mult in row:
+                if mult <= 0:
+                    continue
+                packed = packed_at(base + b)
+                if packed < 0:
+                    miss_r, miss_i = a, b
+                    break
+                new_r = packed >> 32
+                new_i = packed & 0xFFFFFFFF
+                used[new_r] = used.get(new_r, 0) + mult
+                used[new_i] = used.get(new_i, 0) + mult
+            if miss_r >= 0:
+                break
+
+        # 4. The colliding interaction, drawn before the commit.
+        if miss_r < 0 and collide:
+            used_total = 2 * length
+            fresh_total = n - used_total
+            fresh = ((sid, count[sid] - involved.get(sid, 0)) for sid in occ)
+            wuf = float(used_total) * fresh_total
+            wuu = float(used_total) * (used_total - 1.0)
+            pick = _uniform(s) * (2.0 * wuf + wuu)
+            if pick < wuf:
+                coll_or = _pick_state(s, used.items(), used_total)
+                coll_oi = _pick_state(s, fresh, fresh_total)
+            elif pick < 2.0 * wuf:
+                coll_or = _pick_state(s, fresh, fresh_total)
+                coll_oi = _pick_state(s, used.items(), used_total)
+            else:
+                coll_or = _pick_state(s, used.items(), used_total)
+                coll_oi = _pick_state(s, used.items(), used_total - 1, coll_or)
+            packed = packed_at(coll_or * cap + coll_oi)
+            if packed < 0:
+                miss_r, miss_i = coll_or, coll_oi
+            else:
+                coll_nr = packed >> 32
+                coll_ni = packed & 0xFFFFFFFF
+
+        if miss_r >= 0:
+            s = saved  # the batch rolls back; counts were not touched
+            break
+
+        # 5. Commit.
+        for sid, h in involved.items():
+            count[sid] -= h
+        for sid, gained in used.items():
+            count[sid] += gained
+        landed = set(used)
+        applied += length
+        if collide:
+            count[coll_or] -= 1
+            count[coll_nr] += 1
+            count[coll_oi] -= 1
+            count[coll_ni] += 1
+            landed.add(coll_nr)
+            landed.add(coll_ni)
+            applied += 1
+        touched |= landed
+        if not landed <= cand:
+            cand |= landed
+            ordered = sorted(cand)
+    counts[:k] = count
+    if touched:
+        seen[list(touched)] = 1
+    rng[:] = s
+    return applied, miss_r, miss_i
 
 
 def seed_kernel_rng(rng) -> np.ndarray:

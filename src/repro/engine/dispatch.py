@@ -52,32 +52,34 @@ The count-batch cost model
 ==========================
 
 One count-batch update advances an expected ``sqrt(pi * n / 4) ~ 0.886
-sqrt(n)`` interactions; its cost is a fixed overhead plus a term in the
-number ``k`` of *occupied* states (scalar hypergeometric splits while ``k``
-is small, one compacted vectorised split per pairing row beyond that — see
-:mod:`repro.engine.count_batch`).  The dispatcher compares that per-batch
-cost, evaluated at the declared state-space size (a bound on the occupied
-frontier), against the fast-batch engine's measured per-interaction cost.
-The constants were fitted to the workloads of ``benchmarks/bench_engine.py``.
+sqrt(n)`` interactions; its cost is a fixed overhead plus a term quadratic
+in the number ``k`` of *occupied* states (the hypergeometric splits of the
+pairing rows, see :mod:`repro.engine.count_batch`).  The dispatcher
+compares that per-batch cost, evaluated at the declared state-space size
+(a bound on the occupied frontier), against the fast-batch engine's
+measured per-interaction cost.  The constants were fitted to the
+workloads of ``benchmarks/bench_engine.py``.
 
-The model is evaluated against the tier the engine would actually run:
-with the compiled count kernel (:mod:`repro.engine._count_kernel`,
-available whenever ``_ckernel``'s compiler probe succeeds) the per-batch
-cost is one C call, a fixed overhead plus a cost per occupied pairing cell,
-which moves the countbatch-vs-fastbatch crossover down to
-``_COUNTBATCH_MIN_N`` for protocols that declare few states.  (GSU19's
-declared closure — 1,789 states at n = 10^8's calibration — prices it onto
-fastbatch until ``COUNTBATCH_FORCE_N``; its *realised* frontier is far
-sparser, so an explicit ``engine="countbatch"`` beats ``auto`` in that
-window on kernel machines: compare README's GSU19 ``countbatch`` and
-``fastbatch`` rows at ``10^7``.  The bound is deliberately trusted —
-mispricing toward the bit-exact engine is the safe direction.)  Below
-``_COUNTBATCH_MIN_N`` the policy stays deliberately kernel-independent:
-every ``auto`` choice there is in the bit-for-bit sequential-identical
-engine family, so seed-pinned results agree across machines with and
-without a C compiler.  (Above it, count-batch trajectories are only ever
-reproducible per-path anyway — the kernel and Python paths consume
-randomness differently, each with its own digest pins.)
+The count kernel has two implementations of one stream: the compiled one
+(:mod:`repro.engine._count_kernel`, available whenever ``_ckernel``'s
+compiler probe succeeds) and its Python mirror.  The model is evaluated
+with the constants of the one the engine would actually run.  The compiled
+one's per-batch cost is one C call, a fixed overhead plus a cost per
+occupied pairing cell, which moves the countbatch-vs-fastbatch crossover
+down to ``_COUNTBATCH_MIN_N`` for protocols that declare few states.
+(GSU19's declared closure — 1,789 states at n = 10^8's calibration —
+prices it onto fastbatch until ``COUNTBATCH_FORCE_N``; its *realised*
+frontier is far sparser, so an explicit ``engine="countbatch"`` beats
+``auto`` in that window on kernel machines: compare README's GSU19
+``countbatch`` and ``fastbatch`` rows at ``10^7``.  The bound is
+deliberately trusted — mispricing toward the bit-exact engine is the safe
+direction.)  Below ``_COUNTBATCH_MIN_N`` the policy stays deliberately
+kernel-independent: every ``auto`` choice there is in the bit-for-bit
+sequential-identical engine family, so seed-pinned results agree across
+machines with and without a C compiler.  Count-batch trajectories agree
+across machines too, since both implementations draw the same stream; only
+the choice *between* count-batch and fast-batch in the window up to
+``COUNTBATCH_FORCE_N`` depends on the compiler.
 """
 
 from __future__ import annotations
@@ -89,7 +91,7 @@ from typing import Dict, Optional, Type, Union
 from repro.engine._ckernel import kernel_available
 from repro.engine._count_kernel import count_kernel_available
 from repro.engine.base import BaseEngine
-from repro.engine.count_batch import _MVH_SCALAR_MAX_OCCUPIED, CountBatchEngine
+from repro.engine.count_batch import CountBatchEngine
 from repro.engine.engine import SequentialEngine
 from repro.engine.fast_batch import FastBatchEngine
 from repro.engine.meanfield import MeanFieldEngine
@@ -136,14 +138,10 @@ _FASTBATCH_MIN_N = 50_000
 _FASTBATCH_MIN_N_CKERNEL = 256
 
 #: Population size below which the configuration-space batched engine is
-#: never auto-selected, whatever the cost model says.  Deliberately NOT
-#: lowered when the C kernel is missing even though count-batch overtakes
-#: the NumPy wave path already around 2*10^5: below this single threshold
-#: every auto choice is in the bit-for-bit sequential-identical engine
-#: family, so seed-pinned results agree across machines with and without a
-#: C compiler (the price is at most ~2x throughput for compiler-less users
-#: in the 2*10^5..3*10^6 range — they can opt into engine="countbatch"
-#: explicitly).
+#: never auto-selected, whatever the cost model says: below this single
+#: threshold every auto choice is in the bit-for-bit sequential-identical
+#: engine family, so seed-pinned results agree across machines with and
+#: without a C compiler.
 _COUNTBATCH_MIN_N = 3_000_000
 
 #: Population size from which a count-capable protocol is dispatched to the
@@ -162,18 +160,15 @@ COUNTBATCH_FORCE_N = 30_000_000
 _COUNTBATCH_MAX_DECLARED_STATES = 4096
 
 # --- measured count-batch cost model (benchmarks/bench_engine.py) ------
-#: Fixed per-batch overhead: survival-curve inversion, the participant /
-#: responder hypergeometric splits and the Python bookkeeping around them.
-_COUNTBATCH_BATCH_OVERHEAD_SECONDS = 2.7e-5
-#: Per-batch cost while the occupied frontier fits the scalar sequential-
-#: conditional path (quadratic: one ~1.7us scalar hypergeometric per
-#: occupied pairing cell).
-_COUNTBATCH_SCALAR_CELL_SECONDS = 1.7e-6
-#: Per-occupied-state per-batch cost on the vectorised pairing-row path
-#: (one compacted multivariate hypergeometric per row, ~14us flat plus the
-#: row's share of the bulk update; measured ~30us/row on the GSU19
-#: workload at n = 10^7).
-_COUNTBATCH_ROW_SECONDS = 3.0e-5
+#: Fixed per-batch overhead of the Python implementation of the count
+#: kernel (``_count_kernel.run_row``): the survival-curve inversion, the
+#: occupied-frontier scan and the commit.
+_COUNTBATCH_BATCH_OVERHEAD_SECONDS = 2.8e-5
+#: Its per pairing cell (occupied x occupied) cost: the cell's share of
+#: the participant, responder and pairing-row hypergeometric splits.  Both
+#: constants fit measured per-batch costs at n = 10^7 (the epidemic, 4-state
+#: exact majority, and k-state identity tables up to k = 64) to within 20%.
+_COUNTBATCH_CELL_SECONDS = 1.1e-5
 #: Fast-batch reference cost per interaction: the C kernel's, used on
 #: purpose even where the kernel is absent (kernel-independent policy, see
 #: _COUNTBATCH_MIN_N), fitted to its rate at n >= 10^6 on the
@@ -214,30 +209,23 @@ def state_space_size(protocol: PopulationProtocol) -> Optional[int]:
 def countbatch_batch_seconds(occupied: int, kernel: Optional[bool] = None) -> float:
     """Modelled cost of one count-batch update at an occupied frontier.
 
-    ``kernel`` selects the compiled-count-kernel tier (quadratic in the
-    frontier with a ~13x smaller cell constant and a ~27x smaller fixed
-    overhead than the Python path); ``None`` probes
+    Both implementations of the count kernel cost a fixed overhead plus a
+    term quadratic in the frontier; ``kernel`` selects the compiled one's
+    constants, the Python one's otherwise.  ``None`` probes
     :func:`~repro.engine._count_kernel.count_kernel_available`, matching
-    what ``CountBatchEngine(kernel="auto")`` will actually run.  The
-    Python-path model is piecewise in the frontier size with the
-    breakpoint imported from the engine itself
-    (``count_batch._MVH_SCALAR_MAX_OCCUPIED``), so model and engine switch
-    paths at the same frontier; all constants measured on the
-    BENCH_engine workloads (module docstring).
+    what ``CountBatchEngine(kernel="auto")`` will actually run.  All
+    constants were measured on the BENCH_engine workloads (module
+    docstring).
     """
     if kernel is None:
         kernel = count_kernel_available()
     if kernel:
-        return (
-            _COUNTBATCH_KERNEL_BATCH_OVERHEAD_SECONDS
-            + _COUNTBATCH_KERNEL_CELL_SECONDS * occupied * occupied
-        )
-    if occupied <= _MVH_SCALAR_MAX_OCCUPIED:
-        return (
-            _COUNTBATCH_BATCH_OVERHEAD_SECONDS
-            + _COUNTBATCH_SCALAR_CELL_SECONDS * occupied * occupied
-        )
-    return _COUNTBATCH_BATCH_OVERHEAD_SECONDS + _COUNTBATCH_ROW_SECONDS * occupied
+        overhead = _COUNTBATCH_KERNEL_BATCH_OVERHEAD_SECONDS
+        cell = _COUNTBATCH_KERNEL_CELL_SECONDS
+    else:
+        overhead = _COUNTBATCH_BATCH_OVERHEAD_SECONDS
+        cell = _COUNTBATCH_CELL_SECONDS
+    return overhead + cell * occupied * occupied
 
 
 def _countbatch_profitable(occupied: int, n: int) -> bool:
@@ -261,9 +249,8 @@ def count_capable(protocol: PopulationProtocol, n: int) -> Optional[int]:
     LUT.  Returns the declared size, or ``None`` when ineligible.
 
     The ``initial_counts`` probe runs first: it is O(k) cheap, while
-    ``canonical_states`` may trigger a protocol's reachable-closure BFS
-    (about 1 s for GSU19 on a 2-CPU host — not worth paying for a protocol
-    that lacks the counts hook).
+    ``canonical_states`` may trigger a protocol's reachable-closure BFS,
+    not worth paying for a protocol that lacks the counts hook.
     """
     if protocol.initial_counts(n) is None:
         return None

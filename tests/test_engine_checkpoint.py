@@ -23,7 +23,13 @@ from pathlib import Path
 
 import pytest
 
-from test_engine_trajectory_digests import _CHUNKS, ENGINES, EXPECTED, PROTOCOLS
+from test_engine_trajectory_digests import (
+    _CHUNKS,
+    ENGINES,
+    EXPECTED,
+    PROTOCOLS,
+    expected_digest,
+)
 
 from repro.engine._ckernel import kernel_available
 from repro.engine.count_batch import CountBatchEngine
@@ -90,7 +96,7 @@ def test_interrupted_run_matches_pinned_digest(
     digest = _resumed_digest(
         tmp_path, protocol_name, engine_factory, engine_factory, interrupt_after
     )
-    assert digest == EXPECTED[f"{protocol_name}/{engine_name}"], (
+    assert digest == expected_digest(protocol_name, engine_name), (
         f"{engine_name} on {protocol_name}: resume after chunk "
         f"{interrupt_after} diverged from the uninterrupted pinned trajectory"
     )
@@ -765,15 +771,8 @@ def _run_digest(result) -> str:
 
 #: Version-1 checkpoints written by the version-1 writer (envelope and
 #: snapshot version 1) halfway through a run of ``total`` parallel time,
-#: with the uninterrupted run's interactions and digest.  The countbatch one
-#: ran on the Python count path, so it resumes byte-exactly on a build with
-#: or without the count kernel.
+#: with the uninterrupted run's interactions and digest.
 _V1_FIXTURES = {
-    "v1_countbatch_closure": dict(
-        factory=_closure_gsu, n=4096, seed=31, engine_cls="countbatch",
-        engine_kwargs={"kernel": "python"}, total=40.0,
-        interactions=163840, digest="cfffed9f97026548",
-    ),
     "v1_sequential": dict(
         factory=_lazy_gsu, n=64, seed=5, engine_cls="sequential",
         engine_kwargs=None, total=300.0,
@@ -806,6 +805,26 @@ def test_version_1_checkpoint_resumes_to_the_uninterrupted_digest(tmp_path, name
     )
     assert resumed.interactions == case["interactions"]
     assert _run_digest(resumed) == case["digest"]
+
+
+def test_retired_count_stream_checkpoint_is_refused(tmp_path):
+    """``v1_countbatch_closure.ckpt`` was written by the retired NumPy count
+    stream, which no build draws any more: resuming it must fail and name
+    that stream, never continue on the xoshiro one."""
+    from repro.engine.convergence import NeverConverge
+    from repro.engine.simulation import run_protocol
+
+    path = tmp_path / "v1_countbatch_closure.ckpt"
+    shutil.copyfile(_FIXTURES / "v1_countbatch_closure.ckpt", path)
+    assert "kernel_rng" not in read_checkpoint(path)["engine_snapshot"]["payload"]
+    for kernel in ("auto", "python"):
+        with pytest.raises(CheckpointError, match="retired NumPy count stream"):
+            run_protocol(
+                _closure_gsu(), 4096, seed=31, engine_cls="countbatch",
+                engine_kwargs={"kernel": kernel}, convergence=NeverConverge(),
+                check_every=4096, max_parallel_time=40.0, checkpoint_path=path,
+                resume=True,
+            )
 
 
 def test_lazy_layout_checkpoint_resumes_onto_the_closure_table(tmp_path):

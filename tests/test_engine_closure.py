@@ -389,10 +389,11 @@ def test_table_grows_past_an_adopted_lut():
     ],
 )
 def test_closure_registered_count_run_never_misses(monkeypatch, kernel):
-    """On the adopted LUT a count run compiles nothing: the kernel never
-    reports a miss (TransitionTable.apply is never entered) and the Python
-    path never evaluates a transition.  The run equals the same seed on a
-    lazily compiled table with the same id layout, which does miss."""
+    """On the adopted LUT a count run compiles nothing: neither
+    implementation of the count kernel reports a miss
+    (TransitionTable.apply is never entered), so no transition is
+    evaluated.  The run equals the same seed on a lazily compiled table
+    with the same id layout, which does miss."""
     applies = []
     original_apply = TransitionTable.apply
 
@@ -401,7 +402,7 @@ def test_closure_registered_count_run_never_misses(monkeypatch, kernel):
         return original_apply(self, responder_id, initiator_id)
 
     monkeypatch.setattr(TransitionTable, "apply", counting_apply)
-    # The Python path pays per batch in Python; a smaller run keeps it quick.
+    # The Python implementation is slower; a smaller run keeps it quick.
     n = 10**5 if kernel == "c" else 4096
     budget, seed = 20 * n, 17
     snapshots = {}
@@ -421,9 +422,7 @@ def test_closure_registered_count_run_never_misses(monkeypatch, kernel):
         assert engine.interactions == budget
         snapshots[name] = repr(engine.snapshot())
         if name == "adopted":
-            assert not evaluated
-            if kernel == "c":
-                assert not applies
+            assert not evaluated and not applies
         else:
             assert evaluated and applies
     assert snapshots["adopted"] == snapshots["lazy"]

@@ -14,9 +14,11 @@ import numpy as np
 import pytest
 
 from repro.core.protocol import GSULeaderElection
+from repro.engine._count_kernel import _split, seed_kernel_rng
 from repro.engine.count_batch import CountBatchEngine
 from repro.engine.protocol import initial_count_items
 from repro.engine.protocol import PopulationProtocol
+from repro.engine.rng import make_rng
 from repro.errors import ConfigurationError, ProtocolError
 from repro.protocols.approximate_majority import ApproximateMajority
 from repro.protocols.epidemic import OneWayEpidemic
@@ -90,13 +92,14 @@ def test_epidemic_completes():
 
 
 def test_tiny_populations_are_exact_edges():
-    # n=2: every batch is a single forced pair of the two agents.  The
-    # outcome pin is seed-specific, so this exercises the Python path
-    # whose stream the seed was chosen against; the kernel path's tiny-n
-    # edges are covered in test_engine_count_kernel.py.
-    engine = CountBatchEngine(OneWayEpidemic(), 2, rng=0, kernel="python")
-    engine.run(1)
-    assert engine.state_counts() == {"informed": 2}
+    # n=2: every batch is a single forced pair of the two agents, whose
+    # orientation decides the outcome.  The outcome pins are seed-specific
+    # (the count stream, on its Python implementation here); seeds 0 and
+    # 1 draw the two orientations.
+    for seed, outcome in ((0, {"informed": 1, "susceptible": 1}), (1, {"informed": 2})):
+        engine = CountBatchEngine(OneWayEpidemic(), 2, rng=seed, kernel="python")
+        engine.run(1)
+        assert engine.state_counts() == outcome
     # n=3 keeps the survival curve at a single entry as well.
     engine = CountBatchEngine(OneWayEpidemic(), 3, rng=0, kernel="python")
     engine.run(50)
@@ -181,14 +184,18 @@ def test_initial_count_items_run_length_encodes_configuration():
 # Internal sampling helpers
 # ----------------------------------------------------------------------
 def test_sequential_conditional_hypergeometric_matches_numpy():
-    """The scalar-call multivariate hypergeometric must agree with NumPy's
-    in mean (same distribution; only the draw decomposition differs)."""
-    engine = CountBatchEngine(OneWayEpidemic(), 100, rng=0)
+    """The count stream's sequential-conditional multivariate
+    hypergeometric split must agree with NumPy's in mean (same
+    distribution; only the draw decomposition differs)."""
+    words = [int(word) for word in seed_kernel_rng(make_rng(0))]
     colors = np.array([50, 30, 0, 20], dtype=np.int64)
+    weighted = [(sid, color) for sid, color in enumerate(colors.tolist()) if color]
     totals = np.zeros(4)
     trials = 20_000
     for _ in range(trials):
-        draw = engine._multivariate_hypergeometric(colors, 10, 100)
+        draw = np.zeros(4, dtype=np.int64)
+        for sid, drawn in _split(words, weighted, 10, 100):
+            draw[sid] = drawn
         assert draw.sum() == 10
         assert np.all(draw <= colors)
         totals += draw

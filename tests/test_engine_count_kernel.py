@@ -1,52 +1,63 @@
-"""Tests for the compiled count-batch kernel path.
+"""Tests for the count kernel: one stream, two implementations.
 
-The count kernel (:mod:`repro.engine._count_kernel`) executes whole
-collision-free batches per C call on its *own* xoshiro256++ stream, so the
-kernel path is equal to the Python path in distribution but not bit-for-bit
-— unlike the fast-batch kernel, it cannot share the Python path's
-trajectory-digest pins.  This module therefore carries:
+The count-batch engine draws one xoshiro256++ stream through a compiled C
+kernel (:mod:`repro.engine._count_kernel`) or through its statement-for-
+statement Python mirror (``_count_kernel.run_row``, ``kernel="python"``
+and every machine without a compiler).  This module carries:
 
-* its own pin set (``KERNEL_EXPECTED``) over the same protocol grid as
-  ``test_engine_trajectory_digests``, gated on kernel availability,
-* checkpoint/resume byte-exactness through the kernel path against those
-  pins (the crashed-process-restarts scenario),
-* KS / quantile-profile equivalence of the kernel path against the Python
-  path on the five cross-engine workloads,
-* the width-adaptive count promotion beyond NumPy's 10^9 hypergeometric
-  operand cap (the machinery that makes ``n = 10^12`` exact), and
-* the trillion-agent acceptance run itself: GSU19 count-space at
-  ``n = 10^12`` with a pinned digest and an O(k) memory bound.
+* the C kernel's run of the count pin set (``KERNEL_EXPECTED``, defined
+  beside the other pins in ``test_engine_trajectory_digests``, which runs
+  it on the Python implementation), and of the benchmark-regime, lazy-miss
+  and ``n = 10^12`` pins, which both implementations must reproduce;
+* checkpoint/resume byte-exactness on the C kernel and across the two
+  implementations in both directions;
+* a Hypothesis differential test that calls both implementations on the
+  same random state (random LUTs with holes, ``n`` up to ``2^53``) and
+  compares every output of every call;
+* the samplers' distributions at operands up to ``10^12``, and
+* the trillion-agent acceptance run: GSU19 count-space at ``n = 10^12``
+  with a pinned digest and an O(k) memory bound.
 
-Regenerate the kernel pins (after an INTENTIONAL consumption change) with
-``python tests/test_engine_count_kernel.py`` on a machine with a C compiler.
+Regenerate the pins (after an INTENTIONAL consumption change, which must
+change both implementations alike) with
+``python tests/test_engine_trajectory_digests.py``.
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from test_engine_equivalence import EXACT_WORKLOADS, convergence_sample
 from test_engine_trajectory_digests import (
     _CHUNKS,
     _SEED,
+    KERNEL_EXPECTED,
     PROTOCOLS,
     trajectory_digest,
 )
 
-from repro.analysis.stats import ks_two_sample, quantile_profile_distance
 from repro.core.params import GSUParams
 from repro.core.protocol import GSULeaderElection
-from repro.engine import count_batch
-from repro.engine._count_kernel import count_kernel_available, kernel_thread_backend
+from repro.engine import _count_kernel, count_batch
+from repro.engine._count_kernel import (
+    CountRow,
+    _hyp_draw,
+    _pair_rows,
+    _split,
+    count_kernel_available,
+    kernel_thread_backend,
+    run_row,
+    seed_kernel_rng,
+)
 from repro.engine.count_batch import (
-    _NUMPY_HYPERGEOMETRIC_CAP,
     _SURVIVAL_MAX_LEN,
     MAX_EXACT_N,
     CountBatchEngine,
-    _hypergeometric_large,
 )
 from repro.engine.rng import make_rng, spawn_seeds
 from repro.errors import ConfigurationError, ProtocolError
@@ -85,23 +96,8 @@ def _gsu19_extreme():
 
 
 # ----------------------------------------------------------------------
-# Kernel-path trajectory pins
+# Pins: the C kernel's runs, and the pins both implementations share
 # ----------------------------------------------------------------------
-
-#: The kernel path's own seed-stability pins (same digest construction as
-#: ``test_engine_trajectory_digests``, kernel="c").  Platform-stable: the
-#: xoshiro256++/SplitMix64 streams and the exact hypergeometric samplers
-#: are fully specified in the kernel source.
-KERNEL_EXPECTED = {
-    "epidemic": "771371952a8e57ef584ddf5c54dbb142ea0804d9656a3ded4f912cccb31c3f8f",
-    "exact-majority": "caef06e793960814f185c5d6f9149e3149a53a2086c58c0aa1f48eb5dfcd6941",
-    "gs18": "87ae6711fa9b4c4c410870e6bce14ad63aa600ac8d6615bd0c2f77fdf2b52d43",
-    "gsu19": "3c00abc7c572382b1388e25be2e314e62794548b6a3a40ea12179b65428c3e6b",
-    "gsu19-closure": "bd53465ae75d0f4766ec4d7738fdfacda8e6c1c5d1236da05567d02f78047372",
-    "lottery": "a603097966fbe78f7d296032310db39aadce90a3bcb0748b6592938a4454ecb0",
-    "majority": "78f8a0d07f5ccad3c83bff2989afbbba3addb64299eeba9102ae889e5d70bab2",
-    "slow-le": "8ad9f98bf4150694c031a9533ed0c67e613f599fa7c4c2d2ad399eef98e40490",
-}
 
 #: GSU19 at n = 10^12 (tiny calibration above), seed ``_SEED``, three
 #: chunks of 2,000,000 interactions: the acceptance digest for the extreme
@@ -138,26 +134,17 @@ def test_kernel_trajectory_digest_is_pinned(protocol_name):
 
 
 @needs_kernel
-def test_kernel_pins_differ_from_python_pins():
-    """The two paths consume different streams by design; identical pins
-    would mean the kernel silently fell back to the Python path."""
-    from test_engine_trajectory_digests import EXPECTED
-
-    for protocol_name in PROTOCOLS:
-        assert KERNEL_EXPECTED[protocol_name] != EXPECTED[f"{protocol_name}/countbatch"]
-
-
-@needs_kernel
 def test_auto_uses_kernel_when_available():
-    """kernel="auto" must take the compiled path on kernel machines — its
-    digest matches the kernel pins, not the Python-path pins."""
+    """kernel="auto" takes the compiled implementation on kernel machines
+    (and draws the pinned stream)."""
     factory, n = PROTOCOLS["epidemic"]
+    assert CountBatchEngine(factory(), n, rng=1)._kernel is not None
     observed = trajectory_digest(CountBatchEngine, factory, n)
     assert observed == KERNEL_EXPECTED["epidemic"]
 
 
 # ----------------------------------------------------------------------
-# Checkpoint/resume byte-exactness through the kernel path
+# Checkpoint/resume byte-exactness on the C kernel and across implementations
 # ----------------------------------------------------------------------
 def _digest_update(digest, engine) -> None:
     counts = sorted((repr(s), c) for s, c in engine.state_counts().items())
@@ -200,111 +187,179 @@ def test_kernel_interrupted_run_matches_pinned_digest(
 
 
 @needs_kernel
-def test_kernel_pinned_at_production_calibration():
+@pytest.mark.parametrize(
+    "recorded,resumed", [("c", "python"), ("python", "c")], ids=["c-to-python", "python-to-c"]
+)
+@pytest.mark.parametrize("protocol_name", ("epidemic", "gsu19"))
+def test_checkpoint_resumes_across_implementations(
+    tmp_path, protocol_name, recorded, resumed
+):
+    """A checkpoint written by one implementation continues on the other
+    to the pinned trajectory: the xoshiro words are the whole stream."""
+    protocol_factory, n = PROTOCOLS[protocol_name]
+    digest = hashlib.sha256()
+    engine = CountBatchEngine(protocol_factory(), n, rng=_SEED, kernel=recorded)
+    engine.run(2 * n + 3)
+    _digest_update(digest, engine)
+    path = tmp_path / "run.ckpt"
+    write_checkpoint(engine.snapshot(), path)
+    other = CountBatchEngine(protocol_factory(), n, rng=0xDEAD, kernel=resumed)
+    other.restore(read_checkpoint(path))
+    for _ in range(_CHUNKS - 1):
+        other.run(2 * n + 3)
+        _digest_update(digest, other)
+    assert digest.hexdigest() == KERNEL_EXPECTED[protocol_name]
+
+
+def _production_digest(kernel: str) -> str:
     protocol = GSULeaderElection(GSUParams(n_hint=10**8, gamma=24, phi=1, psi=3))
-    engine = _kernel_engine(protocol, 20_000, rng=_SEED)
+    engine = CountBatchEngine(protocol, 20_000, rng=_SEED, kernel=kernel)
     digest = hashlib.sha256()
     for _ in range(5):
         engine.run(200_000)
         _digest_update(digest, engine)
     assert engine.table.compiled_pairs == 0
-    assert digest.hexdigest() == _PRODUCTION_CLOSURE_DIGEST
+    return digest.hexdigest()
 
 
-@needs_kernel
-def test_kernel_pinned_through_lazy_misses():
-    engine = _kernel_engine(GSULeaderElection.for_population(2000), 2000, rng=_SEED)
+def _lazy_miss_digest(kernel: str) -> str:
+    engine = CountBatchEngine(
+        GSULeaderElection.for_population(2000), 2000, rng=_SEED, kernel=kernel
+    )
     engine.run(200_000)
     digest = hashlib.sha256()
     _digest_update(digest, engine)
     assert engine.table.compiled_pairs == _LAZY_MISS_PAIRS
-    assert digest.hexdigest() == _LAZY_MISS_DIGEST
+    return digest.hexdigest()
 
 
 @needs_kernel
-def test_python_checkpoint_resumes_on_python_path(tmp_path):
-    """A Python-path checkpoint restored into a kernel-capable engine must
-    continue the *recorded* stream — i.e. downgrade to the Python path —
-    and reproduce the shared countbatch pin byte-for-byte."""
-    from test_engine_trajectory_digests import EXPECTED
-
-    protocol_factory, n = PROTOCOLS["epidemic"]
-    digest = hashlib.sha256()
-    engine = _python_engine(protocol_factory(), n, rng=_SEED)
-    engine.run(2 * n + 3)
-    _digest_update(digest, engine)
-
-    path = tmp_path / "python.ckpt"
-    write_checkpoint(engine.snapshot(), path)
-    resumed = CountBatchEngine(protocol_factory(), n, rng=0xDEAD, kernel="auto")
-    resumed.restore(read_checkpoint(path))
-    assert resumed._kernel is None  # downgraded: no kernel_rng in payload
-    for _ in range(_CHUNKS - 1):
-        resumed.run(2 * n + 3)
-        _digest_update(digest, resumed)
-    assert digest.hexdigest() == EXPECTED["epidemic/countbatch"]
-
-
-# ----------------------------------------------------------------------
-# Distributional equivalence: kernel path vs Python path
-# ----------------------------------------------------------------------
-
-#: Disjoint seed ranges (offsets past the ones test_engine_equivalence
-#: uses, so no sample is ever compared against itself).
-_KERNEL_SEED_BASE = 900_000
-_PYTHON_SEED_BASE = 1_000_000
-
-#: Same per-workload loosening as the cross-engine sanity check: the
-#: closure-registered gamma=4 clock has a much wider convergence-time
-#: spread at this sample size.
-_QUANTILE_BOUNDS = {"gsu19-closure": 3.0}
+def test_kernel_pinned_at_production_calibration():
+    assert _production_digest("c") == _PRODUCTION_CLOSURE_DIGEST
 
 
 @needs_kernel
-@pytest.mark.parametrize("workload", sorted(EXACT_WORKLOADS))
-def test_kernel_agrees_with_python_on_quantile_profiles(workload):
-    n, repetitions = 64, 24
-    kernel_sample = convergence_sample(
-        _kernel_engine, workload, n,
-        range(_KERNEL_SEED_BASE, _KERNEL_SEED_BASE + repetitions),
-    )
-    python_sample = convergence_sample(
-        _python_engine, workload, n,
-        range(_PYTHON_SEED_BASE, _PYTHON_SEED_BASE + repetitions),
-    )
-    bound = _QUANTILE_BOUNDS.get(workload, 1.5)
-    assert quantile_profile_distance(python_sample, kernel_sample) < bound, (
-        f"kernel-path convergence-time quantiles drifted from the Python "
-        f"path on {workload}"
-    )
+def test_kernel_pinned_through_lazy_misses():
+    assert _lazy_miss_digest("c") == _LAZY_MISS_DIGEST
 
 
-@needs_kernel
-@pytest.mark.slow
-@pytest.mark.parametrize("workload", sorted(EXACT_WORKLOADS))
-def test_kernel_vs_python_ks_equivalence(workload):
-    """Two-sample KS over 80 seeds per path at n=128.  Like the cross-engine
-    suite, the fixed seed ranges were checked to land comfortably above the
-    0.01 threshold, so the assertion is deterministic, not flaky."""
-    n, repetitions = 128, 80
-    kernel_sample = convergence_sample(
-        _kernel_engine, workload, n,
-        range(_KERNEL_SEED_BASE, _KERNEL_SEED_BASE + repetitions),
-    )
-    python_sample = convergence_sample(
-        _python_engine, workload, n,
-        range(_PYTHON_SEED_BASE, _PYTHON_SEED_BASE + repetitions),
-    )
-    outcome = ks_two_sample(kernel_sample, python_sample)
-    assert outcome.pvalue > 0.01, (
-        f"kernel vs python on {workload}: KS statistic "
-        f"{outcome.statistic:.3f}, p={outcome.pvalue:.4f}"
-    )
-    assert quantile_profile_distance(kernel_sample, python_sample) < 1.0
+def test_python_implementation_pinned_at_production_calibration():
+    assert _production_digest("python") == _PRODUCTION_CLOSURE_DIGEST
+
+
+def test_python_implementation_pinned_through_lazy_misses():
+    assert _lazy_miss_digest("python") == _LAZY_MISS_DIGEST
 
 
 # ----------------------------------------------------------------------
-# Kernel-path engine invariants
+# Differential test: both implementations, call for call
+# ----------------------------------------------------------------------
+def _survival(n: int, jmax: int) -> np.ndarray:
+    """The engine's negated survival curve, truncated at ``jmax`` (exact
+    by the same conditioning as the engine's own truncation)."""
+    steps = np.arange(jmax, dtype=np.float64)
+    log_p = np.log1p(-2.0 * steps / n) + np.log1p(-2.0 * steps / (n - 1.0))
+    return -np.exp(np.cumsum(log_p))
+
+
+def _c_row(counts, seen, rng, lut, k, cap, budget, n, neg_survival, jmax):
+    """One ``repro_count_row`` call with :func:`run_row`'s signature."""
+    scratch = np.zeros(11 * k, dtype=np.int64)
+    row = CountRow(
+        counts=counts.ctypes.data, seen=seen.ctypes.data, rng=rng.ctypes.data,
+        lut=lut.ctypes.data, k=k, cap=cap, budget=budget,
+    )
+    _count_kernel.load_count_kernel()(
+        ctypes.addressof(row), n, neg_survival.ctypes.data, jmax, scratch.ctypes.data
+    )
+    assert not scratch[: 5 * k].any()  # weight regions restored to zero
+    return row.applied, row.miss_r, row.miss_i
+
+
+_POPULATIONS = st.one_of(
+    st.integers(2, 40),  # every split takes the inversion branch
+    st.integers(41, 10**7),  # runs of >= 10 pairs: HRUA
+    st.integers(MAX_EXACT_N - 10**6, MAX_EXACT_N),  # operands near 2^53
+)
+
+
+@needs_kernel
+@settings(max_examples=120, deadline=None)
+@given(
+    k=st.integers(1, 64),
+    pad=st.integers(0, 3),
+    n=_POPULATIONS,
+    cuts=st.lists(st.floats(0.0, 1.0), min_size=63, max_size=63),
+    seed=st.integers(0, 2**32 - 1),
+    hole_rate=st.sampled_from([0.0, 0.02, 0.3]),
+    budgets=st.lists(st.integers(1, 4000), min_size=1, max_size=4),
+)
+def test_python_implementation_matches_the_kernel_call_for_call(
+    k, pad, n, cuts, seed, hole_rate, budgets
+):
+    """Random packed LUTs (``k <= 64``, ``-1`` holes, a side ``cap >= k``)
+    and random counts summing to ``n``: every call's ``applied``, miss
+    pair, counts, seen mask and xoshiro words agree.  A miss fills its
+    hole before the next call, as the engine compiles the pair."""
+    rng = np.random.default_rng(seed)
+    cap = k + pad
+    bounds = sorted(int(cut * n) for cut in cuts[: k - 1])
+    counts = np.diff([0, *bounds, n]).astype(np.int64)
+    lut = rng.integers(0, k, size=cap * cap) << 32 | rng.integers(0, k, size=cap * cap)
+    lut[rng.random(cap * cap) < hole_rate] = -1
+    jmax = max(1, min(n // 2, 4096))
+    neg_survival = _survival(n, jmax)
+    words = seed_kernel_rng(make_rng(seed))
+    states = [
+        (counts.copy(), np.zeros(k, dtype=np.uint8), words.copy()) for _ in range(2)
+    ]
+    for budget in budgets:
+        outputs = [
+            call(c, s, w, lut, k, cap, budget, n, neg_survival, jmax)
+            for call, (c, s, w) in zip((_c_row, run_row), states)
+        ]
+        assert outputs[0] == outputs[1]
+        for left, right in zip(*states):
+            assert np.array_equal(left, right)
+        miss_r, miss_i = outputs[0][1:]
+        if miss_r >= 0:
+            lut[miss_r * cap + miss_i] = miss_r << 32 | miss_i
+
+
+@needs_kernel
+@settings(max_examples=60, deadline=None)
+@given(
+    protocol_name=st.sampled_from(["epidemic", "gsu19", "majority", "lottery"]),
+    first=st.sampled_from(["c", "python"]),
+    chunks=st.lists(st.integers(1, 700), min_size=2, max_size=5),
+    cut=st.integers(1, 4),
+)
+def test_snapshot_restore_across_implementations_continues_the_stream(
+    protocol_name, first, chunks, cut
+):
+    """Run ``chunks`` on one implementation, snapshot after ``cut`` of them,
+    restore into the other and finish there: the end state equals an
+    uninterrupted run's, chunk by chunk."""
+    factory, n = PROTOCOLS[protocol_name]
+    second = "python" if first == "c" else "c"
+    reference = CountBatchEngine(factory(), n, rng=_SEED, kernel=first)
+    engine = CountBatchEngine(factory(), n, rng=_SEED, kernel=first)
+    for index, chunk in enumerate(chunks):
+        if index == min(cut, len(chunks) - 1):
+            snapshot = engine.snapshot()
+            engine = CountBatchEngine(factory(), n, rng=0xDEAD, kernel=second)
+            engine.restore(snapshot)
+        reference.run(chunk)
+        engine.run(chunk)
+        assert engine.interactions == reference.interactions
+        assert engine.state_counts() == reference.state_counts()
+        assert engine.states_ever_occupied == reference.states_ever_occupied
+    assert np.array_equal(engine._kernel_rng, reference._kernel_rng)
+
+
+
+# ----------------------------------------------------------------------
+# C-kernel engine invariants
 # ----------------------------------------------------------------------
 @needs_kernel
 def test_kernel_tiny_populations_are_exact_edges():
@@ -402,7 +457,7 @@ def test_kernel_c_refused_when_unavailable(monkeypatch):
     monkeypatch.setattr(count_batch, "load_count_kernel", lambda: None)
     with pytest.raises(ConfigurationError, match="count kernel"):
         CountBatchEngine(OneWayEpidemic(), 100, rng=0, kernel="c")
-    # "auto" falls back to the Python path silently.
+    # "auto" falls back to the Python implementation silently.
     engine = CountBatchEngine(OneWayEpidemic(), 100, rng=0, kernel="auto")
     assert engine._kernel is None
     engine.run(50)
@@ -415,38 +470,36 @@ def test_kernel_argument_is_validated():
 
 
 # ----------------------------------------------------------------------
-# Count-space hot-path bugfixes: pair-matrix marginals, survival bounds,
-# width-adaptive count promotion
+# Samplers: pairing marginals, survival bounds, operands past 10^9
 # ----------------------------------------------------------------------
 def test_pair_matrix_marginals_are_exact():
-    """Regression for the last-responder-row aliasing fix: the pairing
-    contingency cells must reproduce both marginals exactly — the responder
-    marginal from the responder split and the initiator marginal from the
-    remaining pool (which the final row must *copy*, not alias, so later
-    buffer reuse cannot corrupt the recorded cells)."""
+    """The pairing rows reproduce both marginals exactly: the responder
+    marginal is the responder split, and the initiator marginal is the
+    involved multiset minus the responders (the last row takes the rest of
+    the pool without a draw)."""
     engine = _python_engine(ApproximateMajority(initial_a_fraction=0.5), 4096, rng=3)
     engine.run(2_000)  # occupy all three states
-    draws = []
-    original = CountBatchEngine._multivariate_hypergeometric
-
-    def recording(self, colors, nsample, total):
-        out = original(self, colors, nsample, total)
-        draws.append(out.copy())
-        return out
-
-    engine._multivariate_hypergeometric = recording.__get__(engine)
+    words = [int(word) for word in engine._kernel_rng]
     pairs = 24
-    involved, pair_r, pair_i, pair_m = engine._pair_matrix(pairs)
-    responders = draws[1]  # draw 0 = involved, draw 1 = responder split
-    assert sum(pair_m) == pairs
-    size = involved.shape[0]
-    responder_marginal = np.zeros(size, dtype=np.int64)
-    initiator_marginal = np.zeros(size, dtype=np.int64)
-    for a, b, m in zip(pair_r, pair_i, pair_m):
-        responder_marginal[a] += m
-        initiator_marginal[b] += m
-    assert np.array_equal(responder_marginal, responders)
-    assert np.array_equal(initiator_marginal, involved - responders)
+    weighted = [(sid, int(c)) for sid, c in enumerate(engine.count_vector()) if c]
+    involved = {
+        sid: h for sid, h in _split(words, weighted, 2 * pairs, engine.n) if h
+    }
+    responders = {
+        sid: r for sid, r in _split(words, involved.items(), pairs, 2 * pairs) if r
+    }
+    initiators = {sid: h - responders.get(sid, 0) for sid, h in involved.items()}
+    responder_marginal: dict = {}
+    initiator_marginal: dict = {}
+    for a, row in _pair_rows(words, responders, dict(initiators), pairs):
+        for b, m in row:
+            responder_marginal[a] = responder_marginal.get(a, 0) + m
+            initiator_marginal[b] = initiator_marginal.get(b, 0) + m
+    assert sum(responder_marginal.values()) == pairs
+    assert {a: m for a, m in responder_marginal.items() if m} == responders
+    assert {b: m for b, m in initiator_marginal.items() if m} == {
+        b: m for b, m in initiators.items() if m
+    }
 
 
 def test_rejects_population_beyond_exactness_bound():
@@ -472,26 +525,15 @@ def test_survival_curve_is_capped_and_finite_at_extreme_n():
     assert survival[1] == pytest.approx((n - 2) * (n - 3) / (n * (n - 1)))
 
 
-def test_hypergeometric_checked_routes_below_cap_to_numpy():
-    """Below the 10^9 operand cap the checked entry point must consume the
-    exact NumPy stream (digest-pin compatibility)."""
-    engine = CountBatchEngine(_CountsOnlyEpidemic(), 10**10, rng=123, kernel="python")
-    assert engine._hyper == engine._hypergeometric_checked
-    reference = make_rng(123)
-    # The engine construction consumed no draws, so the streams align.
-    assert engine._hypergeometric_checked(500, 700, 300) == reference.hypergeometric(
-        500, 700, 300
-    )
-
-
 def test_hypergeometric_large_is_exact_in_mean_and_support():
-    """The pure-Python promotion sampler (HRUA + urn inversion) at operands
-    NumPy refuses: support bounds always, mean to ~4 sigma."""
-    rng = make_rng(7)
+    """The stream's hypergeometric sampler (HRUA + urn inversion) at
+    operands past NumPy's 10^9 cap: support bounds always, mean to ~4
+    sigma."""
+    words = [int(word) for word in seed_kernel_rng(make_rng(7))]
     good, bad, sample = 3 * 10**9, 7 * 10**9, 10**6
     total = good + bad
     trials = 400
-    values = [_hypergeometric_large(rng, good, bad, sample) for _ in range(trials)]
+    values = [_hyp_draw(words, good, bad, sample) for _ in range(trials)]
     assert all(0 <= v <= sample for v in values)
     mean = sample * good / total
     var = sample * (good / total) * (bad / total) * (total - sample) / (total - 1)
@@ -499,26 +541,27 @@ def test_hypergeometric_large_is_exact_in_mean_and_support():
     assert abs(np.mean(values) - mean) < 4 * sigma
     # The urn-inversion branch (symmetrised sample < 10): tiny draws from
     # a 10^12 pool.
-    small = [_hypergeometric_large(rng, 6 * 10**11, 4 * 10**11, 5) for _ in range(2000)]
+    small = [_hyp_draw(words, 6 * 10**11, 4 * 10**11, 5) for _ in range(2000)]
     assert all(0 <= v <= 5 for v in small)
     assert abs(np.mean(small) - 3.0) < 0.15
     # Degenerate pools short-circuit without consuming randomness.
-    assert _hypergeometric_large(rng, 0, 10**10, 5) == 0
-    assert _hypergeometric_large(rng, 10**10, 0, 5) == 5
+    before = list(words)
+    assert _hyp_draw(words, 0, 10**10, 5) == 0
+    assert _hyp_draw(words, 10**10, 0, 5) == 5
+    assert words == before
 
 
 def test_multivariate_hypergeometric_promotes_past_numpy_total_cap():
-    """A draw whose total reaches 10^9 cannot use NumPy's vectorised
-    marginals sampler; the scalar sequential-conditional walk (with
-    width-checked draws) must take over and stay exact."""
-    engine = CountBatchEngine(_CountsOnlyEpidemic(), 10**10, rng=5, kernel="python")
-    # 20 occupied states (past the scalar-walk threshold, so the vectorised
-    # branch *would* be chosen) with a total past the NumPy cap.
+    """A sequential-conditional split whose total passes 10^9 (where
+    NumPy's vectorised sampler would refuse) stays exact."""
+    words = [int(word) for word in seed_kernel_rng(make_rng(5))]
     colors = np.zeros(20, dtype=np.int64)
     colors[::2] = 10**9
     colors[1::2] = 1
     total = int(colors.sum())
-    draw = engine._multivariate_hypergeometric(colors, 10_000, total)
+    draw = np.zeros(20, dtype=np.int64)
+    for sid, drawn in _split(words, enumerate(colors.tolist()), 10_000, total):
+        draw[sid] = drawn
     assert draw.sum() == 10_000
     assert np.all(draw >= 0)
     assert np.all(draw <= colors)
@@ -529,23 +572,28 @@ def test_multivariate_hypergeometric_promotes_past_numpy_total_cap():
 # ----------------------------------------------------------------------
 # The trillion-agent acceptance run
 # ----------------------------------------------------------------------
+def _extreme_run(kernel: str) -> CountBatchEngine:
+    engine = CountBatchEngine(_gsu19_extreme(), 10**12, rng=_SEED, kernel=kernel)
+    digest = hashlib.sha256()
+    for _ in range(_CHUNKS):
+        engine.run(_EXTREME_CHUNK)
+        _digest_update(digest, engine)
+    assert digest.hexdigest() == _EXTREME_DIGEST, (
+        f"the extreme-tier trajectory diverged from the pinned digest on "
+        f"kernel={kernel!r}; if the consumption change is intentional, "
+        "regenerate the pin (see module docstring)"
+    )
+    assert sum(engine.state_counts().values()) == 10**12
+    return engine
+
+
 @needs_kernel
 def test_gsu19_count_space_at_1e12_is_pinned_and_small():
     """GSU19 count-space at n = 10^12 through the kernel: the digest is
     pinned (reproducible across machines) and the engine-resident memory
     stays far below the 1 GiB acceptance bound — the survival curve's
     2^23-entry cap (64 MiB) dominates."""
-    engine = _kernel_engine(_gsu19_extreme(), 10**12, rng=_SEED)
-    digest = hashlib.sha256()
-    for _ in range(_CHUNKS):
-        engine.run(_EXTREME_CHUNK)
-        _digest_update(digest, engine)
-    assert digest.hexdigest() == _EXTREME_DIGEST, (
-        "the extreme-tier trajectory diverged from the pinned digest; "
-        "if the consumption change is intentional, regenerate the pin "
-        "(see module docstring)"
-    )
-    assert sum(engine.state_counts().values()) == 10**12
+    engine = _extreme_run("c")
     resident = (
         engine._neg_survival.nbytes
         + engine._counts.nbytes
@@ -558,7 +606,13 @@ def test_gsu19_count_space_at_1e12_is_pinned_and_small():
     assert engine._neg_survival.nbytes == _SURVIVAL_MAX_LEN * 8
 
 
-if __name__ == "__main__":  # pragma: no cover - pin regeneration helper
+def test_python_implementation_pinned_at_1e12():
+    _extreme_run("python")
+
+
+if __name__ == "__main__":  # pragma: no cover - C-side pin regeneration helper
     for name, (factory, population) in sorted(PROTOCOLS.items()):
         value = trajectory_digest(_kernel_engine, factory, population)
         print(f'    "{name}": "{value}",')
+    print("production:", _production_digest("c"))
+    print("lazy misses:", _lazy_miss_digest("c"))

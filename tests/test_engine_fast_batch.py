@@ -404,21 +404,25 @@ def test_auto_engine_cost_model_discriminates_by_state_count(monkeypatch):
     force threshold count-capability alone decides (per-agent construction
     is the binding constraint there, not throughput).  The model is
     count-kernel-aware, so both tiers are pinned explicitly here: on the
-    NumPy tier a 4-state protocol stays on fastbatch at 3e6; with the
+    Python tier a 4-state protocol stays on fastbatch at 3e6; with the
     compiled count kernel its per-batch cost collapses and the same
     protocol dispatches straight to count-batch."""
     from repro.engine import dispatch
     from repro.engine.dispatch import COUNTBATCH_FORCE_N, count_capable
     from repro.protocols.exact_majority import ExactMajority
 
-    # NumPy tier: 4 states is ~4x the epidemic's per-batch cost, pushing
-    # the measured crossover past 3e6 (the 2-state crossover).
+    # Python tier: 4 states cost ~3x the epidemic's per batch, pushing the
+    # modelled crossover past the force threshold, while the 2-state
+    # epidemic crosses below 10^7.
     monkeypatch.setattr(dispatch, "count_kernel_available", lambda: False)
     majority = ExactMajority.for_population(3 * 10**6)
     assert count_capable(majority, 3 * 10**6) == 4
     assert auto_engine(majority, 3 * 10**6) is FastBatchEngine
     big_majority = ExactMajority.for_population(10**7)
-    assert auto_engine(big_majority, 10**7) is CountBatchEngine
+    assert auto_engine(big_majority, 10**7) is FastBatchEngine
+    assert auto_engine(OneWayEpidemic(), 10**7) is CountBatchEngine
+    forced_majority = ExactMajority.for_population(COUNTBATCH_FORCE_N)
+    assert auto_engine(forced_majority, COUNTBATCH_FORCE_N) is CountBatchEngine
     # Kernel tier: the compiled count kernel's per-batch cost at 4 occupied
     # states is negligible, so the same 3e6 instance goes to count-batch.
     monkeypatch.setattr(dispatch, "count_kernel_available", lambda: True)
@@ -432,6 +436,42 @@ def test_auto_engine_cost_model_discriminates_by_state_count(monkeypatch):
     assert auto_engine(gs18, COUNTBATCH_FORCE_N) is FastBatchEngine
     monkeypatch.setattr(dispatch, "count_kernel_available", lambda: False)
     assert auto_engine(gs18, COUNTBATCH_FORCE_N) is FastBatchEngine
+
+
+class _DeclaredStates(OneWayEpidemic):
+    """A count-capable protocol declaring ``k`` canonical states."""
+
+    def __init__(self, k: int) -> None:
+        super().__init__()
+        self._k = k
+
+    def canonical_states(self):
+        return range(self._k)
+
+
+#: ``auto``'s choice with both kernels compiled, per declared state count,
+#: at n = 10^6, 3*10^6, 10^7, 2*10^7 and 3*10^7 ("c" countbatch, "f"
+#: fastbatch), as recorded when the count engine still had a separate NumPy
+#: stream: the compiled tier's cost model is unchanged.
+_KERNEL_MACHINE_CHOICES = {
+    2: "fcccc", 4: "fcccc", 16: "fcccc", 18: "fcccc", 19: "ffccc",
+    24: "ffccc", 29: "fffcc", 30: "ffffc", 32: "ffffc", 1789: "ffffc",
+}
+
+
+def test_auto_choices_on_a_kernel_machine_are_unchanged(monkeypatch):
+    from repro.engine import dispatch
+
+    monkeypatch.setattr(dispatch, "kernel_available", lambda: True)
+    monkeypatch.setattr(dispatch, "count_kernel_available", lambda: True)
+    sizes = (10**6, 3 * 10**6, 10**7, 2 * 10**7, 3 * 10**7)
+    for states, expected in _KERNEL_MACHINE_CHOICES.items():
+        protocol = _DeclaredStates(states)
+        observed = "".join(
+            "c" if auto_engine(protocol, n) is CountBatchEngine else "f"
+            for n in sizes
+        )
+        assert observed == expected, states
 
 
 def test_auto_engine_dispatches_closure_registered_gsu19(monkeypatch):

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from repro.engine import parallel
+from repro.engine import cpus, parallel
 from repro.engine.parallel import SweepPoint, available_cpus, run_cells, run_many
 from repro.engine.simulation import run_protocol
 from repro.errors import ConfigurationError, SweepError
@@ -90,6 +90,56 @@ def test_available_cpus_respects_affinity_mask(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", _no_affinity, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 7)
     assert available_cpus() == 7
+
+
+def test_available_cpus_honours_max_workers_env(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    monkeypatch.setenv("REPRO_MAX_WORKERS", "3")
+    assert available_cpus() == 3
+    # A cap above the affinity count never oversubscribes.
+    monkeypatch.setenv("REPRO_MAX_WORKERS", "64")
+    assert available_cpus() == 8
+    # Garbage and non-positive values are ignored, not raised.
+    monkeypatch.setenv("REPRO_MAX_WORKERS", "zero")
+    assert available_cpus() == 8
+    monkeypatch.setenv("REPRO_MAX_WORKERS", "0")
+    assert available_cpus() == 8
+
+
+def test_sweep_worker_clamp_uses_shared_cpu_budget(monkeypatch):
+    # parallel.available_cpus is the cpus.py implementation, so the sweep
+    # scheduler's worker clamp honours REPRO_MAX_WORKERS without its own
+    # plumbing.
+    assert parallel.available_cpus is cpus.available_cpus
+
+
+def _cell_signature(points):
+    return [
+        (p.n, p.seed, p.result.converged, p.result.interactions,
+         p.result.parallel_time, sorted(map(repr, p.result.final_counts.items())))
+        for p in points
+    ]
+
+
+@pytest.mark.parametrize("backend", ["serial", "process"])
+def test_pooled_backends_bit_identical_to_serial(monkeypatch, backend):
+    """Serial and 2-process sweeps both equal one plain run per cell."""
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+    points = run_many(
+        _factory,
+        [16, 32],
+        repetitions=2,
+        base_seed=3,
+        max_parallel_time=1000,
+        workers=0 if backend == "serial" else 2,
+    )
+    fresh = [
+        SweepPoint(p.n, p.seed, run_protocol(
+            _factory(p.n), p.n, seed=p.seed, max_parallel_time=1000
+        ))
+        for p in points
+    ]
+    assert _cell_signature(points) == _cell_signature(fresh)
 
 
 def test_pool_results_match_serial(monkeypatch):

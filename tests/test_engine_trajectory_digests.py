@@ -12,7 +12,11 @@ state objects hash through ``repr``, and the fast-batch engine's digests are
 identical with and without the C kernel (bit-for-bit guarantee, verified at
 pin time by generating them both ways).  ``sequential``, ``fastbatch`` and
 ``fastbatch-numpy`` share one digest per protocol by design — the
-identical-trajectory guarantee in its strongest observable form.
+identical-trajectory guarantee in its strongest observable form.  The
+count-batch engine draws one xoshiro256++ stream through two
+implementations of its kernel, the C one and its Python mirror, so its one
+pin set (``KERNEL_EXPECTED``) holds for both: this module runs it on the
+Python one, ``test_engine_count_kernel`` on the C one.
 
 If an INTENTIONAL randomness-consumption change lands (e.g. a different
 sampling scheme), regenerate the pins with
@@ -27,6 +31,7 @@ import pytest
 
 from repro.core.params import GSUParams
 from repro.core.protocol import GSULeaderElection
+from repro.engine._count_kernel import count_kernel_available
 from repro.engine.count_batch import CountBatchEngine
 from repro.engine.engine import SequentialEngine
 from repro.engine.fast_batch import FastBatchEngine
@@ -41,6 +46,11 @@ from repro.protocols.slow import SlowLeaderElection
 
 _SEED = 20190622
 _CHUNKS = 3
+
+needs_count_kernel = pytest.mark.skipif(
+    not count_kernel_available(),
+    reason="count kernel unavailable (no C compiler, or REPRO_NO_C_KERNEL=1)",
+)
 
 #: protocol name -> (factory, n).  Fresh protocol per run: identifier layout
 #: of lazily discovered states (and hence count-engine trajectories) depends
@@ -69,10 +79,8 @@ def _fastbatch_numpy(protocol, n, rng=None):
 
 
 def _countbatch_python(protocol, n, rng=None):
-    # The countbatch C kernel runs its own RNG stream (equal in
-    # distribution, not bit-for-bit), so the shared pins record the
-    # Python path; the kernel path has its own pin set in
-    # test_engine_count_kernel.py, gated on kernel availability.
+    # The Python implementation of the count kernel needs no compiler; the
+    # C one draws the same stream and is pinned in test_engine_count_kernel.
     return CountBatchEngine(protocol, n, rng, kernel="python")
 
 
@@ -91,39 +99,50 @@ ENGINES = {
 #: because the closure-registered identifier layout (BFS order) replaces the
 #: lazy discovery order.
 EXPECTED = {
-    "epidemic/countbatch": "b96cd061b46bc019f8761d17318c2463b1a71818c182047ac7455a7982c88082",
     "epidemic/fastbatch": "50e15d297a022ae2ba80dcebc2458a2f43042c1ae0272f0f484ad275c0804551",
     "epidemic/fastbatch-numpy": "50e15d297a022ae2ba80dcebc2458a2f43042c1ae0272f0f484ad275c0804551",
     "epidemic/sequential": "50e15d297a022ae2ba80dcebc2458a2f43042c1ae0272f0f484ad275c0804551",
-    "exact-majority/countbatch": "2f29773af059bf46e8487480343a4ccfa7604aa40b91da8a4929e97a1c99d171",
     "exact-majority/fastbatch": "9cc08013e4b7faeee7c4f05f8c2302b497cf50b8806a501408022f1d7d466c3d",
     "exact-majority/fastbatch-numpy": "9cc08013e4b7faeee7c4f05f8c2302b497cf50b8806a501408022f1d7d466c3d",
     "exact-majority/sequential": "9cc08013e4b7faeee7c4f05f8c2302b497cf50b8806a501408022f1d7d466c3d",
-    "gs18/countbatch": "8d6748a605700caffef178ca200d154af57e62cec7c7d90858a137862fe5f977",
     "gs18/fastbatch": "9001b8e8337897125703bf6ee947504536c77ca5960a676fd541d80e7c791104",
     "gs18/fastbatch-numpy": "9001b8e8337897125703bf6ee947504536c77ca5960a676fd541d80e7c791104",
     "gs18/sequential": "9001b8e8337897125703bf6ee947504536c77ca5960a676fd541d80e7c791104",
-    "gsu19/countbatch": "0d4aed97e0cec4966664c74436d316162a7aa1616175ae5d161f4102bffd2770",
     "gsu19/fastbatch": "b2244c1533df79e8e4437f8c363793d5d3bcb005e9fcb523c68d34380a5cf84d",
     "gsu19/fastbatch-numpy": "b2244c1533df79e8e4437f8c363793d5d3bcb005e9fcb523c68d34380a5cf84d",
     "gsu19/sequential": "b2244c1533df79e8e4437f8c363793d5d3bcb005e9fcb523c68d34380a5cf84d",
-    "gsu19-closure/countbatch": "80c1f878a63a4a11f162699bc21b86b5f2872e1caf5b224e1892870d4fb3f1fb",
     "gsu19-closure/fastbatch": "b2244c1533df79e8e4437f8c363793d5d3bcb005e9fcb523c68d34380a5cf84d",
     "gsu19-closure/fastbatch-numpy": "b2244c1533df79e8e4437f8c363793d5d3bcb005e9fcb523c68d34380a5cf84d",
     "gsu19-closure/sequential": "b2244c1533df79e8e4437f8c363793d5d3bcb005e9fcb523c68d34380a5cf84d",
-    "lottery/countbatch": "18c9abb08d30566671f360e1542ffa430501587cdd6198efee8a430d9a5ff4b7",
     "lottery/fastbatch": "bd676f22242065138191e300af88edf716b552bc8f6581f3bda49af97f9551c7",
     "lottery/fastbatch-numpy": "bd676f22242065138191e300af88edf716b552bc8f6581f3bda49af97f9551c7",
     "lottery/sequential": "bd676f22242065138191e300af88edf716b552bc8f6581f3bda49af97f9551c7",
-    "majority/countbatch": "13fb2bfec03a927ba86872884adfd445b50361fad7135799dd4a413363751aa8",
     "majority/fastbatch": "e8e45fccc8f1907bf08aa37c1fe41f0cfb383b90f5525fcdf86a75af7a3e832e",
     "majority/fastbatch-numpy": "e8e45fccc8f1907bf08aa37c1fe41f0cfb383b90f5525fcdf86a75af7a3e832e",
     "majority/sequential": "e8e45fccc8f1907bf08aa37c1fe41f0cfb383b90f5525fcdf86a75af7a3e832e",
-    "slow-le/countbatch": "bc5df660226bed0c1b88dfbb60f3099cd635c9c7464d536476f95257bcc535cd",
     "slow-le/fastbatch": "8307ba47134c14665ac938db3c24b798f1626dbfdcb84a893c531a0b4bcb137d",
     "slow-le/fastbatch-numpy": "8307ba47134c14665ac938db3c24b798f1626dbfdcb84a893c531a0b4bcb137d",
     "slow-le/sequential": "8307ba47134c14665ac938db3c24b798f1626dbfdcb84a893c531a0b4bcb137d",
 }
+
+#: The count-batch engine's pins, on either implementation of its kernel.
+KERNEL_EXPECTED = {
+    "epidemic": "771371952a8e57ef584ddf5c54dbb142ea0804d9656a3ded4f912cccb31c3f8f",
+    "exact-majority": "caef06e793960814f185c5d6f9149e3149a53a2086c58c0aa1f48eb5dfcd6941",
+    "gs18": "87ae6711fa9b4c4c410870e6bce14ad63aa600ac8d6615bd0c2f77fdf2b52d43",
+    "gsu19": "3c00abc7c572382b1388e25be2e314e62794548b6a3a40ea12179b65428c3e6b",
+    "gsu19-closure": "bd53465ae75d0f4766ec4d7738fdfacda8e6c1c5d1236da05567d02f78047372",
+    "lottery": "a603097966fbe78f7d296032310db39aadce90a3bcb0748b6592938a4454ecb0",
+    "majority": "78f8a0d07f5ccad3c83bff2989afbbba3addb64299eeba9102ae889e5d70bab2",
+    "slow-le": "8ad9f98bf4150694c031a9533ed0c67e613f599fa7c4c2d2ad399eef98e40490",
+}
+
+
+def expected_digest(protocol_name: str, engine_name: str) -> str:
+    """The pinned digest of an ``ENGINES`` cell."""
+    if engine_name == "countbatch":
+        return KERNEL_EXPECTED[protocol_name]
+    return EXPECTED[f"{protocol_name}/{engine_name}"]
 
 
 #: Approximate-tier determinism pins: one workload per engine (ISSUE 9).
@@ -169,22 +188,21 @@ DRIVER_ENGINES = {
 DRIVER_CADENCES = {"fixed": 97, "auto": "auto"}
 
 DRIVER_EXPECTED = {
-    "gsu19/countbatch/auto": (7757, "1c22b087409a7fee479ebfddc3e00f09fce65592d7ffc89c37be9c8153289293", "da8dd7eedfc0810942130051de53913f92bf8b4edbd4503be1e5a1b7f202680a", 22),
-    "gsu19/countbatch/fixed": (7757, "83848d5602a566a76c48c8baae92c6528d0a415542af9208b69a22865e31ab1a", "6b56ffac6ad0c55c7c68e41cb9a8ff12238b497df7bb5f1f3f3cfad024643a83", 26),
+    "gsu19/countbatch/auto": (7757, "037d3c65dc6eca565aacc16a5881cafca787e2d0df0abd2205154c9c9753de33", "ecac033a8a038afcc92bdc9f774dc60f97e70ef1ee4820aea4cff53ba1d3bc60", 24),
+    "gsu19/countbatch/fixed": (7757, "677a71421aa156f36b1df7d9aa95824b330913981f25630278be047461a3f6eb", "3e9d33b330276245fc5cfcb1be678641e43630482b2e6caf8bf0931355476334", 26),
     "gsu19/fastbatch/auto": (7757, "327803398e265b58f218639181f06def73b9f1c925cd704e51bb9ae82790883f", "40a2fc1460964990c451cb3c8ea04d219a695628b18438d09d0cfaafeefc66ea", 24),
     "gsu19/fastbatch/fixed": (7757, "32795a3f6d2d9706adc05ecd82c809604e7aeca997c95dfbb7ce3bad88d17ff8", "4c9c4a956b203a4f9a79d6ef957f32de73896bd1686abeddad21b65b0b0d9c1e", 26),
-    "slow-le/countbatch/auto": (1552, "e492227fa71e45e8aaa4a26bdc0718e03ca2e36a0695619c9ba661e2c060b395", "92cc2a7fc22665b5a1a153786961b6414701edda4cadc4dfd46c178e5d894278", 14),
-    "slow-le/countbatch/fixed": (1455, "e492227fa71e45e8aaa4a26bdc0718e03ca2e36a0695619c9ba661e2c060b395", "fefb024280cf454db273a6d0cdb6e4a4d74e872472f977c0574b62123113969a", 15),
+    "slow-le/countbatch/auto": (3232, "e492227fa71e45e8aaa4a26bdc0718e03ca2e36a0695619c9ba661e2c060b395", "21d5d29a94167fdfd37e49f35c4c6e61641dbb561cc6aeb4465a908b2c951b07", 23),
+    "slow-le/countbatch/fixed": (5917, "e492227fa71e45e8aaa4a26bdc0718e03ca2e36a0695619c9ba661e2c060b395", "b852858eddfedc237fec77b2017d8b5d423162128a8a165072c9b6855b4f776b", 61),
     "slow-le/fastbatch/auto": (4816, "e492227fa71e45e8aaa4a26bdc0718e03ca2e36a0695619c9ba661e2c060b395", "35f161ee2ad1564f6b303085646766e007de5da104bb9531fb37bea56a5e6a93", 29),
     "slow-le/fastbatch/fixed": (2619, "e492227fa71e45e8aaa4a26bdc0718e03ca2e36a0695619c9ba661e2c060b395", "464269f8581fa5fd94e66a5ca1a548ffdc894ed6d91a4d9a60a24865b54d4f04", 27),
 }
 
 #: Sweep-cell pins: four seeds of one ``run_cells`` call on the count-space
-#: engine's Python path, one (converged, interactions, final-counts digest)
-#: per cell.  Recorded when these seeds formed one replica-vectorised
-#: mega-cell; they now run as one-cell units, so the unchanged values show
-#: that retiring mega-cells changed no trajectory.  Both budgets end on a
-#: clipped chunk; slow-le's splits the cells between converged and
+#: engine, one (converged, interactions, final-counts digest) per cell.
+#: They pin the sweep, not the count stream, and hold on both
+#: implementations of the count kernel.  Both budgets end on a clipped
+#: chunk; slow-le's splits the cells between converged and
 #: budget-exhausted.
 MEGA_SEEDS = (11, 12, 13, 14)
 MEGA_CASES = {
@@ -195,28 +213,28 @@ MEGA_CASES = {
 
 MEGA_EXPECTED = {
     "gsu19/auto": [
-        (False, 7757, "88831795b96efc15b3e0796fb720470cf4aa36796dda94f7b87f124f0ee5ebf6"),
-        (False, 7757, "8edd6fc07100511b0040073bb7f6f69ad093e2c4ac65ea3091ca0a2170374f6b"),
-        (False, 7757, "2b669e4126d2aa41ee865d0f64b510897fe7761ed0aac24c5b1c4743e57ceb9e"),
-        (False, 7757, "d8a34518ed50fba9529d2e9aec761ded727d838ce206a2530a8d152b59314109"),
+        (False, 7757, "15cd4208071adc46da56110614a6f1bb9578138792c606420732f58fd7d0fb4b"),
+        (False, 7757, "627d1faca7b5912268f947f5b1930fcf9b511c7744d1d01123c17afd5200e90b"),
+        (False, 7757, "a28729f8c8c942e48375b7d061710d99b66509caad9c79e0870dee2e15d3c3b1"),
+        (False, 7757, "b9d5d2e24a88ecf00f182a412e33daaee77ac85f9102eb8da78ccdddf50fe622"),
     ],
     "gsu19/fixed": [
-        (False, 7757, "b8c53efd06c9b7aed6ee2fb34bd46800b94c373a678748354fa81eb7c7a812fd"),
-        (False, 7757, "80e6a4f52ab0cd80777551ea0b624e0f59abab052beefdb59966ff942e6d8b4e"),
-        (False, 7757, "650b67f03cd9644277a897dce56508d34d2b7ffaf14213ddb2646f409c6862ad"),
-        (False, 7757, "4186078a971ee1605f47552ce7d581516f58a951939b364b1ea8d83da7c2b40d"),
+        (False, 7757, "7ade14f1f67fb130672162556725b18c94f3eff0674e458c52c34f03ce4fec85"),
+        (False, 7757, "a27e37d92a545a2cc51b38e2c22656958b63f8833b871a626be84913737773f5"),
+        (False, 7757, "d7923243ab8c1fddf93756503312ef3a4e44b4a3b3722e421e8bc698744ffd26"),
+        (False, 7757, "a5ad76b1d0d86f1edb109d7614965be131986764bc3f459c1b3ff2aec5845b3a"),
     ],
     "slow-le/auto": [
-        (False, 3859, "403bb780795fd5daf01d5d4cc54696f3a89b40927eea776556e9f165f5046fa3"),
-        (False, 3859, "403bb780795fd5daf01d5d4cc54696f3a89b40927eea776556e9f165f5046fa3"),
+        (True, 2592, "e492227fa71e45e8aaa4a26bdc0718e03ca2e36a0695619c9ba661e2c060b395"),
+        (True, 1824, "e492227fa71e45e8aaa4a26bdc0718e03ca2e36a0695619c9ba661e2c060b395"),
         (False, 3859, "403bb780795fd5daf01d5d4cc54696f3a89b40927eea776556e9f165f5046fa3"),
         (False, 3859, "403bb780795fd5daf01d5d4cc54696f3a89b40927eea776556e9f165f5046fa3"),
     ],
     "slow-le/fixed": [
-        (True, 2328, "e492227fa71e45e8aaa4a26bdc0718e03ca2e36a0695619c9ba661e2c060b395"),
         (False, 3859, "403bb780795fd5daf01d5d4cc54696f3a89b40927eea776556e9f165f5046fa3"),
-        (True, 3783, "e492227fa71e45e8aaa4a26bdc0718e03ca2e36a0695619c9ba661e2c060b395"),
-        (True, 3298, "e492227fa71e45e8aaa4a26bdc0718e03ca2e36a0695619c9ba661e2c060b395"),
+        (True, 2910, "e492227fa71e45e8aaa4a26bdc0718e03ca2e36a0695619c9ba661e2c060b395"),
+        (False, 3859, "403bb780795fd5daf01d5d4cc54696f3a89b40927eea776556e9f165f5046fa3"),
+        (True, 2910, "e492227fa71e45e8aaa4a26bdc0718e03ca2e36a0695619c9ba661e2c060b395"),
     ],
 }
 
@@ -226,14 +244,16 @@ def _counts_digest(counts) -> str:
     return hashlib.sha256(repr(ordered).encode()).hexdigest()
 
 
-def driver_pin(protocol_name, engine_name, cadence, checkpoint_path) -> tuple:
-    """``(interactions, final-counts digest, checks digest, checkpoints)``."""
+def driver_pin(protocol_name, engine_name, cadence, checkpoint_path, **kwargs) -> tuple:
+    """``(interactions, final-counts digest, checks digest, checkpoints)``;
+    ``kwargs`` override the engine's keywords."""
     from repro.engine.recorder import OutputCountRecorder
     from repro.engine.simulation import Simulation
 
     key, max_parallel_time = DRIVER_PROTOCOLS[protocol_name]
     factory, n = PROTOCOLS[key]
     engine_spec, engine_kwargs = DRIVER_ENGINES[engine_name]
+    engine_kwargs = {**engine_kwargs, **kwargs}
     recorder = OutputCountRecorder()
     simulation = Simulation(
         factory(),
@@ -263,9 +283,9 @@ def driver_pin(protocol_name, engine_name, cadence, checkpoint_path) -> tuple:
     )
 
 
-def mega_pins(protocol_name, cadence) -> list:
+def mega_pins(protocol_name, cadence, kernel="python") -> list:
     """Per-cell ``(converged, interactions, final-counts digest)`` of one
-    ``run_cells`` sweep (formerly one mega-cell)."""
+    ``run_cells`` sweep on the count kernel's ``kernel`` implementation."""
     from repro.engine.parallel import run_cells
 
     factory, n = PROTOCOLS[protocol_name]
@@ -275,7 +295,7 @@ def mega_pins(protocol_name, cadence) -> list:
         list(MEGA_SEEDS),
         max_parallel_time=MEGA_CASES[protocol_name],
         engine="countbatch",
-        engine_kwargs={"kernel": "python"},
+        engine_kwargs={"kernel": kernel},
         check_every=DRIVER_CADENCES[cadence],
     )
     return [
@@ -310,7 +330,7 @@ def trajectory_digest(engine_factory, protocol_factory, n) -> str:
 def test_trajectory_digest_is_pinned(protocol_name, engine_name):
     factory, n = PROTOCOLS[protocol_name]
     observed = trajectory_digest(ENGINES[engine_name], factory, n)
-    expected = EXPECTED[f"{protocol_name}/{engine_name}"]
+    expected = expected_digest(protocol_name, engine_name)
     assert observed == expected, (
         f"{engine_name} changed its randomness consumption on "
         f"{protocol_name}: digest {observed} != pinned {expected}. If the "
@@ -350,6 +370,22 @@ def test_mega_cell_rows_are_pinned(protocol_name, cadence):
     assert observed == MEGA_EXPECTED[f"{protocol_name}/{cadence}"]
 
 
+@needs_count_kernel
+@pytest.mark.parametrize("cadence", sorted(DRIVER_CADENCES))
+@pytest.mark.parametrize("protocol_name", sorted(DRIVER_PROTOCOLS))
+def test_count_driver_and_sweep_pins_hold_on_the_c_kernel(
+    tmp_path, protocol_name, cadence
+):
+    """The countbatch driver and sweep pins above run on the Python
+    implementation of the count kernel; the C one must give the same."""
+    observed = driver_pin(
+        protocol_name, "countbatch", cadence, tmp_path / "run.ckpt", kernel="c"
+    )
+    assert observed == DRIVER_EXPECTED[f"{protocol_name}/countbatch/{cadence}"]
+    observed = mega_pins(protocol_name, cadence, kernel="c")
+    assert observed == MEGA_EXPECTED[f"{protocol_name}/{cadence}"]
+
+
 def test_fastbatch_pins_equal_sequential_pins():
     """Keep the strongest guarantee visible: the three bit-for-bit engines
     share one pin per protocol."""
@@ -365,7 +401,10 @@ if __name__ == "__main__":  # pragma: no cover - pin regeneration helper
     for protocol_name, (factory, n) in sorted(PROTOCOLS.items()):
         for engine_name, engine_factory in sorted(ENGINES.items()):
             value = trajectory_digest(engine_factory, factory, n)
-            print(f'    "{protocol_name}/{engine_name}": "{value}",')
+            key = f"{protocol_name}/{engine_name}"
+            if engine_name == "countbatch":  # a KERNEL_EXPECTED entry
+                key = protocol_name
+            print(f'    "{key}": "{value}",')
     print("# approximate tier:")
     for protocol_name, engine_name in APPROX_CASES:
         factory, n = PROTOCOLS[protocol_name]

@@ -167,10 +167,9 @@ Checkpoint / resume
 Every engine carries a bit-exact snapshot API
 (:meth:`~repro.engine.base.BaseEngine.snapshot` /
 :meth:`~repro.engine.base.BaseEngine.restore`): configuration, interaction
-counter, registered state-identifier layout and the **full RNG state**
-including pre-drawn randomness buffers.  A run interrupted at a driver
-boundary and resumed from a snapshot continues the *same* trajectory,
-byte-for-byte — pinned against the per-(protocol, engine) digest pins by
+counter, registered state-identifier layout and the **full RNG state**.
+A run interrupted at a driver boundary and resumed from a snapshot
+continues the *same* trajectory, byte-for-byte — pinned against the per-(protocol, engine) digest pins by
 ``tests/test_engine_checkpoint.py``.  ``run_protocol`` wires this through
 ``checkpoint_every=`` / ``checkpoint_path=`` / ``resume=True`` (atomic,
 checksummed write-replace checkpoint files, see
@@ -193,7 +192,6 @@ from repro.engine.views import (
 from repro.engine.closure import reachable_states
 from repro.engine.rng import make_rng, restore_rng_state, rng_state, spawn_seeds
 from repro.engine.scheduler import (
-    SCHEDULER_KINDS,
     CycleScheduler,
     Grid2DScheduler,
     PairSampler,
@@ -250,7 +248,6 @@ __all__ = [
     "Grid2DScheduler",
     "RandomRegularScheduler",
     "PowerLawScheduler",
-    "SCHEDULER_KINDS",
     "SequentialEngine",
     "CountBatchEngine",
     "FastBatchEngine",

@@ -280,8 +280,8 @@ static int64_t hyp_draw(uint64_t *rs, int64_t good, int64_t bad,
 /* Draw a state id with probability proportional to
  * weights[id] - (sub ? sub[id] : 0), minus one agent at `exclude`
  * (ordered-pair second member without replacement).  One uniform; the
- * cumulative walk visits only the `ids` list, like the Python path's
- * occupied-compacted _sample_multiset. */
+ * cumulative walk visits only the `ids` list, in its order (the mirror's
+ * _pick_state walks the same ids in the same order). */
 static int64_t pick_state(uint64_t *rs, const int64_t *weights,
                           const int64_t *sub, const int64_t *ids,
                           int64_t nids, int64_t total, int64_t exclude)
@@ -572,8 +572,8 @@ static void run_row(count_row *row, int64_t n, const double *neg_survival,
         }
 
         /* 4. Colliding interaction, sampled *before* the commit: the
-         * fresh pool's weights are counts - involved, identical to the
-         * Python path's post-commit (counts - used). */
+         * fresh pool's weights are counts - involved, the agents no
+         * interaction of this batch has touched. */
         int64_t coll_or = -1, coll_oi = -1, coll_nr = -1, coll_ni = -1;
         if (!missed && collide) {
             int64_t used_total = 2 * length;
@@ -1024,9 +1024,9 @@ def seed_kernel_rng(rng) -> np.ndarray:
 
     One 64-bit draw from ``rng`` is expanded through SplitMix64 (the
     seeding scheme the xoshiro authors recommend), so the kernel stream is
-    a deterministic function of the engine seed while the NumPy stream
-    advances by exactly one draw — and only when the kernel is active, so
-    the Python fallback path's stream (and its digest pins) are untouched.
+    a deterministic function of the engine seed and the NumPy stream
+    advances by exactly one draw.  Every count-batch engine seeds this way,
+    whether the compiled kernel or its Python mirror runs the stream.
     """
     x = int(rng.integers(0, 2**64, dtype=np.uint64))
     words = np.empty(4, dtype=np.uint64)

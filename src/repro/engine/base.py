@@ -219,10 +219,10 @@ class BaseEngine(abc.ABC):
         The snapshot captures everything the trajectory depends on beyond
         the (pure, deterministic) protocol itself: the configuration
         (per-agent array or count vector, engine-specific), the interaction
-        counter, the ever-occupied state set, the full RNG state — including
-        any pre-drawn randomness buffers (pair blocks, uniform blocks) — and
-        the registered state-identifier layout, which lazily discovering
-        engines depend on.
+        counter, the ever-occupied state set, the full RNG state (no engine
+        keeps pre-drawn randomness between calls, so the generator state is
+        all of it) and the registered state-identifier layout, which lazily
+        discovering engines depend on.
 
         Its size follows what the run occupies, not what the protocol could
         reach.  The layout is stored as ``canonical``, the

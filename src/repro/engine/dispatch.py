@@ -56,9 +56,10 @@ sqrt(n)`` interactions; its cost is a fixed overhead plus a term quadratic
 in the number ``k`` of *occupied* states (the hypergeometric splits of the
 pairing rows, see :mod:`repro.engine.count_batch`).  The dispatcher
 compares that per-batch cost, evaluated at the declared state-space size
-(a bound on the occupied frontier), against the fast-batch engine's
-measured per-interaction cost.  The constants were fitted to the
-workloads of ``benchmarks/bench_engine.py``.
+(a bound on the occupied frontier), against the measured per-interaction
+cost of the fast-batch path that would run: the C kernel's, or the NumPy
+wave schedule's on a machine without a compiler.  The constants were
+fitted to the workloads of ``benchmarks/bench_engine.py``.
 
 The count kernel has two implementations of one stream: the compiled one
 (:mod:`repro.engine._count_kernel`, available whenever ``_ckernel``'s
@@ -169,11 +170,13 @@ _COUNTBATCH_BATCH_OVERHEAD_SECONDS = 2.8e-5
 #: constants fit measured per-batch costs at n = 10^7 (the epidemic, 4-state
 #: exact majority, and k-state identity tables up to k = 64) to within 20%.
 _COUNTBATCH_CELL_SECONDS = 1.1e-5
-#: Fast-batch reference cost per interaction: the C kernel's, used on
-#: purpose even where the kernel is absent (kernel-independent policy, see
-#: _COUNTBATCH_MIN_N), fitted to its rate at n >= 10^6 on the
-#: bench_engine workloads.
+#: Fast-batch reference cost per interaction with the C kernel, fitted to
+#: its rate at n >= 10^6 on the bench_engine workloads.
 _FASTBATCH_SECONDS_PER_INTERACTION = 2.9e-8
+#: The same reference without a compiler, where fastbatch runs its NumPy
+#: wave schedule: the epidemic's rate at n = 10^7 (11.4 M int/s; 12.4 M at
+#: 10^6).
+_FASTBATCH_NUMPY_SECONDS_PER_INTERACTION = 8.8e-8
 
 # --- compiled count-kernel tier (see repro.engine._count_kernel) --------
 #: Fixed per-batch overhead of the compiled count kernel: the ctypes call,
@@ -233,11 +236,15 @@ def _countbatch_profitable(occupied: int, n: int) -> bool:
     fast-batch reference at population size ``n``.
 
     One batch advances an expected ``sqrt(pi * n / 4)`` interactions (the
-    mean of the collision-free run-length distribution).
+    mean of the collision-free run-length distribution).  The reference is
+    the fast-batch path that would actually run: the C kernel's rate when
+    it compiled, the NumPy wave schedule's otherwise.
     """
     expected_run = math.sqrt(math.pi * n / 4.0)
     per_interaction = countbatch_batch_seconds(occupied) / expected_run
-    return per_interaction < _FASTBATCH_SECONDS_PER_INTERACTION
+    if kernel_available():
+        return per_interaction < _FASTBATCH_SECONDS_PER_INTERACTION
+    return per_interaction < _FASTBATCH_NUMPY_SECONDS_PER_INTERACTION
 
 
 def count_capable(protocol: PopulationProtocol, n: int) -> Optional[int]:

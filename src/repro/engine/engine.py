@@ -7,7 +7,8 @@ identifiers in a flat Python list; the deterministic transition function
 comes from the protocol's shared compiled
 :class:`~repro.engine.table.TransitionTable` (its ``delta`` dict is the
 scalar hot-path lookup), so the per-interaction cost is two list reads, one
-dict lookup and two list writes.  Randomness is drawn from NumPy in blocks.
+dict lookup and two list writes.  Pairs are drawn from NumPy in blocks of
+:data:`~repro.engine.scheduler.PAIR_CHUNK`.
 
 The engine is also the library's **full scenario reference**: it accepts any
 :class:`~repro.scenarios.scenario.Scenario` — restricted interaction
@@ -28,13 +29,10 @@ import numpy as np
 from repro.engine.base import BaseEngine
 from repro.engine.protocol import LEADER_OUTPUT, PopulationProtocol
 from repro.engine.rng import RngLike, make_rng
-from repro.engine.scheduler import PairSampler
+from repro.engine.scheduler import PAIR_CHUNK, PairSampler
 from repro.errors import CheckpointError, ConfigurationError
 
 __all__ = ["SequentialEngine"]
-
-#: Number of interactions whose randomness is pre-drawn per NumPy call.
-_CHUNK = 1 << 14
 
 
 class SequentialEngine(BaseEngine):
@@ -129,7 +127,7 @@ class SequentialEngine(BaseEngine):
         seen_add = self._ever_occupied.add
         remaining = count
         while remaining > 0:
-            chunk = min(remaining, _CHUNK)
+            chunk = min(remaining, PAIR_CHUNK)
             responders, initiators = self._sampler.pair_block(chunk)
             responder_list = responders.tolist()
             initiator_list = initiators.tolist()
@@ -183,7 +181,7 @@ class SequentialEngine(BaseEngine):
         seen_add = self._ever_occupied.add
         remaining = count
         while remaining > 0:
-            chunk = min(remaining, _CHUNK)
+            chunk = min(remaining, PAIR_CHUNK)
             responders, initiators = self._sampler.pair_block(chunk)
             responder_list = responders.tolist()
             initiator_list = initiators.tolist()

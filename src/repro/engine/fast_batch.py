@@ -29,7 +29,8 @@ interaction.
 
 Per block the engine
 
-1. pre-samples ``block`` ordered pairs of distinct agents with
+1. pre-samples :data:`~repro.engine.scheduler.PAIR_CHUNK` ordered pairs of
+   distinct agents with
    :meth:`repro.engine.scheduler.PairSampler.pair_block` (exactly the call the
    sequential engine makes),
 2. computes, for every interaction, the most recent earlier interaction in
@@ -65,8 +66,9 @@ pairs of distinct agents, identical in distribution to the sequential
 engine's; applying a collision-free segment in bulk commutes with applying
 it pair by pair because the segment touches each agent at most once.  In
 fact the engine draws its randomness exactly as the ``pair_block`` calls of
-:class:`~repro.engine.engine.SequentialEngine` do, with the same block size
-— through those very calls on the NumPy path and for topology schedulers,
+:class:`~repro.engine.engine.SequentialEngine` do, in chunks of the same
+size (both engines import :data:`~repro.engine.scheduler.PAIR_CHUNK`) —
+through those very calls on the NumPy path and for topology schedulers,
 through the C kernel's draw of the same words from the same bit generator
 otherwise — so for an identical seed and an identical driver call pattern
 the two engines produce bit-for-bit identical trajectories (a property the
@@ -93,21 +95,14 @@ from repro.engine._ckernel import FastBlock, load_kernel
 from repro.engine.base import BaseEngine
 from repro.engine.protocol import PopulationProtocol
 from repro.engine.rng import RngLike, make_rng
-from repro.engine.scheduler import PairSampler
-from repro.errors import ConfigurationError
+from repro.engine.scheduler import PAIR_CHUNK, PairSampler
+from repro.errors import CheckpointError, ConfigurationError
 
 __all__ = [
     "FastBatchEngine",
-    "collision_free_segments",
     "conflict_columns",
     "wave_depths",
 ]
-
-#: Interactions pre-sampled per block.  Kept equal to the sequential engine's
-#: chunk size so that both engines consume the shared randomness stream in
-#: identical draws (the basis of the identical-trajectory guarantee).
-_BLOCK = 1 << 14
-
 
 #: Fixpoint iteration cap for :func:`wave_depths`; blocks whose dependency
 #: chains are deeper than this (tiny populations) are applied scalar instead.
@@ -120,7 +115,7 @@ def _interaction_role_tags(m: int) -> np.ndarray:
     """``(interaction << 1) | role`` tags matching ``concat(responders, initiators)``.
 
     Cached per block size (callers must not mutate the result); the cache
-    stays tiny because engines use one fixed block size plus per-run
+    stays tiny because engines use one fixed chunk size plus per-run
     remainders.
     """
     tags = _TAG_CACHE.get(m)
@@ -176,38 +171,6 @@ def conflict_columns(
     conflict_r[successor_t[is_responder]] = predecessor_t[is_responder]
     conflict_i[successor_t[~is_responder]] = predecessor_t[~is_responder]
     return conflict_r, conflict_i
-
-
-def collision_free_segments(
-    responders: np.ndarray, initiators: np.ndarray
-) -> List[Tuple[int, int]]:
-    """Greedily partition a pair block into maximal collision-free runs.
-
-    Returns ``[(start, end), ...]`` half-open index ranges covering
-    ``[0, len(responders))`` exactly once, such that within each range no
-    agent index occurs twice (across both the responder and the initiator
-    columns).  Each range is maximal: the pair at ``end`` (when there is one)
-    collides with an earlier pair of the same range.
-
-    This is the simplest exact batching order; the engine's hot path uses
-    the coarser :func:`wave_depths` schedule, which groups *all* mutually
-    independent interactions of a block, not just contiguous ones.  The
-    function is kept public because it makes the collision-handling
-    invariants easy to state and test.
-    """
-    m = int(responders.shape[0])
-    if m == 0:
-        return []
-    conflict_r, conflict_i = conflict_columns(responders, initiators)
-    conflict = np.maximum(conflict_r, conflict_i)
-    segments: List[Tuple[int, int]] = []
-    start = 0
-    while start < m:
-        blocked = conflict[start:] >= start
-        end = start + int(blocked.argmax()) if blocked.any() else m
-        segments.append((start, end))
-        start = end
-    return segments
 
 
 def wave_depths(
@@ -268,10 +231,6 @@ class FastBatchEngine(BaseEngine):
         Population size (>= 2).
     rng:
         Seed or :class:`numpy.random.Generator`.
-    block:
-        Number of interactions pre-sampled per batch.  The default matches
-        the sequential engine's chunk size, which keeps the two engines'
-        randomness streams aligned; there is rarely a reason to change it.
     kernel:
         ``"auto"`` (default) applies blocks through the optional C kernel
         (see :mod:`repro.engine._ckernel`) when one could be compiled and
@@ -303,13 +262,10 @@ class FastBatchEngine(BaseEngine):
         n: int,
         rng: RngLike = None,
         *,
-        block: int = _BLOCK,
         kernel: str = "auto",
         scenario=None,
     ) -> None:
         super().__init__(protocol, n, rng, scenario)
-        if block < 1:
-            raise ConfigurationError(f"block size must be >= 1, got {block}")
         if kernel not in ("auto", "c", "numpy"):
             raise ConfigurationError(
                 f"kernel must be 'auto', 'c' or 'numpy', got {kernel!r}"
@@ -330,7 +286,6 @@ class FastBatchEngine(BaseEngine):
                 "kernel='c' requested but no C kernel could be compiled "
                 "(no compiler on PATH, or REPRO_NO_C_KERNEL is set)"
             )
-        self._block = int(block)
         generator = make_rng(rng)
         if scenario is None:
             self._sampler = PairSampler(n, generator)
@@ -414,29 +369,32 @@ class FastBatchEngine(BaseEngine):
         return {
             "agent_states": self._agent_states.copy(),
             "sampler": self._sampler.state_snapshot(),
-            # The block size shapes randomness consumption (one pair_block
-            # draw per block), so a restored engine must batch identically.
-            "block": self._block,
         }
 
     def _state_restore(self, payload: dict) -> None:
+        # Older builds recorded their pair-block size; only the one size the
+        # engine still draws at continues the recorded stream.
+        block = int(payload.get("block", PAIR_CHUNK))
+        if block != PAIR_CHUNK:
+            raise CheckpointError(
+                f"fast-batch snapshot drew pairs in blocks of {block}; this "
+                f"build draws blocks of {PAIR_CHUNK} only, so the recorded "
+                "stream cannot continue"
+            )
         self._agent_states = np.asarray(
             payload["agent_states"], dtype=np.int32
         ).copy()
         self._counts = np.bincount(self._agent_states, minlength=self._seen.shape[0])
         self._sampler.state_restore(payload["sampler"])
-        self._block = int(payload["block"])
         if self._kernel_args is not None:
-            self._reserve_pairs(self._block)
-            args = self._kernel_args
-            args.block = self._block
-            args.chunk = args.position = 0
+            self._kernel_args.chunk = self._kernel_args.position = 0
 
     # ------------------------------------------------------------------
     # C kernel
     # ------------------------------------------------------------------
     def _setup_kernel(self) -> None:
-        """Build the kernel's argument block and pair buffers.
+        """Build the kernel's argument block and its ``PAIR_CHUNK``-pair
+        buffers, allocated once for the engine's life.
 
         The kernel draws each chunk itself, from this engine's bit generator,
         only for the complete-graph sampler with ``n < 2**32`` (the range
@@ -444,32 +402,22 @@ class FastBatchEngine(BaseEngine):
         Python fills the pair buffers through ``pair_block``.
         """
         generator = self._sampler.generator
-        args = FastBlock(n=self.n, block=self._block)
+        args = FastBlock(n=self.n, block=PAIR_CHUNK)
+        self._responders = np.empty(PAIR_CHUNK, dtype=np.int64)
+        self._initiators = np.empty(PAIR_CHUNK, dtype=np.int64)
+        args.responders = self._responders.ctypes.data
+        args.initiators = self._initiators.ctypes.data
         if type(self._sampler) is PairSampler and self.n < 1 << 32:
             args.bitgen = generator.bit_generator.ctypes.bit_generator.value
+            self._redraw = np.empty(PAIR_CHUNK, dtype=np.int64)
+            args.redraw = self._redraw.ctypes.data
         self._kernel_args = args
         self._kernel_address = ctypes.addressof(args)
         self._bitgen_lock = generator.bit_generator.lock
-        self._responders = self._initiators = np.empty(0, dtype=np.int64)
-        self._redraw: Optional[np.ndarray] = None
         self._bound_states: Optional[np.ndarray] = None
         self._bound_lut: Optional[np.ndarray] = None
         self._bound_seen: Optional[np.ndarray] = None
         self._bound_counts: Optional[np.ndarray] = None
-        self._reserve_pairs(self._block)
-
-    def _reserve_pairs(self, size: int) -> None:
-        """Grow the pair buffers (and the redraw scratch) to ``size`` pairs."""
-        if self._responders.shape[0] >= size:
-            return
-        args = self._kernel_args
-        self._responders = np.empty(size, dtype=np.int64)
-        self._initiators = np.empty(size, dtype=np.int64)
-        args.responders = self._responders.ctypes.data
-        args.initiators = self._initiators.ctypes.data
-        if args.bitgen:
-            self._redraw = np.empty(size, dtype=np.int64)
-            args.redraw = self._redraw.ctypes.data
 
     def _bind_kernel_buffers(self) -> None:
         """Point the argument block at the current states, LUT, seen mask
@@ -585,7 +533,6 @@ class FastBatchEngine(BaseEngine):
         args = self._kernel_args
         if args is not None:
             m = int(responders.shape[0])
-            self._reserve_pairs(m)
             self._responders[:m] = responders
             self._initiators[:m] = initiators
             args.chunk = args.remaining = m
@@ -622,7 +569,7 @@ class FastBatchEngine(BaseEngine):
             return
         remaining = count
         while remaining > 0:
-            chunk = min(remaining, self._block)
+            chunk = min(remaining, PAIR_CHUNK)
             responders, initiators = self._sampler.pair_block(chunk)
             self._apply_block(responders, initiators)
             remaining -= chunk

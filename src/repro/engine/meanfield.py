@@ -21,6 +21,8 @@ block is pushed through :meth:`~repro.engine.table.TransitionTable.apply_block`
 scatter sums reduce to ``np.bincount`` calls.  Per active-state-set the
 channel structure (which pairs change which states) is cached, so repeated
 evaluations cost four ``bincount`` reductions over the *effective* channels.
+The cache is bounded in bytes, not entries: one entry of a ``k``-state
+active set can hold up to ``5 * 8 * k^2`` bytes.
 
 In the normalised form above the dynamics are independent of ``n`` (up to
 the ``1/n`` finite-size correction), which is the entire point: a mean-field
@@ -72,8 +74,10 @@ _STEP_MIN_FACTOR = 0.2
 _STEP_MAX_FACTOR = 5.0
 _MIN_STEP = 1e-9
 
-#: Channel-structure cache bound: one entry per distinct active state set.
-_CHANNEL_CACHE_MAX = 128
+#: Channel-structure cache bound in bytes (keys included).  The cache is
+#: emptied when an entry would take it past the bound, and an entry larger
+#: than the bound is used once and not kept.
+_CHANNEL_CACHE_BYTES = 64 << 20
 
 
 class MeanFieldEngine(BaseEngine):
@@ -110,6 +114,7 @@ class MeanFieldEngine(BaseEngine):
             self._y[sid] = count / n
         self._h = 0.01  # parallel-time units; adapted per step
         self._channels: Dict[bytes, tuple] = {}
+        self._channel_bytes = 0
 
     # ------------------------------------------------------------------
     # Drift assembly from the compiled IR
@@ -124,9 +129,10 @@ class MeanFieldEngine(BaseEngine):
     def _channel_structure(self, active: np.ndarray) -> tuple:
         """Effective transition channels among ``active`` state ids.
 
-        Returns ``(responders, initiators, out_r, out_i, eff)`` flat arrays
-        over the ``k x k`` active pair block, where ``eff`` indexes the
-        channels whose transition changes at least one endpoint.  Cached per
+        Returns ``(responders, initiators, out_r, out_i, eff)``: ``eff``
+        indexes, in the flattened ``k x k`` active pair block, the channels
+        whose transition changes at least one endpoint, and the other four
+        arrays hold those channels' state ids before and after.  Cached per
         active set — the expensive parts (the pair-block LUT gather and the
         change masks) are invariant while the active set is stable, which it
         is for long stretches of a trajectory.
@@ -140,10 +146,14 @@ class MeanFieldEngine(BaseEngine):
         initiators = np.tile(active, k)
         out_r, out_i = self.table.apply_block(responders, initiators)
         eff = np.flatnonzero((out_r != responders) | (out_i != initiators))
-        if len(self._channels) >= _CHANNEL_CACHE_MAX:
-            self._channels.clear()
-        structure = (responders, initiators, out_r, out_i, eff)
-        self._channels[key] = structure
+        structure = (responders[eff], initiators[eff], out_r[eff], out_i[eff], eff)
+        size = len(key) + sum(array.nbytes for array in structure)
+        if size <= _CHANNEL_CACHE_BYTES:
+            if self._channel_bytes + size > _CHANNEL_CACHE_BYTES:
+                self._channels.clear()
+                self._channel_bytes = 0
+            self._channels[key] = structure
+            self._channel_bytes += size
         return structure
 
     def _drift(self, y: np.ndarray) -> np.ndarray:
@@ -166,12 +176,10 @@ class MeanFieldEngine(BaseEngine):
         weights[diagonal, diagonal] = np.clip(ya * (ya - 1.0 / n), 0.0, None)
         weights /= 1.0 - 1.0 / n
         flat = weights.ravel()[eff]
-        if y.shape[0] < size:
-            y = np.concatenate([y, np.zeros(size - y.shape[0])])
-        drift = np.bincount(out_r[eff], weights=flat, minlength=size)
-        drift += np.bincount(out_i[eff], weights=flat, minlength=size)
-        drift -= np.bincount(responders[eff], weights=flat, minlength=size)
-        drift -= np.bincount(initiators[eff], weights=flat, minlength=size)
+        drift = np.bincount(out_r, weights=flat, minlength=size)
+        drift += np.bincount(out_i, weights=flat, minlength=size)
+        drift -= np.bincount(responders, weights=flat, minlength=size)
+        drift -= np.bincount(initiators, weights=flat, minlength=size)
         return drift
 
     @staticmethod
@@ -297,3 +305,4 @@ class MeanFieldEngine(BaseEngine):
         self._y = fractions
         self._h = float(payload["step_size"])
         self._channels.clear()
+        self._channel_bytes = 0

@@ -39,10 +39,9 @@ resumed run stops exactly where the uninterrupted one would have:
     >>> resumed.final_counts == full.final_counts
     True
 
-Because engine snapshots are bit-exact (they carry the full RNG state,
-including pre-drawn randomness buffers), the resumed trajectory is not
-merely statistically equivalent — it is the *same* trajectory, as the
-equality above pins down.
+Because engine snapshots are bit-exact (they carry the full RNG state),
+the resumed trajectory is not merely statistically equivalent — it is the
+*same* trajectory, as the equality above pins down.
 """
 
 from __future__ import annotations

@@ -242,6 +242,33 @@ def test_meanfield_conserves_mass_and_counts_sum_to_n():
         assert engine.expected_counts().sum() == pytest.approx(n, rel=1e-9)
 
 
+def test_meanfield_channel_cache_stays_within_its_byte_budget(monkeypatch):
+    """The channel cache is bounded in bytes: lazily compiling Lottery walks
+    through 100+ active sets, and with a 64 KiB budget the cached arrays
+    and keys never exceed it.  The cache only saves work, so the bounded
+    engine's trajectory is bit-identical to the default one's."""
+    from repro.engine import meanfield
+    from repro.protocols.lottery import LotteryLeaderElection
+
+    n = 256
+    reference = MeanFieldEngine(LotteryLeaderElection.for_population(n), n)
+    trajectory = []
+    for _ in range(20):
+        reference.run(2 * n)
+        trajectory.append(reference.expected_counts())
+    budget = 1 << 16
+    monkeypatch.setattr(meanfield, "_CHANNEL_CACHE_BYTES", budget)
+    bounded = MeanFieldEngine(LotteryLeaderElection.for_population(n), n)
+    for expected in trajectory:
+        bounded.run(2 * n)
+        cached = sum(
+            len(key) + sum(array.nbytes for array in structure)
+            for key, structure in bounded._channels.items()
+        )
+        assert 0 < cached <= budget
+        np.testing.assert_array_equal(bounded.expected_counts(), expected)
+
+
 # ----------------------------------------------------------------------
 # The full five-workload sweeps (weekly slow suite)
 # ----------------------------------------------------------------------

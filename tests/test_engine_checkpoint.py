@@ -11,6 +11,7 @@ instance**, i.e. exactly the crashed-process-restarts scenario.
 
 from __future__ import annotations
 
+import base64
 import errno
 import hashlib
 import os
@@ -21,6 +22,7 @@ import sys
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from test_engine_trajectory_digests import (
@@ -34,8 +36,8 @@ from test_engine_trajectory_digests import (
 from repro.engine._ckernel import kernel_available
 from repro.engine.count_batch import CountBatchEngine
 from repro.engine.engine import SequentialEngine
-from repro.engine.fast_batch import _BLOCK, FastBatchEngine
-from repro.engine.scheduler import PairSampler
+from repro.engine.fast_batch import FastBatchEngine
+from repro.engine.scheduler import PAIR_CHUNK, PairSampler
 from repro.errors import CheckpointError
 from repro.experiments.io import read_checkpoint, write_checkpoint
 from repro.protocols.epidemic import OneWayEpidemic
@@ -102,9 +104,9 @@ def test_interrupted_run_matches_pinned_digest(
     )
 
 
-def _fast_batch(kernel: str, block: int = _BLOCK):
+def _fast_batch(kernel: str):
     def factory(protocol, n, rng=None):
-        return FastBatchEngine(protocol, n, rng, kernel=kernel, block=block)
+        return FastBatchEngine(protocol, n, rng, kernel=kernel)
 
     return factory
 
@@ -126,21 +128,23 @@ def test_fast_batch_checkpoint_resumes_across_kernel_paths(
 
 
 @pytest.mark.parametrize("kernel", ["auto", "numpy"])
-@pytest.mark.parametrize("recorded,restoring", [(64, _BLOCK), (_BLOCK, 64)])
-def test_fast_batch_resume_follows_the_checkpoint_block(
-    tmp_path, kernel, recorded, restoring
-):
-    """The checkpoint's block, not the restoring engine's constructor block,
-    shapes the resumed draws; on the C path the pair buffers follow it (a
-    64-pair engine restoring a 16,384-pair checkpoint must grow them)."""
-    before = _fast_batch(kernel, recorded)
-    uninterrupted = _resumed_digest(tmp_path, "gsu19", before, before, _CHUNKS)
-    if recorded == _BLOCK:
-        assert uninterrupted == EXPECTED["gsu19/fastbatch"]
-    resumed = _resumed_digest(
-        tmp_path, "gsu19", before, _fast_batch(kernel, restoring), 1
-    )
-    assert resumed == uninterrupted
+def test_fast_batch_checkpoint_with_another_block_is_refused(kernel):
+    """Older builds recorded the fast-batch pair-block size.  A payload at
+    the one size the engine still draws restores; any other size drew a
+    different stream and is refused with a CheckpointError that says so."""
+    protocol_factory, n = PROTOCOLS["gsu19"]
+    engine = FastBatchEngine(protocol_factory(), n, rng=3, kernel=kernel)
+    engine.run(4 * n)
+    snapshot = engine.snapshot()
+    assert "block" not in snapshot["payload"]
+    snapshot["payload"]["block"] = PAIR_CHUNK
+    resumed = FastBatchEngine.from_snapshot(protocol_factory(), snapshot, kernel=kernel)
+    engine.run(4 * n)
+    resumed.run(4 * n)
+    assert resumed.agent_state_ids() == engine.agent_state_ids()
+    snapshot["payload"]["block"] = 64
+    with pytest.raises(CheckpointError, match="blocks of 64"):
+        FastBatchEngine.from_snapshot(protocol_factory(), snapshot, kernel=kernel)
 
 
 def test_from_snapshot_classmethod_is_equivalent():
@@ -158,17 +162,24 @@ def test_from_snapshot_classmethod_is_equivalent():
 # ----------------------------------------------------------------------
 # Component-level snapshots
 # ----------------------------------------------------------------------
-def test_pair_sampler_snapshot_resumes_mid_buffer():
-    """The unconsumed tail of a pre-drawn pair block survives a snapshot."""
-    sampler = PairSampler(64, rng=5, block=32)
-    drawn = [sampler.next_pair() for _ in range(17)]  # mid-buffer
-    assert drawn
+def test_pair_sampler_snapshot_with_a_pending_tail_is_refused():
+    """Older builds recorded a tail of pre-drawn pairs.  An empty tail (every
+    tail an engine wrote) restores; a non-empty one owes pairs no build
+    draws any more and is refused, in the compact and the list layout."""
+    sampler = PairSampler(64, rng=5)
+    expected = PairSampler(64, rng=5).pair_block(40)
     snapshot = sampler.state_snapshot()
-    expected = [sampler.next_pair() for _ in range(40)]  # crosses a refill
-
-    restored = PairSampler(64, rng=999, block=32)
+    snapshot["pending"] = {"encoding": "base64/int64-le", "a": "", "b": ""}
+    restored = PairSampler(64, rng=999)
     restored.state_restore(snapshot)
-    assert [restored.next_pair() for _ in range(40)] == expected
+    np.testing.assert_array_equal(restored.pair_block(40), expected)
+    one_pair = base64.b64encode(np.array([3], dtype="<i8").tobytes()).decode("ascii")
+    snapshot["pending"] = {"encoding": "base64/int64-le", "a": one_pair, "b": one_pair}
+    with pytest.raises(CheckpointError, match="non-empty pending tail"):
+        PairSampler(64, rng=999).state_restore(snapshot)
+    legacy = {"n": 64, "rng": snapshot["rng"], "pending_a": [3], "pending_b": [7]}
+    with pytest.raises(CheckpointError, match="non-empty pending tail"):
+        PairSampler(64, rng=999).state_restore(legacy)
 
 
 def test_pair_sampler_snapshot_rejects_population_mismatch():

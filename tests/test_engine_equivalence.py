@@ -128,16 +128,17 @@ def test_cross_engine_ks_equivalence(workload):
 
 @pytest.mark.slow
 def test_fast_batch_small_block_is_still_exact_in_distribution():
-    """A tiny block size (with the NumPy wave path forced) keeps intra-block
-    collisions constant and exercises the scalar fallback; the sampled
-    convergence-time distribution must still match the sequential engine's."""
+    """Small chunks (24 interactions per check, with the NumPy wave path
+    forced) at n = 96 keep intra-chunk collisions frequent, so most chunks
+    run several dependency waves; the sampled convergence-time
+    distribution must still match the sequential engine's."""
     epidemic_done = WORKLOADS["epidemic"].predicate
     reference = convergence_sample(
         SequentialEngine, "epidemic", 96, range(500, 580), check_every=24
     )
     batched: List[float] = []
     for seed in range(600, 680):
-        engine = FastBatchEngine(OneWayEpidemic(), 96, rng=seed, block=17, kernel="numpy")
+        engine = FastBatchEngine(OneWayEpidemic(), 96, rng=seed, kernel="numpy")
         assert engine.run_until(
             epidemic_done, max_interactions=400 * 96, check_every=24
         )

@@ -8,9 +8,8 @@ own draw from the same bit generator on the complete graph — so the two
 engines must produce *identical* trajectories for identical seeds, not
 merely equal distributions.  The kernel's draw is checked against
 ``PairSampler.pair_block`` directly (equal pairs, equal generator state
-afterwards).  The scheduling helpers (conflict columns, wave depths,
-collision-free segments) are tested directly against brute-force reference
-implementations.
+afterwards).  The scheduling helpers (conflict columns, wave depths) are
+tested directly against brute-force reference implementations.
 """
 
 from __future__ import annotations
@@ -35,13 +34,11 @@ from repro.engine.count_batch import CountBatchEngine
 from repro.engine.dispatch import _FASTBATCH_MIN_N
 from repro.engine.engine import SequentialEngine
 from repro.engine.fast_batch import (
-    _BLOCK,
     FastBatchEngine,
-    collision_free_segments,
     conflict_columns,
     wave_depths,
 )
-from repro.engine.scheduler import PairSampler
+from repro.engine.scheduler import PAIR_CHUNK, PairSampler
 from repro.errors import ConfigurationError
 from repro.protocols.approximate_majority import ApproximateMajority
 from repro.protocols.epidemic import OneWayEpidemic
@@ -80,27 +77,6 @@ def test_conflict_columns_empty_block():
     empty = np.empty(0, dtype=np.int64)
     conflict_r, conflict_i = conflict_columns(empty, empty)
     assert conflict_r.size == 0 and conflict_i.size == 0
-
-
-@pytest.mark.parametrize("n,m,seed", [(6, 120, 3), (64, 400, 4), (5000, 600, 5)])
-def test_segments_partition_without_drops_or_duplicates(n, m, seed):
-    """Collision handling never drops or duplicates an interaction: the
-    segments are a partition of the block, in order, and each segment is a
-    maximal collision-free run."""
-    rng = np.random.default_rng(seed)
-    a = rng.integers(0, n, size=m, dtype=np.int64)
-    b = (a + 1 + rng.integers(0, n - 1, size=m, dtype=np.int64)) % n
-    segments = collision_free_segments(a, b)
-    # Exact partition of [0, m): no interaction lost, none applied twice.
-    assert segments[0][0] == 0 and segments[-1][1] == m
-    for (_, end), (start, _) in zip(segments, segments[1:]):
-        assert end == start
-    for start, end in segments:
-        assert end > start
-        ids = np.concatenate([a[start:end], b[start:end]])
-        assert np.unique(ids).size == ids.size  # collision-free
-        if end < m:  # maximal: the next pair collides with this run
-            assert a[end] in ids or b[end] in ids
 
 
 @pytest.mark.parametrize("n,m,seed", [(6, 120, 6), (64, 400, 7), (5000, 600, 8)])
@@ -145,8 +121,6 @@ def test_constructor_validation():
     protocol = OneWayEpidemic()
     with pytest.raises(ConfigurationError):
         FastBatchEngine(protocol, 1)
-    with pytest.raises(ConfigurationError):
-        FastBatchEngine(protocol, 16, block=0)
     with pytest.raises(ConfigurationError):
         FastBatchEngine(protocol, 16, kernel="fortran")
 
@@ -292,7 +266,7 @@ def _kernel_draw(generator: np.random.Generator, n: int, count: int):
 @pytest.mark.skipif(load_kernel() is None, reason="no C kernel in this environment")
 @given(
     n=st.sampled_from([2, 3, 2**31 + 11, 2**32 - 1]) | st.integers(2, 2**32 - 1),
-    count=st.integers(1, _BLOCK),
+    count=st.integers(1, PAIR_CHUNK),
     seed=st.integers(0, 2**64 - 1),
     bit_generator=st.sampled_from([np.random.PCG64, np.random.MT19937]),
     offset=st.booleans(),
@@ -406,10 +380,14 @@ def test_auto_engine_cost_model_discriminates_by_state_count(monkeypatch):
     count-kernel-aware, so both tiers are pinned explicitly here: on the
     Python tier a 4-state protocol stays on fastbatch at 3e6; with the
     compiled count kernel its per-batch cost collapses and the same
-    protocol dispatches straight to count-batch."""
+    protocol dispatches straight to count-batch.  The reference is the C
+    fast-batch rate, so the fast-batch kernel is pinned present too (the
+    compiler-less choices have their own test)."""
     from repro.engine import dispatch
     from repro.engine.dispatch import COUNTBATCH_FORCE_N, count_capable
     from repro.protocols.exact_majority import ExactMajority
+
+    monkeypatch.setattr(dispatch, "kernel_available", lambda: True)
 
     # Python tier: 4 states cost ~3x the epidemic's per batch, pushing the
     # modelled crossover past the force threshold, while the 2-state
@@ -466,6 +444,30 @@ def test_auto_choices_on_a_kernel_machine_are_unchanged(monkeypatch):
     monkeypatch.setattr(dispatch, "count_kernel_available", lambda: True)
     sizes = (10**6, 3 * 10**6, 10**7, 2 * 10**7, 3 * 10**7)
     for states, expected in _KERNEL_MACHINE_CHOICES.items():
+        protocol = _DeclaredStates(states)
+        observed = "".join(
+            "c" if auto_engine(protocol, n) is CountBatchEngine else "f"
+            for n in sizes
+        )
+        assert observed == expected, states
+
+
+#: ``auto``'s choice with neither kernel compiled, per declared state count,
+#: at n = 10^6, 3*10^6, 5*10^6, 10^7, 2*10^7, 3*10^7 and 10^8.  The count
+#: kernel's Python mirror is priced against the NumPy fast-batch rate, the
+#: fast-batch path that runs without a compiler.
+_COMPILER_LESS_CHOICES = {
+    2: "fcccccc", 3: "fcccccc", 4: "fffcccc", 8: "fffffcc", 1789: "fffffcc",
+}
+
+
+def test_auto_choices_without_a_compiler_price_numpy_fastbatch(monkeypatch):
+    from repro.engine import dispatch
+
+    monkeypatch.setattr(dispatch, "kernel_available", lambda: False)
+    monkeypatch.setattr(dispatch, "count_kernel_available", lambda: False)
+    sizes = (10**6, 3 * 10**6, 5 * 10**6, 10**7, 2 * 10**7, 3 * 10**7, 10**8)
+    for states, expected in _COMPILER_LESS_CHOICES.items():
         protocol = _DeclaredStates(states)
         observed = "".join(
             "c" if auto_engine(protocol, n) is CountBatchEngine else "f"

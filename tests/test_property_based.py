@@ -47,7 +47,6 @@ from repro.core.state import (
 from repro.engine.engine import SequentialEngine
 from repro.engine.fast_batch import (
     FastBatchEngine,
-    collision_free_segments,
     conflict_columns,
     wave_depths,
 )
@@ -226,22 +225,20 @@ def pair_blocks(draw):
 @given(pair_blocks())
 @settings(max_examples=150, deadline=None)
 def test_block_schedules_never_drop_or_duplicate_interactions(block):
-    """Both batching schedules are exact partitions of the block: every
-    interaction appears in exactly one segment / wave, predecessors come
-    strictly earlier, and no two members of a segment or wave share an
-    agent."""
+    """The wave schedule is an exact partition of the block: every
+    interaction appears in exactly one wave, predecessors sit in strictly
+    earlier waves, and no two members of a wave share an agent."""
     _, responders, initiators = block
     m = responders.shape[0]
-    segments = collision_free_segments(responders, initiators)
-    covered = [index for start, end in segments for index in range(start, end)]
-    assert covered == list(range(m))
-    for start, end in segments:
-        ids = np.concatenate([responders[start:end], initiators[start:end]])
-        assert np.unique(ids).size == ids.size
     conflict_r, conflict_i = conflict_columns(responders, initiators)
     depth = wave_depths(conflict_r, conflict_i, max_waves=m + 1)
     assert depth is not None
-    assert sum(int((depth == w).sum()) for w in range(int(depth.max()) + 1 if m else 0)) == m
+    waves = range(int(depth.max()) + 1 if m else 0)
+    assert sum(int((depth == w).sum()) for w in waves) == m
+    for w in waves:
+        members = np.flatnonzero(depth == w)
+        ids = np.concatenate([responders[members], initiators[members]])
+        assert np.unique(ids).size == ids.size
     for t in range(m):
         for pred in (int(conflict_r[t]), int(conflict_i[t])):
             if pred >= 0:

@@ -2,9 +2,8 @@
 
 Scheduler tests pin the :class:`~repro.engine.scheduler.PairScheduler`
 contract for every topology: edges respect the declared interaction graph,
-snapshots resume the pair stream bit-exactly (including the compact
-pending-buffer encoding and the legacy list layout), and a snapshot can
-never silently restore into a different topology.
+snapshots resume the pair stream bit-exactly, and a snapshot can never
+silently restore into a different topology.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.engine.scheduler import (
-    SCHEDULER_KINDS,
     CycleScheduler,
     Grid2DScheduler,
     PairSampler,
@@ -125,68 +123,28 @@ def test_powerlaw_rejects_negative_alpha():
 @pytest.mark.parametrize("kind", sorted(_SCHEDULERS))
 def test_scheduler_snapshot_resumes_pair_stream_exactly(kind):
     scheduler = _SCHEDULERS[kind](24, 13)
-    list(scheduler.pairs(37))  # consume a prefix (mid-buffer)
+    scheduler.pair_block(37)  # advance the generator past a prefix
     snapshot = scheduler.state_snapshot()
-    expected_scalar = list(scheduler.pairs(50))
-    expected_block = scheduler.pair_block(500)
+    expected = [scheduler.pair_block(size) for size in (1, 50, 500)]
 
     restored = _SCHEDULERS[kind](24, 999)
     restored.state_restore(snapshot)
-    assert list(restored.pairs(50)) == expected_scalar
-    block = restored.pair_block(500)
-    assert np.array_equal(block[0], expected_block[0])
-    assert np.array_equal(block[1], expected_block[1])
+    for size, (responders, initiators) in zip((1, 50, 500), expected):
+        block = restored.pair_block(size)
+        assert np.array_equal(block[0], responders)
+        assert np.array_equal(block[1], initiators)
 
 
 @pytest.mark.parametrize("kind", sorted(_SCHEDULERS))
 def test_scheduler_snapshot_records_kind(kind):
-    snapshot = _SCHEDULERS[kind](24, 1).state_snapshot()
-    recorded = snapshot["kind"]
-    assert SCHEDULER_KINDS[recorded] is type(_SCHEDULERS[kind](24, 1))
+    scheduler = _SCHEDULERS[kind](24, 1)
+    assert scheduler.state_snapshot()["kind"] == type(scheduler).kind == kind
 
 
 def test_snapshot_rejects_kind_mismatch():
     snapshot = CycleScheduler(24, 1).state_snapshot()
     with pytest.raises(CheckpointError, match="'cycle'"):
         PairSampler(24, 1).state_restore(snapshot)
-
-
-def test_snapshot_pending_uses_compact_encoding():
-    sampler = PairSampler(64, rng=5, block=32)
-    sampler.next_pair()  # force a buffer with a pending tail
-    snapshot = sampler.state_snapshot()
-    pending = snapshot["pending"]
-    assert pending["encoding"] == "base64/int64-le"
-    assert isinstance(pending["a"], str) and isinstance(pending["b"], str)
-
-
-def test_snapshot_reads_legacy_pending_lists():
-    """Snapshots written before the compact encoding restore unchanged."""
-    sampler = PairSampler(64, rng=5, block=32)
-    drawn = [sampler.next_pair() for _ in range(10)]
-    assert drawn
-    snapshot = sampler.state_snapshot()
-    expected = [sampler.next_pair() for _ in range(40)]
-
-    from repro.engine.scheduler import _unpack_pending
-
-    legacy = {
-        "n": snapshot["n"],
-        "rng": snapshot["rng"],
-        "pending_a": _unpack_pending(snapshot["pending"]["a"]).tolist(),
-        "pending_b": _unpack_pending(snapshot["pending"]["b"]).tolist(),
-    }  # no "kind", no "pending": the historical layout
-    restored = PairSampler(64, rng=999, block=32)
-    restored.state_restore(legacy)
-    assert [restored.next_pair() for _ in range(40)] == expected
-
-
-def test_snapshot_rejects_unknown_pending_encoding():
-    sampler = PairSampler(16, rng=0)
-    snapshot = sampler.state_snapshot()
-    snapshot["pending"]["encoding"] = "json/int-list"
-    with pytest.raises(CheckpointError, match="encoding"):
-        PairSampler(16, rng=0).state_restore(snapshot)
 
 
 def test_grid_snapshot_rejects_rows_mismatch():

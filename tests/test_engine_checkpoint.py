@@ -128,23 +128,40 @@ def test_fast_batch_checkpoint_resumes_across_kernel_paths(
 
 
 @pytest.mark.parametrize("kernel", ["auto", "numpy"])
-def test_fast_batch_checkpoint_with_another_block_is_refused(kernel):
-    """Older builds recorded the fast-batch pair-block size.  A payload at
-    the one size the engine still draws restores; any other size drew a
-    different stream and is refused with a CheckpointError that says so."""
+@pytest.mark.parametrize("recorded,restoring", [(64, PAIR_CHUNK), (PAIR_CHUNK, 64)])
+def test_fast_batch_resume_follows_the_checkpoint_block(
+    kernel, recorded, restoring
+):
+    """The checkpoint's block, not the restoring engine, decides the resume.
+
+    Older builds recorded the fast-batch pair-block size and let the
+    restoring engine pick its own; the engine now draws blocks of
+    ``PAIR_CHUNK`` only and takes no ``block`` argument.  A checkpoint that
+    records that size resumes onto the pinned uninterrupted trajectory; one
+    that records any other size drew a different stream and is refused with
+    a CheckpointError naming the recorded size."""
     protocol_factory, n = PROTOCOLS["gsu19"]
-    engine = FastBatchEngine(protocol_factory(), n, rng=3, kernel=kernel)
-    engine.run(4 * n)
+    digest = hashlib.sha256()
+    engine = FastBatchEngine(protocol_factory(), n, rng=20190622, kernel=kernel)
+    engine.run(2 * n + 3)
+    _digest_update(digest, engine)
     snapshot = engine.snapshot()
     assert "block" not in snapshot["payload"]
-    snapshot["payload"]["block"] = PAIR_CHUNK
+    snapshot["payload"]["block"] = recorded  # the field as older builds wrote it
+
+    with pytest.raises(TypeError, match="block"):
+        FastBatchEngine.from_snapshot(
+            protocol_factory(), snapshot, kernel=kernel, block=restoring
+        )
+    if recorded != PAIR_CHUNK:
+        with pytest.raises(CheckpointError, match=f"blocks of {recorded};"):
+            FastBatchEngine.from_snapshot(protocol_factory(), snapshot, kernel=kernel)
+        return
     resumed = FastBatchEngine.from_snapshot(protocol_factory(), snapshot, kernel=kernel)
-    engine.run(4 * n)
-    resumed.run(4 * n)
-    assert resumed.agent_state_ids() == engine.agent_state_ids()
-    snapshot["payload"]["block"] = 64
-    with pytest.raises(CheckpointError, match="blocks of 64"):
-        FastBatchEngine.from_snapshot(protocol_factory(), snapshot, kernel=kernel)
+    for _ in range(_CHUNKS - 1):
+        resumed.run(2 * n + 3)
+        _digest_update(digest, resumed)
+    assert digest.hexdigest() == EXPECTED["gsu19/fastbatch"]
 
 
 def test_from_snapshot_classmethod_is_equivalent():
@@ -162,24 +179,34 @@ def test_from_snapshot_classmethod_is_equivalent():
 # ----------------------------------------------------------------------
 # Component-level snapshots
 # ----------------------------------------------------------------------
-def test_pair_sampler_snapshot_with_a_pending_tail_is_refused():
-    """Older builds recorded a tail of pre-drawn pairs.  An empty tail (every
-    tail an engine wrote) restores; a non-empty one owes pairs no build
-    draws any more and is refused, in the compact and the list layout."""
+def test_pair_sampler_snapshot_resumes_mid_buffer():
+    """A snapshot taken after any drawn prefix resumes the pair stream
+    exactly.  Schedulers no longer buffer pairs, so the generator state alone
+    carries the stream; the empty pending tail older builds wrote beside it
+    restores as if absent."""
     sampler = PairSampler(64, rng=5)
-    expected = PairSampler(64, rng=5).pair_block(40)
+    sampler.pair_block(17)
     snapshot = sampler.state_snapshot()
+    assert "pending" not in snapshot
+    sizes = (40, 1, PAIR_CHUNK)
+    expected = [sampler.pair_block(size) for size in sizes]
+
     snapshot["pending"] = {"encoding": "base64/int64-le", "a": "", "b": ""}
     restored = PairSampler(64, rng=999)
     restored.state_restore(snapshot)
-    np.testing.assert_array_equal(restored.pair_block(40), expected)
+    for size, block in zip(sizes, expected):
+        np.testing.assert_array_equal(restored.pair_block(size), block)
+
+
+def test_pair_sampler_snapshot_with_a_pending_tail_is_refused():
+    """A non-empty pending tail from an older build owes pairs no build
+    draws any more, so the snapshot is refused rather than resumed off by
+    that tail."""
+    snapshot = PairSampler(64, rng=5).state_snapshot()
     one_pair = base64.b64encode(np.array([3], dtype="<i8").tobytes()).decode("ascii")
     snapshot["pending"] = {"encoding": "base64/int64-le", "a": one_pair, "b": one_pair}
     with pytest.raises(CheckpointError, match="non-empty pending tail"):
         PairSampler(64, rng=999).state_restore(snapshot)
-    legacy = {"n": 64, "rng": snapshot["rng"], "pending_a": [3], "pending_b": [7]}
-    with pytest.raises(CheckpointError, match="non-empty pending tail"):
-        PairSampler(64, rng=999).state_restore(legacy)
 
 
 def test_pair_sampler_snapshot_rejects_population_mismatch():

@@ -147,6 +147,27 @@ def test_snapshot_rejects_kind_mismatch():
         PairSampler(24, 1).state_restore(snapshot)
 
 
+def test_snapshot_reads_legacy_pending_lists():
+    """Snapshots in the historical layout (no ``kind``, the pending tail as
+    ``pending_a``/``pending_b`` lists) restore unchanged when the tail is
+    empty; a non-empty tail is refused, since no pair is owed any more."""
+    sampler = PairSampler(64, rng=5)
+    sampler.pair_block(10)
+    snapshot = sampler.state_snapshot()
+    expected = sampler.pair_block(40)
+
+    legacy = {"n": snapshot["n"], "rng": snapshot["rng"], "pending_a": [], "pending_b": []}
+    restored = PairSampler(64, rng=999)
+    restored.state_restore(legacy)
+    block = restored.pair_block(40)
+    assert np.array_equal(block[0], expected[0])
+    assert np.array_equal(block[1], expected[1])
+
+    legacy.update(pending_a=[3], pending_b=[7])
+    with pytest.raises(CheckpointError, match="non-empty pending tail"):
+        PairSampler(64, rng=999).state_restore(legacy)
+
+
 def test_grid_snapshot_rejects_rows_mismatch():
     snapshot = Grid2DScheduler(24, 1, rows=4).state_snapshot()
     with pytest.raises(CheckpointError, match="rows"):

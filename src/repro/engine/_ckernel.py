@@ -62,6 +62,9 @@ mask, count vector, bit generator).  Its contract:
   moves one unit of the ``counts`` vector from the old id to the new one,
   which is how :class:`~repro.engine.fast_batch.FastBatchEngine` keeps
   ``states_ever_occupied`` exact and its counts live without leaving C.
+  Both buffers are the engine's ledger (``BaseEngine._counts`` and
+  ``_seen``), passed by address; the engine rebinds them whenever
+  ``_ensure_capacity`` reallocates them for a grown table.
 """
 
 from __future__ import annotations

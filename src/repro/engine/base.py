@@ -3,8 +3,9 @@
 :class:`BaseEngine` factors out everything that does not depend on how the
 population is represented (per-agent array vs. state counts): the compiled
 :class:`~repro.engine.table.TransitionTable` obtained from
-``protocol.compile()``, ever-occupied state tracking, count bookkeeping
-helpers, convergence-friendly accessors, and the one check loop every run
+``protocol.compile()``, the per-state ledger (the live count vector and
+the ever-occupied byte mask, both indexed by state id), the inspection
+accessors and snapshots derived from it, and the one check loop every run
 is driven by (:func:`drive_checks`, with its fixed and adaptive cadences).
 
 Transition and output memoisation live in the shared table, **not** in the
@@ -17,11 +18,12 @@ C kernel alike.
 from __future__ import annotations
 
 import abc
+import operator
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.engine.protocol import PopulationProtocol
+from repro.engine.protocol import PopulationProtocol, initial_count_items
 from repro.engine.rng import RngLike
 from repro.errors import CheckpointError, ConfigurationError
 from repro.types import State
@@ -46,10 +48,14 @@ SNAPSHOT_VERSION = 2
 class BaseEngine(abc.ABC):
     """Common interface and bookkeeping for population-protocol engines.
 
-    Concrete engines must implement :meth:`_perform_steps` (advance the
-    population by a number of interactions) and :meth:`count_vector` (the
-    dense current counts by state id); every other inspection method is
-    derived from the count vector here.
+    Concrete engines implement :meth:`_perform_steps` (advance the
+    population by a number of interactions) and write every move into the
+    ledger: ``_counts`` (``int64``, agents per state id) and ``_seen``
+    (``uint8``, 1 for every state occupied at some point of the run).  Both
+    are sized to ``table.capacity`` by :meth:`_ensure_capacity`, and
+    :meth:`count_vector`, :attr:`states_ever_occupied` and the snapshot's
+    occupancy bits are read from them here.  The compiled kernels take the
+    two arrays by address.
     """
 
     #: Whether the engine simulates the sequential model exactly.  Approximate
@@ -102,9 +108,10 @@ class BaseEngine(abc.ABC):
         )
         self.encoder = self.table.encoder
         self.interactions = 0
-        # Distinct states occupied by at least one agent at any point of this
-        # run -- per-run state, deliberately NOT part of the shared table.
-        self._ever_occupied: set = set()
+        # The per-state ledger -- per-run state, deliberately NOT part of the
+        # shared table, but sized to its capacity (see _ensure_capacity).
+        self._counts = np.zeros(0, dtype=np.int64)
+        self._seen = np.zeros(0, dtype=np.uint8)
 
     # ------------------------------------------------------------------
     # Abstract representation-specific pieces
@@ -113,38 +120,49 @@ class BaseEngine(abc.ABC):
     def _perform_steps(self, count: int) -> None:
         """Advance the simulation by ``count`` interactions."""
 
-    @abc.abstractmethod
+    # ------------------------------------------------------------------
+    # The per-state ledger
+    # ------------------------------------------------------------------
+    def _ensure_capacity(self) -> None:
+        """Grow ``_counts`` and ``_seen`` to the shared table's capacity,
+        into new arrays (a kernel holding their addresses rebinds)."""
+        missing = self.table.capacity - self._seen.shape[0]
+        if missing > 0:
+            self._counts = np.concatenate((self._counts, np.zeros(missing, np.int64)))
+            self._seen = np.concatenate((self._seen, np.zeros(missing, np.uint8)))
+
+    def _count_initial(self) -> None:
+        """Enter the protocol's initial ``(state, count)`` items in the
+        ledger, registering the states in order and marking them seen (the
+        count-space engines' construction)."""
+        for state, count in initial_count_items(self.protocol, self.n):
+            sid = self.table.encode(state)
+            self._ensure_capacity()
+            self._counts[sid] += count
+            self._seen[sid] = 1
+
+    def _count_agents(self, agent_states) -> None:
+        """Rewrite the ledger's counts, in place, as a bincount of per-agent
+        state ids, and mark the occupied states seen (the per-agent
+        engines' construction and restore, where it changes no bit)."""
+        self._ensure_capacity()
+        self._counts[:] = np.bincount(agent_states, minlength=self._counts.shape[0])
+        self._seen[self._counts > 0] = 1
+
     def count_vector(self) -> np.ndarray:
         """Dense current counts indexed by state id.
 
         The returned ``int64`` array has length exactly ``len(self.encoder)``
         and ``count_vector()[sid]`` agents in the state registered under
-        ``sid``.  Every exact engine keeps it live as it steps and returns
-        its own buffer (the sequential engine converts its Python list),
-        so an inspection costs ``O(k)`` in the registered states, never
-        ``O(n)`` — treat the array as **read-only** and do not hold it
-        across simulation steps.  This is the substrate of every inspection
-        method below and of the compiled state-property views
-        (:mod:`repro.engine.views`).
+        ``sid``.  Every exact engine keeps the ledger live as it steps, so
+        this is a view of it and an inspection costs ``O(k)`` in the
+        registered states, never ``O(n)`` — treat the array as
+        **read-only** and do not hold it across simulation steps.  This is
+        the substrate of every inspection method below and of the compiled
+        state-property views (:mod:`repro.engine.views`).
         """
-
-    # ------------------------------------------------------------------
-    # Occupancy tracking
-    # ------------------------------------------------------------------
-    def _mark_occupied(self, sid: int) -> None:
-        """Record that ``sid`` has been occupied at some point of this run.
-
-        Engines call this for every initial state and for every transition
-        output that differs from its input; together with the invariant that
-        an agent's current state is always either initial or a previously
-        recorded changed output, this tracks the exact ever-occupied set.
-        """
-        self._ever_occupied.add(sid)
-
-    def _encode_initial(self, state: State) -> int:
-        sid = self.table.encode(state)
-        self._mark_occupied(sid)
-        return sid
+        self._ensure_capacity()
+        return self._counts[: len(self.encoder)]
 
     # ------------------------------------------------------------------
     # Public inspection API
@@ -208,7 +226,7 @@ class BaseEngine(abc.ABC):
         This is the empirical counterpart of the protocol's space complexity
         (the paper's "number of states utilised by each agent").
         """
-        return len(self._ever_occupied)
+        return int(np.count_nonzero(self._seen))
 
     # ------------------------------------------------------------------
     # Snapshot / restore
@@ -219,7 +237,7 @@ class BaseEngine(abc.ABC):
         The snapshot captures everything the trajectory depends on beyond
         the (pure, deterministic) protocol itself: the configuration
         (per-agent array or count vector, engine-specific), the interaction
-        counter, the ever-occupied state set, the full RNG state (no engine
+        counter, the ever-occupied mask, the full RNG state (no engine
         keeps pre-drawn randomness between calls, so the generator state is
         all of it) and the registered state-identifier layout, which lazily
         discovering engines depend on.
@@ -231,7 +249,7 @@ class BaseEngine(abc.ABC):
         every fresh table of the protocol rebuilds), plus ``encoder_tail``,
         the states registered after it; for protocols without canonical
         states the tail is the whole layout.  ``occupied`` is the
-        ever-occupied set as ``np.packbits`` over the layout.  The count
+        seen mask as ``np.packbits`` over the layout.  The count
         engines store their counts sparse (occupied ids and values as raw
         little-endian bytes); the per-agent payloads are O(n) by nature.
 
@@ -249,6 +267,7 @@ class BaseEngine(abc.ABC):
         """
         prefix = self.table.canonical_count
         tail = self.encoder.states(prefix)
+        self._ensure_capacity()
         return {
             "version": SNAPSHOT_VERSION,
             "engine": type(self).__name__,
@@ -257,7 +276,7 @@ class BaseEngine(abc.ABC):
             "interactions": self.interactions,
             "canonical": (prefix, self.table.canonical_digest()),
             "encoder_tail": tail,
-            "occupied": np.packbits(self._occupied_mask(prefix + len(tail))).tobytes(),
+            "occupied": np.packbits(self._seen[: prefix + len(tail)]).tobytes(),
             "payload": self._state_snapshot(),
         }
 
@@ -272,7 +291,7 @@ class BaseEngine(abc.ABC):
         the state-identifier layout — which the count engines' sampling
         order and the packed lookup tables depend on — is reproduced exactly
         even on a freshly compiled protocol instance.  A layout-free engine
-        instead maps the recorded ids (the ever-occupied set and its
+        instead maps the recorded ids (the ever-occupied bits and its
         per-agent ``agent_states`` payload) onto its own table, so a
         snapshot taken on a lazily laid-out table resumes onto the closure
         table.  Version-1 snapshots (the whole layout and sorted occupied
@@ -339,7 +358,9 @@ class BaseEngine(abc.ABC):
             occupied = ids[np.asarray(occupied, dtype=np.int64)]
             payload = {**payload, "agent_states": ids[np.asarray(payload["agent_states"])]}
         self.interactions = int(snapshot["interactions"])
-        self._restore_occupied(occupied)
+        self._ensure_capacity()
+        self._seen[:] = 0
+        self._seen[np.asarray(occupied, dtype=np.int64)] = 1
         self._state_restore(payload)
 
     @classmethod
@@ -364,22 +385,10 @@ class BaseEngine(abc.ABC):
     def _state_restore(self, payload: dict) -> None:
         """Restore the engine-specific payload from :meth:`_state_snapshot`.
 
-        Called after the encoder layout, interaction counter and occupancy
-        set have been restored, so ``len(self.encoder)`` already covers every
-        identifier in the payload.
+        Called after the encoder layout, interaction counter and seen mask
+        have been restored, so ``len(self.encoder)`` already covers every
+        identifier in the payload and the ledger is sized to it.
         """
-
-    def _occupied_mask(self, size: int) -> np.ndarray:
-        """``uint8`` mask over ids ``< size`` of the ever-occupied states
-        (overridden by mask-based engines)."""
-        mask = np.zeros(size, dtype=np.uint8)
-        occupied = self._ever_occupied
-        mask[np.fromiter(occupied, dtype=np.int64, count=len(occupied))] = 1
-        return mask
-
-    def _restore_occupied(self, ids) -> None:
-        """Restore the ever-occupied set (overridden by mask-based engines)."""
-        self._ever_occupied = {int(sid) for sid in ids}
 
     # ------------------------------------------------------------------
     # Run drivers
@@ -495,8 +504,13 @@ def cadence_for(check_every, n: int, state: Optional[dict] = None) -> Cadence:
     (continuing the recorded controller ``state`` when given)."""
     if check_every == "auto":
         return AdaptiveCadence(n, **(state or {}))
-    period = n if check_every is None else check_every
-    if isinstance(period, str) or period <= 0:
+    try:
+        # operator.index admits ints and NumPy integers only: a fractional
+        # period would truncate to a zero-interaction chunk and never end.
+        period = n if check_every is None else operator.index(check_every)
+    except TypeError:
+        period = 0
+    if period <= 0:
         raise ConfigurationError(
             f"check_every must be a positive interaction period or 'auto', "
             f"got {check_every!r}"

@@ -78,7 +78,7 @@ from repro.engine._count_kernel import (
     seed_kernel_rng,
 )
 from repro.engine.base import BaseEngine
-from repro.engine.protocol import PopulationProtocol, initial_count_items
+from repro.engine.protocol import PopulationProtocol
 from repro.engine.rng import RngLike, make_rng, restore_rng_state, rng_state
 from repro.errors import CheckpointError, ConfigurationError, ProtocolError
 
@@ -153,13 +153,7 @@ class CountBatchEngine(BaseEngine):
                 f"kernel must be 'auto', 'c' or 'python', got {kernel!r}"
             )
         self._rng = make_rng(rng)
-        counts = np.zeros(max(1, len(self.encoder)), dtype=np.int64)
-        for state, count in initial_count_items(protocol, n):
-            sid = self._encode_initial(state)
-            if sid >= counts.shape[0]:
-                counts = self._grown(counts, len(self.encoder))
-            counts[sid] += count
-        self._counts = counts
+        self._count_initial()
         # Precomputed negated survival curve -P(L >= j), j = 1..jmax,
         # ascending (searchsorted-ready).  Depends only on n.  The terms
         # are computed with log1p on the *ratios* 2j/n — exact-in-float —
@@ -193,7 +187,6 @@ class CountBatchEngine(BaseEngine):
                     "unavailable (no C compiler, or REPRO_NO_C_KERNEL=1)"
                 )
         self._kernel_rng = seed_kernel_rng(self._rng)
-        self._seen_mask: Optional[np.ndarray] = None
         if self._kernel is not None:
             self._kernel_args = CountRow(rng=self._kernel_rng.ctypes.data)
             self._row_address = ctypes.addressof(self._kernel_args)
@@ -209,43 +202,24 @@ class CountBatchEngine(BaseEngine):
             logfact_reserve(n + 1)
 
     # ------------------------------------------------------------------
-    # Count bookkeeping
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _grown(array: np.ndarray, size: int) -> np.ndarray:
-        grown = np.zeros(max(size, array.shape[0]), dtype=np.int64)
-        grown[: array.shape[0]] = array
-        return grown
-
-    def _ensure_counts(self) -> None:
-        if self._counts.shape[0] < len(self.encoder):
-            self._counts = self._grown(self._counts, len(self.encoder))
-
-    # ------------------------------------------------------------------
     # Batched stepping
     # ------------------------------------------------------------------
     def _perform_steps(self, count: int) -> None:
         """Advance by ``count`` interactions, one row call at a time.
 
-        Each round grows the buffers to the encoder and makes one call
-        (C or Python); a call stops early only on a LUT miss, which rolls
-        the missed batch back, RNG included.  The pair is then compiled
+        Each round grows the ledger to the table and makes one call (C or
+        Python) on its count vector and seen mask, over the ``k`` registered
+        states; a call stops early only on a LUT miss, which rolls the
+        missed batch back, RNG included.  The pair is then compiled
         (possibly registering states) and the call re-entered with the
         remaining budget, so the batch is redrawn against the completed
-        table.  Ever-occupied bits stay in the seen mask until read
-        (:meth:`_merge_seen`).
+        table.
         """
         budget = int(count)
         row = self._python_row if self._kernel is None else self._c_row
         while budget > 0:
-            self._ensure_counts()
+            self._ensure_capacity()
             k = len(self.encoder)
-            seen = self._seen_mask
-            if seen is None or seen.shape[0] < k:
-                grown = np.zeros(k, dtype=np.uint8)
-                if seen is not None:
-                    grown[: seen.shape[0]] = seen
-                self._seen_mask = grown
             applied, miss_r, miss_i = row(k, budget)
             self.interactions += applied
             budget -= applied
@@ -255,7 +229,7 @@ class CountBatchEngine(BaseEngine):
     def _python_row(self, k: int, budget: int) -> Tuple[int, int, int]:
         table = self.table
         return run_row(
-            self._counts, self._seen_mask, self._kernel_rng, table.packed, k,
+            self._counts, self._seen, self._kernel_rng, table.packed, k,
             table.capacity, budget, self.n, self._neg_survival, self._jmax,
         )
 
@@ -273,9 +247,9 @@ class CountBatchEngine(BaseEngine):
         if self._counts is not self._bound_counts:
             self._bound_counts = self._counts
             args.counts = self._counts.ctypes.data
-        if self._seen_mask is not self._bound_seen:
-            self._bound_seen = self._seen_mask
-            args.seen = self._seen_mask.ctypes.data
+        if self._seen is not self._bound_seen:
+            self._bound_seen = self._seen
+            args.seen = self._seen.ctypes.data
         lut = self.table.packed
         if lut is not self._bound_lut:
             self._bound_lut = lut
@@ -304,12 +278,12 @@ class CountBatchEngine(BaseEngine):
         # The survival curve is a pure function of n, rebuilt at
         # construction; only the counts and the RNG positions are run
         # state.  Counts are sparse: the occupied ids and their counts as
-        # raw little-endian bytes, plus the length of the count buffer.
+        # raw little-endian bytes, plus the number of registered states.
         # ``kernel_rng`` holds the xoshiro256++ words (raw bytes too).
-        counts = self._counts
+        counts = self.count_vector()
         ids = np.flatnonzero(counts)
         return {
-            "size": int(counts.shape[0]),
+            "size": len(self.encoder),
             "ids": ids.astype("<i4").tobytes(),
             "values": counts[ids].astype("<i8").tobytes(),
             "rng": rng_state(self._rng),
@@ -326,48 +300,15 @@ class CountBatchEngine(BaseEngine):
             )
         if isinstance(kernel_rng, bytes):  # version 1 stored an array instead
             kernel_rng = np.frombuffer(kernel_rng, dtype="<u8")
+        # In place, like the kernel words: the C argument block holds the
+        # ledger's and the words' addresses.
+        self._counts[:] = 0
         if "counts" in payload:  # version-1 snapshots store dense counts
-            counts = np.asarray(payload["counts"], dtype=np.int64).copy()
+            counts = np.asarray(payload["counts"], dtype=np.int64)
+            self._counts[: counts.shape[0]] = counts
         else:
-            counts = np.zeros(payload["size"], dtype=np.int64)
-            counts[np.frombuffer(payload["ids"], dtype="<i4")] = np.frombuffer(
+            self._counts[np.frombuffer(payload["ids"], dtype="<i4")] = np.frombuffer(
                 payload["values"], dtype="<i8"
             )
-        self._counts = self._grown(counts, len(self.encoder))
         restore_rng_state(self._rng, payload["rng"])
-        # In place: the C argument block holds this buffer's address.
         self._kernel_rng[:] = kernel_rng
-        # Stale ever-occupied bits must not leak into the restored
-        # timeline; _ever_occupied itself was restored by the base class.
-        self._seen_mask = None
-
-    # ------------------------------------------------------------------
-    # Inspection
-    # ------------------------------------------------------------------
-    def _merge_seen(self) -> None:
-        """Fold the kernel's seen mask into the ever-occupied set.
-
-        The kernel marks every state a commit lands in; merging when the
-        set is read, not after every kernel call, keeps the call path free
-        of NumPy allocations.
-        """
-        if self._seen_mask is not None:
-            self._ever_occupied.update(np.flatnonzero(self._seen_mask).tolist())
-
-    @property
-    def states_ever_occupied(self) -> int:
-        self._merge_seen()
-        return len(self._ever_occupied)
-
-    def _occupied_mask(self, size: int) -> np.ndarray:
-        mask = super()._occupied_mask(size)
-        seen = self._seen_mask
-        if seen is not None:
-            seen = seen[:size]
-            mask[: seen.shape[0]] |= seen
-        return mask
-
-    def count_vector(self) -> np.ndarray:
-        """The engine's native count vector (read-only view, no copy)."""
-        self._ensure_counts()
-        return self._counts[: len(self.encoder)]

@@ -79,10 +79,9 @@ class SequentialEngine(BaseEngine):
             self._sampler = scenario.topology.build(n, generator)
         configuration = protocol.initial_configuration(n)
         protocol.validate_configuration(configuration, n)
-        self._agent_states: List[int] = [self._encode_initial(s) for s in configuration]
-        self._counts: List[int] = [0] * len(self.encoder)
-        for sid in self._agent_states:
-            self._counts[sid] += 1
+        encode = self.table.encode
+        self._agent_states: List[int] = [encode(s) for s in configuration]
+        self._count_agents(self._agent_states)
         self._scenario_rt = None
         if scenario is not None and scenario.has_dynamics:
             from repro.scenarios.runtime import ScenarioRuntime
@@ -90,7 +89,7 @@ class SequentialEngine(BaseEngine):
             join_state_id: Optional[int] = None
             if scenario.churn.join_rate > 0.0:
                 try:
-                    join_state_id = self._encode_initial(protocol.initial_state(n))
+                    join_state_id = encode(protocol.initial_state(n))
                 except NotImplementedError:
                     raise ConfigurationError(
                         f"protocol {protocol.name!r} has no single initial "
@@ -98,33 +97,44 @@ class SequentialEngine(BaseEngine):
                         "rejoining agent enters; use a scenario without "
                         "join churn for this protocol"
                     ) from None
+                self._ensure_capacity()
+                self._seen[join_state_id] = 1
             self._scenario_rt = ScenarioRuntime(
                 scenario, n, generator, join_state_id=join_state_id
             )
 
     # ------------------------------------------------------------------
-    def _grow_counts(self) -> None:
-        counts = self._counts
-        missing = len(self.encoder) - len(counts)
-        if missing > 0:
-            counts.extend([0] * missing)
-
     def _perform_steps(self, count: int) -> None:
         if count <= 0:
             return
-        if self._scenario_rt is not None:
-            self._perform_steps_scenario(count)
-            return
+        # Both loops count on a list copy of the ledger's counts (a list item
+        # update is far cheaper than an int64 array's), written back once
+        # however the loop exits.  The shared table may hold transitions
+        # compiled by another engine on the same protocol (ids this run has
+        # not seen), so the ledger is sized to it up front; entries compiled
+        # mid-run grow it through _grow_ledger.
+        self._ensure_capacity()
+        counts = self._counts.tolist()
+        try:
+            if self._scenario_rt is None:
+                self._steps(count, counts)
+            else:
+                self._steps_scenario(count, counts)
+        finally:
+            self._counts[: len(counts)] = counts
+
+    def _grow_ledger(self, counts: List[int]) -> memoryview:
+        """Grow the ledger, and the loop's list copy, after a LUT miss."""
+        self._ensure_capacity()
+        counts.extend([0] * (self._counts.shape[0] - len(counts)))
+        return memoryview(self._seen)
+
+    def _steps(self, count: int, counts: List[int]) -> None:
+        """The idealised-world stepping loop."""
         agent_states = self._agent_states
-        # The shared table may hold transitions compiled by another engine on
-        # the same protocol (ids this run has not seen); size the per-run
-        # arrays up front so dict hits can never index out of range.  Entries
-        # compiled mid-run grow them through the miss branch below.
-        self._grow_counts()
-        counts = self._counts
         delta = self.table.delta
         apply_pair = self.table.apply
-        seen_add = self._ever_occupied.add
+        seen = memoryview(self._seen)
         remaining = count
         while remaining > 0:
             chunk = min(remaining, PAIR_CHUNK)
@@ -137,22 +147,22 @@ class SequentialEngine(BaseEngine):
                 result = delta.get((responder_id, initiator_id))
                 if result is None:
                     result = apply_pair(responder_id, initiator_id)
-                    self._grow_counts()
+                    seen = self._grow_ledger(counts)
                 new_responder_id, new_initiator_id = result
                 if new_responder_id != responder_id:
                     agent_states[a] = new_responder_id
                     counts[responder_id] -= 1
                     counts[new_responder_id] += 1
-                    seen_add(new_responder_id)
+                    seen[new_responder_id] = 1
                 if new_initiator_id != initiator_id:
                     agent_states[b] = new_initiator_id
                     counts[initiator_id] -= 1
                     counts[new_initiator_id] += 1
-                    seen_add(new_initiator_id)
+                    seen[new_initiator_id] = 1
             remaining -= chunk
             self.interactions += chunk
 
-    def _perform_steps_scenario(self, count: int) -> None:
+    def _steps_scenario(self, count: int, counts: List[int]) -> None:
         """The disrupted-world stepping loop (churn and/or faults active).
 
         Per chunk, after the pair block, the event uniforms are drawn in a
@@ -174,11 +184,9 @@ class SequentialEngine(BaseEngine):
         generator = self._sampler.generator
         agent_states = self._agent_states
         alive = rt.alive
-        self._grow_counts()
-        counts = self._counts
         delta = self.table.delta
         apply_pair = self.table.apply
-        seen_add = self._ever_occupied.add
+        seen = memoryview(self._seen)
         remaining = count
         while remaining > 0:
             chunk = min(remaining, PAIR_CHUNK)
@@ -198,7 +206,6 @@ class SequentialEngine(BaseEngine):
                         agent_states[slot] = join_id
                         counts[old_id] -= 1
                         counts[join_id] += 1
-                        seen_add(join_id)
                         alive[slot] = True
                         rt.joins += 1
                 if leave_u is not None and leave_u[step] < leave_rate:
@@ -225,7 +232,7 @@ class SequentialEngine(BaseEngine):
                 result = delta.get((responder_id, initiator_id))
                 if result is None:
                     result = apply_pair(responder_id, initiator_id)
-                    self._grow_counts()
+                    seen = self._grow_ledger(counts)
                 new_responder_id, new_initiator_id = result
                 if byzantine is not None and (byzantine[a] or byzantine[b]):
                     new_responder_id = int(generator.integers(0, len(self.encoder)))
@@ -234,12 +241,12 @@ class SequentialEngine(BaseEngine):
                     agent_states[a] = new_responder_id
                     counts[responder_id] -= 1
                     counts[new_responder_id] += 1
-                    seen_add(new_responder_id)
+                    seen[new_responder_id] = 1
                 if new_initiator_id != initiator_id:
                     agent_states[b] = new_initiator_id
                     counts[initiator_id] -= 1
                     counts[new_initiator_id] += 1
-                    seen_add(new_initiator_id)
+                    seen[new_initiator_id] = 1
             remaining -= chunk
             self.interactions += chunk
 
@@ -302,19 +309,12 @@ class SequentialEngine(BaseEngine):
                 "scenario"
             )
         self._agent_states = [int(sid) for sid in payload["agent_states"]]
-        counts = [0] * len(self.encoder)
-        for sid in self._agent_states:
-            counts[sid] += 1
-        self._counts = counts
+        self._count_agents(self._agent_states)
         self._sampler.state_restore(payload["sampler"])
         if self._scenario_rt is not None:
             self._scenario_rt.state_restore(scenario_payload)
 
     # ------------------------------------------------------------------
-    def count_vector(self) -> np.ndarray:
-        self._grow_counts()
-        return np.asarray(self._counts, dtype=np.int64)
-
     def agent_state(self, index: int):
         """State of agent ``index`` (useful in tests and traces)."""
         return self.encoder.decode(self._agent_states[index])

@@ -49,11 +49,12 @@ Per block the engine
    array, filled lazily on first use of each state pair), and the changed
    states are scattered back.
 
-Every path keeps the per-state count vector live: each agent whose state a
-transition changes moves one count from its old state id to its new one
-(in the C kernel, per segment on the wave schedule, once per block in the
-scalar fallback), so an inspection reads ``O(k)`` counts and never
-recounts the ``n`` agents.
+Every path keeps the engine's ledger (:class:`~repro.engine.base.BaseEngine`'s
+count vector and seen mask) live: each agent whose state a transition
+changes moves one count from its old state id to its new one and marks the
+new one seen (in the C kernel, per segment on the wave schedule, once per
+block in the scalar fallback), so an inspection reads ``O(k)`` counts and
+never recounts the ``n`` agents.
 
 Blocks whose dependency chains are deeper than :data:`_MAX_WAVES` (tiny
 populations, where an agent recurs hundreds of times per block) are applied
@@ -307,13 +308,8 @@ class FastBatchEngine(BaseEngine):
         self._agent_states = np.repeat(
             np.asarray(run_ids, dtype=np.int32), run_lengths
         )
-        # Agents per state id, and ever-occupied tracking as a byte mask
-        # instead of the base class's Python set (the NumPy waves mark whole
-        # changed-id arrays at once, the C kernel one byte per changed
-        # output).  Both are indexed by state id, sized with the shared
-        # table and kept live by every stepping path.
-        self._counts = np.bincount(self._agent_states, minlength=self.table.capacity)
-        self._seen = (self._counts > 0).astype(np.uint8)
+        # Every stepping path keeps the ledger live from here on.
+        self._count_agents(self._agent_states)
         # C-path state: this engine's FastBlock argument block and its
         # address, the pair buffers it points at, and the buffers whose
         # addresses it currently holds (see _bind_kernel_buffers).
@@ -327,17 +323,8 @@ class FastBatchEngine(BaseEngine):
         return self._scenario
 
     # ------------------------------------------------------------------
-    # Occupancy and counts (mask-based override of the base set)
+    # The ledger
     # ------------------------------------------------------------------
-    def _ensure_capacity(self) -> None:
-        """Grow the seen mask and the count vector to the shared table's
-        current capacity."""
-        capacity = self.table.capacity
-        size = self._seen.shape[0]
-        if size < capacity:
-            self._seen = np.concatenate((self._seen, np.zeros(capacity - size, np.uint8)))
-            self._counts = np.concatenate((self._counts, np.zeros(capacity - size, np.int64)))
-
     def _move(self, old_ids: np.ndarray, new_ids: np.ndarray) -> None:
         """Count agents leaving ``old_ids`` for ``new_ids`` (equal-length
         arrays, one entry per changed agent) and mark the new ids seen."""
@@ -345,22 +332,6 @@ class FastBatchEngine(BaseEngine):
         np.subtract.at(self._counts, old_ids, 1)
         np.add.at(self._counts, new_ids, 1)
         self._seen[new_ids] = 1
-
-    @property
-    def states_ever_occupied(self) -> int:
-        return int(np.count_nonzero(self._seen))
-
-    def _occupied_mask(self, size: int) -> np.ndarray:
-        mask = np.zeros(size, dtype=np.uint8)
-        seen = self._seen[:size]
-        mask[: seen.shape[0]] = seen
-        return mask
-
-    def _restore_occupied(self, ids) -> None:
-        self._ensure_capacity()
-        self._seen[:] = 0
-        for sid in ids:
-            self._seen[int(sid)] = 1
 
     # ------------------------------------------------------------------
     # Snapshot / restore
@@ -384,7 +355,7 @@ class FastBatchEngine(BaseEngine):
         self._agent_states = np.asarray(
             payload["agent_states"], dtype=np.int32
         ).copy()
-        self._counts = np.bincount(self._agent_states, minlength=self._seen.shape[0])
+        self._count_agents(self._agent_states)
         self._sampler.state_restore(payload["sampler"])
         if self._kernel_args is not None:
             self._kernel_args.chunk = self._kernel_args.position = 0
@@ -578,11 +549,6 @@ class FastBatchEngine(BaseEngine):
     # ------------------------------------------------------------------
     # Inspection
     # ------------------------------------------------------------------
-    def count_vector(self) -> np.ndarray:
-        """The live count vector (read-only view, no copy)."""
-        self._ensure_capacity()
-        return self._counts[: len(self.encoder)]
-
     def agent_state(self, index: int):
         """State of agent ``index`` (useful in tests and traces)."""
         return self.encoder.decode(int(self._agent_states[index]))

@@ -54,7 +54,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.engine.base import BaseEngine
-from repro.engine.protocol import PopulationProtocol, initial_count_items
+from repro.engine.protocol import PopulationProtocol
 from repro.engine.rng import RngLike
 from repro.errors import ConfigurationError
 from repro.types import State
@@ -107,11 +107,11 @@ class MeanFieldEngine(BaseEngine):
         self.rtol = float(rtol)
         self.atol = float(atol)
         self.active_floor = float(active_floor)
-        self._y = np.zeros(len(self.encoder), dtype=np.float64)
-        for state, count in initial_count_items(protocol, n):
-            sid = self._encode_initial(state)
-            self._ensure_width()
-            self._y[sid] = count / n
+        # The ODE runs on the fractions ``_y``; the ledger's counts keep the
+        # initial configuration they were read from (count_vector rounds
+        # ``_y``), and its seen mask tracks every state above the floor.
+        self._count_initial()
+        self._y = self._counts[: len(self.encoder)] / n
         self._h = 0.01  # parallel-time units; adapted per step
         self._channels: Dict[bytes, tuple] = {}
         self._channel_bytes = 0
@@ -232,8 +232,8 @@ class MeanFieldEngine(BaseEngine):
                 if total > 0.0:
                     y1 /= total
                 self._y = y1
-                for sid in np.flatnonzero(y1 > self.active_floor).tolist():
-                    self._ever_occupied.add(int(sid))
+                self._ensure_capacity()
+                self._seen[: y1.shape[0]][y1 > self.active_floor] = 1
                 remaining -= h
             factor = _STEP_SAFETY * (
                 error ** (-1.0 / 3.0) if error > 0.0 else _STEP_MAX_FACTOR

@@ -85,10 +85,11 @@ marked with ``extra={"cached": True}`` on their :class:`SweepPoint`:
     ...     p.result.interactions for p in first]
     True
 
-Per-run seeds are spawned prefix-stably from ``base_seed`` (the first
-``repetitions`` seeds of a size do not depend on how many sizes follow), so
-growing a sweep — more sizes, more repetitions — reuses every cell the
-smaller sweep already computed.  The store is also the only way a sweep
+Per-run seeds are spawned prefix-stably from ``base_seed`` and dealt out
+size-major (size ``i`` takes seeds ``i * repetitions`` onwards), so
+appending sizes to a sweep reuses every cell the smaller sweep already
+computed.  Adding repetitions reuses only a single-size sweep's cells: in
+a multi-size sweep it shifts the seeds of every size after the first.  The store is also the only way a sweep
 resumes: ``resume=True`` names one checkpoint file, which cannot stand for
 several cells, so sweeps refuse it.
 """

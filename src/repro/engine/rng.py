@@ -86,8 +86,10 @@ def spawn_seeds(base_seed: int, count: int) -> List[int]:
     The derivation is also **prefix-stable**: child ``i`` depends only on
     ``(base_seed, i)``, never on ``count``, so
     ``spawn_seeds(s, k) == spawn_seeds(s, m)[:k]`` for ``k <= m``.  The
-    sweep scheduler leans on this: a grown sweep (more sizes or
-    repetitions) reuses every stored cell of the smaller sweep.  Each seed
+    sweep scheduler deals the seeds out size-major and leans on this: a
+    sweep grown by appending sizes reuses every stored cell of the smaller
+    sweep, and one grown by adding repetitions does so only when it has a
+    single size (in a multi-size sweep the later sizes' seeds shift).  Each seed
     is one independent run; seeds run in parallel only through the sweep's
     ``workers=`` pool.
     """

@@ -46,7 +46,7 @@ from typing import Dict
 import numpy as np
 
 from repro.engine.base import BaseEngine
-from repro.engine.protocol import PopulationProtocol, initial_count_items
+from repro.engine.protocol import PopulationProtocol
 from repro.engine.rng import RngLike, make_rng, restore_rng_state, rng_state
 from repro.errors import ConfigurationError, SimulationError
 
@@ -86,23 +86,12 @@ class TauLeapEngine(BaseEngine):
             )
         self.epsilon = float(epsilon)
         self.rng = make_rng(rng)
-        self._counts = np.zeros(len(self.encoder), dtype=np.int64)
-        for state, count in initial_count_items(protocol, n):
-            sid = self._encode_initial(state)
-            self._ensure_width()
-            self._counts[sid] = count
+        self._count_initial()
         self._channels: Dict[bytes, tuple] = {}
 
     # ------------------------------------------------------------------
     # Channel structure from the compiled IR
     # ------------------------------------------------------------------
-    def _ensure_width(self) -> None:
-        missing = len(self.encoder) - self._counts.shape[0]
-        if missing > 0:
-            self._counts = np.concatenate(
-                [self._counts, np.zeros(missing, dtype=np.int64)]
-            )
-
     def _channel_structure(self, occupied: np.ndarray) -> tuple:
         """Effective channels among ``occupied`` ids (cached per set).
 
@@ -155,7 +144,7 @@ class TauLeapEngine(BaseEngine):
             # exact.
             return remaining
         probs = self._channel_probabilities(responders, initiators)
-        self._ensure_width()
+        self._ensure_capacity()
         size = self._counts.shape[0]
         inflow = np.bincount(out_r, weights=probs, minlength=size)
         inflow += np.bincount(out_i, weights=probs, minlength=size)
@@ -187,7 +176,7 @@ class TauLeapEngine(BaseEngine):
             return True
         probs = self._channel_probabilities(responders, initiators)
         firings = self.rng.binomial(tau, np.clip(probs, 0.0, 1.0))
-        self._ensure_width()
+        self._ensure_capacity()
         size = self._counts.shape[0]
         delta = np.bincount(out_r, weights=firings, minlength=size)
         delta += np.bincount(out_i, weights=firings, minlength=size)
@@ -196,12 +185,10 @@ class TauLeapEngine(BaseEngine):
         updated = self._counts + delta.astype(np.int64)
         if np.any(updated < 0):
             return False
-        self._counts = updated
+        self._counts[:] = updated
         fired = firings > 0
-        for sid in np.unique(
-            np.concatenate([out_r[fired], out_i[fired]])
-        ).tolist():
-            self._ever_occupied.add(int(sid))
+        self._seen[out_r[fired]] = 1
+        self._seen[out_i[fired]] = 1
         return True
 
     def _perform_steps(self, count: int) -> None:
@@ -223,25 +210,17 @@ class TauLeapEngine(BaseEngine):
             self.interactions += tau
 
     # ------------------------------------------------------------------
-    # Counts / snapshot
+    # Snapshot
     # ------------------------------------------------------------------
-    def count_vector(self) -> np.ndarray:
-        self._ensure_width()
-        return self._counts
-
     def _state_snapshot(self) -> dict:
         return {
-            "counts": self._counts.tolist(),
+            "counts": self.count_vector().tolist(),
             "rng": rng_state(self.rng),
         }
 
     def _state_restore(self, payload: dict) -> None:
         counts = np.asarray(payload["counts"], dtype=np.int64)
-        missing = len(self.encoder) - counts.shape[0]
-        if missing > 0:
-            counts = np.concatenate(
-                [counts, np.zeros(missing, dtype=np.int64)]
-            )
-        self._counts = counts
+        self._counts[:] = 0
+        self._counts[: counts.shape[0]] = counts
         restore_rng_state(self.rng, payload["rng"])
         self._channels.clear()

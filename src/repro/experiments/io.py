@@ -280,6 +280,3 @@ def jsonable(value):
 
     return plain_data(value, fallback=str)
 
-
-# Backwards-compatible private alias (pre-store callers imported _jsonable).
-_jsonable = jsonable

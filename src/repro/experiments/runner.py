@@ -182,9 +182,10 @@ def sweep(
     :class:`~repro.scenarios.Scenario`) runs every cell under a
     non-default interaction model, and the default complete fault-free
     scenario is the same as none.  Seeds are spawned prefix-stably from
-    ``base_seed``, so extending ``ns`` or ``repetitions`` keeps the keys —
-    and therefore the stored results — of the smaller sweep valid.  A size
-    may appear in ``ns`` only once.
+    ``base_seed`` and dealt out size-major, so appending sizes to ``ns``
+    keeps the keys — and therefore the stored results — of the smaller
+    sweep valid; raising ``repetitions`` keeps them only for a single size.
+    A size may appear in ``ns`` only once.
     """
     ns = [int(n) for n in ns]
     duplicates = sorted({n for n in ns if ns.count(n) > 1})

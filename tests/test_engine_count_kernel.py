@@ -598,7 +598,7 @@ def test_gsu19_count_space_at_1e12_is_pinned_and_small():
         engine._neg_survival.nbytes
         + engine._counts.nbytes
         + engine._scratch.nbytes
-        + engine._seen_mask.nbytes
+        + engine._seen.nbytes
         + engine.table.packed.nbytes
     )
     assert resident < 1 << 30, f"engine-resident memory {resident} >= 1 GiB"

@@ -248,11 +248,12 @@ def test_failing_cell_in_pool_does_not_abandon_sweep(tmp_path, monkeypatch):
 def test_interrupted_sweep_resumes_only_missing_cells(tmp_path):
     """A killed sweep reruns only the cells the store does not hold yet.
 
-    Seeds are spawned prefix-stably, so the cells of a smaller sweep are a
-    prefix of the bigger sweep's cells — running the small sweep first
-    stands in for a sweep killed partway through.
+    Seeds are spawned prefix-stably and dealt out size-major, so the cells
+    of a sweep with fewer sizes — or, for a single size, fewer repetitions
+    — are a prefix of the bigger sweep's cells; running the small sweep
+    first stands in for a sweep killed partway through.
     """
-    store = ExperimentStore(tmp_path)
+    store = ExperimentStore(tmp_path / "sizes")
     run_many(
         _factory, [16], repetitions=2, base_seed=7, max_parallel_time=1000,
         store=store,
@@ -267,6 +268,19 @@ def test_interrupted_sweep_resumes_only_missing_cells(tmp_path):
     ]
     assert store.stored == 4  # only the two missing cells executed
     assert store.loaded == 2
+
+    store = ExperimentStore(tmp_path / "repetitions")
+    run_many(
+        _factory, [16], repetitions=1, base_seed=7, max_parallel_time=1000,
+        store=store,
+    )
+    resumed = run_many(
+        _factory, [16], repetitions=2, base_seed=7, max_parallel_time=1000,
+        store=store,
+    )
+    assert [point.extra.get("cached", False) for point in resumed] == [True, False]
+    assert store.stored == 2
+    assert store.loaded == 1
 
 
 def test_mega_cell_grouping_is_bit_identical(tmp_path):

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.engine import run_protocol
 from repro.engine.engine import SequentialEngine
 from repro.errors import ConfigurationError
 from repro.protocols.epidemic import OneWayEpidemic
@@ -163,5 +165,14 @@ def test_run_until_invokes_observer(slow_protocol, small_n):
 
 def test_run_until_rejects_bad_check_every(slow_protocol, small_n):
     engine = SequentialEngine(slow_protocol, small_n, rng=1)
+    # A fractional period would truncate to zero-interaction chunks and
+    # never reach the budget.
+    for bad in (0, 0.5, 10.5):
+        with pytest.raises(ConfigurationError):
+            engine.run_until(lambda eng: False, max_interactions=10, check_every=bad)
+    assert not engine.run_until(
+        lambda eng: False, max_interactions=10, check_every=np.int64(4)
+    )
+    assert engine.interactions == 10
     with pytest.raises(ConfigurationError):
-        engine.run_until(lambda eng: True, max_interactions=10, check_every=0)
+        run_protocol(OneWayEpidemic(), 64, seed=1, max_parallel_time=4.0, check_every=0.5)

@@ -1,6 +1,6 @@
 """Engine throughput benchmark: the measurements behind README's measured table.
 
-One run measures four sections and writes them, whole, to
+One run measures three sections and writes them, whole, to
 ``BENCH_engine.json`` (or ``--out``):
 
 * ``results`` — one-way epidemic throughput of every exact engine at each
@@ -10,11 +10,7 @@ One run measures four sections and writes them, whole, to
   cell at ``10^9``: the occupied frontier the dispatcher's count-batch
   cost model keys on;
 * ``observed`` — observed-vs-unobserved GSU19 run time (``SingleLeader``
-  plus a role-census recorder at one check per ``n/100`` interactions);
-* ``approx`` — mean-field and tau-leap wall clock on GSU19 at
-  ``10^6``, ``10^8`` and ``10^10`` against a gated exact ``countbatch``
-  comparator.  The tier's accuracy is asserted by
-  ``tests/test_engine_approx.py``, not measured here.
+  plus a role-census recorder at one check per ``n/100`` interactions).
 
 Each section's ``workload`` records the commit, the CPU count and the
 date.  ``python tools/render_bench.py`` renders README's measured table
@@ -376,105 +372,6 @@ def run_observed_ablation(
     }
 
 
-#: Approximate-tier sizes: the count-batch sweet spot, the headline
-#: calibration scale, and a point where even the count kernel's exact
-#: sampling is minutes-scale (the regime the tier was built for).
-_APPROX_SIZES = (10**6, 10**8, 10**10)
-#: Parallel-time budget per timed leg: past GSU19's dueling phase at these
-#: calibrations, so every engine sees steady-state dynamics.
-_APPROX_TAU = 10.0
-#: Exact countbatch comparator gating: always at 10^6; at 10^8 only
-#: through the compiled count kernel (the Python one takes minutes per
-#: round); never at 10^10, where the approximate tier is the point.
-_APPROX_EXACT_ALWAYS = 10**6
-_APPROX_EXACT_KERNEL = 10**8
-
-
-def _gsu19_lazy(n: int) -> GSULeaderElection:
-    """GSU19 at the calibration of ``n`` but without the closure BFS.
-
-    The approximate tier discovers its active states lazily in
-    milliseconds, so this pins ``n_hint`` below the closure gate.  The
-    exact comparator runs on the same lazily discovered table, a *smaller*
-    occupied frontier than the registered closure: the comparison errs in
-    the exact engine's favour.
-    """
-    params = GSUParams.from_population_size(n)
-    return GSULeaderElection(
-        GSUParams(n_hint=1000, gamma=params.gamma, phi=params.phi, psi=params.psi)
-    )
-
-
-def run_approx_ablation(
-    sizes: Sequence[int] = _APPROX_SIZES,
-    rounds: int = 3,
-    tau: float = _APPROX_TAU,
-) -> dict:
-    """Wall clock of the approximate tier against the exact comparator.
-
-    Mean-field and tau-leap advance ``tau`` parallel-time units of GSU19 at
-    each size (construction timed separately; rounds interleaved as in
-    :func:`run_ablation`).  The exact ``countbatch`` comparator rides along
-    where it is feasible (see ``_APPROX_EXACT_*``), so the file records the
-    speedup the tier buys, not just its absolute cost.
-    """
-    from repro.engine.meanfield import MeanFieldEngine
-    from repro.engine.tauleap import TauLeapEngine
-
-    def engines_for(n: int) -> Dict[str, Type[BaseEngine]]:
-        cells: Dict[str, Type[BaseEngine]] = {
-            "meanfield": MeanFieldEngine,
-            "tauleap": TauLeapEngine,
-        }
-        if n <= _APPROX_EXACT_ALWAYS or (
-            n <= _APPROX_EXACT_KERNEL and count_kernel_available()
-        ):
-            cells["countbatch"] = CountBatchEngine
-        return cells
-
-    timings: Dict[tuple, List[tuple]] = {}
-    occupied: Dict[tuple, int] = {}
-    for _ in range(rounds):
-        for n in sizes:
-            for name, engine_cls in engines_for(n).items():
-                start = time.perf_counter()
-                engine = engine_cls(_gsu19_lazy(n), n, rng=1)
-                constructed = time.perf_counter()
-                engine.run_parallel_time(tau)
-                timings.setdefault((name, n), []).append(
-                    (constructed - start, time.perf_counter() - constructed)
-                )
-                occupied[(name, n)] = len(engine.state_count_items())
-    results = [
-        {
-            "engine": name,
-            "n": n,
-            "parallel_time": tau,
-            "median_construct_seconds": median(c for c, _ in rows),
-            "median_run_seconds": median(s for _, s in rows),
-            "occupied_states": occupied[(name, n)],
-        }
-        for (name, n), rows in timings.items()
-    ]
-    return {
-        "workload": {
-            "protocol": "gsu19-leader-election, lazy table (no closure)",
-            "metric": (
-                "seconds to advance parallel_time units (median of rounds; "
-                "construction separate)"
-            ),
-            "rounds": rounds,
-            "count_kernel_available": count_kernel_available(),
-            "note": (
-                "the exact countbatch comparator is gated: always at 10^6, "
-                "kernel-only at 10^8, never at 10^10"
-            ),
-            **_provenance(),
-        },
-        "results": results,
-    }
-
-
 def run_all(sizes: Sequence[int] = ABLATION_SIZES, rounds: int = 5) -> dict:
     """Every section, sized by ``sizes``: the whole ``BENCH_engine.json``.
 
@@ -509,7 +406,6 @@ def run_all(sizes: Sequence[int] = ABLATION_SIZES, rounds: int = 5) -> dict:
             sizes=tuple(n for n in _OBSERVED_SIZES if n <= largest),
             rounds=section_rounds,
         ),
-        "approx": run_approx_ablation(rounds=section_rounds),
     }
 
 
@@ -533,7 +429,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args.out.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
     sections = {"results": document["results"]}
     sections.update(
-        (name, document[name]["results"]) for name in ("gsu19", "observed", "approx")
+        (name, document[name]["results"]) for name in ("gsu19", "observed")
     )
     for section, rows in sections.items():
         for record in rows:

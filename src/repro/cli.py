@@ -11,10 +11,9 @@ The ``--preset`` option selects one of the
 :class:`~repro.experiments.config.ExperimentConfig` presets (``smoke``,
 ``default``, ``large``, ``headline``, ``extreme``); individual sweep
 parameters can be overridden with ``--sizes``, ``--repetitions`` and
-``--budget``.  ``--engine`` picks the simulation engine — the exact
-``sequential``, ``fastbatch`` and ``countbatch``, or the approximate
-``tauleap`` and ``meanfield`` — or ``auto``, which dispatches on population
-size to the fastest exact engine; see the engine selection guide in
+``--budget``.  ``--engine`` picks the simulation engine — ``sequential``,
+``fastbatch`` or ``countbatch``, all exact — or ``auto``, which dispatches
+on population size to the fastest of them; see the engine selection guide in
 :mod:`repro.engine`.  The ``headline`` preset is the ``n = 10^7``/``10^8``
 GSU19 scenario tier on ``auto`` dispatch (count-space simulation at
 ``10^8``; hours-to-days of wall clock); ``extreme`` is the trillion-agent

@@ -27,7 +27,7 @@ state pair compiled anywhere serves every hot path; per-agent runs of a
 protocol with a reachable-state closure (GSU19, GS18) start on a table
 adopted from it, with every pair compiled (``protocol.compile_closure()``).
 
-Five engines are provided — three exact, plus an opt-in approximate tier:
+Three engines are provided, all exact:
 
 * :class:`~repro.engine.engine.SequentialEngine` — the reference engine.  It
   keeps one integer-encoded state per agent and looks transitions up in the
@@ -61,30 +61,16 @@ Five engines are provided — three exact, plus an opt-in approximate tier:
   :mod:`repro.engine.closure`).  The two implementations are bit-identical
   and share one set of trajectory-digest pins;
   ``CountBatchEngine(..., kernel="python")`` selects the portable one.
-* :class:`~repro.engine.tauleap.TauLeapEngine` — the **approximate tier's**
-  stochastic engine: count-space tau-leaping (binomial per-channel firing
-  counts at frozen start-of-leap probabilities, Cao–Gillespie adaptive leap
-  selection, negative-count rejection).  ``O(k)`` memory; leap length set
-  by the dynamics rather than collision statistics.  Accuracy vs. the exact
-  engines is pinned by the cross-validation harness
-  (``tests/test_engine_approx.py`` via :mod:`repro.analysis.accuracy`).
-* :class:`~repro.engine.meanfield.MeanFieldEngine` — the approximate tier's
-  **deterministic** engine: integrates the protocol's expected-count ODE
-  (the ``n → ∞`` fluid limit) with an adaptive embedded RK pair and exact
-  mass conservation.  Cost independent of ``n`` — instant scaling curves
-  to ``n = 10^12`` and beyond; correct for mean occupancies up to
-  ``O(1/sqrt(n))``, silent about distributions and hitting times.
 
 Engine selection guide
 ======================
 
 All run entry points accept ``engine_cls`` / ``engine`` as a class, a name
-(``"sequential"``, ``"countbatch"``, ``"fastbatch"``, ``"tauleap"``,
-``"meanfield"``) or ``"auto"`` (the CLI exposes
-the same choices via ``--engine``).  Rules of thumb, with per-interaction
-costs (``k`` = number of distinct occupied states); the measured rates are
-in README's "Measured engine throughput" table, rendered from
-``BENCH_engine.json``:
+(``"sequential"``, ``"countbatch"``, ``"fastbatch"``) or ``"auto"`` (the
+CLI exposes the same choices via ``--engine``).  Rules of thumb, with
+per-interaction costs (``k`` = number of distinct occupied states); the
+measured rates are in README's "Measured engine throughput" table,
+rendered from ``BENCH_engine.json``:
 
 ===============  ==========  ==========================  ======================
 engine           exactness   cost per interaction        use when
@@ -103,22 +89,7 @@ countbatch       exact in    occupied-frontier work      huge n with an O(k)
                              with a C compiler           cost model from
                                                          3*10^6, forced from
                                                          3*10^7)
-tauleap          APPROXIMATE O(k^2) per leap, leaps      opt-in speed knob at
-                             span many interactions      huge n when KS-level
-                             when dynamics are smooth    agreement suffices
-meanfield        APPROXIMATE O(k^2) per RK step,         opt-in n -> infinity
-                 determinis- independent of n            fluid curves; mean
-                 tic                                     occupancies only
 ===============  ==========  ==========================  ======================
-
-The approximate tier is **never** chosen by ``"auto"`` — requesting
-``tauleap`` or ``meanfield`` is an explicit statement that distributional
-(KS-tolerance) or fluid-limit accuracy is acceptable for the run at hand.
-The harness that keeps that statement honest lives in
-``tests/test_engine_approx.py``: tau-leap is held to KS agreement with the
-sequential engine on convergence times and mid-dynamics censuses across
-five workloads, mean-field to an ``O(1/sqrt(n))`` occupancy band, with the
-tolerances documented next to the assertions.
 
 ``"auto"`` (see :func:`~repro.engine.dispatch.auto_engine`) encodes exactly
 this table.  A protocol is *count-capable* when it declares an ``O(k)``
@@ -202,8 +173,6 @@ from repro.engine.scheduler import (
 from repro.engine.engine import SequentialEngine
 from repro.engine.count_batch import CountBatchEngine
 from repro.engine.fast_batch import FastBatchEngine
-from repro.engine.meanfield import MeanFieldEngine
-from repro.engine.tauleap import TauLeapEngine
 from repro.engine.dispatch import (
     ENGINE_NAMES,
     ENGINE_REGISTRY,
@@ -251,8 +220,6 @@ __all__ = [
     "SequentialEngine",
     "CountBatchEngine",
     "FastBatchEngine",
-    "MeanFieldEngine",
-    "TauLeapEngine",
     "ENGINE_NAMES",
     "ENGINE_REGISTRY",
     "auto_engine",

@@ -58,11 +58,6 @@ class BaseEngine(abc.ABC):
     two arrays by address.
     """
 
-    #: Whether the engine simulates the sequential model exactly.  Approximate
-    #: engines (``TauLeapEngine``, ``MeanFieldEngine``) set this to ``False``
-    #: and must never be used for correctness claims.
-    exact: bool = True
-
     #: Scenario capability tags this engine supports, compared against
     #: :meth:`repro.scenarios.scenario.Scenario.requirements` by
     #: :func:`repro.engine.dispatch.scenario_capable`.  The default — the
@@ -134,7 +129,7 @@ class BaseEngine(abc.ABC):
     def _count_initial(self) -> None:
         """Enter the protocol's initial ``(state, count)`` items in the
         ledger, registering the states in order and marking them seen (the
-        count-space engines' construction)."""
+        count-batch engine's construction)."""
         for state, count in initial_count_items(self.protocol, self.n):
             sid = self.table.encode(state)
             self._ensure_capacity()
@@ -154,7 +149,7 @@ class BaseEngine(abc.ABC):
 
         The returned ``int64`` array has length exactly ``len(self.encoder)``
         and ``count_vector()[sid]`` agents in the state registered under
-        ``sid``.  Every exact engine keeps the ledger live as it steps, so
+        ``sid``.  Every engine keeps the ledger live as it steps, so
         this is a view of it and an inspection costs ``O(k)`` in the
         registered states, never ``O(n)`` — treat the array as
         **read-only** and do not hold it across simulation steps.  This is

@@ -130,8 +130,6 @@ class CountBatchEngine(BaseEngine):
         speed only, never a trajectory.
     """
 
-    exact = True
-
     def __init__(
         self,
         protocol: PopulationProtocol,

@@ -33,21 +33,6 @@ table, rendered from ``BENCH_engine.json``):
   count-batch is selected unconditionally — the per-agent engines' ``O(n)``
   arrays and construction loops stop being viable long before ``10^8``.
 
-The approximate tier (never auto-selected)
-==========================================
-
-Two further engines trade exactness for asymptotics.  Both compile from
-the same :class:`~repro.engine.table.TransitionTable` IR, support the full
-observation / checkpoint API, and are **only** available by explicit
-request — ``auto`` returns exact engines exclusively, so no dispatch path
-can silently downgrade a correctness claim.  Their accuracy against the
-exact tier is pinned by ``tests/test_engine_approx.py`` via
-:mod:`repro.analysis.accuracy`.
-
-They are ``TauLeapEngine`` (count-space tau-leaping) and
-``MeanFieldEngine`` (the expected-count ODE); the engine guide in
-:mod:`repro.engine` describes both.
-
 The count-batch cost model
 ==========================
 
@@ -95,9 +80,7 @@ from repro.engine.base import BaseEngine
 from repro.engine.count_batch import CountBatchEngine
 from repro.engine.engine import SequentialEngine
 from repro.engine.fast_batch import FastBatchEngine
-from repro.engine.meanfield import MeanFieldEngine
 from repro.engine.protocol import PopulationProtocol
-from repro.engine.tauleap import TauLeapEngine
 from repro.errors import ConfigurationError
 
 __all__ = [
@@ -119,8 +102,6 @@ ENGINE_REGISTRY: Dict[str, Type[BaseEngine]] = {
     "sequential": SequentialEngine,
     "countbatch": CountBatchEngine,
     "fastbatch": FastBatchEngine,
-    "meanfield": MeanFieldEngine,
-    "tauleap": TauLeapEngine,
 }
 
 #: Registry names plus the ``"auto"`` policy, for CLI choices and validation.
@@ -305,11 +286,10 @@ def auto_engine(
     """Select the fastest *exact* engine for ``(protocol, n)`` (and scenario).
 
     The policy is a measured throughput/memory trade-off, documented in
-    this module's docstring; approximate engines are never returned.  With
-    an active scenario the choice is restricted to the capable engines:
-    topology-only scenarios keep the fastbatch-vs-sequential threshold
-    (both engines consume the scheduler identically), churn/fault scenarios
-    are the sequential engine's alone.
+    this module's docstring.  With an active scenario the choice is
+    restricted to the capable engines: topology-only scenarios keep the
+    fastbatch-vs-sequential threshold (both engines consume the scheduler
+    identically), churn/fault scenarios are the sequential engine's alone.
     """
     if scenario is not None:
         from repro.scenarios.scenario import active_scenario

@@ -56,8 +56,6 @@ class SequentialEngine(BaseEngine):
         :mod:`repro.scenarios.models` for the event semantics).
     """
 
-    exact = True
-
     scenario_capabilities = frozenset({"topology", "churn", "faults"})
 
     layout_free = True

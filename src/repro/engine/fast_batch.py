@@ -251,8 +251,6 @@ class FastBatchEngine(BaseEngine):
         :class:`~repro.engine.engine.SequentialEngine`.
     """
 
-    exact = True
-
     scenario_capabilities = frozenset({"topology"})
 
     layout_free = True

@@ -131,18 +131,18 @@ class PopulationProtocol(abc.ABC):
     def initial_counts(self, n: int) -> Optional[Dict[State, int]]:
         """Optional ``{state: count}`` form of the initial configuration.
 
-        Configuration-level engines (``CountBatchEngine``, ``TauLeapEngine``,
-        ``MeanFieldEngine``, through :func:`initial_count_items`) prefer this
-        hook because it needs ``O(k)`` memory instead of the
-        ``O(n)`` list built by :meth:`initial_configuration` — the difference
-        between fitting ``n = 10^8`` in a few kilobytes and allocating
-        gigabytes.  The default ``None`` makes those engines fall back to
+        The configuration-level engine (``CountBatchEngine``, through
+        :func:`initial_count_items`) prefers this hook because it needs
+        ``O(k)`` memory instead of the ``O(n)`` list built by
+        :meth:`initial_configuration` — the difference between fitting
+        ``n = 10^8`` in a few kilobytes and allocating gigabytes.  The
+        default ``None`` makes that engine fall back to
         :meth:`initial_configuration` (refused outright at ``n >= 10^7``,
         where the fallback would silently allocate gigabytes).  Counts must
         be non-negative and sum to ``n``.  Declaring this hook is half of
         being *count-capable* (the other half is a finite
         :meth:`canonical_states`), which is what makes ``engine="auto"``
-        consider the configuration-space engines at large ``n``.
+        consider the configuration-space engine at large ``n``.
         """
         return None
 

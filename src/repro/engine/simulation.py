@@ -632,9 +632,8 @@ def run_protocol(
         Observers invoked at every convergence check point.
     engine_cls:
         An engine class, a registry name (``"sequential"``,
-        ``"countbatch"``, ``"fastbatch"``, ``"tauleap"``, ``"meanfield"``)
-        or ``"auto"`` to dispatch on ``(protocol, n)`` — see
-        :mod:`repro.engine.dispatch`.
+        ``"countbatch"``, ``"fastbatch"``) or ``"auto"`` to dispatch on
+        ``(protocol, n)`` — see :mod:`repro.engine.dispatch`.
         For ``n >= 10^7`` population sizes use ``"countbatch"`` (or
         ``"auto"``): it is exact in distribution, needs ``O(k)`` memory,
         and beats the C kernel's throughput there.

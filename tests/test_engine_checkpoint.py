@@ -334,11 +334,14 @@ def test_run_protocol_resume_preserves_auto_engine_choice(tmp_path):
     assert resumed.engine.interactions == simulation.engine.interactions
 
 
-@pytest.mark.parametrize("recorded", ["count", "batch", "nowhere.module:Engine"])
+@pytest.mark.parametrize(
+    "recorded", ["count", "batch", "tauleap", "meanfield", "nowhere.module:Engine"]
+)
 def test_resume_rejects_engine_this_build_does_not_provide(tmp_path, recorded):
     """A checkpoint naming an engine outside the registry (such as the
-    retired ``count`` and ``batch`` engines) fails with a CheckpointError
-    that names it and the valid engines, not an import error."""
+    retired ``count``, ``batch``, ``tauleap`` and ``meanfield`` engines)
+    fails with a CheckpointError that names it and the valid engines, not
+    an import error."""
     from repro.engine.simulation import Simulation
 
     simulation = Simulation(

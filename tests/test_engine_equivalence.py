@@ -11,11 +11,8 @@ back to an asymptotic NumPy implementation when SciPy is unavailable) plus
 the dependency-free quantile-profile distance.
 
 The workload definitions and the sampling loop live in
-:mod:`repro.analysis.accuracy` — the same comparator the approximate-tier
-accuracy harness (``tests/test_engine_approx.py``) aims at the tau-leap and
-mean-field engines, with the exact engines as ground truth.  This suite
-parametrises over the five *exact-equivalence* workloads only; the shared
-registry also carries gs18/lottery entries used by the approx harness.
+:mod:`repro.analysis.accuracy`; this suite parametrises over all five of
+its workloads.
 
 Disjoint seed ranges matter: the fast-batch engine reproduces the sequential
 engine's trajectories *bit for bit* for equal seeds (that stronger property

@@ -561,6 +561,31 @@ def test_retired_engine_names_suggest_their_replacement(retired, replacement):
         resolve_engine(retired)
 
 
+def test_unknown_engine_error_enumerates_names_and_suggests():
+    """A typo like 'countbach' must name every valid engine and offer a
+    did-you-mean hint."""
+    with pytest.raises(ConfigurationError) as excinfo:
+        resolve_engine("countbach")
+    message = str(excinfo.value)
+    for name in ENGINE_NAMES:
+        assert f"'{name}'" in message
+    assert "did you mean 'countbatch'?" in message
+
+
+@pytest.mark.parametrize("name", ["zeppelin", "tauleap", "meanfield"])
+def test_unknown_engine_error_without_a_close_match(name):
+    """A name with no close match (the retired approximate engines
+    ``tauleap`` and ``meanfield`` among them) is refused outright: no hint,
+    no fallback to another engine."""
+    with pytest.raises(ConfigurationError) as excinfo:
+        resolve_engine(name)
+    message = str(excinfo.value)
+    assert f"unknown engine '{name}'" in message
+    assert "did you mean" not in message
+    for valid in ENGINE_NAMES:
+        assert f"'{valid}'" in message
+
+
 def test_kernel_cache_dir_resolution(monkeypatch, tmp_path):
     """Kernel artifacts build into a user cache directory, never the source
     tree: explicit override first, then XDG, then ~/.cache."""
@@ -610,7 +635,7 @@ def test_registry_and_names_are_consistent():
     assert set(ENGINE_NAMES) == set(ENGINE_REGISTRY) | {"auto"}
     for name, engine_cls in ENGINE_REGISTRY.items():
         assert resolve_engine(name) is engine_cls
-    # The dispatcher never selects an approximate engine.
     assert all(
-        auto_engine(OneWayEpidemic(), n).exact for n in (64, 10**4, 10**6, 1 << 28)
+        auto_engine(OneWayEpidemic(), n) in ENGINE_REGISTRY.values()
+        for n in (64, 10**4, 10**6, 1 << 28)
     )

@@ -35,8 +35,6 @@ from repro.engine._count_kernel import count_kernel_available
 from repro.engine.count_batch import CountBatchEngine
 from repro.engine.engine import SequentialEngine
 from repro.engine.fast_batch import FastBatchEngine
-from repro.engine.meanfield import MeanFieldEngine
-from repro.engine.tauleap import TauLeapEngine
 from repro.protocols.approximate_majority import ApproximateMajority
 from repro.protocols.epidemic import OneWayEpidemic
 from repro.protocols.exact_majority import ExactMajority
@@ -143,29 +141,6 @@ def expected_digest(protocol_name: str, engine_name: str) -> str:
     if engine_name == "countbatch":
         return KERNEL_EXPECTED[protocol_name]
     return EXPECTED[f"{protocol_name}/{engine_name}"]
-
-
-#: Approximate-tier determinism pins: one workload per engine (ISSUE 9).
-#: These pin *seed-determinism*, not accuracy (that is
-#: ``test_engine_approx.py``'s job): the tau-leap engine must replay the
-#: same leaps for the same seed, and the mean-field engine — whose
-#: trajectory is elementwise IEEE float arithmetic plus deterministic
-#: largest-remainder rounding — must reproduce the same rounded counts.
-APPROX_ENGINES = {
-    "meanfield": MeanFieldEngine,
-    "tauleap": TauLeapEngine,
-}
-
-#: (protocol, approx engine) cells pinned; keys index PROTOCOLS above.
-APPROX_CASES = (
-    ("epidemic", "tauleap"),
-    ("exact-majority", "meanfield"),
-)
-
-APPROX_EXPECTED = {
-    "epidemic/tauleap": "8f0df41d6af928d90fce133b3375b326ce0bda13efc3d4b5aba39842293949bf",
-    "exact-majority/meanfield": "fb3a1938feeef4cfd793960366f8a6f098ae90f30997014aa45b509992563a3c",
-}
 
 
 #: Driver pins: ``Simulation.run`` end to end, so the *driver's* call
@@ -338,18 +313,6 @@ def test_trajectory_digest_is_pinned(protocol_name, engine_name):
     )
 
 
-@pytest.mark.parametrize("protocol_name,engine_name", APPROX_CASES)
-def test_approx_trajectory_digest_is_pinned(protocol_name, engine_name):
-    factory, n = PROTOCOLS[protocol_name]
-    observed = trajectory_digest(APPROX_ENGINES[engine_name], factory, n)
-    expected = APPROX_EXPECTED[f"{protocol_name}/{engine_name}"]
-    assert observed == expected, (
-        f"{engine_name} changed its determinism contract on "
-        f"{protocol_name}: digest {observed} != pinned {expected}. If the "
-        "change is intentional, regenerate the pins (see module docstring)."
-    )
-
-
 @pytest.mark.parametrize("cadence", sorted(DRIVER_CADENCES))
 @pytest.mark.parametrize("engine_name", sorted(DRIVER_ENGINES))
 @pytest.mark.parametrize("protocol_name", sorted(DRIVER_PROTOCOLS))
@@ -405,11 +368,6 @@ if __name__ == "__main__":  # pragma: no cover - pin regeneration helper
             if engine_name == "countbatch":  # a KERNEL_EXPECTED entry
                 key = protocol_name
             print(f'    "{key}": "{value}",')
-    print("# approximate tier:")
-    for protocol_name, engine_name in APPROX_CASES:
-        factory, n = PROTOCOLS[protocol_name]
-        value = trajectory_digest(APPROX_ENGINES[engine_name], factory, n)
-        print(f'    "{protocol_name}/{engine_name}": "{value}",')
     import tempfile
     from pathlib import Path
 

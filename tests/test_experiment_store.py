@@ -159,11 +159,10 @@ def test_canonical_engine_spec_forms():
     )
 
 
-def test_approximate_engine_cells_never_alias_exact_ones(tmp_path):
-    """Regression (ISSUE 9): an approximate engine's results must live in
-    their own cells — a tau-leap or mean-field run served from a cached
-    exact cell (or vice versa) would silently launder approximate numbers
-    into an exact-tier figure."""
+def test_engine_cells_never_alias_each_other(tmp_path):
+    """Each engine's results live in their own cells: the engines draw
+    different trajectories, so a run served from another engine's cached
+    cell would report numbers that engine never produced."""
     store = ExperimentStore(tmp_path)
     protocol = SlowLeaderElection()
     base = dict(convergence=None, max_parallel_time=100.0)
@@ -171,13 +170,10 @@ def test_approximate_engine_cells_never_alias_exact_ones(tmp_path):
         spec: content_key(
             store.cell_inputs(protocol, 64, 1, engine=spec, **base)
         )
-        for spec in (None, "sequential", "countbatch", "tauleap", "meanfield")
+        for spec in (None, "sequential", "countbatch", "fastbatch")
     }
-    assert keys["tauleap"] != keys["sequential"]
-    assert keys["meanfield"] != keys["sequential"]
-    assert keys["tauleap"] != keys["countbatch"]
-    assert keys["tauleap"] != keys["meanfield"]
-    # None canonicalises to the sequential default — same (exact) cell.
+    assert len({keys["sequential"], keys["countbatch"], keys["fastbatch"]}) == 3
+    # None canonicalises to the sequential default — same cell.
     assert keys[None] == keys["sequential"]
 
 

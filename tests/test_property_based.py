@@ -11,10 +11,6 @@ The properties here are the ones the simulation's correctness rests on:
 * the exact batched engine (``FastBatchEngine``) applies arbitrary pair
   blocks exactly — collision handling never drops, duplicates or reorders
   an interaction — and reproduces the sequential engine bit for bit,
-* the approximate tier's hard invariants: the tau-leap engine never emits
-  a negative count, conserves the population for churn-free runs, and is
-  deterministic given a seed; the mean-field engine conserves Σx = n to
-  solver tolerance (and exactly after count rounding),
 * the seniority order is a total preorder consistent with equality,
 * the analysis helpers accept arbitrary well-formed inputs.
 """
@@ -50,9 +46,7 @@ from repro.engine.fast_batch import (
     conflict_columns,
     wave_depths,
 )
-from repro.engine.meanfield import MeanFieldEngine
 from repro.engine.state import StateEncoder
-from repro.engine.tauleap import TauLeapEngine
 from repro.protocols.approximate_majority import ApproximateMajority
 from repro.protocols.epidemic import OneWayEpidemic
 from repro.types import CoinMode, Elevation, Flip, LeaderMode
@@ -291,51 +285,6 @@ def test_fast_batch_conserves_population_and_matches_sequential(n, seed, runs):
         assert counts == reference.state_counts()
     assert batched.population_snapshot() == reference.population_snapshot()
     assert batched.interactions == reference.interactions == sum(runs)
-
-
-# ----------------------------------------------------------------------
-# Approximate tier invariants
-# ----------------------------------------------------------------------
-@given(
-    st.integers(min_value=2, max_value=200),
-    st.integers(min_value=0, max_value=2**32 - 1),
-    st.lists(st.integers(min_value=1, max_value=500), min_size=1, max_size=4),
-)
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_tauleap_conserves_population_and_never_goes_negative(n, seed, runs):
-    """Approximation may distort *distributions*, never invariants: for any
-    population size, seed and driver call pattern the tau-leap engine keeps
-    every count non-negative, conserves the population exactly (every leap
-    moves responder/initiator pairs to successor pairs), and replays the
-    same trajectory for the same seed."""
-    engine = TauLeapEngine(ApproximateMajority(0.5), n, rng=seed)
-    twin = TauLeapEngine(ApproximateMajority(0.5), n, rng=seed)
-    for count in runs:
-        engine.run(count)
-        twin.run(count)
-        counts = engine.count_vector()
-        assert (counts >= 0).all()
-        assert int(counts.sum()) == n
-        assert np.array_equal(counts, twin.count_vector())
-    assert engine.interactions == sum(runs)
-
-
-@given(
-    st.integers(min_value=2, max_value=200),
-    st.lists(st.integers(min_value=1, max_value=500), min_size=1, max_size=4),
-)
-@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_meanfield_conserves_total_mass(n, runs):
-    """The fluid limit renormalises after every accepted step, so the
-    expected fractions sum to 1 to solver tolerance and the rounded count
-    vector sums to exactly n, with no negative entries."""
-    engine = MeanFieldEngine(OneWayEpidemic(), n)
-    for count in runs:
-        engine.run(count)
-        assert float(np.sum(engine._y)) == pytest.approx(1.0, abs=1e-9)
-        counts = engine.count_vector()
-        assert (counts >= 0).all()
-        assert int(counts.sum()) == n
 
 
 # ----------------------------------------------------------------------

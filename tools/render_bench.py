@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Render README's measured table from ``BENCH_engine.json``.
 
-``benchmarks/bench_engine.py`` writes the file; this tool turns its four
-sections (``results``, ``gsu19``, ``observed``, ``approx``) into one
+``benchmarks/bench_engine.py`` writes the file; this tool turns its three
+sections (``results``, ``gsu19``, ``observed``) into one
 markdown table between README's ``<!-- measured:begin -->`` and
 ``<!-- measured:end -->`` markers, so every engine and observation number
 README quotes comes from the measured file.
@@ -35,7 +35,7 @@ BEGIN = "<!-- measured:begin -->"
 END = "<!-- measured:end -->"
 SCHEMA = "bench-engine/v2"
 #: Every top-level key of the file; each is read below.
-KEYS = ("schema", "workload", "results", "gsu19", "observed", "approx")
+KEYS = ("schema", "workload", "results", "gsu19", "observed")
 
 _SUPERSCRIPT = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
 
@@ -98,22 +98,6 @@ def _rows(document: dict) -> List[List[str]]:
              measured, relative]
         )
 
-    approx = document["approx"]["results"]
-    exact = {
-        r["n"]: r["median_run_seconds"] for r in approx if r["engine"] == "countbatch"
-    }
-    for r in approx:
-        seconds = r["median_run_seconds"]
-        relative = "—"
-        if r["engine"] == "countbatch":
-            relative = "exact comparator"
-        elif r["n"] in exact:
-            relative = f"{_x(exact[r['n']] / seconds)} countbatch's speed"
-        measured = f"{seconds:.3g} s, {r['occupied_states']} occupied"
-        rows.append(
-            [f"GSU19, {r['parallel_time']:g} parallel-time units", _n(r["n"]),
-             r["engine"], measured, relative]
-        )
     return rows
 
 
@@ -122,7 +106,6 @@ def _provenance(document: dict) -> str:
         "epidemic": document["workload"],
         "GSU19": document["gsu19"]["workload"],
         "observed": document["observed"]["workload"],
-        "approx": document["approx"]["workload"],
     }
     machines = sorted({(w["commit"], w["cpus"], w["date"]) for w in sections.values()})
     rounds: Dict[int, List[str]] = {}

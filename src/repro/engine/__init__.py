@@ -107,9 +107,9 @@ predicates, interaction budgets, recorders, result objects) on top of the
 engines, and :mod:`repro.engine.parallel` adds multi-seed sweep drivers.
 Every run — ``BaseEngine.run_until`` and ``Simulation.run`` — is driven by
 one check loop, :func:`~repro.engine.base.drive_checks`: observe, test the
-predicate, update the check cadence (a fixed period or the adaptive
-back-off), then advance by the next chunk, clipped to the budget.  Engines
-run one seed each; a sweep's seeds run in parallel only through
+predicate, then advance by one fixed check period (``check_every``,
+default ``n``), clipped to the budget.  Engines run one seed each; a
+sweep's seeds run in parallel only through
 :func:`~repro.engine.parallel.run_many`'s ``workers=`` pool.
 
 Observation pipeline
@@ -126,11 +126,9 @@ reduced per check against the engine's native dense
 :meth:`~repro.engine.base.BaseEngine.count_vector` (no dict snapshots, no
 decode loops).  Predicates and recorders declare the views they evaluate
 (their ``views`` attribute) and :class:`~repro.engine.simulation.Simulation`
-warms them up front.  ``Simulation(check_every="auto")`` additionally
-replaces the fixed check period with a geometric back-off driven by the
-output census, so observation cost concentrates where the dynamics are.
-The observed-vs-unobserved overhead is the ``observed`` section of
-``BENCH_engine.json``, rendered in README's measured table.
+warms them up front.  The observed-vs-unobserved overhead is the
+``observed`` section of ``BENCH_engine.json``, rendered in README's
+measured table.
 
 Checkpoint / resume
 ===================

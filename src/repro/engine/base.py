@@ -6,7 +6,7 @@ population is represented (per-agent array vs. state counts): the compiled
 ``protocol.compile()``, the per-state ledger (the live count vector and
 the ever-occupied byte mask, both indexed by state id), the inspection
 accessors and snapshots derived from it, and the one check loop every run
-is driven by (:func:`drive_checks`, with its fixed and adaptive cadences).
+is driven by (:func:`drive_checks`, at one fixed check period).
 
 Transition and output memoisation live in the shared table, **not** in the
 engines: every engine built on the same protocol instance consumes the same
@@ -29,11 +29,9 @@ from repro.errors import CheckpointError, ConfigurationError
 from repro.types import State
 
 __all__ = [
-    "AdaptiveCadence",
     "BaseEngine",
-    "Cadence",
     "SNAPSHOT_VERSION",
-    "cadence_for",
+    "check_period",
     "drive_checks",
 ]
 
@@ -434,7 +432,7 @@ class BaseEngine(abc.ABC):
             self,
             predicate,
             self.interactions + int(max_interactions),
-            cadence_for(check_every, self.n),
+            check_period(check_every, self.n),
             None if on_check is None else lambda engine, _: on_check(engine),
         )
 
@@ -448,57 +446,9 @@ class BaseEngine(abc.ABC):
 # ----------------------------------------------------------------------
 # The drive loop
 # ----------------------------------------------------------------------
-#: A check cadence: called at every check (after the predicate failed), it
-#: returns the period the next chunk is clipped from.
-Cadence = Callable[[BaseEngine], int]
-
-#: Adaptive cadence: base period ``n // 4``, capped at ``4 n`` so that
-#: convergence is detected within a bounded parallel-time lag.
-_AUTO_BASE_DIVISOR = 4
-_AUTO_MAX_UNITS = 4
-
-
-class AdaptiveCadence:
-    """The ``check_every="auto"`` geometric back-off.
-
-    The period doubles while the output census (``counts_by_output()``,
-    O(occupied) on the count-space engines) is unchanged between checks
-    and snaps back to the base the moment it changes.  ``period`` and
-    ``signature`` are the whole state; checkpoints record them so a
-    resumed run issues the uninterrupted run's chunk sequence.
-    """
-
-    def __init__(
-        self,
-        n: int,
-        period: Optional[int] = None,
-        signature: Optional[Dict[str, int]] = None,
-    ) -> None:
-        self.base = max(1, n // _AUTO_BASE_DIVISOR)
-        self.cap = max(self.base, _AUTO_MAX_UNITS * n)
-        self.period = self.base if period is None else int(period)
-        self.signature = None if signature is None else dict(signature)
-
-    def __call__(self, engine: BaseEngine) -> int:
-        current = engine.counts_by_output()
-        if current == self.signature:
-            self.period = min(2 * self.period, self.cap)
-        else:
-            self.signature = current
-            self.period = self.base
-        return self.period
-
-    def state(self) -> dict:
-        """The controller state a checkpoint records."""
-        return {"period": self.period, "signature": self.signature}
-
-
-def cadence_for(check_every, n: int, state: Optional[dict] = None) -> Cadence:
-    """The cadence of a ``check_every`` value: ``None`` checks every ``n``
-    interactions, an integer every that many, ``"auto"`` adaptively
-    (continuing the recorded controller ``state`` when given)."""
-    if check_every == "auto":
-        return AdaptiveCadence(n, **(state or {}))
+def check_period(check_every, n: int) -> int:
+    """The interaction period of a ``check_every`` value: ``None`` checks
+    every ``n`` interactions, a positive integer every that many."""
     try:
         # operator.index admits ints and NumPy integers only: a fractional
         # period would truncate to a zero-interaction chunk and never end.
@@ -507,29 +457,28 @@ def cadence_for(check_every, n: int, state: Optional[dict] = None) -> Cadence:
         period = 0
     if period <= 0:
         raise ConfigurationError(
-            f"check_every must be a positive interaction period or 'auto', "
-            f"got {check_every!r}"
+            f"check_every must be a positive interaction period, got {check_every!r}"
         )
-    return lambda engine: period
+    return period
 
 
 def drive_checks(
     engine: BaseEngine,
     predicate: Callable[[BaseEngine], bool],
     deadline: int,
-    cadence: Cadence,
+    period: int,
     observer: Optional[Callable[[BaseEngine, bool], None]] = None,
 ) -> bool:
     """The check loop every run is driven by.
 
     Each step — the first at the starting position — runs
     ``observer(engine, aligned)``, then ``predicate(engine)`` (returning
-    ``True`` when it holds), then ``cadence(engine)``, and advances the
-    engine by the next chunk: the period, clipped to ``deadline``.  At or
-    past the deadline it returns ``False``.  ``aligned`` is false for a
-    check reached through a clipped
-    chunk: that configuration is an artifact of this run's budget, so a
-    checkpoint written there could not resume a longer run bit-exactly.
+    ``True`` when it holds), and advances the engine by the next chunk:
+    ``period`` interactions, clipped to ``deadline``.  At or past the
+    deadline it returns ``False``.  ``aligned`` is false for a check
+    reached through a clipped chunk: that configuration is an artifact of
+    this run's budget, so a checkpoint written there could not resume a
+    longer run bit-exactly.
     """
     aligned = True
     while True:
@@ -537,7 +486,6 @@ def drive_checks(
             observer(engine, aligned)
         if predicate(engine):
             return True
-        period = cadence(engine)
         remaining = deadline - engine.interactions
         if remaining <= 0:
             return False

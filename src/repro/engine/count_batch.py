@@ -276,12 +276,11 @@ class CountBatchEngine(BaseEngine):
         # The survival curve is a pure function of n, rebuilt at
         # construction; only the counts and the RNG positions are run
         # state.  Counts are sparse: the occupied ids and their counts as
-        # raw little-endian bytes, plus the number of registered states.
-        # ``kernel_rng`` holds the xoshiro256++ words (raw bytes too).
+        # raw little-endian bytes.  ``kernel_rng`` holds the xoshiro256++
+        # words (raw bytes too).
         counts = self.count_vector()
         ids = np.flatnonzero(counts)
         return {
-            "size": len(self.encoder),
             "ids": ids.astype("<i4").tobytes(),
             "values": counts[ids].astype("<i8").tobytes(),
             "rng": rng_state(self._rng),

@@ -101,6 +101,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.engine.base import check_period
 from repro.engine.convergence import ConvergencePredicate
 from repro.engine.cpus import available_cpus
 from repro.engine.dispatch import EngineSpec
@@ -242,6 +243,9 @@ def _run_jobs(
             "resume=True cannot be used in a sweep: every cell would resume "
             "the same checkpoint file; pass store= to resume a sweep"
         )
+    # A bad period fails the sweep up front, not each cell (the size only
+    # stands in for the default period, which is always valid).
+    check_period(run_kwargs.get("check_every"), 1)
     if recorder_factory is not None:
         # Recorder series are live observations that are not persisted, so
         # recorder cells always run.

@@ -2,10 +2,10 @@
 
 A recorder is an object with a ``record(engine)`` method; the
 :class:`repro.engine.simulation.Simulation` driver invokes every attached
-recorder at each convergence-check point (every ``check_every`` interactions,
-or at the adaptive cadence's check points when ``check_every="auto"``).
-Recorders are how the experiment harness extracts time series such as "number
-of active leader candidates over time" or "coin level histogram at the end of
+recorder at each convergence-check point: one every ``check_every``
+interactions, the run's one fixed check period (default ``n``).  Recorders
+are how the experiment harness extracts time series such as "number of
+active leader candidates over time" or "coin level histogram at the end of
 every phase-clock round" without slowing down the engine's hot loop.
 
 Recorders read engines only through the shared inspection API, so they work

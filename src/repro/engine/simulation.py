@@ -51,12 +51,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
-from repro.engine.base import (
-    AdaptiveCadence,
-    BaseEngine,
-    cadence_for,
-    drive_checks,
-)
+from repro.engine.base import BaseEngine, check_period, drive_checks
 from repro.engine.convergence import ConvergencePredicate, SingleLeader
 from repro.engine.dispatch import ENGINE_REGISTRY, EngineSpec, resolve_engine
 from repro.engine.engine import SequentialEngine
@@ -68,9 +63,9 @@ from repro.types import State
 
 __all__ = ["RunResult", "Simulation", "run_protocol"]
 
-#: A run's convergence-check cadence: an interaction period, ``"auto"`` for
-#: the adaptive geometric back-off, or ``None`` for the default (``n``).
-CheckEvery = Optional[Union[int, str]]
+#: A run's convergence-check period in interactions, or ``None`` for the
+#: default (``n``, once per parallel-time unit).
+CheckEvery = Optional[int]
 
 
 @dataclass
@@ -171,11 +166,8 @@ class Simulation:
     recorders:
         Observers invoked at every check point.
     check_every:
-        Convergence-check period in interactions (default: ``n``), or
-        ``"auto"`` for the adaptive back-off
-        (:class:`~repro.engine.base.AdaptiveCadence`): observation
-        concentrates where the dynamics are, and recorder time series
-        inherit its spacing.
+        Convergence-check period in interactions (default: ``n``); recorder
+        time series are sampled at the same points.
     checkpoint_every:
         When set (with ``checkpoint_path``), write a resumable checkpoint
         at every convergence check point at least this many interactions
@@ -240,8 +232,8 @@ class Simulation:
         )
         self.convergence = convergence if convergence is not None else SingleLeader()
         self.recorders: List[Recorder] = list(recorders or [])
-        cadence_for(check_every, self.n)  # validates check_every up front
-        self.check_every = check_every
+        self.check_every = check_every  # as given: checkpoints record it
+        self._period = check_period(check_every, self.n)
         self._warm_views()
         if checkpoint_every is not None and checkpoint_every <= 0:
             raise ConfigurationError(
@@ -264,11 +256,6 @@ class Simulation:
         # Stateful-predicate memory recovered from a checkpoint, applied on
         # the next run() (after its reset) and then discarded.
         self._pending_convergence_state: Optional[dict] = None
-        # The cadence of the current (or last) run; an adaptive one rides in
-        # checkpoints, and a recorded one waits in _pending_auto_state for
-        # the next run().
-        self._cadence = None
-        self._pending_auto_state: Optional[dict] = None
 
     def _warm_views(self) -> None:
         """Compile the output map and every view declared by the predicate
@@ -325,14 +312,6 @@ class Simulation:
             # memory into a different predicate on resume.
             "convergence_type": type(self.convergence).__name__,
             "convergence_state": self.convergence.state_snapshot(),
-            # The adaptive controller as of *before* this check's update
-            # (the observer writes checkpoints first), so a resumed run
-            # applies the update the interrupted run applied next.
-            "auto_cadence": (
-                self._cadence.state()
-                if isinstance(self._cadence, AdaptiveCadence)
-                else None
-            ),
         }
         # Present only for disrupted runs: the scenario (a picklable frozen
         # dataclass) is part of the world the trajectory depends on, so a
@@ -418,6 +397,15 @@ class Simulation:
                 "trajectory — reconstruct the protocol with the original "
                 "parameters"
             )
+        if (
+            checkpoint.get("check_every") == "auto"
+            or checkpoint.get("auto_cadence") is not None
+        ):
+            raise CheckpointError(
+                "checkpoint was taken under the retired adaptive check "
+                "cadence (check_every='auto'), which no build continues; "
+                "rerun the cell from its seed"
+            )
         spec = checkpoint["engine_cls"]
         engine_cls = ENGINE_REGISTRY.get(spec)
         if engine_cls is None:
@@ -480,7 +468,6 @@ class Simulation:
             == type(simulation.convergence).__name__
         ):
             simulation._pending_convergence_state = recorded_state
-        simulation._pending_auto_state = checkpoint.get("auto_cadence")
         return simulation
 
     # ------------------------------------------------------------------
@@ -537,10 +524,6 @@ class Simulation:
         if self._pending_convergence_state is not None:
             self.convergence.state_restore(self._pending_convergence_state)
             self._pending_convergence_state = None
-        # A recorded controller continues only in an adaptive run (fixed
-        # cadences ignore it, so it never leaks into their checkpoints).
-        self._cadence = cadence_for(self.check_every, self.n, self._pending_auto_state)
-        self._pending_auto_state = None
         engine = self.engine
         deadline = int(round(max_parallel_time * self.n))
         if not self._resumed:  # resumed budgets count from interaction 0
@@ -551,7 +534,7 @@ class Simulation:
             engine,
             self.convergence,
             deadline,
-            self._cadence,
+            self._period,
             self._on_check if use_hook else None,
         )
         elapsed = _time.perf_counter() - started
@@ -640,9 +623,7 @@ def run_protocol(
     engine_kwargs:
         Extra engine-constructor keywords (e.g. ``{"kernel": "numpy"}``).
     check_every:
-        Convergence-check period in interactions (default: ``n``), or
-        ``"auto"`` for the adaptive geometric back-off cadence (see
-        :class:`Simulation`).
+        Convergence-check period in interactions (default: ``n``).
     raise_on_budget:
         Raise :class:`~repro.errors.ConvergenceError` instead of returning
         a non-converged result.

@@ -191,7 +191,9 @@ def sweep(
     duplicates = sorted({n for n in ns if ns.count(n) > 1})
     if duplicates:
         raise ConfigurationError(f"sweep sizes must be distinct, {duplicates} repeat")
-    run_kwargs: Dict[str, object] = {"check_every": check_every} if check_every else {}
+    run_kwargs: Dict[str, object] = (
+        {} if check_every is None else {"check_every": check_every}
+    )
     scenario = active_scenario(scenario)
     if scenario is not None:
         run_kwargs["scenario"] = scenario

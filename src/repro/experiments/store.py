@@ -67,7 +67,7 @@ __all__ = ["ExperimentStore", "content_key", "canonical_engine_spec"]
 _CELL_FORMAT = "repro-store-cell"
 _EXPERIMENT_FORMAT = "repro-store-experiment"
 #: Version 2 records carry ``sha256``, the :func:`content_key` of the
-#: record without that field; version 1 records predate it.
+#: record without that field; version 1 records predate it and are misses.
 _STORE_VERSION = 2
 
 
@@ -265,9 +265,9 @@ class ExperimentStore:
 
         A miss is a record that is absent or unreadable (truncated by an
         unclean filesystem, a foreign file), of another format, filed under
-        another key, or whose ``sha256`` does not match its body; version 1
-        records, which carry no checksum, load on the key check alone.  A
-        miss is always safe: the cell is recomputed and rewritten.
+        another key, or whose ``sha256`` is missing (version 1 records
+        predate it) or does not match its body.  A miss is always safe: the
+        cell is recomputed and rewritten with a checksum.
         """
         try:
             record = json.loads(path.read_text())
@@ -275,8 +275,7 @@ class ExperimentStore:
             if (
                 record.get("format") != kind
                 or record.get("key") != key
-                or (checksum is None and record.get("version") != 1)
-                or (checksum is not None and checksum != content_key(record))
+                or checksum != content_key(record)
             ):
                 return None
             result = parse(record["result"])

@@ -530,42 +530,10 @@ def test_checkpoint_ignores_predicate_state_of_different_type(tmp_path):
     assert resumed.interactions == 4 * 64
 
 
-def test_adaptive_cadence_resume_is_bit_exact(tmp_path):
-    """check_every="auto": the cadence controller (period + census
-    signature) rides in the checkpoint and checkpoints are only written at
-    checks on the run's natural chunk grid (a budget-clipped final check is
-    an artifact of the shorter budget — a longer run never visits that
-    configuration), so interrupt+resume reproduces the uninterrupted run
-    byte-for-byte even for budget cuts that fall mid-period."""
-    from repro.engine.simulation import run_protocol
-
-    def run(max_parallel_time, **kwargs):
-        return run_protocol(
-            SlowLeaderElection(),
-            1024,
-            seed=11,
-            engine_cls="fastbatch",
-            engine_kwargs={"kernel": "numpy"},
-            check_every="auto",
-            max_parallel_time=max_parallel_time,
-            **kwargs,
-        )
-
-    full = run(60.0)
-    for cut in (10.0, 17.3):  # aligned and deliberately mid-period cuts
-        path = tmp_path / f"auto-{cut}.ckpt"
-        run(cut, checkpoint_every=1024, checkpoint_path=path)
-        resumed = run(60.0, checkpoint_path=path, resume=True)
-        assert resumed.converged == full.converged
-        assert resumed.interactions == full.interactions
-        assert resumed.final_counts == full.final_counts
-
-
 def test_fixed_cadence_resume_bit_exact_at_clipped_cut(tmp_path):
-    """Fixed cadences have the same clipped-final-check hazard as "auto":
-    a budget cut that falls off the check grid must not leave a checkpoint
-    at the clipped check (the longer run never visits that configuration).
-    Pinned with a deliberately mid-period cut."""
+    """A budget cut that falls off the check grid must not leave a
+    checkpoint at the clipped check (the longer run never visits that
+    configuration).  Pinned with a deliberately mid-period cut."""
     from repro.core.protocol import GSULeaderElection
     from repro.engine.simulation import run_protocol
 
@@ -590,30 +558,45 @@ def test_fixed_cadence_resume_bit_exact_at_clipped_cut(tmp_path):
         assert resumed.final_counts == full.final_counts
 
 
-def test_fixed_cadence_resume_does_not_inherit_auto_controller(tmp_path):
-    """Resuming an auto-cadence checkpoint under an explicit fixed cadence
-    must not carry the recorded controller into its own checkpoints as
-    stale state."""
+def test_resume_refuses_retired_adaptive_checkpoints(tmp_path):
+    """A checkpoint of the retired adaptive cadence (``check_every`` of
+    "auto", or a recorded controller state) is refused by name, through
+    ``from_checkpoint`` and ``run_protocol(resume=True)`` alike; a payload
+    whose ``auto_cadence`` is ``None`` (every fixed-cadence checkpoint
+    written while the cadence existed) still resumes bit-exactly."""
+    from repro.engine.convergence import NeverConverge
     from repro.engine.simulation import Simulation, run_protocol
 
-    path = tmp_path / "auto.ckpt"
-    run_protocol(
-        OneWayEpidemic(),
-        64,
-        seed=5,
-        max_parallel_time=4.0,
-        check_every="auto",
-        checkpoint_every=16,
-        checkpoint_path=path,
-    )
-    from repro.experiments.io import read_checkpoint
+    def run(max_parallel_time, **kwargs):
+        return run_protocol(
+            OneWayEpidemic(), 64, seed=5, convergence=NeverConverge(),
+            max_parallel_time=max_parallel_time, **kwargs,
+        )
 
-    assert read_checkpoint(path)["auto_cadence"] is not None
-    resumed = Simulation.from_checkpoint(
-        OneWayEpidemic(), path, check_every=64
+    full = run(6.0)
+    path = tmp_path / "fixed.ckpt"
+    run(4.0, checkpoint_every=64, checkpoint_path=path)
+    payload = read_checkpoint(path)
+    assert "auto_cadence" not in payload
+    retired = {
+        "auto": {**payload, "check_every": "auto", "auto_cadence": None},
+        "controller": {
+            **payload,
+            "auto_cadence": {"period": 128, "signature": {"I": 64}},
+        },
+    }
+    for name, checkpoint in retired.items():
+        with pytest.raises(CheckpointError, match="retired adaptive check cadence"):
+            Simulation.from_checkpoint(OneWayEpidemic(), checkpoint)
+        retired_path = write_checkpoint(checkpoint, tmp_path / f"{name}.ckpt")
+        with pytest.raises(CheckpointError, match="retired adaptive check cadence"):
+            run(6.0, checkpoint_path=retired_path, resume=True)
+    legacy = write_checkpoint(
+        {**payload, "auto_cadence": None}, tmp_path / "legacy.ckpt"
     )
-    resumed.run(max_parallel_time=6.0)
-    assert resumed.checkpoint_payload()["auto_cadence"] is None
+    resumed = run(6.0, checkpoint_path=legacy, resume=True)
+    assert resumed.interactions == full.interactions
+    assert resumed.final_counts == full.final_counts
 
 
 # ----------------------------------------------------------------------

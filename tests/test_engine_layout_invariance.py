@@ -19,7 +19,7 @@ import pytest
 
 from repro.core.protocol import GSULeaderElection
 from repro.engine._ckernel import kernel_available
-from repro.engine.base import cadence_for, drive_checks
+from repro.engine.base import check_period, drive_checks
 from repro.engine.convergence import SingleLeader
 from repro.engine.count_batch import CountBatchEngine
 from repro.engine.engine import SequentialEngine
@@ -70,7 +70,7 @@ def _checked_run(protocol, engine_cls, engine_kwargs, seed) -> tuple:
         return verdict
 
     budget = int(round(MAX_PARALLEL_TIME * N))
-    converged = drive_checks(engine, check, budget, cadence_for(None, N))
+    converged = drive_checks(engine, check, budget, check_period(None, N))
     return engine.table, (
         converged,
         engine.interactions,

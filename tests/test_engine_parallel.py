@@ -324,33 +324,6 @@ def test_mega_cell_grouping_is_bit_identical(tmp_path):
     ]
 
 
-def test_auto_cadence_cells_group_into_bit_identical_mega_cells():
-    # Count-space sweep cells with the adaptive cadence (once grouped into
-    # mega-cells) each equal their run_protocol run.
-    seeds = [5, 6, 7]
-    points = run_cells(
-        _factory,
-        64,
-        seeds,
-        max_parallel_time=1000,
-        engine="countbatch",
-        check_every="auto",
-    )
-    for point, seed in zip(points, seeds):
-        scalar = run_protocol(
-            SlowLeaderElection(),
-            64,
-            seed=seed,
-            max_parallel_time=1000,
-            engine_cls="countbatch",
-            check_every="auto",
-        )
-        assert point.result.converged == scalar.converged
-        assert point.result.interactions == scalar.interactions
-        assert point.result.final_counts == scalar.final_counts
-        assert point.result.states_used == scalar.states_used
-
-
 def test_ungroupable_run_kwargs_fall_back_to_per_cell():
     # raise_on_budget is per-run state; every cell still runs to its verdict.
     points = run_cells(

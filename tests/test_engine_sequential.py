@@ -166,13 +166,16 @@ def test_run_until_invokes_observer(slow_protocol, small_n):
 def test_run_until_rejects_bad_check_every(slow_protocol, small_n):
     engine = SequentialEngine(slow_protocol, small_n, rng=1)
     # A fractional period would truncate to zero-interaction chunks and
-    # never reach the budget.
-    for bad in (0, 0.5, 10.5):
-        with pytest.raises(ConfigurationError):
+    # never reach the budget; "auto" names the retired adaptive cadence.
+    for bad in (0, 0.5, 10.5, "auto"):
+        with pytest.raises(ConfigurationError, match="positive interaction period, got"):
             engine.run_until(lambda eng: False, max_interactions=10, check_every=bad)
     assert not engine.run_until(
         lambda eng: False, max_interactions=10, check_every=np.int64(4)
     )
     assert engine.interactions == 10
-    with pytest.raises(ConfigurationError):
-        run_protocol(OneWayEpidemic(), 64, seed=1, max_parallel_time=4.0, check_every=0.5)
+    for bad in (0.5, "auto"):
+        with pytest.raises(ConfigurationError, match="positive interaction period, got"):
+            run_protocol(
+                OneWayEpidemic(), 64, seed=1, max_parallel_time=4.0, check_every=bad
+            )

@@ -9,7 +9,6 @@ from repro.engine.count_batch import CountBatchEngine
 from repro.engine.recorder import MetricRecorder
 from repro.engine.simulation import RunResult, Simulation, run_protocol
 from repro.errors import ConfigurationError, ConvergenceError
-from repro.protocols.epidemic import OneWayEpidemic
 from repro.protocols.slow import SlowLeaderElection
 
 
@@ -99,73 +98,6 @@ def test_default_convergence_is_single_leader():
 def test_wall_clock_seconds_is_positive():
     result = run_protocol(SlowLeaderElection(), 32, seed=5, max_parallel_time=2000)
     assert result.wall_clock_seconds >= 0.0
-
-
-# ----------------------------------------------------------------------
-# Adaptive check cadence (check_every="auto")
-# ----------------------------------------------------------------------
-def test_auto_cadence_converges_and_detects_single_leader():
-    result = run_protocol(
-        SlowLeaderElection(),
-        64,
-        seed=2,
-        max_parallel_time=5000,
-        check_every="auto",
-    )
-    assert result.converged
-    assert result.leader_count == 1
-
-
-def test_auto_cadence_backs_off_during_quiescence():
-    """A long quiescent run costs geometrically few checks, not one per unit."""
-    recorder = MetricRecorder(metric=lambda eng: eng.count_of("L"), name="leaders")
-    n = 64
-    horizon = 200.0
-    run_protocol(
-        OneWayEpidemic(),
-        n,
-        seed=3,
-        max_parallel_time=horizon,
-        convergence=NeverConverge(),
-        recorders=[recorder],
-        check_every="auto",
-    )
-    fixed_checks = int(horizon) + 1  # what check_every=n would have recorded
-    assert 1 < len(recorder.values) < fixed_checks / 2
-    # The cadence backs off to its cap (4n interactions) once the epidemic
-    # saturates: late check spacings must reach it.
-    spacings = [
-        later - earlier
-        for earlier, later in zip(recorder.times, recorder.times[1:])
-    ]
-    assert max(spacings) == pytest.approx(4.0)
-    # ... and the early, fast-changing phase is sampled at the base period.
-    assert min(spacings) == pytest.approx(1 / 4, abs=1 / n)
-
-
-def test_auto_cadence_resets_on_output_change():
-    """Checks cluster where the output census moves: the slow election's
-    elimination phase gets base-period sampling, the settled tail the
-    capped back-off, so check density is front-loaded."""
-    recorder = MetricRecorder(metric=lambda eng: eng.count_of("L"), name="leaders")
-    run_protocol(
-        SlowLeaderElection(),
-        64,
-        seed=3,
-        max_parallel_time=400.0,
-        convergence=NeverConverge(),
-        recorders=[recorder],
-        check_every="auto",
-    )
-    early = sum(1 for time in recorder.times if time <= 50.0)
-    late = sum(1 for time in recorder.times if time > 350.0)
-    assert early >= 2 * late
-    spacings = [
-        later - earlier
-        for earlier, later in zip(recorder.times, recorder.times[1:])
-    ]
-    assert min(spacings) == pytest.approx(1 / 4, abs=1 / 64)
-    assert max(spacings) == pytest.approx(4.0)
 
 
 def test_rejects_unknown_check_every_string():

@@ -160,16 +160,12 @@ DRIVER_ENGINES = {
     "countbatch": ("countbatch", {"kernel": "python"}),
     "fastbatch": ("fastbatch", {}),
 }
-DRIVER_CADENCES = {"fixed": 97, "auto": "auto"}
+DRIVER_CADENCES = {"fixed": 97}
 
 DRIVER_EXPECTED = {
-    "gsu19/countbatch/auto": (7757, "037d3c65dc6eca565aacc16a5881cafca787e2d0df0abd2205154c9c9753de33", "ecac033a8a038afcc92bdc9f774dc60f97e70ef1ee4820aea4cff53ba1d3bc60", 24),
     "gsu19/countbatch/fixed": (7757, "677a71421aa156f36b1df7d9aa95824b330913981f25630278be047461a3f6eb", "3e9d33b330276245fc5cfcb1be678641e43630482b2e6caf8bf0931355476334", 26),
-    "gsu19/fastbatch/auto": (7757, "327803398e265b58f218639181f06def73b9f1c925cd704e51bb9ae82790883f", "40a2fc1460964990c451cb3c8ea04d219a695628b18438d09d0cfaafeefc66ea", 24),
     "gsu19/fastbatch/fixed": (7757, "32795a3f6d2d9706adc05ecd82c809604e7aeca997c95dfbb7ce3bad88d17ff8", "4c9c4a956b203a4f9a79d6ef957f32de73896bd1686abeddad21b65b0b0d9c1e", 26),
-    "slow-le/countbatch/auto": (3232, "e492227fa71e45e8aaa4a26bdc0718e03ca2e36a0695619c9ba661e2c060b395", "21d5d29a94167fdfd37e49f35c4c6e61641dbb561cc6aeb4465a908b2c951b07", 23),
     "slow-le/countbatch/fixed": (5917, "e492227fa71e45e8aaa4a26bdc0718e03ca2e36a0695619c9ba661e2c060b395", "b852858eddfedc237fec77b2017d8b5d423162128a8a165072c9b6855b4f776b", 61),
-    "slow-le/fastbatch/auto": (4816, "e492227fa71e45e8aaa4a26bdc0718e03ca2e36a0695619c9ba661e2c060b395", "35f161ee2ad1564f6b303085646766e007de5da104bb9531fb37bea56a5e6a93", 29),
     "slow-le/fastbatch/fixed": (2619, "e492227fa71e45e8aaa4a26bdc0718e03ca2e36a0695619c9ba661e2c060b395", "464269f8581fa5fd94e66a5ca1a548ffdc894ed6d91a4d9a60a24865b54d4f04", 27),
 }
 
@@ -187,23 +183,11 @@ MEGA_CASES = {
 }
 
 MEGA_EXPECTED = {
-    "gsu19/auto": [
-        (False, 7757, "15cd4208071adc46da56110614a6f1bb9578138792c606420732f58fd7d0fb4b"),
-        (False, 7757, "627d1faca7b5912268f947f5b1930fcf9b511c7744d1d01123c17afd5200e90b"),
-        (False, 7757, "a28729f8c8c942e48375b7d061710d99b66509caad9c79e0870dee2e15d3c3b1"),
-        (False, 7757, "b9d5d2e24a88ecf00f182a412e33daaee77ac85f9102eb8da78ccdddf50fe622"),
-    ],
     "gsu19/fixed": [
         (False, 7757, "7ade14f1f67fb130672162556725b18c94f3eff0674e458c52c34f03ce4fec85"),
         (False, 7757, "a27e37d92a545a2cc51b38e2c22656958b63f8833b871a626be84913737773f5"),
         (False, 7757, "d7923243ab8c1fddf93756503312ef3a4e44b4a3b3722e421e8bc698744ffd26"),
         (False, 7757, "a5ad76b1d0d86f1edb109d7614965be131986764bc3f459c1b3ff2aec5845b3a"),
-    ],
-    "slow-le/auto": [
-        (True, 2592, "e492227fa71e45e8aaa4a26bdc0718e03ca2e36a0695619c9ba661e2c060b395"),
-        (True, 1824, "e492227fa71e45e8aaa4a26bdc0718e03ca2e36a0695619c9ba661e2c060b395"),
-        (False, 3859, "403bb780795fd5daf01d5d4cc54696f3a89b40927eea776556e9f165f5046fa3"),
-        (False, 3859, "403bb780795fd5daf01d5d4cc54696f3a89b40927eea776556e9f165f5046fa3"),
     ],
     "slow-le/fixed": [
         (False, 3859, "403bb780795fd5daf01d5d4cc54696f3a89b40927eea776556e9f165f5046fa3"),

@@ -231,9 +231,9 @@ def test_cell_record_under_another_key_is_a_miss(tmp_path, run_counter):
     assert json.loads(target.read_text())["key"] == target.stem
 
 
-def test_version_1_records_load_on_the_key_check_alone(tmp_path, run_counter):
-    """Records written before the checksum (version 1, no ``sha256``) still
-    load, but only under their own key."""
+def test_version_1_records_without_a_checksum_are_recomputed(tmp_path, run_counter):
+    """Records written before the checksum (version 1, no ``sha256``) are
+    misses: their cells rerun and are rewritten with a checksum."""
     store = ExperimentStore(tmp_path)
     _sweep(store, [8, 16], repetitions=1)
     cells = sorted((tmp_path / "cells").glob("*.json"))
@@ -242,11 +242,16 @@ def test_version_1_records_load_on_the_key_check_alone(tmp_path, run_counter):
         del record["sha256"]
         record["version"] = 1
         cell.write_text(json.dumps(record, indent=1, sort_keys=True))
+    assert store.load_result(cells[0].stem) is None
+    points = _sweep(store, [8, 16], repetitions=1)
+    assert len(run_counter) == 4  # both cells reran
+    assert not any(point.extra["cached"] for point in points)
+    for cell in cells:
+        record = json.loads(cell.read_text())
+        checksum = record.pop("sha256")
+        assert record["version"] == 2 and checksum == content_key(record)
     _sweep(store, [8, 16], repetitions=1)
-    assert len(run_counter) == 2  # both served from the store
-    cells[1].write_text(cells[0].read_text())
-    assert store.load_result(cells[1].stem) is None
-    assert store.load_result(cells[0].stem) is not None
+    assert len(run_counter) == 4  # the rewritten records load
 
 
 def _save_cell_20_times(directory, key, result, barrier):

@@ -129,6 +129,15 @@ def test_repeated_sizes_are_rejected():
         config_from_args(args)
 
 
+def test_sweep_rejects_a_zero_check_period():
+    # 0 is not "the default period": it must be refused, as by run_protocol.
+    with pytest.raises(ConfigurationError, match="positive interaction period"):
+        sweep(
+            lambda n: SlowLeaderElection(), [16],
+            repetitions=1, base_seed=1, max_parallel_time=200, check_every=0,
+        )
+
+
 # ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------

@@ -44,7 +44,7 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from repro.engine.closure import PhaseFactoring, reachable_closure
+from repro.engine.closure import PhaseFactoring, closure_file, reachable_closure
 from repro.engine.protocol import FOLLOWER_OUTPUT, PopulationProtocol
 from repro.errors import ConfigurationError
 from repro.types import ClockMode, State, TransitionResult
@@ -59,7 +59,8 @@ __all__ = [
 
 #: Reachable closures of every :class:`PhaseClockedProtocol` calibration:
 #: ``(class, Γ, Φ, Ψ) -> (states, read-only (K, K) LUT)``, shared by every
-#: instance of the calibration (``n_hint`` is validation-only).
+#: instance of the calibration (``n_hint`` is validation-only).  Backed by
+#: one file per calibration on disk (:func:`~repro.engine.closure.closure_file`).
 _CLOSURE_CACHE: Dict[tuple, Tuple[Tuple[State, ...], np.ndarray]] = {}
 
 
@@ -194,22 +195,31 @@ class PhaseClockedProtocol(PopulationProtocol):
         """Every state reachable from the initial state, in BFS order.
 
         Computed once per calibration and cached with its transition LUT,
-        whatever the instance's ``n_hint``.  The BFS runs :meth:`apply_rules`
-        once per phase-free pair and qualifier, and checks a sample of the
-        LUT against :meth:`transition`.
+        whatever the instance's ``n_hint``: in this process, and in the
+        calibration's closure file, which a later process loads instead of
+        running the BFS again.  The BFS runs :meth:`apply_rules` once per
+        phase-free pair and qualifier, and checks a sample of the LUT
+        against :meth:`transition`.
         """
-        cached = _CLOSURE_CACHE.get(self._closure_key())
+        key = self._closure_key()
+        cached = _CLOSURE_CACHE.get(key)
         if cached is None:
-            phi = self.params.phi
-            factoring = PhaseFactoring(
-                *self.clock.tables(),
-                lambda state: (state.phase, state.with_phase(0), state.is_junta(phi)),
-                lambda phase, part: part.with_phase(phase),
-                self.apply_rules,
-            )
-            seed = self.initial_state(self.params.n_hint)
-            states, lut = reachable_closure(self.transition, [seed], factoring=factoring)
-            cached = _CLOSURE_CACHE[self._closure_key()] = (tuple(states), lut)
+            stored = closure_file(type(self), key[1:])
+            cached = stored.load() if stored is not None else None
+            if cached is None:
+                phi = self.params.phi
+                factoring = PhaseFactoring(
+                    *self.clock.tables(),
+                    lambda state: (state.phase, state.with_phase(0), state.is_junta(phi)),
+                    lambda phase, part: part.with_phase(phase),
+                    self.apply_rules,
+                )
+                seed = self.initial_state(self.params.n_hint)
+                states, lut = reachable_closure(self.transition, [seed], factoring=factoring)
+                cached = (tuple(states), lut)
+                if stored is not None:
+                    stored.save(*cached)
+            _CLOSURE_CACHE[key] = cached
         return cached[0]
 
     def state_closure(self) -> Tuple[Tuple[State, ...], np.ndarray]:

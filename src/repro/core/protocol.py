@@ -114,8 +114,9 @@ class GSULeaderElection(PhaseClockedProtocol):
         ``drag ≤ Ψ``, ``cnt ≤ 2Φ+3``), so the set of states reachable from
         the all-zero start is finite and
         :meth:`~repro.clocks.phase_clock.PhaseClockedProtocol.reachable_state_closure`
-        enumerates it exactly (about 0.7 s at the default calibration on a
-        2-CPU host, then cached per calibration).  It is declared only when
+        enumerates it exactly (about 0.4 s at the default calibration on a
+        2-CPU host, then cached per calibration, in the process and on
+        disk).  It is declared only when
         the parameters were derived for a population at configuration-space
         scale (``n_hint >= CLOSURE_MIN_N_HINT``); smaller instances return
         ``None``, so their count-space runs keep the lazily discovered

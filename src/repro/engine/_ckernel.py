@@ -20,9 +20,9 @@ installed or packaged source trees stay clean (releases before this scheme built
 ``src/repro/engine/_kernel_build/``, which remains gitignored for old
 checkouts).  Builds happen in a **per-process temporary directory** inside
 the cache and are published with one ``os.replace`` — the same
-write-replace discipline as the atomic checkpoint writer in
-:mod:`repro.experiments.io` — so concurrent compiles (e.g. a ``run_many``
-worker pool starting cold on a shared cache) can never observe or load a
+write-replace discipline as :func:`repro.engine.atomic.atomic_write` — so
+concurrent compiles (e.g. a ``run_many`` worker pool starting cold on a
+shared cache) can never observe or load a
 half-written artifact; whichever build finishes last simply replaces an
 identical library.  Compilation is attempted lazily on first use and every
 failure — no compiler, sandboxed filesystem, exotic platform — silently

@@ -43,8 +43,11 @@ table, so cells are bit-identical at any worker count and cell keys depend
 on the cell alone.  What a process keeps between cells is the closure
 cache: an idealised-world per-agent cell of GSU19 or GS18 starts on a
 table adopted from its calibration's reachable-state closure
-(:meth:`~repro.engine.protocol.PopulationProtocol.compile_closure`), which
-each process enumerates once, and then compiles no transition pair.
+(:meth:`~repro.engine.protocol.PopulationProtocol.compile_closure`), and
+then compiles no transition pair.  A process gets each closure once: from
+the calibration's closure file in the kernel cache
+(:func:`~repro.engine.closure.closure_file`), or, when there is none yet,
+from its own BFS, which writes the file for every later worker and sweep.
 
 Recorder and scenario cells take the same path at every worker count.
 ``recorder_factory=`` builds each cell's recorders in the process that

@@ -18,7 +18,8 @@ Two kinds of artefact are written here:
   :class:`~repro.errors.CheckpointError` naming the file instead of
   reaching ``pickle``.  Version-1 files (a bare pickled envelope, no
   checksum) are still read.  Checkpoints are written **atomically** (temp
-  file in the target directory, then ``os.replace``), so a crash mid-write
+  file in the target directory, then ``os.replace``:
+  :func:`repro.engine.atomic.atomic_write`), so a crash mid-write
   can never leave a truncated checkpoint behind — the previous complete
   checkpoint simply survives — and a failed write raises
   :class:`~repro.errors.CheckpointError` naming the file.  No ``fsync`` is
@@ -33,11 +34,11 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import os
 import pickle
 from pathlib import Path
 from typing import Union
 
+from repro.engine.atomic import atomic_write
 from repro.errors import CheckpointError, ExperimentError
 from repro.experiments.runner import ExperimentResult, ExperimentTable
 
@@ -68,37 +69,11 @@ CHECKPOINT_VERSION = 2
 
 
 # ----------------------------------------------------------------------
-# Atomic write helpers
+# Atomic text writes
 # ----------------------------------------------------------------------
-def _atomic_write_bytes(path: Path, data: bytes) -> Path:
-    """Write ``data`` to ``path`` through a same-directory temp file.
-
-    ``os.replace`` is atomic on POSIX and Windows when source and target
-    share a filesystem, which the same-directory temp file guarantees;
-    readers therefore only ever observe complete files.  The temp file is
-    created with mode ``0o666`` under the umask, so the published file gets
-    the permissions a plain ``open(path, "wb")`` would give it.
-    """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    temp = path.parent / f".{path.name}.{os.getpid()}.{os.urandom(6).hex()}"
-    flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY | getattr(os, "O_BINARY", 0)
-    descriptor = os.open(temp, flags, 0o666)
-    try:
-        with os.fdopen(descriptor, "wb") as handle:
-            handle.write(data)
-        os.replace(temp, path)
-    except BaseException:
-        try:
-            os.unlink(temp)
-        except OSError:
-            pass
-        raise
-    return path
-
-
 def atomic_write_text(path: PathLike, text: str) -> Path:
     """Atomically write ``text`` to ``path`` (write-replace, never truncate)."""
-    return _atomic_write_bytes(Path(path), text.encode("utf-8"))
+    return atomic_write(Path(path), text.encode("utf-8"))
 
 
 # ----------------------------------------------------------------------
@@ -210,7 +185,7 @@ def write_checkpoint(payload: dict, path: PathLike) -> Path:
     checksum = hashlib.sha256(body).hexdigest()
     header = f"{CHECKPOINT_MAGIC} {CHECKPOINT_VERSION}\n{checksum}\n".encode("ascii")
     try:
-        return _atomic_write_bytes(path, header + body)
+        return atomic_write(path, header, body)
     except OSError as exc:
         raise CheckpointError(f"cannot write checkpoint {path}: {exc}") from exc
 

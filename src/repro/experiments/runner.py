@@ -175,7 +175,8 @@ def sweep(
     (:func:`repro.engine.parallel.run_many`) over every size: one pool of
     ``workers`` processes steals cells across all sizes (serial for
     ``workers`` 0 or 1), each per-agent GSU19 or GS18 cell starts on its
-    calibration's closure table (one closure BFS per process), and
+    calibration's closure table (loaded once per process from the closure
+    file, which the first process to need it writes by the BFS), and
     ``store`` makes every recorder-free cell resumable.  The predicate is the protocol's own ``convergence()`` hook
     (:func:`convergence_for`).  ``recorder_factory`` gives every cell fresh
     recorders, returned beside its result; ``scenario`` (a

@@ -7,14 +7,30 @@ explicit budgets so the cost is visible at the test site.
 
 from __future__ import annotations
 
+import shutil
+
 import pytest
 
 from repro.core.params import GSUParams
 from repro.core.protocol import GSULeaderElection
+from repro.engine import closure
 from repro.engine.engine import SequentialEngine
 from repro.protocols.approximate_majority import ApproximateMajority
 from repro.protocols.epidemic import OneWayEpidemic
 from repro.protocols.slow import SlowLeaderElection
+
+
+@pytest.fixture(autouse=True, scope="session")
+def session_closure_dir(tmp_path_factory):
+    """Closure files go to a directory of this session, not the user's
+    kernel cache: a calibration's first use in the session runs its BFS
+    whatever an earlier run left on disk.  The compiled kernels stay in the
+    kernel cache, so nothing is recompiled."""
+    directory = tmp_path_factory.mktemp("closures")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(closure, "closure_cache_dir", lambda: directory)
+        yield directory
+    shutil.rmtree(directory, ignore_errors=True)  # tens of MB per session
 
 
 @pytest.fixture

@@ -9,20 +9,25 @@ calibrations (GSU19: 1,348 states at ``Γ=24, Φ=1, Ψ=3``, 1,789 at
 ``n = 10^8``'s ``Φ=2, Ψ=4``; GS18: 1,555 at ``Γ=24, Φ=4``) close in under a
 second on a 2-CPU host.  Its exactness is pinned against a pair-by-pair
 oracle at small calibrations (``gamma=4`` gives 144 GSU19 states,
-``gamma=8, psi=3`` 444) and by digests of the three production closures.
+``gamma=8, psi=3`` 444) and by digests of the three production closures,
+both as the BFS builds them and as a later process loads them from the
+persistent closure cache, whose unusable files are rebuilt by the BFS.
 """
 
 from __future__ import annotations
 
 import hashlib
+import shutil
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from repro.clocks import phase_clock
 from repro.core.params import GSUParams
 from repro.core.protocol import CLOSURE_MIN_N_HINT, GSULeaderElection
 from repro.core.state import deactivated_state, zero_state
+from repro.engine import closure
 from repro.engine._count_kernel import count_kernel_available
 from repro.engine.closure import reachable_closure, reachable_states
 from repro.engine.count_batch import CountBatchEngine
@@ -60,6 +65,31 @@ class _PhaseReadingGSU(GSULeaderElection):
         if responder.role == Role.ZERO and responder.phase % 2:
             return deactivated_state(responder.phase), initiator
         return super().apply_rules(responder, initiator, qualifier)
+
+
+@pytest.fixture
+def closure_dir(monkeypatch, tmp_path):
+    """An empty closure directory and an empty in-process closure cache, so
+    the next use of a calibration runs its BFS (the compiled kernels stay
+    where they are)."""
+    directory = tmp_path / "closures"
+    monkeypatch.setattr(closure, "closure_cache_dir", lambda: directory)
+    monkeypatch.setattr(phase_clock, "_CLOSURE_CACHE", {})
+    yield directory
+    shutil.rmtree(directory, ignore_errors=True)  # up to 26 MB a file
+
+
+@pytest.fixture
+def bfs_runs(monkeypatch):
+    """The closure BFSs run from here on, one entry each."""
+    runs = []
+
+    def counting(*args, **kwargs):
+        runs.append(None)
+        return reachable_closure(*args, **kwargs)
+
+    monkeypatch.setattr(phase_clock, "reachable_closure", counting)
+    return runs
 
 
 def _pair_loop_closure(transition, seeds):
@@ -230,6 +260,7 @@ _PRODUCTION_CLOSURES = [
 ]
 
 
+@pytest.mark.parametrize("path", ["bfs", "loaded"])
 @pytest.mark.parametrize(
     "cls, phi, psi, size, states_sha, lut_sha",
     [
@@ -241,29 +272,39 @@ _PRODUCTION_CLOSURES = [
         for case in _PRODUCTION_CLOSURES
     ],
 )
-def test_production_closures_pinned(cls, phi, psi, size, states_sha, lut_sha):
+def test_production_closures_pinned(
+    closure_dir, bfs_runs, cls, phi, psi, size, states_sha, lut_sha, path
+):
     """The closures Table 1's per-agent runs (GSU19 at Φ=1 and GS18, Γ=24)
     and count-space runs (GSU19 at n = 10^8's Φ=2) start on, pinned by
     digests recorded from the pair-by-pair BFS: sha256 of the states'
-    reprs, one per line, and of the LUT's bytes."""
+    reprs, one per line, and of the LUT's bytes.  Both ways a process gets
+    them: by its own BFS, and loaded from the closure file an earlier BFS
+    wrote."""
     protocol = cls(GSUParams(n_hint=CLOSURE_MIN_N_HINT, gamma=24, phi=phi, psi=psi))
     states, lut = protocol.state_closure()
+    if path == "loaded":
+        phase_clock._CLOSURE_CACHE.clear()
+        states, lut = protocol.state_closure()
+    assert len(bfs_runs) == 1 and len(list(closure_dir.iterdir())) == 1
+    assert not lut.flags.writeable
     assert len(states) == size and lut.shape == (size, size)
     reprs = "\n".join(map(repr, states)).encode()
     assert hashlib.sha256(reprs).hexdigest() == states_sha
     assert hashlib.sha256(lut.tobytes()).hexdigest() == lut_sha
 
 
-def test_phase_reading_rules_fail_the_spot_check(monkeypatch):
+def test_phase_reading_rules_fail_the_spot_check(closure_dir):
     """Rules that read the phase break the factoring the BFS relies on; the
-    spot check against the scalar transition raises, naming the pair."""
-    from repro.clocks import phase_clock
-
-    monkeypatch.setattr(phase_clock, "_CLOSURE_CACHE", {})
+    spot check against the scalar transition raises, naming the pair.  A
+    class defined outside the package is never cached on disk: the key
+    cannot pin its source."""
     params = GSUParams(n_hint=CLOSURE_MIN_N_HINT, gamma=4, phi=1, psi=1)
     protocol = _PhaseReadingGSU(params)
+    assert closure.closure_file(_PhaseReadingGSU, (4, 1, 1)) is None
     with pytest.raises(ProtocolError, match="disagrees with the transition at"):
         protocol.reachable_state_closure()
+    assert not closure_dir.exists()
 
 
 # ----------------------------------------------------------------------
@@ -297,12 +338,135 @@ def test_canonical_states_gated_on_population_scale():
     assert tuple(small.reachable_state_closure()) == tuple(closure)
 
 
-def test_closure_cache_is_shared_per_calibration():
+def test_closure_cache_is_shared_per_calibration(closure_dir, bfs_runs):
     """Two instances with the same (gamma, phi, psi) — whatever their
-    n_hint — share one cached closure object."""
+    n_hint — share one cached closure object, from one BFS and one file."""
     first = _small_gsu(n_hint=4096).reachable_state_closure()
     second = _small_gsu(n_hint=10**8).reachable_state_closure()
     assert first is second
+    assert len(bfs_runs) == 1 and len(list(closure_dir.glob("*.closure"))) == 1
+
+
+# ----------------------------------------------------------------------
+# The persistent closure cache
+# ----------------------------------------------------------------------
+def _flip_bit(path):
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] ^= 0x10
+    path.write_bytes(bytes(data))
+
+
+def _other_version(path):
+    data = path.read_bytes()
+    old = f"{closure.CLOSURE_MAGIC} {closure.CLOSURE_VERSION} ".encode()
+    new = f"{closure.CLOSURE_MAGIC} {closure.CLOSURE_VERSION + 1} ".encode()
+    assert data.startswith(old)
+    path.write_bytes(new + data[len(old):])
+
+
+def _stale_source(path):
+    """The file an earlier source wrote (same calibration, same content,
+    another key), found under the current name."""
+    states, lut = phase_clock._CLOSURE_CACHE[(GSULeaderElection, 8, 1, 3)]
+    closure.ClosureFile(path, "0" * 64).save(states, lut)
+
+
+def _crashed_writer(path):
+    """Only a writer's temp file is left, holding half of the file."""
+    data = path.read_bytes()
+    path.unlink()
+    (path.parent / f".{path.name}.999999.0123456789ab").write_bytes(data[: len(data) // 2])
+
+
+_CORRUPTIONS = {
+    "truncated": lambda path: path.write_bytes(path.read_bytes()[:-1]),
+    "truncated-header": lambda path: path.write_bytes(path.read_bytes()[:40]),
+    "bit-flipped": _flip_bit,
+    "wrong-version": _other_version,
+    "stale-source-digest": _stale_source,
+    "crashed-writer": _crashed_writer,
+}
+
+
+@pytest.mark.parametrize("corrupt", list(_CORRUPTIONS.values()), ids=list(_CORRUPTIONS))
+def test_unusable_closure_files_are_rebuilt_by_the_bfs(closure_dir, bfs_runs, corrupt):
+    """A missing, truncated, bit-flipped, other-version or stale file is
+    never trusted: the BFS runs again, its result equals the first BFS
+    (states in order, LUT bytes), and it rewrites the file, which the next
+    process loads."""
+    protocol = _small_gsu(gamma=8, psi=3)
+    states, lut = protocol.state_closure()
+    (path,) = closure_dir.glob("*.closure")
+    corrupt(path)
+    phase_clock._CLOSURE_CACHE.clear()
+    rebuilt_states, rebuilt_lut = protocol.state_closure()
+    assert len(bfs_runs) == 2
+    assert rebuilt_states == states and rebuilt_lut.tobytes() == lut.tobytes()
+    assert not rebuilt_lut.flags.writeable
+    phase_clock._CLOSURE_CACHE.clear()
+    loaded_states, loaded_lut = protocol.state_closure()
+    assert len(bfs_runs) == 2
+    assert loaded_states == states and loaded_lut.tobytes() == lut.tobytes()
+    assert not loaded_lut.flags.writeable
+
+
+def test_one_closure_file_per_calibration(closure_dir, bfs_runs, monkeypatch):
+    """Every source edit changes the key; a write removes the calibration's
+    older files and leaves other calibrations' alone, so the cache holds
+    one file per calibration."""
+    _small_gsu(gamma=4, psi=1).reachable_state_closure()
+    (other,) = closure_dir.glob("*.closure")
+    names = []
+    for source in ("a" * 64, "b" * 64):
+        monkeypatch.setattr(closure, "source_digest", lambda source=source: source)
+        phase_clock._CLOSURE_CACHE.clear()
+        _small_gsu(gamma=8, psi=3).reachable_state_closure()
+        names.append(closure.closure_file(GSULeaderElection, (8, 1, 3)).path.name)
+    assert len(bfs_runs) == 3 and names[0] != names[1]
+    assert sorted(p.name for p in closure_dir.iterdir()) == sorted([other.name, names[1]])
+
+
+def _save_and_load(stored, states, lut, rounds):
+    """One writer of a shared closure file: every load between its own
+    saves and the others' must see a whole file."""
+    for _ in range(rounds):
+        stored.save(states, lut)
+        loaded = stored.load()
+        if loaded is None or loaded[0] != states or loaded[1].tobytes() != lut.tobytes():
+            raise SystemExit(1)
+
+
+def test_concurrent_writers_leave_one_whole_file(closure_dir):
+    """Sweep workers starting on a cold cache all write the same file:
+    more writers than cores, saving and loading in a loop, never expose a
+    partial file or remove the live one."""
+    import multiprocessing
+
+    states, lut = _small_gsu().state_closure()
+    stored = closure.closure_file(GSULeaderElection, (4, 1, 1))
+    context = multiprocessing.get_context("fork")
+    writers = [
+        context.Process(target=_save_and_load, args=(stored, states, lut, 25))
+        for _ in range(4)
+    ]
+    for writer in writers:
+        writer.start()
+    for writer in writers:
+        writer.join(timeout=60)
+        assert not writer.is_alive() and writer.exitcode == 0
+    assert [path.name for path in closure_dir.iterdir()] == [stored.path.name]
+
+
+def test_an_unwritable_closure_cache_only_costs_the_bfs(monkeypatch, tmp_path, bfs_runs):
+    """A cache directory that cannot be created (here: a file is in the
+    way) is skipped: the closure comes from the BFS, and no error
+    surfaces."""
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_bytes(b"")
+    monkeypatch.setattr(closure, "closure_cache_dir", lambda: blocker / "closures")
+    monkeypatch.setattr(phase_clock, "_CLOSURE_CACHE", {})
+    assert len(_small_gsu().reachable_state_closure()) == 144
+    assert len(bfs_runs) == 1
 
 
 # ----------------------------------------------------------------------

@@ -39,8 +39,7 @@ from pathlib import Path
 from statistics import median
 from typing import Dict, List, Optional, Sequence, Type
 
-from repro.core.params import GSUParams
-from repro.core.protocol import CLOSURE_MIN_N_HINT, GSULeaderElection
+from repro.core.protocol import GSULeaderElection
 from repro.engine._ckernel import kernel_available
 from repro.engine._count_kernel import count_kernel_available
 from repro.engine.base import BaseEngine
@@ -190,26 +189,6 @@ _GSU19_SIZES = (10**6, 10**7)
 _GSU19_KERNEL_SIZES = (10**9,)
 
 
-def _gsu19_at_scale(n: int) -> GSULeaderElection:
-    """GSU19 with the calibration for ``n`` and its closure declared.
-
-    ``n_hint`` is floored at the closure threshold so even the ``10^6``
-    cell registers the reachable closure (``n_hint`` is validation-only;
-    the dynamics depend on ``(gamma, phi, psi)`` alone, derived from the
-    real ``n``): the section measures the count-space configuration every
-    engine sees in the headline tier.
-    """
-    base = GSUParams.from_population_size(n)
-    return GSULeaderElection(
-        GSUParams(
-            n_hint=max(n, CLOSURE_MIN_N_HINT),
-            gamma=base.gamma,
-            phi=base.phi,
-            psi=base.psi,
-        )
-    )
-
-
 def run_gsu19_ablation(
     sizes: Sequence[int] = _GSU19_SIZES,
     rounds: int = 3,
@@ -230,14 +209,14 @@ def run_gsu19_ablation(
     cells = [(n, _GSU19_ENGINES) for n in sizes]
     cells += [(n, {"countbatch": CountBatchEngine}) for n in kernel_sizes]
     for n, engines in cells:
-        _gsu19_at_scale(n).reachable_state_closure()
+        GSULeaderElection.for_population(n).reachable_state_closure()
         budget = min(4 * n, base_interactions)
         for name, engine_cls in engines.items():
             constructs: List[float] = []
             run_seconds: List[float] = []
             for _ in range(rounds):
                 start = time.perf_counter()
-                engine = engine_cls(_gsu19_at_scale(n), n, rng=1)
+                engine = engine_cls(GSULeaderElection.for_population(n), n, rng=1)
                 constructed = time.perf_counter()
                 engine.run(2 * n)
                 warmed = time.perf_counter()
@@ -299,7 +278,7 @@ def run_observed_ablation(
 
     results: List[dict] = []
     for n in sizes:
-        _gsu19_at_scale(n).reachable_state_closure()
+        GSULeaderElection.for_population(n).reachable_state_closure()
         budget = min(4 * n, base_interactions)
         check_every = max(1, n // _OBSERVED_CHECK_DIVISOR)
         for name in ("countbatch", "fastbatch"):
@@ -307,13 +286,13 @@ def run_observed_ablation(
             unobserved_seconds: List[float] = []
             observed_seconds: List[float] = []
             for _ in range(rounds):
-                engine = engine_cls(_gsu19_at_scale(n), n, rng=1)
+                engine = engine_cls(GSULeaderElection.for_population(n), n, rng=1)
                 engine.run(2 * n)
                 start = time.perf_counter()
                 engine.run(budget)
                 unobserved_seconds.append(time.perf_counter() - start)
 
-                protocol = _gsu19_at_scale(n)
+                protocol = GSULeaderElection.for_population(n)
                 engine = engine_cls(protocol, n, rng=1)
                 predicate = protocol.convergence()
                 recorder = RoleCensusRecorder()

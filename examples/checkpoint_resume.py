@@ -18,12 +18,10 @@ verifies the final configurations are identical and prints a digest of
 both trajectories' endpoints.
 
 The O(k) configuration-space engine makes the checkpoints tiny: at the
-default size the checkpoint is 3.8 KB (3,829 bytes: the 41 states
-discovered so far, the counts of the occupied ones and the RNG state), not
-the 40 MB a per-agent array would weigh at ``10^7``.  A closure-registered
-run (``n_hint`` from ``3*10^7``) stores the closure's digest instead of
-its states: about 1.9 KB per checkpoint in ``perfbench``'s
-``leader-count`` workload (1,348 closure states, about 68 occupied).
+default size the checkpoint is 1.5 KB (1,580 bytes: the digest of the
+reachable-state closure every GSU19 table is laid out over, the counts of
+the occupied states and the RNG state), not the 40 MB a per-agent array
+would weigh at ``10^7``.
 
 Run it (a couple of minutes at the default size)::
 

@@ -41,21 +41,10 @@ from repro.core.roles import apply_initialisation
 from repro.core.state import GSUAgentState, is_alive_leader, zero_state
 from repro.engine.base import BaseEngine
 from repro.engine.convergence import SingleLeader
-from repro.engine.dispatch import COUNTBATCH_FORCE_N
 from repro.engine.protocol import FOLLOWER_OUTPUT, LEADER_OUTPUT
 from repro.types import Role
 
-__all__ = ["GSULeaderElection", "CLOSURE_MIN_N_HINT"]
-
-#: Population-size hint from which :meth:`GSULeaderElection.canonical_states`
-#: declares the reachable-state closure.  Tied by import to the dispatcher's
-#: *force* threshold (:data:`repro.engine.dispatch.COUNTBATCH_FORCE_N`) —
-#: the size from which GSU19 is actually count-dispatched.  Below it the
-#: count-space engines keep the lazily discovered state space, which keeps
-#: their seed-pinned trajectories unchanged; the per-agent engines start on
-#: the closure table at every size
-#: (:meth:`~repro.engine.protocol.PopulationProtocol.compile_closure`).
-CLOSURE_MIN_N_HINT = COUNTBATCH_FORCE_N
+__all__ = ["GSULeaderElection"]
 
 #: The rule context of each :meth:`PhaseClockRules.qualifier` code.
 _CONTEXTS = tuple(
@@ -106,8 +95,8 @@ class GSULeaderElection(PhaseClockedProtocol):
         # construct at n = 10^7-10^8 without an O(n) per-agent list.
         return {zero_state(): n}
 
-    def canonical_states(self) -> Optional[Tuple[GSUAgentState, ...]]:
-        """The reachable-state closure — for count-batch-scale instances.
+    def canonical_states(self) -> Tuple[GSUAgentState, ...]:
+        """The reachable-state closure, at every ``n_hint``.
 
         Every field of the frozen :class:`~repro.core.state.GSUAgentState` is
         bounded for fixed parameters (``phase < Γ``, ``level ≤ Φ``,
@@ -116,14 +105,9 @@ class GSULeaderElection(PhaseClockedProtocol):
         :meth:`~repro.clocks.phase_clock.PhaseClockedProtocol.reachable_state_closure`
         enumerates it exactly (about 0.4 s at the default calibration on a
         2-CPU host, then cached per calibration, in the process and on
-        disk).  It is declared only when
-        the parameters were derived for a population at configuration-space
-        scale (``n_hint >= CLOSURE_MIN_N_HINT``); smaller instances return
-        ``None``, so their count-space runs keep the lazily discovered
-        state space and their seed-pinned trajectories.
+        disk).  Declaring it makes GSU19 count-capable for dispatch; the
+        table is laid out over the closure either way.
         """
-        if self.params.n_hint < CLOSURE_MIN_N_HINT:
-            return None
         return self.reachable_state_closure()
 
     def apply_rules(

@@ -23,9 +23,12 @@ All engines consume one shared **compiled transition-table IR**
 the transition/output functions are lowered into a scalar memo dict, a
 packed dense lookup array (the C kernel's input) and vectorised output
 maps.  Engines built on the same protocol instance share one table, so a
-state pair compiled anywhere serves every hot path; per-agent runs of a
-protocol with a reachable-state closure (GSU19, GS18) start on a table
-adopted from it, with every pair compiled (``protocol.compile_closure()``).
+state pair compiled anywhere serves every hot path.  The table's state-id
+layout is a function of the protocol alone: a protocol with a
+reachable-state closure (GSU19, GS18) gets a table adopted from it, with
+every pair compiled, for every engine and scenario; otherwise its
+``canonical_states`` come first, and any other state is registered in
+discovery order.
 
 Three engines are provided, all exact:
 

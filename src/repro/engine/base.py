@@ -66,11 +66,11 @@ class BaseEngine(abc.ABC):
 
     #: Whether no trajectory of this engine depends on its table's state-id
     #: layout: it draws agents, never state ids, and ids only index the
-    #: lookup table.  Such an engine starts an idealised-world run on the
-    #: protocol's closure table (see :meth:`__init__`), and :meth:`restore`
-    #: maps a snapshot's recorded ids onto its table, so its snapshot
-    #: payload keeps the configuration as per-agent ids in
-    #: ``"agent_states"``.
+    #: lookup table.  :meth:`restore` then maps a snapshot's recorded ids
+    #: onto its table (a snapshot of another layout still resumes), so its
+    #: snapshot payload keeps the configuration as per-agent ids in
+    #: ``"agent_states"``; any other engine's snapshot must match the
+    #: table's layout exactly.
     layout_free: bool = False
 
     def __init__(
@@ -89,16 +89,9 @@ class BaseEngine(abc.ABC):
         #: The active scenario, or ``None`` in the idealised world.
         self._scenario = scenario
         #: The protocol's compiled transition-table IR, shared across every
-        #: engine built on the same protocol instance and layout.  The one
-        #: layout rule: a layout-free engine in the idealised world starts
-        #: on the closure table; every other run keeps compile()'s, which
-        #: follows canonical_states().  Scenario runs keep it because the
-        #: Byzantine fault draws a state id below len(encoder).
-        self.table = (
-            protocol.compile_closure()
-            if self.layout_free and scenario is None
-            else protocol.compile()
-        )
+        #: engine built on the same protocol instance; its layout is the
+        #: protocol's alone (see repro.engine.table).
+        self.table = protocol.compile()
         self.encoder = self.table.encoder
         self.interactions = 0
         # The per-state ledger -- per-run state, deliberately NOT part of the
@@ -324,6 +317,14 @@ class BaseEngine(abc.ABC):
                     f"({ours[0]} states, sha256 {ours[1]}); restore into a "
                     "freshly constructed protocol with the original parameters"
                 )
+            if not start and ours[0] and not self.layout_free:
+                raise CheckpointError(
+                    "the snapshot was taken on the retired lazily discovered "
+                    f"state layout (no canonical prefix), but this protocol's "
+                    f"table is laid out over its {ours[0]} canonical states; "
+                    f"{type(self).__name__} samples by state id, so the run "
+                    "cannot continue on this layout (rerun it from its seed)"
+                )
             bits = np.frombuffer(snapshot["occupied"], dtype=np.uint8)
             occupied = np.flatnonzero(np.unpackbits(bits, count=start + len(layout)))
         # Reproduce the rest of the layout.  Registration is append-only
@@ -331,8 +332,8 @@ class BaseEngine(abc.ABC):
         # discovery order), so encoding the recorded states in order yields
         # their recorded identifiers on a table with the snapshot's
         # compilation history.  A layout-free engine may sit on another
-        # layout (a lazily laid-out snapshot resumed onto the closure
-        # table): its recorded ids are mapped onto this table's.
+        # layout (a snapshot of a lazily laid-out table resumed onto the
+        # closure table): its recorded ids are mapped onto this table's.
         ids = np.arange(start + len(layout))
         for expected_id, state in enumerate(layout, start):
             ids[expected_id] = self.table.encode(state)

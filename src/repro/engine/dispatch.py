@@ -53,8 +53,9 @@ with the constants of the one the engine would actually run.  The compiled
 one's per-batch cost is one C call, a fixed overhead plus a cost per
 occupied pairing cell, which moves the countbatch-vs-fastbatch crossover
 down to ``_COUNTBATCH_MIN_N`` for protocols that declare few states.
-(GSU19's declared closure — 1,789 states at n = 10^8's calibration —
-prices it onto fastbatch until ``COUNTBATCH_FORCE_N``; its *realised*
+(GSU19's declared closure — 1,348 to 1,789 states, whatever ``n`` it
+was calibrated for — prices it onto fastbatch until
+``COUNTBATCH_FORCE_N``; its *realised*
 frontier is far sparser, so an explicit ``engine="countbatch"`` beats
 ``auto`` in that window on kernel machines: compare README's GSU19
 ``countbatch`` and ``fastbatch`` rows at ``10^7``.  The bound is
@@ -130,9 +131,7 @@ _COUNTBATCH_MIN_N = 3_000_000
 #: configuration-space engine unconditionally: the per-agent engines build
 #: an O(n) Python list and O(n) arrays at construction (~0.5-1 GB and a
 #: minutes-scale encode loop at this size, several GB at 10^8), so the
-#: throughput comparison stops being the binding constraint.  Public:
-#: GSU19's closure gate (repro.core.protocol.CLOSURE_MIN_N_HINT) is defined
-#: as this threshold — the size from which the closure actually pays off.
+#: throughput comparison stops being the binding constraint.
 COUNTBATCH_FORCE_N = 30_000_000
 
 #: Count-based dispatch requires the declared state space to fit a sane

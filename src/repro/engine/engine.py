@@ -233,6 +233,8 @@ class SequentialEngine(BaseEngine):
                     seen = self._grow_ledger(counts)
                 new_responder_id, new_initiator_id = result
                 if byzantine is not None and (byzantine[a] or byzantine[b]):
+                    # Uniform over the table's registered states (the closure
+                    # for GSU19 and GS18).
                     new_responder_id = int(generator.integers(0, len(self.encoder)))
                     rt.byzantine_overwrites += 1
                 if new_responder_id != responder_id:

@@ -41,10 +41,10 @@ process.
 Every cell builds its own ``factory(n)`` and runs on that protocol's own
 table, so cells are bit-identical at any worker count and cell keys depend
 on the cell alone.  What a process keeps between cells is the closure
-cache: an idealised-world per-agent cell of GSU19 or GS18 starts on a
-table adopted from its calibration's reachable-state closure
-(:meth:`~repro.engine.protocol.PopulationProtocol.compile_closure`), and
-then compiles no transition pair.  A process gets each closure once: from
+cache: every cell of GSU19 or GS18, whatever its engine or scenario,
+starts on a table adopted from its calibration's reachable-state closure
+(:meth:`~repro.engine.protocol.PopulationProtocol.compile`), and then
+compiles no transition pair.  A process gets each closure once: from
 the calibration's closure file in the kernel cache
 (:func:`~repro.engine.closure.closure_file`), or, when there is none yet,
 from its own BFS, which writes the file for every later worker and sweep.

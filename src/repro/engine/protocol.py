@@ -30,7 +30,6 @@ from repro.types import State, TransitionResult
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     import numpy as np
 
-    from repro.engine.state import StateEncoder
     from repro.engine.table import TransitionTable
 
 __all__ = [
@@ -107,8 +106,9 @@ class PopulationProtocol(abc.ABC):
         return self.output(state) == LEADER_OUTPUT
 
     def canonical_states(self) -> Optional[Iterable[State]]:
-        """Optionally enumerate the full state space (used by count engines
-        to pre-register states); ``None`` means "discover lazily"."""
+        """Optionally enumerate the full state space, registered first in
+        every table of a protocol without a :meth:`state_closure`; ``None``
+        means "discover lazily"."""
         return None
 
     def state_closure(self) -> Optional[Tuple[Sequence[State], "np.ndarray"]]:
@@ -119,12 +119,12 @@ class PopulationProtocol(abc.ABC):
         ``int64`` array whose entry ``[r, i]`` is ``(r' << 32) | i'`` when
         ``transition(states[r], states[i]) == (states[r'], states[i'])``
         (the layout :func:`~repro.engine.closure.reachable_closure`
-        returns).  A table laid out over it adopts ``lut`` as its packed
-        LUT and never misses (:meth:`compile_closure`); the array is
-        shared, never written.  A protocol that declares both this and
-        :meth:`canonical_states` must declare the closure's states, in
-        order, as its canonical states.  ``None`` (the default) means "no
-        closure is known".
+        returns).  :meth:`compile` lays every table of the protocol out
+        over it and adopts ``lut`` as its packed LUT, so the table never
+        misses; the array is shared, never written.  A protocol that
+        declares both this and :meth:`canonical_states` must declare the
+        closure's states, in order, as its canonical states.  ``None`` (the
+        default) means "no closure is known".
         """
         return None
 
@@ -146,52 +146,23 @@ class PopulationProtocol(abc.ABC):
         """
         return None
 
-    def compile(self, encoder: Optional["StateEncoder"] = None) -> "TransitionTable":
+    def compile(self) -> "TransitionTable":
         """Lower this protocol to a packed :class:`TransitionTable` IR.
 
-        The table registers :meth:`canonical_states` first when they are
-        declared (adopting :meth:`state_closure`'s LUT on a pristine
-        encoder) and otherwise lays states out lazily, in discovery order.
-        With no ``encoder`` argument the compiled table is cached on the
-        protocol instance, so every engine built on the same protocol object
-        with this layout shares one table (scalar ``delta`` dict, packed LUT
-        and output maps) — the basis of the engines' shared-transition
-        guarantee and a warm start for repeated runs.  Passing an
-        ``encoder`` always builds a fresh, uncached table on top of it.
+        The table's layout is a function of the protocol alone: over
+        :meth:`state_closure` when one is declared (its LUT adopted, every
+        pair compiled), else :meth:`canonical_states` first, else lazily, in
+        discovery order.  The table is cached on the protocol instance, so
+        every engine built on the same protocol object shares one table
+        (scalar ``delta`` dict, packed LUT and output maps) — the basis of
+        the engines' shared-transition guarantee and a warm start for
+        repeated runs.
         """
-        from repro.engine.table import TransitionTable
-
-        if encoder is not None:
-            return TransitionTable(self, encoder)
-        return self._cached_table("_compiled_table", lambda: TransitionTable(self))
-
-    def compile_closure(self) -> "TransitionTable":
-        """The cached table laid out over :meth:`state_closure`.
-
-        Its ids ``0..K-1`` are the closure's states and its packed array is
-        the closure's LUT, so it starts with every pair compiled.  Engines
-        whose trajectories do not depend on the state-id layout start on it
-        (:class:`~repro.engine.base.BaseEngine`).  A protocol without a
-        closure, or whose canonical states already are its closure, gets
-        :meth:`compile`'s table.
-        """
-        from repro.engine.table import TransitionTable
-
-        if self.canonical_states() is not None or self.state_closure() is None:
-            return self.compile()
-
-        def laid_out() -> "TransitionTable":
-            table = TransitionTable(self)
-            table.adopt_closure(*self.state_closure())
-            return table
-
-        return self._cached_table("_closure_table", laid_out)
-
-    def _cached_table(self, name: str, build: Callable[[], "TransitionTable"]):
-        table = self.__dict__.get(name)
+        table = self.__dict__.get("_compiled_table")
         if table is None:
-            table = build()
-            setattr(self, name, table)
+            from repro.engine.table import TransitionTable
+
+            table = self._compiled_table = TransitionTable(self)
         return table
 
     def describe_state(self, state: State) -> str:

@@ -25,47 +25,47 @@ engines can aggregate outputs with one ``bincount``.
 
 Tables are *lazily extended*: new states and new state pairs are compiled on
 first use, and the packed array doubles its side length when the encoder
-outgrows it.  Protocols that declare :meth:`canonical_states` get those
-states registered eagerly at compile time, which makes state-identifier
-layout (and therefore the trajectories of the count-based engines, which
-sample by identifier order) independent of per-run discovery order.  On a
-pristine encoder those states are ids ``0..canonical_count-1``, a prefix
-every fresh table of the protocol rebuilds, so engine snapshots reference
-it by :meth:`TransitionTable.canonical_digest` instead of storing it.
+outgrows it.  The layout is a function of the protocol alone, one rule for
+every engine and scenario:
+
+1. a protocol with a reachable-state closure
+   (:meth:`~repro.engine.protocol.PopulationProtocol.state_closure`, from
+   :func:`repro.engine.closure.reachable_closure`: GSU19 and GS18) gets a
+   table laid out over it, its LUT adopted;
+2. otherwise its :meth:`canonical_states`, when declared, are registered
+   eagerly as ids ``0..canonical_count-1``;
+3. anything else is discovered lazily, in the run's order.
+
+The canonical prefix of 1 and 2 is one every fresh table of the protocol
+rebuilds, so engine snapshots reference it by
+:meth:`TransitionTable.canonical_digest` instead of storing it, and the
+count-space engines, which sample by state id, draw the same trajectory
+from a seed whatever ran on the table before.
 
 Closure-compiled LUT
 ====================
 
-A protocol with a reachable-state closure
-(:meth:`~repro.engine.protocol.PopulationProtocol.state_closure`, from
-:func:`repro.engine.closure.reachable_closure`: GSU19 and GS18) hands over
-the BFS's states and ``(K, K)`` transition array.  A table laid out over it
-(:meth:`TransitionTable.adopt_closure`) takes the states as ids ``0..K-1``
-and the array as its packed LUT, with capacity ``K``: every pair is
-compiled from the start, so the kernels never miss.  The array is shared
-read-only by every table of the calibration and never written:
-:meth:`_compile_pair` serves a pair present in the packed array by filling
-``delta`` from it, without evaluating the transition, and growth past
-``K`` (a state outside the closure) copies it into a private writable
-array.  A pristine table whose protocol declares the closure as its
-canonical states adopts it at construction; a table over a pre-populated
-encoder (``compile(encoder=...)``) compiles lazily.  Adoption changes no
-trajectory of a per-agent engine: a lazy table's misses roll their batch
-back, RNG included, so the same run on either table is identical.
+A table laid out over a closure takes the BFS's states as ids ``0..K-1``
+and its ``(K, K)`` transition array as the packed LUT, with capacity
+``K``: every pair is compiled from the start, so the kernels never miss.
+The array is shared read-only by every table of the calibration and never
+written: :meth:`_compile_pair` serves a pair present in the packed array
+by filling ``delta`` from it, without evaluating the transition, and
+growth past ``K`` (a state outside the closure) copies it into a private
+writable array.  The layout changes no trajectory of a per-agent engine
+(they draw agents, never state ids): a lazy table's misses roll their
+batch back, RNG included, so the same run on either table is identical.
 
 Every engine obtains its table through
-:meth:`PopulationProtocol.compile() <repro.engine.protocol.PopulationProtocol.compile>`
-or, for an idealised-world run of a layout-free engine (the per-agent
-engines, which never let an identifier steer randomness),
-:meth:`~repro.engine.protocol.PopulationProtocol.compile_closure`; both
-cache one table per protocol instance, so engines built on the same
-protocol object and layout share compiled transitions.  Sharing is sound
-because transition functions are required to be pure and deterministic;
-per-run quantities (state counts, ever-occupied tracking, interaction
-counters) stay in the engines.  What sharing can change is the identifier
-layout of lazily discovered states, which follows the table's compilation
-history; the count-space engines sample by identifier order, so the sweep
-gives every cell a fresh protocol and table.
+:meth:`PopulationProtocol.compile() <repro.engine.protocol.PopulationProtocol.compile>`,
+which caches one table per protocol instance, so engines built on the same
+protocol object share compiled transitions.  Sharing is sound because
+transition functions are required to be pure and deterministic; per-run
+quantities (state counts, ever-occupied tracking, interaction counters)
+stay in the engines.  What sharing can change is the identifier layout of
+lazily discovered states, which follows the table's compilation history;
+the count-space engines sample by identifier order, so the sweep gives
+every cell a fresh protocol and table.
 
 A table, like the engines and protocols that use it, belongs to one thread:
 the unit of parallelism is the process (:mod:`repro.engine.parallel`).
@@ -97,36 +97,31 @@ class TransitionTable:
     Parameters
     ----------
     protocol:
-        The protocol to lower.  Its :meth:`canonical_states`, when declared,
-        are registered eagerly so identifier layout is deterministic.
-    encoder:
-        Optional pre-existing :class:`StateEncoder` to build on; a fresh one
-        is created when omitted.
+        The protocol to lower, laid out over its :meth:`state_closure`,
+        else its :meth:`canonical_states`, else lazily (module docstring).
     """
 
-    def __init__(self, protocol, encoder: Optional[StateEncoder] = None) -> None:
+    def __init__(self, protocol) -> None:
         self.protocol = protocol
-        self.encoder = encoder if encoder is not None else StateEncoder()
-        pristine = len(self.encoder) == 0
-        canonical = protocol.canonical_states()
-        # A protocol with a closure declares canonical states only as the
-        # closure's states, in order (see PopulationProtocol.state_closure).
-        closure = protocol.state_closure() if canonical is not None and pristine else None
-        #: Number of leading ids registered from ``canonical_states()`` on a
-        #: pristine encoder (0 otherwise): a layout prefix every fresh table
-        #: of this protocol reproduces, which snapshots reference by
-        #: :meth:`canonical_digest` instead of storing its states.
-        self.canonical_count = 0
+        closure = protocol.state_closure()
+        states = protocol.canonical_states() if closure is None else closure[0]
+        self.encoder = StateEncoder(states)
+        #: Number of leading ids laid out from the closure or the canonical
+        #: states: a prefix every fresh table of this protocol reproduces,
+        #: which snapshots reference by :meth:`canonical_digest` instead of
+        #: storing its states.
+        self.canonical_count = len(self.encoder)
         self._canonical_digest: Optional[str] = None
-        if canonical is not None and closure is None:
-            for state in canonical:
-                self.encoder.encode(state)
-            if pristine:
-                self.canonical_count = len(self.encoder)
         #: Scalar transition memo shared by every engine on this protocol.
         self.delta: Dict[Tuple[int, int], Tuple[int, int]] = {}
-        self._capacity = max(_INITIAL_CAPACITY, len(self.encoder))
-        self._packed = np.full(self._capacity * self._capacity, -1, dtype=np.int64)
+        if closure is None:
+            self._capacity = max(_INITIAL_CAPACITY, len(self.encoder))
+            self._packed = np.full(self._capacity * self._capacity, -1, dtype=np.int64)
+        else:
+            # The closure's read-only (K, K) LUT is the packed array, shared
+            # and never written: every pair is compiled from the start.
+            self._capacity = len(self.encoder)
+            self._packed = closure[1].reshape(-1)
         # Output maps: per-state symbol memo plus interned symbol ids for the
         # vectorised aggregation path.
         self._output_symbols: List[Optional[str]] = []
@@ -139,8 +134,6 @@ class TransitionTable:
         # view object: array plus the number of state ids already evaluated.
         self._views: Dict[object, np.ndarray] = {}
         self._views_filled: Dict[object, int] = {}
-        if closure is not None:
-            self.adopt_closure(*closure)
 
     # ------------------------------------------------------------------
     # State registration and capacity
@@ -154,19 +147,6 @@ class TransitionTable:
     def packed(self) -> np.ndarray:
         """The flat packed transition array (consumed by the C kernel)."""
         return self._packed
-
-    def adopt_closure(self, states, lut: np.ndarray) -> None:
-        """Lay this empty table out over a reachable closure.
-
-        Ids ``0..K-1`` become ``states`` (the canonical prefix) and the
-        read-only ``(K, K)`` ``lut`` becomes the packed array, shared and
-        never written: every pair is compiled from the start.
-        """
-        for state in states:
-            self.encoder.encode(state)
-        self.canonical_count = self._capacity = len(self.encoder)
-        self._packed = lut.reshape(-1)
-        self._output_ids = np.full(self._capacity, -1, dtype=np.int64)
 
     def canonical_digest(self) -> str:
         """sha256 (hex) over the ``canonical_count`` prefix of the layout.

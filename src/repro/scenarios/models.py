@@ -21,7 +21,9 @@ engine's scenario loop):
   ``drop_p`` (time still advances, matching a lost message on a real link).
 * **Byzantine** — a fixed fraction of agents is adversarial; whenever one
   participates, the responder's post-transition state is replaced by a
-  uniformly random registered state.
+  state drawn uniformly over the states registered in the protocol's table
+  (the whole reachable closure for GSU19 and GS18, whose tables are laid
+  out over it; the states discovered so far for a lazily compiled one).
 """
 
 from __future__ import annotations

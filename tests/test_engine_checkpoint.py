@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from test_engine_layout_invariance import _lazy
 from test_engine_trajectory_digests import (
     _CHUNKS,
     ENGINES,
@@ -45,10 +46,11 @@ from repro.protocols.slow import SlowLeaderElection
 
 #: The (protocol, engine) grid: every engine family of the acceptance
 #: criterion — sequential, fastbatch (C when available), fastbatch-numpy,
-#: countbatch — against a lazily discovering protocol (gsu19, where
-#: mid-run state discovery makes the encoder layout part of the snapshot)
-#: and an eagerly registered one (epidemic).
-_PROTOCOL_NAMES = ("epidemic", "gsu19")
+#: countbatch — against a lazily discovering protocol (lottery, where
+#: mid-run state discovery makes the encoder layout part of the snapshot),
+#: a closure-laid-out one (gsu19, whose snapshots reference the closure by
+#: digest) and an eagerly registered one (epidemic).
+_PROTOCOL_NAMES = ("epidemic", "gsu19", "lottery")
 _ENGINE_NAMES = ("sequential", "fastbatch", "fastbatch-numpy", "countbatch")
 
 
@@ -775,12 +777,12 @@ _FIXTURES = Path(__file__).parent / "fixtures"
 
 def _closure_gsu():
     from repro.core.params import GSUParams
-    from repro.core.protocol import CLOSURE_MIN_N_HINT, GSULeaderElection
+    from repro.core.protocol import GSULeaderElection
 
-    return GSULeaderElection(GSUParams(n_hint=CLOSURE_MIN_N_HINT, gamma=4, phi=1, psi=1))
+    return GSULeaderElection(GSUParams(n_hint=30_000_000, gamma=4, phi=1, psi=1))
 
 
-def _lazy_gsu():
+def _gsu64():
     from repro.core.protocol import GSULeaderElection
 
     return GSULeaderElection.for_population(64)
@@ -798,7 +800,7 @@ def _run_digest(result) -> str:
 #: with the uninterrupted run's interactions and digest.
 _V1_FIXTURES = {
     "v1_sequential": dict(
-        factory=_lazy_gsu, n=64, seed=5, engine_cls="sequential",
+        factory=_gsu64, n=64, seed=5, engine_cls="sequential",
         engine_kwargs=None, total=300.0,
         interactions=19200, digest="cf2e60406e4a4fe1",
     ),
@@ -866,7 +868,7 @@ def test_lazy_layout_checkpoint_resumes_onto_the_closure_table(tmp_path):
     assert snapshot["version"] == 2 and snapshot["canonical"][0] == 0
     assert snapshot["engine"] == "FastBatchEngine" and snapshot["encoder_tail"]
     resumed = run_protocol(
-        _lazy_gsu(), 64, seed=7, engine_cls="fastbatch", convergence=NeverConverge(),
+        _gsu64(), 64, seed=7, engine_cls="fastbatch", convergence=NeverConverge(),
         check_every=64, max_parallel_time=300.0, checkpoint_path=path, resume=True,
     )
     assert resumed.interactions == 19200
@@ -876,14 +878,27 @@ def test_lazy_layout_checkpoint_resumes_onto_the_closure_table(tmp_path):
 def test_count_space_restore_keeps_the_strict_layout_check():
     """Count-space engines sample by state id, so a snapshot whose layout
     this table cannot reproduce is refused rather than remapped."""
-    engine = CountBatchEngine(_lazy_gsu(), 64, rng=3)
+    engine = CountBatchEngine(_lazy(_gsu64()), 64, rng=3)
     engine.run(64 * 50)
     snapshot = engine.snapshot()
     assert snapshot["canonical"][0] == 0 and len(snapshot["encoder_tail"]) > 2
     tail = snapshot["encoder_tail"]
     snapshot["encoder_tail"] = [tail[1], tail[0], *tail[2:]]
     with pytest.raises(CheckpointError, match="incompatible state-registration"):
-        CountBatchEngine(_lazy_gsu(), 64, rng=3).restore(snapshot)
+        CountBatchEngine(_lazy(_gsu64()), 64, rng=3).restore(snapshot)
+
+
+def test_lazy_layout_count_snapshot_is_refused_on_the_closure_table():
+    """A count-batch snapshot of a lazily laid-out GSU19 table (no
+    canonical prefix) cannot continue on the closure table every GSU19
+    table now has: the engine samples by state id, so the error names the
+    retired layout instead of remapping the ids."""
+    engine = CountBatchEngine(_lazy(_gsu64()), 64, rng=3)
+    engine.run(64 * 50)
+    snapshot = engine.snapshot()
+    assert snapshot["canonical"][0] == 0 and snapshot["encoder_tail"]
+    with pytest.raises(CheckpointError, match="retired lazily discovered state layout"):
+        CountBatchEngine(_gsu64(), 64, rng=3).restore(snapshot)
 
 
 def test_closure_snapshot_references_the_closure_by_digest(tmp_path):

@@ -25,7 +25,7 @@ import pytest
 
 from repro.clocks import phase_clock
 from repro.core.params import GSUParams
-from repro.core.protocol import CLOSURE_MIN_N_HINT, GSULeaderElection
+from repro.core.protocol import GSULeaderElection
 from repro.core.state import deactivated_state, zero_state
 from repro.engine import closure
 from repro.engine._count_kernel import count_kernel_available
@@ -35,15 +35,18 @@ from repro.engine.dispatch import auto_engine, state_space_size
 from repro.engine.engine import SequentialEngine
 from repro.engine.protocol import ProtocolSpec
 from repro.engine.simulation import Simulation
-from repro.engine.state import StateEncoder
 from repro.engine.table import TransitionTable
 from repro.errors import ProtocolError
 from repro.protocols.gs18 import GS18LeaderElection
 from repro.types import Role
 
 
+#: A count-batch-scale population hint (the dynamics ignore it).
+_N_HINT = 30_000_000
+
+
 def _small_gsu(
-    n_hint: int = CLOSURE_MIN_N_HINT, gamma: int = 4, psi: int = 1
+    n_hint: int = _N_HINT, gamma: int = 4, psi: int = 1
 ) -> GSULeaderElection:
     """A count-batch-scale GSU19 instance with a fast, small closure."""
     return GSULeaderElection(GSUParams(n_hint=n_hint, gamma=gamma, phi=1, psi=psi))
@@ -281,7 +284,7 @@ def test_production_closures_pinned(
     reprs, one per line, and of the LUT's bytes.  Both ways a process gets
     them: by its own BFS, and loaded from the closure file an earlier BFS
     wrote."""
-    protocol = cls(GSUParams(n_hint=CLOSURE_MIN_N_HINT, gamma=24, phi=phi, psi=psi))
+    protocol = cls(GSUParams(n_hint=_N_HINT, gamma=24, phi=phi, psi=psi))
     states, lut = protocol.state_closure()
     if path == "loaded":
         phase_clock._CLOSURE_CACHE.clear()
@@ -299,7 +302,7 @@ def test_phase_reading_rules_fail_the_spot_check(closure_dir):
     spot check against the scalar transition raises, naming the pair.  A
     class defined outside the package is never cached on disk: the key
     cannot pin its source."""
-    params = GSUParams(n_hint=CLOSURE_MIN_N_HINT, gamma=4, phi=1, psi=1)
+    params = GSUParams(n_hint=_N_HINT, gamma=4, phi=1, psi=1)
     protocol = _PhaseReadingGSU(params)
     assert closure.closure_file(_PhaseReadingGSU, (4, 1, 1)) is None
     with pytest.raises(ProtocolError, match="disagrees with the transition at"):
@@ -323,19 +326,31 @@ def test_gsu_closure_is_transition_closed_and_seeded():
             assert partner in closure
 
 
-def test_canonical_states_gated_on_population_scale():
-    """Small-n_hint instances keep the lazily discovered space (None), so
-    their seed-pinned count-engine trajectories are untouched; count-batch
-    scale instances declare the closure."""
-    small = GSULeaderElection(GSUParams(n_hint=4096, gamma=4, phi=1, psi=1))
-    assert small.canonical_states() is None
-    big = _small_gsu(n_hint=CLOSURE_MIN_N_HINT)
-    closure = big.canonical_states()
-    assert closure is not None
-    assert len(closure) == 144
-    assert state_space_size(big) == 144
-    # The explicit API computes the closure whatever the hint says.
-    assert tuple(small.reachable_state_closure()) == tuple(closure)
+@pytest.mark.parametrize("n_hint", [64, 4096, 10**6, _N_HINT, 10**12])
+def test_every_table_is_laid_out_over_the_closure(n_hint):
+    """GSU19 declares its closure as its canonical states at every n_hint,
+    and compile() lays the table out over it, LUT adopted, whatever the
+    population the parameters were derived for."""
+    protocol = _small_gsu(n_hint=n_hint)
+    states, lut = protocol.state_closure()
+    assert tuple(protocol.canonical_states()) == states
+    assert len(states) == state_space_size(protocol) == 144
+    table = protocol.compile()
+    assert table.encoder.states() == list(states)
+    assert table.canonical_count == len(table) == 144
+    assert table.packed.base is lut
+
+
+def test_gs18_table_is_laid_out_over_its_closure():
+    """GS18 declares no canonical states, only its closure; compile() lays
+    its table out over it too."""
+    protocol = GS18LeaderElection.for_population(256)
+    states, lut = protocol.state_closure()
+    assert protocol.canonical_states() is None
+    table = protocol.compile()
+    assert table.encoder.states() == list(states)
+    assert table.canonical_count == len(states)
+    assert table.packed.base is lut
 
 
 def test_closure_cache_is_shared_per_calibration(closure_dir, bfs_runs):
@@ -510,20 +525,6 @@ def test_adopted_lut_is_shared_and_read_only():
     assert int(lut[3, 5]) == entry
 
 
-def test_prepopulated_encoder_falls_back_to_lazy_compilation():
-    """compile(encoder=...) on an already populated encoder keeps the lazy
-    table, even when the encoder holds the closure in order."""
-    protocol = _small_gsu()
-    closure = protocol.canonical_states()
-    lazy = protocol.compile(encoder=StateEncoder(closure))
-    assert lazy.encoder.states() == list(closure)
-    assert lazy.packed.flags.writeable
-    assert int(lazy.packed.max()) == -1
-    adopted = protocol.compile()
-    assert lazy.apply(7, 11) == adopted.apply(7, 11)
-    assert lazy.compiled_pairs == 1
-
-
 def test_table_grows_past_an_adopted_lut():
     """A state outside the closure (a hand-built configuration) grows the
     table into a private writable array that keeps the closure's entries."""
@@ -571,7 +572,7 @@ def test_closure_registered_count_run_never_misses(monkeypatch, kernel):
     budget, seed = 20 * n, 17
     snapshots = {}
     for name, cls in (("adopted", GSULeaderElection), ("lazy", _LazyLutGSU)):
-        protocol = cls(GSUParams(n_hint=CLOSURE_MIN_N_HINT, gamma=4, phi=1, psi=1))
+        protocol = cls(GSUParams(n_hint=_N_HINT, gamma=4, phi=1, psi=1))
         protocol.compile()  # the closure BFS runs before counting starts
         evaluated = []
 
@@ -630,8 +631,8 @@ def test_closure_registered_countbatch_matches_sequential_quantiles():
 @pytest.mark.parametrize("n", [3_000_000, 10_000_000])
 def test_auto_dispatch_keeps_closure_declaring_gsu_on_fastbatch(monkeypatch, n, kernel):
     """Below the force threshold the cost model, priced at GSU19's declared
-    closure (1,789 states at the default calibration past the closure
-    gate), keeps it on fastbatch, with or without the compiled kernels."""
+    closure (1,789 states at n = 3*10^7's calibration), keeps it on
+    fastbatch, with or without the compiled kernels."""
     from repro.engine import dispatch
     from repro.engine.fast_batch import FastBatchEngine
 

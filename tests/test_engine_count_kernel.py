@@ -33,6 +33,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_engine_layout_invariance import _lazy
 from test_engine_trajectory_digests import (
     _CHUNKS,
     _SEED,
@@ -114,8 +115,9 @@ _EXTREME_CHUNK = 2_000_000
 _PRODUCTION_CLOSURE_DIGEST = (
     "b21f363a2b1d1a99cec2e1606821d5a696762cb216e8e79843e10b4a6203f1ae"
 )
-#: Lazily compiled ``for_population(2000)``, one run of 200,000
-#: interactions: 11,278 LUT misses, each a kernel rollback and re-entry.
+#: ``for_population(2000)`` with its closure and canonical states hidden,
+#: so its table compiles lazily, one run of 200,000 interactions: 11,278
+#: LUT misses, each a kernel rollback and re-entry.
 _LAZY_MISS_DIGEST = "b17e330646a9bedfcbe233d79d9479671387c2b69d06c0fed1219e10de7e0f41"
 _LAZY_MISS_PAIRS = 11_278
 
@@ -224,7 +226,7 @@ def _production_digest(kernel: str) -> str:
 
 def _lazy_miss_digest(kernel: str) -> str:
     engine = CountBatchEngine(
-        GSULeaderElection.for_population(2000), 2000, rng=_SEED, kernel=kernel
+        _lazy(GSULeaderElection.for_population(2000)), 2000, rng=_SEED, kernel=kernel
     )
     engine.run(200_000)
     digest = hashlib.sha256()
@@ -387,11 +389,11 @@ def test_kernel_interaction_accounting_is_exact():
 
 @needs_kernel
 def test_kernel_population_conserved_with_lazy_discovery():
-    """GSU19's lazily discovered states force mid-run LUT misses: the
-    kernel must roll the batch back, let Python compile the pair, and
-    resume without losing or duplicating agents."""
+    """GSU19's lazily discovered states (closure hidden) force mid-run LUT
+    misses: the kernel must roll the batch back, let Python compile the
+    pair, and resume without losing or duplicating agents."""
     n = 256
-    engine = _kernel_engine(GSULeaderElection.for_population(n), n, rng=7)
+    engine = _kernel_engine(_lazy(GSULeaderElection.for_population(n)), n, rng=7)
     for _ in range(10):
         engine.run(4 * n)
         counts = engine.state_counts()

@@ -387,10 +387,11 @@ def test_auto_engine_policy_without_c_kernel(monkeypatch):
     assert auto_engine(epidemic, 10**6) is FastBatchEngine
     assert auto_engine(epidemic, 10**7) is CountBatchEngine
     assert auto_engine(epidemic, 1 << 28) is CountBatchEngine
-    # A small-n_hint GSU19 instance keeps its lazily discovered state space
-    # (no reachable closure), so the count engines are never dispatched.
+    # GSU19 declares its closure whatever n its parameters were derived
+    # for, so one calibrated for a small n is count-capable, and run at a
+    # size past the force threshold it count-dispatches.
     small_gsu = GSULeaderElection.for_population(4096)
-    assert auto_engine(small_gsu, 1 << 28) is FastBatchEngine
+    assert auto_engine(small_gsu, 1 << 28) is CountBatchEngine
 
 
 def test_auto_engine_policy_with_c_kernel(monkeypatch):
@@ -448,6 +449,37 @@ def test_auto_engine_cost_model_discriminates_by_state_count(monkeypatch):
     assert auto_engine(gs18, COUNTBATCH_FORCE_N) is FastBatchEngine
     monkeypatch.setattr(dispatch, "count_kernel_available", lambda: False)
     assert auto_engine(gs18, COUNTBATCH_FORCE_N) is FastBatchEngine
+
+
+#: ``auto``'s choice for ``for_population(n)`` GSU19 and GS18 at n = 10^3,
+#: 10^5, 3*10^6, 10^7, 3*10^7 - 1, 3*10^7 and 10^8, with both kernels
+#: compiled and with neither ("s" sequential, "f" fastbatch, "c"
+#: countbatch).  GSU19's closure prices a batch onto fastbatch until the
+#: force threshold; GS18 declares no canonical states, so it is never
+#: count-capable.
+_PAPER_PROTOCOL_CHOICES = {
+    ("gsu19", True): "fffffcc",
+    ("gs18", True): "fffffff",
+    ("gsu19", False): "sffffcc",
+    ("gs18", False): "sffffff",
+}
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["kernels", "no-kernels"])
+@pytest.mark.parametrize("protocol_name", ["gsu19", "gs18"])
+def test_auto_choices_for_the_paper_protocols(monkeypatch, protocol_name, compiled):
+    from repro.engine import dispatch
+    from repro.protocols.gs18 import GS18LeaderElection
+
+    monkeypatch.setattr(dispatch, "kernel_available", lambda: compiled)
+    monkeypatch.setattr(dispatch, "count_kernel_available", lambda: compiled)
+    cls = {"gsu19": GSULeaderElection, "gs18": GS18LeaderElection}[protocol_name]
+    sizes = (10**3, 10**5, 3 * 10**6, 10**7, 3 * 10**7 - 1, 3 * 10**7, 10**8)
+    letters = {SequentialEngine: "s", FastBatchEngine: "f", CountBatchEngine: "c"}
+    observed = "".join(
+        letters[auto_engine(cls.for_population(n), n)] for n in sizes
+    )
+    assert observed == _PAPER_PROTOCOL_CHOICES[protocol_name, compiled]
 
 
 class _DeclaredStates(OneWayEpidemic):

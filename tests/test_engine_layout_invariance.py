@@ -1,16 +1,16 @@
-"""State-id layout invariance: what lets per-agent runs start on the closure.
+"""State-id layout invariance, and the one layout rule it leaves.
 
-A layout-free engine (:attr:`repro.engine.base.BaseEngine.layout_free`: the
-sequential and fast-batch engines) starts an idealised-world run on the
-protocol's closure table — every reachable state registered in BFS order
-and every pair compiled from the closure's LUT — instead of a table that
-discovers states lazily in this run's order.  These pins show that the
-per-agent engines do not notice: a run on the warm closure table
-reproduces the run on a fresh lazily compiled table exactly, in
-interactions, final counts, ``states_used``, leader count and the series
-of convergence checks.  The counter-case pins why the count-space engines
-keep the lazily discovered layout below the closure gate: they sample by
-state-id order, so a different layout changes their trajectory.
+Every table of GSU19 and GS18 is laid out over the protocol's reachable
+closure — every reachable state registered in BFS order and every pair
+compiled from the closure's LUT — for every engine and scenario.  For a
+layout-free engine (:attr:`repro.engine.base.BaseEngine.layout_free`: the
+sequential and fast-batch engines) these pins show the layout is
+invisible: a run on the closure table reproduces the run on a fresh table
+that discovers states lazily in this run's order, in interactions, final
+counts, ``states_used``, leader count and the series of convergence
+checks.  The count-space engine samples by state-id order, so for it the
+layout is part of the trajectory: these pins show that a seed's count-batch
+run is the same on a fresh table and on one another seed's run used first.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import pytest
 
 from repro.core.protocol import GSULeaderElection
 from repro.engine._ckernel import kernel_available
+from repro.engine._count_kernel import count_kernel_available
 from repro.engine.base import check_period, drive_checks
 from repro.engine.convergence import SingleLeader
 from repro.engine.count_batch import CountBatchEngine
@@ -28,7 +29,7 @@ from repro.protocols.gs18 import GS18LeaderElection
 
 N = 512
 SEED = 7
-#: The seed whose run warms the count-space counter-case's table first.
+#: The seed whose run uses the count-space case's table first.
 WARM_SEED = 1234
 #: Enough to converge at n = 512 (both protocols elect by ~1000).
 MAX_PARALLEL_TIME = 3000
@@ -46,9 +47,10 @@ ENGINES = {
 
 
 def _lazy(protocol):
-    """``protocol`` with its closure hidden, so every engine compiles it
-    lazily, one miss at a time."""
+    """``protocol`` with its closure and canonical states hidden, so every
+    table of it is laid out lazily and compiles one miss at a time."""
     protocol.state_closure = lambda: None
+    protocol.canonical_states = lambda: None
     return protocol
 
 
@@ -107,16 +109,30 @@ def test_warm_table_reproduces_fresh_run(protocol_name, engine_name):
     assert warm == fresh
 
 
-def test_count_space_engine_is_layout_dependent():
-    """CountBatchEngine on lazily discovered GS18 changes its trajectory
-    on a table whose layout another seed's run laid out, so count-space
-    runs never start on the closure table unless the protocol declares it
-    as its canonical states."""
+@pytest.mark.parametrize("kernel", ["c", "python"])
+@pytest.mark.parametrize("protocol_name", sorted(PROTOCOLS))
+def test_count_space_run_is_independent_of_earlier_runs(protocol_name, kernel):
+    """CountBatchEngine draws the same trajectory from a seed on a fresh
+    table and on the table another seed's run used first: the table is the
+    closure, laid out before any run, so no run's discovery order reaches
+    the state ids the engine samples by."""
+    if kernel == "c" and not count_kernel_available():
+        pytest.skip("count kernel unavailable")
     assert not CountBatchEngine.layout_free
-    assert GS18LeaderElection.for_population(N).canonical_states() is None
-
-    _, fresh = _checked_run(GS18LeaderElection.for_population(N), CountBatchEngine, {}, SEED)
-    warm_protocol = GS18LeaderElection.for_population(N)
-    _checked_run(warm_protocol, CountBatchEngine, {}, WARM_SEED)
-    _, warm = _checked_run(warm_protocol, CountBatchEngine, {}, SEED)
-    assert warm[:3] != fresh[:3]
+    factory = PROTOCOLS[protocol_name]
+    # A smaller population keeps the Python mirror quick.
+    n = N if kernel == "c" else 128
+    budget = 200 * n
+    runs = []
+    for warm_first in (False, True):
+        protocol = factory(n)
+        if warm_first:
+            CountBatchEngine(protocol, n, rng=WARM_SEED, kernel=kernel).run(budget)
+        engine = CountBatchEngine(protocol, n, rng=SEED, kernel=kernel)
+        engine.run(budget)
+        assert engine.table is protocol.compile()
+        assert engine.table.canonical_count == len(factory(n).state_closure()[0])
+        runs.append(
+            (engine.interactions, engine.state_counts(), engine.states_ever_occupied)
+        )
+    assert runs[0] == runs[1]

@@ -49,8 +49,8 @@ _N = 10**7
 _PEAK_BUDGET_BYTES = 4 * 2**20
 
 #: Every protocol with an O(k) initial_counts path.  GSU19 uses the small
-#: gamma=4 calibration (144-state closure, sub-second BFS); its n_hint puts
-#: it past the closure gate so the closure is declared and pre-registered.
+#: gamma=4 calibration (144-state closure, sub-second BFS), which its table
+#: is laid out over.
 COUNT_CAPABLE_PROTOCOLS = [
     ("epidemic", lambda: OneWayEpidemic()),
     ("approximate-majority", lambda: ApproximateMajority(initial_a_fraction=0.7)),

@@ -466,7 +466,7 @@ def test_sweep_shares_one_table_per_calibration(monkeypatch):
     used = _protocols_used(monkeypatch)
     run_many(_gsu_factory, [256, 512], repetitions=2, max_parallel_time=50.0, engine="auto")
     assert len(used) == 4 and len({id(protocol) for protocol in used}) == 4
-    tables = [protocol.compile_closure() for protocol in used]
+    tables = [protocol.compile() for protocol in used]
     assert len({id(table) for table in tables}) == 4
     (lut,) = {id(table.packed.base): table.packed.base for table in tables}.values()
     assert lut is _gsu_factory(256).state_closure()[1]

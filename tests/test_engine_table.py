@@ -5,11 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from test_engine_layout_invariance import _lazy
+
 from repro.core.protocol import GSULeaderElection
 from repro.engine.count_batch import CountBatchEngine
 from repro.engine.engine import SequentialEngine
 from repro.engine.fast_batch import FastBatchEngine
-from repro.engine.state import StateEncoder
 from repro.engine.table import TransitionTable
 from repro.protocols.approximate_majority import ApproximateMajority
 from repro.protocols.epidemic import OneWayEpidemic
@@ -21,15 +22,6 @@ def test_compile_is_cached_per_protocol_instance():
     assert protocol.compile() is table
     # A different instance compiles its own table.
     assert OneWayEpidemic().compile() is not table
-
-
-def test_compile_with_explicit_encoder_is_fresh():
-    protocol = OneWayEpidemic()
-    encoder = StateEncoder(["seed-state"])
-    table = protocol.compile(encoder)
-    assert table is not protocol.compile()
-    assert table.encoder is encoder
-    assert encoder.known("seed-state")
 
 
 def test_canonical_states_are_registered_eagerly():
@@ -79,10 +71,10 @@ def test_apply_block_fills_misses_and_matches_scalar():
 
 
 def test_capacity_grows_beyond_initial():
-    # Count-space engines keep GSU19's lazily discovered table below the
-    # closure gate (per-agent engines would start on the closure table).
+    # GSU19 with its closure hidden compiles lazily, from the initial
+    # capacity up.
     n = 1024
-    protocol = GSULeaderElection.for_population(n)
+    protocol = _lazy(GSULeaderElection.for_population(n))
     table = protocol.compile()
     engine = CountBatchEngine(protocol, n, rng=1)
     assert engine.table is table

@@ -52,11 +52,10 @@ needs_count_kernel = pytest.mark.skipif(
 
 #: protocol name -> (factory, n).  Fresh protocol per run: identifier layout
 #: of lazily discovered states (and hence count-engine trajectories) depends
-#: on the shared table's compilation history.  "gsu19-closure" pins the
-#: closure-registered layout (count-batch-scale n_hint, tiny calibration so
-#: the BFS is sub-second): identifiers come from the deterministic BFS
-#: discovery order, making the count-engine rows machine-independent even
-#: though the engine runs at a small n here.
+#: on the shared table's compilation history.  GSU19 and GS18 tables are
+#: laid out over their reachable closures, so their identifiers come from
+#: the deterministic BFS order.  "gsu19-closure" pins a count-batch-scale
+#: n_hint at a tiny calibration (Γ = 4, the BFS is sub-second).
 PROTOCOLS = {
     "epidemic": (lambda: OneWayEpidemic(), 256),
     "exact-majority": (lambda: ExactMajority.for_population(200), 200),
@@ -91,11 +90,10 @@ ENGINES = {
 
 #: The pins.  sequential == fastbatch == fastbatch-numpy per protocol is the
 #: bit-for-bit identical-trajectory guarantee, not an accident.  The
-#: "gsu19-closure" sequential-family pins coincide with "gsu19" because the
+#: "gsu19-closure" pins coincide with "gsu19" on every engine because the
 #: digest window (6 parallel-time units) ends before any clock phase reaches
-#: 2, where the two calibrations first diverge; the count-engine pins differ
-#: because the closure-registered identifier layout (BFS order) replaces the
-#: lazy discovery order.
+#: 2, where the two calibrations first diverge; on the count engine, both
+#: closures also order the window's occupied states alike.
 EXPECTED = {
     "epidemic/fastbatch": "50e15d297a022ae2ba80dcebc2458a2f43042c1ae0272f0f484ad275c0804551",
     "epidemic/fastbatch-numpy": "50e15d297a022ae2ba80dcebc2458a2f43042c1ae0272f0f484ad275c0804551",
@@ -127,8 +125,8 @@ EXPECTED = {
 KERNEL_EXPECTED = {
     "epidemic": "771371952a8e57ef584ddf5c54dbb142ea0804d9656a3ded4f912cccb31c3f8f",
     "exact-majority": "caef06e793960814f185c5d6f9149e3149a53a2086c58c0aa1f48eb5dfcd6941",
-    "gs18": "87ae6711fa9b4c4c410870e6bce14ad63aa600ac8d6615bd0c2f77fdf2b52d43",
-    "gsu19": "3c00abc7c572382b1388e25be2e314e62794548b6a3a40ea12179b65428c3e6b",
+    "gs18": "6cb1105c1eb8f8d49a7eaefe49e3a190df2558e3731b3af9c6e72009873255b6",
+    "gsu19": "bd53465ae75d0f4766ec4d7738fdfacda8e6c1c5d1236da05567d02f78047372",
     "gsu19-closure": "bd53465ae75d0f4766ec4d7738fdfacda8e6c1c5d1236da05567d02f78047372",
     "lottery": "a603097966fbe78f7d296032310db39aadce90a3bcb0748b6592938a4454ecb0",
     "majority": "78f8a0d07f5ccad3c83bff2989afbbba3addb64299eeba9102ae889e5d70bab2",
@@ -163,7 +161,7 @@ DRIVER_ENGINES = {
 DRIVER_CADENCES = {"fixed": 97}
 
 DRIVER_EXPECTED = {
-    "gsu19/countbatch/fixed": (7757, "677a71421aa156f36b1df7d9aa95824b330913981f25630278be047461a3f6eb", "3e9d33b330276245fc5cfcb1be678641e43630482b2e6caf8bf0931355476334", 26),
+    "gsu19/countbatch/fixed": (7757, "4a2daba2110349b59268facfc368431549a4709b450d69c95c0ceb1277c2a563", "01f50d7a7a5dfed62c2cef11ad9039fe6940d922af40f51e86ed84a894ad2bda", 26),
     "gsu19/fastbatch/fixed": (7757, "32795a3f6d2d9706adc05ecd82c809604e7aeca997c95dfbb7ce3bad88d17ff8", "4c9c4a956b203a4f9a79d6ef957f32de73896bd1686abeddad21b65b0b0d9c1e", 26),
     "slow-le/countbatch/fixed": (5917, "e492227fa71e45e8aaa4a26bdc0718e03ca2e36a0695619c9ba661e2c060b395", "b852858eddfedc237fec77b2017d8b5d423162128a8a165072c9b6855b4f776b", 61),
     "slow-le/fastbatch/fixed": (2619, "e492227fa71e45e8aaa4a26bdc0718e03ca2e36a0695619c9ba661e2c060b395", "464269f8581fa5fd94e66a5ca1a548ffdc894ed6d91a4d9a60a24865b54d4f04", 27),
@@ -184,10 +182,10 @@ MEGA_CASES = {
 
 MEGA_EXPECTED = {
     "gsu19/fixed": [
-        (False, 7757, "7ade14f1f67fb130672162556725b18c94f3eff0674e458c52c34f03ce4fec85"),
-        (False, 7757, "a27e37d92a545a2cc51b38e2c22656958b63f8833b871a626be84913737773f5"),
-        (False, 7757, "d7923243ab8c1fddf93756503312ef3a4e44b4a3b3722e421e8bc698744ffd26"),
-        (False, 7757, "a5ad76b1d0d86f1edb109d7614965be131986764bc3f459c1b3ff2aec5845b3a"),
+        (False, 7757, "6def515836b3e2cf9daa8d87b890af47fc05bb118103ebe600ea9347c0adf92c"),
+        (False, 7757, "fccbd58ed06e49a952711afc7120978aba39f34faf5bcb6460be16542197758e"),
+        (False, 7757, "c4666cebca7265a9a880ee92a6d94e97453ca86ce42b83908fc602fb3389c494"),
+        (False, 7757, "2be36ee13d21ea9cb18041b6f440591c0d51109494aa67b82295bd4a0e244235"),
     ],
     "slow-le/fixed": [
         (False, 3859, "403bb780795fd5daf01d5d4cc54696f3a89b40927eea776556e9f165f5046fa3"),

@@ -47,8 +47,10 @@ Three engines are provided, all exact:
 * :class:`~repro.engine.count_batch.CountBatchEngine` — exact **in
   distribution**, ``O(k)`` memory: simulates over state counts only,
   processing collision-free runs of ``Θ(sqrt(n))`` interactions per
-  hypergeometric update whose cost follows the *occupied* state frontier
-  (Berenbrink et al.-style batching).  The whole occupied-frontier loop
+  update of the counts, drawn as ordered picks of the run's agents (short
+  runs over wide frontiers) or by hypergeometric splits whose cost follows
+  the *occupied* state frontier (long runs over few states), in the style
+  of Berenbrink et al.  The whole occupied-frontier loop
   is the count kernel (:mod:`repro.engine._count_kernel`): one
   ``xoshiro256++`` stream with two implementations, compiled C (many
   batches per call, about 100x faster) and a statement-for-statement Python

@@ -2,9 +2,10 @@
 
 :class:`~repro.engine.count_batch.CountBatchEngine` samples collision-free
 runs configuration-level: one survival-curve inversion for the run length,
-a cascade of hypergeometric splits for the participant/responder/pairing
-multisets, and a weighted-category draw for the colliding interaction.
-This module holds that whole batch loop twice: as C source (``run_row``,
+the run's pairs (by ordered picks, or by a cascade of hypergeometric
+splits for the participant/responder/pairing multisets), and a
+weighted-category draw for the colliding interaction.  This module holds
+that whole batch loop twice: as C source (``run_row``,
 compiled on first use, one call per chunk of batches) and as its
 statement-for-statement Python mirror (:func:`run_row`), which the engine
 runs under ``kernel="python"`` and wherever no compiler exists.  Both
@@ -19,6 +20,25 @@ Design notes
   (:func:`seed_kernel_rng`).  The four 64-bit state words live in a NumPy
   array owned by the engine, so checkpoint/restore is byte-exact and a
   checkpoint written by one implementation resumes on the other.
+* **Two batch paths, one rule.**  A batch's ``2L`` participants are a
+  uniform ordered sample without replacement (Berenbrink et al., "Simulating
+  Population Protocols in Sub-Constant Time per Interaction", ESA 2020), so
+  any exact sampler of its pairs keeps the engine exact.  The *direct*
+  path draws the sample itself: each pick is one Lemire bounded integer
+  below the fresh count ("Fast Random Integer Generation in an Interval",
+  ACM TOMACS 2019), mapped to the first ``occ`` position whose running
+  weight ``counts - involved`` exceeds it, and picks ``2j``/``2j + 1`` are
+  the ``j``-th (responder, initiator) pair.  C searches a Fenwick tree over
+  the ``occ`` positions (``O(log nocc)`` per pick, the tree in the pool
+  scratch region); the mirror keeps the same tree.  The *split* path draws
+  the participant, responder and pairing multisets by hypergeometric
+  splits, one per occupied state and pairing cell.  ``direct_batch`` picks
+  the path per batch by integer arithmetic on ``(L, nocc)``: direct when
+  ``L <= 4 (nocc - 1)``.  Small batches over wide frontiers (GSU19 below
+  about ``3 * 10^5``) go direct; long runs over few states (the epidemic's
+  two, GSU19 at ``10^6`` and beyond, ``n = 10^12``) keep the split path,
+  and a single occupied state, which the split path serves without a draw,
+  is never direct.  The collision step and the commit are shared.
 * **Exact samplers, no NumPy caps.**  Hypergeometric variates use the same
   two algorithms NumPy does — explicit urn inversion when the (symmetrised)
   sample is tiny, Stadlober's HRUA ratio-of-uniforms rejection otherwise —
@@ -55,8 +75,10 @@ same cache directory, same atomic publish, same ``REPRO_NO_C_KERNEL=1``
 escape hatch and silent fallback contract as the fast-batch kernel.  The
 mirror ran GSU19 (closure registered) at 0.8 M interactions per second at
 ``n = 10^6`` and 3 M at ``10^7`` on a 2-CPU x86-64 host, about 100x below
-the C kernel (``BENCH_engine.json``); ``tests/test_engine_count_kernel.py``
-pins the two together.
+the C kernel (``BENCH_engine.json``; those windows take the split path).
+At ``n = 20,000``, where most batches take the direct path, it draws the
+production pin's 10^6 interactions in about 6 s.
+``tests/test_engine_count_kernel.py`` pins the two together.
 """
 
 from __future__ import annotations
@@ -112,6 +134,25 @@ static inline uint64_t xo_next(uint64_t *s)
 static inline double xo_double(uint64_t *s)
 {
     return (double)(xo_next(s) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* A uniform integer in [0, range), 1 <= range <= 2^53, by Lemire's
+ * bounded multiply with rejection ("Fast Random Integer Generation in an
+ * Interval", ACM TOMACS 2019): one xoshiro word per draw but for a
+ * rejection of probability below range / 2^64. */
+static inline int64_t xo_bounded(uint64_t *s, int64_t range)
+{
+    uint64_t r = (uint64_t)range;
+    __uint128_t m = (__uint128_t)xo_next(s) * r;
+    uint64_t leftover = (uint64_t)m;
+    if (leftover < r) {
+        const uint64_t threshold = (0 - r) % r;
+        while (leftover < threshold) {
+            m = (__uint128_t)xo_next(s) * r;
+            leftover = (uint64_t)m;
+        }
+    }
+    return (int64_t)(m >> 64);
 }
 
 /* ------------------------------------------------------------------ */
@@ -304,6 +345,59 @@ static int64_t pick_state(uint64_t *rs, const int64_t *weights,
     return last; /* float round-off guard */
 }
 
+/* The batch path: one integer rule of the run length and the occupied
+ * frontier, which the mirror's _direct_batch evaluates alike.  The direct
+ * path makes 2L picks of O(log nocc) each.  The split path makes one
+ * hypergeometric draw per occupied state but the last (which takes the
+ * rest) and then the pairing rows, so it pays off only when a long run
+ * lands on few states; with one occupied state it draws nothing. */
+#define DIRECT_PER_STATE 4
+
+static inline int direct_batch(int64_t length, int64_t nocc)
+{
+    return length <= DIRECT_PER_STATE * (nocc - 1);
+}
+
+/* Take one agent out of the Fenwick tree over occupied positions:
+ * `tree[i - 1]` is node i of a 1-based tree over `size` positions, and
+ * `top` is the largest power of two <= size.  Returns the first position
+ * whose running weight exceeds `x` (0 <= x < total weight) and removes
+ * one unit of its weight.  The nodes the descent does not step past are
+ * exactly the nodes whose range holds that position, so the descent
+ * removes the unit on its way down.  Each step's take is a data-dependent
+ * coin flip, written as a select rather than a branch. */
+static int64_t fenwick_take(int64_t *tree, int64_t size, int64_t top,
+                            int64_t x)
+{
+    int64_t pos = 0;
+    for (int64_t step = top; step > 0; step >>= 1) {
+        int64_t next = pos + step;
+        if (next > size)
+            continue;
+        int64_t weight = tree[next - 1];
+        int take = weight <= x;
+        pos += take ? step : 0;
+        x -= take ? weight : 0;
+        tree[next - 1] = weight - !take;
+    }
+    return pos;
+}
+
+/* Add `mult` applications of a packed transition's two outputs to the
+ * post-state multiset, listing each output id on its first arrival. */
+static inline void use_pair(int64_t *used, int64_t *used_occ, int64_t *nused,
+                            int64_t packed, int64_t mult)
+{
+    int64_t new_r = packed >> 32;
+    int64_t new_i = packed & 0xFFFFFFFF;
+    if (used[new_r] == 0)
+        used_occ[(*nused)++] = new_r;
+    used[new_r] += mult;
+    if (used[new_i] == 0)
+        used_occ[(*nused)++] = new_i;
+    used[new_i] += mult;
+}
+
 /* Sorted-insert `sid` into the ascending candidate list (no-op when
  * already present).  The list is the occupied-frontier superset the
  * per-batch scan walks instead of all k ids; membership only ever grows
@@ -372,14 +466,16 @@ typedef struct {
  * scratch      : 11*sk int64 workspace.  The five weight regions (first
  *                5*sk entries) must be all-zero on entry and are restored
  *                to zero on exit; the four id-list regions, the candidate
- *                region and the initiator-pool region are plain scratch
+ *                region and the initiator-pool region (the direct path's
+ *                Fenwick tree: nocc <= k nodes) are plain scratch
  *
  * The occupied scan is served from a sorted candidate list built by one
- * full k-scan at call entry and extended at every commit with the
- * states that received agents.  Candidates whose count dropped to zero
- * are filtered per batch by the same counts[sid] > 0 test the full scan
- * applied, so the frontier (and with it every draw) is bit-identical
- * while per-batch scan cost follows the frontier, not k.
+ * full k-scan at call entry and extended at every commit with the states
+ * that received agents while empty (a state with agents is a candidate
+ * already, so it skips the list's search).  Candidates whose count
+ * dropped to zero are filtered per batch by the same counts[sid] > 0 test
+ * the full scan applied, so the frontier (and with it every draw) is
+ * bit-identical while per-batch scan cost follows the frontier, not k.
  */
 static void run_row(count_row *row, int64_t n, const double *neg_survival,
                     int64_t jmax, int64_t sk, int64_t *scratch)
@@ -445,129 +541,167 @@ static void run_row(count_row *row, int64_t n, const double *neg_survival,
                 occ[nocc++] = sid;
         }
 
-        /* 2. Participant multiset: involved ~ MVH(counts, 2L), by
-         * sequential conditional hypergeometric splits. */
         int64_t ninv = 0;
-        int64_t m = 2 * length;
-        int64_t total = n;
-        for (int64_t idx = 0; idx < nocc && m > 0; idx++) {
-            int64_t sid = occ[idx];
-            int64_t color = counts[sid];
-            int64_t rest = total - color;
-            int64_t drawn = (rest == 0) ? m : hyp_draw(rng, color, rest, m);
-            if (drawn > 0) {
-                involved[sid] = drawn;
-                inv_occ[ninv++] = sid;
-                m -= drawn;
-            }
-            total = rest;
-        }
-
-        /* Responder split: responders ~ MVH(involved, L). */
-        int64_t nresp = 0;
-        m = length;
-        total = 2 * length;
-        for (int64_t idx = 0; idx < ninv && m > 0; idx++) {
-            int64_t sid = inv_occ[idx];
-            int64_t color = involved[sid];
-            int64_t rest = total - color;
-            int64_t drawn = (rest == 0) ? m : hyp_draw(rng, color, rest, m);
-            if (drawn > 0) {
-                responders[sid] = drawn;
-                resp_occ[nresp++] = sid;
-                m -= drawn;
-            }
-            total = rest;
-        }
-
-        /* Initiator pool: the involved states with initiators left, in
-         * inv_occ order.  Rows drop the states they deplete, so each row
-         * walks only states that can still draw. */
-        int64_t npool = 0;
-        for (int64_t idx = 0; idx < ninv; idx++) {
-            int64_t sid = inv_occ[idx];
-            remaining_i[sid] = involved[sid] - responders[sid];
-            if (remaining_i[sid] > 0)
-                pool[npool++] = sid;
-        }
-        int64_t rem_total = length;
-
-        /* 3. Pairing rows -> post-state multiset `used` via the LUT.
-         * A row's draw stops once its slots are filled; `reach` is how far
-         * into the pool it got.  States outside the pool have no
-         * initiators left and entries past `reach` drew nothing, so the
-         * walk over pool[0, reach) meets every nonzero cell of the row in
-         * inv_occ order: used_occ's order and the first missing pair do
-         * not depend on the compaction. */
         int64_t nused = 0;
         int missed = 0;
         int64_t miss_r = -1, miss_i = -1;
-        for (int64_t ridx = 0; ridx < nresp && !missed; ridx++) {
-            int64_t a = resp_occ[ridx];
-            int64_t slots = responders[a];
-            const int64_t *rowp;
-            int row_is_tmp = 0;
-            int64_t reach = npool;
-            if (ridx == nresp - 1) {
-                /* Final responder state takes the whole remaining
-                 * initiator pool -- deterministic, no draw. */
-                rowp = remaining_i;
-            } else {
-                m = slots;
-                total = rem_total;
-                for (reach = 0; reach < npool && m > 0; reach++) {
-                    int64_t sid = pool[reach];
-                    int64_t color = remaining_i[sid];
-                    int64_t rest = total - color;
-                    int64_t drawn =
-                        (rest == 0) ? m : hyp_draw(rng, color, rest, m);
-                    pair_row[sid] = drawn;
-                    m -= drawn;
-                    total = rest;
-                }
-                rowp = pair_row;
-                row_is_tmp = 1;
+        if (direct_batch(length, nocc)) {
+            /* 2-3, direct path.  The 2L participants as ordered picks
+             * without replacement: each is one bounded integer below the
+             * fresh count, mapped through a Fenwick tree over the occ
+             * positions (weights counts - involved) to its state.  Picks
+             * 2j and 2j+1 are the j-th (responder, initiator) pair, which
+             * goes straight through the LUT.  The tree lives in the pool
+             * region, which this path does not otherwise use. */
+            int64_t *tree = pool;
+            for (int64_t idx = 0; idx < nocc; idx++)
+                tree[idx] = counts[occ[idx]];
+            for (int64_t node = 1; node <= nocc; node++) {
+                int64_t parent = node + (node & -node);
+                if (parent <= nocc)
+                    tree[parent - 1] += tree[node - 1];
             }
-            const int64_t *lut_row = lut + a * cap;
-            for (int64_t idx = 0; idx < reach; idx++) {
-                int64_t b = pool[idx];
-                int64_t mult = rowp[b];
-                if (mult <= 0)
-                    continue;
-                int64_t packed = lut_row[b];
+            int64_t top = 1;
+            while (2 * top <= nocc)
+                top *= 2;
+            int64_t fresh = n;
+            for (int64_t j = 0; j < length; j++) {
+                int64_t pair[2];
+                for (int side = 0; side < 2; side++) {
+                    int64_t x = xo_bounded(rng, fresh);
+                    int64_t sid = occ[fenwick_take(tree, nocc, top, x)];
+                    fresh -= 1;
+                    if (involved[sid] == 0)
+                        inv_occ[ninv++] = sid;
+                    involved[sid] += 1;
+                    pair[side] = sid;
+                }
+                int64_t packed = lut[pair[0] * cap + pair[1]];
                 if (packed < 0) {
                     missed = 1;
-                    miss_r = a;
-                    miss_i = b;
+                    miss_r = pair[0];
+                    miss_i = pair[1];
                     break;
                 }
-                int64_t new_r = packed >> 32;
-                int64_t new_i = packed & 0xFFFFFFFF;
-                if (used[new_r] == 0)
-                    used_occ[nused++] = new_r;
-                used[new_r] += mult;
-                if (used[new_i] == 0)
-                    used_occ[nused++] = new_i;
-                used[new_i] += mult;
+                use_pair(used, used_occ, &nused, packed, 1);
             }
-            if (row_is_tmp) {
-                /* Zero the row and drop the states it depleted; the pool
-                 * past `reach` is untouched and shifts down intact. */
-                int64_t kept = 0;
+        } else {
+            /* 2, split path.  Participant multiset: involved ~ MVH(counts,
+             * 2L), by sequential conditional hypergeometric splits. */
+            int64_t m = 2 * length;
+            int64_t total = n;
+            for (int64_t idx = 0; idx < nocc && m > 0; idx++) {
+                int64_t sid = occ[idx];
+                int64_t color = counts[sid];
+                int64_t rest = total - color;
+                int64_t drawn =
+                    (rest == 0) ? m : hyp_draw(rng, color, rest, m);
+                if (drawn > 0) {
+                    involved[sid] = drawn;
+                    inv_occ[ninv++] = sid;
+                    m -= drawn;
+                }
+                total = rest;
+            }
+
+            /* Responder split: responders ~ MVH(involved, L). */
+            int64_t nresp = 0;
+            m = length;
+            total = 2 * length;
+            for (int64_t idx = 0; idx < ninv && m > 0; idx++) {
+                int64_t sid = inv_occ[idx];
+                int64_t color = involved[sid];
+                int64_t rest = total - color;
+                int64_t drawn =
+                    (rest == 0) ? m : hyp_draw(rng, color, rest, m);
+                if (drawn > 0) {
+                    responders[sid] = drawn;
+                    resp_occ[nresp++] = sid;
+                    m -= drawn;
+                }
+                total = rest;
+            }
+
+            /* Initiator pool: the involved states with initiators left, in
+             * inv_occ order.  Rows drop the states they deplete, so each
+             * row walks only states that can still draw. */
+            int64_t npool = 0;
+            for (int64_t idx = 0; idx < ninv; idx++) {
+                int64_t sid = inv_occ[idx];
+                remaining_i[sid] = involved[sid] - responders[sid];
+                if (remaining_i[sid] > 0)
+                    pool[npool++] = sid;
+            }
+            int64_t rem_total = length;
+
+            /* 3. Pairing rows -> post-state multiset `used` via the LUT.
+             * A row's draw stops once its slots are filled; `reach` is how
+             * far into the pool it got.  States outside the pool have no
+             * initiators left and entries past `reach` drew nothing, so
+             * the walk over pool[0, reach) meets every nonzero cell of the
+             * row in inv_occ order: used_occ's order and the first missing
+             * pair do not depend on the compaction. */
+            for (int64_t ridx = 0; ridx < nresp && !missed; ridx++) {
+                int64_t a = resp_occ[ridx];
+                int64_t slots = responders[a];
+                const int64_t *rowp;
+                int row_is_tmp = 0;
+                int64_t reach = npool;
+                if (ridx == nresp - 1) {
+                    /* Final responder state takes the whole remaining
+                     * initiator pool -- deterministic, no draw. */
+                    rowp = remaining_i;
+                } else {
+                    m = slots;
+                    total = rem_total;
+                    for (reach = 0; reach < npool && m > 0; reach++) {
+                        int64_t sid = pool[reach];
+                        int64_t color = remaining_i[sid];
+                        int64_t rest = total - color;
+                        int64_t drawn =
+                            (rest == 0) ? m : hyp_draw(rng, color, rest, m);
+                        pair_row[sid] = drawn;
+                        m -= drawn;
+                        total = rest;
+                    }
+                    rowp = pair_row;
+                    row_is_tmp = 1;
+                }
+                const int64_t *lut_row = lut + a * cap;
                 for (int64_t idx = 0; idx < reach; idx++) {
-                    int64_t sid = pool[idx];
-                    if (!missed)
-                        remaining_i[sid] -= pair_row[sid];
-                    pair_row[sid] = 0;
-                    if (remaining_i[sid] > 0)
-                        pool[kept++] = sid;
+                    int64_t b = pool[idx];
+                    int64_t mult = rowp[b];
+                    if (mult <= 0)
+                        continue;
+                    int64_t packed = lut_row[b];
+                    if (packed < 0) {
+                        missed = 1;
+                        miss_r = a;
+                        miss_i = b;
+                        break;
+                    }
+                    use_pair(used, used_occ, &nused, packed, mult);
                 }
-                if (kept < reach) {
-                    memmove(pool + kept, pool + reach,
-                            (size_t)(npool - reach) * sizeof(int64_t));
-                    npool -= reach - kept;
+                if (row_is_tmp) {
+                    /* Zero the row and drop the states it depleted; the
+                     * pool past `reach` is untouched and shifts down
+                     * intact. */
+                    int64_t kept = 0;
+                    for (int64_t idx = 0; idx < reach; idx++) {
+                        int64_t sid = pool[idx];
+                        if (!missed)
+                            remaining_i[sid] -= pair_row[sid];
+                        pair_row[sid] = 0;
+                        if (remaining_i[sid] > 0)
+                            pool[kept++] = sid;
+                    }
+                    if (kept < reach) {
+                        memmove(pool + kept, pool + reach,
+                                (size_t)(npool - reach) * sizeof(int64_t));
+                        npool -= reach - kept;
+                    }
+                    rem_total -= slots;
                 }
-                rem_total -= slots;
             }
         }
 
@@ -637,21 +771,24 @@ static void run_row(count_row *row, int64_t n, const double *neg_survival,
         }
         for (int64_t idx = 0; idx < nused; idx++) {
             int64_t sid = used_occ[idx];
+            if (counts[sid] == 0) /* states with agents are candidates */
+                cand_insert(cand, &ncand, sid);
             counts[sid] += used[sid];
             used[sid] = 0;
             seen[sid] = 1;
-            cand_insert(cand, &ncand, sid);
         }
         applied += length;
         if (collide) {
             counts[coll_or] -= 1;
+            if (counts[coll_nr] == 0)
+                cand_insert(cand, &ncand, coll_nr);
             counts[coll_nr] += 1;
             counts[coll_oi] -= 1;
+            if (counts[coll_ni] == 0)
+                cand_insert(cand, &ncand, coll_ni);
             counts[coll_ni] += 1;
             seen[coll_nr] = 1;
             seen[coll_ni] = 1;
-            cand_insert(cand, &ncand, coll_nr);
-            cand_insert(cand, &ncand, coll_ni);
             applied += 1;
         }
     }
@@ -748,9 +885,9 @@ def _logfactorial(k: int) -> float:
     return _lgamma(k + 1.0)
 
 
-def _uniform(s: list) -> float:
-    """``xo_double``: advance the four xoshiro256++ words in ``s`` and
-    return a double in [0, 1) with 53 random bits."""
+def _next(s: list) -> int:
+    """``xo_next``: advance the four xoshiro256++ words in ``s`` and return
+    the 64-bit output."""
     s0, s1, s2, s3 = s
     x = (s0 + s3) & _MASK64
     result = ((((x << 23) & _MASK64) | (x >> 41)) + s0) & _MASK64
@@ -760,7 +897,24 @@ def _uniform(s: list) -> float:
     s[1] = s1 ^ s2
     s[2] = s2 ^ ((s1 << 17) & _MASK64)
     s[3] = ((s3 << 45) & _MASK64) | (s3 >> 19)
-    return (result >> 11) * _UNIT
+    return result
+
+
+def _uniform(s: list) -> float:
+    """``xo_double``: a double in [0, 1) with 53 random bits."""
+    return (_next(s) >> 11) * _UNIT
+
+
+def _bounded(s: list, bound: int) -> int:
+    """``xo_bounded``: Lemire's uniform integer in ``[0, bound)``."""
+    m = _next(s) * bound
+    leftover = m & _MASK64
+    if leftover < bound:
+        threshold = ((1 << 64) - bound) % bound
+        while leftover < threshold:
+            m = _next(s) * bound
+            leftover = m & _MASK64
+    return m >> 64
 
 
 def _hyp_inversion(s: list, good: int, bad: int, sample: int) -> int:
@@ -863,6 +1017,56 @@ def _pick_state(s: list, weighted, total: int, exclude: int = -1) -> int:
     return last
 
 
+#: ``DIRECT_PER_STATE``: a batch takes the direct path when its run length
+#: is at most this many interactions per occupied state beyond the first.
+_DIRECT_PER_STATE = 4
+
+
+def _direct_batch(length: int, nocc: int) -> bool:
+    """``direct_batch``: the batch path rule, the C expression."""
+    return length <= _DIRECT_PER_STATE * (nocc - 1)
+
+
+def _fenwick(weights: list) -> list:
+    """A Fenwick tree over ``weights``, node ``i`` (1-based) at ``i - 1``."""
+    tree = list(weights)
+    size = len(tree)
+    for node in range(1, size + 1):
+        parent = node + (node & -node)
+        if parent <= size:
+            tree[parent - 1] += tree[node - 1]
+    return tree
+
+
+def _fenwick_take(tree: list, top: int, x: int) -> int:
+    """``fenwick_take``: the first position whose running weight exceeds
+    ``x``, with one unit of its weight removed on the way down."""
+    size = len(tree)
+    pos = 0
+    step = top
+    while step:
+        nxt = pos + step
+        if nxt <= size:
+            weight = tree[nxt - 1]
+            if weight <= x:
+                pos = nxt
+                x -= weight
+            else:
+                tree[nxt - 1] = weight - 1
+        step >>= 1
+    return pos
+
+
+def _use_pair(used: dict, packed: int, mult: int) -> None:
+    """``use_pair``: ``mult`` applications of a packed transition into the
+    post-state multiset, whose insertion order is the kernel's
+    ``used_occ``."""
+    new_r = packed >> 32
+    new_i = packed & 0xFFFFFFFF
+    used[new_r] = used.get(new_r, 0) + mult
+    used[new_i] = used.get(new_i, 0) + mult
+
+
 def _split(s: list, weighted, sample: int, total: int) -> list:
     """A multivariate hypergeometric draw of ``sample`` from ``(id, weight)``
     pairs (weights summing to ``total``) by sequential conditional splits.
@@ -939,31 +1143,47 @@ def run_row(counts, seen, rng, lut, k, cap, budget, n, neg_survival, jmax):
             length = budget - applied
             collide = False
         occ = [sid for sid in ordered if count[sid] > 0]
-
-        # 2. Participants, then responders among them.
-        weighted = ((sid, count[sid]) for sid in occ)
-        involved = {sid: h for sid, h in _split(s, weighted, 2 * length, n) if h}
-        split = _split(s, involved.items(), length, 2 * length)
-        responders = {sid: r for sid, r in split if r}
-        remaining_i = {sid: h - responders.get(sid, 0) for sid, h in involved.items()}
-
-        # 3. Pairing rows through the LUT into the post-state multiset.
         used = {}
-        for a, row in _pair_rows(s, responders, remaining_i, length):
-            base = a * cap
-            for b, mult in row:
-                if mult <= 0:
-                    continue
-                packed = packed_at(base + b)
+        if _direct_batch(length, len(occ)):
+            # 2-3, direct path: 2L ordered picks, pairs straight to the LUT.
+            tree = _fenwick([count[sid] for sid in occ])
+            top = 1 << (len(occ).bit_length() - 1)
+            fresh = n
+            involved = {}
+            for _ in range(length):
+                a = occ[_fenwick_take(tree, top, _bounded(s, fresh))]
+                involved[a] = involved.get(a, 0) + 1
+                b = occ[_fenwick_take(tree, top, _bounded(s, fresh - 1))]
+                involved[b] = involved.get(b, 0) + 1
+                fresh -= 2
+                packed = packed_at(a * cap + b)
                 if packed < 0:
                     miss_r, miss_i = a, b
                     break
-                new_r = packed >> 32
-                new_i = packed & 0xFFFFFFFF
-                used[new_r] = used.get(new_r, 0) + mult
-                used[new_i] = used.get(new_i, 0) + mult
-            if miss_r >= 0:
-                break
+                _use_pair(used, packed, 1)
+        else:
+            # 2, split path: participants, then responders among them.
+            weighted = ((sid, count[sid]) for sid in occ)
+            involved = {sid: h for sid, h in _split(s, weighted, 2 * length, n) if h}
+            split = _split(s, involved.items(), length, 2 * length)
+            responders = {sid: r for sid, r in split if r}
+            remaining_i = {
+                sid: h - responders.get(sid, 0) for sid, h in involved.items()
+            }
+
+            # 3. Pairing rows through the LUT into the post-state multiset.
+            for a, row in _pair_rows(s, responders, remaining_i, length):
+                base = a * cap
+                for b, mult in row:
+                    if mult <= 0:
+                        continue
+                    packed = packed_at(base + b)
+                    if packed < 0:
+                        miss_r, miss_i = a, b
+                        break
+                    _use_pair(used, packed, mult)
+                if miss_r >= 0:
+                    break
 
         # 4. The colliding interaction, drawn before the commit.
         if miss_r < 0 and collide:

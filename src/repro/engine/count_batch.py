@@ -8,13 +8,15 @@ construction) and processes interactions in *collision-free runs* of
 expected length ``Θ(sqrt(n))``, in the style of Berenbrink et al.,
 "Simulating Population Protocols in Sub-Constant Time per Interaction"
 (ESA 2020).
-Per-run work follows the *occupied* state frontier ``k`` (quadratically:
-one hypergeometric split per pairing cell), so the per-interaction cost
-vanishes as the population grows; the dispatcher's cost model
-(:mod:`repro.engine.dispatch`) is calibrated against it.  The batch loop
-lives in :mod:`repro.engine._count_kernel`, in C and in a Python mirror
-that draw the same xoshiro256++ stream, so a seed gives one trajectory
-whichever runs.
+Per-run work follows the *occupied* state frontier ``k``: a short run
+over a wide frontier costs about two bounded draws per interaction, a
+long run over a narrow one a hypergeometric split per occupied state and
+per pairing cell, so the per-interaction cost vanishes as the population
+grows; the dispatcher's cost model (:mod:`repro.engine.dispatch`) is
+calibrated against it.  The batch loop lives in
+:mod:`repro.engine._count_kernel`, in C and in a Python mirror that draw
+the same xoshiro256++ stream, so a seed gives one trajectory whichever
+runs.
 
 Exactness (in distribution)
 ===========================
@@ -35,13 +37,27 @@ exact, and each run can be sampled configuration-level:
    conditioned on ``L >= r``, applying ``r`` collision-free pairs and
    re-anchoring is a valid parse as well — no collision step is owed.
 2. **Participants.**  The ``2L`` distinct agents form a uniform ordered
-   sample without replacement, so their state multiset ``H`` is multivariate
-   hypergeometric from the counts; the responder multiset ``R`` is a
-   hypergeometric split of ``H`` (initiators ``I = H - R``), and the pairing
-   contingency matrix ``M[a, b]`` follows by matching each responder state's
-   slots against the remaining initiator pool (sequential hypergeometric
-   rows).  All ``2L`` agents are distinct, so applying every pair through
-   the compiled transition table *simultaneously* is exact.
+   sample without replacement, and agents ``2j`` and ``2j + 1`` of it are
+   the ``j``-th pair's responder and initiator; only the pair matrix
+   ``M[a, b]`` (how many pairs meet states ``a`` and ``b``) matters, and
+   any exact sampler of it keeps the engine exact.  Each batch draws it
+   one of two ways, chosen by an integer rule of ``L`` and the number of
+   occupied states ``nocc`` (direct when ``L <= 4 (nocc - 1)``):
+
+   * *direct*: the ``2L`` agents one by one, each a uniform integer below
+     the count of agents not yet drawn, mapped to its state through the
+     running counts; consecutive picks form the pairs.  About ``2L``
+     bounded draws, whatever ``nocc`` is.
+   * *split*: the state multiset ``H`` of the sample is multivariate
+     hypergeometric from the counts; the responder multiset ``R`` is a
+     hypergeometric split of ``H`` (initiators ``I = H - R``), and ``M``
+     follows by matching each responder state's slots against the
+     remaining initiator pool (sequential hypergeometric rows).  Its
+     draws grow with the states touched, not with ``L``, so it is the
+     path of long runs over few states.
+
+   All ``2L`` agents are distinct, so applying every pair through the
+   compiled transition table *simultaneously* is exact.
 3. **The colliding interaction.**  Conditioned on ending the run, the next
    pair has at least one participant among the ``2L`` used agents, whose
    post-transition state multiset ``U`` is known; the fresh agents keep the
@@ -105,6 +121,13 @@ _SURVIVAL_MAX_LEN = 1 << 23
 #: ``n <= 2^53``.  (Counts themselves stay well inside int64.)  Beyond this
 #: the engine refuses to construct rather than silently degrade.
 MAX_EXACT_N = 2**53
+
+#: The count stream a snapshot's kernel words continue: 2 is the stream
+#: whose small batches take the direct path (see ``_count_kernel``).  A
+#: snapshot without it was drawn by the retired split-only stream and is
+#: refused.
+_STREAM = 2
+
 
 class CountBatchEngine(BaseEngine):
     """Exact-in-distribution batched engine over state counts.
@@ -278,6 +301,7 @@ class CountBatchEngine(BaseEngine):
         # state.  Counts are sparse: the occupied ids and their counts as
         # raw little-endian bytes.  ``kernel_rng`` holds the xoshiro256++
         # words (raw bytes too).
+        # ``stream`` names the batch law the words continue (see _STREAM).
         counts = self.count_vector()
         ids = np.flatnonzero(counts)
         return {
@@ -285,27 +309,28 @@ class CountBatchEngine(BaseEngine):
             "values": counts[ids].astype("<i8").tobytes(),
             "rng": rng_state(self._rng),
             "kernel_rng": self._kernel_rng.astype("<u8").tobytes(),
+            "stream": _STREAM,
         }
 
     def _state_restore(self, payload: dict) -> None:
-        kernel_rng = payload.get("kernel_rng")
-        if kernel_rng is None:
+        if payload.get("kernel_rng") is None:
             raise CheckpointError(
                 "this count-batch checkpoint was written by the retired "
                 "NumPy count stream (the old kernel='python' path), which no "
                 "build continues; rerun the cell from its seed"
             )
-        if isinstance(kernel_rng, bytes):  # version 1 stored an array instead
-            kernel_rng = np.frombuffer(kernel_rng, dtype="<u8")
+        if payload.get("stream") != _STREAM:
+            raise CheckpointError(
+                "this count-batch checkpoint was written by the retired "
+                "split-only count stream (every batch drawn by hypergeometric "
+                "splits), which no build continues; rerun the cell from its "
+                "seed"
+            )
         # In place, like the kernel words: the C argument block holds the
         # ledger's and the words' addresses.
         self._counts[:] = 0
-        if "counts" in payload:  # version-1 snapshots store dense counts
-            counts = np.asarray(payload["counts"], dtype=np.int64)
-            self._counts[: counts.shape[0]] = counts
-        else:
-            self._counts[np.frombuffer(payload["ids"], dtype="<i4")] = np.frombuffer(
-                payload["values"], dtype="<i8"
-            )
+        self._counts[np.frombuffer(payload["ids"], dtype="<i4")] = np.frombuffer(
+            payload["values"], dtype="<i8"
+        )
         restore_rng_state(self._rng, payload["rng"])
-        self._kernel_rng[:] = kernel_rng
+        self._kernel_rng[:] = np.frombuffer(payload["kernel_rng"], dtype="<u8")

@@ -35,7 +35,7 @@ from test_engine_trajectory_digests import (
 )
 
 from repro.engine._ckernel import kernel_available
-from repro.engine.count_batch import CountBatchEngine
+from repro.engine.count_batch import _STREAM, CountBatchEngine
 from repro.engine.engine import SequentialEngine
 from repro.engine.fast_batch import FastBatchEngine
 from repro.engine.scheduler import PAIR_CHUNK, PairSampler
@@ -851,6 +851,37 @@ def test_retired_count_stream_checkpoint_is_refused(tmp_path):
                 check_every=4096, max_parallel_time=40.0, checkpoint_path=path,
                 resume=True,
             )
+
+
+def test_split_only_count_stream_checkpoint_is_refused(tmp_path):
+    """``split_stream_countbatch.ckpt`` was written by the retired
+    split-only xoshiro stream (every batch drawn by hypergeometric splits,
+    no stream id in the payload): ``from_checkpoint`` and
+    ``run_protocol(resume=True)`` refuse it by name on both kernel
+    implementations, and a current snapshot records the stream it
+    continues."""
+    from repro.engine.convergence import NeverConverge
+    from repro.engine.simulation import Simulation, run_protocol
+
+    path = tmp_path / "split_stream_countbatch.ckpt"
+    shutil.copyfile(_FIXTURES / "split_stream_countbatch.ckpt", path)
+    payload = read_checkpoint(path)["engine_snapshot"]["payload"]
+    assert "kernel_rng" in payload and "stream" not in payload
+    for kernel in ("auto", "python"):
+        with pytest.raises(CheckpointError, match="retired split-only count stream"):
+            Simulation.from_checkpoint(
+                _closure_gsu(), path, engine_kwargs={"kernel": kernel}
+            )
+        with pytest.raises(CheckpointError, match="retired split-only count stream"):
+            run_protocol(
+                _closure_gsu(), 4096, seed=31, engine_cls="countbatch",
+                engine_kwargs={"kernel": kernel}, convergence=NeverConverge(),
+                check_every=4096, max_parallel_time=40.0, checkpoint_path=path,
+                resume=True,
+            )
+    engine = CountBatchEngine(_closure_gsu(), 4096, rng=31)
+    engine.run(4096)
+    assert engine.snapshot()["payload"]["stream"] == _STREAM
 
 
 def test_lazy_layout_checkpoint_resumes_onto_the_closure_table(tmp_path):

@@ -13,7 +13,9 @@ and every machine without a compiler).  This module carries:
   implementations in both directions;
 * a Hypothesis differential test that calls both implementations on the
   same random state (random LUTs with holes, ``n`` up to ``2^53``) and
-  compares every output of every call;
+  compares every output of every call, on batches of both paths;
+* the batch law: each path's pair matrix against its exact distribution
+  on tiny configurations;
 * the samplers' distributions at operands up to ``10^12``, and
 * the trillion-agent acceptance run: GSU19 count-space at ``n = 10^12``
   with a pinned digest and an O(k) memory bound.
@@ -27,10 +29,13 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from test_engine_layout_invariance import _lazy
@@ -47,6 +52,7 @@ from repro.core.protocol import GSULeaderElection
 from repro.engine import _count_kernel, count_batch
 from repro.engine._count_kernel import (
     CountRow,
+    _direct_batch,
     _hyp_draw,
     _pair_rows,
     _split,
@@ -102,7 +108,8 @@ def _gsu19_extreme():
 
 #: GSU19 at n = 10^12 (tiny calibration above), seed ``_SEED``, three
 #: chunks of 2,000,000 interactions: the acceptance digest for the extreme
-#: tier.  Pinned from a run whose peak RSS was measured at 294 MiB.
+#: tier.  Pinned from a run whose peak RSS was measured at 294 MiB.  Every
+#: batch takes the split path (runs of ~6·10^5 pairs over a few states).
 _EXTREME_DIGEST = "fe33266bed0714de5d682ecda00945b0f8a456478740c8da75290eb93706ae55"
 _EXTREME_CHUNK = 2_000_000
 
@@ -110,16 +117,16 @@ _EXTREME_CHUNK = 2_000_000
 #: ~6n interactions) never reaches: participant-split operands up to n, a
 #: frontier of dozens of states, and lazily compiled rows missing mid-row.
 #: GSU19 at its production calibration with the closure registered,
-#: n = 20,000, five chunks of 200,000 interactions (the frontier holds 38,
-#: 60, 65, 87 and 70 states after them).
+#: n = 20,000, five chunks of 200,000 interactions (the frontier holds 39,
+#: 52, 56, 90 and 67 states after them; most batches take the direct path).
 _PRODUCTION_CLOSURE_DIGEST = (
-    "b21f363a2b1d1a99cec2e1606821d5a696762cb216e8e79843e10b4a6203f1ae"
+    "7a4539701dedab2bd9ef711d38d67d71c0c3d0aa8c2a58151f289a8ade135aaf"
 )
 #: ``for_population(2000)`` with its closure and canonical states hidden,
-#: so its table compiles lazily, one run of 200,000 interactions: 11,278
+#: so its table compiles lazily, one run of 200,000 interactions: 11,212
 #: LUT misses, each a kernel rollback and re-entry.
-_LAZY_MISS_DIGEST = "b17e330646a9bedfcbe233d79d9479671387c2b69d06c0fed1219e10de7e0f41"
-_LAZY_MISS_PAIRS = 11_278
+_LAZY_MISS_DIGEST = "a4642d2cb0e8a37b7cc0aeaef04435f26059e9911910348075616d07813705b6"
+_LAZY_MISS_PAIRS = 11_212
 
 
 @needs_kernel
@@ -285,24 +292,9 @@ _POPULATIONS = st.one_of(
 )
 
 
-@needs_kernel
-@settings(max_examples=120, deadline=None)
-@given(
-    k=st.integers(1, 64),
-    pad=st.integers(0, 3),
-    n=_POPULATIONS,
-    cuts=st.lists(st.floats(0.0, 1.0), min_size=63, max_size=63),
-    seed=st.integers(0, 2**32 - 1),
-    hole_rate=st.sampled_from([0.0, 0.02, 0.3]),
-    budgets=st.lists(st.integers(1, 4000), min_size=1, max_size=4),
-)
-def test_python_implementation_matches_the_kernel_call_for_call(
-    k, pad, n, cuts, seed, hole_rate, budgets
-):
-    """Random packed LUTs (``k <= 64``, ``-1`` holes, a side ``cap >= k``)
-    and random counts summing to ``n``: every call's ``applied``, miss
-    pair, counts, seen mask and xoshiro words agree.  A miss fills its
-    hole before the next call, as the engine compiles the pair."""
+def _differential_case(k, pad, n, cuts, seed, hole_rate, budgets):
+    """Run both implementations call for call on one random configuration
+    and assert that every output agrees."""
     rng = np.random.default_rng(seed)
     cap = k + pad
     bounds = sorted(int(cut * n) for cut in cuts[: k - 1])
@@ -328,20 +320,57 @@ def test_python_implementation_matches_the_kernel_call_for_call(
             lut[miss_r * cap + miss_i] = miss_r << 32 | miss_i
 
 
+#: Fixed differential cases on both sides of the batch rule, with every
+#: declared state occupied at k = 1 (split: one state draws nothing) and
+#: k = 2 (direct: the Fenwick tree fills the whole k-wide region), a
+#: direct run through LUT holes, and split runs at large n.
+_DIFFERENTIAL_EXAMPLES = [
+    dict(k=1, pad=0, n=8, cuts=[0.5] * 63, seed=1, hole_rate=0.0, budgets=[3, 9]),
+    dict(k=2, pad=0, n=8, cuts=[0.5] * 63, seed=2, hole_rate=0.0, budgets=[3, 9]),
+    dict(k=2, pad=1, n=10**6, cuts=[0.5] * 63, seed=3, hole_rate=0.0, budgets=[4000]),
+    dict(k=3, pad=0, n=30, cuts=[0.3, 0.6] + [0.5] * 61, seed=4, hole_rate=0.3, budgets=[40, 40]),
+    dict(k=64, pad=2, n=10**7, cuts=[i / 64 for i in range(1, 64)], seed=5,
+         hole_rate=0.02, budgets=[4000, 700]),
+]
+
+
+def _with_examples(cases):
+    def decorate(test):
+        for case in reversed(cases):
+            test = example(**case)(test)
+        return test
+
+    return decorate
+
+
 @needs_kernel
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(
-    protocol_name=st.sampled_from(["epidemic", "gsu19", "majority", "lottery"]),
-    first=st.sampled_from(["c", "python"]),
-    chunks=st.lists(st.integers(1, 700), min_size=2, max_size=5),
-    cut=st.integers(1, 4),
+    k=st.integers(1, 64),
+    pad=st.integers(0, 3),
+    n=_POPULATIONS,
+    cuts=st.lists(st.floats(0.0, 1.0), min_size=63, max_size=63),
+    seed=st.integers(0, 2**32 - 1),
+    hole_rate=st.sampled_from([0.0, 0.02, 0.3]),
+    budgets=st.lists(st.integers(1, 4000), min_size=1, max_size=4),
 )
-def test_snapshot_restore_across_implementations_continues_the_stream(
-    protocol_name, first, chunks, cut
+@_with_examples(_DIFFERENTIAL_EXAMPLES)
+def test_python_implementation_matches_the_kernel_call_for_call(
+    k, pad, n, cuts, seed, hole_rate, budgets
 ):
-    """Run ``chunks`` on one implementation, snapshot after ``cut`` of them,
-    restore into the other and finish there: the end state equals an
-    uninterrupted run's, chunk by chunk."""
+    """Random packed LUTs (``k <= 64``, ``-1`` holes, a side ``cap >= k``)
+    and random counts summing to ``n``: every call's ``applied``, miss
+    pair, counts, seen mask and xoshiro words agree.  A miss fills its
+    hole before the next call, as the engine compiles the pair.  Small
+    ``n`` and wide frontiers send batches down the direct path, long runs
+    over few states down the split path (the fixed examples take both)."""
+    _differential_case(k, pad, n, cuts, seed, hole_rate, budgets)
+
+
+def _snapshot_case(protocol_name, first, chunks, cut):
+    """Run ``chunks`` on the ``first`` implementation, snapshot after
+    ``cut`` of them, restore into the other and finish there, chunk by
+    chunk against an uninterrupted run."""
     factory, n = PROTOCOLS[protocol_name]
     second = "python" if first == "c" else "c"
     reference = CountBatchEngine(factory(), n, rng=_SEED, kernel=first)
@@ -358,6 +387,68 @@ def test_snapshot_restore_across_implementations_continues_the_stream(
         assert engine.states_ever_occupied == reference.states_ever_occupied
     assert np.array_equal(engine._kernel_rng, reference._kernel_rng)
 
+
+#: Resumes whose continued stream crosses the batch rule: the epidemic's
+#: two states take the split path but for runs of at most 4 pairs, and
+#: GSU19's frontier grows from one state onto the direct path.
+_SNAPSHOT_EXAMPLES = [
+    dict(protocol_name="epidemic", first="c", chunks=[700, 700, 700], cut=1),
+    dict(protocol_name="gsu19", first="c", chunks=[5, 700, 700], cut=1),
+]
+
+
+@needs_kernel
+@settings(max_examples=60, deadline=None)
+@given(
+    protocol_name=st.sampled_from(["epidemic", "gsu19", "majority", "lottery"]),
+    first=st.sampled_from(["c", "python"]),
+    chunks=st.lists(st.integers(1, 700), min_size=2, max_size=5),
+    cut=st.integers(1, 4),
+)
+@_with_examples(_SNAPSHOT_EXAMPLES)
+def test_snapshot_restore_across_implementations_continues_the_stream(
+    protocol_name, first, chunks, cut
+):
+    """A snapshot written by one implementation continues on the other:
+    the end state equals an uninterrupted run's, chunk by chunk."""
+    _snapshot_case(protocol_name, first, chunks, cut)
+
+
+def _recorded_rule(monkeypatch) -> list:
+    """Record the mirror's ``(length, nocc, direct)`` batch decisions."""
+    decisions = []
+    rule = _count_kernel._direct_batch
+
+    def recording(length, nocc):
+        direct = rule(length, nocc)
+        decisions.append((length, nocc, direct))
+        return direct
+
+    monkeypatch.setattr(_count_kernel, "_direct_batch", recording)
+    return decisions
+
+
+@needs_kernel
+def test_differential_examples_take_both_paths(monkeypatch):
+    """The fixed differential examples reach both sides of the rule, with
+    every declared state occupied at k = 1 and k = 2 (the latter on the
+    direct path), and each fixed resume continues on the Python mirror
+    through batches of both paths."""
+    decisions = _recorded_rule(monkeypatch)
+    full = set()
+    for case in _DIFFERENTIAL_EXAMPLES:
+        before = len(decisions)
+        _differential_case(**case)
+        full |= {
+            (case["k"], direct) for _, nocc, direct in decisions[before:]
+            if nocc == case["k"]
+        }
+    assert {direct for _, _, direct in decisions} == {False, True}
+    assert {(1, False), (2, True)} <= full
+    for case in _SNAPSHOT_EXAMPLES:
+        decisions.clear()
+        _snapshot_case(**case)
+        assert {direct for _, _, direct in decisions} == {False, True}, case
 
 
 # ----------------------------------------------------------------------
@@ -474,16 +565,121 @@ def test_kernel_argument_is_validated():
 # ----------------------------------------------------------------------
 # Samplers: pairing marginals, survival bounds, operands past 10^9
 # ----------------------------------------------------------------------
+def _pair_matrix_law(counts, length) -> dict:
+    """The exact law of one collision-free batch's pair matrix.
+
+    ``M[a][b]`` counts the batch's (responder in state ``a``, initiator in
+    state ``b``) interactions.  The batch's ``2 * length`` participants are
+    a uniform ordered sample without replacement, so an ordered sequence
+    of pair types with matrix ``M`` has probability
+    ``prod_s counts[s]^(h_s) / n^(2L)`` (falling factorials, ``h_s`` the
+    agents of state ``s`` it uses), and ``L! / prod M!`` sequences share
+    each ``M``.  Returns ``{flattened M: probability}``.
+    """
+    k, n = len(counts), sum(counts)
+    cells = k * k
+    law = {}
+    # Stars and bars: every way to put `length` interactions in k*k cells.
+    for bars in itertools.combinations(range(length + cells - 1), cells - 1):
+        edges = (-1, *bars, length + cells - 1)
+        matrix = tuple(edges[i + 1] - edges[i] - 1 for i in range(cells))
+        used = [0] * k
+        for cell, mult in enumerate(matrix):
+            used[cell // k] += mult
+            used[cell % k] += mult
+        if any(u > c for u, c in zip(used, counts)):
+            continue
+        orders = math.factorial(length)
+        for mult in matrix:
+            orders //= math.factorial(mult)
+        agents = math.prod(math.perm(c, u) for c, u in zip(counts, used))
+        law[matrix] = Fraction(orders * agents, math.perm(n, 2 * length))
+    assert sum(law.values()) == 1
+    return law
+
+
+def _sample_pair_matrices(counts, length, samples, seed) -> list:
+    """``samples`` single batches of exactly ``length`` interactions on the
+    Python mirror, each from ``counts``, as flattened pair matrices.
+
+    The survival curve is all ``-1``, so every run has the full length and
+    owes no collision; the LUT sends pair ``(a, b)`` to the states
+    ``k + a*k + b`` and a sink, so the batch's counts are its matrix."""
+    k = len(counts)
+    total = k + k * k + 1
+    lut = np.full(total * total, -1, dtype=np.int64)
+    for a in range(k):
+        for b in range(k):
+            lut[a * total + b] = (k + a * k + b) << 32 | (total - 1)
+    neg_survival = np.full(length, -1.0)
+    words = seed_kernel_rng(make_rng(seed))
+    matrices = []
+    for _ in range(samples):
+        state = np.zeros(total, dtype=np.int64)
+        state[:k] = counts
+        seen = np.zeros(total, dtype=np.uint8)
+        applied, miss_r, _ = run_row(
+            state, seen, words, lut, total, total, length, sum(counts),
+            neg_survival, length,
+        )
+        assert (applied, miss_r) == (length, -1)
+        matrices.append(tuple(int(c) for c in state[k : k + k * k]))
+    return matrices
+
+
+@pytest.mark.parametrize(
+    "counts,length,direct",
+    [
+        ((3, 3, 2), 3, True),
+        ((5, 3), 4, True),
+        # The split side needs more than 4 pairs per occupied state beyond
+        # the first, so its smallest two-state case has n = 12.
+        ((7, 5), 5, False),
+    ],
+    ids=["direct-3-states", "direct-2-states", "split-2-states"],
+)
+def test_batch_pair_matrix_follows_the_exact_law(counts, length, direct):
+    """Each batch path draws the pair matrix of a collision-free batch with
+    its exact law: a chi-square of 4,000 single-batch draws against the
+    enumerated distribution (outcomes expected fewer than 5 times pooled)
+    stays below the 99.9% quantile.  The (length, occupied states) choice
+    puts each case on the named side of the batch rule."""
+    assert _direct_batch(length, len(counts)) == direct
+    law = _pair_matrix_law(counts, length)
+    samples = 4000
+    observed = {}
+    for matrix in _sample_pair_matrices(counts, length, samples, seed=len(law)):
+        assert matrix in law, matrix  # never an impossible matrix
+        observed[matrix] = observed.get(matrix, 0) + 1
+    cells, pooled = [], [0, 0.0]
+    for matrix, probability in law.items():
+        expected = samples * float(probability)
+        if expected < 5:
+            pooled[0] += observed.get(matrix, 0)
+            pooled[1] += expected
+        else:
+            cells.append((observed.get(matrix, 0), expected))
+    if pooled[1] > 0:
+        cells.append(tuple(pooled))
+    statistic = sum((seen - expected) ** 2 / expected for seen, expected in cells)
+    dof = len(cells) - 1
+    # Wilson-Hilferty: the chi-square quantile at 1 - 10^-3 (z = 3.09).
+    quantile = dof * (1 - 2 / (9 * dof) + 3.09 * math.sqrt(2 / (9 * dof))) ** 3
+    assert statistic < quantile, (statistic, quantile, dof)
+
+
 def test_pair_matrix_marginals_are_exact():
-    """The pairing rows reproduce both marginals exactly: the responder
-    marginal is the responder split, and the initiator marginal is the
-    involved multiset minus the responders (the last row takes the rest of
-    the pool without a draw)."""
+    """The split path's pairing rows reproduce both marginals exactly: the
+    responder marginal is the responder split, and the initiator marginal
+    is the involved multiset minus the responders (the last row takes the
+    rest of the pool without a draw).  24 pairs over three occupied states
+    is a split-path batch."""
     engine = _python_engine(ApproximateMajority(initial_a_fraction=0.5), 4096, rng=3)
     engine.run(2_000)  # occupy all three states
     words = [int(word) for word in engine._kernel_rng]
     pairs = 24
     weighted = [(sid, int(c)) for sid, c in enumerate(engine.count_vector()) if c]
+    assert not _direct_batch(pairs, len(weighted))
     involved = {
         sid: h for sid, h in _split(words, weighted, 2 * pairs, engine.n) if h
     }

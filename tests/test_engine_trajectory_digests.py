@@ -123,14 +123,14 @@ EXPECTED = {
 
 #: The count-batch engine's pins, on either implementation of its kernel.
 KERNEL_EXPECTED = {
-    "epidemic": "771371952a8e57ef584ddf5c54dbb142ea0804d9656a3ded4f912cccb31c3f8f",
-    "exact-majority": "caef06e793960814f185c5d6f9149e3149a53a2086c58c0aa1f48eb5dfcd6941",
-    "gs18": "6cb1105c1eb8f8d49a7eaefe49e3a190df2558e3731b3af9c6e72009873255b6",
-    "gsu19": "bd53465ae75d0f4766ec4d7738fdfacda8e6c1c5d1236da05567d02f78047372",
-    "gsu19-closure": "bd53465ae75d0f4766ec4d7738fdfacda8e6c1c5d1236da05567d02f78047372",
-    "lottery": "a603097966fbe78f7d296032310db39aadce90a3bcb0748b6592938a4454ecb0",
-    "majority": "78f8a0d07f5ccad3c83bff2989afbbba3addb64299eeba9102ae889e5d70bab2",
-    "slow-le": "8ad9f98bf4150694c031a9533ed0c67e613f599fa7c4c2d2ad399eef98e40490",
+    "epidemic": "cfe4b2111715f3463291b6eda385bd52e1dc119f15870d6466a0ac049d6da103",
+    "exact-majority": "5ad40632c0e9c73dae1642b77d35c71bff8a1181156c193ad2fcc94bb7d93557",
+    "gs18": "7e3ab051d4e1dca48c74076fc906aad2e812d447bfaee8b6997c77c7123a56dd",
+    "gsu19": "4a0906be4c5b7d5f25ab73b895e5f7298d482f0311f836eff7d6c271ae7ce1dc",
+    "gsu19-closure": "4a0906be4c5b7d5f25ab73b895e5f7298d482f0311f836eff7d6c271ae7ce1dc",
+    "lottery": "36b4f26741171454333b654293b084c5cf76b14c2f8e6a903ddc408248df47f1",
+    "majority": "de851ab22c2fdf2253bf48daec6ab62ef7a86f221dea6cbcb9d03f069777236f",
+    "slow-le": "929c5c4741abc892fe5133fcddbfaa7f47af0fc942d091e933bed2416a5ff9f8",
 }
 
 
@@ -161,9 +161,9 @@ DRIVER_ENGINES = {
 DRIVER_CADENCES = {"fixed": 97}
 
 DRIVER_EXPECTED = {
-    "gsu19/countbatch/fixed": (7757, "4a2daba2110349b59268facfc368431549a4709b450d69c95c0ceb1277c2a563", "01f50d7a7a5dfed62c2cef11ad9039fe6940d922af40f51e86ed84a894ad2bda", 26),
+    "gsu19/countbatch/fixed": (7757, "5bc0163f3352fb5c98efcfaf024ae23897b09a9c23c2c8426e24dd0bad7c7c93", "543ac2242a42a5f8da1ed2f9e4c9cafdfc747736bd1024442de90f159ceb31a4", 26),
     "gsu19/fastbatch/fixed": (7757, "32795a3f6d2d9706adc05ecd82c809604e7aeca997c95dfbb7ce3bad88d17ff8", "4c9c4a956b203a4f9a79d6ef957f32de73896bd1686abeddad21b65b0b0d9c1e", 26),
-    "slow-le/countbatch/fixed": (5917, "e492227fa71e45e8aaa4a26bdc0718e03ca2e36a0695619c9ba661e2c060b395", "b852858eddfedc237fec77b2017d8b5d423162128a8a165072c9b6855b4f776b", 61),
+    "slow-le/countbatch/fixed": (3395, "e492227fa71e45e8aaa4a26bdc0718e03ca2e36a0695619c9ba661e2c060b395", "bdb65a27a402c7c6610a03cda7c5d64e0e3c47ab1b0753ada3449a794db96c96", 35),
     "slow-le/fastbatch/fixed": (2619, "e492227fa71e45e8aaa4a26bdc0718e03ca2e36a0695619c9ba661e2c060b395", "464269f8581fa5fd94e66a5ca1a548ffdc894ed6d91a4d9a60a24865b54d4f04", 27),
 }
 
@@ -182,16 +182,16 @@ MEGA_CASES = {
 
 MEGA_EXPECTED = {
     "gsu19/fixed": [
-        (False, 7757, "6def515836b3e2cf9daa8d87b890af47fc05bb118103ebe600ea9347c0adf92c"),
-        (False, 7757, "fccbd58ed06e49a952711afc7120978aba39f34faf5bcb6460be16542197758e"),
-        (False, 7757, "c4666cebca7265a9a880ee92a6d94e97453ca86ce42b83908fc602fb3389c494"),
-        (False, 7757, "2be36ee13d21ea9cb18041b6f440591c0d51109494aa67b82295bd4a0e244235"),
+        (False, 7757, "d82ddc6e5d2e254d4e62a5473917c7d620a0af85cd1b3e014be9976afb54f3b5"),
+        (False, 7757, "f2b80ed1ff5bc82cbf4b7301cd99a141d665d01eb5fbfd91f4630910de462212"),
+        (False, 7757, "2b979b96d70f3a7836e44849c55b93e13819744c9631a6164fa3e178ed873924"),
+        (False, 7757, "fcb97ada62c622066163f25d7b910269d01a1e90199d492a024f9a1bd5406158"),
     ],
     "slow-le/fixed": [
         (False, 3859, "403bb780795fd5daf01d5d4cc54696f3a89b40927eea776556e9f165f5046fa3"),
-        (True, 2910, "e492227fa71e45e8aaa4a26bdc0718e03ca2e36a0695619c9ba661e2c060b395"),
+        (True, 3492, "e492227fa71e45e8aaa4a26bdc0718e03ca2e36a0695619c9ba661e2c060b395"),
         (False, 3859, "403bb780795fd5daf01d5d4cc54696f3a89b40927eea776556e9f165f5046fa3"),
-        (True, 2910, "e492227fa71e45e8aaa4a26bdc0718e03ca2e36a0695619c9ba661e2c060b395"),
+        (True, 2813, "e492227fa71e45e8aaa4a26bdc0718e03ca2e36a0695619c9ba661e2c060b395"),
     ],
 }
 

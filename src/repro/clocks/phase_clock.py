@@ -40,11 +40,11 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.engine.closure import PhaseFactoring, closure_file, reachable_closure
+from repro.engine.closure import PhaseFactoring, cached_closure, reachable_closure
 from repro.engine.protocol import FOLLOWER_OUTPUT, PopulationProtocol
 from repro.errors import ConfigurationError
 from repro.types import ClockMode, State, TransitionResult
@@ -56,13 +56,6 @@ __all__ = [
     "ClockState",
     "JuntaPhaseClockProtocol",
 ]
-
-#: Reachable closures of every :class:`PhaseClockedProtocol` calibration:
-#: ``(class, Γ, Φ, Ψ) -> (states, read-only (K, K) LUT)``, shared by every
-#: instance of the calibration (``n_hint`` is validation-only).  Backed by
-#: one file per calibration on disk (:func:`~repro.engine.closure.closure_file`).
-_CLOSURE_CACHE: Dict[tuple, Tuple[Tuple[State, ...], np.ndarray]] = {}
-
 
 def max_gamma(x: int, y: int, gamma: int) -> int:
     """The windowed maximum ``max_Γ`` from Section 3.
@@ -164,8 +157,8 @@ class PhaseClockedProtocol(PopulationProtocol):
     :meth:`PhaseClockRules.qualifier` code; the rules read no phase.  That
     is the :class:`~repro.engine.closure.PhaseFactoring` the closure BFS
     evaluates, so a calibration's whole reachable state space enumerates
-    in under a second (:meth:`reachable_state_closure`), and every
-    per-agent run starts on a table adopted from it (:meth:`state_closure`).
+    in under a second (:meth:`reachable_state_closure`), and every run
+    starts on a table adopted from it (:meth:`state_closure`).
 
     ``params`` carries ``gamma``, ``phi``, ``psi`` and ``n_hint``; states
     carry ``phase``, ``with_phase(phase)`` and ``is_junta(phi)``.
@@ -187,45 +180,40 @@ class PhaseClockedProtocol(PopulationProtocol):
         qualifier = clock.qualifier(old_phase, new_phase)
         return self.apply_rules(responder.with_phase(new_phase), initiator, qualifier)
 
-    def _closure_key(self) -> tuple:
+    def _closure(self) -> Tuple[Tuple[State, ...], np.ndarray]:
         params = self.params
-        return (type(self), params.gamma, params.phi, params.psi)
+
+        def bfs():
+            phi = params.phi
+            factoring = PhaseFactoring(
+                *self.clock.tables(),
+                lambda state: (state.phase, state.with_phase(0), state.is_junta(phi)),
+                lambda phase, part: part.with_phase(phase),
+                self.apply_rules,
+            )
+            seed = self.initial_state(params.n_hint)
+            return reachable_closure(self.transition, [seed], factoring=factoring)
+
+        return cached_closure(type(self), (params.gamma, params.phi, params.psi), bfs)
 
     def reachable_state_closure(self) -> Tuple[State, ...]:
         """Every state reachable from the initial state, in BFS order.
 
-        Computed once per calibration and cached with its transition LUT,
-        whatever the instance's ``n_hint``: in this process, and in the
-        calibration's closure file, which a later process loads instead of
-        running the BFS again.  The BFS runs :meth:`apply_rules` once per
-        phase-free pair and qualifier, and checks a sample of the LUT
-        against :meth:`transition`.
+        Computed once per ``(Γ, Φ, Ψ)`` calibration, whatever the
+        instance's ``n_hint``, and cached with its transition LUT in this
+        process and in the calibration's closure file
+        (:func:`~repro.engine.closure.cached_closure`).  The BFS runs
+        :meth:`apply_rules` once per phase-free pair and qualifier, and
+        checks a sample of the LUT against :meth:`transition`.
         """
-        key = self._closure_key()
-        cached = _CLOSURE_CACHE.get(key)
-        if cached is None:
-            stored = closure_file(type(self), key[1:])
-            cached = stored.load() if stored is not None else None
-            if cached is None:
-                phi = self.params.phi
-                factoring = PhaseFactoring(
-                    *self.clock.tables(),
-                    lambda state: (state.phase, state.with_phase(0), state.is_junta(phi)),
-                    lambda phase, part: part.with_phase(phase),
-                    self.apply_rules,
-                )
-                seed = self.initial_state(self.params.n_hint)
-                states, lut = reachable_closure(self.transition, [seed], factoring=factoring)
-                cached = (tuple(states), lut)
-                if stored is not None:
-                    stored.save(*cached)
-            _CLOSURE_CACHE[key] = cached
-        return cached[0]
+        return self._closure()[0]
 
     def state_closure(self) -> Tuple[Tuple[State, ...], np.ndarray]:
         """:meth:`reachable_state_closure` and its cached transition LUT."""
+        # Through reachable_state_closure, which perfbench/tracer.py times
+        # as the closure layer.
         states = self.reachable_state_closure()
-        return states, _CLOSURE_CACHE[self._closure_key()][1]
+        return states, self._closure()[1]
 
 
 @dataclass(frozen=True)

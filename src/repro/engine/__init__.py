@@ -25,10 +25,10 @@ packed dense lookup array (the C kernel's input) and vectorised output
 maps.  Engines built on the same protocol instance share one table, so a
 state pair compiled anywhere serves every hot path.  The table's state-id
 layout is a function of the protocol alone: a protocol with a
-reachable-state closure (GSU19, GS18) gets a table adopted from it, with
-every pair compiled, for every engine and scenario; otherwise its
-``canonical_states`` come first, and any other state is registered in
-discovery order.
+reachable-state closure (GSU19, GS18, lottery, the standalone junta) gets
+a table adopted from it, with every pair compiled, for every engine and
+scenario; otherwise its ``canonical_states`` come first, all their pairs
+compiled at build, and any other state is registered in discovery order.
 
 Three engines are provided, all exact:
 
@@ -59,10 +59,11 @@ Three engines are provided, all exact:
   ``n = 10^12`` and beyond (engine-validated bound:
   ``count_batch.MAX_EXACT_N = 2^53``).  The engine for
   ``n >= 10^7``, where per-agent arrays are slow (cache misses) or
-  impossible (memory).  Requires a *count-capable* protocol at scale: an
-  ``O(k)`` ``initial_counts`` (the O(n) configuration fallback is refused
-  at ``n >= 10^7``) and — for auto dispatch — a finite
-  ``canonical_states`` (GSU19 declares its reachable-state closure, see
+  impossible (memory).  Runs only on a complete table (a closure, or
+  closed canonical states), refusing any other protocol; requires a
+  *count-capable* protocol at scale: an ``O(k)`` ``initial_counts`` (the
+  O(n) configuration fallback is refused at ``n >= 10^7``) and — for auto
+  dispatch — a finite ``canonical_states`` (GSU19 declares its reachable-state closure, see
   :mod:`repro.engine.closure`).  The two implementations are bit-identical
   and share one set of trajectory-digest pins;
   ``CountBatchEngine(..., kernel="python")`` selects the portable one.

@@ -52,20 +52,15 @@ Design notes
   on both sides; the mirror calls it through ctypes, because CPython's
   ``math.lgamma`` is its own implementation and differs from glibc's in
   the last bit on a large share of arguments.
-* **Miss-restart.**  The packed transition LUT may lack a pair (lazy
-  compilation).  Each batch starts from a snapshot of the RNG words; on a
-  miss the call restores them, drops the batch's scratch and reports the
-  missing ``(responder, initiator)`` ids.  The caller compiles the pair in
-  Python (possibly growing the encoder) and re-enters; the batch is then
-  redrawn identically, so a miss costs one wasted batch of arithmetic and
-  nothing else.  ``seen`` (the ever-occupied byte mask) and ``counts`` are
-  only written at batch commit, never mid-batch, so a restarted batch
-  leaves no trace.  A table that adopted its protocol's closure-compiled
-  LUT (GSU19 at count-space scale, see :mod:`repro.engine.table`) has
-  every pair from the start, so those runs never take this path.
+* **A complete table.**  The packed transition LUT holds every pair of
+  the ``k`` registered states: the engine runs only on a protocol's
+  closure or closed canonical states (see :mod:`repro.engine.table`), so
+  every lookup finds its pair and a call applies its whole budget.
+  ``seen`` (the ever-occupied byte mask) and ``counts`` are written at
+  batch commit only.
 * **One entry, one engine.**  ``repro_count_row`` advances one engine,
   described by a :class:`CountRow` argument block (its counts, seen mask,
-  xoshiro words and LUT addresses, ``k``, budget, and the outputs), on the
+  xoshiro words and LUT addresses, ``k``, budget, and ``applied``), on the
   calling thread; :func:`run_row` takes the same state as arguments.
   Independent seeds run in parallel one level up, on the sweep
   scheduler's worker processes (:mod:`repro.engine.parallel`).
@@ -433,15 +428,12 @@ static void cand_insert(int64_t *cand, int64_t *ncand, int64_t sid)
  *              committed transition are marked 1
  * rng        : 4 xoshiro256++ state words (mutated)
  * lut        : flattened (cap x cap) packed transition table; entry
- *              r*cap + i holds (new_r << 32) | new_i or < 0 if the pair is
- *              not compiled yet
+ *              r*cap + i holds (new_r << 32) | new_i, for every pair of the
+ *              k states (the table is complete)
  * k          : number of registered state ids (encoder length)
  * cap        : side length of the lookup table
  * budget     : interaction budget for this call; <= 0 does nothing
- * applied    : out, interactions applied (commits are all-or-nothing per
- *              batch; a miss rolls the batch back fully, RNG included)
- * miss_r/i   : out, the uncompiled (responder, initiator) pair that
- *              stopped the call, or (-1, -1)
+ * applied    : out, interactions applied (the whole budget)
  */
 typedef struct {
     int64_t *counts;
@@ -452,11 +444,9 @@ typedef struct {
     int64_t cap;
     int64_t budget;
     int64_t applied;
-    int64_t miss_r;
-    int64_t miss_i;
 } count_row;
 
-/* Advance one engine's count-space batched simulation by up to
+/* Advance one engine's count-space batched simulation by
  * row->budget interactions.
  *
  * n            : population size
@@ -510,9 +500,6 @@ static void run_row(count_row *row, int64_t n, const double *neg_survival,
     int64_t applied = 0;
 
     while (applied < budget) {
-        /* Batch-start RNG snapshot: a LUT miss rolls the batch back. */
-        uint64_t s0 = rng[0], s1 = rng[1], s2 = rng[2], s3 = rng[3];
-
         /* 1. Collision-free run length by survival-curve inversion
          * (matches np.searchsorted(neg_survival, -u, side="right")). */
         double neg_u = -xo_double(rng);
@@ -543,8 +530,6 @@ static void run_row(count_row *row, int64_t n, const double *neg_survival,
 
         int64_t ninv = 0;
         int64_t nused = 0;
-        int missed = 0;
-        int64_t miss_r = -1, miss_i = -1;
         if (direct_batch(length, nocc)) {
             /* 2-3, direct path.  The 2L participants as ordered picks
              * without replacement: each is one bounded integer below the
@@ -576,14 +561,7 @@ static void run_row(count_row *row, int64_t n, const double *neg_survival,
                     involved[sid] += 1;
                     pair[side] = sid;
                 }
-                int64_t packed = lut[pair[0] * cap + pair[1]];
-                if (packed < 0) {
-                    missed = 1;
-                    miss_r = pair[0];
-                    miss_i = pair[1];
-                    break;
-                }
-                use_pair(used, used_occ, &nused, packed, 1);
+                use_pair(used, used_occ, &nused, lut[pair[0] * cap + pair[1]], 1);
             }
         } else {
             /* 2, split path.  Participant multiset: involved ~ MVH(counts,
@@ -639,9 +617,9 @@ static void run_row(count_row *row, int64_t n, const double *neg_survival,
              * far into the pool it got.  States outside the pool have no
              * initiators left and entries past `reach` drew nothing, so
              * the walk over pool[0, reach) meets every nonzero cell of the
-             * row in inv_occ order: used_occ's order and the first missing
-             * pair do not depend on the compaction. */
-            for (int64_t ridx = 0; ridx < nresp && !missed; ridx++) {
+             * row in inv_occ order: used_occ's order does not depend on the
+             * compaction. */
+            for (int64_t ridx = 0; ridx < nresp; ridx++) {
                 int64_t a = resp_occ[ridx];
                 int64_t slots = responders[a];
                 const int64_t *rowp;
@@ -671,16 +649,8 @@ static void run_row(count_row *row, int64_t n, const double *neg_survival,
                 for (int64_t idx = 0; idx < reach; idx++) {
                     int64_t b = pool[idx];
                     int64_t mult = rowp[b];
-                    if (mult <= 0)
-                        continue;
-                    int64_t packed = lut_row[b];
-                    if (packed < 0) {
-                        missed = 1;
-                        miss_r = a;
-                        miss_i = b;
-                        break;
-                    }
-                    use_pair(used, used_occ, &nused, packed, mult);
+                    if (mult > 0)
+                        use_pair(used, used_occ, &nused, lut_row[b], mult);
                 }
                 if (row_is_tmp) {
                     /* Zero the row and drop the states it depleted; the
@@ -689,8 +659,7 @@ static void run_row(count_row *row, int64_t n, const double *neg_survival,
                     int64_t kept = 0;
                     for (int64_t idx = 0; idx < reach; idx++) {
                         int64_t sid = pool[idx];
-                        if (!missed)
-                            remaining_i[sid] -= pair_row[sid];
+                        remaining_i[sid] -= pair_row[sid];
                         pair_row[sid] = 0;
                         if (remaining_i[sid] > 0)
                             pool[kept++] = sid;
@@ -709,7 +678,7 @@ static void run_row(count_row *row, int64_t n, const double *neg_survival,
          * fresh pool's weights are counts - involved, the agents no
          * interaction of this batch has touched. */
         int64_t coll_or = -1, coll_oi = -1, coll_nr = -1, coll_ni = -1;
-        if (!missed && collide) {
+        if (collide) {
             int64_t used_total = 2 * length;
             int64_t fresh_total = n - used_total;
             double wuf = (double)used_total * (double)fresh_total;
@@ -732,33 +701,8 @@ static void run_row(count_row *row, int64_t n, const double *neg_survival,
                                      used_total - 1, coll_or);
             }
             int64_t packed = lut[coll_or * cap + coll_oi];
-            if (packed < 0) {
-                missed = 1;
-                miss_r = coll_or;
-                miss_i = coll_oi;
-            } else {
-                coll_nr = packed >> 32;
-                coll_ni = packed & 0xFFFFFFFF;
-            }
-        }
-
-        if (missed) {
-            /* Full rollback: RNG, scratch.  counts/seen were untouched. */
-            rng[0] = s0;
-            rng[1] = s1;
-            rng[2] = s2;
-            rng[3] = s3;
-            for (int64_t idx = 0; idx < ninv; idx++) {
-                int64_t sid = inv_occ[idx];
-                involved[sid] = 0;
-                responders[sid] = 0;
-                remaining_i[sid] = 0;
-            }
-            for (int64_t idx = 0; idx < nused; idx++)
-                used[used_occ[idx]] = 0;
-            row->miss_r = miss_r;
-            row->miss_i = miss_i;
-            break;
+            coll_nr = packed >> 32;
+            coll_ni = packed & 0xFFFFFFFF;
         }
 
         /* 5. Commit. */
@@ -795,9 +739,8 @@ static void run_row(count_row *row, int64_t n, const double *neg_survival,
     row->applied = applied;
 }
 
-/* The entry point: advance one engine by up to row->budget interactions
- * (see run_row).  A miss stops the call early; the caller compiles the
- * reported pair and re-enters with the reduced budget.
+/* The entry point: advance one engine by row->budget interactions (see
+ * run_row).
  *
  * scratch : 11*row->k int64 workspace obeying run_row's zero contract on
  *           entry and exit
@@ -810,8 +753,6 @@ void repro_count_row(
     int64_t *scratch)
 {
     row->applied = 0;
-    row->miss_r = -1;
-    row->miss_i = -1;
     if (row->budget > 0)
         run_row(row, n, neg_survival, jmax, row->k, scratch);
 }
@@ -829,7 +770,7 @@ class CountRow(ctypes.Structure):
 
     The pointer fields address NumPy buffers the caller keeps alive; the
     caller sets ``k``, ``cap`` and ``budget`` and the kernel writes
-    ``applied`` and the ``miss_*`` pair.
+    ``applied``.
     """
 
     _fields_ = [
@@ -841,8 +782,6 @@ class CountRow(ctypes.Structure):
         ("cap", ctypes.c_int64),
         ("budget", ctypes.c_int64),
         ("applied", ctypes.c_int64),
-        ("miss_r", ctypes.c_int64),
-        ("miss_i", ctypes.c_int64),
     ]
 
 
@@ -1117,14 +1056,14 @@ def run_row(counts, seen, rng, lut, k, cap, budget, n, neg_survival, jmax):
 
     ``counts`` (int64, length >= ``k``), ``seen`` (uint8) and ``rng`` (the
     four uint64 xoshiro words) are updated in place exactly as the kernel
-    updates them; ``lut`` is the flat packed table of side ``cap``.
-    Returns ``(applied, miss_r, miss_i)``.  A scratch region the kernel
+    updates them; ``lut`` is the flat packed table of side ``cap``, complete
+    over the ``k`` states.  Returns ``applied``.  A scratch region the kernel
     indexes by state id is a dict here, whose insertion order is the id
     list the kernel keeps beside it (``inv_occ``, ``resp_occ``,
     ``used_occ``).
     """
     if budget <= 0:
-        return 0, -1, -1
+        return 0
     s = [int(word) for word in rng]
     count = counts[:k].tolist()
     packed_at = lut.item
@@ -1132,9 +1071,7 @@ def run_row(counts, seen, rng, lut, k, cap, budget, n, neg_survival, jmax):
     ordered = sorted(cand)
     touched = set()
     applied = 0
-    miss_r = miss_i = -1
     while applied < budget:
-        saved = s[:]
         # 1. Run length by survival-curve inversion.
         length = int(np.searchsorted(neg_survival[:jmax], -_uniform(s), side="right"))
         length = max(1, length)
@@ -1156,11 +1093,7 @@ def run_row(counts, seen, rng, lut, k, cap, budget, n, neg_survival, jmax):
                 b = occ[_fenwick_take(tree, top, _bounded(s, fresh - 1))]
                 involved[b] = involved.get(b, 0) + 1
                 fresh -= 2
-                packed = packed_at(a * cap + b)
-                if packed < 0:
-                    miss_r, miss_i = a, b
-                    break
-                _use_pair(used, packed, 1)
+                _use_pair(used, packed_at(a * cap + b), 1)
         else:
             # 2, split path: participants, then responders among them.
             weighted = ((sid, count[sid]) for sid in occ)
@@ -1175,18 +1108,11 @@ def run_row(counts, seen, rng, lut, k, cap, budget, n, neg_survival, jmax):
             for a, row in _pair_rows(s, responders, remaining_i, length):
                 base = a * cap
                 for b, mult in row:
-                    if mult <= 0:
-                        continue
-                    packed = packed_at(base + b)
-                    if packed < 0:
-                        miss_r, miss_i = a, b
-                        break
-                    _use_pair(used, packed, mult)
-                if miss_r >= 0:
-                    break
+                    if mult > 0:
+                        _use_pair(used, packed_at(base + b), mult)
 
         # 4. The colliding interaction, drawn before the commit.
-        if miss_r < 0 and collide:
+        if collide:
             used_total = 2 * length
             fresh_total = n - used_total
             fresh = ((sid, count[sid] - involved.get(sid, 0)) for sid in occ)
@@ -1203,15 +1129,8 @@ def run_row(counts, seen, rng, lut, k, cap, budget, n, neg_survival, jmax):
                 coll_or = _pick_state(s, used.items(), used_total)
                 coll_oi = _pick_state(s, used.items(), used_total - 1, coll_or)
             packed = packed_at(coll_or * cap + coll_oi)
-            if packed < 0:
-                miss_r, miss_i = coll_or, coll_oi
-            else:
-                coll_nr = packed >> 32
-                coll_ni = packed & 0xFFFFFFFF
-
-        if miss_r >= 0:
-            s = saved  # the batch rolls back; counts were not touched
-            break
+            coll_nr = packed >> 32
+            coll_ni = packed & 0xFFFFFFFF
 
         # 5. Commit.
         for sid, h in involved.items():
@@ -1236,7 +1155,7 @@ def run_row(counts, seen, rng, lut, k, cap, budget, n, neg_survival, jmax):
     if touched:
         seen[list(touched)] = 1
     rng[:] = s
-    return applied, miss_r, miss_i
+    return applied
 
 
 def seed_kernel_rng(rng) -> np.ndarray:
@@ -1280,7 +1199,7 @@ def load_count_kernel():
 
 def _bind(path) -> None:
     """Publish the entry points of the library at ``path``; raises before
-    publishing any when a symbol is missing.
+    publishing any when the library lacks a symbol.
 
     The row kernel is bound through ``CDLL``, which drops the GIL for the
     call.  ``repro_logfact_reserve`` grows the library's log-factorial

@@ -46,7 +46,9 @@ versions.  :class:`ClosureFile` loads it (a checksummed header, the raw
 LUT, the pickled states; anything unusable is a miss, and the caller runs
 the BFS) and writes it atomically, removing the calibration's files of
 older keys.  GSU19's file at ``Γ=24, Φ=1, Ψ=3`` is 14.6 MB and loads
-in under 0.05 s on a 2-CPU host.
+in under 0.05 s on a 2-CPU host.  :func:`cached_closure` is the one way a
+protocol gets its closure: once per calibration and process, from memory,
+else from its file, else from the BFS, whose result it then writes.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ import os
 import pickle
 import sys
 from pathlib import Path
-from typing import Callable, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -69,6 +71,7 @@ from repro.types import State, TransitionResult
 __all__ = [
     "ClosureFile",
     "PhaseFactoring",
+    "cached_closure",
     "closure_cache_dir",
     "closure_file",
     "reachable_closure",
@@ -406,3 +409,36 @@ def closure_file(cls: type, calibration: Tuple[int, ...]) -> Optional[ClosureFil
         ).encode()
     ).hexdigest()
     return ClosureFile(closure_cache_dir() / f"{name}-{key[:16]}.closure", key)
+
+
+#: Closures computed or loaded in this process: ``(class, *calibration) ->
+#: (states, read-only (K, K) LUT)``, shared by every instance of the
+#: calibration.
+_CLOSURE_CACHE: Dict[tuple, Tuple[Tuple[State, ...], np.ndarray]] = {}
+
+
+def cached_closure(
+    cls: type,
+    calibration: Tuple[int, ...],
+    build: Callable[[], Tuple[List[State], np.ndarray]],
+) -> Tuple[Tuple[State, ...], np.ndarray]:
+    """``cls``'s closure at ``calibration``: ``(states, read-only LUT)``.
+
+    Served from this process's cache, else loaded from the calibration's
+    :func:`closure_file`, else ``build()`` (a :func:`reachable_closure`
+    call) runs and its result is written to that file, so a later process
+    loads it instead of running the BFS again.  The calibration is every
+    parameter the closure depends on, for example ``(Γ, Φ, Ψ)``.
+    """
+    key = (cls, *calibration)
+    cached = _CLOSURE_CACHE.get(key)
+    if cached is None:
+        stored = closure_file(cls, calibration)
+        cached = stored.load() if stored is not None else None
+        if cached is None:
+            states, lut = build()
+            cached = (tuple(states), lut)
+            if stored is not None:
+                stored.save(*cached)
+        _CLOSURE_CACHE[key] = cached
+    return cached

@@ -16,7 +16,9 @@ grows; the dispatcher's cost model (:mod:`repro.engine.dispatch`) is
 calibrated against it.  The batch loop lives in
 :mod:`repro.engine._count_kernel`, in C and in a Python mirror that draw
 the same xoshiro256++ stream, so a seed gives one trajectory whichever
-runs.
+runs.  It needs a complete transition table, the protocol's state closure
+or its closed canonical states, so every pair a batch meets is compiled
+before the run starts; per-agent engines may discover states lazily.
 
 Exactness (in distribution)
 ===========================
@@ -82,7 +84,7 @@ from __future__ import annotations
 
 import ctypes
 import math
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -135,10 +137,14 @@ class CountBatchEngine(BaseEngine):
     Parameters
     ----------
     protocol:
-        The protocol to simulate.  Works for any protocol, but the per-batch
-        cost grows quadratically with the number of *occupied* states —
-        the engine shines for small-frontier protocols at huge ``n``.  At ``n >= 10^7`` the protocol must declare ``initial_counts``
-        (the O(n) configuration fallback is refused, see
+        The protocol to simulate.  Its table must be complete: the
+        protocol declares a state closure or closed canonical states
+        (:mod:`repro.engine.table`), and any other protocol is refused
+        with :class:`ProtocolError` (per-agent engines discover states
+        lazily).  The per-batch cost follows the number of *occupied*
+        states, so the engine shines for small-frontier protocols at huge
+        ``n``.  At ``n >= 10^7`` the protocol must declare
+        ``initial_counts`` (the O(n) configuration fallback is refused, see
         :func:`~repro.engine.protocol.initial_count_items`).
     n:
         Population size (``2 <= n <= MAX_EXACT_N``).
@@ -175,6 +181,14 @@ class CountBatchEngine(BaseEngine):
             )
         self._rng = make_rng(rng)
         self._count_initial()
+        table = self.table
+        if not 0 < len(table) == table.canonical_count:
+            raise ProtocolError(
+                f"CountBatchEngine needs a complete transition table, but "
+                f"protocol {protocol.name!r} declares neither a state closure "
+                "nor closed canonical states (its initial states included); "
+                "simulate it on a per-agent engine (fastbatch or sequential)"
+            )
         # Precomputed negated survival curve -P(L >= j), j = 1..jmax,
         # ascending (searchsorted-ready).  Depends only on n.  The terms
         # are computed with log1p on the *ratios* 2j/n — exact-in-float —
@@ -226,41 +240,26 @@ class CountBatchEngine(BaseEngine):
     # Batched stepping
     # ------------------------------------------------------------------
     def _perform_steps(self, count: int) -> None:
-        """Advance by ``count`` interactions, one row call at a time.
-
-        Each round grows the ledger to the table and makes one call (C or
-        Python) on its count vector and seen mask, over the ``k`` registered
-        states; a call stops early only on a LUT miss, which rolls the
-        missed batch back, RNG included.  The pair is then compiled
-        (possibly registering states) and the call re-entered with the
-        remaining budget, so the batch is redrawn against the completed
-        table.
-        """
-        budget = int(count)
+        """Advance by ``count`` interactions in one row call (C or Python)
+        on the count vector and seen mask, over the ``k`` states of the
+        complete table."""
+        self._ensure_capacity()
         row = self._python_row if self._kernel is None else self._c_row
-        while budget > 0:
-            self._ensure_capacity()
-            k = len(self.encoder)
-            applied, miss_r, miss_i = row(k, budget)
-            self.interactions += applied
-            budget -= applied
-            if miss_r >= 0:
-                self.table.apply(miss_r, miss_i)
+        self.interactions += row(len(self.encoder), int(count))
 
-    def _python_row(self, k: int, budget: int) -> Tuple[int, int, int]:
+    def _python_row(self, k: int, budget: int) -> int:
         table = self.table
         return run_row(
             self._counts, self._seen, self._kernel_rng, table.packed, k,
             table.capacity, budget, self.n, self._neg_survival, self._jmax,
         )
 
-    def _c_row(self, k: int, budget: int) -> Tuple[int, int, int]:
+    def _c_row(self, k: int, budget: int) -> int:
         """One ``repro_count_row`` call.
 
         An address is read only when its buffer is (re)allocated:
-        ``.ctypes.data`` costs microseconds and a lazily compiling run
-        enters the kernel once per LUT miss, tens of thousands of times in
-        a GSU19 run.
+        ``.ctypes.data`` costs microseconds, and a run checked every
+        parallel time unit enters the kernel once per check.
         """
         args = self._kernel_args
         args.k = k
@@ -290,7 +289,7 @@ class CountBatchEngine(BaseEngine):
             self._jmax,
             self._scratch_address,
         )
-        return args.applied, args.miss_r, args.miss_i
+        return args.applied
 
     # ------------------------------------------------------------------
     # Snapshot / restore
@@ -325,6 +324,11 @@ class CountBatchEngine(BaseEngine):
                 "split-only count stream (every batch drawn by hypergeometric "
                 "splits), which no build continues; rerun the cell from its "
                 "seed"
+            )
+        if len(self.table) != self.table.canonical_count:
+            raise CheckpointError(
+                "the snapshot registers states outside the protocol's "
+                "complete transition table, which count space cannot run on"
             )
         # In place, like the kernel words: the C argument block holds the
         # ledger's and the words' addresses.

@@ -107,8 +107,9 @@ class PopulationProtocol(abc.ABC):
 
     def canonical_states(self) -> Optional[Iterable[State]]:
         """Optionally enumerate the full state space, registered first in
-        every table of a protocol without a :meth:`state_closure`; ``None``
-        means "discover lazily"."""
+        every table of a protocol without a :meth:`state_closure`, all its
+        pairs compiled at build; ``None`` means "discover lazily", which
+        only the per-agent engines accept."""
         return None
 
     def state_closure(self) -> Optional[Tuple[Sequence[State], "np.ndarray"]]:
@@ -151,8 +152,8 @@ class PopulationProtocol(abc.ABC):
 
         The table's layout is a function of the protocol alone: over
         :meth:`state_closure` when one is declared (its LUT adopted, every
-        pair compiled), else :meth:`canonical_states` first, else lazily, in
-        discovery order.  The table is cached on the protocol instance, so
+        pair compiled), else :meth:`canonical_states` first (every pair
+        compiled at build), else lazily, in discovery order.  The table is cached on the protocol instance, so
         every engine built on the same protocol object shares one table
         (scalar ``delta`` dict, packed LUT and output maps) — the basis of
         the engines' shared-transition guarantee and a warm start for

@@ -14,27 +14,32 @@ structures** —
   has not been compiled yet), the gather target for vectorised NumPy paths
   and the lookup table consumed directly by *both* compiled kernels: the
   fast-batch pair kernel (:mod:`repro.engine._ckernel`) and the count-batch
-  count kernel (:mod:`repro.engine._count_kernel`).  The kernels treat a
-  ``-1`` entry as a miss and roll their batch back so the Python side can
-  compile the pair through :meth:`TransitionTable.apply` and re-enter —
-  lazily discovered protocols therefore work unchanged on the hot paths —
+  count kernel (:mod:`repro.engine._count_kernel`).  The fast-batch kernel
+  treats a ``-1`` entry as a miss and hands the pair back to be compiled
+  through :meth:`TransitionTable.apply`; the count kernel runs only on a
+  complete table and never meets one —
 
 and the output function is memoised into vectorised output maps (state id →
 output-symbol id, plus the symbol interning tables), so configuration-level
 engines can aggregate outputs with one ``bincount``.
 
-Tables are *lazily extended*: new states and new state pairs are compiled on
-first use, and the packed array doubles its side length when the encoder
-outgrows it.  The layout is a function of the protocol alone, one rule for
-every engine and scenario:
+The layout is a function of the protocol alone, one rule for every engine
+and scenario:
 
 1. a protocol with a reachable-state closure
    (:meth:`~repro.engine.protocol.PopulationProtocol.state_closure`, from
-   :func:`repro.engine.closure.reachable_closure`: GSU19 and GS18) gets a
-   table laid out over it, its LUT adopted;
+   :func:`repro.engine.closure.reachable_closure`: GSU19, GS18, lottery and
+   the standalone junta) gets a table laid out over it, its LUT adopted;
 2. otherwise its :meth:`canonical_states`, when declared, are registered
-   eagerly as ids ``0..canonical_count-1``;
-3. anything else is discovered lazily, in the run's order.
+   as ids ``0..canonical_count-1`` and all ``canonical_count²`` of their
+   pairs are compiled when the table is built (the epidemic, both
+   majorities, slow);
+3. anything else is discovered lazily, in the run's order: new states and
+   pairs are compiled on first use, and the packed array doubles its side
+   length when the encoder outgrows it.
+
+Count space needs a complete table, 1 or 2 over closed states, and
+refuses any other protocol; per-agent engines may discover states lazily.
 
 The canonical prefix of 1 and 2 is one every fresh table of the protocol
 rebuilds, so engine snapshots reference it by
@@ -47,14 +52,13 @@ Closure-compiled LUT
 
 A table laid out over a closure takes the BFS's states as ids ``0..K-1``
 and its ``(K, K)`` transition array as the packed LUT, with capacity
-``K``: every pair is compiled from the start, so the kernels never miss.
-The array is shared read-only by every table of the calibration and never
-written: :meth:`_compile_pair` serves a pair present in the packed array
+``K``: every pair is compiled from the start.  The array is shared
+read-only by every table of the calibration and never written: :meth:`_compile_pair` serves a pair present in the packed array
 by filling ``delta`` from it, without evaluating the transition, and
 growth past ``K`` (a state outside the closure) copies it into a private
 writable array.  The layout changes no trajectory of a per-agent engine
-(they draw agents, never state ids): a lazy table's misses roll their
-batch back, RNG included, so the same run on either table is identical.
+(they draw agents, never state ids), so the same per-agent run on a
+closure table and on a lazy one is identical.
 
 Every engine obtains its table through
 :meth:`PopulationProtocol.compile() <repro.engine.protocol.PopulationProtocol.compile>`,
@@ -64,8 +68,8 @@ transition functions are required to be pure and deterministic; per-run
 quantities (state counts, ever-occupied tracking, interaction counters)
 stay in the engines.  What sharing can change is the identifier layout of
 lazily discovered states, which follows the table's compilation history;
-the count-space engines sample by identifier order, so the sweep gives
-every cell a fresh protocol and table.
+only the per-agent engines, which never sample by identifier, run on such
+tables.
 
 A table, like the engines and protocols that use it, belongs to one thread:
 the unit of parallelism is the process (:mod:`repro.engine.parallel`).
@@ -92,7 +96,7 @@ _INT32_SAFE_CAPACITY = 46_341
 
 
 class TransitionTable:
-    """Packed, lazily extended transition/output tables over encoded states.
+    """Packed transition/output tables over encoded states.
 
     Parameters
     ----------
@@ -134,6 +138,13 @@ class TransitionTable:
         # view object: array plus the number of state ids already evaluated.
         self._views: Dict[object, np.ndarray] = {}
         self._views_filled: Dict[object, int] = {}
+        if closure is None:
+            # Declared states start complete too: all k^2 pairs, compiled
+            # now (a pair leading outside them registers its states).
+            k = self.canonical_count
+            for responder_id in range(k):
+                for initiator_id in range(k):
+                    self._compile_pair(responder_id, initiator_id)
 
     # ------------------------------------------------------------------
     # State registration and capacity

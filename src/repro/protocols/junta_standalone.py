@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro.engine.closure import cached_closure, reachable_closure
 from repro.engine.protocol import FOLLOWER_OUTPUT, PopulationProtocol
 from repro.errors import ConfigurationError
 from repro.types import CoinMode
@@ -74,6 +75,15 @@ class JuntaElection(PopulationProtocol):
             JuntaState(is_coin=True): coins,
             JuntaState(is_coin=False, mode=CoinMode.STOPPED): n - coins,
         }
+
+    def state_closure(self):
+        """The states reachable from a coin or a blocker, with their LUT: one
+        generic BFS per ``Φ`` (the coin fraction changes no state), cached
+        in memory and on disk."""
+        seeds = [JuntaState(), JuntaState(is_coin=False, mode=CoinMode.STOPPED)]
+        return cached_closure(
+            type(self), (self.phi,), lambda: reachable_closure(self.transition, seeds)
+        )
 
     def _coin_count(self, n: int) -> int:
         coins = int(round(self.coin_fraction * n))

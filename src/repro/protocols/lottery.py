@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.engine.closure import cached_closure, reachable_closure
 from repro.engine.protocol import FOLLOWER_OUTPUT, LEADER_OUTPUT, PopulationProtocol
 from repro.errors import ConfigurationError
 
@@ -65,6 +66,15 @@ class LotteryLeaderElection(PopulationProtocol):
         # O(k) form for the configuration-level engines (n = 10^7-10^8 runs
         # never materialise a per-agent list).
         return {LotteryState(): n}
+
+    def state_closure(self):
+        """The states reachable from the initial state, with their LUT: one
+        generic BFS per ``max_ticket``, cached in memory and on disk."""
+        return cached_closure(
+            type(self),
+            (self.max_ticket,),
+            lambda: reachable_closure(self.transition, [LotteryState()]),
+        )
 
     def transition(self, responder: LotteryState, initiator: LotteryState):
         candidate = responder.candidate

@@ -25,7 +25,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from test_engine_layout_invariance import _lazy
 from test_engine_trajectory_digests import (
     _CHUNKS,
     ENGINES,
@@ -906,28 +905,48 @@ def test_lazy_layout_checkpoint_resumes_onto_the_closure_table(tmp_path):
     assert _run_digest(resumed) == "47c9778885e2b33a"
 
 
-def test_count_space_restore_keeps_the_strict_layout_check():
-    """Count-space engines sample by state id, so a snapshot whose layout
-    this table cannot reproduce is refused rather than remapped."""
-    engine = CountBatchEngine(_lazy(_gsu64()), 64, rng=3)
+def _closure_count_snapshot() -> dict:
+    """A count-batch GSU19 snapshot on the closure table: the whole layout
+    is the canonical prefix, and the tail is empty."""
+    engine = CountBatchEngine(_gsu64(), 64, rng=3)
     engine.run(64 * 50)
     snapshot = engine.snapshot()
-    assert snapshot["canonical"][0] == 0 and len(snapshot["encoder_tail"]) > 2
-    tail = snapshot["encoder_tail"]
-    snapshot["encoder_tail"] = [tail[1], tail[0], *tail[2:]]
+    assert snapshot["canonical"][0] == len(engine.table) and snapshot["encoder_tail"] == []
+    return snapshot
+
+
+def test_count_space_restore_keeps_the_strict_layout_check():
+    """Count-space engines sample by state id, so a snapshot whose layout
+    this table cannot reproduce is refused rather than remapped: here a
+    tail that records two closure states under ids past the prefix."""
+    snapshot = _closure_count_snapshot()
+    states = _gsu64().state_closure()[0]
+    snapshot["encoder_tail"] = [states[1], states[0]]
     with pytest.raises(CheckpointError, match="incompatible state-registration"):
-        CountBatchEngine(_lazy(_gsu64()), 64, rng=3).restore(snapshot)
+        CountBatchEngine(_gsu64(), 64, rng=3).restore(snapshot)
+
+
+def test_count_space_restore_refuses_states_outside_the_table():
+    """A tail state the closure does not hold would leave the count
+    kernel's LUT without its pairs, so the restore is refused."""
+    from repro.core.state import zero_state
+
+    snapshot = _closure_count_snapshot()
+    gamma = _gsu64().params.gamma
+    snapshot["encoder_tail"] = [zero_state().evolve(phase=gamma + 1)]
+    with pytest.raises(CheckpointError, match="outside the protocol's complete"):
+        CountBatchEngine(_gsu64(), 64, rng=3).restore(snapshot)
 
 
 def test_lazy_layout_count_snapshot_is_refused_on_the_closure_table():
     """A count-batch snapshot of a lazily laid-out GSU19 table (no
-    canonical prefix) cannot continue on the closure table every GSU19
-    table now has: the engine samples by state id, so the error names the
-    retired layout instead of remapping the ids."""
-    engine = CountBatchEngine(_lazy(_gsu64()), 64, rng=3)
-    engine.run(64 * 50)
-    snapshot = engine.snapshot()
-    assert snapshot["canonical"][0] == 0 and snapshot["encoder_tail"]
+    canonical prefix, every state in the tail) cannot continue on the
+    closure table every GSU19 table now has: the engine samples by state
+    id, so the error names the retired layout instead of remapping the
+    ids."""
+    snapshot = _closure_count_snapshot()
+    snapshot["canonical"] = (0, hashlib.sha256(b"").hexdigest())
+    snapshot["encoder_tail"] = list(reversed(_gsu64().state_closure()[0]))
     with pytest.raises(CheckpointError, match="retired lazily discovered state layout"):
         CountBatchEngine(_gsu64(), 64, rng=3).restore(snapshot)
 

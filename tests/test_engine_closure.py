@@ -37,7 +37,10 @@ from repro.engine.protocol import ProtocolSpec
 from repro.engine.simulation import Simulation
 from repro.engine.table import TransitionTable
 from repro.errors import ProtocolError
+from repro.protocols import junta_standalone, lottery
 from repro.protocols.gs18 import GS18LeaderElection
+from repro.protocols.junta_standalone import JuntaElection
+from repro.protocols.lottery import LotteryLeaderElection
 from repro.types import Role
 
 
@@ -52,9 +55,10 @@ def _small_gsu(
     return GSULeaderElection(GSUParams(n_hint=n_hint, gamma=gamma, phi=1, psi=psi))
 
 
-class _LazyLutGSU(GSULeaderElection):
-    """GSU19 with the closure registered but no adopted LUT: the same id
-    layout as the closure-registered protocol, compiled one miss at a time."""
+class _NoLutGSU(GSULeaderElection):
+    """GSU19 with its closure states declared but no adopted LUT: the same
+    id layout as the closure-registered protocol, its pairs compiled one by
+    one when the table is built."""
 
     def state_closure(self):
         return None
@@ -77,21 +81,23 @@ def closure_dir(monkeypatch, tmp_path):
     where they are)."""
     directory = tmp_path / "closures"
     monkeypatch.setattr(closure, "closure_cache_dir", lambda: directory)
-    monkeypatch.setattr(phase_clock, "_CLOSURE_CACHE", {})
+    monkeypatch.setattr(closure, "_CLOSURE_CACHE", {})
     yield directory
     shutil.rmtree(directory, ignore_errors=True)  # up to 26 MB a file
 
 
 @pytest.fixture
 def bfs_runs(monkeypatch):
-    """The closure BFSs run from here on, one entry each."""
+    """The closure BFSs run from here on, one entry each, whichever
+    protocol declares the closure."""
     runs = []
 
     def counting(*args, **kwargs):
         runs.append(None)
         return reachable_closure(*args, **kwargs)
 
-    monkeypatch.setattr(phase_clock, "reachable_closure", counting)
+    for module in (phase_clock, lottery, junta_standalone):
+        monkeypatch.setattr(module, "reachable_closure", counting)
     return runs
 
 
@@ -287,7 +293,7 @@ def test_production_closures_pinned(
     protocol = cls(GSUParams(n_hint=_N_HINT, gamma=24, phi=phi, psi=psi))
     states, lut = protocol.state_closure()
     if path == "loaded":
-        phase_clock._CLOSURE_CACHE.clear()
+        closure._CLOSURE_CACHE.clear()
         states, lut = protocol.state_closure()
     assert len(bfs_runs) == 1 and len(list(closure_dir.iterdir())) == 1
     assert not lut.flags.writeable
@@ -353,13 +359,48 @@ def test_gs18_table_is_laid_out_over_its_closure():
     assert table.packed.base is lut
 
 
+#: Two instances of one calibration per protocol that declares a closure:
+#: GSU19 at (gamma, phi, psi), lottery at max_ticket, the junta at phi.
+_CALIBRATION_PAIRS = [
+    (lambda: _small_gsu(n_hint=4096), lambda: _small_gsu(n_hint=10**8)),
+    (lambda: LotteryLeaderElection.for_population(100), lambda: LotteryLeaderElection(14)),
+    (lambda: JuntaElection(phi=2), lambda: JuntaElection(phi=2, coin_fraction=1.0)),
+]
+
+
+def _load_without_bfs(build, runs, states, lut):
+    """A second process: its first use of the calibration must load the
+    closure file, not run the BFS."""
+    closure._CLOSURE_CACHE.clear()
+    before = len(runs)
+    loaded_states, loaded_lut = build().state_closure()
+    same = loaded_states == states and loaded_lut.tobytes() == lut.tobytes()
+    raise SystemExit(0 if same and len(runs) == before else 1)
+
+
 def test_closure_cache_is_shared_per_calibration(closure_dir, bfs_runs):
-    """Two instances with the same (gamma, phi, psi) — whatever their
-    n_hint — share one cached closure object, from one BFS and one file."""
-    first = _small_gsu(n_hint=4096).reachable_state_closure()
-    second = _small_gsu(n_hint=10**8).reachable_state_closure()
-    assert first is second
-    assert len(bfs_runs) == 1 and len(list(closure_dir.glob("*.closure"))) == 1
+    """Two instances of one calibration — whatever their n_hint, ticket
+    formula or coin fraction — share one cached closure object, from one
+    BFS and one file; every table of it adopts the closure's LUT; and a
+    second process loads the file without a BFS.  For GSU19, lottery and
+    the standalone junta alike."""
+    import multiprocessing
+
+    context = multiprocessing.get_context("fork")
+    for count, (build_first, build_second) in enumerate(_CALIBRATION_PAIRS, 1):
+        first, second = build_first(), build_second()
+        states, lut = first.state_closure()
+        assert second.state_closure()[0] is states
+        assert len(bfs_runs) == count == len(list(closure_dir.glob("*.closure")))
+        for protocol in (first, second):
+            table = protocol.compile()
+            assert table.packed.base is lut and table.compiled_pairs == 0
+        process = context.Process(
+            target=_load_without_bfs, args=(build_second, bfs_runs, states, lut)
+        )
+        process.start()
+        process.join(timeout=60)
+        assert process.exitcode == 0, type(first).__name__
 
 
 # ----------------------------------------------------------------------
@@ -382,7 +423,7 @@ def _other_version(path):
 def _stale_source(path):
     """The file an earlier source wrote (same calibration, same content,
     another key), found under the current name."""
-    states, lut = phase_clock._CLOSURE_CACHE[(GSULeaderElection, 8, 1, 3)]
+    states, lut = closure._CLOSURE_CACHE[(GSULeaderElection, 8, 1, 3)]
     closure.ClosureFile(path, "0" * 64).save(states, lut)
 
 
@@ -413,12 +454,12 @@ def test_unusable_closure_files_are_rebuilt_by_the_bfs(closure_dir, bfs_runs, co
     states, lut = protocol.state_closure()
     (path,) = closure_dir.glob("*.closure")
     corrupt(path)
-    phase_clock._CLOSURE_CACHE.clear()
+    closure._CLOSURE_CACHE.clear()
     rebuilt_states, rebuilt_lut = protocol.state_closure()
     assert len(bfs_runs) == 2
     assert rebuilt_states == states and rebuilt_lut.tobytes() == lut.tobytes()
     assert not rebuilt_lut.flags.writeable
-    phase_clock._CLOSURE_CACHE.clear()
+    closure._CLOSURE_CACHE.clear()
     loaded_states, loaded_lut = protocol.state_closure()
     assert len(bfs_runs) == 2
     assert loaded_states == states and loaded_lut.tobytes() == lut.tobytes()
@@ -434,7 +475,7 @@ def test_one_closure_file_per_calibration(closure_dir, bfs_runs, monkeypatch):
     names = []
     for source in ("a" * 64, "b" * 64):
         monkeypatch.setattr(closure, "source_digest", lambda source=source: source)
-        phase_clock._CLOSURE_CACHE.clear()
+        closure._CLOSURE_CACHE.clear()
         _small_gsu(gamma=8, psi=3).reachable_state_closure()
         names.append(closure.closure_file(GSULeaderElection, (8, 1, 3)).path.name)
     assert len(bfs_runs) == 3 and names[0] != names[1]
@@ -479,7 +520,7 @@ def test_an_unwritable_closure_cache_only_costs_the_bfs(monkeypatch, tmp_path, b
     blocker = tmp_path / "not-a-directory"
     blocker.write_bytes(b"")
     monkeypatch.setattr(closure, "closure_cache_dir", lambda: blocker / "closures")
-    monkeypatch.setattr(phase_clock, "_CLOSURE_CACHE", {})
+    monkeypatch.setattr(closure, "_CLOSURE_CACHE", {})
     assert len(_small_gsu().reachable_state_closure()) == 144
     assert len(bfs_runs) == 1
 
@@ -555,10 +596,9 @@ def test_table_grows_past_an_adopted_lut():
 )
 def test_closure_registered_count_run_never_misses(monkeypatch, kernel):
     """On the adopted LUT a count run compiles nothing: neither
-    implementation of the count kernel reports a miss
-    (TransitionTable.apply is never entered), so no transition is
-    evaluated.  The run equals the same seed on a lazily compiled table
-    with the same id layout, which does miss."""
+    implementation of the count kernel enters TransitionTable.apply or
+    evaluates a transition.  The run equals the same seed on a table with
+    the same id layout whose pairs were compiled one by one at build."""
     applies = []
     original_apply = TransitionTable.apply
 
@@ -571,9 +611,10 @@ def test_closure_registered_count_run_never_misses(monkeypatch, kernel):
     n = 10**5 if kernel == "c" else 4096
     budget, seed = 20 * n, 17
     snapshots = {}
-    for name, cls in (("adopted", GSULeaderElection), ("lazy", _LazyLutGSU)):
+    for name, cls in (("adopted", GSULeaderElection), ("compiled", _NoLutGSU)):
         protocol = cls(GSUParams(n_hint=_N_HINT, gamma=4, phi=1, psi=1))
-        protocol.compile()  # the closure BFS runs before counting starts
+        table = protocol.compile()  # the closure BFS runs before counting starts
+        assert table.compiled_pairs == (0 if name == "adopted" else len(table) ** 2)
         evaluated = []
 
         def counting_transition(responder, initiator, transition=protocol.transition):
@@ -585,12 +626,9 @@ def test_closure_registered_count_run_never_misses(monkeypatch, kernel):
         engine = CountBatchEngine(protocol, n, rng=seed, kernel=kernel)
         engine.run(budget)
         assert engine.interactions == budget
+        assert not evaluated and not applies
         snapshots[name] = repr(engine.snapshot())
-        if name == "adopted":
-            assert not evaluated and not applies
-        else:
-            assert evaluated and applies
-    assert snapshots["adopted"] == snapshots["lazy"]
+    assert snapshots["adopted"] == snapshots["compiled"]
 
 
 def test_gsu_initial_counts_declared():

@@ -10,9 +10,14 @@ construction path through ``initial_counts``.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
+from test_engine_layout_invariance import _lazy
+
+from repro.coins.synthetic import ParityCoinProtocol
 from repro.core.protocol import GSULeaderElection
 from repro.engine._count_kernel import _split, seed_kernel_rng
 from repro.engine.count_batch import CountBatchEngine
@@ -116,15 +121,14 @@ def test_leader_count_monotone_on_slow_protocol():
         previous = current
 
 
-def test_works_with_lazily_discovered_state_space():
-    """A small-n_hint GSU19 instance declares no canonical states (its
-    reachable closure only kicks in at count-batch scale); the engine must
-    grow its count vector (and the shared table) as new states appear."""
-    n = 256
-    engine = CountBatchEngine(GSULeaderElection.for_population(n), n, rng=7)
-    engine.run(40 * n)
-    assert sum(count for _, count in engine.state_count_items()) == n
-    assert engine.states_ever_occupied > 10
+def test_refuses_protocols_without_a_complete_table():
+    """Count space runs only on a complete transition table: a protocol
+    that declares neither a closure nor canonical states (GSU19 with both
+    hidden, the parity coin) is refused by name, not discovered lazily."""
+    for protocol in (_lazy(GSULeaderElection.for_population(256)), ParityCoinProtocol()):
+        message = f"protocol {protocol.name!r} declares neither a state closure"
+        with pytest.raises(ProtocolError, match=re.escape(message)):
+            CountBatchEngine(protocol, 256, rng=7)
 
 
 def test_counts_by_output_matches_generic_aggregation():

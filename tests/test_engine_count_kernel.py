@@ -7,12 +7,12 @@ and every machine without a compiler).  This module carries:
 
 * the C kernel's run of the count pin set (``KERNEL_EXPECTED``, defined
   beside the other pins in ``test_engine_trajectory_digests``, which runs
-  it on the Python implementation), and of the benchmark-regime, lazy-miss
-  and ``n = 10^12`` pins, which both implementations must reproduce;
+  it on the Python implementation), and of the benchmark-regime and
+  ``n = 10^12`` pins, which both implementations must reproduce;
 * checkpoint/resume byte-exactness on the C kernel and across the two
   implementations in both directions;
 * a Hypothesis differential test that calls both implementations on the
-  same random state (random LUTs with holes, ``n`` up to ``2^53``) and
+  same random state (random complete LUTs, ``n`` up to ``2^53``) and
   compares every output of every call, on batches of both paths;
 * the batch law: each path's pair matrix against its exact distribution
   on tiny configurations;
@@ -38,7 +38,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from test_engine_layout_invariance import _lazy
 from test_engine_trajectory_digests import (
     _CHUNKS,
     _SEED,
@@ -113,20 +112,14 @@ def _gsu19_extreme():
 _EXTREME_DIGEST = "fe33266bed0714de5d682ecda00945b0f8a456478740c8da75290eb93706ae55"
 _EXTREME_CHUNK = 2_000_000
 
-#: Pins in the benchmark's regime, where the grid above (<= 256 agents for
-#: ~6n interactions) never reaches: participant-split operands up to n, a
-#: frontier of dozens of states, and lazily compiled rows missing mid-row.
-#: GSU19 at its production calibration with the closure registered,
+#: The pin in the benchmark's regime, where the grid above (<= 256 agents
+#: for ~6n interactions) never reaches: participant-split operands up to n
+#: and a frontier of dozens of states.  GSU19 at its production calibration with the closure registered,
 #: n = 20,000, five chunks of 200,000 interactions (the frontier holds 39,
 #: 52, 56, 90 and 67 states after them; most batches take the direct path).
 _PRODUCTION_CLOSURE_DIGEST = (
     "7a4539701dedab2bd9ef711d38d67d71c0c3d0aa8c2a58151f289a8ade135aaf"
 )
-#: ``for_population(2000)`` with its closure and canonical states hidden,
-#: so its table compiles lazily, one run of 200,000 interactions: 11,212
-#: LUT misses, each a kernel rollback and re-entry.
-_LAZY_MISS_DIGEST = "a4642d2cb0e8a37b7cc0aeaef04435f26059e9911910348075616d07813705b6"
-_LAZY_MISS_PAIRS = 11_212
 
 
 @needs_kernel
@@ -231,33 +224,13 @@ def _production_digest(kernel: str) -> str:
     return digest.hexdigest()
 
 
-def _lazy_miss_digest(kernel: str) -> str:
-    engine = CountBatchEngine(
-        _lazy(GSULeaderElection.for_population(2000)), 2000, rng=_SEED, kernel=kernel
-    )
-    engine.run(200_000)
-    digest = hashlib.sha256()
-    _digest_update(digest, engine)
-    assert engine.table.compiled_pairs == _LAZY_MISS_PAIRS
-    return digest.hexdigest()
-
-
 @needs_kernel
 def test_kernel_pinned_at_production_calibration():
     assert _production_digest("c") == _PRODUCTION_CLOSURE_DIGEST
 
 
-@needs_kernel
-def test_kernel_pinned_through_lazy_misses():
-    assert _lazy_miss_digest("c") == _LAZY_MISS_DIGEST
-
-
 def test_python_implementation_pinned_at_production_calibration():
     assert _production_digest("python") == _PRODUCTION_CLOSURE_DIGEST
-
-
-def test_python_implementation_pinned_through_lazy_misses():
-    assert _lazy_miss_digest("python") == _LAZY_MISS_DIGEST
 
 
 # ----------------------------------------------------------------------
@@ -282,7 +255,7 @@ def _c_row(counts, seen, rng, lut, k, cap, budget, n, neg_survival, jmax):
         ctypes.addressof(row), n, neg_survival.ctypes.data, jmax, scratch.ctypes.data
     )
     assert not scratch[: 5 * k].any()  # weight regions restored to zero
-    return row.applied, row.miss_r, row.miss_i
+    return row.applied
 
 
 _POPULATIONS = st.one_of(
@@ -292,7 +265,7 @@ _POPULATIONS = st.one_of(
 )
 
 
-def _differential_case(k, pad, n, cuts, seed, hole_rate, budgets):
+def _differential_case(k, pad, n, cuts, seed, budgets):
     """Run both implementations call for call on one random configuration
     and assert that every output agrees."""
     rng = np.random.default_rng(seed)
@@ -300,7 +273,6 @@ def _differential_case(k, pad, n, cuts, seed, hole_rate, budgets):
     bounds = sorted(int(cut * n) for cut in cuts[: k - 1])
     counts = np.diff([0, *bounds, n]).astype(np.int64)
     lut = rng.integers(0, k, size=cap * cap) << 32 | rng.integers(0, k, size=cap * cap)
-    lut[rng.random(cap * cap) < hole_rate] = -1
     jmax = max(1, min(n // 2, 4096))
     neg_survival = _survival(n, jmax)
     words = seed_kernel_rng(make_rng(seed))
@@ -312,25 +284,22 @@ def _differential_case(k, pad, n, cuts, seed, hole_rate, budgets):
             call(c, s, w, lut, k, cap, budget, n, neg_survival, jmax)
             for call, (c, s, w) in zip((_c_row, run_row), states)
         ]
-        assert outputs[0] == outputs[1]
+        assert outputs[0] == outputs[1] == budget
         for left, right in zip(*states):
             assert np.array_equal(left, right)
-        miss_r, miss_i = outputs[0][1:]
-        if miss_r >= 0:
-            lut[miss_r * cap + miss_i] = miss_r << 32 | miss_i
 
 
 #: Fixed differential cases on both sides of the batch rule, with every
 #: declared state occupied at k = 1 (split: one state draws nothing) and
 #: k = 2 (direct: the Fenwick tree fills the whole k-wide region), a
-#: direct run through LUT holes, and split runs at large n.
+#: direct run over three states, and split runs at large n.
 _DIFFERENTIAL_EXAMPLES = [
-    dict(k=1, pad=0, n=8, cuts=[0.5] * 63, seed=1, hole_rate=0.0, budgets=[3, 9]),
-    dict(k=2, pad=0, n=8, cuts=[0.5] * 63, seed=2, hole_rate=0.0, budgets=[3, 9]),
-    dict(k=2, pad=1, n=10**6, cuts=[0.5] * 63, seed=3, hole_rate=0.0, budgets=[4000]),
-    dict(k=3, pad=0, n=30, cuts=[0.3, 0.6] + [0.5] * 61, seed=4, hole_rate=0.3, budgets=[40, 40]),
+    dict(k=1, pad=0, n=8, cuts=[0.5] * 63, seed=1, budgets=[3, 9]),
+    dict(k=2, pad=0, n=8, cuts=[0.5] * 63, seed=2, budgets=[3, 9]),
+    dict(k=2, pad=1, n=10**6, cuts=[0.5] * 63, seed=3, budgets=[4000]),
+    dict(k=3, pad=0, n=30, cuts=[0.3, 0.6] + [0.5] * 61, seed=4, budgets=[40, 40]),
     dict(k=64, pad=2, n=10**7, cuts=[i / 64 for i in range(1, 64)], seed=5,
-         hole_rate=0.02, budgets=[4000, 700]),
+         budgets=[4000, 700]),
 ]
 
 
@@ -351,20 +320,18 @@ def _with_examples(cases):
     n=_POPULATIONS,
     cuts=st.lists(st.floats(0.0, 1.0), min_size=63, max_size=63),
     seed=st.integers(0, 2**32 - 1),
-    hole_rate=st.sampled_from([0.0, 0.02, 0.3]),
     budgets=st.lists(st.integers(1, 4000), min_size=1, max_size=4),
 )
 @_with_examples(_DIFFERENTIAL_EXAMPLES)
 def test_python_implementation_matches_the_kernel_call_for_call(
-    k, pad, n, cuts, seed, hole_rate, budgets
+    k, pad, n, cuts, seed, budgets
 ):
-    """Random packed LUTs (``k <= 64``, ``-1`` holes, a side ``cap >= k``)
-    and random counts summing to ``n``: every call's ``applied``, miss
-    pair, counts, seen mask and xoshiro words agree.  A miss fills its
-    hole before the next call, as the engine compiles the pair.  Small
-    ``n`` and wide frontiers send batches down the direct path, long runs
-    over few states down the split path (the fixed examples take both)."""
-    _differential_case(k, pad, n, cuts, seed, hole_rate, budgets)
+    """Random complete packed LUTs (``k <= 64``, a side ``cap >= k``) and
+    random counts summing to ``n``: every call applies its whole budget,
+    and the counts, seen mask and xoshiro words agree.  Small ``n`` and
+    wide frontiers send batches down the direct path, long runs over few
+    states down the split path (the fixed examples take both)."""
+    _differential_case(k, pad, n, cuts, seed, budgets)
 
 
 def _snapshot_case(protocol_name, first, chunks, cut):
@@ -479,25 +446,10 @@ def test_kernel_interaction_accounting_is_exact():
 
 
 @needs_kernel
-def test_kernel_population_conserved_with_lazy_discovery():
-    """GSU19's lazily discovered states (closure hidden) force mid-run LUT
-    misses: the kernel must roll the batch back, let Python compile the
-    pair, and resume without losing or duplicating agents."""
-    n = 256
-    engine = _kernel_engine(_lazy(GSULeaderElection.for_population(n)), n, rng=7)
-    for _ in range(10):
-        engine.run(4 * n)
-        counts = engine.state_counts()
-        assert all(count > 0 for count in counts.values())
-        assert sum(counts.values()) == n
-    assert engine.states_ever_occupied > 10
-
-
-@needs_kernel
 def test_closure_engines_share_one_lut_and_one_kernel_call_per_run():
     """32 GSU19 engines at n = 10^6 over the K = 1,789 closure, each on its
     own protocol instance, share one read-only packed LUT and compile no
-    pair; a run of n interactions never misses, so it is one kernel call."""
+    pair; a run of n interactions is one kernel call."""
     n = 10**6
     seeds = spawn_seeds(777, 32)
     table = None
@@ -618,11 +570,11 @@ def _sample_pair_matrices(counts, length, samples, seed) -> list:
         state = np.zeros(total, dtype=np.int64)
         state[:k] = counts
         seen = np.zeros(total, dtype=np.uint8)
-        applied, miss_r, _ = run_row(
+        applied = run_row(
             state, seen, words, lut, total, total, length, sum(counts),
             neg_survival, length,
         )
-        assert (applied, miss_r) == (length, -1)
+        assert applied == length
         matrices.append(tuple(int(c) for c in state[k : k + k * k]))
     return matrices
 
@@ -813,4 +765,3 @@ if __name__ == "__main__":  # pragma: no cover - C-side pin regeneration helper
         value = trajectory_digest(_kernel_engine, factory, population)
         print(f'    "{name}": "{value}",')
     print("production:", _production_digest("c"))
-    print("lazy misses:", _lazy_miss_digest("c"))

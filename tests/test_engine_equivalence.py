@@ -10,9 +10,8 @@ two-sample KS test (:func:`repro.analysis.stats.ks_two_sample`, which falls
 back to an asymptotic NumPy implementation when SciPy is unavailable) plus
 the dependency-free quantile-profile distance.
 
-The workload definitions and the sampling loop live in
-:mod:`repro.analysis.accuracy`; this suite parametrises over all five of
-its workloads.
+The workload definitions and the sampling loop live in ``accuracy.py``
+beside this suite, which parametrises over all five of its workloads.
 
 Disjoint seed ranges matter: the fast-batch engine reproduces the sequential
 engine's trajectories *bit for bit* for equal seeds (that stronger property
@@ -36,7 +35,8 @@ from typing import Dict, List
 
 import pytest
 
-from repro.analysis.accuracy import WORKLOADS, convergence_sample
+from accuracy import WORKLOADS, convergence_sample
+
 from repro.analysis.stats import ks_two_sample, quantile_profile_distance
 from repro.engine.count_batch import CountBatchEngine
 from repro.engine.engine import SequentialEngine

@@ -21,6 +21,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_engine_layout_invariance import _lazy
+
 from repro.core.protocol import GSULeaderElection
 from repro.engine import (
     ENGINE_NAMES,
@@ -295,10 +297,11 @@ def test_kernel_draw_matches_pair_block(n, count, seed, bit_generator, offset):
 # ----------------------------------------------------------------------
 # The live count vector
 # ----------------------------------------------------------------------
-#: Protocols whose fresh tables compile lazily, so runs miss the LUT.
+#: Protocols with their closure and canonical states hidden, so their
+#: fresh tables compile lazily and runs miss the LUT.
 _LAZY_PROTOCOLS = {
-    "lottery": LotteryLeaderElection.for_population,
-    "majority": lambda n: ApproximateMajority(initial_a_fraction=0.6),
+    "lottery": lambda n: _lazy(LotteryLeaderElection.for_population(n)),
+    "majority": lambda n: _lazy(ApproximateMajority(initial_a_fraction=0.6)),
 }
 
 

@@ -14,6 +14,8 @@ from repro.engine.fast_batch import FastBatchEngine
 from repro.engine.table import TransitionTable
 from repro.protocols.approximate_majority import ApproximateMajority
 from repro.protocols.epidemic import OneWayEpidemic
+from repro.protocols.exact_majority import ExactMajority
+from repro.protocols.slow import SlowLeaderElection
 
 
 def test_compile_is_cached_per_protocol_instance():
@@ -31,6 +33,27 @@ def test_canonical_states_are_registered_eagerly():
     assert len(table) == 3
 
 
+@pytest.mark.parametrize(
+    "protocol",
+    [
+        OneWayEpidemic(),
+        ApproximateMajority(),
+        ExactMajority.for_population(100),
+        SlowLeaderElection(),
+    ],
+    ids=lambda protocol: protocol.name,
+)
+def test_declared_states_compile_every_pair_at_build(protocol):
+    """A table laid out over closed canonical states is complete from the
+    start, as a closure table is: all k^2 pairs compiled, no state added."""
+    table = protocol.compile()
+    k = len(list(protocol.canonical_states()))
+    assert len(table) == table.canonical_count == k
+    assert table.compiled_pairs == k * k
+    packed = table.packed.reshape(table.capacity, table.capacity)
+    assert (packed[:k, :k] >= 0).all()
+
+
 def test_apply_matches_protocol_transition():
     protocol = ApproximateMajority()
     table = protocol.compile()
@@ -46,7 +69,7 @@ def test_apply_matches_protocol_transition():
 
 
 def test_packed_entries_mirror_delta():
-    table = OneWayEpidemic().compile()
+    table = _lazy(OneWayEpidemic()).compile()
     informed = table.encode("informed")
     susceptible = table.encode("susceptible")
     table.apply(susceptible, informed)
@@ -57,7 +80,7 @@ def test_packed_entries_mirror_delta():
 
 
 def test_apply_block_fills_misses_and_matches_scalar():
-    protocol = ApproximateMajority()
+    protocol = _lazy(ApproximateMajority())
     table = protocol.compile()
     ids = [table.encode(s) for s in ("A", "B", "blank")]
     rng = np.random.default_rng(0)
@@ -72,11 +95,11 @@ def test_apply_block_fills_misses_and_matches_scalar():
 
 def test_capacity_grows_beyond_initial():
     # GSU19 with its closure hidden compiles lazily, from the initial
-    # capacity up.
+    # capacity up, on a per-agent engine.
     n = 1024
     protocol = _lazy(GSULeaderElection.for_population(n))
     table = protocol.compile()
-    engine = CountBatchEngine(protocol, n, rng=1)
+    engine = FastBatchEngine(protocol, n, rng=1)
     assert engine.table is table
     engine.run(40 * n)
     assert len(table) > 64

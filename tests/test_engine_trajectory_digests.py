@@ -128,7 +128,7 @@ KERNEL_EXPECTED = {
     "gs18": "7e3ab051d4e1dca48c74076fc906aad2e812d447bfaee8b6997c77c7123a56dd",
     "gsu19": "4a0906be4c5b7d5f25ab73b895e5f7298d482f0311f836eff7d6c271ae7ce1dc",
     "gsu19-closure": "4a0906be4c5b7d5f25ab73b895e5f7298d482f0311f836eff7d6c271ae7ce1dc",
-    "lottery": "36b4f26741171454333b654293b084c5cf76b14c2f8e6a903ddc408248df47f1",
+    "lottery": "a5bf5e0ba6f2ca94a1bf9c325349088fb8e2dbeb9e63adb79e3ab1ad2c40807e",
     "majority": "de851ab22c2fdf2253bf48daec6ab62ef7a86f221dea6cbcb9d03f069777236f",
     "slow-le": "929c5c4741abc892fe5133fcddbfaa7f47af0fc942d091e933bed2416a5ff9f8",
 }

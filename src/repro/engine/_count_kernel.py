@@ -24,21 +24,27 @@ Design notes
   uniform ordered sample without replacement (Berenbrink et al., "Simulating
   Population Protocols in Sub-Constant Time per Interaction", ESA 2020), so
   any exact sampler of its pairs keeps the engine exact.  The *direct*
-  path draws the sample itself: each pick is one Lemire bounded integer
-  below the fresh count ("Fast Random Integer Generation in an Interval",
-  ACM TOMACS 2019), mapped to the first ``occ`` position whose running
-  weight ``counts - involved`` exceeds it, and picks ``2j``/``2j + 1`` are
-  the ``j``-th (responder, initiator) pair.  C searches a Fenwick tree over
-  the ``occ`` positions (``O(log nocc)`` per pick, the tree in the pool
-  scratch region); the mirror keeps the same tree.  The *split* path draws
-  the participant, responder and pairing multisets by hypergeometric
-  splits, one per occupied state and pairing cell.  ``direct_batch`` picks
-  the path per batch by integer arithmetic on ``(L, nocc)``: direct when
-  ``L <= 4 (nocc - 1)``.  Small batches over wide frontiers (GSU19 below
-  about ``3 * 10^5``) go direct; long runs over few states (the epidemic's
-  two, GSU19 at ``10^6`` and beyond, ``n = 10^12``) keep the split path,
-  and a single occupied state, which the split path serves without a draw,
-  is never direct.  The collision step and the commit are shared.
+  path draws the sample itself, pick by pick, and picks ``2j``/``2j + 1``
+  are the ``j``-th (responder, initiator) pair.  A pick proposes state
+  ``s`` with probability ``counts[s] / n`` from an integer alias table
+  over the occupied states (Vose, "A linear algorithm for generating
+  random numbers with a given distribution", IEEE TSE 1991), built once
+  per batch, and accepts it with probability
+  ``(counts[s] - involved[s]) / counts[s]``, so the accepted law is
+  ``counts - involved``: the next agent of the sample.  Every draw is a
+  Lemire bounded integer ("Fast Random Integer Generation in an Interval",
+  ACM TOMACS 2019): a column below ``nocc``, a threshold below ``n``, and
+  a draw below ``counts[s]`` only when ``s`` has agents drawn already.  The
+  *split* path draws the participant, responder and pairing multisets by
+  hypergeometric splits, one per occupied state and pairing cell.
+  ``direct_batch`` picks the path per batch by integer arithmetic on
+  ``(L, nocc, n)``: direct when ``L <= 8 (nocc - 1)`` and the alias
+  weights ``n * nocc`` fit in int64.  Small batches over wide frontiers
+  (GSU19 whole runs up to about ``3 * 10^5``) go direct; long runs over
+  few states (the epidemic's two, GSU19 from about ``10^6``,
+  ``n = 10^12``) keep the split path, and a single occupied state, which
+  the split path serves without a draw, is never direct.  The collision
+  step and the commit are shared.
 * **Exact samplers, no NumPy caps.**  Hypergeometric variates use the same
   two algorithms NumPy does — explicit urn inversion when the (symmetrised)
   sample is tiny, Stadlober's HRUA ratio-of-uniforms rejection otherwise —
@@ -72,7 +78,9 @@ mirror ran GSU19 (closure registered) at 0.8 M interactions per second at
 ``n = 10^6`` and 3 M at ``10^7`` on a 2-CPU x86-64 host, about 100x below
 the C kernel (``BENCH_engine.json``; those windows take the split path).
 At ``n = 20,000``, where most batches take the direct path, it draws the
-production pin's 10^6 interactions in about 6 s.
+production pin's 10^6 interactions in about 9 s of CPU time: a direct pick
+draws two or three xoshiro words, each a dozen big-integer operations in
+Python.
 ``tests/test_engine_count_kernel.py`` pins the two together.
 """
 
@@ -340,42 +348,79 @@ static int64_t pick_state(uint64_t *rs, const int64_t *weights,
     return last; /* float round-off guard */
 }
 
-/* The batch path: one integer rule of the run length and the occupied
- * frontier, which the mirror's _direct_batch evaluates alike.  The direct
- * path makes 2L picks of O(log nocc) each.  The split path makes one
- * hypergeometric draw per occupied state but the last (which takes the
- * rest) and then the pairing rows, so it pays off only when a long run
- * lands on few states; with one occupied state it draws nothing. */
-#define DIRECT_PER_STATE 4
+/* The batch path: one integer rule of the run length, the occupied
+ * frontier and the population, which the mirror's _direct_batch evaluates
+ * alike.  The direct path makes 2L alias picks of O(1) each, plus an
+ * O(nocc) table build.  The split path makes one hypergeometric draw per
+ * occupied state but the last (which takes the rest) and then the pairing
+ * rows, so it pays off only when a long run lands on few states; with one
+ * occupied state it draws nothing.  A larger DIRECT_PER_STATE speeds
+ * GSU19's wide frontiers at 10^5-10^6 but sends more of the epidemic's
+ * two-state batches direct, where the split path's three draws are
+ * cheaper: 8 costs the epidemic at 10^4 about 1%, 16 about 6%.  The alias
+ * weights are counts * nocc, so a batch goes direct only when n * nocc
+ * fits in int64 (the test divides instead, so it cannot overflow
+ * itself). */
+#define DIRECT_PER_STATE 8
 
-static inline int direct_batch(int64_t length, int64_t nocc)
+static inline int direct_batch(int64_t length, int64_t nocc, int64_t n)
 {
-    return length <= DIRECT_PER_STATE * (nocc - 1);
+    return length <= DIRECT_PER_STATE * (nocc - 1) && n <= INT64_MAX / nocc;
 }
 
-/* Take one agent out of the Fenwick tree over occupied positions:
- * `tree[i - 1]` is node i of a 1-based tree over `size` positions, and
- * `top` is the largest power of two <= size.  Returns the first position
- * whose running weight exceeds `x` (0 <= x < total weight) and removes
- * one unit of its weight.  The nodes the descent does not step past are
- * exactly the nodes whose range holds that position, so the descent
- * removes the unit on its way down.  Each step's take is a data-dependent
- * coin flip, written as a select rather than a branch. */
-static int64_t fenwick_take(int64_t *tree, int64_t size, int64_t top,
-                            int64_t x)
+/* Vose's alias table over the occupied states, in integers: column j
+ * keeps occ[j] below threshold cut[j] and hands the rest of its n
+ * thresholds to state alias[j].  The weights are counts * nocc, so every
+ * one of the nocc columns holds exactly n and a uniform column with a
+ * uniform threshold below n proposes state s with probability
+ * counts[s] / n, exactly.  `work` holds the unsettled columns, the light
+ * ones (below n) stacked from the front, the heavy ones from the back.
+ * In exact arithmetic the heavy columns left at the end hold n each, so
+ * their alias is never read. */
+static void alias_build(const int64_t *counts, const int64_t *occ,
+                        int64_t nocc, int64_t n, int64_t *cut,
+                        int64_t *alias, int64_t *work)
 {
-    int64_t pos = 0;
-    for (int64_t step = top; step > 0; step >>= 1) {
-        int64_t next = pos + step;
-        if (next > size)
-            continue;
-        int64_t weight = tree[next - 1];
-        int take = weight <= x;
-        pos += take ? step : 0;
-        x -= take ? weight : 0;
-        tree[next - 1] = weight - !take;
+    int64_t nlight = 0, heavy = nocc;
+    for (int64_t j = 0; j < nocc; j++) {
+        cut[j] = counts[occ[j]] * nocc;
+        if (cut[j] < n)
+            work[nlight++] = j;
+        else
+            work[--heavy] = j;
     }
-    return pos;
+    while (nlight > 0 && heavy < nocc) {
+        int64_t light = work[--nlight];
+        int64_t donor = work[heavy];
+        alias[light] = occ[donor];
+        cut[donor] -= n - cut[light];
+        if (cut[donor] < n) {
+            heavy += 1;
+            work[nlight++] = donor;
+        }
+    }
+}
+
+/* One ordered pick without replacement: propose a state with probability
+ * counts[s] / n from the alias table, accept it with probability
+ * (counts[s] - involved[s]) / counts[s], the share of its agents this batch
+ * has not drawn yet.  The accepted law is proportional to
+ * counts - involved, which is the next agent of a uniform ordered sample.
+ * Draws: a column below nocc, a threshold below n, then a draw below
+ * counts[s] only when s has agents drawn already. */
+static inline int64_t alias_pick(uint64_t *rng, const int64_t *counts,
+                                 const int64_t *involved, const int64_t *occ,
+                                 const int64_t *cut, const int64_t *alias,
+                                 int64_t nocc, int64_t n)
+{
+    while (1) {
+        int64_t column = xo_bounded(rng, nocc);
+        int64_t sid = (xo_bounded(rng, n) < cut[column]) ? occ[column]
+                                                        : alias[column];
+        int64_t drawn = involved[sid];
+        if (drawn == 0 || xo_bounded(rng, counts[sid]) < counts[sid] - drawn)
+            return sid;
+    }
 }
 
 /* Add `mult` applications of a packed transition's two outputs to the
@@ -456,8 +501,9 @@ typedef struct {
  * scratch      : 11*sk int64 workspace.  The five weight regions (first
  *                5*sk entries) must be all-zero on entry and are restored
  *                to zero on exit; the four id-list regions, the candidate
- *                region and the initiator-pool region (the direct path's
- *                Fenwick tree: nocc <= k nodes) are plain scratch
+ *                region and the initiator-pool region are plain scratch
+ *                (the direct path keeps its alias table, nocc <= k
+ *                columns, in the pool and resp_occ regions)
  *
  * The occupied scan is served from a sorted candidate list built by one
  * full k-scan at call entry and extended at every commit with the states
@@ -530,32 +576,23 @@ static void run_row(count_row *row, int64_t n, const double *neg_survival,
 
         int64_t ninv = 0;
         int64_t nused = 0;
-        if (direct_batch(length, nocc)) {
+        if (direct_batch(length, nocc, n)) {
             /* 2-3, direct path.  The 2L participants as ordered picks
-             * without replacement: each is one bounded integer below the
-             * fresh count, mapped through a Fenwick tree over the occ
-             * positions (weights counts - involved) to its state.  Picks
-             * 2j and 2j+1 are the j-th (responder, initiator) pair, which
-             * goes straight through the LUT.  The tree lives in the pool
-             * region, which this path does not otherwise use. */
-            int64_t *tree = pool;
-            for (int64_t idx = 0; idx < nocc; idx++)
-                tree[idx] = counts[occ[idx]];
-            for (int64_t node = 1; node <= nocc; node++) {
-                int64_t parent = node + (node & -node);
-                if (parent <= nocc)
-                    tree[parent - 1] += tree[node - 1];
-            }
-            int64_t top = 1;
-            while (2 * top <= nocc)
-                top *= 2;
-            int64_t fresh = n;
+             * without replacement, each an alias pick with rejection
+             * against the agents already drawn (involved).  Picks 2j and
+             * 2j+1 are the j-th (responder, initiator) pair, which goes
+             * straight through the LUT.  The table lives in the pool and
+             * resp_occ regions, which this path does not otherwise use;
+             * its build's worklist in inv_occ, which the picks fill only
+             * after it. */
+            int64_t *cut = pool;
+            int64_t *alias = resp_occ;
+            alias_build(counts, occ, nocc, n, cut, alias, inv_occ);
             for (int64_t j = 0; j < length; j++) {
                 int64_t pair[2];
                 for (int side = 0; side < 2; side++) {
-                    int64_t x = xo_bounded(rng, fresh);
-                    int64_t sid = occ[fenwick_take(tree, nocc, top, x)];
-                    fresh -= 1;
+                    int64_t sid = alias_pick(rng, counts, involved, occ, cut,
+                                             alias, nocc, n);
                     if (involved[sid] == 0)
                         inv_occ[ninv++] = sid;
                     involved[sid] += 1;
@@ -958,42 +995,50 @@ def _pick_state(s: list, weighted, total: int, exclude: int = -1) -> int:
 
 #: ``DIRECT_PER_STATE``: a batch takes the direct path when its run length
 #: is at most this many interactions per occupied state beyond the first.
-_DIRECT_PER_STATE = 4
+_DIRECT_PER_STATE = 8
+
+_INT64_MAX = (1 << 63) - 1
 
 
-def _direct_batch(length: int, nocc: int) -> bool:
-    """``direct_batch``: the batch path rule, the C expression."""
-    return length <= _DIRECT_PER_STATE * (nocc - 1)
+def _direct_batch(length: int, nocc: int, n: int) -> bool:
+    """``direct_batch``: the batch path rule, the C expression (whose
+    ``n <= INT64_MAX / nocc`` is ``n * nocc <= INT64_MAX`` in integers)."""
+    return length <= _DIRECT_PER_STATE * (nocc - 1) and n * nocc <= _INT64_MAX
 
 
-def _fenwick(weights: list) -> list:
-    """A Fenwick tree over ``weights``, node ``i`` (1-based) at ``i - 1``."""
-    tree = list(weights)
-    size = len(tree)
-    for node in range(1, size + 1):
-        parent = node + (node & -node)
-        if parent <= size:
-            tree[parent - 1] += tree[node - 1]
-    return tree
+def _alias(count: list, occ: list, n: int):
+    """``alias_build``: Vose's integer alias table over the occupied states
+    ``occ`` (``count`` by state id, the occupied counts summing to ``n``).
+    Returns ``(cut, alias)`` by column, ``alias`` as state ids; a column
+    that ends heavy keeps ``cut == n`` and no alias (never read)."""
+    nocc = len(occ)
+    cut = [count[sid] * nocc for sid in occ]
+    alias = [None] * nocc
+    light = [j for j in range(nocc) if cut[j] < n]
+    heavy = [j for j in range(nocc) if cut[j] >= n]
+    while light and heavy:
+        short = light.pop()
+        donor = heavy[-1]
+        alias[short] = occ[donor]
+        cut[donor] -= n - cut[short]
+        if cut[donor] < n:
+            heavy.pop()
+            light.append(donor)
+    return cut, alias
 
 
-def _fenwick_take(tree: list, top: int, x: int) -> int:
-    """``fenwick_take``: the first position whose running weight exceeds
-    ``x``, with one unit of its weight removed on the way down."""
-    size = len(tree)
-    pos = 0
-    step = top
-    while step:
-        nxt = pos + step
-        if nxt <= size:
-            weight = tree[nxt - 1]
-            if weight <= x:
-                pos = nxt
-                x -= weight
-            else:
-                tree[nxt - 1] = weight - 1
-        step >>= 1
-    return pos
+def _alias_pick(s: list, count: list, involved: dict, occ: list, cut: list,
+                alias: list, n: int) -> int:
+    """``alias_pick``: propose by the alias table, accept with probability
+    ``(count - involved) / count``; the same three draws in the same
+    order."""
+    nocc = len(occ)
+    while True:
+        column = _bounded(s, nocc)
+        sid = occ[column] if _bounded(s, n) < cut[column] else alias[column]
+        drawn = involved.get(sid, 0)
+        if not drawn or _bounded(s, count[sid]) < count[sid] - drawn:
+            return sid
 
 
 def _use_pair(used: dict, packed: int, mult: int) -> None:
@@ -1081,18 +1126,16 @@ def run_row(counts, seen, rng, lut, k, cap, budget, n, neg_survival, jmax):
             collide = False
         occ = [sid for sid in ordered if count[sid] > 0]
         used = {}
-        if _direct_batch(length, len(occ)):
-            # 2-3, direct path: 2L ordered picks, pairs straight to the LUT.
-            tree = _fenwick([count[sid] for sid in occ])
-            top = 1 << (len(occ).bit_length() - 1)
-            fresh = n
+        if _direct_batch(length, len(occ), n):
+            # 2-3, direct path: 2L alias picks with rejection, pairs
+            # straight to the LUT.
+            cut, alias = _alias(count, occ, n)
             involved = {}
             for _ in range(length):
-                a = occ[_fenwick_take(tree, top, _bounded(s, fresh))]
+                a = _alias_pick(s, count, involved, occ, cut, alias, n)
                 involved[a] = involved.get(a, 0) + 1
-                b = occ[_fenwick_take(tree, top, _bounded(s, fresh - 1))]
+                b = _alias_pick(s, count, involved, occ, cut, alias, n)
                 involved[b] = involved.get(b, 0) + 1
-                fresh -= 2
                 _use_pair(used, packed_at(a * cap + b), 1)
         else:
             # 2, split path: participants, then responders among them.

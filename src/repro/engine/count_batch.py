@@ -9,7 +9,7 @@ expected length ``Θ(sqrt(n))``, in the style of Berenbrink et al.,
 "Simulating Population Protocols in Sub-Constant Time per Interaction"
 (ESA 2020).
 Per-run work follows the *occupied* state frontier ``k``: a short run
-over a wide frontier costs about two bounded draws per interaction, a
+over a wide frontier costs two alias-table picks per interaction, a
 long run over a narrow one a hypergeometric split per occupied state and
 per pairing cell, so the per-interaction cost vanishes as the population
 grows; the dispatcher's cost model (:mod:`repro.engine.dispatch`) is
@@ -43,13 +43,18 @@ exact, and each run can be sampled configuration-level:
    the ``j``-th pair's responder and initiator; only the pair matrix
    ``M[a, b]`` (how many pairs meet states ``a`` and ``b``) matters, and
    any exact sampler of it keeps the engine exact.  Each batch draws it
-   one of two ways, chosen by an integer rule of ``L`` and the number of
-   occupied states ``nocc`` (direct when ``L <= 4 (nocc - 1)``):
+   one of two ways, chosen by an integer rule of ``L``, the number of
+   occupied states ``nocc`` and ``n`` (direct when
+   ``L <= 8 (nocc - 1)`` and ``n * nocc`` fits in int64):
 
-   * *direct*: the ``2L`` agents one by one, each a uniform integer below
-     the count of agents not yet drawn, mapped to its state through the
-     running counts; consecutive picks form the pairs.  About ``2L``
-     bounded draws, whatever ``nocc`` is.
+   * *direct*: the ``2L`` agents one by one.  A pick proposes a state with
+     probability ``counts / n`` from an alias table over the occupied
+     states, built once per batch, and accepts it with probability
+     ``(counts - drawn) / counts``, where ``drawn`` counts the state's
+     agents already picked in this batch; the accepted state is that of a
+     uniform agent not yet drawn.  Consecutive picks form the pairs.  Two
+     or three bounded draws per proposal, and about ``2L`` proposals,
+     whatever ``nocc`` is.
    * *split*: the state multiset ``H`` of the sample is multivariate
      hypergeometric from the counts; the responder multiset ``R`` is a
      hypergeometric split of ``H`` (initiators ``I = H - R``), and ``M``
@@ -124,11 +129,20 @@ _SURVIVAL_MAX_LEN = 1 << 23
 #: the engine refuses to construct rather than silently degrade.
 MAX_EXACT_N = 2**53
 
-#: The count stream a snapshot's kernel words continue: 2 is the stream
-#: whose small batches take the direct path (see ``_count_kernel``).  A
-#: snapshot without it was drawn by the retired split-only stream and is
-#: refused.
-_STREAM = 2
+#: The count stream a snapshot's kernel words continue: 3 is the stream
+#: whose direct batches draw by alias picks with rejection (see
+#: ``_count_kernel``).  Stream 2 (direct picks through a Fenwick tree) and
+#: a snapshot without a stream id (the split-only stream) are retired and
+#: refused by name.
+_STREAM = 3
+
+#: Retired count streams, by the id their snapshots carry.
+_RETIRED_STREAMS = {
+    None: "retired split-only count stream (every batch drawn by "
+    "hypergeometric splits)",
+    2: "retired stream-2 count stream (direct batches picked through a "
+    "Fenwick tree)",
+}
 
 
 class CountBatchEngine(BaseEngine):
@@ -318,12 +332,14 @@ class CountBatchEngine(BaseEngine):
                 "NumPy count stream (the old kernel='python' path), which no "
                 "build continues; rerun the cell from its seed"
             )
-        if payload.get("stream") != _STREAM:
+        stream = payload.get("stream")
+        if stream != _STREAM:
+            written_by = _RETIRED_STREAMS.get(
+                stream, f"unknown count stream {stream!r}"
+            )
             raise CheckpointError(
-                "this count-batch checkpoint was written by the retired "
-                "split-only count stream (every batch drawn by hypergeometric "
-                "splits), which no build continues; rerun the cell from its "
-                "seed"
+                f"this count-batch checkpoint was written by the {written_by}, "
+                "which no build continues; rerun the cell from its seed"
             )
         if len(self.table) != self.table.canonical_count:
             raise CheckpointError(

@@ -852,26 +852,37 @@ def test_retired_count_stream_checkpoint_is_refused(tmp_path):
             )
 
 
-def test_split_only_count_stream_checkpoint_is_refused(tmp_path):
-    """``split_stream_countbatch.ckpt`` was written by the retired
-    split-only xoshiro stream (every batch drawn by hypergeometric splits,
-    no stream id in the payload): ``from_checkpoint`` and
-    ``run_protocol(resume=True)`` refuse it by name on both kernel
-    implementations, and a current snapshot records the stream it
-    continues."""
+#: Fixtures of retired count streams, each written by the last commit that
+#: drew it (closure GSU19 Γ4/Φ1/Ψ1, n = 4,096, seed 31, 20 PT): the stream
+#: id its payload carries and the name a refusal gives.
+_RETIRED_STREAM_FIXTURES = {
+    "split_stream_countbatch": (None, "retired split-only count stream"),
+    "stream2_countbatch": (2, "retired stream-2 count stream"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RETIRED_STREAM_FIXTURES))
+def test_split_only_count_stream_checkpoint_is_refused(tmp_path, name):
+    """Each fixture was written by a retired xoshiro count stream: the
+    split-only one (every batch drawn by hypergeometric splits, no stream
+    id in the payload) or stream 2 (direct batches picked through a
+    Fenwick tree).  ``from_checkpoint`` and ``run_protocol(resume=True)``
+    refuse it by name on both kernel implementations, and a current
+    snapshot records the stream it continues."""
     from repro.engine.convergence import NeverConverge
     from repro.engine.simulation import Simulation, run_protocol
 
-    path = tmp_path / "split_stream_countbatch.ckpt"
-    shutil.copyfile(_FIXTURES / "split_stream_countbatch.ckpt", path)
+    stream, refusal = _RETIRED_STREAM_FIXTURES[name]
+    path = tmp_path / f"{name}.ckpt"
+    shutil.copyfile(_FIXTURES / f"{name}.ckpt", path)
     payload = read_checkpoint(path)["engine_snapshot"]["payload"]
-    assert "kernel_rng" in payload and "stream" not in payload
+    assert "kernel_rng" in payload and payload.get("stream") == stream
     for kernel in ("auto", "python"):
-        with pytest.raises(CheckpointError, match="retired split-only count stream"):
+        with pytest.raises(CheckpointError, match=refusal):
             Simulation.from_checkpoint(
                 _closure_gsu(), path, engine_kwargs={"kernel": kernel}
             )
-        with pytest.raises(CheckpointError, match="retired split-only count stream"):
+        with pytest.raises(CheckpointError, match=refusal):
             run_protocol(
                 _closure_gsu(), 4096, seed=31, engine_cls="countbatch",
                 engine_kwargs={"kernel": kernel}, convergence=NeverConverge(),
@@ -880,7 +891,7 @@ def test_split_only_count_stream_checkpoint_is_refused(tmp_path):
             )
     engine = CountBatchEngine(_closure_gsu(), 4096, rng=31)
     engine.run(4096)
-    assert engine.snapshot()["payload"]["stream"] == _STREAM
+    assert engine.snapshot()["payload"]["stream"] == _STREAM == 3
 
 
 def test_lazy_layout_checkpoint_resumes_onto_the_closure_table(tmp_path):

@@ -115,10 +115,11 @@ _EXTREME_CHUNK = 2_000_000
 #: The pin in the benchmark's regime, where the grid above (<= 256 agents
 #: for ~6n interactions) never reaches: participant-split operands up to n
 #: and a frontier of dozens of states.  GSU19 at its production calibration with the closure registered,
-#: n = 20,000, five chunks of 200,000 interactions (the frontier holds 39,
-#: 52, 56, 90 and 67 states after them; most batches take the direct path).
+#: n = 20,000, five chunks of 200,000 interactions (the frontier holds 37,
+#: 55, 54, 96 and 75 states after them; 10,773 of 11,169 batches take the
+#: direct path).
 _PRODUCTION_CLOSURE_DIGEST = (
-    "7a4539701dedab2bd9ef711d38d67d71c0c3d0aa8c2a58151f289a8ade135aaf"
+    "983ca4c8eaab855034360490d5338f9b26ca1d4af72e0e955035bfff70c7e72c"
 )
 
 
@@ -291,8 +292,11 @@ def _differential_case(k, pad, n, cuts, seed, budgets):
 
 #: Fixed differential cases on both sides of the batch rule, with every
 #: declared state occupied at k = 1 (split: one state draws nothing) and
-#: k = 2 (direct: the Fenwick tree fills the whole k-wide region), a
-#: direct run over three states, and split runs at large n.
+#: k = 2 (direct: the alias table fills the whole k-wide regions), a
+#: direct run over three states, split runs at large n, and the overflow
+#: clause at n = 2^53 - 1: 1,024 occupied states still go direct (n * 1,024
+#: fits in int64), 1,025 take the split path whatever the run length.
+_NEAR_EXACT_N = MAX_EXACT_N - 1
 _DIFFERENTIAL_EXAMPLES = [
     dict(k=1, pad=0, n=8, cuts=[0.5] * 63, seed=1, budgets=[3, 9]),
     dict(k=2, pad=0, n=8, cuts=[0.5] * 63, seed=2, budgets=[3, 9]),
@@ -300,6 +304,12 @@ _DIFFERENTIAL_EXAMPLES = [
     dict(k=3, pad=0, n=30, cuts=[0.3, 0.6] + [0.5] * 61, seed=4, budgets=[40, 40]),
     dict(k=64, pad=2, n=10**7, cuts=[i / 64 for i in range(1, 64)], seed=5,
          budgets=[4000, 700]),
+    dict(k=64, pad=0, n=_NEAR_EXACT_N, cuts=[i / 64 for i in range(1, 64)], seed=6,
+         budgets=[200, 252]),
+    dict(k=1024, pad=0, n=_NEAR_EXACT_N, cuts=[i / 1024 for i in range(1, 1024)],
+         seed=7, budgets=[100]),
+    dict(k=1025, pad=0, n=_NEAR_EXACT_N, cuts=[i / 1025 for i in range(1, 1025)],
+         seed=8, budgets=[100]),
 ]
 
 
@@ -356,11 +366,12 @@ def _snapshot_case(protocol_name, first, chunks, cut):
 
 
 #: Resumes whose continued stream crosses the batch rule: the epidemic's
-#: two states take the split path but for runs of at most 4 pairs, and
-#: GSU19's frontier grows from one state onto the direct path.
+#: two states take the split path but for runs of at most 8 pairs, and
+#: GSU19, snapshotted before its first batch, starts on one occupied state
+#: (split) and grows onto the direct path.
 _SNAPSHOT_EXAMPLES = [
     dict(protocol_name="epidemic", first="c", chunks=[700, 700, 700], cut=1),
-    dict(protocol_name="gsu19", first="c", chunks=[5, 700, 700], cut=1),
+    dict(protocol_name="gsu19", first="c", chunks=[5, 700, 700], cut=0),
 ]
 
 
@@ -382,13 +393,13 @@ def test_snapshot_restore_across_implementations_continues_the_stream(
 
 
 def _recorded_rule(monkeypatch) -> list:
-    """Record the mirror's ``(length, nocc, direct)`` batch decisions."""
+    """Record the mirror's ``(length, nocc, n, direct)`` batch decisions."""
     decisions = []
     rule = _count_kernel._direct_batch
 
-    def recording(length, nocc):
-        direct = rule(length, nocc)
-        decisions.append((length, nocc, direct))
+    def recording(length, nocc, n):
+        direct = rule(length, nocc, n)
+        decisions.append((length, nocc, n, direct))
         return direct
 
     monkeypatch.setattr(_count_kernel, "_direct_batch", recording)
@@ -399,23 +410,29 @@ def _recorded_rule(monkeypatch) -> list:
 def test_differential_examples_take_both_paths(monkeypatch):
     """The fixed differential examples reach both sides of the rule, with
     every declared state occupied at k = 1 and k = 2 (the latter on the
-    direct path), and each fixed resume continues on the Python mirror
-    through batches of both paths."""
+    direct path); at n = 2^53 - 1 the 1,025-state batches are short enough
+    for the direct path but the overflow clause keeps them split; and each
+    fixed resume continues on the Python mirror through batches of both
+    paths."""
     decisions = _recorded_rule(monkeypatch)
     full = set()
     for case in _DIFFERENTIAL_EXAMPLES:
         before = len(decisions)
         _differential_case(**case)
         full |= {
-            (case["k"], direct) for _, nocc, direct in decisions[before:]
+            (case["k"], direct) for _, nocc, _, direct in decisions[before:]
             if nocc == case["k"]
         }
-    assert {direct for _, _, direct in decisions} == {False, True}
-    assert {(1, False), (2, True)} <= full
+    assert {direct for *_, direct in decisions} == {False, True}
+    assert {(1, False), (2, True), (64, True), (1024, True), (1025, False)} <= full
+    assert (1025, True) not in full
+    near = [d for d in decisions if d[2] == _NEAR_EXACT_N and d[1] > 1024]
+    per_state = _count_kernel._DIRECT_PER_STATE
+    assert near and all(length <= per_state * (nocc - 1) for length, nocc, _, _ in near)
     for case in _SNAPSHOT_EXAMPLES:
         decisions.clear()
         _snapshot_case(**case)
-        assert {direct for _, _, direct in decisions} == {False, True}, case
+        assert {direct for *_, direct in decisions} == {False, True}, case
 
 
 # ----------------------------------------------------------------------
@@ -584,11 +601,17 @@ def _sample_pair_matrices(counts, length, samples, seed) -> list:
     [
         ((3, 3, 2), 3, True),
         ((5, 3), 4, True),
-        # The split side needs more than 4 pairs per occupied state beyond
-        # the first, so its smallest two-state case has n = 12.
-        ((7, 5), 5, False),
+        # Every agent is drawn, so the late picks' proposals land mostly
+        # on drawn-out states and are rejected.
+        ((6, 1, 1), 4, True),
+        # The split side needs more than 8 pairs per occupied state beyond
+        # the first, so its smallest two-state case has n = 18.
+        ((10, 8), 9, False),
     ],
-    ids=["direct-3-states", "direct-2-states", "split-2-states"],
+    ids=[
+        "direct-3-states", "direct-2-states", "direct-rejection-heavy",
+        "split-2-states",
+    ],
 )
 def test_batch_pair_matrix_follows_the_exact_law(counts, length, direct):
     """Each batch path draws the pair matrix of a collision-free batch with
@@ -596,7 +619,7 @@ def test_batch_pair_matrix_follows_the_exact_law(counts, length, direct):
     enumerated distribution (outcomes expected fewer than 5 times pooled)
     stays below the 99.9% quantile.  The (length, occupied states) choice
     puts each case on the named side of the batch rule."""
-    assert _direct_batch(length, len(counts)) == direct
+    assert _direct_batch(length, len(counts), sum(counts)) == direct
     law = _pair_matrix_law(counts, length)
     samples = 4000
     observed = {}
@@ -624,14 +647,14 @@ def test_pair_matrix_marginals_are_exact():
     """The split path's pairing rows reproduce both marginals exactly: the
     responder marginal is the responder split, and the initiator marginal
     is the involved multiset minus the responders (the last row takes the
-    rest of the pool without a draw).  24 pairs over three occupied states
+    rest of the pool without a draw).  40 pairs over three occupied states
     is a split-path batch."""
     engine = _python_engine(ApproximateMajority(initial_a_fraction=0.5), 4096, rng=3)
     engine.run(2_000)  # occupy all three states
     words = [int(word) for word in engine._kernel_rng]
-    pairs = 24
+    pairs = 40
     weighted = [(sid, int(c)) for sid, c in enumerate(engine.count_vector()) if c]
-    assert not _direct_batch(pairs, len(weighted))
+    assert not _direct_batch(pairs, len(weighted), engine.n)
     involved = {
         sid: h for sid, h in _split(words, weighted, 2 * pairs, engine.n) if h
     }

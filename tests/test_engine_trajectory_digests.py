@@ -123,14 +123,14 @@ EXPECTED = {
 
 #: The count-batch engine's pins, on either implementation of its kernel.
 KERNEL_EXPECTED = {
-    "epidemic": "cfe4b2111715f3463291b6eda385bd52e1dc119f15870d6466a0ac049d6da103",
-    "exact-majority": "5ad40632c0e9c73dae1642b77d35c71bff8a1181156c193ad2fcc94bb7d93557",
-    "gs18": "7e3ab051d4e1dca48c74076fc906aad2e812d447bfaee8b6997c77c7123a56dd",
-    "gsu19": "4a0906be4c5b7d5f25ab73b895e5f7298d482f0311f836eff7d6c271ae7ce1dc",
-    "gsu19-closure": "4a0906be4c5b7d5f25ab73b895e5f7298d482f0311f836eff7d6c271ae7ce1dc",
-    "lottery": "a5bf5e0ba6f2ca94a1bf9c325349088fb8e2dbeb9e63adb79e3ab1ad2c40807e",
-    "majority": "de851ab22c2fdf2253bf48daec6ab62ef7a86f221dea6cbcb9d03f069777236f",
-    "slow-le": "929c5c4741abc892fe5133fcddbfaa7f47af0fc942d091e933bed2416a5ff9f8",
+    "epidemic": "acbbdc979105259f34e02c94e1482dbe15c306b10a8fa19d2c1d28b797cacf13",
+    "exact-majority": "b25bb5e1cd1ab9af29d7a5f0a4666b31606a449c51841daacb80d2a80f50b2bb",
+    "gs18": "daa9fd97a2a5cca47c19bc0c3df864f1e6309d55bb72773a87b9d557409d6563",
+    "gsu19": "de28076ecd10db8ce6dd62582b6f1a3eb2b003275f71b6654638198b7c705b09",
+    "gsu19-closure": "de28076ecd10db8ce6dd62582b6f1a3eb2b003275f71b6654638198b7c705b09",
+    "lottery": "1bdf75b7bc983420fe59236ab6c26dd8bad0770b8a7e8d14ca46714adadc58ce",
+    "majority": "1351ff08472072d411f622ad265d9aff340d10fc62c393901988afbe661e8bf9",
+    "slow-le": "22da6a87f436e6426d7240cf44a60f25708eef737e6a8648f6e2ecbddeed1d3e",
 }
 
 
@@ -161,9 +161,9 @@ DRIVER_ENGINES = {
 DRIVER_CADENCES = {"fixed": 97}
 
 DRIVER_EXPECTED = {
-    "gsu19/countbatch/fixed": (7757, "5bc0163f3352fb5c98efcfaf024ae23897b09a9c23c2c8426e24dd0bad7c7c93", "543ac2242a42a5f8da1ed2f9e4c9cafdfc747736bd1024442de90f159ceb31a4", 26),
+    "gsu19/countbatch/fixed": (7757, "a5b7f84325f4719c8642ac8145d1d626b6085dd0d97f23a6c5254d4277accc1c", "88635af20314f8b15959a832d8968fe456a2a65c35b0bacbea5486a6b802d294", 26),
     "gsu19/fastbatch/fixed": (7757, "32795a3f6d2d9706adc05ecd82c809604e7aeca997c95dfbb7ce3bad88d17ff8", "4c9c4a956b203a4f9a79d6ef957f32de73896bd1686abeddad21b65b0b0d9c1e", 26),
-    "slow-le/countbatch/fixed": (3395, "e492227fa71e45e8aaa4a26bdc0718e03ca2e36a0695619c9ba661e2c060b395", "bdb65a27a402c7c6610a03cda7c5d64e0e3c47ab1b0753ada3449a794db96c96", 35),
+    "slow-le/countbatch/fixed": (4850, "e492227fa71e45e8aaa4a26bdc0718e03ca2e36a0695619c9ba661e2c060b395", "b05b1d023c1c5371365cb4281a106e3bc29d3134f314939148599fbe0a861e3e", 50),
     "slow-le/fastbatch/fixed": (2619, "e492227fa71e45e8aaa4a26bdc0718e03ca2e36a0695619c9ba661e2c060b395", "464269f8581fa5fd94e66a5ca1a548ffdc894ed6d91a4d9a60a24865b54d4f04", 27),
 }
 
@@ -171,8 +171,8 @@ DRIVER_EXPECTED = {
 #: engine, one (converged, interactions, final-counts digest) per cell.
 #: They pin the sweep, not the count stream, and hold on both
 #: implementations of the count kernel.  Both budgets end on a clipped
-#: chunk; slow-le's splits the cells between converged and
-#: budget-exhausted.
+#: chunk, which every cell reaches on the current count stream (how many
+#: slow-le cells converge first moves with the stream).
 MEGA_SEEDS = (11, 12, 13, 14)
 MEGA_CASES = {
     # protocol key in PROTOCOLS -> max_parallel_time
@@ -182,16 +182,16 @@ MEGA_CASES = {
 
 MEGA_EXPECTED = {
     "gsu19/fixed": [
-        (False, 7757, "d82ddc6e5d2e254d4e62a5473917c7d620a0af85cd1b3e014be9976afb54f3b5"),
-        (False, 7757, "f2b80ed1ff5bc82cbf4b7301cd99a141d665d01eb5fbfd91f4630910de462212"),
-        (False, 7757, "2b979b96d70f3a7836e44849c55b93e13819744c9631a6164fa3e178ed873924"),
-        (False, 7757, "fcb97ada62c622066163f25d7b910269d01a1e90199d492a024f9a1bd5406158"),
+        (False, 7757, "9cd06f54a6d42d15d2ae25b3a94bb1e5a5da7b56e8ed33dfad6a650b9c896aee"),
+        (False, 7757, "608a7b8fbc0267f6976ec5d41d9f1f924fc58c23d7b4d94adda135ab51284ad2"),
+        (False, 7757, "02bf1ec0f1c67ccf026a157950b687c65c63b876d46962c9c5a4a0139ccef3e2"),
+        (False, 7757, "93326f7e79d39343e055f618d3dc567f9344b8dae009193340daf5400b232e6b"),
     ],
     "slow-le/fixed": [
         (False, 3859, "403bb780795fd5daf01d5d4cc54696f3a89b40927eea776556e9f165f5046fa3"),
-        (True, 3492, "e492227fa71e45e8aaa4a26bdc0718e03ca2e36a0695619c9ba661e2c060b395"),
         (False, 3859, "403bb780795fd5daf01d5d4cc54696f3a89b40927eea776556e9f165f5046fa3"),
-        (True, 2813, "e492227fa71e45e8aaa4a26bdc0718e03ca2e36a0695619c9ba661e2c060b395"),
+        (False, 3859, "403bb780795fd5daf01d5d4cc54696f3a89b40927eea776556e9f165f5046fa3"),
+        (False, 3859, "403bb780795fd5daf01d5d4cc54696f3a89b40927eea776556e9f165f5046fa3"),
     ],
 }
 

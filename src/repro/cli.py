@@ -16,7 +16,8 @@ parameters can be overridden with ``--sizes``, ``--repetitions`` and
 on population size to the fastest of them; see the engine selection guide in
 :mod:`repro.engine`.  The ``headline`` preset is the ``n = 10^7``/``10^8``
 GSU19 scenario tier on ``auto`` dispatch (count-space simulation at
-``10^8``; hours-to-days of wall clock); ``extreme`` is the trillion-agent
+``10^8``; at most about 30 minutes per seed at ``10^7``, ``10^8``
+unmeasured); ``extreme`` is the trillion-agent
 count-space tier (``n = 10^12`` through the compiled count kernel, under
 1 GiB peak memory)::
 

@@ -23,7 +23,7 @@ Section 8.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 from repro.clocks.phase_clock import PhaseClockedProtocol
 from repro.core.backup import apply_slow_backup
@@ -94,21 +94,6 @@ class GSULeaderElection(PhaseClockedProtocol):
         # O(k) form of the uniform start: the configuration-space engines
         # construct at n = 10^7-10^8 without an O(n) per-agent list.
         return {zero_state(): n}
-
-    def canonical_states(self) -> Tuple[GSUAgentState, ...]:
-        """The reachable-state closure, at every ``n_hint``.
-
-        Every field of the frozen :class:`~repro.core.state.GSUAgentState` is
-        bounded for fixed parameters (``phase < Γ``, ``level ≤ Φ``,
-        ``drag ≤ Ψ``, ``cnt ≤ 2Φ+3``), so the set of states reachable from
-        the all-zero start is finite and
-        :meth:`~repro.clocks.phase_clock.PhaseClockedProtocol.reachable_state_closure`
-        enumerates it exactly (about 0.4 s at the default calibration on a
-        2-CPU host, then cached per calibration, in the process and on
-        disk).  Declaring it makes GSU19 count-capable for dispatch; the
-        table is laid out over the closure either way.
-        """
-        return self.reachable_state_closure()
 
     def apply_rules(
         self, responder: GSUAgentState, initiator: GSUAgentState, qualifier: int

@@ -24,11 +24,11 @@ the transition/output functions are lowered into a scalar memo dict, a
 packed dense lookup array (the C kernel's input) and vectorised output
 maps.  Engines built on the same protocol instance share one table, so a
 state pair compiled anywhere serves every hot path.  The table's state-id
-layout is a function of the protocol alone: a protocol with a
-reachable-state closure (GSU19, GS18, lottery, the standalone junta) gets
-a table adopted from it, with every pair compiled, for every engine and
-scenario; otherwise its ``canonical_states`` come first, all their pairs
-compiled at build, and any other state is registered in discovery order.
+layout is a function of the protocol alone: a protocol that declares its
+reachable-state closure (``state_closure``: the epidemic, both
+majorities, slow, GSU19, GS18, lottery, the standalone junta) gets a
+table adopted from it, with every pair compiled, for every engine and
+scenario; any other protocol registers states in discovery order.
 
 Three engines are provided, all exact:
 
@@ -59,11 +59,11 @@ Three engines are provided, all exact:
   ``n = 10^12`` and beyond (engine-validated bound:
   ``count_batch.MAX_EXACT_N = 2^53``).  The engine for
   ``n >= 10^7``, where per-agent arrays are slow (cache misses) or
-  impossible (memory).  Runs only on a complete table (a closure, or
-  closed canonical states), refusing any other protocol; requires a
-  *count-capable* protocol at scale: an ``O(k)`` ``initial_counts`` (the
-  O(n) configuration fallback is refused at ``n >= 10^7``) and — for auto
-  dispatch — a finite ``canonical_states`` (GSU19 declares its reachable-state closure, see
+  impossible (memory).  Runs only on a complete table (a closure),
+  refusing any other protocol; requires a *count-capable* protocol at
+  scale: an ``O(k)`` ``initial_counts`` (the O(n) configuration fallback
+  is refused at ``n >= 10^7``) and — for auto dispatch — a
+  ``state_closure`` within the state budget (see
   :mod:`repro.engine.closure`).  The two implementations are bit-identical
   and share one set of trajectory-digest pins;
   ``CountBatchEngine(..., kernel="python")`` selects the portable one.
@@ -99,12 +99,13 @@ countbatch       exact in    occupied-frontier work      huge n with an O(k)
 
 ``"auto"`` (see :func:`~repro.engine.dispatch.auto_engine`) encodes exactly
 this table.  A protocol is *count-capable* when it declares an ``O(k)``
-``initial_counts`` and a finite ``canonical_states`` (epidemic, both
-majorities, the slow election; GSU19 via its cached reachable-state
-closure).  For count-capable protocols above ``3*10^6`` agents the
-dispatcher evaluates a measured per-batch cost model at the declared
-state-space size against the fast-batch reference, and from ``3*10^7`` it forces count-batch outright — per-agent
-construction is O(n) in time and memory there.  Everything else gets
+``initial_counts`` and a ``state_closure`` of at most 4,096 states
+(epidemic, both majorities, the slow election, GSU19, GS18, lottery and
+the standalone junta; each closure cached in memory and on disk).  For
+count-capable protocols above ``3*10^6`` agents the dispatcher evaluates
+a measured per-batch cost model at the closure's size against the
+fast-batch reference, and from ``3*10^7`` it forces count-batch outright
+— per-agent construction is O(n) in time and memory there.  Everything else gets
 fastbatch above the crossover for whichever hot path is actually available,
 sequential otherwise.
 

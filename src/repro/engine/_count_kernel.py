@@ -60,7 +60,7 @@ Design notes
   the last bit on a large share of arguments.
 * **A complete table.**  The packed transition LUT holds every pair of
   the ``k`` registered states: the engine runs only on a protocol's
-  closure or closed canonical states (see :mod:`repro.engine.table`), so
+  closure (see :mod:`repro.engine.table`), so
   every lookup finds its pair and a call applies its whole budget.
   ``seen`` (the ever-occupied byte mask) and ``counts`` are written at
   batch commit only.

@@ -233,8 +233,8 @@ class BaseEngine(abc.ABC):
         ``(count, sha256)`` of the table's canonical prefix
         (:attr:`~repro.engine.table.TransitionTable.canonical_count`, which
         every fresh table of the protocol rebuilds), plus ``encoder_tail``,
-        the states registered after it; for protocols without canonical
-        states the tail is the whole layout.  ``occupied`` is the
+        the states registered after it; for protocols without a closure
+        the tail is the whole layout.  ``occupied`` is the
         seen mask as ``np.packbits`` over the layout.  The count
         engines store their counts sparse (occupied ids and values as raw
         little-endian bytes); the per-agent payloads are O(n) by nature.
@@ -321,14 +321,14 @@ class BaseEngine(abc.ABC):
                 raise CheckpointError(
                     "the snapshot was taken on the retired lazily discovered "
                     f"state layout (no canonical prefix), but this protocol's "
-                    f"table is laid out over its {ours[0]} canonical states; "
+                    f"table is laid out over its {ours[0]} closure states; "
                     f"{type(self).__name__} samples by state id, so the run "
                     "cannot continue on this layout (rerun it from its seed)"
                 )
             bits = np.frombuffer(snapshot["occupied"], dtype=np.uint8)
             occupied = np.flatnonzero(np.unpackbits(bits, count=start + len(layout)))
         # Reproduce the rest of the layout.  Registration is append-only
-        # and deterministic (canonical states, then initial states, then
+        # and deterministic (closure states, then initial states, then
         # discovery order), so encoding the recorded states in order yields
         # their recorded identifiers on a table with the snapshot's
         # compilation history.  A layout-free engine may sit on another

@@ -10,8 +10,8 @@ for the protocol's fixed parameters.
 
 This is what lets a protocol with a structured, role-guarded state space
 (the GSU19 headline protocol: phase below the clock modulus, level/drag/cnt
-capped by ``Φ``/``Ψ``) declare a finite
-:meth:`~repro.engine.protocol.PopulationProtocol.canonical_states` and
+capped by ``Φ``/``Ψ``) declare its
+:meth:`~repro.engine.protocol.PopulationProtocol.state_closure` and
 become eligible for the configuration-space engines, whose memory is
 ``O(k)`` in the closure size instead of ``O(n)`` in the population.
 
@@ -122,7 +122,7 @@ def reachable_closure(
         (responder', initiator')`` function.  It is called on state objects
         directly (no encoder involved), so the closure can be computed before
         any :class:`~repro.engine.table.TransitionTable` exists — in
-        particular from inside ``canonical_states`` itself.
+        particular from inside ``state_closure`` itself.
     seeds:
         The initial states (for a uniform start, a single state).
     max_states:

@@ -16,9 +16,9 @@ grows; the dispatcher's cost model (:mod:`repro.engine.dispatch`) is
 calibrated against it.  The batch loop lives in
 :mod:`repro.engine._count_kernel`, in C and in a Python mirror that draw
 the same xoshiro256++ stream, so a seed gives one trajectory whichever
-runs.  It needs a complete transition table, the protocol's state closure
-or its closed canonical states, so every pair a batch meets is compiled
-before the run starts; per-agent engines may discover states lazily.
+runs.  It needs a complete transition table, the protocol's state
+closure, so every pair a batch meets is compiled before the run starts;
+per-agent engines may discover states lazily.
 
 Exactness (in distribution)
 ===========================
@@ -152,8 +152,8 @@ class CountBatchEngine(BaseEngine):
     ----------
     protocol:
         The protocol to simulate.  Its table must be complete: the
-        protocol declares a state closure or closed canonical states
-        (:mod:`repro.engine.table`), and any other protocol is refused
+        protocol declares a state closure (:mod:`repro.engine.table`)
+        that holds its initial states, and any other protocol is refused
         with :class:`ProtocolError` (per-agent engines discover states
         lazily).  The per-batch cost follows the number of *occupied*
         states, so the engine shines for small-frontier protocols at huge
@@ -199,9 +199,9 @@ class CountBatchEngine(BaseEngine):
         if not 0 < len(table) == table.canonical_count:
             raise ProtocolError(
                 f"CountBatchEngine needs a complete transition table, but "
-                f"protocol {protocol.name!r} declares neither a state closure "
-                "nor closed canonical states (its initial states included); "
-                "simulate it on a per-agent engine (fastbatch or sequential)"
+                f"protocol {protocol.name!r} declares no state closure that "
+                "holds its initial states; simulate it on a per-agent engine "
+                "(fastbatch or sequential)"
             )
         # Precomputed negated survival curve -P(L >= j), j = 1..jmax,
         # ascending (searchsorted-ready).  Depends only on n.  The terms

@@ -24,14 +24,14 @@ table, rendered from ``BENCH_engine.json``):
 * ``CountBatchEngine`` — exact in distribution, ``O(k)`` memory, and
   processes collision-free runs of ``Θ(sqrt(n))`` interactions per batched
   update whose cost follows the *occupied* state frontier.  Eligible when
-  the protocol is **count-capable**: it declares a finite canonical state
-  space (for GSU19 the reachable-state closure, see
-  :meth:`repro.core.protocol.GSULeaderElection.canonical_states`) *and* an
-  ``O(k)`` ``initial_counts`` path.  Among eligible protocols the choice is
-  a measured cost model (below), consulted from ``_COUNTBATCH_MIN_N``
-  agents, and above ``COUNTBATCH_FORCE_N``
-  count-batch is selected unconditionally — the per-agent engines' ``O(n)``
-  arrays and construction loops stop being viable long before ``10^8``.
+  the protocol is **count-capable**: it declares its reachable-state
+  closure (:meth:`repro.engine.protocol.PopulationProtocol.state_closure`)
+  within the state budget *and* an ``O(k)`` ``initial_counts`` path.
+  Among eligible protocols the choice is a measured cost model (below),
+  consulted from ``_COUNTBATCH_MIN_N`` agents, and above
+  ``COUNTBATCH_FORCE_N`` count-batch is selected unconditionally — the
+  per-agent engines' ``O(n)`` arrays and construction loops stop being
+  viable long before ``10^8``.
 
 The count-batch cost model
 ==========================
@@ -40,9 +40,9 @@ One count-batch update advances an expected ``sqrt(pi * n / 4) ~ 0.886
 sqrt(n)`` interactions; its cost is a fixed overhead plus a term quadratic
 in the number ``k`` of *occupied* states (the hypergeometric splits of the
 pairing rows, see :mod:`repro.engine.count_batch`).  The dispatcher
-compares that per-batch cost, evaluated at the declared state-space size
-(a bound on the occupied frontier), against the measured per-interaction
-cost of the fast-batch path that would run: the C kernel's, or the NumPy
+compares that per-batch cost, evaluated at the closure's size (a bound
+on the occupied frontier), against the measured per-interaction cost of
+the fast-batch path that would run: the C kernel's, or the NumPy
 wave schedule's on a machine without a compiler.  The constants were
 fitted to the workloads of ``benchmarks/bench_engine.py``.
 
@@ -52,13 +52,13 @@ compiler probe succeeds) and its Python mirror.  The model is evaluated
 with the constants of the one the engine would actually run.  The compiled
 one's per-batch cost is one C call, a fixed overhead plus a cost per
 occupied pairing cell, which moves the countbatch-vs-fastbatch crossover
-down to ``_COUNTBATCH_MIN_N`` for protocols that declare few states.
-(GSU19's declared closure — 1,348 to 1,789 states, whatever ``n`` it
-was calibrated for — prices it onto fastbatch until
-``COUNTBATCH_FORCE_N``; its *realised*
-frontier is far sparser, so an explicit ``engine="countbatch"`` beats
-``auto`` in that window on kernel machines: compare README's GSU19
-``countbatch`` and ``fastbatch`` rows at ``10^7``.  The bound is
+down to ``_COUNTBATCH_MIN_N`` for protocols with small closures.
+(GSU19's closure — 1,348 to 1,789 states, whatever ``n`` it was
+calibrated for — prices it onto fastbatch until ``COUNTBATCH_FORCE_N``,
+as GS18's and lottery's do; GSU19's *realised* frontier is far sparser,
+so an explicit ``engine="countbatch"`` beats ``auto`` in that window on
+kernel machines: compare README's GSU19 ``countbatch`` and ``fastbatch``
+rows at ``10^7``.  The bound is
 deliberately trusted — mispricing toward the bit-exact engine is the safe
 direction.)  Below ``_COUNTBATCH_MIN_N`` the policy stays deliberately
 kernel-independent: every ``auto`` choice there is in the bit-for-bit
@@ -95,7 +95,6 @@ __all__ = [
     "countbatch_batch_seconds",
     "resolve_engine",
     "scenario_capable",
-    "state_space_size",
 ]
 
 #: Named engines accepted everywhere an engine specification is taken.
@@ -134,10 +133,10 @@ _COUNTBATCH_MIN_N = 3_000_000
 #: throughput comparison stops being the binding constraint.
 COUNTBATCH_FORCE_N = 30_000_000
 
-#: Count-based dispatch requires the declared state space to fit a sane
-#: packed transition LUT: the table allocates an (k x k) int64 array, which
-#: at 4096 states is ~134 MB — beyond that the compiled IR itself stops
-#: being "small" and the count engines lose their memory argument.
+#: Count-based dispatch requires the closure to fit a sane packed
+#: transition LUT: the table holds a (k x k) int64 array, which at 4096
+#: states is ~134 MB — beyond that the compiled IR itself stops being
+#: "small" and the count engines lose their memory argument.
 _COUNTBATCH_MAX_DECLARED_STATES = 4096
 
 # --- measured count-batch cost model (benchmarks/bench_engine.py) ------
@@ -169,24 +168,6 @@ _COUNTBATCH_KERNEL_BATCH_OVERHEAD_SECONDS = 1.0e-6
 #: sparse frontiers, which only delays the countbatch switch — the safe
 #: direction).
 _COUNTBATCH_KERNEL_CELL_SECONDS = 1.3e-7
-
-
-def state_space_size(protocol: PopulationProtocol) -> Optional[int]:
-    """Number of canonical states the protocol declares, or ``None``.
-
-    ``None`` means the protocol discovers its state space lazily, in which
-    case the dispatcher assumes it is too large for count-based simulation.
-    Accepts any iterable from ``canonical_states`` — sized containers are
-    measured with ``len``; generator-valued enumerations are counted by
-    consuming the (fresh) iterator.
-    """
-    canonical = protocol.canonical_states()
-    if canonical is None:
-        return None
-    try:
-        return len(canonical)  # type: ignore[arg-type]
-    except TypeError:
-        return sum(1 for _ in canonical)
 
 
 def countbatch_batch_seconds(occupied: int, kernel: Optional[bool] = None) -> float:
@@ -228,23 +209,25 @@ def _countbatch_profitable(occupied: int, n: int) -> bool:
 
 
 def count_capable(protocol: PopulationProtocol, n: int) -> Optional[int]:
-    """Declared state-space size if ``protocol`` can be count-dispatched.
+    """Closure size if ``protocol`` can be count-dispatched, else ``None``.
 
     Count-capability requires an ``O(k)`` ``initial_counts`` path (the
     configuration-level engines refuse the ``O(n)`` fallback at 10^7+) and
-    a finite declared state space small enough for the packed transition
-    LUT.  Returns the declared size, or ``None`` when ineligible.
+    a declared :meth:`~repro.engine.protocol.PopulationProtocol.state_closure`
+    small enough for the packed transition LUT: a complete table within
+    the state budget is the one capability test.  Only the closure's
+    length is read; no table is built.
 
     The ``initial_counts`` probe runs first: it is O(k) cheap, while
-    ``canonical_states`` may trigger a protocol's reachable-closure BFS,
-    not worth paying for a protocol that lacks the counts hook.
+    ``state_closure`` may run a protocol's reachable-closure BFS, not
+    worth paying for a protocol that lacks the counts hook.
     """
     if protocol.initial_counts(n) is None:
         return None
-    states = state_space_size(protocol)
-    if states is None or states > _COUNTBATCH_MAX_DECLARED_STATES:
+    closure = protocol.state_closure()
+    if closure is None or len(closure[0]) > _COUNTBATCH_MAX_DECLARED_STATES:
         return None
-    return states
+    return len(closure[0])
 
 
 def scenario_capable(engine_cls: Type[BaseEngine], scenario=None) -> bool:

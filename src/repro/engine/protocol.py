@@ -22,7 +22,7 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass, field
 from itertools import groupby
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ProtocolError
 from repro.types import State, TransitionResult
@@ -105,15 +105,9 @@ class PopulationProtocol(abc.ABC):
         """Whether ``state`` maps to the leader output."""
         return self.output(state) == LEADER_OUTPUT
 
-    def canonical_states(self) -> Optional[Iterable[State]]:
-        """Optionally enumerate the full state space, registered first in
-        every table of a protocol without a :meth:`state_closure`, all its
-        pairs compiled at build; ``None`` means "discover lazily", which
-        only the per-agent engines accept."""
-        return None
-
     def state_closure(self) -> Optional[Tuple[Sequence[State], "np.ndarray"]]:
-        """Optionally the reachable-state closure and its transition table.
+        """Optionally the protocol's state space: its reachable-state
+        closure and the closure's transition table.
 
         ``(states, lut)``: every state reachable from the initial
         configuration, in a fixed order, and the read-only ``(K, K)``
@@ -122,10 +116,9 @@ class PopulationProtocol(abc.ABC):
         (the layout :func:`~repro.engine.closure.reachable_closure`
         returns).  :meth:`compile` lays every table of the protocol out
         over it and adopts ``lut`` as its packed LUT, so the table never
-        misses; the array is shared, never written.  A protocol that
-        declares both this and :meth:`canonical_states` must declare the
-        closure's states, in order, as its canonical states.  ``None`` (the
-        default) means "no closure is known".
+        misses; the array is shared, never written.  This is the one way a
+        protocol declares its state space; ``None`` (the default) means
+        "discover lazily", which only the per-agent engines accept.
         """
         return None
 
@@ -141,8 +134,8 @@ class PopulationProtocol(abc.ABC):
         :meth:`initial_configuration` (refused outright at ``n >= 10^7``,
         where the fallback would silently allocate gigabytes).  Counts must
         be non-negative and sum to ``n``.  Declaring this hook is half of
-        being *count-capable* (the other half is a finite
-        :meth:`canonical_states`), which is what makes ``engine="auto"``
+        being *count-capable* (the other half is a
+        :meth:`state_closure`), which is what makes ``engine="auto"``
         consider the configuration-space engine at large ``n``.
         """
         return None
@@ -152,12 +145,11 @@ class PopulationProtocol(abc.ABC):
 
         The table's layout is a function of the protocol alone: over
         :meth:`state_closure` when one is declared (its LUT adopted, every
-        pair compiled), else :meth:`canonical_states` first (every pair
-        compiled at build), else lazily, in discovery order.  The table is cached on the protocol instance, so
-        every engine built on the same protocol object shares one table
-        (scalar ``delta`` dict, packed LUT and output maps) — the basis of
-        the engines' shared-transition guarantee and a warm start for
-        repeated runs.
+        pair compiled), else lazily, in discovery order.  The table is
+        cached on the protocol instance, so every engine built on the same
+        protocol object shares one table (scalar ``delta`` dict, packed LUT
+        and output maps) — the basis of the engines' shared-transition
+        guarantee and a warm start for repeated runs.
         """
         table = self.__dict__.get("_compiled_table")
         if table is None:
@@ -325,5 +317,17 @@ class ProtocolSpec(PopulationProtocol):
     def output(self, state: State) -> str:
         return self.outputs(state)
 
-    def canonical_states(self) -> Optional[Iterable[State]]:
-        return self.states
+    def state_closure(self) -> Optional[Tuple[Sequence[State], "np.ndarray"]]:
+        """The closure of the declared ``states`` (``None``: lazy), computed
+        once per instance: a spec's rules are its own, so no other spec
+        shares it.  An unbounded state space fails here with the BFS's
+        :class:`ProtocolError`."""
+        if self.states is None:
+            return None
+        closure = self.__dict__.get("_closure")
+        if closure is None:
+            from repro.engine.closure import reachable_closure
+
+            states, lut = reachable_closure(self.transition, self.states)
+            closure = self._closure = (tuple(states), lut)
+        return closure

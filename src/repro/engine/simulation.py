@@ -46,6 +46,7 @@ the resumed trajectory is not merely statistically equivalent — it is the
 
 from __future__ import annotations
 
+import operator
 import time as _time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -210,7 +211,11 @@ class Simulation:
     ) -> None:
         self.protocol = protocol
         self.n = int(n)
-        self.seed = rng if isinstance(rng, int) else None
+        try:
+            # Any integral seed, NumPy's included, recorded as a Python int.
+            self.seed: Optional[int] = operator.index(rng)
+        except TypeError:  # None, a generator or a seed sequence
+            self.seed = None
         self.engine_kwargs = dict(engine_kwargs or {})
         if scenario is not None:
             from repro.scenarios.scenario import active_scenario
@@ -261,10 +266,9 @@ class Simulation:
         """Compile the output map and every view declared by the predicate
         and the recorders.
 
-        For protocols with an eagerly registered state space (canonical
-        states / reachable closure) this evaluates each state's output
-        symbol and each declared view over the whole space once, at
-        simulation-construction time; per-check observation is then purely
+        For protocols with a declared state space (a reachable closure)
+        this evaluates each state's output symbol and each declared view
+        over the whole space once, at simulation-construction time; per-check observation is then purely
         a vector reduction.  Lazily discovering protocols still extend the
         vectors as states register.
         """

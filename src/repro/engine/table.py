@@ -26,22 +26,19 @@ engines can aggregate outputs with one ``bincount``.
 The layout is a function of the protocol alone, one rule for every engine
 and scenario:
 
-1. a protocol with a reachable-state closure
+1. a protocol that declares its state space
    (:meth:`~repro.engine.protocol.PopulationProtocol.state_closure`, from
-   :func:`repro.engine.closure.reachable_closure`: GSU19, GS18, lottery and
-   the standalone junta) gets a table laid out over it, its LUT adopted;
-2. otherwise its :meth:`canonical_states`, when declared, are registered
-   as ids ``0..canonical_count-1`` and all ``canonical_count²`` of their
-   pairs are compiled when the table is built (the epidemic, both
-   majorities, slow);
-3. anything else is discovered lazily, in the run's order: new states and
+   :func:`repro.engine.closure.reachable_closure`: the epidemic, both
+   majorities, slow, GSU19, GS18, lottery and the standalone junta) gets a
+   table laid out over that closure, its LUT adopted;
+2. anything else is discovered lazily, in the run's order: new states and
    pairs are compiled on first use, and the packed array doubles its side
    length when the encoder outgrows it.
 
-Count space needs a complete table, 1 or 2 over closed states, and
-refuses any other protocol; per-agent engines may discover states lazily.
+Count space needs the complete table of 1 and refuses any other
+protocol; per-agent engines may discover states lazily.
 
-The canonical prefix of 1 and 2 is one every fresh table of the protocol
+The closure prefix of 1 is one every fresh table of the protocol
 rebuilds, so engine snapshots reference it by
 :meth:`TransitionTable.canonical_digest` instead of storing it, and the
 count-space engines, which sample by state id, draw the same trajectory
@@ -102,24 +99,24 @@ class TransitionTable:
     ----------
     protocol:
         The protocol to lower, laid out over its :meth:`state_closure`,
-        else its :meth:`canonical_states`, else lazily (module docstring).
+        else lazily (module docstring).
     """
 
     def __init__(self, protocol) -> None:
         self.protocol = protocol
         closure = protocol.state_closure()
-        states = protocol.canonical_states() if closure is None else closure[0]
-        self.encoder = StateEncoder(states)
-        #: Number of leading ids laid out from the closure or the canonical
-        #: states: a prefix every fresh table of this protocol reproduces,
-        #: which snapshots reference by :meth:`canonical_digest` instead of
+        self.encoder = StateEncoder(None if closure is None else closure[0])
+        #: Number of leading ids laid out from the closure: a prefix every
+        #: fresh table of this protocol reproduces, which snapshots
+        #: reference by :meth:`canonical_digest` (under the key
+        #: ``"canonical"``, which checkpoints on disk carry) instead of
         #: storing its states.
         self.canonical_count = len(self.encoder)
         self._canonical_digest: Optional[str] = None
         #: Scalar transition memo shared by every engine on this protocol.
         self.delta: Dict[Tuple[int, int], Tuple[int, int]] = {}
         if closure is None:
-            self._capacity = max(_INITIAL_CAPACITY, len(self.encoder))
+            self._capacity = _INITIAL_CAPACITY
             self._packed = np.full(self._capacity * self._capacity, -1, dtype=np.int64)
         else:
             # The closure's read-only (K, K) LUT is the packed array, shared
@@ -138,13 +135,6 @@ class TransitionTable:
         # view object: array plus the number of state ids already evaluated.
         self._views: Dict[object, np.ndarray] = {}
         self._views_filled: Dict[object, int] = {}
-        if closure is None:
-            # Declared states start complete too: all k^2 pairs, compiled
-            # now (a pair leading outside them registers its states).
-            k = self.canonical_count
-            for responder_id in range(k):
-                for initiator_id in range(k):
-                    self._compile_pair(responder_id, initiator_id)
 
     # ------------------------------------------------------------------
     # State registration and capacity
@@ -162,7 +152,7 @@ class TransitionTable:
     def canonical_digest(self) -> str:
         """sha256 (hex) over the ``canonical_count`` prefix of the layout.
 
-        Hashes each prefix state's ``repr``, one per line, so canonical
+        Hashes each prefix state's ``repr``, one per line, so closure
         states need a ``repr`` that is stable across processes (strings and
         dataclasses of plain fields are).  Computed on first use and cached:
         the prefix never changes once the table is built.

@@ -13,8 +13,8 @@ the common uses:
   patience (bigger ``n``, more seeds); invoked through the CLI,
 * :meth:`ExperimentConfig.headline` — the ``n = 10^7``/``10^8`` GSU19 tier
   on ``engine="auto"``: fast-batch C kernel at ``10^7``, the O(k)-memory
-  configuration-space engine at ``10^8`` (hours-to-days of wall clock; one
-  seed per size),
+  configuration-space engine at ``10^8`` (at most about 30 minutes per
+  seed at ``10^7``, ``10^8`` unmeasured; one seed per size),
 * :meth:`ExperimentConfig.extreme` — count-space GSU19 at ``n = 10^12``
   through the compiled count kernel (O(k) memory, under 1 GiB peak).
 
@@ -146,11 +146,15 @@ class ExperimentConfig:
         fast-batch C kernel at ``10^7`` and the O(k)-memory
         ``CountBatchEngine`` at ``10^8`` (where per-agent engines would need
         gigabytes and a minutes-scale construction loop; GSU19's
-        reachable-state closure of 1,789 states is computed once, ~1 s, and
-        cached).  The Θ(n)-time baselines are capped hard — simulating them
-        at this scale would measure nothing but wall clock.  Expect hours
-        per seed at ``10^7`` and a day-scale run at ``10^8``; repetitions
-        default to a single seed for that reason.
+        reachable-state closure of 1,789 states loads from its closure file,
+        which the BFS writes on first use).  The Θ(n)-time baselines are
+        capped hard — simulating them at this scale would measure nothing
+        but wall clock.  The budget of 4,000 parallel time is ``4·10^10``
+        interactions at ``10^7``; the fast-batch C kernel ran GSU19 there
+        at 22.7–26.5M interactions/s over whole-run 100-PT windows (2-CPU
+        host, ROADMAP's 2026-10-19 measurements), so a seed at ``10^7``
+        takes at most about 30 minutes.  The run time at ``10^8`` has not
+        been measured.  Repetitions default to a single seed.
         """
         return cls(
             population_sizes=(10**7, 10**8),

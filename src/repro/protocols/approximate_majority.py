@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from repro.engine.closure import cached_closure, reachable_closure
 from repro.engine.protocol import FOLLOWER_OUTPUT, PopulationProtocol
 from repro.errors import ConfigurationError
 
@@ -82,8 +83,13 @@ class ApproximateMajority(PopulationProtocol):
         # states maps to the leader output.
         return state if state in (_A, _B) else FOLLOWER_OUTPUT
 
-    def canonical_states(self):
-        return [_A, _B, _BLANK]
+    def state_closure(self):
+        """``A``, ``B`` and ``blank``, with their LUT (the initial fraction
+        changes no rule), cached in memory and on disk."""
+        seeds = [_A, _B, _BLANK]
+        return cached_closure(
+            type(self), (), lambda: reachable_closure(self.transition, seeds)
+        )
 
     # ------------------------------------------------------------------
     @staticmethod

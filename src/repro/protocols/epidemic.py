@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from repro.engine.closure import cached_closure, reachable_closure
 from repro.engine.protocol import FOLLOWER_OUTPUT, PopulationProtocol
 from repro.errors import ConfigurationError
 
@@ -62,8 +63,13 @@ class OneWayEpidemic(PopulationProtocol):
     def output(self, state: str) -> str:
         return FOLLOWER_OUTPUT
 
-    def canonical_states(self):
-        return [_INFORMED, _SUSCEPTIBLE]
+    def state_closure(self):
+        """Informed and susceptible, with their LUT (no parameter changes
+        a rule), cached in memory and on disk."""
+        seeds = [_INFORMED, _SUSCEPTIBLE]
+        return cached_closure(
+            type(self), (), lambda: reachable_closure(self.transition, seeds)
+        )
 
     # ------------------------------------------------------------------
     @staticmethod

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from repro.engine.closure import cached_closure, reachable_closure
 from repro.engine.protocol import FOLLOWER_OUTPUT, PopulationProtocol
 from repro.errors import ConfigurationError
 
@@ -93,8 +94,13 @@ class ExactMajority(PopulationProtocol):
             return "B"
         return FOLLOWER_OUTPUT  # pragma: no cover - unreachable
 
-    def canonical_states(self):
-        return [_STRONG_A, _STRONG_B, _WEAK_A, _WEAK_B]
+    def state_closure(self):
+        """The four opinions, with their LUT (the initial counts change no
+        rule), cached in memory and on disk."""
+        seeds = [_STRONG_A, _STRONG_B, _WEAK_A, _WEAK_B]
+        return cached_closure(
+            type(self), (), lambda: reachable_closure(self.transition, seeds)
+        )
 
     # ------------------------------------------------------------------
     @staticmethod

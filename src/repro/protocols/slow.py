@@ -14,6 +14,7 @@ first row of the reproduction's Table 1.
 
 from __future__ import annotations
 
+from repro.engine.closure import cached_closure, reachable_closure
 from repro.engine.protocol import FOLLOWER_OUTPUT, LEADER_OUTPUT, PopulationProtocol
 
 __all__ = ["SlowLeaderElection"]
@@ -43,5 +44,10 @@ class SlowLeaderElection(PopulationProtocol):
     def output(self, state: str) -> str:
         return LEADER_OUTPUT if state == _LEADER else FOLLOWER_OUTPUT
 
-    def canonical_states(self):
-        return [_LEADER, _FOLLOWER]
+    def state_closure(self):
+        """Leader and follower, with their LUT, cached in memory and on
+        disk."""
+        seeds = [_LEADER, _FOLLOWER]
+        return cached_closure(
+            type(self), (), lambda: reachable_closure(self.transition, seeds)
+        )

@@ -980,7 +980,7 @@ def test_closure_snapshot_references_the_closure_by_digest(tmp_path):
     run(20.0, checkpoint_every=4096, checkpoint_path=path)
     snapshot = read_checkpoint(path)["engine_snapshot"]
     assert snapshot["version"] == 2
-    assert snapshot["canonical"][0] == len(_closure_gsu().canonical_states()) == 144
+    assert snapshot["canonical"][0] == len(_closure_gsu().state_closure()[0]) == 144
     assert snapshot["encoder_tail"] == []
     assert path.stat().st_size < 2048
     resumed = run(40.0, checkpoint_path=path, resume=True)

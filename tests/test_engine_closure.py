@@ -1,8 +1,8 @@
 """Tests for the reachable-state closure and GSU19's count-space support.
 
 The closure pass (:mod:`repro.engine.closure`) is what makes the headline
-GSU19 protocol *count-capable*: a finite ``canonical_states`` enumeration
-plus the ``initial_counts`` hook lets ``engine="auto"`` dispatch it to the
+GSU19 protocol *count-capable*: its ``state_closure`` plus the
+``initial_counts`` hook lets ``engine="auto"`` dispatch it to the
 configuration-space engines at ``n = 10^7``–``10^8``.  The BFS evaluates
 the rules of GSU19 and GS18 once per phase-free pair, so even the default
 calibrations (GSU19: 1,348 states at ``Γ=24, Φ=1, Ψ=3``, 1,789 at
@@ -31,7 +31,7 @@ from repro.engine import closure
 from repro.engine._count_kernel import count_kernel_available
 from repro.engine.closure import reachable_closure, reachable_states
 from repro.engine.count_batch import CountBatchEngine
-from repro.engine.dispatch import auto_engine, state_space_size
+from repro.engine.dispatch import auto_engine, count_capable
 from repro.engine.engine import SequentialEngine
 from repro.engine.protocol import ProtocolSpec
 from repro.engine.simulation import Simulation
@@ -55,13 +55,15 @@ def _small_gsu(
     return GSULeaderElection(GSUParams(n_hint=n_hint, gamma=gamma, phi=1, psi=psi))
 
 
-class _NoLutGSU(GSULeaderElection):
-    """GSU19 with its closure states declared but no adopted LUT: the same
-    id layout as the closure-registered protocol, its pairs compiled one by
-    one when the table is built."""
+class _OracleLutGSU(GSULeaderElection):
+    """GSU19 whose closure is the pair-loop oracle's: the same id layout as
+    the factored BFS's, its LUT built from one scalar transition per pair."""
 
     def state_closure(self):
-        return None
+        closure = self.__dict__.get("_oracle")
+        if closure is None:
+            closure = self._oracle = _pair_loop_closure(self.transition, [zero_state()])
+        return closure
 
 
 class _PhaseReadingGSU(GSULeaderElection):
@@ -334,13 +336,13 @@ def test_gsu_closure_is_transition_closed_and_seeded():
 
 @pytest.mark.parametrize("n_hint", [64, 4096, 10**6, _N_HINT, 10**12])
 def test_every_table_is_laid_out_over_the_closure(n_hint):
-    """GSU19 declares its closure as its canonical states at every n_hint,
-    and compile() lays the table out over it, LUT adopted, whatever the
-    population the parameters were derived for."""
+    """GSU19 declares its closure at every n_hint, and compile() lays the
+    table out over it, LUT adopted, whatever the population the parameters
+    were derived for."""
     protocol = _small_gsu(n_hint=n_hint)
     states, lut = protocol.state_closure()
-    assert tuple(protocol.canonical_states()) == states
-    assert len(states) == state_space_size(protocol) == 144
+    assert protocol.reachable_state_closure() == states
+    assert len(states) == count_capable(protocol, n_hint) == 144
     table = protocol.compile()
     assert table.encoder.states() == list(states)
     assert table.canonical_count == len(table) == 144
@@ -348,11 +350,11 @@ def test_every_table_is_laid_out_over_the_closure(n_hint):
 
 
 def test_gs18_table_is_laid_out_over_its_closure():
-    """GS18 declares no canonical states, only its closure; compile() lays
-    its table out over it too."""
+    """GS18 declares its closure as GSU19 does; compile() lays its table
+    out over it too, and dispatch reads the same closure."""
     protocol = GS18LeaderElection.for_population(256)
     states, lut = protocol.state_closure()
-    assert protocol.canonical_states() is None
+    assert count_capable(protocol, 256) == len(states)
     table = protocol.compile()
     assert table.encoder.states() == list(states)
     assert table.canonical_count == len(states)
@@ -534,8 +536,7 @@ def test_adopted_lut_equals_encoded_transitions(gamma, psi, size):
     is the BFS's LUT, and every entry is the encoded protocol transition."""
     protocol = _small_gsu(gamma=gamma, psi=psi)
     table = protocol.compile()
-    closure = protocol.canonical_states()
-    lut = protocol.state_closure()[1]
+    closure, lut = protocol.state_closure()
     assert len(closure) == len(table) == table.capacity == size
     assert table.encoder.states() == list(closure)
     assert np.shares_memory(table.packed, lut)
@@ -598,7 +599,7 @@ def test_closure_registered_count_run_never_misses(monkeypatch, kernel):
     """On the adopted LUT a count run compiles nothing: neither
     implementation of the count kernel enters TransitionTable.apply or
     evaluates a transition.  The run equals the same seed on a table with
-    the same id layout whose pairs were compiled one by one at build."""
+    the same id layout whose LUT the pair-loop oracle built."""
     applies = []
     original_apply = TransitionTable.apply
 
@@ -611,10 +612,10 @@ def test_closure_registered_count_run_never_misses(monkeypatch, kernel):
     n = 10**5 if kernel == "c" else 4096
     budget, seed = 20 * n, 17
     snapshots = {}
-    for name, cls in (("adopted", GSULeaderElection), ("compiled", _NoLutGSU)):
+    for name, cls in (("adopted", GSULeaderElection), ("oracle", _OracleLutGSU)):
         protocol = cls(GSUParams(n_hint=_N_HINT, gamma=4, phi=1, psi=1))
         table = protocol.compile()  # the closure BFS runs before counting starts
-        assert table.compiled_pairs == (0 if name == "adopted" else len(table) ** 2)
+        assert table.compiled_pairs == 0
         evaluated = []
 
         def counting_transition(responder, initiator, transition=protocol.transition):
@@ -628,7 +629,7 @@ def test_closure_registered_count_run_never_misses(monkeypatch, kernel):
         assert engine.interactions == budget
         assert not evaluated and not applies
         snapshots[name] = repr(engine.snapshot())
-    assert snapshots["adopted"] == snapshots["compiled"]
+    assert snapshots["adopted"] == snapshots["oracle"]
 
 
 def test_gsu_initial_counts_declared():
@@ -679,7 +680,7 @@ def test_auto_dispatch_keeps_closure_declaring_gsu_on_fastbatch(monkeypatch, n, 
     protocol = GSULeaderElection(
         GSUParams.from_population_size(dispatch.COUNTBATCH_FORCE_N)
     )
-    assert state_space_size(protocol) == 1789
+    assert count_capable(protocol, n) == 1789
     assert auto_engine(protocol, n) is FastBatchEngine
 
 
@@ -719,26 +720,58 @@ def test_headline_auto_dispatch_at_default_calibration_1e8():
 
 
 # ----------------------------------------------------------------------
-# state_space_size robustness
+# ProtocolSpec's declared states
 # ----------------------------------------------------------------------
-def test_state_space_size_accepts_generators_and_sized_containers():
-    class GeneratorStates(ProtocolSpec):
-        def canonical_states(self):
-            return (state for state in ("a", "b", "c"))
+def _spec(states, rules=lambda r, i: (r, i)):
+    return ProtocolSpec(
+        name="spec", initial="a", rules=rules, outputs=lambda s: "F", states=states
+    )
 
-    generator_valued = GeneratorStates(
-        name="gen", initial="a", rules=lambda r, i: (r, i), outputs=lambda s: "F"
-    )
-    assert state_space_size(generator_valued) == 3
-    sized = ProtocolSpec(
-        name="sized",
-        initial="a",
-        rules=lambda r, i: (r, i),
-        outputs=lambda s: "F",
-        states=["a", "b"],
-    )
-    assert state_space_size(sized) == 2
-    lazy = ProtocolSpec(
-        name="lazy", initial="a", rules=lambda r, i: (r, i), outputs=lambda s: "F"
-    )
-    assert state_space_size(lazy) is None
+
+def test_spec_closure_gains_the_reachable_states():
+    """Declared states that are not closed gain what they reach, so the
+    table is complete and count space accepts the spec; a lazy spec is
+    refused."""
+    spec = _spec(["a"], rules=lambda r, i: ("b", i) if r == i == "a" else (r, i))
+    assert spec.state_closure()[0] == ("a", "b")
+    table = spec.compile()
+    assert len(table) == table.canonical_count == 2
+    engine = CountBatchEngine(spec, 64, rng=3)
+    engine.run(1_000)
+    assert sum(engine.state_counts().values()) == 64
+    lazy = _spec(None)
+    assert lazy.state_closure() is None
+    with pytest.raises(ProtocolError, match="declares no state closure"):
+        CountBatchEngine(lazy, 64, rng=3)
+
+
+def test_spec_closure_is_memoised_per_instance():
+    """Each spec's closure is its own (its rules are its own), computed
+    once per instance."""
+    calls = []
+
+    def rules(r, i):
+        calls.append((r, i))
+        return r, i
+
+    first, second = _spec(["a", "b"], rules), _spec(["c"])
+    closure = first.state_closure()
+    evaluated = len(calls)
+    assert first.state_closure() is closure
+    assert len(calls) == evaluated
+    assert second.state_closure()[0] == ("c",)
+
+
+def test_spec_with_unbounded_states_fails_at_compile():
+    """An unbounded declared state space fails when the table is built,
+    with the BFS's error naming its cap.  Every pair makes two new states,
+    so the cap trips inside one BFS block, on a small memo."""
+    spec = _spec([()], rules=lambda r, i: ((r, i, 0), (r, i, 1)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ProtocolError, match="exceeded 100000 states"):
+            spec.compile()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20

@@ -123,10 +123,10 @@ def test_leader_count_monotone_on_slow_protocol():
 
 def test_refuses_protocols_without_a_complete_table():
     """Count space runs only on a complete transition table: a protocol
-    that declares neither a closure nor canonical states (GSU19 with both
-    hidden, the parity coin) is refused by name, not discovered lazily."""
+    that declares no closure (GSU19 with its closure hidden, the parity
+    coin) is refused by name, not discovered lazily."""
     for protocol in (_lazy(GSULeaderElection.for_population(256)), ParityCoinProtocol()):
-        message = f"protocol {protocol.name!r} declares neither a state closure"
+        message = f"protocol {protocol.name!r} declares no state closure"
         with pytest.raises(ProtocolError, match=re.escape(message)):
             CountBatchEngine(protocol, 256, rng=7)
 

@@ -297,8 +297,8 @@ def test_kernel_draw_matches_pair_block(n, count, seed, bit_generator, offset):
 # ----------------------------------------------------------------------
 # The live count vector
 # ----------------------------------------------------------------------
-#: Protocols with their closure and canonical states hidden, so their
-#: fresh tables compile lazily and runs miss the LUT.
+#: Protocols with their closure hidden, so their fresh tables compile
+#: lazily and runs miss the LUT.
 _LAZY_PROTOCOLS = {
     "lottery": lambda n: _lazy(LotteryLeaderElection.for_population(n)),
     "majority": lambda n: _lazy(ApproximateMajority(initial_a_fraction=0.6)),
@@ -443,40 +443,53 @@ def test_auto_engine_cost_model_discriminates_by_state_count(monkeypatch):
     # states is negligible, so the same 3e6 instance goes to count-batch.
     monkeypatch.setattr(dispatch, "count_kernel_available", lambda: True)
     assert auto_engine(majority, 3 * 10**6) is CountBatchEngine
-    # GS18 declares initial_counts but no finite state space: not capable
-    # on either tier.
+    # GS18 declares initial_counts and its closure (2,114 states at this
+    # calibration, within the budget): forced onto count space on either
+    # tier.
     from repro.protocols.gs18 import GS18LeaderElection
 
     gs18 = GS18LeaderElection.for_population(COUNTBATCH_FORCE_N)
-    assert count_capable(gs18, COUNTBATCH_FORCE_N) is None
-    assert auto_engine(gs18, COUNTBATCH_FORCE_N) is FastBatchEngine
+    assert count_capable(gs18, COUNTBATCH_FORCE_N) == 2114
+    assert auto_engine(gs18, COUNTBATCH_FORCE_N) is CountBatchEngine
     monkeypatch.setattr(dispatch, "count_kernel_available", lambda: False)
-    assert auto_engine(gs18, COUNTBATCH_FORCE_N) is FastBatchEngine
+    assert auto_engine(gs18, COUNTBATCH_FORCE_N) is CountBatchEngine
 
 
-#: ``auto``'s choice for ``for_population(n)`` GSU19 and GS18 at n = 10^3,
-#: 10^5, 3*10^6, 10^7, 3*10^7 - 1, 3*10^7 and 10^8, with both kernels
-#: compiled and with neither ("s" sequential, "f" fastbatch, "c"
-#: countbatch).  GSU19's closure prices a batch onto fastbatch until the
-#: force threshold; GS18 declares no canonical states, so it is never
-#: count-capable.
+#: ``auto``'s choice for ``for_population(n)`` GSU19, GS18, lottery and the
+#: standalone junta at n = 10^3, 10^5, 3*10^6, 10^7, 3*10^7 - 1, 3*10^7 and
+#: 10^8, with both kernels compiled and with neither ("s" sequential, "f"
+#: fastbatch, "c" countbatch).  The closures of GSU19 (1,348-1,789
+#: states), GS18 (1,555-2,114) and lottery (105-275) price a batch onto
+#: fastbatch until the force threshold; the junta's 4-6 states cross the
+#: cost model below it.
 _PAPER_PROTOCOL_CHOICES = {
     ("gsu19", True): "fffffcc",
-    ("gs18", True): "fffffff",
+    ("gs18", True): "fffffcc",
+    ("lottery", True): "fffffcc",
+    ("junta", True): "ffccccc",
     ("gsu19", False): "sffffcc",
-    ("gs18", False): "sffffff",
+    ("gs18", False): "sffffcc",
+    ("lottery", False): "sffffcc",
+    ("junta", False): "sfffccc",
 }
 
 
 @pytest.mark.parametrize("compiled", [True, False], ids=["kernels", "no-kernels"])
-@pytest.mark.parametrize("protocol_name", ["gsu19", "gs18"])
+@pytest.mark.parametrize("protocol_name", ["gsu19", "gs18", "lottery", "junta"])
 def test_auto_choices_for_the_paper_protocols(monkeypatch, protocol_name, compiled):
     from repro.engine import dispatch
     from repro.protocols.gs18 import GS18LeaderElection
+    from repro.protocols.junta_standalone import JuntaElection
+    from repro.protocols.lottery import LotteryLeaderElection
 
     monkeypatch.setattr(dispatch, "kernel_available", lambda: compiled)
     monkeypatch.setattr(dispatch, "count_kernel_available", lambda: compiled)
-    cls = {"gsu19": GSULeaderElection, "gs18": GS18LeaderElection}[protocol_name]
+    cls = {
+        "gsu19": GSULeaderElection,
+        "gs18": GS18LeaderElection,
+        "lottery": LotteryLeaderElection,
+        "junta": JuntaElection,
+    }[protocol_name]
     sizes = (10**3, 10**5, 3 * 10**6, 10**7, 3 * 10**7 - 1, 3 * 10**7, 10**8)
     letters = {SequentialEngine: "s", FastBatchEngine: "f", CountBatchEngine: "c"}
     observed = "".join(
@@ -486,14 +499,15 @@ def test_auto_choices_for_the_paper_protocols(monkeypatch, protocol_name, compil
 
 
 class _DeclaredStates(OneWayEpidemic):
-    """A count-capable protocol declaring ``k`` canonical states."""
+    """A count-capable protocol declaring a closure of ``k`` states.
+    Dispatch reads only the closure's length, so no LUT is built."""
 
     def __init__(self, k: int) -> None:
         super().__init__()
         self._k = k
 
-    def canonical_states(self):
-        return range(self._k)
+    def state_closure(self):
+        return range(self._k), None
 
 
 #: ``auto``'s choice with both kernels compiled, per declared state count,

@@ -47,10 +47,9 @@ ENGINES = {
 
 
 def _lazy(protocol):
-    """``protocol`` with its closure and canonical states hidden, so every
-    table of it is laid out lazily and compiles one miss at a time."""
+    """``protocol`` with its closure hidden, so every table of it is laid
+    out lazily and compiles one miss at a time."""
     protocol.state_closure = lambda: None
-    protocol.canonical_states = lambda: None
     return protocol
 
 

@@ -45,9 +45,12 @@ def test_spec_transition_and_output():
     assert not spec.is_leader("F")
 
 
-def test_spec_canonical_states():
+def test_spec_state_closure():
     spec = _two_state_spec()
-    assert list(spec.canonical_states()) == ["L", "F"]
+    states, lut = spec.state_closure()
+    assert states == ("L", "F")
+    assert lut.shape == (2, 2)
+    assert spec.state_closure()[1] is lut
 
 
 def test_spec_with_configuration_factory():

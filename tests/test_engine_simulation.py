@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.engine.convergence import NeverConverge, SingleLeader
@@ -9,6 +10,7 @@ from repro.engine.count_batch import CountBatchEngine
 from repro.engine.recorder import MetricRecorder
 from repro.engine.simulation import RunResult, Simulation, run_protocol
 from repro.errors import ConfigurationError, ConvergenceError
+from repro.experiments.io import read_checkpoint
 from repro.protocols.slow import SlowLeaderElection
 
 
@@ -80,6 +82,21 @@ def test_simulation_records_seed_when_integer():
     simulation = Simulation(SlowLeaderElection(), 16, rng=123)
     result = simulation.run(max_parallel_time=1000)
     assert result.seed == 123
+
+
+@pytest.mark.parametrize("seed", [np.int64(3), np.uint32(3)], ids=["int64", "uint32"])
+def test_numpy_integer_seeds_are_recorded_as_ints(tmp_path, seed):
+    """A NumPy integer seed runs the same as the int and is recorded as a
+    Python int, in the result and in checkpoint payloads."""
+    path = tmp_path / "run.ckpt"
+    result = run_protocol(
+        SlowLeaderElection(), 8, seed=seed, max_parallel_time=40,
+        checkpoint_every=8, checkpoint_path=path,
+    )
+    assert result.seed == 3 and type(result.seed) is int
+    assert type(read_checkpoint(path)["seed"]) is int
+    reference = run_protocol(SlowLeaderElection(), 8, seed=3, max_parallel_time=40)
+    assert result.interactions == reference.interactions
 
 
 def test_run_result_summary_mentions_key_facts():

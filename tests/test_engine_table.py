@@ -7,6 +7,10 @@ import pytest
 
 from test_engine_layout_invariance import _lazy
 
+from repro.clocks.leaderless_clock import LeaderlessClockProtocol
+from repro.clocks.phase_clock import JuntaPhaseClockProtocol
+from repro.coins.synthetic import ParityCoinProtocol
+from repro.core.params import GSUParams
 from repro.core.protocol import GSULeaderElection
 from repro.engine.count_batch import CountBatchEngine
 from repro.engine.engine import SequentialEngine
@@ -15,6 +19,9 @@ from repro.engine.table import TransitionTable
 from repro.protocols.approximate_majority import ApproximateMajority
 from repro.protocols.epidemic import OneWayEpidemic
 from repro.protocols.exact_majority import ExactMajority
+from repro.protocols.gs18 import GS18LeaderElection
+from repro.protocols.junta_standalone import JuntaElection
+from repro.protocols.lottery import LotteryLeaderElection
 from repro.protocols.slow import SlowLeaderElection
 
 
@@ -26,7 +33,7 @@ def test_compile_is_cached_per_protocol_instance():
     assert OneWayEpidemic().compile() is not table
 
 
-def test_canonical_states_are_registered_eagerly():
+def test_closure_states_are_registered_eagerly():
     table = ApproximateMajority().compile()
     # blank has not appeared in any configuration yet but is registered.
     assert table.encoder.known("blank")
@@ -44,14 +51,66 @@ def test_canonical_states_are_registered_eagerly():
     ids=lambda protocol: protocol.name,
 )
 def test_declared_states_compile_every_pair_at_build(protocol):
-    """A table laid out over closed canonical states is complete from the
-    start, as a closure table is: all k^2 pairs compiled, no state added."""
+    """A small protocol's table is laid out over its closure, complete
+    from the start: an exact k x k LUT with every pair compiled, which
+    fills ``delta`` from the LUT as pairs are met, never adding a state."""
+    states, lut = protocol.state_closure()
     table = protocol.compile()
-    k = len(list(protocol.canonical_states()))
-    assert len(table) == table.canonical_count == k
+    k = len(states)
+    assert len(table) == table.canonical_count == table.capacity == k
+    assert table.encoder.states() == list(states)
+    assert np.shares_memory(table.packed, lut)
+    assert (table.packed >= 0).all()
+    assert table.compiled_pairs == 0
+    for responder_id in range(k):
+        for initiator_id in range(k):
+            new_r, new_i = protocol.transition(states[responder_id], states[initiator_id])
+            assert table.apply(responder_id, initiator_id) == (
+                states.index(new_r),
+                states.index(new_i),
+            )
     assert table.compiled_pairs == k * k
-    packed = table.packed.reshape(table.capacity, table.capacity)
-    assert (packed[:k, :k] >= 0).all()
+    assert len(table) == k
+
+
+#: Every stock protocol that declares its state space, at a small
+#: calibration, and the ones that discover theirs lazily.
+_CLOSURE_PROTOCOLS = {
+    "epidemic": OneWayEpidemic,
+    "approximate-majority": ApproximateMajority,
+    "exact-majority": lambda: ExactMajority(3, 2),
+    "slow": SlowLeaderElection,
+    "lottery": lambda: LotteryLeaderElection.for_population(256),
+    "junta": lambda: JuntaElection.for_population(256),
+    "gs18": lambda: GS18LeaderElection.for_population(256),
+    "gsu19": lambda: GSULeaderElection(GSUParams(n_hint=256, gamma=4, phi=1, psi=1)),
+}
+_LAZY_PROTOCOLS = {
+    "junta-clock": JuntaPhaseClockProtocol,
+    "leaderless-clock": LeaderlessClockProtocol,
+    "parity-coin": ParityCoinProtocol,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CLOSURE_PROTOCOLS))
+def test_stock_protocols_build_complete_closure_tables(name):
+    """Each closure-declaring protocol's table is its closure: every pair
+    of its states compiled in an exact k x k LUT, closed under the LUT."""
+    table = _CLOSURE_PROTOCOLS[name]().compile()
+    k = len(table)
+    assert 0 < k == table.canonical_count == table.capacity
+    packed = table.packed
+    assert packed.shape == (k * k,)
+    assert (packed >= 0).all()
+    assert ((packed >> 32) < k).all() and ((packed & 0xFFFFFFFF) < k).all()
+
+
+@pytest.mark.parametrize("name", sorted(_LAZY_PROTOCOLS))
+def test_clock_and_coin_protocols_stay_lazy(name):
+    protocol = _LAZY_PROTOCOLS[name]()
+    assert protocol.state_closure() is None
+    table = protocol.compile()
+    assert len(table) == table.canonical_count == table.compiled_pairs == 0
 
 
 def test_apply_matches_protocol_transition():

@@ -148,7 +148,7 @@ A run interrupted at a driver boundary and resumed from a snapshot
 continues the *same* trajectory, byte-for-byte — pinned against the per-(protocol, engine) digest pins by
 ``tests/test_engine_checkpoint.py``.  ``run_protocol`` wires this through
 ``checkpoint_every=`` / ``checkpoint_path=`` / ``resume=True`` (atomic,
-checksummed write-replace checkpoint files, see
+checksummed checkpoint files, see
 :mod:`repro.experiments.io`), and ``run_many(..., store=DIR)`` adds
 sweep-cell-level resumability through the
 content-addressed on-disk store (:mod:`repro.experiments.store`).

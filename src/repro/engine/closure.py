@@ -78,9 +78,10 @@ __all__ = [
     "reachable_states",
 ]
 
-#: Default guard against protocols whose state space is effectively unbounded
-#: (a closure this large would also be useless to the count engines).
-_DEFAULT_MAX_STATES = 100_000
+#: Default guard against protocols whose state space is effectively unbounded,
+#: sized by the closure's K x K int64 LUT: 8,192 states make 512 MiB.  The
+#: largest declared closure, GS18 at n = 10^12, has 2,723 states (57 MiB).
+_DEFAULT_MAX_STATES = 8_192
 
 #: Pairs per NumPy block (bounds the BFS's temporaries).
 _BLOCK = 1 << 16

@@ -17,8 +17,16 @@ Checkpoint / resume
 
 Long runs are made durable by periodic checkpointing: pass
 ``checkpoint_every`` (an interaction period) and ``checkpoint_path`` and the
-driver atomically write-replaces a checkpoint file at every due convergence
-check point.  A killed run is resumed with ``resume=True`` — the engine is
+driver atomically publishes a checkpoint file at every due convergence
+check point.  Within one :meth:`Simulation.run` the checkpoints go through
+one :class:`~repro.engine.atomic.SwapWriter`, which swaps a reused temp file
+beside the checkpoint into place (``renameat2(RENAME_EXCHANGE)``, or
+``os.replace`` where the filesystem cannot exchange) and is removed when
+``run()`` returns or raises; a :meth:`Simulation.write_checkpoint` call
+outside a run is one-shot.  A reader that keeps a checkpoint open across
+two further writes can see it rewritten: its checksum then fails with
+``CheckpointError``, never a wrong payload.  A killed run is resumed with
+``resume=True`` — the engine is
 rebuilt from the snapshot (same engine class, same RNG position, same state
 layout) and the budget is interpreted as the *total* run budget, so the
 resumed run stops exactly where the uninterrupted one would have:
@@ -52,6 +60,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
+from repro.engine.atomic import SwapWriter
 from repro.engine.base import BaseEngine, check_period, drive_checks
 from repro.engine.convergence import ConvergencePredicate, SingleLeader
 from repro.engine.dispatch import ENGINE_REGISTRY, EngineSpec, resolve_engine
@@ -172,8 +181,9 @@ class Simulation:
     checkpoint_every:
         When set (with ``checkpoint_path``), write a resumable checkpoint
         at every convergence check point at least this many interactions
-        after the previous one.  Checkpoints are atomic write-replace, so
-        an interrupted write leaves the previous checkpoint intact.
+        after the previous one.  Checkpoints are published atomically (see
+        *Checkpoint / resume* above), so an interrupted write leaves the
+        previous checkpoint intact.
     checkpoint_path:
         Where checkpoints are written (one file, overwritten in place).
     scenario:
@@ -261,6 +271,8 @@ class Simulation:
         # Stateful-predicate memory recovered from a checkpoint, applied on
         # the next run() (after its reset) and then discarded.
         self._pending_convergence_state: Optional[dict] = None
+        # The running run()'s checkpoint writer; None outside a run.
+        self._writer: Optional[SwapWriter] = None
 
     def _warm_views(self) -> None:
         """Compile the output map and every view declared by the predicate
@@ -326,14 +338,20 @@ class Simulation:
         return payload
 
     def write_checkpoint(self) -> Path:
-        """Atomically write the current checkpoint to ``checkpoint_path``."""
+        """Atomically publish the current checkpoint at ``checkpoint_path``
+        and return that path: through the run's swap writer inside
+        :meth:`run`, one-shot otherwise."""
         if self.checkpoint_path is None:
             raise ConfigurationError("this simulation has no checkpoint_path")
         # Lazy import: the experiments package imports this module at load
         # time, so a top-level import here would be circular.
-        from repro.experiments.io import write_checkpoint
+        from repro.experiments.io import swap_checkpoint, write_checkpoint
 
-        path = write_checkpoint(self.checkpoint_payload(), self.checkpoint_path)
+        payload = self.checkpoint_payload()
+        if self._writer is None:
+            path = write_checkpoint(payload, self.checkpoint_path)
+        else:
+            path = swap_checkpoint(payload, self._writer)
         self._last_checkpoint = self.engine.interactions
         return path
 
@@ -533,14 +551,21 @@ class Simulation:
         if not self._resumed:  # resumed budgets count from interaction 0
             deadline += engine.interactions
         use_hook = bool(self.recorders) or self.checkpoint_every is not None
+        if self.checkpoint_every is not None:
+            self._writer = SwapWriter(self.checkpoint_path)
         started = _time.perf_counter()
-        converged = drive_checks(
-            engine,
-            self.convergence,
-            deadline,
-            self._period,
-            self._on_check if use_hook else None,
-        )
+        try:
+            converged = drive_checks(
+                engine,
+                self.convergence,
+                deadline,
+                self._period,
+                self._on_check if use_hook else None,
+            )
+        finally:
+            if self._writer is not None:
+                self._writer.close()
+                self._writer = None
         elapsed = _time.perf_counter() - started
         if not converged and raise_on_budget:
             raise ConvergenceError(

@@ -17,13 +17,20 @@ Two kinds of artefact are written here:
   unpickles anything, so a truncated or corrupt file raises
   :class:`~repro.errors.CheckpointError` naming the file instead of
   reaching ``pickle``.  Version-1 files (a bare pickled envelope, no
-  checksum) are still read.  Checkpoints are written **atomically** (temp
-  file in the target directory, then ``os.replace``:
-  :func:`repro.engine.atomic.atomic_write`), so a crash mid-write
-  can never leave a truncated checkpoint behind — the previous complete
-  checkpoint simply survives — and a failed write raises
-  :class:`~repro.errors.CheckpointError` naming the file.  No ``fsync`` is
-  issued: the write is atomic, not durable across a power loss.
+  checksum) are still read.  Checkpoints are published **atomically**, in
+  one of the two forms of :mod:`repro.engine.atomic`:
+  :func:`write_checkpoint` takes the one-shot form (temp file in the
+  target directory, then ``os.replace``), and :func:`swap_checkpoint`, which
+  a running :class:`~repro.engine.simulation.Simulation` uses for its
+  periodic checkpoints, swaps the run's reused temp file into place.  The
+  bytes are the same either way.  A crash mid-write can never leave a
+  truncated checkpoint behind — the previous complete checkpoint simply
+  survives — and a failed write raises
+  :class:`~repro.errors.CheckpointError` naming the file.  A reader that
+  holds a checkpoint open while a run publishes its next two can see the
+  displaced file rewritten; its checksum then fails, so it gets a
+  ``CheckpointError``, never a wrong payload.  No ``fsync`` is issued: the
+  write is atomic, not durable across a power loss.
   Snapshots contain arbitrary protocol state objects, so the payload is
   pickled; checkpoints are a *resume* format for your own runs, not an
   interchange format.
@@ -38,7 +45,7 @@ import pickle
 from pathlib import Path
 from typing import Union
 
-from repro.engine.atomic import atomic_write
+from repro.engine.atomic import SwapWriter, atomic_write
 from repro.errors import CheckpointError, ExperimentError
 from repro.experiments.runner import ExperimentResult, ExperimentTable
 
@@ -51,6 +58,7 @@ __all__ = [
     "write_result_markdown",
     "write_result",
     "write_checkpoint",
+    "swap_checkpoint",
     "read_checkpoint",
     "atomic_write_text",
     "jsonable",
@@ -181,11 +189,26 @@ def write_checkpoint(payload: dict, path: PathLike) -> Path:
     the temp file is removed.
     """
     path = Path(path)
+    return _publish(payload, path, lambda *chunks: atomic_write(path, *chunks))
+
+
+def swap_checkpoint(payload: dict, writer: SwapWriter) -> Path:
+    """:func:`write_checkpoint` to ``writer.path`` through ``writer``.
+
+    The bytes, the atomicity and the errors are :func:`write_checkpoint`'s;
+    only the publish differs (see :class:`repro.engine.atomic.SwapWriter`).
+    """
+    return _publish(payload, writer.path, writer.write)
+
+
+def _publish(payload: dict, path: Path, write) -> Path:
+    """Build the version-2 envelope of ``payload`` and publish its header
+    and body with ``write``; ``path`` names the file in the error."""
     body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
     checksum = hashlib.sha256(body).hexdigest()
     header = f"{CHECKPOINT_MAGIC} {CHECKPOINT_VERSION}\n{checksum}\n".encode("ascii")
     try:
-        return atomic_write(path, header, body)
+        return write(header, body)
     except OSError as exc:
         raise CheckpointError(f"cannot write checkpoint {path}: {exc}") from exc
 

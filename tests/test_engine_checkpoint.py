@@ -33,13 +33,16 @@ from test_engine_trajectory_digests import (
     expected_digest,
 )
 
+from repro.engine import atomic
 from repro.engine._ckernel import kernel_available
+from repro.engine.atomic import SwapWriter
 from repro.engine.count_batch import _STREAM, CountBatchEngine
 from repro.engine.engine import SequentialEngine
 from repro.engine.fast_batch import FastBatchEngine
+from repro.engine.recorder import Recorder
 from repro.engine.scheduler import PAIR_CHUNK, PairSampler
 from repro.errors import CheckpointError
-from repro.experiments.io import read_checkpoint, write_checkpoint
+from repro.experiments.io import read_checkpoint, swap_checkpoint, write_checkpoint
 from repro.protocols.epidemic import OneWayEpidemic
 from repro.protocols.slow import SlowLeaderElection
 
@@ -51,6 +54,43 @@ from repro.protocols.slow import SlowLeaderElection
 #: digest) and an eagerly registered one (epidemic).
 _PROTOCOL_NAMES = ("epidemic", "gsu19", "lottery")
 _ENGINE_NAMES = ("sequential", "fastbatch", "fastbatch-numpy", "countbatch")
+
+
+@pytest.fixture
+def no_exchange(monkeypatch):
+    """A filesystem that refuses ``renameat2``'s exchange: every swap
+    writer publishes with ``os.replace``."""
+
+    def refuse(first, second):
+        raise OSError(errno.EINVAL, os.strerror(errno.EINVAL), str(first))
+
+    monkeypatch.setattr(atomic, "_exchange", refuse)
+
+
+def _exchanges(directory: Path) -> bool:
+    """Whether ``directory``'s filesystem exchanges two entries."""
+    first, second = directory / ".probe-first", directory / ".probe-second"
+    first.write_bytes(b"1")
+    second.write_bytes(b"2")
+    try:
+        atomic._exchange(first, second)
+        return True
+    except OSError:
+        return False
+    finally:
+        first.unlink()
+        second.unlink()
+
+
+@pytest.fixture(params=["swap", "replace"])
+def swapping(request, tmp_path):
+    """Both publish paths of a run's checkpoints; the value is whether the
+    run's writes swap (False on the forced ``os.replace`` path, and where
+    ``tmp_path``'s filesystem cannot exchange)."""
+    if request.param == "replace":
+        request.getfixturevalue("no_exchange")
+        return False
+    return _exchanges(tmp_path)
 
 
 def _digest_update(digest, engine) -> None:
@@ -67,16 +107,22 @@ def _resumed_digest(tmp_path, protocol_name, before, after, interrupt_after) -> 
     protocol_factory, n = PROTOCOLS[protocol_name]
     seed = 20190622
 
+    # Publish the start and every chunk's end as a run publishes its
+    # checkpoints, through one swap writer: a one-shot write, then an
+    # exchange, then (interrupt_after=2) a rewrite of the spare.
+    path = tmp_path / "run.ckpt"
+    writer = SwapWriter(path)
     digest = hashlib.sha256()
     engine = before(protocol_factory(), n, rng=seed)
+    swap_checkpoint(engine.snapshot(), writer)
     for _ in range(interrupt_after):
         engine.run(2 * n + 3)
         _digest_update(digest, engine)
+        swap_checkpoint(engine.snapshot(), writer)
+    writer.close()
 
-    # Crash: persist the snapshot, forget everything, restart from disk on
-    # a freshly constructed protocol (fresh transition table, fresh caches).
-    path = tmp_path / "run.ckpt"
-    write_checkpoint(engine.snapshot(), path)
+    # Crash: forget everything, restart from disk on a freshly constructed
+    # protocol (fresh transition table, fresh caches).
     del engine
 
     snapshot = read_checkpoint(path)
@@ -95,6 +141,20 @@ def test_interrupted_run_matches_pinned_digest(
     tmp_path, protocol_name, engine_name, interrupt_after
 ):
     """snapshot → file → restore mid-run reproduces the pinned digest."""
+    _assert_resume_matches_pin(tmp_path, protocol_name, engine_name, interrupt_after)
+
+
+@pytest.mark.parametrize("engine_name", _ENGINE_NAMES)
+@pytest.mark.parametrize("protocol_name", _PROTOCOL_NAMES)
+@pytest.mark.parametrize("interrupt_after", [1, 2])
+def test_interrupted_run_matches_pinned_digest_on_replace(
+    tmp_path, no_exchange, protocol_name, engine_name, interrupt_after
+):
+    """The same, with every checkpoint published by ``os.replace``."""
+    _assert_resume_matches_pin(tmp_path, protocol_name, engine_name, interrupt_after)
+
+
+def _assert_resume_matches_pin(tmp_path, protocol_name, engine_name, interrupt_after):
     engine_factory = ENGINES[engine_name]
     digest = _resumed_digest(
         tmp_path, protocol_name, engine_factory, engine_factory, interrupt_after
@@ -272,6 +332,17 @@ def test_checkpoint_file_round_trip_and_validation(tmp_path):
 # ----------------------------------------------------------------------
 def test_run_protocol_resume_reproduces_uninterrupted_run(tmp_path):
     """Crash at half budget + resume == one uninterrupted run, exactly."""
+    _assert_resume_reproduces_uninterrupted_run(tmp_path)
+
+
+def test_run_protocol_resume_reproduces_uninterrupted_run_on_replace(
+    tmp_path, no_exchange
+):
+    """The same, with every checkpoint published by ``os.replace``."""
+    _assert_resume_reproduces_uninterrupted_run(tmp_path)
+
+
+def _assert_resume_reproduces_uninterrupted_run(tmp_path):
     from repro.engine.simulation import run_protocol
 
     n, total = 64, 16.0
@@ -707,24 +778,14 @@ def test_concurrent_writers_leave_one_whole_checkpoint(tmp_path):
 
 
 def _fill_disk(monkeypatch):
-    """Make every temp-file write fail with ENOSPC after a partial write."""
-    real = os.fdopen
+    """Make every atomic write, one-shot or swap, fail with ENOSPC after a
+    partial write."""
 
-    class FullDisk:
-        def __init__(self, descriptor, mode):
-            self._handle = real(descriptor, mode)
+    def full_disk(descriptor, chunks):
+        os.write(descriptor, bytes(chunks[0][:16]))
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc_info):
-            self._handle.close()
-
-        def write(self, data):
-            self._handle.write(data[:16])
-            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-
-    monkeypatch.setattr(os, "fdopen", FullDisk)
+    monkeypatch.setattr(atomic, "_write_chunks", full_disk)
 
 
 def test_write_failure_names_the_file_and_keeps_the_previous(tmp_path, monkeypatch):
@@ -766,6 +827,165 @@ def test_atomic_writes_get_plain_file_permissions(tmp_path):
     finally:
         os.umask(previous)
     assert [oct(path.stat().st_mode & 0o777) for path in paths] == ["0o644"] * 3
+
+
+# ----------------------------------------------------------------------
+# A run's checkpoints: one swap writer per run
+# ----------------------------------------------------------------------
+def _names(directory: Path) -> list:
+    return sorted(path.name for path in directory.iterdir())
+
+
+def _position(path: Path) -> int:
+    """The engine position a checkpoint file was taken at; reading it
+    verifies its sha256."""
+    return read_checkpoint(path)["engine_snapshot"]["interactions"]
+
+
+class _CheckpointAudit(Recorder):
+    """Holds a running simulation's published checkpoints to its writes.
+
+    Every write's engine position is noted.  At each check (before that
+    check's own write), the file at ``checkpoint_path`` must verify and
+    hold the last written position.  On the swap path the directory also
+    holds the run's temp file from the second write on, which must verify
+    and hold the write before; otherwise the checkpoint is alone.
+    """
+
+    def __init__(self, simulation, swapping: bool) -> None:
+        self.simulation, self.swapping = simulation, swapping
+        self.positions, self.inodes, self.audits = [], set(), 0
+        write = simulation.write_checkpoint
+
+        def write_and_note():
+            path = write()
+            self.positions.append(simulation.engine.interactions)
+            return path
+
+        simulation.write_checkpoint = write_and_note
+        simulation.add_recorder(self)
+
+    def record(self, engine) -> None:
+        path = self.simulation.checkpoint_path
+        if not self.positions:
+            assert not path.exists()
+            return
+        assert _position(path) == self.positions[-1]
+        self.inodes.add(path.stat().st_ino)
+        others = [name for name in _names(path.parent) if name != path.name]
+        if self.swapping and len(self.positions) > 1:
+            assert len(others) == 1 and others[0].startswith(f".{path.name}.")
+            assert _position(path.parent / others[0]) == self.positions[-2]
+        else:
+            assert others == []
+        self.audits += 1
+
+
+def _slow_simulation(path: Path, engine: str = "countbatch", recorders=()):
+    """Slow leader election at n = 64 (far from electing within 12 parallel
+    time), checked and checkpointed every n interactions."""
+    from repro.engine.simulation import Simulation
+
+    return Simulation(
+        SlowLeaderElection(), 64, rng=3, engine_cls=engine, recorders=recorders,
+        checkpoint_every=64, checkpoint_path=path,
+    )
+
+
+@pytest.mark.parametrize("engine", ["countbatch", "fastbatch"])
+def test_every_due_checkpoint_is_whole_while_the_run_goes_on(tmp_path, swapping, engine):
+    """At every check the checkpoint verifies and holds the last write. A
+    writer that rewrote the file at the path (a descriptor kept across an
+    exchange) would leave a stale or torn checkpoint there."""
+    simulation = _slow_simulation(tmp_path / "run.ckpt", engine)
+    audit = _CheckpointAudit(simulation, swapping)
+    result = simulation.run(max_parallel_time=12.0)
+    assert not result.converged
+    assert audit.positions == [64 * k for k in range(1, 13)]
+    assert audit.audits == 11
+    assert _names(tmp_path) == ["run.ckpt"]
+    assert _position(tmp_path / "run.ckpt") == 12 * 64
+    if swapping:  # two inodes, exchanged back and forth
+        assert len(audit.inodes) == 2
+
+
+class _AtCheck(Recorder):
+    """Calls ``action`` at check number ``at``, before that check's write.
+    The first check is at the start, so the check before write ``w`` is
+    number ``w + 1``."""
+
+    def __init__(self, at: int, action) -> None:
+        self.at, self.action, self.checks = at, action, 0
+
+    def record(self, engine) -> None:
+        self.checks += 1
+        if self.checks == self.at:
+            self.action()
+
+
+def test_a_run_leaves_only_its_checkpoint(tmp_path, swapping):
+    """The run's temp file is removed when run() returns, and when it
+    raises mid-run (here from a recorder, after four writes)."""
+    path = tmp_path / "run.ckpt"
+    _slow_simulation(path).run(max_parallel_time=6.0)
+    assert _names(tmp_path) == ["run.ckpt"]
+    assert _position(path) == 6 * 64
+
+    def crash():
+        raise RuntimeError("recorder crashed")
+
+    simulation = _slow_simulation(path, recorders=[_AtCheck(6, crash)])
+    with pytest.raises(RuntimeError, match="recorder crashed"):
+        simulation.run(max_parallel_time=12.0)
+    assert _names(tmp_path) == ["run.ckpt"]
+    assert _position(path) == 4 * 64
+
+
+def test_failed_run_write_names_the_file_and_keeps_the_previous(
+    tmp_path, monkeypatch, swapping
+):
+    """The disk fills before a run's fourth write; the first three were a
+    one-shot write, an exchange and a rewrite of the spare.  The write
+    raises CheckpointError naming the checkpoint, the third checkpoint
+    still reads back, and no temp file is left."""
+    path = tmp_path / "run.ckpt"
+    fill = _AtCheck(5, lambda: _fill_disk(monkeypatch))
+    simulation = _slow_simulation(path, recorders=[fill])
+    with pytest.raises(CheckpointError, match=re.escape(str(path))) as raised:
+        simulation.run(max_parallel_time=12.0)
+    assert raised.value.__cause__.errno == errno.ENOSPC
+    assert _names(tmp_path) == ["run.ckpt"]
+    assert _position(path) == 3 * 64
+
+
+def test_both_inodes_of_a_run_get_plain_file_permissions(tmp_path):
+    """After two writes the path holds the inode the swap writer created,
+    after three the one-shot one: both 0o644 under the umask 0o022."""
+    path = tmp_path / "run.ckpt"
+    previous = os.umask(0o022)
+    try:
+        modes = []
+        for parallel_time in (2.0, 3.0):
+            _slow_simulation(path).run(max_parallel_time=parallel_time)
+            modes.append(oct(path.stat().st_mode & 0o777))
+    finally:
+        os.umask(previous)
+    assert modes == ["0o644"] * 2
+
+
+def test_a_run_replaces_a_checkpoint_removed_mid_run(tmp_path):
+    """A checkpoint deleted under a running swap writer is published again
+    by ``os.replace`` (the fourth write); the writer swaps again from the
+    next write on, so the temp file is back before the sixth write."""
+    path = tmp_path / "run.ckpt"
+    listed = []
+    simulation = _slow_simulation(path, recorders=[
+        _AtCheck(5, path.unlink), _AtCheck(7, lambda: listed.append(_names(tmp_path))),
+    ])
+    simulation.run(max_parallel_time=8.0)
+    assert _names(tmp_path) == ["run.ckpt"]
+    assert _position(path) == 8 * 64
+    assert len(listed[0]) == (2 if _exchanges(tmp_path) else 1)
 
 
 # ----------------------------------------------------------------------

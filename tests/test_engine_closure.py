@@ -762,6 +762,15 @@ def test_spec_closure_is_memoised_per_instance():
     assert second.state_closure()[0] == ("c",)
 
 
+@pytest.mark.parametrize("cls,size", [(GS18LeaderElection, 2723), (GSULeaderElection, 2003)])
+def test_largest_declared_closures_fit_under_the_default_cap(cls, size, closure_dir):
+    """The default cap leaves room for the largest closures the stock
+    protocols declare, at n = 10^12: the BFS runs under the default cap."""
+    states, lut = cls.for_population(10**12).state_closure()
+    assert len(states) == size < closure._DEFAULT_MAX_STATES
+    assert lut.shape == (len(states), len(states))
+
+
 def test_spec_with_unbounded_states_fails_at_compile():
     """An unbounded declared state space fails when the table is built,
     with the BFS's error naming its cap.  Every pair makes two new states,
@@ -769,7 +778,7 @@ def test_spec_with_unbounded_states_fails_at_compile():
     spec = _spec([()], rules=lambda r, i: ((r, i, 0), (r, i, 1)))
     tracemalloc.start()
     try:
-        with pytest.raises(ProtocolError, match="exceeded 100000 states"):
+        with pytest.raises(ProtocolError, match="exceeded 8192 states"):
             spec.compile()
         peak = tracemalloc.get_traced_memory()[1]
     finally:

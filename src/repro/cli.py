@@ -15,7 +15,7 @@ parameters can be overridden with ``--sizes``, ``--repetitions`` and
 ``fastbatch`` or ``countbatch``, all exact — or ``auto``, which dispatches
 on population size to the fastest of them; see the engine selection guide in
 :mod:`repro.engine`.  The ``headline`` preset is the ``n = 10^7``/``10^8``
-GSU19 scenario tier on ``auto`` dispatch (count-space simulation at
+GSU19 count-space tier on ``auto`` dispatch (count-space simulation at
 ``10^8``; at most about 30 minutes per seed at ``10^7``, ``10^8``
 unmeasured); ``extreme`` is the trillion-agent
 count-space tier (``n = 10^12`` through the compiled count kernel, under
@@ -23,15 +23,6 @@ count-space tier (``n = 10^12`` through the compiled count kernel, under
 
     python -m repro.cli run table1 --preset headline
     python -m repro.cli run table1 --preset extreme --budget 5
-
-The scenario axis relaxes the classical model: ``--topology`` restricts
-the interaction graph (``cycle``, ``grid2d``, ``random-regular``,
-``powerlaw``), ``--churn RATE`` adds symmetric Poisson churn and
-``--faults SPEC`` injects faults (``crash:1e-4,drop:0.1``).  The
-``matrix`` experiment sweeps protocols × scenarios wholesale::
-
-    python -m repro.cli run matrix --preset smoke
-    python -m repro.cli run table1 --preset smoke --topology cycle --churn 0.01
 
 Long campaigns are made restartable with the on-disk experiment store:
 ``--store DIR`` persists every completed experiment under a content hash of
@@ -53,16 +44,9 @@ from repro.engine.dispatch import ENGINE_NAMES
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.io import write_result
 from repro.experiments.registry import available_experiments, run_experiment
-from repro.scenarios import (
-    ChurnModel,
-    FaultModel,
-    Scenario,
-    available_topologies,
-    topology_from_name,
-)
 from repro.viz.report import render_report
 
-__all__ = ["main", "build_parser", "config_from_args", "scenario_from_args"]
+__all__ = ["main", "build_parser", "config_from_args"]
 
 _PRESETS = {
     "smoke": ExperimentConfig.smoke,
@@ -133,35 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
             ),
         )
         sub.add_argument(
-            "--topology",
-            choices=available_topologies(),
-            default=None,
-            help=(
-                "interaction topology for every run (default: complete "
-                "graph, the classical model)"
-            ),
-        )
-        sub.add_argument(
-            "--churn",
-            type=float,
-            default=None,
-            metavar="RATE",
-            help=(
-                "symmetric per-interaction Poisson churn rate: agents leave "
-                "and (re)join in the protocol's initial state"
-            ),
-        )
-        sub.add_argument(
-            "--faults",
-            type=str,
-            default=None,
-            metavar="SPEC",
-            help=(
-                "fault model, e.g. 'crash:1e-4', 'drop:0.1' or "
-                "'crash:1e-4,drop:0.1,byzantine:0.02'"
-            ),
-        )
-        sub.add_argument(
             "--output",
             type=str,
             default=None,
@@ -202,21 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def scenario_from_args(args: argparse.Namespace) -> Optional[Scenario]:
-    """Build a :class:`~repro.scenarios.Scenario` from the ``--topology`` /
-    ``--churn`` / ``--faults`` flags, or ``None`` when none were given."""
-    topology = getattr(args, "topology", None)
-    churn = getattr(args, "churn", None)
-    faults = getattr(args, "faults", None)
-    if topology is None and churn is None and not faults:
-        return None
-    return Scenario(
-        topology=topology_from_name(topology or "complete"),
-        churn=ChurnModel.symmetric(churn) if churn else ChurnModel.none(),
-        faults=FaultModel.parse(faults) if faults else FaultModel.none(),
-    )
-
-
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     """Build an :class:`ExperimentConfig` from parsed CLI arguments."""
     config = _PRESETS[args.preset]()
@@ -230,9 +170,6 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         config = config.with_engine(args.engine)
     if getattr(args, "workers", None):
         config = config.with_workers(args.workers)
-    scenario = scenario_from_args(args)
-    if scenario is not None:
-        config = config.with_scenario(scenario)
     return config
 
 

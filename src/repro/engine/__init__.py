@@ -7,15 +7,9 @@ random, the first acting as **responder** and the second as **initiator**,
 and both agents update their states according to the protocol's deterministic
 transition function.
 
-The scheduler itself is a pluggable axis: the complete-graph
-:class:`~repro.engine.scheduler.PairSampler` is one implementation of the
-:class:`~repro.engine.scheduler.PairScheduler` contract, alongside
-restricted interaction topologies (cycle, 2D torus grid, random d-regular,
-power-law contact weights).  The scenario layer (:mod:`repro.scenarios`)
-bundles a topology with churn and fault models and threads it through the
-agent-space engines, dispatch, checkpoints and the experiment runner; the
-default complete fault-free scenario is byte-identical to passing no
-scenario at all.
+That scheduler, over the complete interaction graph of a fixed population,
+is :class:`~repro.engine.scheduler.PairSampler`; the per-agent engines draw
+their pairs from it.
 
 All engines consume one shared **compiled transition-table IR**
 (:class:`~repro.engine.table.TransitionTable`, obtained from
@@ -28,7 +22,7 @@ layout is a function of the protocol alone: a protocol that declares its
 reachable-state closure (``state_closure``: the epidemic, both
 majorities, slow, GSU19, GS18, lottery, the standalone junta) gets a
 table adopted from it, with every pair compiled, for every engine and
-scenario; any other protocol registers states in discovery order.
+population size; any other protocol registers states in discovery order.
 
 Three engines are provided, all exact:
 
@@ -167,14 +161,7 @@ from repro.engine.views import (
 )
 from repro.engine.closure import reachable_states
 from repro.engine.rng import make_rng, restore_rng_state, rng_state, spawn_seeds
-from repro.engine.scheduler import (
-    CycleScheduler,
-    Grid2DScheduler,
-    PairSampler,
-    PairScheduler,
-    PowerLawScheduler,
-    RandomRegularScheduler,
-)
+from repro.engine.scheduler import PairSampler
 from repro.engine.engine import SequentialEngine
 from repro.engine.count_batch import CountBatchEngine
 from repro.engine.fast_batch import FastBatchEngine
@@ -183,7 +170,6 @@ from repro.engine.dispatch import (
     ENGINE_REGISTRY,
     auto_engine,
     resolve_engine,
-    scenario_capable,
 )
 from repro.engine.convergence import (
     ConvergencePredicate,
@@ -216,12 +202,7 @@ __all__ = [
     "rng_state",
     "restore_rng_state",
     "spawn_seeds",
-    "PairScheduler",
     "PairSampler",
-    "CycleScheduler",
-    "Grid2DScheduler",
-    "RandomRegularScheduler",
-    "PowerLawScheduler",
     "SequentialEngine",
     "CountBatchEngine",
     "FastBatchEngine",
@@ -229,7 +210,6 @@ __all__ = [
     "ENGINE_REGISTRY",
     "auto_engine",
     "resolve_engine",
-    "scenario_capable",
     "ConvergencePredicate",
     "NeverConverge",
     "AllAgentsSatisfy",

@@ -44,7 +44,7 @@ mask, count vector, bit generator).  Its contract:
   arithmetic of ``Generator.integers`` — so the generator ends where
   ``pair_block`` leaves it, whatever the bit generator.  With ``bitgen``
   NULL the entry applies only the chunk the caller put in the buffers
-  (topology schedulers, explicit blocks).
+  (``n >= 2**32``, explicit blocks).
 * **Scope of the draw.**  ``2 <= n <= 2**32 - 1``: NumPy takes raw
   32-bit words at ``n = 2**32`` and 64-bit words above it, which the
   kernel does not reproduce, so the engine keeps drawing through

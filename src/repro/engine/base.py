@@ -56,14 +56,6 @@ class BaseEngine(abc.ABC):
     two arrays by address.
     """
 
-    #: Scenario capability tags this engine supports, compared against
-    #: :meth:`repro.scenarios.scenario.Scenario.requirements` by
-    #: :func:`repro.engine.dispatch.scenario_capable`.  The default — the
-    #: empty set — means "complete graph, fault-free, static population
-    #: only", which is correct for every count-space engine (their
-    #: hypergeometric splits assume uniform complete-graph pairing).
-    scenario_capabilities: frozenset = frozenset()
-
     #: Whether no trajectory of this engine depends on its table's state-id
     #: layout: it draws agents, never state ids, and ids only index the
     #: lookup table.  :meth:`restore` then maps a snapshot's recorded ids
@@ -74,20 +66,12 @@ class BaseEngine(abc.ABC):
     layout_free: bool = False
 
     def __init__(
-        self, protocol: PopulationProtocol, n: int, rng: RngLike = None, scenario=None
+        self, protocol: PopulationProtocol, n: int, rng: RngLike = None
     ) -> None:
         if n < 2:
             raise ConfigurationError(f"population size must be >= 2, got {n}")
         self.protocol = protocol
         self.n = int(n)
-        if scenario is not None:
-            # Imported lazily: repro.scenarios imports the scheduler module,
-            # whose package-level import would otherwise cycle through here.
-            from repro.scenarios.scenario import active_scenario
-
-            scenario = active_scenario(scenario)
-        #: The active scenario, or ``None`` in the idealised world.
-        self._scenario = scenario
         #: The protocol's compiled transition-table IR, shared across every
         #: engine built on the same protocol instance; its layout is the
         #: protocol's alone (see repro.engine.table).

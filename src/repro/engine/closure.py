@@ -133,8 +133,8 @@ def reachable_closure(
     factoring:
         ``transition`` as a phase clock plus phase-blind rules, which the
         BFS evaluates instead (by default the one-phase factoring: every
-        state is its own part, so the memo is a second ``(K, K)`` array and
-        the peak is about twice the table's).  A sample of the finished
+        state is its own part, so the memo is a second square array, of
+        side ``K`` to ``min(1.5 K, max_states)``, beside the table).  A sample of the finished
         table is checked against ``transition``; a mismatch raises
         :class:`~repro.errors.ProtocolError` naming the pair.
 
@@ -197,8 +197,11 @@ def reachable_closure(
         """Codes of ``δ(responders, initiators)`` (broadcast id arrays)."""
         nonlocal memo
         if len(memo) < len(parts):
-            # Exact size: for a plain transition the memo is (K, K), like the LUT.
-            grown = np.full((len(parts),) * 2 + (contexts,), -1, np.int64)
+            # Grown by half at least (capped at max_states, which bounds the
+            # parts), so a closure that gains a part per layer reallocates
+            # O(log K) times, not K: the copies sum to O(K^2), not O(K^3).
+            side = min(max_states, max(len(parts), len(memo) * 3 // 2))
+            grown = np.full((side, side, contexts), -1, np.int64)
             grown[: len(memo), : len(memo)] = memo
             memo = grown
         state_phase = np.array(phases, dtype=np.intp)

@@ -94,7 +94,6 @@ __all__ = [
     "count_capable",
     "countbatch_batch_seconds",
     "resolve_engine",
-    "scenario_capable",
 ]
 
 #: Named engines accepted everywhere an engine specification is taken.
@@ -230,63 +229,12 @@ def count_capable(protocol: PopulationProtocol, n: int) -> Optional[int]:
     return len(closure[0])
 
 
-def scenario_capable(engine_cls: Type[BaseEngine], scenario=None) -> bool:
-    """Whether ``engine_cls`` can simulate ``scenario``.
-
-    ``None`` (or the default complete fault-free scenario, which
-    :func:`repro.scenarios.scenario.active_scenario` normalises to ``None``)
-    is the idealised world every engine simulates.  An *active* scenario is
-    compared against the engine's declared
-    :attr:`~repro.engine.base.BaseEngine.scenario_capabilities`: the
-    per-agent engines accept restricted topologies (and, for the sequential
-    engine, churn/faults), while the count-space engines — whose
-    hypergeometric splits assume uniform complete-graph pairing over a
-    fixed fault-free population — accept none.
-    """
-    if scenario is None:
-        return True
-    from repro.scenarios.scenario import active_scenario
-
-    active = active_scenario(scenario)
-    if active is None:
-        return True
-    return active.requirements() <= engine_cls.scenario_capabilities
-
-
-def _scenario_capable_names() -> list:
-    """Registry names of scenario-capable engines (for error messages)."""
-    return sorted(
-        name
-        for name, cls in ENGINE_REGISTRY.items()
-        if cls.scenario_capabilities
-    )
-
-
-def auto_engine(
-    protocol: PopulationProtocol, n: int, scenario=None
-) -> Type[BaseEngine]:
-    """Select the fastest *exact* engine for ``(protocol, n)`` (and scenario).
+def auto_engine(protocol: PopulationProtocol, n: int) -> Type[BaseEngine]:
+    """Select the fastest *exact* engine for ``(protocol, n)``.
 
     The policy is a measured throughput/memory trade-off, documented in
-    this module's docstring.  With an active scenario the choice is
-    restricted to the capable engines: topology-only scenarios keep the
-    fastbatch-vs-sequential threshold (both engines consume the scheduler
-    identically), churn/fault scenarios are the sequential engine's alone.
+    this module's docstring.
     """
-    if scenario is not None:
-        from repro.scenarios.scenario import active_scenario
-
-        active = active_scenario(scenario)
-        if active is not None:
-            if active.requirements() <= FastBatchEngine.scenario_capabilities:
-                threshold = (
-                    _FASTBATCH_MIN_N_CKERNEL
-                    if kernel_available()
-                    else _FASTBATCH_MIN_N
-                )
-                if n >= threshold:
-                    return FastBatchEngine
-            return SequentialEngine
     if n >= _COUNTBATCH_MIN_N:
         states = count_capable(protocol, n)
         if states is not None and (
@@ -305,7 +253,6 @@ def resolve_engine(
     engine: EngineSpec,
     protocol: Optional[PopulationProtocol] = None,
     n: Optional[int] = None,
-    scenario=None,
 ) -> Type[BaseEngine]:
     """Normalise an engine specification to an engine class.
 
@@ -313,37 +260,7 @@ def resolve_engine(
     a :class:`~repro.engine.base.BaseEngine` subclass is returned unchanged,
     and a string is looked up in :data:`ENGINE_REGISTRY` — with ``"auto"``
     delegating to :func:`auto_engine`, which requires ``protocol`` and ``n``.
-
-    With an active ``scenario``, the resolved class must pass
-    :func:`scenario_capable`: requesting e.g. ``engine="countbatch"`` under
-    a restricted topology raises :class:`~repro.errors.ConfigurationError`
-    up front, naming the capable engines, instead of failing deep inside a
-    hypergeometric split that silently assumed uniform pairing.
     """
-    resolved = _resolve_engine_spec(engine, protocol, n, scenario)
-    if scenario is not None and not scenario_capable(resolved, scenario):
-        raise ConfigurationError(
-            f"engine {canonical_name(resolved)!r} assumes the complete "
-            "fault-free interaction model and cannot run this scenario; "
-            f"scenario-capable engines: {', '.join(_scenario_capable_names())}"
-        )
-    return resolved
-
-
-def canonical_name(engine_cls: Type[BaseEngine]) -> str:
-    """Registry name of ``engine_cls`` (falls back to the class name)."""
-    for name, cls in ENGINE_REGISTRY.items():
-        if cls is engine_cls:
-            return name
-    return engine_cls.__name__
-
-
-def _resolve_engine_spec(
-    engine: EngineSpec,
-    protocol: Optional[PopulationProtocol],
-    n: Optional[int],
-    scenario=None,
-) -> Type[BaseEngine]:
     if engine is None:
         return SequentialEngine
     if isinstance(engine, type) and issubclass(engine, BaseEngine):
@@ -355,7 +272,7 @@ def _resolve_engine_spec(
                 raise ConfigurationError(
                     "engine='auto' needs a protocol and a population size to dispatch on"
                 )
-            return auto_engine(protocol, n, scenario)
+            return auto_engine(protocol, n)
         try:
             return ENGINE_REGISTRY[name]
         except KeyError:
@@ -369,3 +286,11 @@ def _resolve_engine_spec(
     raise ConfigurationError(
         f"engine specification must be a name or an engine class, got {engine!r}"
     )
+
+
+def canonical_name(engine_cls: Type[BaseEngine]) -> str:
+    """Registry name of ``engine_cls`` (falls back to the class name)."""
+    for name, cls in ENGINE_REGISTRY.items():
+        if cls is engine_cls:
+            return name
+    return engine_cls.__name__

@@ -12,8 +12,9 @@ one of two interchangeable hot paths:
   graph (:class:`~repro.engine.scheduler.PairSampler`, ``n < 2**32``) one
   kernel call also draws every block itself, from the engine's own bit
   generator and word for word as ``pair_block`` would, so a whole
-  ``run(count)`` is one C call plus one per lookup-table miss; topology
-  schedulers fill the kernel's pair buffers through ``pair_block``;
+  ``run(count)`` is one C call plus one per lookup-table miss; at
+  ``n >= 2**32``, and for explicit blocks, Python fills the kernel's pair
+  buffers (through ``pair_block`` when it draws them);
 * the **NumPy wave schedule** documented below, the portable fallback that
   needs nothing beyond NumPy.
 
@@ -69,7 +70,7 @@ it pair by pair because the segment touches each agent at most once.  In
 fact the engine draws its randomness exactly as the ``pair_block`` calls of
 :class:`~repro.engine.engine.SequentialEngine` do, in chunks of the same
 size (both engines import :data:`~repro.engine.scheduler.PAIR_CHUNK`) —
-through those very calls on the NumPy path and for topology schedulers,
+through those very calls on the NumPy path and at ``n >= 2**32``,
 through the C kernel's draw of the same words from the same bit generator
 otherwise — so for an identical seed and an identical driver call pattern
 the two engines produce bit-for-bit identical trajectories (a property the
@@ -238,20 +239,7 @@ class FastBatchEngine(BaseEngine):
         through the NumPy wave schedule otherwise; ``"numpy"`` forces the
         wave schedule; ``"c"`` requires the C kernel and raises when it is
         unavailable.  All paths produce bit-for-bit identical trajectories.
-    scenario:
-        Optional **topology-only** scenario: pairs are then drawn from the
-        scenario topology's scheduler instead of the complete-graph
-        sampler.  Both block-application paths execute a sampled block in
-        strict sequential order (the wave schedule by construction, the C
-        kernel literally), so neither assumes anything about *which* pairs
-        were sampled — restricted topologies are exact on either.  Churn
-        and fault dynamics mutate the population between interactions,
-        which the bulk paths cannot interleave; those scenarios are
-        rejected here and handled by
-        :class:`~repro.engine.engine.SequentialEngine`.
     """
-
-    scenario_capabilities = frozenset({"topology"})
 
     layout_free = True
 
@@ -262,34 +250,19 @@ class FastBatchEngine(BaseEngine):
         rng: RngLike = None,
         *,
         kernel: str = "auto",
-        scenario=None,
     ) -> None:
-        super().__init__(protocol, n, rng, scenario)
+        super().__init__(protocol, n, rng)
         if kernel not in ("auto", "c", "numpy"):
             raise ConfigurationError(
                 f"kernel must be 'auto', 'c' or 'numpy', got {kernel!r}"
             )
-        scenario = self._scenario
-        if scenario is not None:
-            missing = scenario.requirements() - self.scenario_capabilities
-            if missing:
-                raise ConfigurationError(
-                    f"FastBatchEngine supports topology-only scenarios; "
-                    f"scenario {scenario.label()!r} also needs "
-                    f"{', '.join(sorted(missing))} — use "
-                    "engine='sequential' for churn/fault scenarios"
-                )
         self._c_kernel = load_kernel() if kernel in ("auto", "c") else None
         if kernel == "c" and self._c_kernel is None:
             raise ConfigurationError(
                 "kernel='c' requested but no C kernel could be compiled "
                 "(no compiler on PATH, or REPRO_NO_C_KERNEL is set)"
             )
-        generator = make_rng(rng)
-        if scenario is None:
-            self._sampler = PairSampler(n, generator)
-        else:
-            self._sampler = scenario.topology.build(n, generator)
+        self._sampler = PairSampler(n, make_rng(rng))
         configuration = protocol.initial_configuration(n)
         protocol.validate_configuration(configuration, n)
         # int32 keeps the per-agent array (the hot gather/scatter target)
@@ -314,11 +287,6 @@ class FastBatchEngine(BaseEngine):
         self._kernel_args: Optional[FastBlock] = None
         if self._c_kernel is not None:
             self._setup_kernel()
-
-    @property
-    def scenario(self):
-        """The active scenario, or ``None`` in the default idealised world."""
-        return self._scenario
 
     # ------------------------------------------------------------------
     # The ledger
@@ -366,9 +334,10 @@ class FastBatchEngine(BaseEngine):
         buffers, allocated once for the engine's life.
 
         The kernel draws each chunk itself, from this engine's bit generator,
-        only for the complete-graph sampler with ``n < 2**32`` (the range
-        its bounded draw reproduces); otherwise ``bitgen`` stays NULL and
-        Python fills the pair buffers through ``pair_block``.
+        only for ``n < 2**32`` (the range its bounded draw reproduces);
+        otherwise ``bitgen`` stays NULL and Python fills the pair buffers
+        through ``pair_block``.  :meth:`_apply_block` fills them from its
+        arguments either way.
         """
         generator = self._sampler.generator
         args = FastBlock(n=self.n, block=PAIR_CHUNK)
@@ -376,7 +345,7 @@ class FastBatchEngine(BaseEngine):
         self._initiators = np.empty(PAIR_CHUNK, dtype=np.int64)
         args.responders = self._responders.ctypes.data
         args.initiators = self._initiators.ctypes.data
-        if type(self._sampler) is PairSampler and self.n < 1 << 32:
+        if self.n < 1 << 32:
             args.bitgen = generator.bit_generator.ctypes.bit_generator.value
             self._redraw = np.empty(PAIR_CHUNK, dtype=np.int64)
             args.redraw = self._redraw.ctypes.data

@@ -41,7 +41,7 @@ process.
 Every cell builds its own ``factory(n)`` and runs on that protocol's own
 table, so cells are bit-identical at any worker count and cell keys depend
 on the cell alone.  What a process keeps between cells is the closure
-cache: every cell of GSU19 or GS18, whatever its engine or scenario,
+cache: every cell of GSU19 or GS18, whatever its engine or size,
 starts on a table adopted from its calibration's reachable-state closure
 (:meth:`~repro.engine.protocol.PopulationProtocol.compile`), and then
 compiles no transition pair.  A process gets each closure once: from
@@ -49,12 +49,10 @@ the calibration's closure file in the kernel cache
 (:func:`~repro.engine.closure.closure_file`), or, when there is none yet,
 from its own BFS, which writes the file for every later worker and sweep.
 
-Recorder and scenario cells take the same path at every worker count.
+Recorder cells take the same path at every worker count.
 ``recorder_factory=`` builds each cell's recorders in the process that
 runs the cell, and they return, pickled, on :attr:`SweepPoint.recorders`;
-recorder cells skip the store, because their series are not persisted.  A
-``scenario=`` is a run keyword like any other: it reaches every cell and
-enters the store key through :meth:`~repro.scenarios.Scenario.describe`.
+recorder cells skip the store, because their series are not persisted.
 
 A failing cell does not abandon the sweep: the remaining units still run,
 completed cells are recorded, and the failures surface at the end as one
@@ -163,8 +161,6 @@ def _cell_key_for(
     )
     description = convergence.description if convergence is not None else None
     extra = {key: run_kwargs[key] for key in sorted(run_kwargs)}
-    if extra.get("scenario") is not None:
-        extra["scenario"] = extra["scenario"].describe()
     inputs = store.cell_inputs(
         factory(n),
         n,
@@ -460,7 +456,7 @@ def run_cells(
     """Run one population size across an explicit seed list.
 
     The experiments' entry into the sweep scheduler for one size with
-    their own seeds (``figure3``, ``matrix``, ``clock``): same recorders, store
+    their own seeds (``figure3``, ``clock``): same recorders, store
     resumability, worker pool and failure semantics as
     :func:`run_many`, but with caller-provided seeds and a single ``n``.
     When ``convergence_factory`` is ``None`` the predicate comes from the

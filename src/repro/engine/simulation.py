@@ -186,15 +186,6 @@ class Simulation:
         previous checkpoint intact.
     checkpoint_path:
         Where checkpoints are written (one file, overwritten in place).
-    scenario:
-        Optional :class:`~repro.scenarios.scenario.Scenario` describing the
-        world the protocol runs in (interaction topology, churn, faults).
-        ``None`` — or the default complete fault-free scenario, which
-        normalises to ``None`` — reproduces the idealised model
-        byte-exactly.  An active scenario restricts engine resolution to
-        scenario-capable engines (:func:`repro.engine.dispatch.scenario_capable`)
-        and rides in checkpoints, so a resumed disrupted run continues the
-        same world.
 
     Example::
 
@@ -217,7 +208,6 @@ class Simulation:
         check_every: CheckEvery = None,
         checkpoint_every: Optional[int] = None,
         checkpoint_path: Optional[Union[str, Path]] = None,
-        scenario=None,
     ) -> None:
         self.protocol = protocol
         self.n = int(n)
@@ -227,24 +217,8 @@ class Simulation:
         except TypeError:  # None, a generator or a seed sequence
             self.seed = None
         self.engine_kwargs = dict(engine_kwargs or {})
-        if scenario is not None:
-            from repro.scenarios.scenario import active_scenario
-
-            scenario = active_scenario(scenario)
-        self.scenario = scenario
-        resolved_cls = resolve_engine(
-            engine_cls, protocol, self.n, scenario=self.scenario
-        )
-        # The scenario is passed to the engine but kept OUT of
-        # self.engine_kwargs: checkpoint payloads record the two separately
-        # (the scenario under its own key, present only when active), so
-        # default-scenario checkpoints keep the pre-scenario layout.
-        constructor_kwargs = dict(self.engine_kwargs)
-        if self.scenario is not None:
-            constructor_kwargs["scenario"] = self.scenario
-        self.engine: BaseEngine = resolved_cls(
-            protocol, n, rng, **constructor_kwargs
-        )
+        resolved_cls = resolve_engine(engine_cls, protocol, self.n)
+        self.engine: BaseEngine = resolved_cls(protocol, n, rng, **self.engine_kwargs)
         self.convergence = convergence if convergence is not None else SingleLeader()
         self.recorders: List[Recorder] = list(recorders or [])
         self.check_every = check_every  # as given: checkpoints record it
@@ -306,7 +280,7 @@ class Simulation:
             engine_spec = f"{engine_cls.__module__}:{engine_cls.__qualname__}"
         if self._fingerprint is None:
             self._fingerprint = self.protocol.fingerprint()
-        payload = {
+        return {
             "kind": "simulation",
             "engine_cls": engine_spec,
             "engine_kwargs": dict(self.engine_kwargs),
@@ -329,13 +303,6 @@ class Simulation:
             "convergence_type": type(self.convergence).__name__,
             "convergence_state": self.convergence.state_snapshot(),
         }
-        # Present only for disrupted runs: the scenario (a picklable frozen
-        # dataclass) is part of the world the trajectory depends on, so a
-        # resume must reconstruct — and may not silently change — it.
-        # Default runs keep the pre-scenario payload layout.
-        if self.scenario is not None:
-            payload["scenario"] = self.scenario
-        return payload
 
     def write_checkpoint(self) -> Path:
         """Atomically publish the current checkpoint at ``checkpoint_path``
@@ -367,7 +334,6 @@ class Simulation:
         checkpoint_every: Optional[int] = None,
         checkpoint_path: Optional[Union[str, Path]] = None,
         engine_kwargs: Optional[dict] = None,
-        scenario=None,
     ) -> "Simulation":
         """Rebuild a simulation from a checkpoint and resume bit-exactly.
 
@@ -401,6 +367,12 @@ class Simulation:
             raise CheckpointError(
                 f"checkpoint kind {checkpoint.get('kind')!r} is not a "
                 "simulation checkpoint"
+            )
+        if "scenario" in checkpoint:
+            raise CheckpointError(
+                "checkpoint was taken under the retired scenario layer "
+                "(restricted topologies, churn, faults), which no build "
+                "continues; only complete-graph runs resume"
             )
         if checkpoint.get("protocol") != protocol.name:
             raise CheckpointError(
@@ -446,24 +418,6 @@ class Simulation:
                 ) from None
         if engine_kwargs is None:
             engine_kwargs = checkpoint.get("engine_kwargs") or {}
-        # The recorded scenario is authoritative for reconstruction; a
-        # caller-supplied scenario is only validated against it — resuming a
-        # disrupted run into a different world (or a default run into a
-        # disrupted one) would corrupt the trajectory.
-        recorded_scenario = checkpoint.get("scenario")
-        if scenario is not None:
-            from repro.scenarios.scenario import active_scenario
-
-            requested = active_scenario(scenario)
-            recorded_desc = (
-                None if recorded_scenario is None else recorded_scenario.describe()
-            )
-            requested_desc = None if requested is None else requested.describe()
-            if recorded_desc != requested_desc:
-                raise CheckpointError(
-                    f"checkpoint was taken under scenario {recorded_desc!r}, "
-                    f"cannot resume under scenario {requested_desc!r}"
-                )
         simulation = cls(
             protocol,
             int(checkpoint["n"]),
@@ -477,7 +431,6 @@ class Simulation:
             ),
             checkpoint_every=checkpoint_every,
             checkpoint_path=checkpoint_path,
-            scenario=recorded_scenario,
         )
         simulation.engine.restore(checkpoint["engine_snapshot"])
         simulation._last_checkpoint = simulation.engine.interactions
@@ -577,21 +530,11 @@ class Simulation:
 
     def result(self, *, converged: bool, wall_clock_seconds: float = 0.0) -> RunResult:
         """Build a :class:`RunResult` from the engine's current state."""
-        engine = self.engine
-        metadata: Dict[str, object] = {}
-        if self.scenario is not None:
-            metadata["scenario"] = self.scenario.label()
-            counters = getattr(engine, "scenario_counters", None)
-            if counters is not None:
-                events = counters()
-                if events is not None:
-                    metadata["scenario_events"] = events
         return RunResult.of(
-            engine,
+            self.engine,
             self.seed,
             converged,
             wall_clock_seconds=wall_clock_seconds,
-            metadata=metadata,
         )
 
 
@@ -610,7 +553,6 @@ def run_protocol(
     checkpoint_every: Optional[int] = None,
     checkpoint_path: Optional[Union[str, Path]] = None,
     resume: bool = False,
-    scenario=None,
 ) -> RunResult:
     """Run ``protocol`` on ``n`` agents and return the :class:`RunResult`.
 
@@ -670,11 +612,6 @@ def run_protocol(
         from the checkpoint) and continue until the total budget.  When the
         file does not exist the run simply starts from scratch, so the same
         command line works for both the first attempt and every retry.
-    scenario:
-        Optional :class:`~repro.scenarios.scenario.Scenario` (topology +
-        churn + faults); ``None`` is the idealised complete fault-free
-        world.  On resume the checkpoint's recorded scenario is used and a
-        caller-supplied one is validated against it.
     """
     if resume and checkpoint_path is not None and Path(checkpoint_path).exists():
         from repro.experiments.io import read_checkpoint
@@ -699,7 +636,6 @@ def run_protocol(
             checkpoint_every=checkpoint_every,
             checkpoint_path=checkpoint_path,
             engine_kwargs=engine_kwargs,
-            scenario=scenario,
         )
     else:
         simulation = Simulation(
@@ -713,7 +649,6 @@ def run_protocol(
             check_every=check_every,
             checkpoint_every=checkpoint_every,
             checkpoint_path=checkpoint_path,
-            scenario=scenario,
         )
     return simulation.run(
         max_parallel_time=max_parallel_time, raise_on_budget=raise_on_budget

@@ -24,7 +24,7 @@ output-symbol id, plus the symbol interning tables), so configuration-level
 engines can aggregate outputs with one ``bincount``.
 
 The layout is a function of the protocol alone, one rule for every engine
-and scenario:
+and population size:
 
 1. a protocol that declares its state space
    (:meth:`~repro.engine.protocol.PopulationProtocol.state_closure`, from

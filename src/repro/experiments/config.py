@@ -27,8 +27,8 @@ budget, seed, engine — keys a distinct stored record.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import List, Sequence
 
 from repro.engine.dispatch import ENGINE_NAMES
 from repro.errors import ConfigurationError
@@ -61,13 +61,6 @@ class ExperimentConfig:
     #: worker count, so this field is excluded from experiment store keys
     #: (see :func:`repro.experiments.registry.experiment_key`).
     workers: int = 0
-    #: Optional :class:`~repro.scenarios.Scenario` applied to every run:
-    #: interaction topology plus churn and fault models.  ``None`` (the
-    #: default) is the classical complete fault-free model and keys exactly
-    #: as configurations minted before this field existed — the experiment
-    #: store key only includes the scenario when one is set (see
-    #: :func:`repro.experiments.registry.experiment_key`).
-    scenario: Optional[object] = None
 
     def __post_init__(self) -> None:
         if not self.population_sizes:
@@ -98,14 +91,6 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"workers must be >= 0, got {self.workers}"
             )
-        if self.scenario is not None:
-            from repro.scenarios import Scenario
-
-            if not isinstance(self.scenario, Scenario):
-                raise ConfigurationError(
-                    f"scenario must be a repro.scenarios.Scenario or None, "
-                    f"got {type(self.scenario).__name__}"
-                )
 
     # ------------------------------------------------------------------
     @classmethod
@@ -140,7 +125,7 @@ class ExperimentConfig:
 
     @classmethod
     def headline(cls) -> "ExperimentConfig":
-        """The count-space scenario tier: GSU19 at ``n = 10^7`` and ``10^8``.
+        """The count-space tier: GSU19 at ``n = 10^7`` and ``10^8``.
 
         Requires ``engine="auto"`` semantics: the dispatcher picks the
         fast-batch C kernel at ``10^7`` and the O(k)-memory
@@ -214,7 +199,3 @@ class ExperimentConfig:
     def with_workers(self, workers: int) -> "ExperimentConfig":
         """Copy of the configuration with a different worker-process count."""
         return replace(self, workers=int(workers))
-
-    def with_scenario(self, scenario) -> "ExperimentConfig":
-        """Copy of the configuration with a different scenario (or ``None``)."""
-        return replace(self, scenario=scenario)

@@ -263,6 +263,14 @@ def _read_version_1(path: Path, data: bytes) -> dict:
 def _unpickle(path: Path, data: bytes):
     try:
         return pickle.loads(data)
+    except ModuleNotFoundError as exc:
+        if (exc.name or "").startswith("repro.scenarios"):
+            raise CheckpointError(
+                f"checkpoint {path} was taken under the retired scenario "
+                "layer (restricted topologies, churn, faults), which no build "
+                "continues; only complete-graph runs resume"
+            ) from exc
+        raise CheckpointError(f"cannot read checkpoint {path}: {exc!r}") from exc
     except Exception as exc:  # noqa: BLE001 - unpickling can raise any type
         raise CheckpointError(f"cannot read checkpoint {path}: {exc!r}") from exc
 

@@ -30,7 +30,6 @@ from repro.experiments.lemmas import (
     run_lemma71,
     run_lemma73,
 )
-from repro.experiments.matrix import run_matrix
 from repro.experiments.runner import ExperimentResult
 from repro.experiments.table1 import run_table1
 
@@ -53,7 +52,6 @@ _REGISTRY: Dict[str, ExperimentRunner] = {
     "lemma71": run_lemma71,
     "lemma73": run_lemma73,
     "clock": run_clock,
-    "matrix": run_matrix,
 }
 
 
@@ -72,39 +70,21 @@ def get_experiment(name: str) -> ExperimentRunner:
         ) from None
 
 
-def _config_fields(config: ExperimentConfig) -> Dict[str, object]:
-    """JSON-safe, key-stable field dict of a configuration.
-
-    ``dataclasses.asdict`` would type-erase the scenario's nested frozen
-    dataclasses (the topology subclasses carry their identity in their
-    class, not in fields), so the scenario is replaced by its
-    :meth:`~repro.scenarios.Scenario.describe` dict — and dropped entirely
-    when ``None``, which keeps every key minted before the field existed
-    valid.
-    """
-    fields = dataclasses.asdict(config)
-    fields.pop("scenario", None)
-    if config.scenario is not None:
-        fields["scenario"] = config.scenario.describe()
-    return fields
-
-
 def experiment_key(name: str, config: ExperimentConfig) -> str:
     """Content key of one ``(experiment, configuration)`` combination.
 
     Hashes the experiment identifier together with every *result-affecting*
     field of the configuration, so changing any sweep knob — sizes,
-    repetitions, budget, seed, engine, scenario — keys a different record.
+    repetitions, budget, seed, engine — keys a different record.
     The ``workers`` field is deliberately excluded: the sweep scheduler is
     bit-identical at every worker count, so a result computed serially is
     the result a 8-worker rerun would recompute — excluding the knob lets
     the rerun reuse it (and keeps keys minted before the field existed
-    valid).  A ``None`` scenario is likewise excluded (see
-    :func:`_config_fields`).
+    valid).
     """
     from repro.experiments.store import content_key
 
-    fields = _config_fields(config)
+    fields = dataclasses.asdict(config)
     fields.pop("workers", None)
     return content_key(
         {
@@ -155,6 +135,6 @@ def run_experiment(
     store.save_experiment(
         key,
         result,
-        inputs={"experiment": name, "config": _config_fields(config)},
+        inputs={"experiment": name, "config": dataclasses.asdict(config)},
     )
     return result

@@ -26,7 +26,6 @@ from repro.engine.protocol import PopulationProtocol
 from repro.engine.recorder import MetricRecorder, Recorder
 from repro.errors import ConfigurationError, ExperimentError
 from repro.experiments.config import ExperimentConfig
-from repro.scenarios.scenario import active_scenario
 
 __all__ = [
     "ExperimentTable",
@@ -167,7 +166,6 @@ def sweep(
     engine: EngineSpec = None,
     store=None,
     workers: int = 0,
-    scenario=None,
 ) -> Dict[int, List[tuple]]:
     """Run a full (sizes × seeds) sweep; returns ``{n: [(result, recorders)]}``.
 
@@ -179,10 +177,7 @@ def sweep(
     file, which the first process to need it writes by the BFS), and
     ``store`` makes every recorder-free cell resumable.  The predicate is the protocol's own ``convergence()`` hook
     (:func:`convergence_for`).  ``recorder_factory`` gives every cell fresh
-    recorders, returned beside its result; ``scenario`` (a
-    :class:`~repro.scenarios.Scenario`) runs every cell under a
-    non-default interaction model, and the default complete fault-free
-    scenario is the same as none.  Seeds are spawned prefix-stably from
+    recorders, returned beside its result.  Seeds are spawned prefix-stably from
     ``base_seed`` and dealt out size-major, so appending sizes to ``ns``
     keeps the keys — and therefore the stored results — of the smaller
     sweep valid; raising ``repetitions`` keeps them only for a single size.
@@ -195,9 +190,6 @@ def sweep(
     run_kwargs: Dict[str, object] = (
         {} if check_every is None else {"check_every": check_every}
     )
-    scenario = active_scenario(scenario)
-    if scenario is not None:
-        run_kwargs["scenario"] = scenario
     points = run_many(
         protocol_factory,
         ns,

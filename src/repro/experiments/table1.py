@@ -119,7 +119,6 @@ def run_table1(config: ExperimentConfig) -> ExperimentResult:
             max_parallel_time=config.max_parallel_time,
             engine=config.engine,
             workers=config.workers,
-            scenario=config.scenario,
         )
         for n, outcomes in cells.items():
             times = [run.parallel_time for run, _ in outcomes]

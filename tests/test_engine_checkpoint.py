@@ -477,67 +477,6 @@ def test_simulation_checkpoint_requires_path():
         Simulation(OneWayEpidemic(), 32, checkpoint_every=32)
 
 
-def test_scenario_run_resume_reproduces_uninterrupted_run(tmp_path):
-    """Satellite of the scenario layer: a cycle-topology run with churn,
-    interrupted mid-flight and resumed from disk, reproduces the
-    uninterrupted trajectory byte-for-byte — liveness masks, event
-    counters and the scheduler's graph state all ride in the checkpoint."""
-    from repro.engine.simulation import run_protocol
-    from repro.scenarios import get_scenario
-
-    scenario = get_scenario("cycle-churn")
-    n, total = 48, 40.0
-    path = tmp_path / "disrupted.ckpt"
-
-    def run(max_parallel_time, **kwargs):
-        return run_protocol(
-            SlowLeaderElection(),
-            n,
-            seed=13,
-            max_parallel_time=max_parallel_time,
-            scenario=scenario,
-            **kwargs,
-        )
-
-    full = run(total)
-    assert full.metadata["scenario_events"]["leaves"] > 0  # churn actually hit
-    interrupted = run(total / 2, checkpoint_every=n, checkpoint_path=path)
-    assert path.exists()
-    assert interrupted.interactions < full.interactions
-
-    resumed = run(total, checkpoint_path=path, resume=True)
-    assert resumed.interactions == full.interactions
-    assert resumed.final_counts == full.final_counts
-    assert resumed.final_outputs == full.final_outputs
-    assert resumed.metadata["scenario_events"] == full.metadata["scenario_events"]
-
-
-def test_scenario_resume_rejects_different_scenario(tmp_path):
-    """A checkpoint taken under one scenario must not silently resume under
-    another (or under the default model)."""
-    from repro.engine.simulation import Simulation, run_protocol
-    from repro.scenarios import Cycle, Scenario, get_scenario
-
-    path = tmp_path / "cycle.ckpt"
-    run_protocol(
-        SlowLeaderElection(),
-        48,
-        seed=13,
-        max_parallel_time=10.0,
-        scenario=get_scenario("cycle-churn"),
-        checkpoint_every=48,
-        checkpoint_path=path,
-    )
-    with pytest.raises(CheckpointError, match="scenario"):
-        Simulation.from_checkpoint(
-            SlowLeaderElection(), path, scenario=Scenario(topology=Cycle())
-        )
-    # Omitting the scenario resumes under the recorded one.
-    resumed = Simulation.from_checkpoint(SlowLeaderElection(), path)
-    assert resumed.scenario is not None
-    assert resumed.scenario.describe() == get_scenario("cycle-churn").describe()
-
-
 # ----------------------------------------------------------------------
 # Stateful convergence predicates across resume
 # ----------------------------------------------------------------------
@@ -1112,6 +1051,43 @@ def test_split_only_count_stream_checkpoint_is_refused(tmp_path, name):
     engine = CountBatchEngine(_closure_gsu(), 4096, rng=31)
     engine.run(4096)
     assert engine.snapshot()["payload"]["stream"] == _STREAM == 3
+
+
+def test_retired_scenario_checkpoint_is_refused(tmp_path):
+    """``cycle_churn_sequential.ckpt`` was written by the last build with the
+    scenario layer: a sequential slow-election run (n = 48, seed 13, 10 PT)
+    on a cycle with churn, its pickled scenario in the payload.  Resuming it
+    fails and names that layer, and so does a current payload given a
+    ``scenario`` key or a sampler snapshot of another kind than the
+    complete graph's."""
+    from repro.engine.convergence import NeverConverge
+    from repro.engine.simulation import Simulation, run_protocol
+
+    refusal = "retired scenario layer"
+    path = tmp_path / "cycle_churn_sequential.ckpt"
+    shutil.copyfile(_FIXTURES / "cycle_churn_sequential.ckpt", path)
+    with pytest.raises(CheckpointError, match=refusal):
+        Simulation.from_checkpoint(SlowLeaderElection(), path)
+    with pytest.raises(CheckpointError, match=refusal):
+        run_protocol(
+            SlowLeaderElection(), 48, seed=13, max_parallel_time=20.0,
+            checkpoint_path=path, resume=True,
+        )
+    fresh = tmp_path / "complete.ckpt"
+    run_protocol(
+        SlowLeaderElection(), 48, seed=13, max_parallel_time=10.0,
+        convergence=NeverConverge(), checkpoint_every=48, checkpoint_path=fresh,
+    )
+    payload = read_checkpoint(fresh)
+    with pytest.raises(CheckpointError, match=refusal):
+        Simulation.from_checkpoint(SlowLeaderElection(), {**payload, "scenario": None})
+    sampler = payload["engine_snapshot"]["payload"]["sampler"]
+    assert sampler["kind"] == "complete"
+    sampler["kind"] = "cycle"
+    with pytest.raises(CheckpointError, match=refusal):
+        Simulation.from_checkpoint(SlowLeaderElection(), payload)
+    sampler["kind"] = "complete"
+    assert Simulation.from_checkpoint(SlowLeaderElection(), payload).engine.interactions == 480
 
 
 def test_lazy_layout_checkpoint_resumes_onto_the_closure_table(tmp_path):

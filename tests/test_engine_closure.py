@@ -17,6 +17,7 @@ persistent closure cache, whose unusable files are rebuilt by the BFS.
 from __future__ import annotations
 
 import hashlib
+import math
 import shutil
 import tracemalloc
 
@@ -197,6 +198,26 @@ def test_reachable_states_guards_against_unbounded_spaces():
 
     with pytest.raises(ProtocolError, match="exceeded 64 states"):
         reachable_states(transition, [0], max_states=64)
+
+
+def test_closure_memo_grows_geometrically(monkeypatch):
+    """A counter gains one state per BFS layer.  The rule memo grows by half
+    at least, capped at ``max_states``, so the BFS allocates it O(log K)
+    times; grown to the exact part count it was reallocated (and copied)
+    at every one of the K layers, O(K^3) copies in all."""
+    sides = []
+    full = np.full
+
+    def counting_full(shape, *args, **kwargs):
+        if isinstance(shape, tuple) and len(shape) == 3:  # the memo
+            sides.append(shape[0])
+        return full(shape, *args, **kwargs)
+
+    monkeypatch.setattr(closure.np, "full", counting_full)
+    with pytest.raises(ProtocolError, match="exceeded 512 states"):
+        reachable_states(lambda r, i: (r + 1, i), [0], max_states=512)
+    assert max(sides) == 512
+    assert len(sides) < 2 * math.log(512, 1.5)
 
 
 def test_reachable_states_guard_trips_before_a_layer_explodes():

@@ -3,8 +3,8 @@
 The engine's central guarantee — exactness — is pinned down at its strongest
 form: :class:`FastBatchEngine` consumes the shared randomness stream exactly
 as :class:`SequentialEngine`'s ``pair_block`` calls do — through those calls
-on the NumPy path and for topology schedulers, and through the C kernel's
-own draw from the same bit generator on the complete graph — so the two
+on the NumPy path, and through the C kernel's own draw from the same bit
+generator for ``n < 2**32`` — so the two
 engines must produce *identical* trajectories for identical seeds, not
 merely equal distributions.  The kernel's draw is checked against
 ``PairSampler.pair_block`` directly (equal pairs, equal generator state
@@ -45,9 +45,6 @@ from repro.errors import ConfigurationError
 from repro.protocols.approximate_majority import ApproximateMajority
 from repro.protocols.epidemic import OneWayEpidemic
 from repro.protocols.lottery import LotteryLeaderElection
-from repro.scenarios.models import ChurnModel, FaultModel
-from repro.scenarios.scenario import Scenario
-from repro.scenarios.topology import Cycle
 
 
 # ----------------------------------------------------------------------
@@ -306,31 +303,13 @@ _LAZY_PROTOCOLS = {
 
 
 #: Engine variants under test: the fast-batch kernel paths and the
-#: sequential engine, whose scalar loops keep a list copy of the ledger.
+#: sequential engine, whose scalar loop keeps a list copy of the ledger.
 _LEDGER_ENGINES = {
     "sequential": (SequentialEngine, {}),
     "numpy": (FastBatchEngine, {"kernel": "numpy"}),
 }
 if load_kernel() is not None:
     _LEDGER_ENGINES["c"] = (FastBatchEngine, {"kernel": "c"})
-
-#: Scenarios: the complete graph, a cycle topology, and churn plus every
-#: fault, which only the sequential engine runs (its scenario loop, with
-#: join writes and Byzantine overwrites).
-_LEDGER_SCENARIOS = {
-    "complete": None,
-    "cycle": Scenario(topology=Cycle()),
-    "churn+faults": Scenario(
-        churn=ChurnModel(join_rate=0.002, leave_rate=0.002),
-        faults=FaultModel(crash_rate=0.001, drop_p=0.05, byzantine_fraction=0.05),
-    ),
-}
-_LEDGER_CASES = [
-    (variant, world)
-    for variant in sorted(_LEDGER_ENGINES)
-    for world in sorted(_LEDGER_SCENARIOS)
-    if variant == "sequential" or world != "churn+faults"
-]
 
 
 def _assert_ledger_matches_agents(engine) -> None:
@@ -342,38 +321,29 @@ def _assert_ledger_matches_agents(engine) -> None:
 @given(
     protocol=st.sampled_from(sorted(_LAZY_PROTOCOLS)),
     n=st.integers(3, 400),
-    case=st.sampled_from(_LEDGER_CASES),
+    variant=st.sampled_from(sorted(_LEDGER_ENGINES)),
     chunks=st.lists(st.integers(1, 6_000), min_size=1, max_size=4),
     cut=st.integers(0, 4),
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=80, deadline=None)
-def test_live_counts_match_the_agents(protocol, n, case, chunks, cut, seed):
+def test_live_counts_match_the_agents(protocol, n, variant, chunks, cut, seed):
     """The ledger every stepping path maintains matches the agent array
     after every run: the count vector equals its bincount and every
     occupied state is marked seen.  Covers the C kernel drawing its own
-    pairs (complete graph) or applying ``pair_block``'s (a cycle), the
-    NumPy wave schedule and its scalar fallback (deep chains at small n
-    and on the cycle), the sequential engine's plain and scenario loops,
-    LUT misses, and snapshot -> restore (at ``cut``) into a fresh engine."""
-    variant, world = case
+    pairs, the NumPy wave schedule and its scalar fallback (deep chains at
+    small n), the sequential engine's loop, LUT misses, and snapshot ->
+    restore (at ``cut``) into a fresh engine."""
     factory = _LAZY_PROTOCOLS[protocol]
     engine_cls, kwargs = _LEDGER_ENGINES[variant]
-    scenario = _LEDGER_SCENARIOS[world]
-    engine = engine_cls(factory(n), n, rng=seed, scenario=scenario, **kwargs)
-    if variant == "c":
-        assert bool(engine._kernel_args.bitgen) == (scenario is None)
+    engine = engine_cls(factory(n), n, rng=seed, **kwargs)
     for index, chunk in enumerate(chunks):
         if index == cut:
-            engine = engine_cls.from_snapshot(
-                factory(n), engine.snapshot(), scenario=scenario, **kwargs
-            )
+            engine = engine_cls.from_snapshot(factory(n), engine.snapshot(), **kwargs)
             _assert_ledger_matches_agents(engine)
         engine.run(chunk)
         _assert_ledger_matches_agents(engine)
-    if scenario is None or not scenario.has_dynamics:
-        # (Under faults a short run may drop or skip every interaction.)
-        assert engine.table.compiled_pairs > 0
+    assert engine.table.compiled_pairs > 0
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Every table of GSU19 and GS18 is laid out over the protocol's reachable
 closure — every reachable state registered in BFS order and every pair
-compiled from the closure's LUT — for every engine and scenario.  For a
+compiled from the closure's LUT — for every engine and size.  For a
 layout-free engine (:attr:`repro.engine.base.BaseEngine.layout_free`: the
 sequential and fast-batch engines) these pins show the layout is
 invisible: a run on the closure table reproduces the run on a fresh table

@@ -517,16 +517,11 @@ def test_table1_cell_key_is_pinned(tmp_path):
     [
         pytest.param({"recorders": []}, id="recorders"),
         pytest.param({"checkpoint_every": 256}, id="checkpoint_every"),
-        pytest.param({"scenario": "cycle"}, id="scenario"),
         pytest.param({"raise_on_budget": False}, id="raise_on_budget"),
     ],
 )
 def test_ungroupable_cells_run_on_fresh_protocols(run_kwargs, tmp_path, monkeypatch):
-    from repro.scenarios.scenario import get_scenario
-
     run_kwargs = dict(run_kwargs)
-    if "scenario" in run_kwargs:
-        run_kwargs["scenario"] = get_scenario(run_kwargs["scenario"])
     if "checkpoint_every" in run_kwargs:
         run_kwargs["checkpoint_path"] = tmp_path / "cell.ckpt"
     used = _protocols_used(monkeypatch)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.engine.scheduler import PairSampler
-from repro.errors import ConfigurationError
+from repro.errors import CheckpointError, ConfigurationError
 
 
 def test_rejects_population_below_two():
@@ -56,3 +56,50 @@ def test_ordered_pairs_cover_both_orders():
 def test_generator_property_exposes_numpy_generator():
     sampler = PairSampler(8, rng=0)
     assert isinstance(sampler.generator, np.random.Generator)
+
+
+def test_snapshot_resumes_pair_stream_exactly():
+    sampler = PairSampler(24, 13)
+    sampler.pair_block(37)  # advance the generator past a prefix
+    snapshot = sampler.state_snapshot()
+    expected = [sampler.pair_block(size) for size in (1, 50, 500)]
+
+    restored = PairSampler(24, 999)
+    restored.state_restore(snapshot)
+    for size, (responders, initiators) in zip((1, 50, 500), expected):
+        block = restored.pair_block(size)
+        assert np.array_equal(block[0], responders)
+        assert np.array_equal(block[1], initiators)
+
+
+def test_snapshot_records_complete_kind():
+    assert PairSampler(24, 1).state_snapshot()["kind"] == PairSampler.kind == "complete"
+
+
+def test_snapshot_of_a_retired_scheduler_kind_is_refused():
+    """Builds with the scenario layer recorded topology schedulers' kinds
+    (``"cycle"``, ``"grid2d"``, ...); none restores into the sampler."""
+    snapshot = dict(PairSampler(24, 1).state_snapshot(), kind="cycle")
+    with pytest.raises(CheckpointError, match="'cycle' scheduler of the retired scenario layer"):
+        PairSampler(24, 1).state_restore(snapshot)
+
+
+def test_snapshot_reads_legacy_pending_lists():
+    """Snapshots in the historical layout (no ``kind``, the pending tail as
+    ``pending_a``/``pending_b`` lists) restore unchanged when the tail is
+    empty; a non-empty tail is refused, since no pair is owed any more."""
+    sampler = PairSampler(64, rng=5)
+    sampler.pair_block(10)
+    snapshot = sampler.state_snapshot()
+    expected = sampler.pair_block(40)
+
+    legacy = {"n": snapshot["n"], "rng": snapshot["rng"], "pending_a": [], "pending_b": []}
+    restored = PairSampler(64, rng=999)
+    restored.state_restore(legacy)
+    block = restored.pair_block(40)
+    assert np.array_equal(block[0], expected[0])
+    assert np.array_equal(block[1], expected[1])
+
+    legacy.update(pending_a=[3], pending_b=[7])
+    with pytest.raises(CheckpointError, match="non-empty pending tail"):
+        PairSampler(64, rng=999).state_restore(legacy)

@@ -1,7 +1,7 @@
 """Pinned table digests of every engine-driven experiment.  All of them run
 their cells through the sweep scheduler
 (:func:`repro.engine.parallel.run_many`/``run_cells``): to-convergence,
-settle-predicate, fixed-horizon, recorder and scenario cells alike.  Each
+settle-predicate, fixed-horizon and recorder cells alike.  Each
 pin must hold at one and at two worker processes: a pool reproduces the
 serial tables byte for byte.
 """
@@ -18,11 +18,8 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.figure1 import run_figure1
 from repro.experiments.figure2 import run_figure2
 from repro.experiments.figure3 import run_figure3
-from repro.experiments.matrix import run_matrix
 from repro.experiments.lemmas import run_clock, run_lemma41, run_lemma53, run_lemma71
 from repro.experiments.table1 import run_table1
-from repro.scenarios import get_scenario
-from test_experiment_matrix import _tiny_config
 
 
 def _digest(result) -> str:
@@ -38,14 +35,6 @@ _PINS = {
     "clock": (run_clock, ExperimentConfig.smoke, "83a3207c3d9d98e1"),
     "figure2": (run_figure2, ExperimentConfig.smoke, "88372f9510af5289"),
     "figure3": (run_figure3, ExperimentConfig.smoke, "3a6ef3e35d38c3b2"),
-    "table1-cycle": (
-        run_table1,
-        lambda: ExperimentConfig.smoke()
-        .with_sizes((128,))
-        .with_scenario(get_scenario("cycle")),
-        "d597ed73598ae988",
-    ),
-    "matrix": (run_matrix, _tiny_config, "a32a5c9d0a6cd679"),
 }
 
 

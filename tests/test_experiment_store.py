@@ -21,7 +21,7 @@ from repro.engine.simulation import RunResult
 from repro.errors import ExperimentError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.registry import experiment_key, run_experiment
-from repro.experiments.runner import ExperimentResult, sweep
+from repro.experiments.runner import ExperimentResult
 from repro.experiments.store import ExperimentStore, canonical_engine_spec, content_key
 from repro.protocols.epidemic import OneWayEpidemic
 from repro.protocols.slow import SlowLeaderElection
@@ -329,33 +329,6 @@ def test_run_cells_uses_store_only_without_recorders(tmp_path, run_counter):
         **kwargs,
     )
     assert len(run_counter) == 3
-
-
-def _cycle_sweep(store):
-    from repro.scenarios import get_scenario
-
-    return sweep(
-        _slow_factory, [16, 24], repetitions=2, base_seed=3, max_parallel_time=200.0,
-        scenario=get_scenario("cycle"), store=store, workers=2,
-    )
-
-
-def test_scenario_sweep_stores_and_reloads_every_cell(tmp_path, monkeypatch):
-    monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
-    store = ExperimentStore(tmp_path)
-    first = _cycle_sweep(store)
-    assert store.stored == 4 and store.loaded == 0
-    again = _cycle_sweep(store)
-    assert store.stored == 4 and store.loaded == 4
-
-    def summary(cells):
-        return {
-            n: [(r.interactions, r.converged, r.final_counts) for r, _ in outcomes]
-            for n, outcomes in cells.items()
-        }
-
-    assert summary(again) == summary(first)
-    assert all(r.metadata["scenario"] == "cycle" for r, _ in first[16])
 
 
 @pytest.fixture

@@ -39,7 +39,7 @@ def test_config_presets_are_valid():
 
 
 def test_headline_preset_targets_the_count_space_tier():
-    """The n = 10^7/10^8 GSU19 scenario tier rides on auto dispatch: the
+    """The n = 10^7/10^8 GSU19 count-space tier rides on auto dispatch: the
     10^8 point only exists because the configuration-space engine does."""
     preset = ExperimentConfig.headline()
     assert preset.population_sizes == (10**7, 10**8)

@@ -145,9 +145,8 @@ def test_cli_countbatch_runs_in_process(capsys):
     assert "lemma41" in capsys.readouterr().out
 
 
-def test_cli_engine_auto_runs_end_to_end():
-    """Smoke test: ``python -m repro.cli run ... --engine auto`` as a real
-    subprocess, covering module entry point, auto-dispatch and reporting."""
+def _run_cli(*argv: str):
+    """``python -m repro.cli *argv`` as a real subprocess, on this checkout."""
     import os
     import subprocess
     import sys
@@ -158,31 +157,51 @@ def test_cli_engine_auto_runs_end_to_end():
     env["PYTHONPATH"] = src + os.pathsep * bool(env.get("PYTHONPATH")) + env.get(
         "PYTHONPATH", ""
     )
-    completed = subprocess.run(
-        [
-            sys.executable,
-            "-m",
-            "repro.cli",
-            "run",
-            "lemma41",
-            "--preset",
-            "smoke",
-            "--sizes",
-            "64",
-            "--repetitions",
-            "1",
-            "--engine",
-            "auto",
-            "--no-charts",
-        ],
+    return subprocess.run(
+        [sys.executable, "-m", "repro.cli", *argv],
         capture_output=True,
         text=True,
         cwd=repo_root,
         env=env,
         timeout=300,
     )
+
+
+def test_cli_engine_auto_runs_end_to_end():
+    """Smoke test: ``python -m repro.cli run ... --engine auto`` as a real
+    subprocess, covering module entry point, auto-dispatch and reporting."""
+    completed = _run_cli(
+        "run",
+        "lemma41",
+        "--preset",
+        "smoke",
+        "--sizes",
+        "64",
+        "--repetitions",
+        "1",
+        "--engine",
+        "auto",
+        "--no-charts",
+    )
     assert completed.returncode == 0, completed.stderr
     assert "lemma41" in completed.stdout
+
+
+def test_cli_refuses_retired_flags_and_experiment_by_name():
+    """The flags and the experiment of the retired scenario layer are gone
+    from the parser: each exits with argparse's usage error (code 2),
+    naming what it refused."""
+    for argv, named in [
+        (("--topology", "cycle"), "--topology"),
+        (("--churn", "0.01"), "--churn"),
+        (("--faults", "crash:1e-4"), "--faults"),
+    ]:
+        completed = _run_cli("run", "lemma73", *argv)
+        assert completed.returncode == 2, completed.stderr
+        assert named in completed.stderr
+    completed = _run_cli("run", "matrix")
+    assert completed.returncode == 2, completed.stderr
+    assert "'matrix'" in completed.stderr
 
 
 def test_cli_run_fast_experiment(capsys, tmp_path):

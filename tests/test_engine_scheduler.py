@@ -22,6 +22,14 @@ def test_pair_block_shapes_and_distinctness():
     assert a.min() >= 0 and a.max() < 4
 
 
+def test_pair_block_produces_distinct_in_range_pairs():
+    a, b = PairSampler(24, rng=3).pair_block(4000)
+    assert a.shape == b.shape == (4000,)
+    assert np.all(a != b)
+    assert a.min() >= 0 and a.max() < 24
+    assert b.min() >= 0 and b.max() < 24
+
+
 def test_pair_block_is_reproducible_for_same_seed():
     a1, b1 = PairSampler(100, rng=42).pair_block(1000)
     a2, b2 = PairSampler(100, rng=42).pair_block(1000)
